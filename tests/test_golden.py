@@ -1,0 +1,107 @@
+"""Golden outputs: every experiment id, plus the analytic-only runner, at a
+pinned seed and tiny scale, compared against stored expectations.
+
+Each case's summary rows (label, sweep value and count exactly; mean,
+variance and stderr at rtol 1e-12) and its manifest ``extras`` are kept
+in ``tests/golden/<case>.json``. A refactor of the engine must leave these
+unchanged. Regenerate them only for an intended change of outputs, and
+record that change in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lis_uplink import preset_run_config, run_asymptotic, run_experiment
+from lis_uplink import harness as hz
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SEED = 3
+RTOL = 1e-12
+
+M_SWEEP = {"experiment.sweep_values": [16, 36]}
+
+# case name -> (runner, experiment id, overrides)
+CASES = {
+    "fig4": (run_experiment, "fig4", {
+        **M_SWEEP, "experiment.realizations": 10, "experiment.placements": 2}),
+    "fig5": (run_experiment, "fig5", {
+        **M_SWEEP, "experiment.realizations": 4, "experiment.placements": 2,
+        "experiment.theory_stride": 2}),
+    "fig6": (run_experiment, "fig6", {
+        **M_SWEEP, "experiment.realizations": 4, "experiment.placements": 1,
+        "experiment.theory_stride": 2}),
+    "fig6b": (run_experiment, "fig6b", {
+        **M_SWEEP, "experiment.realizations": 3, "experiment.placements": 2}),
+    "fig7": (run_experiment, "fig7", {
+        "system.M": 36, "experiment.sweep_variable": "t",
+        "experiment.sweep_values": [8, 16, 64, 500],
+        "experiment.realizations": 4, "experiment.placements": 1,
+        "experiment.theory_stride": 2}),
+    "fig8": (run_experiment, "fig8", {
+        "system.M": 36, "placement.pool_size": 8,
+        "experiment.realizations": 2, "experiment.placements": 2}),
+    "fig9": (run_experiment, "fig9", {
+        **M_SWEEP, "placement.pool_size": 8,
+        "experiment.realizations": 2, "experiment.placements": 1}),
+    "oracle": (run_experiment, "oracle", {
+        **M_SWEEP, "experiment.realizations": 30, "experiment.placements": 1}),
+    "asymptotic-fig5": (run_asymptotic, "fig5", {
+        **M_SWEEP, "experiment.realizations": 3, "experiment.placements": 2}),
+    "asymptotic-fig6": (run_asymptotic, "fig6", {
+        **M_SWEEP, "experiment.realizations": 3, "experiment.placements": 1}),
+}
+
+
+def _observe(case: str) -> dict:
+    runner, exp_id, overrides = CASES[case]
+    result = runner(preset_run_config(exp_id, seed=SEED).with_overrides(overrides))
+    rows = [[s.label, s.sweep_value, s.count, s.mean, s.variance, s.stderr]
+            for s in result.summaries]
+    # the manifest's view of the extras: JSON types, string keys
+    extras = json.loads(json.dumps(hz._jsonable(result.extras)))
+    return {"rows": rows, "extras": extras}
+
+
+def _assert_same(actual, expected, where="extras"):
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and sorted(actual) == sorted(expected), where
+        for key in expected:
+            _assert_same(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_same(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert isinstance(actual, float), where
+        np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=0.0,
+                                   equal_nan=True, err_msg=where)
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matches_golden(case):
+    expected = json.loads((GOLDEN_DIR / f"{case}.json").read_text(encoding="utf-8"))
+    actual = _observe(case)
+    got = [(r[0], r[1], r[2]) for r in actual["rows"]]
+    want = [(r[0], r[1], r[2]) for r in expected["rows"]]
+    assert got == want
+    for a, e in zip(actual["rows"], expected["rows"]):
+        for col, name in zip((3, 4, 5), ("mean", "variance", "stderr")):
+            assert math.isclose(a[col], e[col], rel_tol=RTOL, abs_tol=0.0), (
+                f"{case} {e[0]!r} at {e[1]}: {name} {a[col]!r} != {e[col]!r}")
+    _assert_same(actual["extras"], expected["extras"])
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in sorted(CASES):
+        path = GOLDEN_DIR / f"{name}.json"
+        path.write_text(json.dumps(_observe(name), indent=1) + "\n", encoding="utf-8")
+        print(path)
