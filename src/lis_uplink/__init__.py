@@ -63,13 +63,7 @@ from .harness import (
     StatSummary,
     preset_run_config,
     run_asymptotic,
-    run_csi_comparison,
-    run_ergodic_sse,
     run_experiment,
-    run_k_sweep,
-    run_moment_oracle,
-    run_pilot_sweep,
-    run_se_variance,
     summarize,
     write_outputs,
 )

@@ -11,15 +11,8 @@ from pathlib import Path
 
 from .asymptotics import build_moment_set, theorem1_sse
 from .config import CONFIG_KEY_HELP, ConfigError, RunConfig, load_config, parse_override
-from .harness import (
-    preset_run_config,
-    run_asymptotic,
-    run_experiment,
-    run_moment_oracle,
-    write_outputs,
-)
-from .links import LinkWorld, draw_unit_block, make_unit_stats, placement_rng, stream
-from .links import DOMAIN_BLOCK
+from .harness import preset_run_config, run_asymptotic, run_experiment, write_outputs
+from .links import LinkWorld, block_rng, draw_unit_block, make_unit_stats, placement_rng
 from .optimize import expected_floor_table, optimal_num_devices, optimal_pilot_length
 from .scenario import place_devices
 
@@ -122,7 +115,7 @@ def _theory_moment_sets(rc: RunConfig):
     t = cfg.pilot_len
     sets = []
     for k in range(cfg.K):
-        rng = stream(cfg.seed, DOMAIN_BLOCK, 0, 0, 0, k)
+        rng = block_rng(cfg.seed, 0, 0, 0, k)
         draw = draw_unit_block(rng, cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(world.unit(0, k), draw, cfg, "rician")
         sets.append(
@@ -183,7 +176,7 @@ def _cmd_validate(args) -> int:
         rc = dataclasses.replace(
             rc, experiment=dataclasses.replace(rc.experiment, id="oracle")
         )
-    result = run_moment_oracle(rc, args.workers)
+    result = run_experiment(rc, args.workers)
     write_outputs(result, args.out)
     ok = True
     for entry in result.extras["placements"]:

@@ -201,6 +201,17 @@ class RunConfig:
     placement: PlacementConfig = field(default_factory=PlacementConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
+    def __post_init__(self):
+        layout = self.layout
+        quad = layout.name == "quad" or (layout.name == "auto" and self.system.N == 4)
+        if quad and layout.box_height >= layout.d_z:
+            # devices of the target panel must sit in front of the facing one
+            raise ConfigError(
+                f"quad layout needs layout.box_height < layout.d_z, got "
+                f"box_height={layout.box_height} and d_z={layout.d_z}",
+                "layout.d_z",
+            )
+
     def to_dict(self) -> dict:
         out: dict[str, dict[str, Any]] = {}
         for section_name in ("system", "layout", "placement", "experiment"):

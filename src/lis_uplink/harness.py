@@ -1,15 +1,34 @@
-"""Monte Carlo experiment engine: figure runners, aggregation, CSV output.
+"""Monte Carlo experiment engine: one block engine, one reduction per
+figure, aggregation, CSV output.
+
+Every figure reduces the same per-unit pipeline. ``_place`` draws a
+placement, ``_worlds`` builds the link world of a sweep point (plus the
+panel-0 single-LIS twin on request), ``_unit_block`` draws block b of unit
+(n, k) and builds its statistics in every world, and ``_kernel`` /
+``_moments`` turn those into a sampled ``BlockKernel`` and a Lemma/Theorem
+moment set; ``_sweep_blocks`` walks a placement's (array size, block)
+grid. Only ``_place``, ``_unit_block`` and ``_refades`` (fresh
+fading on a frozen block-0 condition) draw randomness. A twin never draws:
+it always gets the panel-0 slice of the multi-LIS draw, so multi-vs-single
+differences are paired.
 
 Randomness is addressed, not sequenced: every placement and every
 (block, unit) pair gets its own seed-derived substream, so results do not
-depend on scheduling. Workers parallelize over placements; records are
-concatenated in placement order and aggregated with fixed-order
+depend on scheduling. ``_run`` maps a reduction over placements; records
+are concatenated in placement order and aggregated with fixed-order
 reductions, which makes output files byte-identical for any worker count.
+
+To add a figure, write a module-level ``reduction(spec, p)`` returning
+``(records, extras)``, with records as ``RawRecord`` field tuples; reduce
+one unit at a time so different units' roots are never alive together.
+Register it in ``_REDUCTIONS`` with a default sweep in ``_DEFAULT_SWEEPS``
+and a preset in ``_PRESETS``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -75,17 +94,21 @@ class ExperimentSpec:
     @classmethod
     def from_run_config(cls, rc: RunConfig) -> "ExperimentSpec":
         exp = rc.experiment
-        want_var, want_vals = _DEFAULT_SWEEPS[exp.id]
-        if exp.sweep_values == ():
-            var, values = want_var, want_vals
-        else:
-            if exp.sweep_variable != want_var:
+        if exp.id == "oracle" and exp.realizations < 2:
+            # one sample has no standard error, so the oracle's z-gate is void
+            raise ConfigError(
+                f"the moment oracle needs at least 2 realizations, got {exp.realizations}",
+                "experiment.realizations",
+            )
+        var, values = _DEFAULT_SWEEPS[exp.id]
+        if exp.sweep_values != ():
+            if exp.sweep_variable != var:
                 raise ConfigError(
-                    f"experiment {exp.id!r} sweeps {want_var!r}, "
+                    f"experiment {exp.id!r} sweeps {var!r}, "
                     f"got sweep_variable={exp.sweep_variable!r}",
                     "experiment.sweep_variable",
                 )
-            var, values = want_var, exp.sweep_values
+            values = exp.sweep_values
         if var == "t":
             lo, hi = rc.system.pilot_len, rc.system.T
             bad = [v for v in values if not (lo <= v <= hi)]
@@ -98,24 +121,14 @@ class ExperimentSpec:
         resolved = dataclasses.replace(
             exp, sweep_variable=var, sweep_values=values, interference=interference
         )
-        return cls(
-            system=rc.system,
-            layout=rc.layout,
-            placement=rc.placement,
-            experiment=resolved,
-        )
+        return cls(system=rc.system, layout=rc.layout, placement=rc.placement, experiment=resolved)
 
     @property
     def seed(self) -> int:
         return self.system.seed
 
     def resolved_run_config(self) -> RunConfig:
-        return RunConfig(
-            system=self.system,
-            layout=self.layout,
-            placement=self.placement,
-            experiment=self.experiment,
-        )
+        return RunConfig(self.system, self.layout, self.placement, self.experiment)
 
     def to_dict(self) -> dict:
         return self.resolved_run_config().to_dict()
@@ -165,23 +178,14 @@ def summarize(records) -> list[StatSummary]:
     for (label, sweep), vals in sorted(groups.items()):
         arr = np.asarray(vals, dtype=float)
         n = arr.size
-        mean = float(np.mean(arr))
         var = float(np.var(arr, ddof=1)) if n > 1 else 0.0
-        out.append(
-            StatSummary(
-                sweep_value=sweep,
-                mean=mean,
-                variance=var,
-                stderr=math.sqrt(var / n),
-                count=n,
-                label=label,
-            )
-        )
+        out.append(StatSummary(sweep_value=sweep, mean=float(np.mean(arr)), variance=var,
+                               stderr=math.sqrt(var / n), count=n, label=label))
     return out
 
 
 # ---------------------------------------------------------------------------
-# worker plumbing
+# block engine
 
 
 def resolve_workers(workers=None) -> int:
@@ -206,15 +210,12 @@ def _pmap(fn, tasks, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=1))
 
 
-def _place(spec: ExperimentSpec, p_idx: int, K=None, allow_partial=False):
-    return place_devices(
-        spec.system,
-        spec.layout,
-        placement_rng(spec.seed, p_idx),
-        placement=spec.placement,
-        K=K,
-        allow_partial=allow_partial,
-    )
+def _place(spec: ExperimentSpec, p_idx: int, pool: bool = False):
+    """Devices of placement p_idx; with pool, the largest common placeable
+    pool up to placement.pool_size (default min(T - 1, 40))."""
+    K = (spec.placement.pool_size or min(spec.system.T - 1, 40)) if pool else None
+    return place_devices(spec.system, spec.layout, placement_rng(spec.seed, p_idx),
+                         placement=spec.placement, K=K, allow_partial=pool)
 
 
 def _unit_rng(seed: int, p_idx: int, b_idx: int, n_key: int, k: int):
@@ -225,492 +226,330 @@ def _panel0_draw(draw):
     """Panel-0 slice of a multi-panel draw: the single-LIS twin sees the
     same gates, angles, fading, and receiver noise, so multi-vs-single
     differences are paired and carry only the inter-panel terms."""
-    return dataclasses.replace(
-        draw, coins=draw.coins[:1], angles=draw.angles[:1], g=draw.g[:1]
+    return dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1], g=draw.g[:1])
+
+
+def _worlds(spec: ExperimentSpec, dep, twin: bool = False, **changes) -> list:
+    """Link world of one sweep point (system config with `changes`); with
+    twin, followed by the panel-0 single-LIS world."""
+    cfg = dataclasses.replace(spec.system, **changes)
+    worlds = [LinkWorld(dep, cfg)]
+    if twin:
+        worlds.append(LinkWorld(dep.panel(0), dataclasses.replace(cfg, N=1)))
+    return worlds
+
+
+def _unit_block(spec: ExperimentSpec, worlds, p: int, b: int, n: int, k: int) -> list:
+    """Draw block b of unit (n, k) once and build its statistics in every
+    world: one (world, stats, draw) per world, the twin on the panel-0 slice.
+
+    Callers reduce one unit before drawing the next, so the (N, K, M, P)
+    roots of different units are never alive together."""
+    cfg = worlds[0].config
+    draw = draw_unit_block(_unit_rng(spec.seed, p, b, n, k), cfg.N, cfg.K, cfg.P, cfg.M)
+    draws = [draw] + [_panel0_draw(draw)] * (len(worlds) - 1)
+    return [
+        (world, make_unit_stats(world.unit(n, k), d, world.config, spec.experiment.interference), d)
+        for world, d in zip(worlds, draws)
+    ]
+
+
+def _refades(spec: ExperimentSpec, cfg: SystemConfig, p: int, r: int, n: int, k: int):
+    """Fresh fading g and noise w of realization r of unit (n, k), on top
+    of the frozen block-0 condition (stream address b = r + 1)."""
+    rng = _unit_rng(spec.seed, p, r + 1, n, k)
+    return cgauss(rng, (cfg.N, cfg.K, cfg.P)), cgauss(rng, (cfg.M,))
+
+
+def _kernel(stats, world: LinkWorld, g, w, K=None) -> BlockKernel:
+    """Sampled kernel of one unit in `world`; with K, restricted to the
+    first K devices per panel."""
+    rho_p, rho_d = world.rho_p, world.rho_d
+    if K is not None:
+        stats, g, rho_p, rho_d = slice_stats(stats, K), g[:, :K], rho_p[:, :K], rho_d[:, :K]
+    return BlockKernel(stats, g, w, rho_p, rho_d)
+
+
+def _moments(stats, world: LinkWorld, t: int):
+    """Lemma/Theorem moment set of one unit's block statistics."""
+    n, k = stats.geom.n, stats.geom.k
+    return build_moment_set(
+        stats, t, world.rho_p, world.rho_d,
+        z_own=world.deployment.devices_local[n, k, 2], L=world.config.L,
     )
+
+
+def _sweep_blocks(spec: ExperimentSpec, p: int, twin: bool):
+    """(M, worlds, b) for every array size of placement p and every block."""
+    dep = _place(spec, p)
+    for M in spec.experiment.sweep_values:
+        worlds = _worlds(spec, dep, twin, M=int(M))
+        for b in range(spec.experiment.realizations):
+            yield M, worlds, b
+
+
+def _sampled_nse(spec: ExperimentSpec, worlds, p: int, b: int, K_grid) -> dict:
+    """Monte Carlo NSE of block b for every admitted count K in K_grid, with
+    pilot length t = K. Unit (n, k) is drawn once and its statistics are
+    sliced to each K > k."""
+    (world,) = worlds
+    cfg = world.config
+    gam = {K: np.empty((cfg.N, K)) for K in K_grid}
+    for n in range(cfg.N):
+        for k in range(max(K_grid)):
+            ((_, stats, draw),) = _unit_block(spec, worlds, p, b, n, k)
+            for K in K_grid:
+                if k < K:
+                    gam[K][n, k] = _kernel(stats, world, draw.g, draw.w, K).gamma(K)
+    return {K: nse_of_gammas(gam[K], K, cfg.T) for K in K_grid}
+
+
+def _optimal_count(dep, cfg: SystemConfig, regime: str):
+    """Device count maximizing the Theorem 2 floor NSE over the pool."""
+    table = expected_floor_table(dep, cfg, regime=regime)
+    return optimal_num_devices(table.gamma_hat, cfg.T, K_values=range(1, dep.K + 1))
+
+
+def _sse(gammas, t: int, T: int) -> float:
+    return (1.0 - t / T) * float(np.sum(rate_log(1.0 + np.asarray(gammas))))
 
 
 # ---------------------------------------------------------------------------
-# figure workers (module-level for pickling)
+# figure reductions: (spec, placement) -> (record tuples, extras)
 
 
-def _worker_se_variance(task):
-    """Per-device SE variance of unit (0, 0) across fast-fading draws,
+def _se_variance(spec: ExperimentSpec, p: int):
+    """fig4: per-device SE variance of unit (0, 0) across fast-fading draws,
     multi- and single-LIS. The slow state (gates, scattering angles) is
-    frozen per placement so the statistic isolates channel hardening; the
-    single-LIS twin runs on the panel-0 slice of the same condition and
-    shares every fading and noise draw. One record per placement carries
-    the within-placement variance; curves then average over placements."""
-    spec, p = task
-    cfg0 = spec.system
-    exp = spec.experiment
+    frozen per placement so the statistic isolates channel hardening. One
+    record per placement carries the within-placement variance; curves then
+    average over placements."""
+    R = spec.experiment.realizations
     dep = _place(spec, p)
-    dep1 = dep.panel(0)
-    recs = []
-    extras = {"mean_se": {}}
-    for M in exp.sweep_values:
-        cfg = dataclasses.replace(cfg0, M=int(M))
-        cfg1 = dataclasses.replace(cfg, N=1)
-        world = LinkWorld(dep, cfg)
-        world1 = LinkWorld(dep1, cfg1)
-        geom = world.unit(0, 0)
-        geom1 = world1.unit(0, 0)
-        t, T = cfg.pilot_len, cfg.T
-        prelog = 1.0 - t / T
-        cond = draw_unit_block(
-            _unit_rng(spec.seed, p, 0, 0, 0), cfg.N, cfg.K, cfg.P, cfg.M
-        )
-        cond1 = _panel0_draw(cond)
-        pairs = (
-            ("multi-LIS SE variance",
-             make_unit_stats(geom, cond, cfg, exp.interference), world, slice(None)),
-            ("single-LIS SE variance",
-             make_unit_stats(geom1, cond1, cfg1, exp.interference), world1, slice(0, 1)),
-        )
-        se = {label: np.empty(exp.realizations) for label, *_ in pairs}
-        for b in range(exp.realizations):
-            rng = _unit_rng(spec.seed, p, b + 1, 0, 0)
-            g = cgauss(rng, (cfg.N, cfg.K, cfg.P))
-            w = cgauss(rng, (cfg.M,))
-            for label, stats, wd, rows in pairs:
-                kern = BlockKernel(stats, g[rows], w, wd.rho_p, wd.rho_d)
-                se[label][b] = prelog * float(rate_log(1.0 + kern.gamma(t)))
-        for label, *_ in pairs:
-            var = float(np.var(se[label], ddof=1)) if exp.realizations > 1 else 0.0
-            recs.append((float(M), label, p, 0, var))
-            extras["mean_se"].setdefault(label, {})[int(M)] = float(np.mean(se[label]))
-    return {"records": recs, "extras": extras}
+    recs, mean_se = [], {}
+    for M in spec.experiment.sweep_values:
+        worlds = _worlds(spec, dep, twin=True, M=int(M))
+        cfg = worlds[0].config
+        t = cfg.pilot_len
+        frozen = _unit_block(spec, worlds, p, 0, 0, 0)
+        se = np.empty((len(worlds), R))
+        for r in range(R):
+            g, w = _refades(spec, cfg, p, r, 0, 0)
+            for i, (world, stats, _) in enumerate(frozen):
+                kern = _kernel(stats, world, g[: world.config.N], w)
+                se[i, r] = _sse(kern.gamma(t), t, cfg.T)
+        for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), se):
+            recs.append((float(M), label, p, 0, float(np.var(row, ddof=1)) if R > 1 else 0.0))
+            mean_se.setdefault(label, {})[int(M)] = float(np.mean(row))
+    return recs, {"mean_se": mean_se}
 
 
-def _worker_ergodic(task):
-    """Panel-0 SSE samples plus paired analytic curves. The single-LIS
-    world reuses the panel-0 slice of each multi-LIS draw, so the
-    multi-vs-single gap is a paired difference."""
-    spec, p = task
-    cfg0 = spec.system
+def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
+    """fig5/fig6: panel-0 SSE of the multi-LIS system and its single-LIS
+    twin on paired draws, plus Theorem 1/2 curves every stride-th block.
+    With sample=False (run_asymptotic): the multi-LIS Theorem curves alone
+    on every block, with no receive-side sampling."""
     exp = spec.experiment
-    stride = exp.theory_stride or max(1, exp.realizations // 8)
-    dep = _place(spec, p)
-    dep1 = dep.panel(0)
+    stride = (exp.theory_stride or max(1, exp.realizations // 8)) if sample else 1
     recs = []
-    for M in exp.sweep_values:
-        cfg = dataclasses.replace(cfg0, M=int(M))
-        cfg1 = dataclasses.replace(cfg, N=1)
-        world = LinkWorld(dep, cfg)
-        world1 = LinkWorld(dep1, cfg1)
+    for M, worlds, b in _sweep_blocks(spec, p, twin=sample):
+        cfg = worlds[0].config
         t, T = cfg.pilot_len, cfg.T
-        prelog = 1.0 - t / T
-        geoms = [world.unit(0, k) for k in range(cfg.K)]
-        geoms1 = [world1.unit(0, k) for k in range(cfg.K)]
-        for b in range(exp.realizations):
-            gammas = np.empty(cfg.K)
-            gammas1 = np.empty(cfg.K)
-            sets = [] if b % stride == 0 else None
-            sets1 = [] if sets is not None else None
-            for k in range(cfg.K):
-                rng = _unit_rng(spec.seed, p, b, 0, k)
-                draw = draw_unit_block(rng, cfg.N, cfg.K, cfg.P, cfg.M)
-                draw1 = _panel0_draw(draw)
-                stats = make_unit_stats(geoms[k], draw, cfg, exp.interference)
-                stats1 = make_unit_stats(geoms1[k], draw1, cfg1, exp.interference)
-                kern = BlockKernel(stats, draw.g, draw.w, world.rho_p, world.rho_d)
-                kern1 = BlockKernel(stats1, draw1.g, draw1.w, world1.rho_p, world1.rho_d)
-                gammas[k] = kern.gamma(t)
-                gammas1[k] = kern1.gamma(t)
-                if sets is not None:
-                    z_own = dep.devices_local[0, k, 2]
-                    sets.append(
-                        build_moment_set(stats, t, world.rho_p, world.rho_d,
-                                         z_own=z_own, L=cfg.L)
-                    )
-                    sets1.append(
-                        build_moment_set(stats1, t, world1.rho_p, world1.rho_d,
-                                         z_own=z_own, L=cfg.L)
-                    )
-            recs.append((float(M), "multi-LIS imperfect CSI", p, b,
-                         prelog * float(np.sum(rate_log(1.0 + gammas)))))
-            recs.append((float(M), "single-LIS imperfect CSI", p, b,
-                         prelog * float(np.sum(rate_log(1.0 + gammas1)))))
-            if sets is not None:
-                for th_labels, th_sets in (
-                    (("Theorem 1", "Theorem 2 bound"), sets),
-                    (("Theorem 1 single-LIS", "Theorem 2 bound single-LIS"), sets1),
-                ):
-                    th = theorem1_sse(th_sets, t, T)
-                    recs.append((float(M), th_labels[0], p, b, th.sse_bar))
-                    if math.isfinite(th.sse_hat):
-                        # an interference-free draw has an unbounded floor;
-                        # such blocks are excluded from the bound curve
-                        recs.append((float(M), th_labels[1], p, b, th.sse_hat))
-    return {"records": recs, "extras": {}}
+        theory = b % stride == 0
+        gammas = np.empty((len(worlds), cfg.K))
+        sets = [[] for _ in worlds]
+        for k in range(cfg.K):
+            for i, (world, stats, draw) in enumerate(_unit_block(spec, worlds, p, b, 0, k)):
+                if sample:
+                    gammas[i, k] = _kernel(stats, world, draw.g, draw.w).gamma(t)
+                if theory:
+                    sets[i].append(_moments(stats, world, t))
+        if sample:
+            for row, tag in zip(gammas, ("multi-LIS", "single-LIS")):
+                recs.append((float(M), f"{tag} imperfect CSI", p, b, _sse(row, t, T)))
+        if theory:
+            for unit_sets, suffix in zip(sets, ("", " single-LIS")):
+                th = theorem1_sse(unit_sets, t, T)
+                recs.append((float(M), f"Theorem 1{suffix}", p, b, th.sse_bar))
+                # an interference-free draw has an unbounded floor; such
+                # blocks are excluded from the bound curve
+                if math.isfinite(th.sse_hat):
+                    recs.append((float(M), f"Theorem 2 bound{suffix}", p, b, th.sse_hat))
+    return recs, {}
 
 
-def _worker_csi(task):
-    """Panel-0 SSE with estimated and with exact filters, multi and single,
-    all four curves from the same paired draws."""
-    spec, p = task
-    cfg0 = spec.system
-    exp = spec.experiment
-    dep = _place(spec, p)
-    dep1 = dep.panel(0)
+def _csi(spec: ExperimentSpec, p: int):
+    """fig6b: panel-0 SSE with estimated and with exact filters, multi- and
+    single-LIS, all four curves from the same paired draws."""
     recs = []
-    for M in exp.sweep_values:
-        cfg = dataclasses.replace(cfg0, M=int(M))
-        cfg1 = dataclasses.replace(cfg, N=1)
-        world = LinkWorld(dep, cfg)
-        world1 = LinkWorld(dep1, cfg1)
+    for M, worlds, b in _sweep_blocks(spec, p, twin=True):
+        cfg = worlds[0].config
         t, T = cfg.pilot_len, cfg.T
-        prelog = 1.0 - t / T
-        geoms = [world.unit(0, k) for k in range(cfg.K)]
-        geoms1 = [world1.unit(0, k) for k in range(cfg.K)]
-        for b in range(exp.realizations):
-            gam = {lab: np.empty(cfg.K) for lab in ("multi", "single")}
-            gam_p = {lab: np.empty(cfg.K) for lab in ("multi", "single")}
-            for k in range(cfg.K):
-                rng = _unit_rng(spec.seed, p, b, 0, k)
-                draw = draw_unit_block(rng, cfg.N, cfg.K, cfg.P, cfg.M)
-                draw1 = _panel0_draw(draw)
-                stats = make_unit_stats(geoms[k], draw, cfg, exp.interference)
-                stats1 = make_unit_stats(geoms1[k], draw1, cfg1, exp.interference)
-                kern = BlockKernel(stats, draw.g, draw.w, world.rho_p, world.rho_d)
-                kern1 = BlockKernel(stats1, draw1.g, draw1.w, world1.rho_p, world1.rho_d)
-                gam["multi"][k] = kern.gamma(t)
-                gam["single"][k] = kern1.gamma(t)
-                gam_p["multi"][k] = kern.gamma_perfect
-                gam_p["single"][k] = kern1.gamma_perfect
-            for lab, tag in (("multi", "multi-LIS"), ("single", "single-LIS")):
-                recs.append(
-                    (float(M), f"{tag} imperfect CSI", p, b,
-                     prelog * float(np.sum(rate_log(1.0 + gam[lab]))))
-                )
-                recs.append(
-                    (float(M), f"{tag} perfect CSI", p, b,
-                     prelog * float(np.sum(rate_log(1.0 + gam_p[lab]))))
-                )
-    return {"records": recs, "extras": {}}
+        gammas = np.empty((len(worlds), 2, cfg.K))  # world, (estimated, exact), unit
+        for k in range(cfg.K):
+            for i, (world, stats, draw) in enumerate(_unit_block(spec, worlds, p, b, 0, k)):
+                kern = _kernel(stats, world, draw.g, draw.w)
+                gammas[i, :, k] = kern.gamma(t), kern.gamma_perfect
+        for (est, exact), tag in zip(gammas, ("multi-LIS", "single-LIS")):
+            recs.append((float(M), f"{tag} imperfect CSI", p, b, _sse(est, t, T)))
+            recs.append((float(M), f"{tag} perfect CSI", p, b, _sse(exact, t, T)))
+    return recs, {}
 
 
-def _worker_pilot(task):
-    """SSE versus pilot length on a fixed array size; sampled kernels are
-    reused across the whole t grid."""
-    spec, p = task
-    cfg = spec.system
+def _pilot(spec: ExperimentSpec, p: int):
+    """fig7: SSE versus pilot length on a fixed array size; each block's
+    sampled kernels are reused across the whole t grid."""
     exp = spec.experiment
     stride = exp.theory_stride or max(1, exp.realizations // 2)
-    t_values = [int(v) for v in exp.sweep_values]
-    dep = _place(spec, p)
-    world = LinkWorld(dep, cfg)
-    T = cfg.T
-    geoms = [world.unit(0, k) for k in range(cfg.K)]
+    worlds = _worlds(spec, _place(spec, p))
+    cfg = worlds[0].config
     recs = []
     for b in range(exp.realizations):
-        kernels = []
-        sets = [] if b % stride == 0 else None
+        theory = b % stride == 0
+        kernels, sets = [], []
         for k in range(cfg.K):
-            rng = _unit_rng(spec.seed, p, b, 0, k)
-            draw = draw_unit_block(rng, cfg.N, cfg.K, cfg.P, cfg.M)
-            stats = make_unit_stats(geoms[k], draw, cfg, exp.interference)
-            kernels.append(BlockKernel(stats, draw.g, draw.w, world.rho_p, world.rho_d))
-            if sets is not None:
-                sets.append(
-                    build_moment_set(
-                        stats, cfg.pilot_len, world.rho_p, world.rho_d,
-                        z_own=dep.devices_local[0, k, 2], L=cfg.L,
-                    )
-                )
-        for t in t_values:
-            prelog = 1.0 - t / T
-            if prelog <= 0.0:
-                sse = 0.0
-            else:
-                gam = np.array([kern.gamma(t) for kern in kernels])
-                sse = prelog * float(np.sum(rate_log(1.0 + gam)))
+            ((world, stats, draw),) = _unit_block(spec, worlds, p, b, 0, k)
+            kernels.append(_kernel(stats, world, draw.g, draw.w))
+            if theory:
+                sets.append(_moments(stats, world, cfg.pilot_len))
+        for t in (int(v) for v in exp.sweep_values):
+            sse = _sse([kern.gamma(t) for kern in kernels], t, cfg.T) if t < cfg.T else 0.0
             recs.append((float(t), "multi-LIS imperfect CSI", p, b, sse))
-            if sets is not None:
-                recs.append((float(t), "Theorem 1", p, b, theorem1_sse(sets, t, T).sse_bar))
-    return {"records": recs, "extras": {}}
+            if theory:
+                recs.append((float(t), "Theorem 1", p, b, theorem1_sse(sets, t, cfg.T).sse_bar))
+    return recs, {}
 
 
-def _worker_ksweep(task):
-    """Deterministic NSE(K) curve over the placeable pool plus a sampled
-    cross-check curve at a tractable array size."""
-    spec, p = task
-    cfg = spec.system
-    exp = spec.experiment
-    T = cfg.T
-    pool_target = spec.placement.pool_size or min(T - 1, 40)
-    dep = _place(spec, p, K=pool_target, allow_partial=True)
+def _ksweep(spec: ExperimentSpec, p: int):
+    """fig8: deterministic NSE(K) curve over the placeable pool plus a
+    sampled cross-check curve at a tractable array size."""
+    cfg, exp = spec.system, spec.experiment
+    dep = _place(spec, p, pool=True)
     pool = dep.K
-
-    table = expected_floor_table(dep, cfg, regime=exp.interference)
-    sol = optimal_num_devices(table.gamma_hat, T, K_values=range(1, pool + 1))
-    recs = [
-        (float(Kv), "Theorem 2 bound NSE", p, 0, float(v))
-        for Kv, v in zip(sol.K_values, sol.nse_curve)
-        if math.isfinite(v)
-    ]
-
+    sol = _optimal_count(dep, cfg, exp.interference)
+    recs = [(float(K), "Theorem 2 bound NSE", p, 0, float(v))
+            for K, v in zip(sol.K_values, sol.nse_curve) if math.isfinite(v)]
     mc_M = cfg.M if cfg.M <= _MC_KSWEEP_CAP else 196
-    cfg_mc = dataclasses.replace(cfg, M=mc_M, K=pool, t=None)
     grid = [int(v) for v in exp.sweep_values] or list(_DEFAULT_K_GRID)
     K_grid = sorted({K for K in grid if 1 <= K <= pool} | {sol.K_opt})
-    world = LinkWorld(dep, cfg_mc)
+    worlds = _worlds(spec, dep, M=mc_M, K=pool, t=None)
     for b in range(exp.realizations):
-        gam = {K: np.empty((cfg.N, K)) for K in K_grid}
-        for n in range(cfg.N):
-            for k in range(pool):
-                active = [K for K in K_grid if k < K]
-                if not active:
-                    continue
-                geom = world.unit(n, k)
-                rng = _unit_rng(spec.seed, p, b, n, k)
-                draw = draw_unit_block(rng, cfg.N, pool, cfg_mc.P, mc_M)
-                stats = make_unit_stats(geom, draw, cfg_mc, exp.interference)
-                for K in active:
-                    sliced = slice_stats(stats, K)
-                    kern = BlockKernel(
-                        sliced, draw.g[:, :K], draw.w,
-                        world.rho_p[:, :K], world.rho_d[:, :K],
-                    )
-                    gam[K][n, k] = kern.gamma(K)  # pilot length t = K
-        for K in K_grid:
-            recs.append((float(K), "Monte Carlo NSE", p, b, nse_of_gammas(gam[K], K, T)))
-
-    extras = {
-        "pool": pool,
-        "K_opt": sol.K_opt,
-        "nse_opt": sol.nse_opt,
-        "mc_M": mc_M,
-        "K_grid": list(K_grid),
-        "det_curve": [float(v) for v in sol.nse_curve],
-    }
-    return {"records": recs, "extras": extras}
+        nse = _sampled_nse(spec, worlds, p, b, K_grid)
+        recs += [(float(K), "Monte Carlo NSE", p, b, nse[K]) for K in K_grid]
+    extras = {"pool": pool, "K_opt": sol.K_opt, "nse_opt": sol.nse_opt, "mc_M": mc_M,
+              "K_grid": list(K_grid), "det_curve": [float(v) for v in sol.nse_curve]}
+    return recs, extras
 
 
-def _worker_nse_vs_m(task):
-    """NSE versus array size under three admission policies: the
+def _nse_vs_m(spec: ExperimentSpec, p: int):
+    """fig9: NSE versus array size under three admission policies: the
     deterministic optimum, its sampled value, and fixed K=20."""
-    spec, p = task
-    cfg0 = spec.system
     exp = spec.experiment
-    T = cfg0.T
-    pool_target = spec.placement.pool_size or min(T - 1, 40)
-    dep = _place(spec, p, K=pool_target, allow_partial=True)
-    pool = dep.K
-    recs = []
-    extras = {"pool": pool, "K_opt": {}}
+    dep = _place(spec, p, pool=True)
+    recs, K_opt = [], {}
     for M in exp.sweep_values:
-        cfgM = dataclasses.replace(cfg0, M=int(M), K=pool, t=None)
-        table = expected_floor_table(dep, cfgM, regime=exp.interference)
-        sol = optimal_num_devices(table.gamma_hat, T, K_values=range(1, pool + 1))
-        K_opt = sol.K_opt
-        K_fix = min(20, pool)
-        extras["K_opt"][int(M)] = K_opt
+        worlds = _worlds(spec, dep, M=int(M), K=dep.K, t=None)
+        sol = _optimal_count(dep, worlds[0].config, exp.interference)
+        K_opt[int(M)] = sol.K_opt
         recs.append((float(M), "Theorem 2 bound NSE at optimized K", p, 0, sol.nse_opt))
-        world = LinkWorld(dep, cfgM)
-        for K, label in ((K_opt, "Monte Carlo NSE at optimized K"),
-                         (K_fix, "Monte Carlo NSE at K=20")):
+        for K, label in ((sol.K_opt, "Monte Carlo NSE at optimized K"),
+                         (min(20, dep.K), "Monte Carlo NSE at K=20")):
             for b in range(exp.realizations):
-                gam = np.empty((cfg0.N, K))
-                for n in range(cfg0.N):
-                    for k in range(K):
-                        geom = world.unit(n, k)
-                        rng = _unit_rng(spec.seed, p, b, n, k)
-                        draw = draw_unit_block(rng, cfg0.N, pool, cfgM.P, cfgM.M)
-                        stats = make_unit_stats(geom, draw, cfgM, exp.interference)
-                        sliced = slice_stats(stats, K)
-                        kern = BlockKernel(
-                            sliced, draw.g[:, :K], draw.w,
-                            world.rho_p[:, :K], world.rho_d[:, :K],
-                        )
-                        gam[n, k] = kern.gamma(K)
-                recs.append((float(M), label, p, b, nse_of_gammas(gam, K, T)))
-    return {"records": recs, "extras": extras}
+                recs.append((float(M), label, p, b, _sampled_nse(spec, worlds, p, b, [K])[K]))
+    return recs, {"pool": dep.K, "K_opt": K_opt}
 
 
-def _worker_oracle(task):
-    """Sampling oracle: conditional means of X, Y, Z, I versus their
-    closed forms on one frozen channel-statistics draw per array size.
+def _oracle_entry(samples, closed: float) -> dict:
+    mean = float(np.mean(samples))
+    stderr = float(np.std(samples, ddof=1) / math.sqrt(samples.size))
+    z = (mean - closed) / stderr if stderr > 0 else 0.0
+    rel = abs(closed - mean) / abs(mean) if mean != 0 else math.inf
+    return {"closed": closed, "mc_mean": mean, "mc_stderr": stderr, "z": z, "rel_err": rel}
+
+
+def _oracle(spec: ExperimentSpec, p: int):
+    """Sampling oracle: conditional means of X, Y, Z, I of unit (0, 0)
+    versus their closed forms on one frozen channel-statistics draw per
+    array size.
 
     The gating coins and scattered-path angles come from the same
     substream at every M (they are drawn before anything M-shaped), so the
-    two array sizes share one channel condition and the leakage-formula
-    error can be compared across M.
+    array sizes share one channel condition and the leakage-formula error
+    can be compared across M.
     """
-    spec, p = task
-    cfg0 = spec.system
-    exp = spec.experiment
+    R = spec.experiment.realizations
     dep = _place(spec, p)
-    recs = []
-    report = []
-    n, k = 0, 0
-    R = exp.realizations
-    for M in exp.sweep_values:
-        cfg = dataclasses.replace(cfg0, M=int(M))
-        world = LinkWorld(dep, cfg)
-        geom = world.unit(n, k)
+    recs, report = [], []
+    for M in spec.experiment.sweep_values:
+        worlds = _worlds(spec, dep, M=int(M))
+        cfg = worlds[0].config
         t = cfg.pilot_len
-        cond = draw_unit_block(_unit_rng(spec.seed, p, 0, n, k), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(geom, cond, cfg, exp.interference)
-        ms = build_moment_set(
-            stats, t, world.rho_p, world.rho_d,
-            z_own=dep.devices_local[n, k, 2], L=cfg.L,
-        )
+        ((world, stats, _),) = _unit_block(spec, worlds, p, 0, 0, 0)
+        ms = _moments(stats, world, t)
         M2 = float(cfg.M) ** 2
-        X = np.empty(R)
-        Y_tot = np.empty(R)
-        Z = np.empty(R)
-        I = np.empty(R)
+        samples = np.empty((4, R))  # X, Y total, Z, I
         for r in range(R):
-            rng = _unit_rng(spec.seed, p, r + 1, n, k)
-            g = cgauss(rng, (cfg.N, cfg.K, cfg.P))
-            w = cgauss(rng, (cfg.M,))
-            terms = BlockKernel(stats, g, w, world.rho_p, world.rho_d).terms(t)
-            X[r], Z[r], I[r] = terms.X, terms.Z, terms.I
-            Y_tot[r] = float(np.sum(world.rho_d * terms.Y))
-            recs.append((float(M), "X", p, r, terms.X))
-            recs.append((float(M), "Y total", p, r, Y_tot[r]))
-            recs.append((float(M), "Z", p, r, terms.Z))
-            recs.append((float(M), "I over M^2", p, r, terms.I / M2))
-
-        closed_Y = float(np.sum(ms.rho_d * ms.mu_Y_bar()))
-        closed_I = ms.mu_I_bar()
-
-        def _entry(samples, closed):
-            mean = float(np.mean(samples))
-            stderr = float(np.std(samples, ddof=1) / math.sqrt(R))
-            z = (mean - closed) / stderr if stderr > 0 else 0.0
-            rel = abs(closed - mean) / abs(mean) if mean != 0 else math.inf
-            return {"closed": closed, "mc_mean": mean, "mc_stderr": stderr,
-                    "z": z, "rel_err": rel}
-
-        report.append(
-            {
-                "M": int(M),
-                "unit": [n, k],
-                "t": t,
-                "kappa": [[float(v) for v in row] for row in stats.kappa],
-                "X": _entry(X, ms.mu_X()),
-                "Y_total": _entry(Y_tot, closed_Y),
-                "Z": _entry(Z, ms.mu_Z()),
-                "I": _entry(I, closed_I),
-                "I_over_M2": _entry(I / M2, closed_I / M2),
-            }
-        )
-    return {"records": recs, "extras": {"oracle": report}}
+            g, w = _refades(spec, cfg, p, r, 0, 0)
+            terms = _kernel(stats, world, g, w).terms(t)
+            samples[:, r] = terms.X, float(np.sum(world.rho_d * terms.Y)), terms.Z, terms.I
+            recs += [(float(M), "X", p, r, terms.X), (float(M), "Y total", p, r, samples[1, r]),
+                     (float(M), "Z", p, r, terms.Z), (float(M), "I over M^2", p, r, terms.I / M2)]
+        closed = (ms.mu_X(), float(np.sum(ms.rho_d * ms.mu_Y_bar())), ms.mu_Z(), ms.mu_I_bar())
+        report.append({
+            "M": int(M), "unit": [0, 0], "t": t,
+            "kappa": [[float(v) for v in row] for row in stats.kappa],
+            **{name: _oracle_entry(row, c)
+               for name, row, c in zip(("X", "Y_total", "Z", "I"), samples, closed)},
+            "I_over_M2": _oracle_entry(samples[3] / M2, closed[3] / M2),
+        })
+    return recs, {"oracle": report}
 
 
-def _worker_asymptotic(task):
-    """Analytic curves only: per-block closed forms with no receive-side
-    sampling (the gates and scattering angles are still drawn per block)."""
-    spec, p = task
-    cfg0 = spec.system
-    exp = spec.experiment
-    dep = _place(spec, p)
-    recs = []
-    for M in exp.sweep_values:
-        cfg = dataclasses.replace(cfg0, M=int(M))
-        world = LinkWorld(dep, cfg)
-        t, T = cfg.pilot_len, cfg.T
-        geoms = [world.unit(0, k) for k in range(cfg.K)]
-        for b in range(exp.realizations):
-            sets = []
-            for k in range(cfg.K):
-                rng = _unit_rng(spec.seed, p, b, 0, k)
-                draw = draw_unit_block(rng, cfg.N, cfg.K, cfg.P, cfg.M)
-                stats = make_unit_stats(geoms[k], draw, cfg, exp.interference)
-                sets.append(
-                    build_moment_set(
-                        stats, t, world.rho_p, world.rho_d,
-                        z_own=dep.devices_local[0, k, 2], L=cfg.L,
-                    )
-                )
-            th = theorem1_sse(sets, t, T)
-            recs.append((float(M), "Theorem 1", p, b, th.sse_bar))
-            if math.isfinite(th.sse_hat):
-                recs.append((float(M), "Theorem 2 bound", p, b, th.sse_hat))
-    return {"records": recs, "extras": {}}
-
-
-def run_asymptotic(rc: RunConfig, workers=None) -> ExperimentResult:
-    """Run the analytic-curve branch of an M-sweep experiment."""
-    _expect_id(rc, ("fig4", "fig5", "fig6", "fig6b"))
-    spec = ExperimentSpec.from_run_config(rc)
-    nworkers = resolve_workers(workers)
-    tasks = [(spec, p) for p in range(spec.experiment.placements)]
-    outs = _pmap(_worker_asymptotic, tasks, nworkers)
-    records = [RawRecord(*tup) for out in outs for tup in out["records"]]
-    extras = {"placements": [out["extras"] for out in outs]}
-    return ExperimentResult(
-        spec=spec, records=records, summaries=summarize(records), extras=extras
-    )
-
-
-_RUNNERS = {
-    "fig4": _worker_se_variance,
-    "fig5": _worker_ergodic,
-    "fig6": _worker_ergodic,
-    "fig6b": _worker_csi,
-    "fig7": _worker_pilot,
-    "fig8": _worker_ksweep,
-    "fig9": _worker_nse_vs_m,
-    "oracle": _worker_oracle,
+_REDUCTIONS = {
+    "fig4": _se_variance,
+    "fig5": _panel0_sse,
+    "fig6": _panel0_sse,
+    "fig6b": _csi,
+    "fig7": _pilot,
+    "fig8": _ksweep,
+    "fig9": _nse_vs_m,
+    "oracle": _oracle,
 }
+
+
+def _task(task):
+    reduce, spec, p = task
+    return reduce(spec, p)
+
+
+def _run(spec: ExperimentSpec, reduce, workers) -> ExperimentResult:
+    """Map a reduction over placements; records are concatenated in
+    placement order, so outputs do not depend on the worker count."""
+    tasks = [(reduce, spec, p) for p in range(spec.experiment.placements)]
+    outs = _pmap(_task, tasks, resolve_workers(workers))
+    records = [RawRecord(*rec) for recs, _ in outs for rec in recs]
+    extras = {"placements": [extras for _, extras in outs]}
+    return ExperimentResult(spec=spec, records=records, summaries=summarize(records), extras=extras)
 
 
 def run_experiment(run_config: RunConfig, workers=None) -> ExperimentResult:
     """Resolve, run, and aggregate the experiment named by the config."""
     spec = ExperimentSpec.from_run_config(run_config)
-    nworkers = resolve_workers(workers)
-    fn = _RUNNERS[spec.experiment.id]
-    tasks = [(spec, p) for p in range(spec.experiment.placements)]
-    outs = _pmap(fn, tasks, nworkers)
-    records = [RawRecord(*tup) for out in outs for tup in out["records"]]
-    extras = {"placements": [out["extras"] for out in outs]}
-    return ExperimentResult(
-        spec=spec,
-        records=records,
-        summaries=summarize(records),
-        extras=extras,
-    )
+    return _run(spec, _REDUCTIONS[spec.experiment.id], workers)
 
 
-def _expect_id(rc: RunConfig, allowed: tuple[str, ...]):
+def run_asymptotic(rc: RunConfig, workers=None) -> ExperimentResult:
+    """Analytic curves of an M-sweep experiment: the panel-0 reduction with
+    receive-side sampling off (gates and scattering angles are still drawn
+    per block)."""
+    allowed = ("fig4", "fig5", "fig6", "fig6b")
     if rc.experiment.id not in allowed:
         raise ConfigError(
             f"runner expects experiment.id in {allowed}, got {rc.experiment.id!r}",
             "experiment.id",
         )
-
-
-def run_se_variance(rc: RunConfig, workers=None) -> ExperimentResult:
-    _expect_id(rc, ("fig4",))
-    return run_experiment(rc, workers)
-
-
-def run_ergodic_sse(rc: RunConfig, workers=None) -> ExperimentResult:
-    _expect_id(rc, ("fig5", "fig6"))
-    return run_experiment(rc, workers)
-
-
-def run_csi_comparison(rc: RunConfig, workers=None) -> ExperimentResult:
-    _expect_id(rc, ("fig6b",))
-    return run_experiment(rc, workers)
-
-
-def run_pilot_sweep(rc: RunConfig, workers=None) -> ExperimentResult:
-    _expect_id(rc, ("fig7",))
-    return run_experiment(rc, workers)
-
-
-def run_k_sweep(rc: RunConfig, workers=None) -> ExperimentResult:
-    _expect_id(rc, ("fig8", "fig9"))
-    return run_experiment(rc, workers)
-
-
-def run_moment_oracle(rc: RunConfig, workers=None) -> ExperimentResult:
-    _expect_id(rc, ("oracle",))
-    return run_experiment(rc, workers)
+    spec = ExperimentSpec.from_run_config(rc)
+    return _run(spec, functools.partial(_panel0_sse, sample=False), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -750,32 +589,23 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[Path]:
     rc = result.spec.resolved_run_config()
     files: list[Path] = []
 
-    labels = sorted({s.label for s in result.summaries})
-    for label in labels:
-        if "," in label:
-            raise ValueError(f"curve label may not contain a comma: {label!r}")
-        rows = [s for s in result.summaries if s.label == label]
-        rows.sort(key=lambda s: s.sweep_value)
-        path = out / f"{exp_id}_{_slug(label)}.csv"
-        lines = [CSV_HEADER]
-        for s in rows:
-            lines.append(
-                f"{_fmt(s.sweep_value)},{_fmt(s.mean)},{_fmt(s.variance)},"
-                f"{_fmt(s.stderr)},{s.count},{s.label}"
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def write_csv(name, header, lines):
+        path = out / name
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
         files.append(path)
 
+    for label in sorted({s.label for s in result.summaries}):
+        if "," in label:
+            raise ValueError(f"curve label may not contain a comma: {label!r}")
+        rows = sorted((s for s in result.summaries if s.label == label),
+                      key=lambda s: s.sweep_value)
+        write_csv(f"{exp_id}_{_slug(label)}.csv", CSV_HEADER, [
+            f"{_fmt(s.sweep_value)},{_fmt(s.mean)},{_fmt(s.variance)},"
+            f"{_fmt(s.stderr)},{s.count},{s.label}" for s in rows])
     if result.spec.experiment.raw_records:
-        path = out / f"{exp_id}_raw.csv"
-        lines = [RAW_HEADER]
-        for r in result.records:
-            lines.append(
-                f"{_fmt(r.sweep_value)},{r.placement},{r.realization},"
-                f"{_fmt(r.value)},{r.label}"
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        files.append(path)
+        write_csv(f"{exp_id}_raw.csv", RAW_HEADER, [
+            f"{_fmt(r.sweep_value)},{r.placement},{r.realization},{_fmt(r.value)},{r.label}"
+            for r in result.records])
 
     manifest = {
         "experiment_id": exp_id,
@@ -795,40 +625,35 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[Path]:
 # presets
 
 
+# Desk-scale preset per figure: changes to the reference system, and the
+# experiment's sample counts.
+_PRESETS = {
+    "fig4": ({"K": 20}, {"realizations": 500, "placements": 10}),
+    "fig5": ({}, {"realizations": 24, "placements": 4}),
+    "fig6": ({}, {"realizations": 24, "placements": 4}),
+    "fig6b": ({}, {"realizations": 48, "placements": 4}),
+    "fig7": ({}, {"realizations": 24, "placements": 4, "theory_stride": 12}),
+    "fig8": ({"K": 20, "T": 50}, {"realizations": 8, "placements": 12}),
+    "fig9": ({"M": 400, "K": 20, "T": 50}, {"realizations": 4, "placements": 3}),
+    "oracle": ({"M": 100, "K": 2, "N": 2, "P": 4}, {"realizations": 10000, "placements": 1}),
+}
+
+
 def preset_run_config(experiment_id: str, seed: int = 0) -> RunConfig:
     """Desk-scale defaults per figure: the reference scenario (3 GHz,
     2L = 0.5 m, 0 dB pilot and 3 dB data targets, T = 500 or 50) with
     sample counts sized for a single workstation."""
-    if experiment_id not in _RUNNERS:
+    if experiment_id not in _PRESETS:
         raise ConfigError(
             f"unknown experiment id {experiment_id!r}; choose from "
-            + ", ".join(sorted(_RUNNERS)),
+            + ", ".join(sorted(_PRESETS)),
             "experiment.id",
         )
-    system = SystemConfig(M=900, K=8, N=4, T=500, seed=seed)
-    layout = LayoutConfig()
-    placement = PlacementConfig()
-    if experiment_id == "fig4":
-        system = dataclasses.replace(system, K=20)
-        experiment = ExperimentConfig(id="fig4", realizations=500, placements=10)
-    elif experiment_id == "fig5":
-        experiment = ExperimentConfig(id="fig5", realizations=24, placements=4)
-    elif experiment_id == "fig6":
-        experiment = ExperimentConfig(id="fig6", realizations=24, placements=4)
-    elif experiment_id == "fig6b":
-        experiment = ExperimentConfig(id="fig6b", realizations=48, placements=4)
-    elif experiment_id == "fig7":
-        experiment = ExperimentConfig(
-            id="fig7", realizations=24, placements=4, theory_stride=12
-        )
-    elif experiment_id == "fig8":
-        system = dataclasses.replace(system, K=20, T=50)
-        experiment = ExperimentConfig(id="fig8", realizations=8, placements=12)
-    elif experiment_id == "fig9":
-        system = dataclasses.replace(system, M=400, K=20, T=50)
-        experiment = ExperimentConfig(id="fig9", realizations=4, placements=3)
-    else:  # oracle
-        system = dataclasses.replace(system, M=100, K=2, N=2, P=4)
-        layout = LayoutConfig(name="line", d_x=0.5)
-        experiment = ExperimentConfig(id="oracle", realizations=10000, placements=1)
-    return RunConfig(system=system, layout=layout, placement=placement, experiment=experiment)
+    system, counts = _PRESETS[experiment_id]
+    oracle = experiment_id == "oracle"
+    return RunConfig(
+        system=SystemConfig(**{"M": 900, "K": 8, "N": 4, "T": 500, "seed": seed, **system}),
+        layout=LayoutConfig(name="line", d_x=0.5) if oracle else LayoutConfig(),
+        placement=PlacementConfig(),
+        experiment=ExperimentConfig(id=experiment_id, **counts),
+    )

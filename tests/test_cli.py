@@ -171,6 +171,10 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("config error (experiment.id)")
 
+    def test_infeasible_quad_layout_exits_2_before_placement(self, capsys):
+        assert main(["reproduce", "fig5", "--set", "layout.d_z=1.5"]) == 2
+        assert capsys.readouterr().err.startswith("config error (layout.d_z)")
+
     def test_reproduce_conflicting_config_exits_2(self, tmp_path, capsys):
         cfg = _tiny_fig4_config(tmp_path)
         assert main(["reproduce", "fig5", "--config", str(cfg)]) == 2
@@ -239,6 +243,16 @@ class TestValidate:
         assert "99% CI" in text and "reported" in text
         assert (out / "oracle_manifest.json").exists()
 
+    def test_single_realization_exits_2(self, tmp_path, capsys):
+        # one sample has no standard error; the z-gate must not pass vacuously
+        code = main(["validate", "--set", "experiment.realizations=1",
+                     "--set", "experiment.sweep_values=[16]",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error (experiment.realizations)")
+        assert "PASS" not in captured.out
+
     def test_forces_oracle_experiment_over_config(self, tmp_path, capsys):
         cfg = _tiny_fig4_config(tmp_path, K=2, N=2, P=4)
         out = tmp_path / "out"
@@ -247,6 +261,22 @@ class TestValidate:
         assert code in (0, 1)
         assert "validate:" in capsys.readouterr().out
         assert _manifest(out, "oracle")["experiment_id"] == "oracle"
+
+
+class TestAsymptotic:
+    def test_writes_theorem_curves(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["asymptotic", "--out", str(out), "--seed", "1",
+                     "--set", "experiment.id=fig5", "--set", "system.N=4",
+                     "--set", "system.K=2", "--set", "experiment.sweep_values=[16]",
+                     "--set", "experiment.realizations=2",
+                     "--set", "experiment.placements=1"]) == 0
+        printed = [p.rsplit("/", 1)[-1] for p in capsys.readouterr().out.split()]
+        assert "fig5_theorem-1.csv" in printed
+        lines = (out / "fig5_theorem-1.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "sweep_value,mean,variance,stderr,count,label"
+        assert lines[1].startswith("16.0,") and lines[1].endswith(",2,Theorem 1")
+        assert _manifest(out, "fig5")["config"]["experiment"]["id"] == "fig5"
 
 
 class TestReproduce:

@@ -98,6 +98,19 @@ class TestRunConfig:
             RunConfig().with_overrides({"system.bogus": 1})
         assert err.value.key == "system.bogus"
 
+    @pytest.mark.parametrize("name", ["quad", "auto"])
+    def test_quad_box_must_fit_below_facing_panel(self, name):
+        rc = RunConfig(system=SystemConfig(N=4))
+        with pytest.raises(ConfigError, match="box_height < layout.d_z") as err:
+            rc.with_overrides({"layout.name": name, "layout.d_z": 2.0})
+        assert err.value.key == "layout.d_z"
+        ok = rc.with_overrides({"layout.name": name, "layout.d_z": 2.5})
+        assert ok.layout.d_z == 2.5
+
+    def test_line_layout_ignores_facing_separation(self):
+        rc = RunConfig(system=SystemConfig(N=2)).with_overrides({"layout.d_z": 1.0})
+        assert rc.layout.box_height > rc.layout.d_z
+
     def test_content_hash_stable_and_sensitive(self):
         a = RunConfig()
         b = RunConfig().with_overrides({"system.seed": 1})

@@ -14,8 +14,6 @@ from lis_uplink import (
     preset_run_config,
     run_asymptotic,
     run_experiment,
-    run_moment_oracle,
-    run_se_variance,
     summarize,
     write_outputs,
 )
@@ -195,7 +193,7 @@ class TestRunExperiment:
     def test_se_variance_smoke(self):
         rc = _shrunk("fig4", seed=3, sweep=(16.0, 64.0), realizations=40,
                      placements=2)
-        result = run_se_variance(rc)
+        result = run_experiment(rc)
         labels = {s.label for s in result.summaries}
         assert labels == {"multi-LIS SE variance", "single-LIS SE variance"}
         for label in labels:
@@ -219,7 +217,7 @@ class TestRunExperiment:
         # array grows; the aggregate interference concentrates.
         rc = _shrunk("fig4", seed=0, sweep=(36.0, 144.0, 400.0, 900.0),
                      realizations=250, placements=6)
-        result = run_se_variance(rc)
+        result = run_experiment(rc)
         for label, floor in (("multi-LIS SE variance", 3.0),
                              ("single-LIS SE variance", 1.5)):
             curve = {M: _row(result.summaries, label, M).mean
@@ -248,7 +246,7 @@ class TestRunExperiment:
     def test_oracle_report_structure(self):
         rc = _shrunk("oracle", seed=2, sweep=(16.0,), realizations=40,
                      placements=1)
-        result = run_moment_oracle(rc)
+        result = run_experiment(rc)
         assert {s.label for s in result.summaries} == {
             "X", "Y total", "Z", "I over M^2"}
         assert _row(result.summaries, "X", 16.0).count == 40
@@ -269,14 +267,15 @@ class TestRunExperiment:
         assert abs(report["Z"]["z"]) < 6.0
 
     def test_runner_wrappers_check_experiment_id(self):
-        rc = _shrunk("fig5", sweep=(16.0,), realizations=1, placements=1)
         with pytest.raises(ConfigError, match="runner expects") as err:
-            run_se_variance(rc)
+            run_asymptotic(_shrunk("oracle", realizations=2))
         assert err.value.key == "experiment.id"
-        with pytest.raises(ConfigError, match="runner expects"):
-            run_asymptotic(_shrunk("oracle", realizations=1))
-        with pytest.raises(ConfigError, match="runner expects"):
-            run_moment_oracle(rc)
+
+    def test_oracle_needs_two_realizations(self):
+        rc = _shrunk("oracle", sweep=(16.0,), realizations=1)
+        with pytest.raises(ConfigError, match="at least 2") as err:
+            ExperimentSpec.from_run_config(rc)
+        assert err.value.key == "experiment.realizations"
 
 
 class TestWriteOutputs:
@@ -353,11 +352,23 @@ class TestWriteOutputs:
 
 
 class TestWorkerCountInvariance:
-    def test_outputs_are_byte_identical_across_worker_counts(self, tmp_path):
-        rc = _shrunk("fig4", seed=0, sweep=(16.0, 36.0), realizations=5,
-                     placements=3)
-        serial = run_experiment(rc, workers=1)
-        pooled = run_experiment(rc, workers=2)
+    # each task carries its reduction function across the process boundary
+    CASES = {
+        "fig4": (run_experiment, lambda: _shrunk(
+            "fig4", seed=0, sweep=(16.0, 36.0), realizations=5, placements=3)),
+        "fig9-pool": (run_experiment, lambda: _shrunk(
+            "fig9", seed=1, sweep=(16.0,), realizations=2, placements=2,
+        ).with_overrides({"placement.pool_size": 6})),
+        "asymptotic": (run_asymptotic, lambda: _shrunk(
+            "fig5", seed=2, sweep=(16.0,), realizations=2, placements=2)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outputs_are_byte_identical_across_worker_counts(self, tmp_path, case):
+        runner, make_rc = self.CASES[case]
+        rc = make_rc()
+        serial = runner(rc, workers=1)
+        pooled = runner(rc, workers=2)
         assert serial.records == pooled.records
 
         d1, d2 = tmp_path / "w1", tmp_path / "w2"
