@@ -55,6 +55,11 @@ CASES = {
         **M_SWEEP, "experiment.realizations": 3, "experiment.placements": 2}),
     "asymptotic-fig6": (run_asymptotic, "fig6", {
         **M_SWEEP, "experiment.realizations": 3, "experiment.placements": 1}),
+    # large arrays, where a reordering of floating-point sums in the moment
+    # contractions would show
+    "asymptotic-fig5-large": (run_asymptotic, "fig5", {
+        "experiment.sweep_values": [100, 400],
+        "experiment.realizations": 1, "experiment.placements": 1}),
 }
 
 
