@@ -8,6 +8,10 @@ mean an affine function of 1/t. In the large-M limit (fixed aperture,
 refined lattice) the serving power approaches a deterministic solid-angle
 expression and the SINR approaches a deterministic ratio; dropping the
 vanishing fluctuation terms gives the interference-floor bound.
+
+The moments' sums over pilot contaminators are BLAS matrix products
+against one stacked, weight-scaled matrix of contaminator roots (see
+``_moment_parts``), so no Python loop runs over contaminators.
 """
 
 from __future__ import annotations
@@ -63,49 +67,50 @@ def _moment_parts(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> _MomentPar
     geom = stats.geom
     n, k = geom.n, geom.k
     N, K = geom.p_los.shape
-    M = geom.hlos.shape[2]
+    M, P = stats.roots.shape[2:]
     hlos_own = geom.hlos[n, k]
     rho_p_own = float(pilot_snrs[n, k])
+    hbar = stats.hbar.reshape(N * K, M)
 
     # Contaminators: same-pilot devices on other panels, weighted by the
     # root of their pilot-SNR ratio. Same-panel pilots are orthogonal after
     # despreading and drop out exactly.
     sqrt_ratio = np.sqrt(pilot_snrs[:, k] / rho_p_own)
     sqrt_ratio[n] = 0.0
-    ratio = sqrt_ratio**2
-    cont_w = ratio * stats.nlos_var[:, k]  # scattered-power weight per contaminator
+    cont_w = sqrt_ratio**2 * stats.nlos_var[:, k]  # scattered-power weight per contaminator
 
-    mu_e = np.einsum("l,lm->m", sqrt_ratio, stats.hbar[:, k])
+    mu_e = sqrt_ratio @ stats.hbar[:, k]
     q_bar = hlos_own + mu_e
 
-    roots_k = stats.roots[:, k]                     # (N, M, P) contaminator roots
-    rowpow = np.einsum("lmp->lm", np.abs(roots_k) ** 2)  # per-antenna row power
+    # Every contaminator-weighted sum below runs over the columns of one
+    # (M, C*P) matrix: the live contaminators' conjugated roots side by
+    # side, each scaled by sqrt(cont_w[c]), so sum_c cont_w[c] |r_c^H v|^2
+    # is the squared norm of v @ conj_roots.
+    live = np.flatnonzero(cont_w > 0.0)
+    conj_roots = np.conj(
+        stats.roots[live, k] * np.sqrt(cont_w[live])[:, np.newaxis, np.newaxis]
+    ).transpose(1, 0, 2).reshape(M, live.size * P)
 
     # X = |e^H h_los|^2: mean of the Gaussian scalar plus its variance.
-    mu_x = complex(np.einsum("m,m->", np.conj(mu_e), hlos_own))
-    proj_x = np.einsum("lmp,m->lp", np.conj(roots_k), hlos_own)
-    var_x_const = float(np.einsum("l,lp->", cont_w, np.abs(proj_x) ** 2))
+    mu_x = complex(np.vdot(mu_e, hlos_own))
+    var_x_const = float(_sq_norm(hlos_own @ conj_roots))
     var_x_noise = geom.own_power / rho_p_own
 
     # Y_lj = |h_hat^H h_lj|^2: mean from the two fixed means; variance from
     # the estimate's fluctuation against the interferer mean (EL) plus the
     # interferer's scattered part against the full estimate (EN).
-    mu_y = np.einsum("m,ljm->lj", np.conj(q_bar), stats.hbar)
-    hbar_norm2 = np.einsum("ljm->lj", np.abs(stats.hbar) ** 2)
+    mu_y = (hbar @ np.conj(q_bar)).reshape(N, K)
+    el_const = _sq_norm(hbar @ conj_roots).reshape(N, K)
+    el_noise = _sq_norm(hbar).reshape(N, K) / rho_p_own
 
-    proj_el = np.einsum("cmp,ljm->cljp", np.conj(roots_k), stats.hbar)
-    el_const = np.einsum("c,cljp->lj", cont_w, np.abs(proj_el) ** 2)
-    el_noise = hbar_norm2 / rho_p_own
-
-    proj_en = np.einsum("m,ljmp->ljp", np.conj(q_bar), stats.roots)
-    term_a = np.einsum("ljp->lj", np.abs(proj_en) ** 2)
-    term_b = np.zeros((N, K))
-    for c in range(N):
-        if cont_w[c] == 0.0:
-            continue
-        cross = np.einsum("mp,ljmq->ljpq", np.conj(roots_k[c]), stats.roots)
-        term_b += cont_w[c] * np.einsum("ljpq->lj", np.abs(cross) ** 2)
-    rootfrob = np.einsum("ljmp->lj", np.abs(stats.roots) ** 2)
+    # EN: term_a projects every interferer root on the mean estimate;
+    # term_b, the Lemma 2 cross term, is one matmul: the stacked
+    # contaminator roots (C*P, M) against every interferer's (M, P) root,
+    # batched over (l, j).
+    proj_en = np.conj(q_bar) @ stats.roots                 # (N, K, P)
+    term_a = _sq_norm(proj_en)
+    term_b = _sq_norm(conj_roots.T @ stats.roots, axes=2)
+    rootfrob = _sq_norm(stats.roots, axes=2)
     en_const = stats.nlos_var * (term_a + term_b)
     en_noise = stats.nlos_var * rootfrob / rho_p_own
 
@@ -116,7 +121,7 @@ def _moment_parts(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> _MomentPar
     var_y_noise[n, k] = 0.0
 
     # Z = ||h_hat||^2: per-antenna mean q_bar plus per-antenna variance.
-    var_z_const_m = np.einsum("c,cm->m", cont_w, rowpow)
+    var_z_const_m = _sq_norm(conj_roots)
     var_z_noise_m = 1.0 / rho_p_own
 
     return _MomentParts(
@@ -135,6 +140,12 @@ def _moment_parts(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> _MomentPar
         beta2_sum=geom.own_power,
         rho_p_own=rho_p_own,
     )
+
+
+def _sq_norm(a: np.ndarray, axes: int = 1) -> np.ndarray:
+    """Sum of |a|^2 over the trailing ``axes`` axes of a complex array."""
+    flat = np.ascontiguousarray(a).reshape(*a.shape[: a.ndim - axes], -1).view(np.float64)
+    return np.einsum("...i,...i->...", flat, flat)
 
 
 def _check_t(t) -> float:

@@ -137,17 +137,31 @@ def root_matrix_from_angles(
     phi_h = np.sin(theta_h) * np.cos(theta_h)    # (..., P)
     alpha = np.sqrt(np.abs(np.cos(theta_v) * np.cos(theta_h)))  # (..., P)
 
+    # progressive phases per axis, (..., side, P); the vertical ramp also
+    # carries the path gain and the 1/sqrt(M) normalization
     side = config.m_side
     step = 2.0 * math.pi * config.spacing / config.lam
-    idx = np.arange(side)
-    # progressive phases per axis: (..., side, P)
-    ramp_v = np.exp(1j * step * np.einsum("v,...p->...vp", idx, phi_v))
-    ramp_h = np.exp(1j * step * np.einsum("h,...p->...hp", idx, phi_h))
-    steer = np.einsum("...vp,...hp->...vhp", ramp_v, ramp_h)
-    steer = steer.reshape(*phi_v.shape[:-1], side * side, phi_v.shape[-1])
-    steer = steer / math.sqrt(config.M)
-    pathloss = distances ** (-config.beta_PL / 2.0)  # (..., M)
-    return steer * alpha[..., np.newaxis, :] * pathloss[..., :, np.newaxis]
+    ramp_v = _phase_ramp(phi_v, side, step)
+    ramp_v *= (alpha / math.sqrt(config.M))[..., np.newaxis, :]
+    ramp_h = _phase_ramp(phi_h, side, step)
+    # d_v kron d_h: entry m = iv * side + ih, vertical index major
+    batch, P = phi_v.shape[:-1], phi_v.shape[-1]
+    out = np.empty((*batch, side, side, P), dtype=complex)
+    np.multiply(ramp_v[..., :, np.newaxis, :], ramp_h[..., np.newaxis, :, :], out=out)
+    out = out.reshape(*batch, config.M, P)
+    # the real path loss scales real and imaginary parts alike
+    parts = out.view(np.float64)
+    parts *= (distances ** (-config.beta_PL / 2.0))[..., :, np.newaxis]
+    return out
+
+
+def _phase_ramp(phi: np.ndarray, side: int, step: float) -> np.ndarray:
+    """exp(1j * step * i * phi) for i = 0..side-1 as (..., side, P): running
+    products of one unit phasor per path, so only P exponentials per link."""
+    ramp = np.empty((*phi.shape[:-1], side, phi.shape[-1]), dtype=complex)
+    ramp[..., 0, :] = 1.0
+    ramp[..., 1:, :] = np.exp(1j * step * phi)[..., np.newaxis, :]
+    return np.cumprod(ramp, axis=-2, out=ramp)
 
 
 def correlation_root(

@@ -11,7 +11,13 @@ from pathlib import Path
 
 from .asymptotics import build_moment_set, theorem1_sse
 from .config import CONFIG_KEY_HELP, ConfigError, RunConfig, load_config, parse_override
-from .harness import preset_run_config, run_asymptotic, run_experiment, write_outputs
+from .harness import (
+    ExperimentSpec,
+    preset_run_config,
+    run_asymptotic,
+    run_experiment,
+    write_outputs,
+)
 from .links import LinkWorld, block_rng, draw_unit_block, make_unit_stats, placement_rng
 from .optimize import expected_floor_table, optimal_num_devices, optimal_pilot_length
 from .scenario import place_devices
@@ -110,6 +116,7 @@ def _theory_moment_sets(rc: RunConfig):
     """Moment sets of panel 0 on placement 0, block 0: the analytic
     objective used by the optimizer front ends."""
     cfg = rc.system
+    regime = ExperimentSpec.from_run_config(rc).experiment.interference
     dep = place_devices(cfg, rc.layout, placement_rng(cfg.seed, 0), placement=rc.placement)
     world = LinkWorld(dep, cfg)
     t = cfg.pilot_len
@@ -117,7 +124,7 @@ def _theory_moment_sets(rc: RunConfig):
     for k in range(cfg.K):
         rng = block_rng(cfg.seed, 0, 0, 0, k)
         draw = draw_unit_block(rng, cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(world.unit(0, k), draw, cfg, "rician")
+        stats = make_unit_stats(world.unit(0, k), draw, cfg, regime)
         sets.append(
             build_moment_set(
                 stats, t, world.rho_p, world.rho_d,
@@ -152,12 +159,12 @@ def _cmd_optimize_t(args) -> int:
 def _cmd_optimize_k(args) -> int:
     rc = _build_run_config(args)
     cfg = rc.system
+    regime = ExperimentSpec.from_run_config(rc).experiment.interference
     pool_target = rc.placement.pool_size or min(cfg.T - 1, 40)
     dep = place_devices(
         cfg, rc.layout, placement_rng(cfg.seed, 0),
         placement=rc.placement, K=pool_target, allow_partial=True,
     )
-    regime = rc.experiment.interference or "rician"
     table = expected_floor_table(dep, cfg, regime=regime)
     sol = optimal_num_devices(table.gamma_hat, cfg.T, K_values=range(1, dep.K + 1))
     payload = sol.trace()

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lis_uplink import (
     BlockKernel,
@@ -27,7 +28,9 @@ from lis_uplink import (
     theorem1_sse,
     theorem2_bound,
 )
+from lis_uplink.asymptotics import _moment_parts
 
+import reference
 from conftest import assert_close
 
 
@@ -160,6 +163,49 @@ class TestMomentsAgainstSampling:
         assert rel < 0.02
         se_I = I.std(ddof=1) / math.sqrt(n_draws)
         assert abs(I.mean() - ms.mu_I_bar(t)) < max(5.0 * se_I, 0.02 * ms.mu_I_bar(t))
+
+
+class TestMomentPartsAgainstReference:
+    """The GEMM contractions of ``_moment_parts`` against the per-contaminator
+    ``einsum`` transcription in ``tests/reference.py``."""
+
+    @given(
+        N=st.sampled_from([1, 2, 4]),
+        K=st.integers(1, 3),
+        P=st.integers(1, 4),
+        side=st.integers(2, 5),
+        interference=st.sampled_from(["rician", "nlos_inter"]),
+        last_unit=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_every_field_matches_einsum_oracle(
+        self, N, K, P, side, interference, last_unit, seed, data
+    ):
+        # N = 1 has no contaminator: the stacked root matrix has zero columns
+        cfg = SystemConfig(M=side * side, K=K, N=N, P=P, seed=seed)
+        dep = place_devices(cfg, LayoutConfig(d_x=0.5), np.random.default_rng(seed))
+        world = LinkWorld(dep, cfg)
+        n = data.draw(st.integers(0, N - 1), label="n")
+        k = K - 1 if last_unit else 0
+        draw = draw_unit_block(np.random.default_rng(seed + 1), N, K, P, cfg.M)
+        stats = make_unit_stats(world.unit(n, k), draw, cfg, interference)
+
+        actual = _moment_parts(stats, world.rho_p)
+        expected = reference.moment_parts(stats, world.rho_p)
+        for field in dataclasses.fields(expected):
+            got = np.asarray(getattr(actual, field.name))
+            want = np.asarray(getattr(expected, field.name))
+            assert got.shape == want.shape and got.dtype == want.dtype, field.name
+            if want.dtype.kind in "iu":
+                assert np.array_equal(got, want), field.name
+                continue
+            zero = want == 0
+            np.testing.assert_allclose(
+                got[~zero], want[~zero], rtol=1e-12, atol=0.0, err_msg=field.name
+            )
+            scale = np.max(np.abs(want), initial=0.0)
+            assert np.all(np.abs(got[zero]) <= 1e-13 * scale), field.name
 
 
 class TestSolidAngle:

@@ -185,6 +185,26 @@ class TestCorrelationRoot:
         assert np.max(np.abs(matrix[:, 0])) < 1e-6
         assert np.max(np.abs(matrix[:, 1])) > 1e-3
 
+    @pytest.mark.parametrize(
+        "batch, M", [((), 900), ((2, 3), 25)], ids=["P,2", "N,K,P,2"]
+    )
+    def test_columns_match_per_path_definition(self, batch, M):
+        cfg = SystemConfig(M=M, K=3, N=2, P=4)
+        rng = np.random.default_rng(len(batch))
+        angles = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(*batch, cfg.P, 2))
+        d = rng.uniform(1.0, 10.0, size=(*batch, cfg.M))
+        roots = root_matrix_from_angles(angles, d, cfg)
+        assert roots.shape == (*batch, cfg.M, cfg.P)
+        for link in np.ndindex(*batch):
+            pathloss = d[link] ** (-cfg.beta_PL / 2.0)
+            for p, (theta_v, theta_h) in enumerate(angles[link]):
+                alpha = math.sqrt(abs(math.cos(theta_v) * math.cos(theta_h)))
+                steer = steering_vector(
+                    math.sin(theta_v), math.sin(theta_h) * math.cos(theta_h),
+                    cfg.M, cfg.spacing, cfg.lam,
+                )
+                assert_close(roots[link][:, p], pathloss * alpha * steer, rtol=1e-13)
+
     def test_views_and_angle_support(self):
         _, root = self._instance()
         assert np.shares_memory(root.rows, root.matrix)

@@ -209,6 +209,21 @@ class TestOptimizeT:
         assert ts == sorted(ts)
 
 
+    def test_follows_interference_regime(self, tmp_path, capsys):
+        base = ["optimize-t", "--set", "system.N=4", "--set", "system.M=16",
+                "--set", "system.T=100", "--out", str(tmp_path)]
+
+        def objective(*extra):
+            assert main([*base, *extra]) == 0
+            return json.loads(capsys.readouterr().out)["objective"]
+
+        rician = objective()
+        nlos = objective("--set", "experiment.interference=nlos_inter")
+        assert nlos != rician
+        # fig6's default regime is nlos_inter
+        assert objective("--set", "experiment.id=fig6") == nlos
+
+
 class TestOptimizeK:
     def test_emits_solution_json(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -228,6 +243,22 @@ class TestOptimizeK:
         assert payload["nse_curve"][best] == payload["nse_opt"]
         assert payload["nse_opt"] == max(payload["nse_curve"])
         assert (out / "optimize_k.json").read_text(encoding="utf-8") == text
+
+
+    def test_follows_interference_regime(self, tmp_path, capsys):
+        base = ["optimize-k", "--set", "system.M=16", "--set", "system.K=4",
+                "--set", "system.N=4", "--set", "system.T=20",
+                "--set", "placement.pool_size=6", "--out", str(tmp_path)]
+
+        def nse_opt(*extra):
+            assert main([*base, *extra]) == 0
+            return json.loads(capsys.readouterr().out)["nse_opt"]
+
+        rician = nse_opt()
+        nlos = nse_opt("--set", "experiment.interference=nlos_inter")
+        assert nlos != rician
+        # fig6's default regime is nlos_inter
+        assert nse_opt("--set", "experiment.id=fig6") == nlos
 
 
 class TestValidate:
