@@ -160,10 +160,9 @@ def _cmd_optimize_k(args) -> int:
     rc = _build_run_config(args)
     cfg = rc.system
     regime = ExperimentSpec.from_run_config(rc).experiment.interference
-    pool_target = rc.placement.pool_size or min(cfg.T - 1, 40)
     dep = place_devices(
         cfg, rc.layout, placement_rng(cfg.seed, 0),
-        placement=rc.placement, K=pool_target, allow_partial=True,
+        placement=rc.placement, K=rc.placement.pool_target(cfg.T), allow_partial=True,
     )
     table = expected_floor_table(dep, cfg, regime=regime)
     sol = optimal_num_devices(table.gamma_hat, cfg.T, K_values=range(1, dep.K + 1))

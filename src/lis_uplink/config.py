@@ -146,6 +146,11 @@ class PlacementConfig:
         if self.pool_size is not None and self.pool_size < 1:
             raise ConfigError("placement.pool_size must be >= 1", "placement.pool_size")
 
+    def pool_target(self, T: int) -> int:
+        """Devices per panel requested for a device-count sweep: pool_size,
+        else min(T - 1, 40)."""
+        return self.pool_size or min(T - 1, 40)
+
 
 EXPERIMENT_IDS = ("fig4", "fig5", "fig6", "fig6b", "fig7", "fig8", "fig9", "oracle")
 INTERFERENCE_REGIMES = ("rician", "nlos_inter")

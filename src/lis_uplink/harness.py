@@ -56,6 +56,7 @@ from .links import (
     draw_unit_block,
     make_unit_stats,
     placement_rng,
+    slice_geometry,
     slice_stats,
     stream,
 )
@@ -212,8 +213,8 @@ def _pmap(fn, tasks, workers: int) -> list:
 
 def _place(spec: ExperimentSpec, p_idx: int, pool: bool = False):
     """Devices of placement p_idx; with pool, the largest common placeable
-    pool up to placement.pool_size (default min(T - 1, 40))."""
-    K = (spec.placement.pool_size or min(spec.system.T - 1, 40)) if pool else None
+    pool up to ``PlacementConfig.pool_target``."""
+    K = spec.placement.pool_target(spec.system.T) if pool else None
     return place_devices(spec.system, spec.layout, placement_rng(spec.seed, p_idx),
                          placement=spec.placement, K=K, allow_partial=pool)
 
@@ -229,6 +230,13 @@ def _panel0_draw(draw):
     return dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1], g=draw.g[:1])
 
 
+def _admitted_draw(draw, K: int):
+    """First K devices per panel of a pool-shaped draw; the receiver noise
+    is per antenna and kept whole."""
+    return dataclasses.replace(draw, coins=draw.coins[:, :K], angles=draw.angles[:, :K],
+                               g=draw.g[:, :K])
+
+
 def _worlds(spec: ExperimentSpec, dep, twin: bool = False, **changes) -> list:
     """Link world of one sweep point (system config with `changes`); with
     twin, followed by the panel-0 single-LIS world."""
@@ -239,19 +247,30 @@ def _worlds(spec: ExperimentSpec, dep, twin: bool = False, **changes) -> list:
     return worlds
 
 
-def _unit_block(spec: ExperimentSpec, worlds, p: int, b: int, n: int, k: int) -> list:
+def _unit_block(spec: ExperimentSpec, worlds, p: int, b: int, n: int, k: int,
+                admitted: int | None = None) -> list:
     """Draw block b of unit (n, k) once and build its statistics in every
     world: one (world, stats, draw) per world, the twin on the panel-0 slice.
+
+    With `admitted`, the draw keeps the world's full device shape (so the
+    stream is consumed as for any other count), but the statistics and the
+    returned draw cover only the first `admitted` devices per panel: the
+    roots are never built for devices a sweep does not admit.
 
     Callers reduce one unit before drawing the next, so the (N, K, M, P)
     roots of different units are never alive together."""
     cfg = worlds[0].config
     draw = draw_unit_block(_unit_rng(spec.seed, p, b, n, k), cfg.N, cfg.K, cfg.P, cfg.M)
+    if admitted is not None:
+        draw = _admitted_draw(draw, admitted)
     draws = [draw] + [_panel0_draw(draw)] * (len(worlds) - 1)
-    return [
-        (world, make_unit_stats(world.unit(n, k), d, world.config, spec.experiment.interference), d)
-        for world, d in zip(worlds, draws)
-    ]
+    out = []
+    for world, d in zip(worlds, draws):
+        geom = world.unit(n, k)
+        if admitted is not None:
+            geom = slice_geometry(geom, admitted)
+        out.append((world, make_unit_stats(geom, d, world.config, spec.experiment.interference), d))
+    return out
 
 
 def _refades(spec: ExperimentSpec, cfg: SystemConfig, p: int, r: int, n: int, k: int):
@@ -290,14 +309,16 @@ def _sweep_blocks(spec: ExperimentSpec, p: int, twin: bool):
 
 def _sampled_nse(spec: ExperimentSpec, worlds, p: int, b: int, K_grid) -> dict:
     """Monte Carlo NSE of block b for every admitted count K in K_grid, with
-    pilot length t = K. Unit (n, k) is drawn once and its statistics are
+    pilot length t = K. Unit (n, k) is drawn once on the whole pool, its
+    statistics are built for the first max(K_grid) devices only and then
     sliced to each K > k."""
     (world,) = worlds
     cfg = world.config
+    K_max = max(K_grid)
     gam = {K: np.empty((cfg.N, K)) for K in K_grid}
     for n in range(cfg.N):
-        for k in range(max(K_grid)):
-            ((_, stats, draw),) = _unit_block(spec, worlds, p, b, n, k)
+        for k in range(K_max):
+            ((_, stats, draw),) = _unit_block(spec, worlds, p, b, n, k, admitted=K_max)
             for K in K_grid:
                 if k < K:
                     gam[K][n, k] = _kernel(stats, world, draw.g, draw.w, K).gamma(K)

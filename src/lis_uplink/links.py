@@ -72,6 +72,14 @@ class UnitLinkGeometry:
         return float(self.beta2_sum[self.n, self.k])
 
 
+def los_phase(d: np.ndarray, lam: float) -> np.ndarray:
+    """exp(-2j pi d / lam), with the argument formed in real arithmetic.
+
+    Equal bit for bit to the complex form: dividing a complex array by a
+    real scalar multiplies both parts by its reciprocal."""
+    return np.exp(1j * ((-2.0 * np.pi * d) * (1.0 / lam)))
+
+
 def build_unit_geometry(
     deployment: Deployment, config: SystemConfig, n: int, k: int
 ) -> UnitLinkGeometry:
@@ -81,10 +89,16 @@ def build_unit_geometry(
     z = np.einsum("lji,i->lj", deployment.devices - deployment.frames[n].origin, normal)
     if np.any(z <= 0):
         raise ValueError("every device must lie on the front side of every panel plane")
-    diff = deployment.devices[:, :, np.newaxis, :] - antennas[np.newaxis, np.newaxis, :, :]
-    d = np.sqrt(np.einsum("ljmi,ljmi->ljm", diff, diff))
+    # squared distances summed one axis at a time: no (N, K, M, 3) array
+    d = np.zeros(z.shape + antennas.shape[:1])
+    for axis in range(3):
+        step = deployment.devices[:, :, axis, np.newaxis] - antennas[:, axis]
+        step *= step
+        d += step
+    np.sqrt(d, out=d)
     beta = np.sqrt(z[:, :, np.newaxis] / d) / np.sqrt(4.0 * np.pi * d * d)
-    hlos = beta * np.exp(-2j * np.pi * d / config.lam)
+    hlos = los_phase(d, config.lam)
+    hlos *= beta
     cdist = center_distances(deployment, n, k)
     return UnitLinkGeometry(
         n=n,
@@ -198,14 +212,13 @@ def sample_unit_channels(stats: UnitChannelStats, g: np.ndarray) -> np.ndarray:
     return stats.hbar + stats.nlos_scale[:, :, np.newaxis] * scattered
 
 
-def slice_stats(stats: UnitChannelStats, K: int) -> UnitChannelStats:
-    """Restrict a unit's block statistics to the first K devices per panel
+def slice_geometry(geom: UnitLinkGeometry, K: int) -> UnitLinkGeometry:
+    """Restrict a unit's link geometry to the first K devices per panel
     (array views, no copies). Valid when the unit's own pilot index is
-    below K; used for nested device-count sweeps."""
-    geom = stats.geom
+    below K."""
     if geom.k >= K:
         raise ValueError(f"unit pilot index {geom.k} not active with K={K}")
-    geom_k = dataclasses.replace(
+    return dataclasses.replace(
         geom,
         distances=geom.distances[:, :K],
         hlos=geom.hlos[:, :K],
@@ -214,9 +227,14 @@ def slice_stats(stats: UnitChannelStats, K: int) -> UnitChannelStats:
         kappa_cand=geom.kappa_cand[:, :K],
         p_los=geom.p_los[:, :K],
     )
+
+
+def slice_stats(stats: UnitChannelStats, K: int) -> UnitChannelStats:
+    """Restrict a unit's block statistics to the first K devices per panel
+    (array views, no copies); used for nested device-count sweeps."""
     return dataclasses.replace(
         stats,
-        geom=geom_k,
+        geom=slice_geometry(stats.geom, K),
         kappa=stats.kappa[:, :K],
         los_scale=stats.los_scale[:, :K],
         nlos_scale=stats.nlos_scale[:, :K],
@@ -272,7 +290,7 @@ class BlockKernel:
 
         sqrt_ratio = np.sqrt(rho_p[:, k] / rho_p[n, k])
         sqrt_ratio[n] = 0.0
-        contam = np.einsum("l,lm->m", sqrt_ratio, ch[:, k])
+        contam = sqrt_ratio @ ch[:, k]
         u = hlos + contam
 
         self.rho_p_own = float(rho_p[n, k])
@@ -281,15 +299,15 @@ class BlockKernel:
         self.signal = geom.own_power**2
         self.beta2_sum = geom.own_power
 
-        self.A = np.einsum("m,ljm->lj", np.conj(u), ch)
-        self.C = np.einsum("m,ljm->lj", np.conj(w), ch)
-        self.Xc = complex(np.einsum("m,m->", np.conj(contam), hlos))
-        self.Xw = complex(np.einsum("m,m->", np.conj(w), hlos))
-        self.u_norm2 = float(np.sum(np.abs(u) ** 2))
-        self.uw = complex(np.einsum("m,m->", np.conj(u), w))
-        self.w_norm2 = float(np.sum(np.abs(w) ** 2))
+        self.A = ch @ np.conj(u)
+        self.C = ch @ np.conj(w)
+        self.Xc = complex(np.vdot(contam, hlos))
+        self.Xw = complex(np.vdot(w, hlos))
+        self.u_norm2 = float(np.vdot(u, u).real)
+        self.uw = complex(np.vdot(u, w))
+        self.w_norm2 = float(np.vdot(w, w).real)
 
-        A_pure = np.einsum("m,ljm->lj", np.conj(hlos), ch)
+        A_pure = ch @ np.conj(hlos)
         Y_pure = np.abs(A_pure) ** 2
         Y_pure[n, k] = 0.0
         self.I_perfect = float(np.sum(self.rho_d * Y_pure)) + geom.own_power

@@ -14,6 +14,7 @@ given deployment.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -184,9 +185,7 @@ def expected_floor_table(
     N, Kp = deployment.N, deployment.K
     cfg = config
     if cfg.N != N or cfg.K != Kp:
-        import dataclasses as _dc
-
-        cfg = _dc.replace(config, N=N, K=Kp, t=None)
+        cfg = dataclasses.replace(config, N=N, K=Kp, t=None)
     rho_p = pilot_snrs(deployment, cfg)
     rho_d = data_snrs(deployment, cfg)
     M = cfg.M

@@ -7,7 +7,7 @@ package evaluates in a faster form. Tests compare the two.
 import numpy as np
 
 from lis_uplink.asymptotics import _MomentParts
-from lis_uplink.links import UnitChannelStats
+from lis_uplink.links import UnitChannelStats, sample_unit_channels
 
 
 def moment_parts(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> _MomentParts:
@@ -80,3 +80,25 @@ def moment_parts(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> _MomentPart
         beta2_sum=geom.own_power,
         rho_p_own=rho_p_own,
     )
+
+
+def los_phase(d: np.ndarray, lam: float) -> np.ndarray:
+    """LOS phase exp(-2j pi d / lambda) in its complex-arithmetic form."""
+    return np.exp(-2j * np.pi * d / lam)
+
+
+def kernel_products(stats: UnitChannelStats, g: np.ndarray, w: np.ndarray, pilot_snrs: np.ndarray):
+    """Sampled inner products of ``BlockKernel`` for unit (n, k), one
+    ``einsum`` each: A = u^H h_lj, C = w^H h_lj and A_pure = h_los^H h_lj,
+    with u the noise-free LS filter."""
+    geom = stats.geom
+    n, k = geom.n, geom.k
+    ch = sample_unit_channels(stats, g)
+    hlos = geom.hlos[n, k]
+    sqrt_ratio = np.sqrt(pilot_snrs[:, k] / pilot_snrs[n, k])
+    sqrt_ratio[n] = 0.0
+    u = hlos + np.einsum("l,lm->m", sqrt_ratio, ch[:, k])
+    A = np.einsum("m,ljm->lj", np.conj(u), ch)
+    C = np.einsum("m,ljm->lj", np.conj(w), ch)
+    A_pure = np.einsum("m,ljm->lj", np.conj(hlos), ch)
+    return A, C, A_pure

@@ -5,26 +5,43 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lis_uplink import (
     BlockKernel,
+    LayoutConfig,
     LinkWorld,
+    SystemConfig,
     block_rng,
     build_unit_geometry,
     cgauss,
     draw_unit_block,
     interference_power,
+    los_channel,
     make_unit_stats,
+    place_devices,
     placement_rng,
     sample_unit_channels,
     slice_stats,
     synthesize_error_direct,
     unit_block_terms,
 )
+from lis_uplink.channel import unit_geometry
 from lis_uplink.estimation import ChannelEstimate
-from lis_uplink.links import stream
+from lis_uplink.links import los_phase, slice_geometry, stream
 
+import reference
 from conftest import assert_close
+
+
+def _random_unit(N, K, side, P, seed, n, k, interference="rician"):
+    """World, pool-shaped draw and statistics of unit (n, k) on a random
+    placement of K devices per panel."""
+    cfg = SystemConfig(M=side * side, K=K, N=N, P=P, seed=seed)
+    dep = place_devices(cfg, LayoutConfig(d_x=0.5), np.random.default_rng(seed))
+    world = LinkWorld(dep, cfg)
+    draw = draw_unit_block(np.random.default_rng(seed + 1), N, K, P, cfg.M)
+    return world, draw, make_unit_stats(world.unit(n, k), draw, cfg, interference)
 
 
 class TestStreams:
@@ -127,6 +144,41 @@ class TestUnitStats:
         assert np.array_equal(ch, manual)
 
 
+class TestUnitGeometryOracle:
+    """Every link of the vectorized unit geometry against the per-link LOS
+    channel of ``channel.los_channel``."""
+
+    @pytest.mark.parametrize("M", [16, 900])
+    def test_every_link_matches_los_channel(self, M):
+        cfg = SystemConfig(M=M, K=3, N=4, P=4, seed=21)
+        dep = place_devices(cfg, LayoutConfig(name="quad"), placement_rng(cfg.seed, 0))
+        for n, k in ((0, 0), (2, 1), (3, 2)):
+            geom = build_unit_geometry(dep, cfg, n, k)
+            unit = unit_geometry(dep, cfg, n, k)
+            assert np.array_equal(geom.antennas, unit.antennas)
+            for l in range(cfg.N):
+                for j in range(cfg.K):
+                    los = los_channel(dep.devices[l, j], unit, cfg)
+                    assert_close(geom.distances[l, j], los.distances, rtol=1e-14)
+                    assert_close(geom.hlos[l, j], los.vector, rtol=1e-12)
+                    assert_close(geom.beta2_sum[l, j], los.power, rtol=1e-12)
+
+    @pytest.mark.parametrize("M", [16, 900])
+    def test_phase_equals_complex_form_bit_for_bit(self, M):
+        cfg = SystemConfig(M=M, K=3, N=4, seed=22)
+        dep = place_devices(cfg, LayoutConfig(name="quad"), placement_rng(cfg.seed, 0))
+        d = build_unit_geometry(dep, cfg, 1, 0).distances
+        assert np.array_equal(los_phase(d, cfg.lam), reference.los_phase(d, cfg.lam))
+
+    @given(
+        d=st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=64),
+        lam=st.floats(1e-3, 10.0),
+    )
+    def test_phase_equals_complex_form_for_any_distance(self, d, lam):
+        d = np.asarray(d)
+        assert np.array_equal(los_phase(d, lam), reference.los_phase(d, lam))
+
+
 class TestSliceStats:
     def test_prefix_views_match_smaller_world(self, tiny_cfg, tiny_world):
         cfg, dep = tiny_world.config, tiny_world.deployment
@@ -157,6 +209,49 @@ class TestSliceStats:
         stats = make_unit_stats(geom, draw, cfg)
         with pytest.raises(ValueError, match="pilot index"):
             slice_stats(stats, 1)
+
+    def test_geometry_slice_rejects_inactive_pilot_index(self, tiny_world):
+        with pytest.raises(ValueError, match="pilot index"):
+            slice_geometry(tiny_world.unit(0, 1), 1)
+
+    @given(
+        N=st.sampled_from([1, 2, 4]),
+        pool=st.integers(2, 6),
+        side=st.integers(2, 5),
+        P=st.integers(1, 4),
+        interference=st.sampled_from(["rician", "nlos_inter"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_first_k_build_equals_sliced_pool_build(
+        self, N, pool, side, P, interference, seed, data
+    ):
+        n = data.draw(st.integers(0, N - 1), label="n")
+        k = data.draw(st.integers(0, pool - 1), label="k")
+        K = data.draw(st.integers(k + 1, pool), label="K")
+        world, draw, pooled = _random_unit(N, pool, side, P, seed, n, k, interference)
+        cfg = world.config
+        sliced = slice_stats(pooled, K)
+
+        # geometry of a K-device placement, and the first-K draw
+        geom_k = build_unit_geometry(
+            world.deployment.subset(K), dataclasses.replace(cfg, K=K), n, k
+        )
+        geom_sliced = slice_geometry(world.unit(n, k), K)
+        for field in ("distances", "hlos", "beta2_sum", "center_dist", "kappa_cand", "p_los"):
+            assert np.array_equal(getattr(geom_k, field), getattr(geom_sliced, field)), field
+        draw_k = dataclasses.replace(
+            draw, coins=draw.coins[:, :K], angles=draw.angles[:, :K], g=draw.g[:, :K]
+        )
+        fresh = make_unit_stats(geom_k, draw_k, cfg, interference)
+        for field in ("kappa", "los_scale", "nlos_scale", "hbar", "roots"):
+            assert np.array_equal(getattr(fresh, field), getattr(sliced, field)), field
+
+        rho_p, rho_d = world.rho_p[:, :K], world.rho_d[:, :K]
+        a = BlockKernel(sliced, draw_k.g, draw.w, rho_p, rho_d)
+        b = BlockKernel(fresh, draw_k.g, draw.w, rho_p, rho_d)
+        assert_close(b.gamma(K), a.gamma(K), rtol=1e-12)
+        assert_close(b.gamma_perfect, a.gamma_perfect, rtol=1e-12)
 
 
 class TestBlockKernel:
@@ -231,6 +326,54 @@ class TestBlockKernel:
         assert_close(z[-1], kernel.u_norm2, rtol=1e-4)
         gaps = np.abs(np.asarray(z) - kernel.u_norm2)
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
+
+
+class TestBlockKernelProperties:
+    @given(
+        N=st.sampled_from([1, 2, 4]),
+        K=st.integers(1, 3),
+        side=st.integers(2, 6),
+        P=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_products_match_einsum_oracle(self, N, K, side, P, seed, data):
+        n = data.draw(st.integers(0, N - 1), label="n")
+        k = data.draw(st.integers(0, K - 1), label="k")
+        world, draw, stats = _random_unit(N, K, side, P, seed, n, k)
+        kernel = BlockKernel(stats, draw.g, draw.w, world.rho_p, world.rho_d)
+        A, C, A_pure = reference.kernel_products(stats, draw.g, draw.w, world.rho_p)
+        for got, want in ((kernel.A, A), (kernel.C, C)):
+            assert_close(got, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
+        Y_pure = np.abs(A_pure) ** 2
+        Y_pure[n, k] = 0.0
+        I_perfect = float(np.sum(world.rho_d * Y_pure)) + stats.geom.own_power
+        assert_close(kernel.I_perfect, I_perfect, rtol=1e-12)
+
+    @given(
+        N=st.sampled_from([1, 2, 4]),
+        K=st.integers(1, 3),
+        side=st.integers(2, 5),
+        P=st.integers(1, 4),
+        t=st.integers(1, 500),
+        factor=st.floats(1.0, 1e3),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_louder_interferer_never_raises_sinr(self, N, K, side, P, t, factor, seed, data):
+        n = data.draw(st.integers(0, N - 1), label="n")
+        k = data.draw(st.integers(0, K - 1), label="k")
+        others = [(l, j) for l in range(N) for j in range(K) if (l, j) != (n, k)]
+        if not others:
+            return
+        l, j = data.draw(st.sampled_from(others), label="interferer")
+        world, draw, stats = _random_unit(N, K, side, P, seed, n, k)
+        louder = world.rho_d.copy()
+        louder[l, j] *= factor
+        base = BlockKernel(stats, draw.g, draw.w, world.rho_p, world.rho_d)
+        loud = BlockKernel(stats, draw.g, draw.w, world.rho_p, louder)
+        assert loud.gamma(t) <= base.gamma(t)
+        assert loud.gamma_perfect <= base.gamma_perfect
 
 
 class TestLinkWorld:
