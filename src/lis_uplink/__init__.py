@@ -11,32 +11,13 @@ the number of admitted devices.
 from .asymptotics import (
     AsymptoticSse,
     MomentSet,
-    ScalingDiagnostics,
     build_moment_set,
-    lemma1_moments,
-    lemma2_moments,
-    lemma3_moments,
-    moment_report,
     mu_I,
     quarter_solid_angle,
-    scaling_diagnostics,
+    rate_log,
     theorem1_sse,
-    theorem2_bound,
-    write_moment_report,
 )
-from .channel import (
-    CorrelationRoot,
-    LosChannel,
-    UnitGeometry,
-    cgauss,
-    correlation_root,
-    dump_channels,
-    load_channels,
-    los_channel,
-    rician_channel,
-    rician_mixing,
-    steering_vector,
-)
+from .channel import cgauss, rician_mixing
 from .config import (
     CONFIG_KEY_HELP,
     ConfigError,
@@ -47,14 +28,6 @@ from .config import (
     SystemConfig,
     load_config,
     parse_override,
-)
-from .estimation import (
-    ChannelEstimate,
-    PilotBook,
-    ls_estimate,
-    pilot_book,
-    received_pilot,
-    synthesize_error_direct,
 )
 from .harness import (
     ExperimentResult,
@@ -81,15 +54,12 @@ from .links import (
     placement_rng,
     sample_unit_channels,
     slice_stats,
-    unit_block_terms,
 )
 from .optimize import (
     ExpectedFloorTable,
     PilotSolution,
     SchedulingSolution,
-    corollary1_t,
     expected_floor_table,
-    network_nse,
     nse_of_gammas,
     optimal_num_devices,
     optimal_pilot_length,
@@ -98,26 +68,15 @@ from .scenario import (
     Deployment,
     InfeasiblePlacementError,
     LisFrame,
-    antenna_position,
     build_layout,
     center_distances,
     data_snrs,
     los_probability,
-    perpendicular_offsets,
     pilot_snrs,
     place_devices,
     rician_factor,
     transmit_snr,
     unit_antenna_grid,
-)
-from .sinr import (
-    InterferenceBreakdown,
-    SseResult,
-    desired_power,
-    instantaneous_sinr,
-    instantaneous_sse,
-    interference_power,
-    rate_log,
 )
 
 __version__ = "0.1.0"

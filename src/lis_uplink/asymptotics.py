@@ -16,27 +16,19 @@ against one stacked, weight-scaled matrix of contaminator roots (see
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LayoutConfig, PlacementConfig, SystemConfig
-from .links import (
-    DOMAIN_SCALING_BLOCK,
-    DOMAIN_SCALING_COINS,
-    LinkWorld,
-    UnitChannelStats,
-    draw_unit_block,
-    make_unit_stats,
-    placement_rng,
-    stream,
-    unit_block_terms,
-)
-from .scenario import place_devices
-from .sinr import rate_log
+# ``stream`` is not called here; perfbench/test_tracer.py checks that its
+# tracer reaches this module's binding of it
+from .links import UnitChannelStats, stream  # noqa: F401
+
+
+def rate_log(x):
+    """log2, the spectral-efficiency log (bits per channel use)."""
+    return np.log2(x)
 
 
 @dataclass(frozen=True)
@@ -155,41 +147,6 @@ def _check_t(t) -> float:
     return t
 
 
-def lemma1_moments(stats: UnitChannelStats, t, pilot_snrs: np.ndarray):
-    """Mean and variance of the error-alignment term X for unit (n, k).
-
-    Returns (mu_x, var_x); the second moment is var_x + |mu_x|^2.
-    """
-    t = _check_t(t)
-    parts = _moment_parts(stats, np.asarray(pilot_snrs, dtype=float))
-    return parts.mu_x, parts.var_x_const + parts.var_x_noise / t
-
-
-def lemma2_moments(stats: UnitChannelStats, t, pilot_snrs: np.ndarray):
-    """Per-interferer mean and variance of the leakage terms Y.
-
-    Returns (mu_y, var_y) as (N, K) arrays with the serving slot zeroed.
-    The mean is exact; the variance treats the estimate's fluctuation and
-    the interferer's scattered part as independent, which is accurate up
-    to O(1/M) relative error for same-pilot interferers.
-    """
-    t = _check_t(t)
-    parts = _moment_parts(stats, np.asarray(pilot_snrs, dtype=float))
-    return parts.mu_y, parts.var_y_const + parts.var_y_noise / t
-
-
-def lemma3_moments(stats: UnitChannelStats, t, pilot_snrs: np.ndarray):
-    """Per-antenna mean and variance of the filter norm Z.
-
-    Returns (mu_z_m, var_z_m, mu_Z) with mu_Z = sum_m (var + |mu|^2).
-    """
-    t = _check_t(t)
-    parts = _moment_parts(stats, np.asarray(pilot_snrs, dtype=float))
-    var_z_m = parts.var_z_const_m + parts.var_z_noise_m / t
-    mu_Z = float(np.sum(var_z_m) + np.sum(np.abs(parts.q_bar) ** 2))
-    return parts.q_bar, var_z_m, mu_Z
-
-
 @dataclass(frozen=True)
 class MomentSet:
     """Closed-form moments of one unit's X, Y, Z terms at pilot length t,
@@ -237,27 +194,6 @@ class MomentSet:
             + self.M * p.var_z_noise_m / t
             + np.sum(np.abs(p.q_bar) ** 2)
         )
-
-    # ---- named views of the interferer grids ----
-
-    @property
-    def mu_y_njk(self) -> np.ndarray:
-        """Same-panel interferer means (K-1,)."""
-        row = np.delete(self.mu_y[self.n], self.k)
-        return row
-
-    @property
-    def var_y_njk(self) -> np.ndarray:
-        return np.delete(self.var_y[self.n], self.k)
-
-    @property
-    def mu_y_lnjk(self) -> np.ndarray:
-        """Other-panel interferer means ((N-1)*K,)."""
-        return np.delete(self.mu_y, self.n, axis=0).ravel()
-
-    @property
-    def var_y_lnjk(self) -> np.ndarray:
-        return np.delete(self.var_y, self.n, axis=0).ravel()
 
     # ---- composite interference ----
 
@@ -396,159 +332,4 @@ def theorem1_sse(moment_sets: list[MomentSet], t, T: int) -> AsymptoticSse:
         t=t,
         T=int(T),
         prelog=float(prelog),
-    )
-
-
-def theorem2_bound(moment_sets: list[MomentSet], t, T: int):
-    """Interference-floor bound of one panel: (mu_I_hat per device,
-    sse_hat, gamma_hat per device). Infinite when a device sees no LOS
-    interference at all (callers exclude such units from ratios)."""
-    res = theorem1_sse(moment_sets, t, T)
-    floors = np.array([ms.mu_I_hat for ms in moment_sets])
-    return floors, res.sse_hat, res.gamma_hat
-
-
-def moment_report(moment_sets: list[MomentSet], sse: AsymptoticSse | None = None) -> dict:
-    """JSON-ready per-unit moment tables (consumed by the test suite)."""
-    units = []
-    for ms in moment_sets:
-        units.append(
-            {
-                "n": ms.n,
-                "k": ms.k,
-                "t": ms.t,
-                "M": ms.M,
-                "mu_x": [ms.mu_x.real, ms.mu_x.imag],
-                "var_x": ms.var_x,
-                "mu_X": ms.mu_X(),
-                "mu_Y_bar_total": float(np.sum(ms.mu_Y_bar())),
-                "mu_Z": ms.mu_Z(),
-                "mu_I_bar": ms.mu_I_bar(),
-                "mu_I_hat": ms.mu_I_hat,
-            }
-        )
-    report: dict = {"units": units}
-    if sse is not None:
-        report["sse_bar"] = sse.sse_bar
-        report["sse_hat"] = sse.sse_hat
-        report["gamma_bar"] = [float(g) for g in sse.gamma_bar]
-    return report
-
-
-def write_moment_report(path, moment_sets, sse=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(moment_report(moment_sets, sse), fh, indent=2, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class ScalingDiagnostics:
-    """Variance-scaling table of the normalized interference I/M^2 on a
-    fixed deployment with the lattice refined."""
-
-    M_values: tuple
-    var_I: np.ndarray          # sample variance of I/M^2 per M
-    mean_I: np.ndarray         # sample mean of I/M^2 per M
-    slope: float               # log-log regression slope of var_I vs M
-    mean_X: np.ndarray         # closed-form mu_X/M^2, averaged over draws
-    mean_Y: np.ndarray         # rho-weighted closed-form leakage /M^2
-    mean_Z: np.ndarray         # closed-form mu_Z/M^2
-    mean_mu_x_sq: np.ndarray   # |mu_x|^2/M^2 (contamination LOS floor)
-    realizations: int
-
-    def rows(self) -> list[dict]:
-        out = []
-        for i, M in enumerate(self.M_values):
-            out.append(
-                {
-                    "M": int(M),
-                    "var_I_over_M2": float(self.var_I[i]),
-                    "mean_I_over_M2": float(self.mean_I[i]),
-                    "mu_X_over_M2": float(self.mean_X[i]),
-                    "mu_Y_over_M2": float(self.mean_Y[i]),
-                    "mu_Z_over_M2": float(self.mean_Z[i]),
-                    "mu_x_sq_over_M2": float(self.mean_mu_x_sq[i]),
-                }
-            )
-        return out
-
-
-def scaling_diagnostics(
-    config: SystemConfig,
-    layout: LayoutConfig,
-    M_values,
-    realizations: int,
-    *,
-    placement: PlacementConfig | None = None,
-    placement_idx: int = 0,
-    unit: tuple[int, int] = (0, 0),
-) -> ScalingDiagnostics:
-    """Sample the variance of I/M^2 over a lattice-refinement sweep.
-
-    The deployment and the LOS gates are frozen once; each realization
-    redraws scattered-path angles, fading, and noise. Freezing the gates
-    keeps the channel law fixed so the sweep isolates the lattice effect;
-    drawing angles before fading and noise keeps realizations paired
-    across M values.
-    """
-    M_values = tuple(int(M) for M in M_values)
-    if len(M_values) < 3:
-        raise ValueError("scaling diagnostics needs at least 3 array sizes")
-    if realizations < 2:
-        raise ValueError("need at least 2 realizations for a variance")
-    placement = placement or PlacementConfig()
-    deployment = place_devices(
-        config, layout, placement_rng(config.seed, placement_idx), placement=placement
-    )
-    n, k = unit
-    N, K = config.N, config.K
-    coins = stream(config.seed, DOMAIN_SCALING_COINS, placement_idx).random((N, K))
-    t = config.pilot_len
-
-    var_I = np.zeros(len(M_values))
-    mean_I = np.zeros(len(M_values))
-    mean_X = np.zeros(len(M_values))
-    mean_Y = np.zeros(len(M_values))
-    mean_Z = np.zeros(len(M_values))
-    mean_mu_x_sq = np.zeros(len(M_values))
-
-    for i, M in enumerate(M_values):
-        cfg = dataclasses.replace(config, M=M)
-        world = LinkWorld(deployment, cfg)
-        geom = world.unit(n, k)
-        M2 = float(M * M)
-        samples = np.zeros(realizations)
-        acc_X = acc_Y = acc_Z = acc_mx = 0.0
-        for r in range(realizations):
-            rng = stream(cfg.seed, DOMAIN_SCALING_BLOCK, placement_idx, r)
-            draw = draw_unit_block(rng, N, K, cfg.P, M, coins=coins)
-            stats = make_unit_stats(geom, draw, cfg)
-            terms = unit_block_terms(stats, draw, t, world.rho_p, world.rho_d)
-            samples[r] = terms.I / M2
-            ms = build_moment_set(
-                stats, t, world.rho_p, world.rho_d,
-                z_own=deployment.devices_local[n, k, 2], L=cfg.L,
-            )
-            acc_X += ms.mu_X() / M2
-            acc_Y += float(np.sum(ms.rho_d * ms.mu_Y_bar())) / M2
-            acc_Z += ms.mu_Z() / M2
-            acc_mx += abs(ms.mu_x) ** 2 / M2
-        var_I[i] = float(np.var(samples, ddof=1))
-        mean_I[i] = float(np.mean(samples))
-        mean_X[i] = acc_X / realizations
-        mean_Y[i] = acc_Y / realizations
-        mean_Z[i] = acc_Z / realizations
-        mean_mu_x_sq[i] = acc_mx / realizations
-
-    logM = np.log(np.asarray(M_values, dtype=float))
-    slope = float(np.polyfit(logM, np.log(var_I), 1)[0])
-    return ScalingDiagnostics(
-        M_values=M_values,
-        var_I=var_I,
-        mean_I=mean_I,
-        slope=slope,
-        mean_X=mean_X,
-        mean_Y=mean_Y,
-        mean_Z=mean_Z,
-        mean_mu_x_sq=mean_mu_x_sq,
-        realizations=realizations,
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 from .asymptotics import build_moment_set, theorem1_sse
 from .config import CONFIG_KEY_HELP, ConfigError, RunConfig, load_config, parse_override
 from .harness import (
-    ExperimentSpec,
+    interference_regime,
     preset_run_config,
     run_asymptotic,
     run_experiment,
@@ -116,7 +116,7 @@ def _theory_moment_sets(rc: RunConfig):
     """Moment sets of panel 0 on placement 0, block 0: the analytic
     objective used by the optimizer front ends."""
     cfg = rc.system
-    regime = ExperimentSpec.from_run_config(rc).experiment.interference
+    regime = interference_regime(rc.experiment)
     dep = place_devices(cfg, rc.layout, placement_rng(cfg.seed, 0), placement=rc.placement)
     world = LinkWorld(dep, cfg)
     t = cfg.pilot_len
@@ -159,7 +159,7 @@ def _cmd_optimize_t(args) -> int:
 def _cmd_optimize_k(args) -> int:
     rc = _build_run_config(args)
     cfg = rc.system
-    regime = ExperimentSpec.from_run_config(rc).experiment.interference
+    regime = interference_regime(rc.experiment)
     dep = place_devices(
         cfg, rc.layout, placement_rng(cfg.seed, 0),
         placement=rc.placement, K=rc.placement.pool_target(cfg.T), allow_partial=True,

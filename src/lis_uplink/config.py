@@ -29,8 +29,8 @@ class SystemConfig:
     """Scalar physical and frame parameters shared by every module.
 
     ``lambda`` (the carrier wavelength) is derived from ``carrier_freq`` and
-    exposed as the ``lam``/``wavelength`` property; ``t`` and ``delta_L``
-    default to K and 2L/sqrt(M) when left unset.
+    exposed as the ``lam`` property; ``t`` and ``delta_L`` default to K and
+    2L/sqrt(M) when left unset.
     """
 
     M: int = 64              # antennas per LIS unit (perfect square)
@@ -85,9 +85,6 @@ class SystemConfig:
     def lam(self) -> float:
         """Carrier wavelength in meters."""
         return SPEED_OF_LIGHT / self.carrier_freq
-
-    # alias kept for readability at call sites
-    wavelength = lam
 
     @property
     def m_side(self) -> int:
@@ -295,7 +292,7 @@ def _coerce(dotted: str, field_obj, value: Any) -> Any:
         return None
     name = field_obj.name
     int_fields = {"M", "K", "N", "T", "t", "P", "seed", "attempt_budget",
-                  "pool_size", "realizations", "placements"}
+                  "pool_size", "realizations", "placements", "theory_stride"}
     float_fields = {"L", "carrier_freq", "delta_L", "beta_PL", "d_C",
                     "rho_p_tgt", "rho_tgt", "x_l", "y_l", "d_x", "d_z",
                     "box_height"}

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import build_moment_set, theorem1_sse
+from .asymptotics import build_moment_set, rate_log, theorem1_sse
 from .channel import cgauss
 from .config import (
     ConfigError,
@@ -62,7 +62,6 @@ from .links import (
 )
 from .optimize import expected_floor_table, nse_of_gammas, optimal_num_devices
 from .scenario import place_devices
-from .sinr import rate_log
 
 # Default sweep per experiment preset (variable, values). fig8 sweeps the
 # admitted-device count over the whole placeable pool, so its grid is
@@ -81,6 +80,11 @@ _DEFAULT_REGIME = {"fig6": "nlos_inter", "fig6b": "nlos_inter"}
 
 _MC_KSWEEP_CAP = 225  # sampled device-count curves cap the array size here
 _DEFAULT_K_GRID = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32, 36, 40)
+
+
+def interference_regime(exp: ExperimentConfig) -> str:
+    """The experiment's interference regime, else its preset's default."""
+    return exp.interference or _DEFAULT_REGIME.get(exp.id, "rician")
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,17 @@ class ExperimentSpec:
                     f"pilot sweep values must lie in [{lo}, {hi}], got {bad}",
                     "experiment.sweep_values",
                 )
-        interference = exp.interference or _DEFAULT_REGIME.get(exp.id, "rician")
+        if var == "M":
+            # every array size must make a valid system before any block runs
+            for v in values:
+                try:
+                    dataclasses.replace(rc.system, M=v)
+                except ConfigError as exc:
+                    raise ConfigError(
+                        f"sweep value M={v} is invalid: {exc}", "experiment.sweep_values"
+                    ) from exc
         resolved = dataclasses.replace(
-            exp, sweep_variable=var, sweep_values=values, interference=interference
+            exp, sweep_variable=var, sweep_values=values, interference=interference_regime(exp)
         )
         return cls(system=rc.system, layout=rc.layout, placement=rc.placement, experiment=resolved)
 

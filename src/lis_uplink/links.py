@@ -29,13 +29,10 @@ from .scenario import (
     unit_antenna_grid,
 )
 
-# RNG stream domains (SeedSequence spawn keys): placement draws, per-unit
-# block draws, frozen-coin draws for the variance-scaling diagnostic, and
-# per-realization draws of that diagnostic.
+# RNG stream domains (SeedSequence spawn keys): placement draws and
+# per-unit block draws.
 DOMAIN_PLACEMENT = 0
 DOMAIN_BLOCK = 1
-DOMAIN_SCALING_COINS = 2
-DOMAIN_SCALING_BLOCK = 3
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -333,14 +330,3 @@ class BlockKernel:
 
     def gamma(self, t) -> float:
         return self.terms(t).gamma
-
-
-def unit_block_terms(
-    stats: UnitChannelStats,
-    draw: UnitBlockDraw,
-    t: int,
-    rho_p: np.ndarray,
-    rho_d: np.ndarray,
-) -> BlockTerms:
-    """Sample one block's interference scalars for unit (n, k)."""
-    return BlockKernel(stats, draw.g, draw.w, rho_p, rho_d).terms(t)

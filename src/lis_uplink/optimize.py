@@ -17,16 +17,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import quarter_solid_angle, theorem1_sse
+from .asymptotics import quarter_solid_angle, rate_log, theorem1_sse
 from .config import SystemConfig
 from .links import build_unit_geometry
 from .scenario import Deployment, data_snrs, pilot_snrs
-from .sinr import rate_log
 
 
 @dataclass(frozen=True)
@@ -116,20 +114,6 @@ def optimal_pilot_length(moments, T: int, K: int, M: int | None = None) -> Pilot
         curve=tuple(evals),
         iterations=iterations,
     )
-
-
-def corollary1_t(K: int, T: int | None = None) -> int:
-    """Pilot length in the interference-floor regime: exactly K symbols
-    (one orthogonal pilot per served device, prelog maximal)."""
-    K = int(K)
-    if K < 1:
-        raise ValueError(f"need K >= 1, got {K}")
-    if T is not None and K >= int(T):
-        warnings.warn(
-            f"K={K} >= T={T}: the whole block is training (degenerate)",
-            stacklevel=2,
-        )
-    return K
 
 
 @dataclass(frozen=True)
@@ -254,16 +238,6 @@ class SchedulingSolution:
 
     def trace_json(self) -> str:
         return json.dumps(self.trace(), sort_keys=True)
-
-
-def network_nse(sse_values, N: int | None = None) -> float:
-    """Network spectral efficiency: arithmetic mean of the per-panel SSEs."""
-    values = np.asarray(sse_values, dtype=float)
-    if values.size == 0:
-        raise ValueError("need at least one panel SSE")
-    if N is not None and values.size != N:
-        raise ValueError(f"got {values.size} panel SSEs for N={N}")
-    return float(np.mean(values))
 
 
 def nse_of_gammas(gammas: np.ndarray, K: int, T: int) -> float:

@@ -207,20 +207,6 @@ def _lattice_offsets(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     return off, off  # horizontal, vertical share the square geometry
 
 
-def antenna_position(
-    deployment: Deployment, config: SystemConfig, n: int, k: int, m: int
-) -> np.ndarray:
-    """Global position of antenna m of unit (n, k); row-major lattice with
-    the vertical index major, matching the steering-vector Kronecker order."""
-    if not (0 <= m < config.M):
-        raise IndexError(f"antenna index {m} outside [0, {config.M})")
-    side = config.m_side
-    iv, ih = divmod(int(m), side)
-    off_h, off_v = _lattice_offsets(config)
-    local = deployment.unit_centers_local[n, k] + np.array([off_h[ih], off_v[iv], 0.0])
-    return deployment.frames[n].to_global(local)
-
-
 def unit_antenna_grid(
     deployment: Deployment, config: SystemConfig, n: int, k: int
 ) -> np.ndarray:
@@ -296,11 +282,3 @@ def center_distances(deployment: Deployment, n: int, k: int) -> np.ndarray:
     shape (N, K). Feeds the Rician factor and the LOS probability."""
     diff = deployment.devices - deployment.unit_centers[n, k]
     return np.sqrt(np.einsum("lji,lji->lj", diff, diff))
-
-
-def perpendicular_offsets(deployment: Deployment, n: int) -> np.ndarray:
-    """Perpendicular distance of every device to panel n's plane, shape
-    (N, K); positive for devices on the panel's front side."""
-    frame = deployment.frames[n]
-    rel = deployment.devices - frame.origin
-    return rel @ frame.normal

@@ -2,7 +2,25 @@
 
 Each function here is a slower, literal transcription of a formula that the
 package evaluates in a faster form. Tests compare the two.
+
+Per-link oracles of the uplink model, one link or one unit at a time:
+
+- ``antenna_position`` and ``los_link``: one antenna of a unit's lattice
+  and one device's free-space LOS channel toward a unit, against
+  ``unit_antenna_grid`` and ``links.build_unit_geometry``;
+- ``steering_vector``: one planar-array steering column, against the
+  columns of ``channel.root_matrix_from_angles``;
+- ``pilot_book``, ``received_block`` and ``ls_despread``: the full M x t
+  pilot block and its least-squares despreading, against the estimation
+  shortcut inside ``links.BlockKernel``;
+- ``desired_power`` and ``interference_terms``: the matched-filter X, Y, Z
+  and I of one filter vector, against ``BlockKernel.terms``.
+
+The remaining functions transcribe the ``einsum`` forms of the moment and
+kernel contractions.
 """
+
+import math
 
 import numpy as np
 
@@ -102,3 +120,87 @@ def kernel_products(stats: UnitChannelStats, g: np.ndarray, w: np.ndarray, pilot
     C = np.einsum("m,ljm->lj", np.conj(w), ch)
     A_pure = np.einsum("m,ljm->lj", np.conj(hlos), ch)
     return A, C, A_pure
+
+
+def antenna_position(deployment, config, n: int, k: int, m: int) -> np.ndarray:
+    """Global position of antenna m of unit (n, k): a centered square
+    lattice of pitch delta_L, index m = iv * sqrt(M) + ih (vertical major)."""
+    side = config.m_side
+    iv, ih = divmod(int(m), side)
+    offsets = (np.arange(side) + 0.5 - 0.5 * side) * config.spacing
+    local = deployment.unit_centers_local[n, k] + np.array([offsets[ih], offsets[iv], 0.0])
+    return deployment.frames[n].to_global(local)
+
+
+def los_link(device, antennas: np.ndarray, frame, lam: float):
+    """Free-space LOS channel of one device toward the antennas of a panel
+    with the given frame: (distances d_m, vector beta_m exp(-2j pi d_m /
+    lambda), power sum_m beta_m^2), with beta_m = sqrt(z / d_m) /
+    sqrt(4 pi d_m^2) and z the device's offset along the panel normal."""
+    device = np.asarray(device, dtype=float)
+    z = float(np.dot(device - frame.origin, frame.normal))
+    d = np.array([math.dist(device, a) for a in antennas])
+    beta = np.sqrt(z / d) / np.sqrt(4.0 * math.pi * d * d)
+    return d, beta * np.exp(-2j * math.pi * d / lam), float(np.sum(beta**2))
+
+
+def steering_vector(phi_v: float, phi_h: float, M: int, delta_L: float, lam: float) -> np.ndarray:
+    """Planar-array steering vector (1/sqrt(M)) d_v kron d_h with phase step
+    (2 pi delta_L / lambda) * phi along each axis; entry m = iv * sqrt(M) + ih."""
+    side = math.isqrt(int(M))
+    step = 2.0 * math.pi * delta_L / lam
+    idx = np.arange(side)
+    d_v = np.exp(1j * step * idx * phi_v)
+    d_h = np.exp(1j * step * idx * phi_h)
+    return np.einsum("v,h->vh", d_v, d_h).reshape(M) / math.sqrt(M)
+
+
+def pilot_book(t: int, K: int) -> np.ndarray:
+    """(t, K) pilot book: the first K columns of the unit-norm t-point DFT
+    basis; column k is the pilot of device k on every panel."""
+    if t < K:
+        raise ValueError(f"pilot length t={t} must be >= K={K}")
+    s = np.arange(t)[:, np.newaxis]
+    k = np.arange(K)[np.newaxis, :]
+    return np.exp(-2j * math.pi * s * k / t) / math.sqrt(t)
+
+
+def received_block(channels: np.ndarray, book: np.ndarray, pilot_snrs: np.ndarray,
+                   noise: np.ndarray | None = None) -> np.ndarray:
+    """(M, t) received pilot block of one unit: device j of every panel l
+    sends pilot column j with amplitude sqrt(t * rho_p[l, j]) through its
+    channel channels[l, j]; noise, if given, is added as is."""
+    t, K = book.shape
+    if channels.shape[1] != K:
+        raise ValueError(f"pilot book has {K} columns, need {channels.shape[1]}")
+    amps = np.sqrt(t * np.asarray(pilot_snrs, dtype=float))
+    y = np.einsum("lj,ljm,tj->mt", amps, channels, book)
+    return y if noise is None else y + noise
+
+
+def ls_despread(Y: np.ndarray, psi_k: np.ndarray, t: int, rho_p_own: float) -> np.ndarray:
+    """Least-squares estimate Y conj(psi_k) / sqrt(t rho_p) of the channel
+    of the device that sent pilot psi_k."""
+    if rho_p_own <= 0:
+        raise ValueError(f"pilot SNR must be positive, got {rho_p_own}")
+    return (Y @ np.conj(psi_k)) / math.sqrt(t * rho_p_own)
+
+
+def desired_power(h_los: np.ndarray) -> float:
+    """Matched-filter signal power (sum_m |h_m|^2)^2 of the serving LOS
+    channel."""
+    return float(np.sum(np.abs(h_los) ** 2) ** 2)
+
+
+def interference_terms(h_hat, h_los, channels: np.ndarray, rho_d: np.ndarray, n: int, k: int) -> dict:
+    """Matched-filter terms of unit (n, k) with filter h_hat, serving LOS
+    channel h_los and incoming channels (N, K, M): X = |e^H h_los|^2 with
+    e = h_hat - h_los, Y[l, j] = |h_hat^H h_lj|^2 (serving slot zero),
+    Z = ||h_hat||^2, the rho-weighted composite I, and the signal S."""
+    e = h_hat - h_los
+    X = float(np.abs(np.vdot(e, h_los)) ** 2)
+    Y = np.abs(np.einsum("m,ljm->lj", np.conj(h_hat), channels)) ** 2
+    Y[n, k] = 0.0
+    Z = float(np.sum(np.abs(h_hat) ** 2))
+    I = float(rho_d[n, k] * X + np.sum(rho_d * Y) + Z)
+    return {"X": X, "Y": Y, "Z": Z, "I": I, "S": desired_power(h_los)}

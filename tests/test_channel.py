@@ -1,5 +1,6 @@
-"""LOS synthesis, steering vectors, correlation roots, Rician sampling."""
+"""LOS geometry, steering columns, correlation roots, Rician sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,26 +8,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lis_uplink import (
+    ConfigError,
     Deployment,
     LayoutConfig,
     SystemConfig,
     build_layout,
+    build_unit_geometry,
     cgauss,
-    dump_channels,
-    load_channels,
-    los_channel,
+    draw_unit_block,
+    make_unit_stats,
     place_devices,
     quarter_solid_angle,
     rician_mixing,
-    steering_vector,
+    sample_unit_channels,
 )
-from lis_uplink.channel import (
-    correlation_root,
-    rician_channel,
-    root_matrix_from_angles,
-    unit_geometry,
-)
+from lis_uplink.channel import root_matrix_from_angles
+from lis_uplink.config import SPEED_OF_LIGHT
 
+import reference
 from conftest import assert_close
 
 
@@ -46,39 +45,55 @@ def _point_deployment(device_local, N_panels=1, layout=None):
     )
 
 
+def _lone_link_stats(device_local, cfg, coin, seed):
+    """Statistics of a two-device single panel: device 1 at `device_local`
+    seen from device 0's unit (pinned at the panel center, 1 m up), with
+    its LOS gate forced open (coin 0) or shut (coin 1)."""
+    dep = _point_deployment([[0.0, 0.0, 1.0], device_local])
+    geom = build_unit_geometry(dep, cfg, 0, 0)
+    draw = draw_unit_block(np.random.default_rng(seed), 1, 2, cfg.P, cfg.M)
+    draw = dataclasses.replace(draw, coins=np.full((1, 2), float(coin)))
+    return geom, draw, make_unit_stats(geom, draw, cfg)
+
+
 class TestLosChannel:
     def test_single_antenna_closed_form(self):
         cfg = SystemConfig(M=1, K=1, N=1)
         dep = _point_deployment([[0.0, 0.0, 1.7]])
-        los = los_channel(dep.devices[0, 0], unit_geometry(dep, cfg, 0, 0), cfg)
+        geom = build_unit_geometry(dep, cfg, 0, 0)
         d = 1.7
-        assert_close(los.amplitudes[0], 1.0 / math.sqrt(4.0 * math.pi * d * d))
-        assert_close(los.phases[0], np.exp(-2j * math.pi * d / cfg.lam))
-        assert_close(los.distances[0], d)
+        assert_close(geom.distances[0, 0, 0], d)
+        assert_close(
+            geom.hlos[0, 0, 0],
+            np.exp(-2j * math.pi * d / cfg.lam) / math.sqrt(4.0 * math.pi * d * d),
+        )
+        assert_close(geom.beta2_sum[0, 0], 1.0 / (4.0 * math.pi * d * d))
 
     def test_vector_and_power_consistency(self, tiny_world):
-        cfg, dep = tiny_world.config, tiny_world.deployment
-        los = los_channel(dep.devices[0, 0], unit_geometry(dep, cfg, 0, 0), cfg)
-        assert np.array_equal(los.vector, los.amplitudes * los.phases)
-        assert np.allclose(np.abs(los.phases), 1.0, rtol=0, atol=1e-12)
-        assert np.all(los.amplitudes > 0)
-        assert_close(los.power, np.sum(los.amplitudes**2))
+        cfg = tiny_world.config
+        geom = tiny_world.unit(0, 0)
+        amplitudes = np.abs(geom.hlos)
+        assert np.all(amplitudes > 0)
+        assert_close(
+            geom.hlos / amplitudes, np.exp(-2j * math.pi * geom.distances / cfg.lam),
+            rtol=0, atol=1e-12,
+        )
+        assert_close(geom.beta2_sum, np.sum(amplitudes**2, axis=-1))
 
     def test_power_grows_with_antenna_count(self):
         dep = _point_deployment([[0.1, -0.3, 1.0]])
-        powers = []
-        for M in (16, 64, 256):
-            cfg = SystemConfig(M=M, K=1, N=1)
-            los = los_channel(dep.devices[0, 0], unit_geometry(dep, cfg, 0, 0), cfg)
-            powers.append(los.power)
+        powers = [
+            build_unit_geometry(dep, SystemConfig(M=M, K=1, N=1), 0, 0).own_power
+            for M in (16, 64, 256)
+        ]
         assert powers[0] < powers[1] < powers[2]
 
     def test_doubling_height_decreases_every_gain(self):
         cfg = SystemConfig(M=16, K=1, N=1)
         low = _point_deployment([[0.3, -0.2, 0.8]])
         high = _point_deployment([[0.3, -0.2, 1.6]])
-        b_low = los_channel(low.devices[0, 0], unit_geometry(low, cfg, 0, 0), cfg).amplitudes
-        b_high = los_channel(high.devices[0, 0], unit_geometry(high, cfg, 0, 0), cfg).amplitudes
+        b_low = np.abs(build_unit_geometry(low, cfg, 0, 0).hlos[0, 0])
+        b_high = np.abs(build_unit_geometry(high, cfg, 0, 0).hlos[0, 0])
         assert np.all(b_high < b_low)
 
     def test_total_gain_approaches_solid_angle_limit(self):
@@ -86,92 +101,101 @@ class TestLosChannel:
         # M^2 p^2 / (16 pi^2 L^4) with p the quadrant solid angle.
         cfg = SystemConfig(M=2500, K=1, N=1, L=0.25)
         dep = _point_deployment([[0.0, 0.0, 1.0]])
-        los = los_channel(dep.devices[0, 0], unit_geometry(dep, cfg, 0, 0), cfg)
+        power = build_unit_geometry(dep, cfg, 0, 0).own_power
         p = quarter_solid_angle(cfg.L, 1.0)
         limit = cfg.M**2 * p**2 / (16.0 * math.pi**2 * cfg.L**4)
-        assert abs(los.power**2 - limit) / limit < 0.02
+        assert abs(power**2 - limit) / limit < 0.02
 
     def test_device_behind_plane_rejected(self):
         cfg = SystemConfig(M=4, K=1, N=1)
-        dep = _point_deployment([[0.0, 0.0, 1.0]])
-        unit = unit_geometry(dep, cfg, 0, 0)
+        dep = _point_deployment([[0.0, 0.0, -1.0]])
         with pytest.raises(ValueError, match="front side"):
-            los_channel(np.array([0.0, 0.0, -1.0]), unit, cfg)
+            build_unit_geometry(dep, cfg, 0, 0)
 
     def test_facing_panel_geometry(self):
         cfg = SystemConfig(M=16, K=1, N=4)
         dep = place_devices(cfg, LayoutConfig(), np.random.default_rng(0), K=1)
-        unit = unit_geometry(dep, cfg, 3, 0)
-        assert_close(unit.normal, [0.0, 0.0, -1.0])
-        assert np.allclose(unit.antennas[:, 2], 6.0)
-        los = los_channel(dep.devices[3, 0], unit, cfg)
-        assert np.all(los.amplitudes > 0)
+        geom = build_unit_geometry(dep, cfg, 3, 0)
+        assert_close(dep.frames[3].normal, [0.0, 0.0, -1.0])
+        assert np.allclose(geom.antennas[:, 2], 6.0)
+        assert np.all(np.abs(geom.hlos[3, 0]) > 0)
+
+
+def _unit_distance_roots(angles, cfg):
+    """Correlation roots of the given path angles at unit distance, so the
+    per-antenna path loss is 1 and column p is alpha_p * steer_p."""
+    angles = np.asarray(angles, dtype=float)
+    return root_matrix_from_angles(angles, np.ones((*angles.shape[:-2], cfg.M)), cfg)
+
+
+def _steering_columns(phi_v, phi_h, cfg):
+    """Planar steering vectors with per-axis phases (phi_v, phi_h), read off
+    the root columns of paths with those phases; |phi_h| must stay below 1/2
+    (phi_h = sin theta_h cos theta_h) and |phi_v| below 1."""
+    theta_v = np.arcsin(np.asarray(phi_v, dtype=float))
+    theta_h = 0.5 * np.arcsin(2.0 * np.asarray(phi_h, dtype=float))
+    angles = np.stack([theta_v, theta_h], axis=-1)[..., np.newaxis, :]
+    alpha = np.sqrt(np.cos(theta_v) * np.cos(theta_h))
+    return _unit_distance_roots(angles, cfg)[..., 0] / alpha[..., np.newaxis]
 
 
 class TestSteeringVector:
+    """Steering vectors as the unit-distance columns of
+    ``root_matrix_from_angles``, divided by their path gains."""
+
     def test_broadside_is_flat(self):
-        v = steering_vector(0.0, 0.0, 16, 0.05, 0.1)
+        cfg = SystemConfig(M=16, delta_L=0.05)
+        v = _steering_columns(0.0, 0.0, cfg)
         assert_close(v, np.full(16, 0.25 + 0j), rtol=0, atol=1e-15)
 
     def test_norm_is_one_for_random_angles(self):
+        cfg = SystemConfig(M=36, delta_L=0.083)
         rng = np.random.default_rng(123)
-        worst = 0.0
-        for _ in range(1000):
-            phi_v, phi_h = rng.uniform(-1.0, 1.0, size=2)
-            v = steering_vector(phi_v, phi_h, 36, 0.083, 0.0999)
-            worst = max(worst, abs(np.linalg.norm(v) - 1.0))
-        assert worst < 1e-12
+        v = _steering_columns(rng.uniform(-1.0, 1.0, 1000), rng.uniform(-0.5, 0.5, 1000), cfg)
+        assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) < 1e-12
 
     def test_two_by_two_kronecker_expansion(self):
-        lam = 0.1
-        v = steering_vector(1.0, 0.0, 4, 0.05, lam)  # delta_L/lambda = 0.5
+        cfg = SystemConfig(M=4, delta_L=SPEED_OF_LIGHT / 3.0e9)  # delta_L = lambda
+        v = _steering_columns(0.5, 0.0, cfg)  # vertical step pi
         expected = 0.5 * np.array([1.0, 1.0, np.exp(1j * math.pi), np.exp(1j * math.pi)])
         assert_close(v, expected, rtol=0, atol=1e-12)
 
     def test_matches_explicit_lattice_loop(self):
-        M, delta_L, lam = 9, 0.07, 0.0999
-        phi_v, phi_h = 0.43, -0.78
-        v = steering_vector(phi_v, phi_h, M, delta_L, lam)
+        cfg = SystemConfig(M=9, delta_L=0.07)
+        phi_v, phi_h = 0.43, -0.38
+        v = _steering_columns(phi_v, phi_h, cfg)
         side = 3
-        step = 2.0 * math.pi * delta_L / lam
-        for m in range(M):
+        step = 2.0 * math.pi * cfg.spacing / cfg.lam
+        for m in range(cfg.M):
             iv, ih = divmod(m, side)
             assert_close(
                 v[m],
-                np.exp(1j * step * (iv * phi_v + ih * phi_h)) / math.sqrt(M),
+                np.exp(1j * step * (iv * phi_v + ih * phi_h)) / math.sqrt(cfg.M),
                 rtol=0,
                 atol=1e-12,
             )
 
     def test_non_square_m_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            steering_vector(0.0, 0.0, 12, 0.05, 0.1)
+        with pytest.raises(ConfigError, match="square"):
+            SystemConfig(M=12)
 
     @given(
-        phi_v=st.floats(-1.0, 1.0, allow_nan=False),
-        phi_h=st.floats(-1.0, 1.0, allow_nan=False),
+        theta_v=st.floats(-math.pi / 2.0, math.pi / 2.0),
+        theta_h=st.floats(-math.pi / 2.0, math.pi / 2.0),
     )
-    def test_norm_property(self, phi_v, phi_h):
-        v = steering_vector(phi_v, phi_h, 25, 0.05, 0.0999)
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    def test_norm_property(self, theta_v, theta_h):
+        # every root column has norm alpha_p: the steering vector is unit-norm
+        cfg = SystemConfig(M=25, delta_L=0.05)
+        col = _unit_distance_roots([[theta_v, theta_h]], cfg)[:, 0]
+        alpha = math.sqrt(abs(math.cos(theta_v) * math.cos(theta_h)))
+        assert abs(np.linalg.norm(col) - alpha) < 1e-12
 
 
 class TestCorrelationRoot:
-    def _instance(self, seed=0, M=16, P=4):
-        cfg = SystemConfig(M=M, K=2, N=1, P=P)
-        dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(seed))
-        unit = unit_geometry(dep, cfg, 0, 0)
-        root = correlation_root(
-            dep.devices[0, 1], unit, cfg, np.random.default_rng(seed + 1)
-        )
-        return cfg, root
-
     def test_broadside_paths_degenerate_to_pathloss(self):
         cfg = SystemConfig(M=16, K=1, N=1, P=3)
         dep = _point_deployment([[0.2, 0.1, 1.3]])
-        unit = unit_geometry(dep, cfg, 0, 0)
-        diff = dep.devices[0, 0] - unit.antennas
-        d = np.linalg.norm(diff, axis=1)
+        d = build_unit_geometry(dep, cfg, 0, 0).distances[0, 0]
         matrix = root_matrix_from_angles(np.zeros((3, 2)), d, cfg)
         expected_col = d ** (-cfg.beta_PL / 2.0) / math.sqrt(cfg.M)
         for p in range(3):
@@ -199,33 +223,45 @@ class TestCorrelationRoot:
             pathloss = d[link] ** (-cfg.beta_PL / 2.0)
             for p, (theta_v, theta_h) in enumerate(angles[link]):
                 alpha = math.sqrt(abs(math.cos(theta_v) * math.cos(theta_h)))
-                steer = steering_vector(
+                steer = reference.steering_vector(
                     math.sin(theta_v), math.sin(theta_h) * math.cos(theta_h),
                     cfg.M, cfg.spacing, cfg.lam,
                 )
                 assert_close(roots[link][:, p], pathloss * alpha * steer, rtol=1e-13)
 
     def test_views_and_angle_support(self):
-        _, root = self._instance()
-        assert np.shares_memory(root.rows, root.matrix)
-        for p in range(root.matrix.shape[1]):
-            assert np.array_equal(root.columns[p], root.matrix[:, p])
-        assert np.all(np.abs(root.angles) <= math.pi / 2.0)
-        assert np.all(root.nlos_gains <= 1.0 + 1e-15)
-        assert np.all(root.nlos_gains >= 0.0)
+        # drawn path angles stay in [-pi/2, pi/2]^2, so every path gain
+        # alpha_p = ||column p|| / ||path loss / sqrt(M)|| lies in [0, 1]
+        cfg = SystemConfig(M=16, K=2, N=1, P=4)
+        dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(0))
+        draw = draw_unit_block(np.random.default_rng(1), cfg.N, cfg.K, cfg.P, cfg.M)
+        stats = make_unit_stats(build_unit_geometry(dep, cfg, 0, 0), draw, cfg)
+        assert np.all(np.abs(draw.angles) <= math.pi / 2.0)
+        pathloss = stats.geom.distances ** (-cfg.beta_PL / 2.0) / math.sqrt(cfg.M)
+        gains = np.linalg.norm(stats.roots, axis=2) / np.linalg.norm(pathloss, axis=2)[..., None]
+        assert np.all(gains <= 1.0 + 1e-15)
+        assert np.all(gains >= 0.0)
 
     def test_frobenius_norm_identity(self):
-        cfg, root = self._instance(seed=5)
+        cfg = SystemConfig(M=16, K=2, N=1, P=4)
+        dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(5))
+        draw = draw_unit_block(np.random.default_rng(6), cfg.N, cfg.K, cfg.P, cfg.M)
+        stats = make_unit_stats(build_unit_geometry(dep, cfg, 0, 0), draw, cfg)
+        root = stats.roots[0, 1]
+        theta_v, theta_h = draw.angles[0, 1, :, 0], draw.angles[0, 1, :, 1]
+        nlos_gains_sq = np.abs(np.cos(theta_v) * np.cos(theta_h))
+        pathloss_sq = stats.geom.distances[0, 1] ** (-cfg.beta_PL)
         # every column is alpha_p * pathloss * unit-modulus/sqrt(M), so the
         # Frobenius mass factorizes exactly
-        expected = (
-            np.sum(root.nlos_gains**2) * np.sum(root.nlos_pathloss**2) / cfg.M
-        )
-        assert_close(root.frobenius_sq, expected, rtol=1e-12)
-        assert_close(root.frobenius_sq, np.sum(np.abs(root.matrix) ** 2), rtol=1e-12)
+        expected = np.sum(nlos_gains_sq) * np.sum(pathloss_sq) / cfg.M
+        assert_close(np.sum(np.abs(root) ** 2), expected, rtol=1e-12)
 
 
 class TestRicianSampling:
+    """Link channels drawn by ``sample_unit_channels`` from the statistics
+    of a single panel: device 0's unit sees its own pure-LOS link and the
+    Rician link of device 1."""
+
     def test_mixing_scales(self):
         assert rician_mixing(np.inf) == (1.0, 0.0)
         assert rician_mixing(0.0) == (0.0, 1.0)
@@ -234,93 +270,50 @@ class TestRicianSampling:
         assert_close(los, math.sqrt(0.75))
 
     def test_pure_los_limit(self):
-        cfg = SystemConfig(M=16, K=1, N=1, P=4)
-        dep = _point_deployment([[0.1, 0.2, 1.0]])
-        unit = unit_geometry(dep, cfg, 0, 0)
-        los = los_channel(dep.devices[0, 0], unit, cfg)
-        root = correlation_root(dep.devices[0, 0], unit, cfg, np.random.default_rng(1))
-        h = rician_channel(los, root, np.inf, np.random.default_rng(2))
-        assert np.array_equal(h.total, los.vector)
-        assert np.all(h.fluctuation == 0.0)
+        cfg = SystemConfig(M=16, K=2, N=1, P=4)
+        geom, draw, stats = _lone_link_stats([0.6, 0.2, 1.0], cfg, coin=0.0, seed=1)
+        h = sample_unit_channels(stats, cgauss(np.random.default_rng(2), (1, 2, cfg.P)))
+        assert stats.kappa[0, 0] == np.inf and stats.nlos_scale[0, 0] == 0.0
+        assert np.array_equal(h[0, 0], geom.hlos[0, 0])
 
     def test_pure_nlos_limit_and_exact_split(self):
-        cfg = SystemConfig(M=16, K=1, N=1, P=4)
-        dep = _point_deployment([[0.1, 0.2, 1.0]])
-        unit = unit_geometry(dep, cfg, 0, 0)
-        los = los_channel(dep.devices[0, 0], unit, cfg)
-        root = correlation_root(dep.devices[0, 0], unit, cfg, np.random.default_rng(1))
-        h = rician_channel(los, root, 0.0, np.random.default_rng(2))
-        assert np.all(h.mean == 0.0)
-        assert np.array_equal(h.total, h.fluctuation)
-        # reproduce the draw: same stream, same mixing
-        g = cgauss(np.random.default_rng(2), 4)
-        assert_close(h.fluctuation, root.matrix @ g, rtol=1e-12)
+        cfg = SystemConfig(M=16, K=2, N=1, P=4)
+        geom, draw, stats = _lone_link_stats([0.6, 0.2, 1.0], cfg, coin=1.0, seed=1)
+        g = cgauss(np.random.default_rng(2), (1, 2, cfg.P))
+        h = sample_unit_channels(stats, g)
+        assert stats.kappa[0, 1] == 0.0
+        assert np.all(stats.hbar[0, 1] == 0.0)
+        assert_close(h[0, 1], stats.roots[0, 1] @ g[0, 1], rtol=1e-12)
 
     def test_total_is_exact_sum(self):
-        cfg = SystemConfig(M=9, K=1, N=1, P=3)
-        dep = _point_deployment([[0.0, -0.4, 0.9]])
-        unit = unit_geometry(dep, cfg, 0, 0)
-        los = los_channel(dep.devices[0, 0], unit, cfg)
-        root = correlation_root(dep.devices[0, 0], unit, cfg, np.random.default_rng(4))
-        h = rician_channel(los, root, 2.5, np.random.default_rng(5))
-        assert np.array_equal(h.total, h.mean + h.fluctuation)
-        assert_close(h.mean, math.sqrt(2.5 / 3.5) * los.vector, rtol=1e-12)
-
-    def test_negative_kappa_rejected(self):
-        cfg = SystemConfig(M=4, K=1, N=1, P=2)
-        dep = _point_deployment([[0.0, 0.0, 1.0]])
-        unit = unit_geometry(dep, cfg, 0, 0)
-        los = los_channel(dep.devices[0, 0], unit, cfg)
-        root = correlation_root(dep.devices[0, 0], unit, cfg, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="kappa"):
-            rician_channel(los, root, -0.1, np.random.default_rng(0))
+        cfg = SystemConfig(M=9, K=2, N=1, P=3)
+        geom, draw, stats = _lone_link_stats([0.0, -0.6, 0.9], cfg, coin=0.0, seed=4)
+        g = cgauss(np.random.default_rng(5), (1, 2, cfg.P))
+        h = sample_unit_channels(stats, g)
+        kappa = geom.kappa_cand[0, 1]
+        assert stats.kappa[0, 1] == kappa
+        assert_close(stats.hbar[0, 1], math.sqrt(kappa / (kappa + 1.0)) * geom.hlos[0, 1], rtol=1e-12)
+        fluctuation = math.sqrt(1.0 / (kappa + 1.0)) * (stats.roots[0, 1] @ g[0, 1])
+        assert_close(h[0, 1], stats.hbar[0, 1] + fluctuation, rtol=1e-12)
 
     def test_fluctuation_covariance_matches_root(self):
         cfg = SystemConfig(M=16, K=2, N=1, P=4)
-        dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(7))
-        unit = unit_geometry(dep, cfg, 0, 0)
-        root = correlation_root(dep.devices[0, 1], unit, cfg, np.random.default_rng(8))
-        kappa = 2.0
-        target = (root.matrix @ root.matrix.conj().T) / (kappa + 1.0)
+        geom, draw, stats = _lone_link_stats([0.7, -0.4, 1.2], cfg, coin=0.0, seed=8)
+        root = stats.roots[0, 1]
+        nlos_var = float(stats.nlos_var[0, 1])
+        target = nlos_var * (root @ root.conj().T)
         n = 10_000
-        g = cgauss(np.random.default_rng(9), (n, cfg.P))
-        flucts = math.sqrt(1.0 / (kappa + 1.0)) * g @ root.matrix.T
+        rng = np.random.default_rng(9)
+        flucts = np.array([
+            sample_unit_channels(stats, cgauss(rng, (1, 2, cfg.P)))[0, 1] - stats.hbar[0, 1]
+            for _ in range(n)
+        ])
         sample = flucts.T @ flucts.conj() / n
         scale = np.max(np.abs(target))
         assert np.max(np.abs(sample - target)) / scale < 0.05
         # zero-mean check, per entry against its own standard error
         se = np.sqrt(np.real(np.diag(target)) / n)
         assert np.all(np.abs(flucts.mean(axis=0)) < 5.0 * se)
-
-
-class TestChannelDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        tensor = cgauss(rng, (2, 2, 3, 3, 4))
-        base = str(tmp_path / "links")
-        data_path, sidecar_path = dump_channels(base, tensor)
-        assert data_path.endswith(".f64") and sidecar_path.endswith(".json")
-        back = load_channels(base)
-        assert np.array_equal(back, tensor)
-
-    def test_layout_is_little_endian_interleaved(self, tmp_path):
-        tensor = np.arange(8, dtype=float).reshape(1, 1, 2, 2, 2) * (1 + 2j)
-        base = str(tmp_path / "links")
-        dump_channels(base, tensor)
-        flat = np.fromfile(base + ".f64", dtype="<f8")
-        assert_close(flat[0], 0.0, rtol=0, atol=0)
-        assert_close(flat[2], 1.0)   # second antenna, real part
-        assert_close(flat[3], 2.0)   # second antenna, imag part
-
-    def test_bad_shapes_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="tensor"):
-            dump_channels(str(tmp_path / "x"), np.zeros((2, 3, 2, 2, 4), complex))
-        base = str(tmp_path / "y")
-        dump_channels(base, np.zeros((1, 1, 2, 2, 4), complex))
-        data = np.fromfile(base + ".f64", dtype="<f8")
-        data[: data.size - 2].tofile(base + ".f64")
-        with pytest.raises(ValueError, match="expected"):
-            load_channels(base)
 
 
 class TestComplexGaussian:

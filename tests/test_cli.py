@@ -175,6 +175,30 @@ class TestErrorPaths:
         assert main(["reproduce", "fig5", "--set", "layout.d_z=1.5"]) == 2
         assert capsys.readouterr().err.startswith("config error (layout.d_z)")
 
+    def test_fractional_theory_stride_exits_2_and_names_key(self, capsys):
+        assert main(["simulate", "--set", "experiment.theory_stride=2.5"]) == 2
+        assert capsys.readouterr().err.startswith("config error (experiment.theory_stride)")
+
+    def test_theory_stride_string_loads_as_integer(self, tmp_path, capsys):
+        path = _tiny_fig4_config(tmp_path)
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        cfg["experiment"]["theory_stride"] = "3"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert _manifest(out, "fig4")["config"]["experiment"]["theory_stride"] == 3
+
+    def test_invalid_array_size_in_sweep_exits_2_before_placement(self, monkeypatch, capsys):
+        def no_placement(*args, **kwargs):
+            raise AssertionError("placement ran before the sweep was validated")
+
+        monkeypatch.setattr("lis_uplink.harness.place_devices", no_placement)
+        assert main(["simulate", "--set", "experiment.id=fig5",
+                     "--set", "experiment.sweep_values=[16,120]"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error (experiment.sweep_values)")
+        assert "M=120" in err
+
     def test_reproduce_conflicting_config_exits_2(self, tmp_path, capsys):
         cfg = _tiny_fig4_config(tmp_path)
         assert main(["reproduce", "fig5", "--config", str(cfg)]) == 2
@@ -198,6 +222,15 @@ class TestOptimizeT:
         # the integer optimum dominates the sampled curve
         assert payload["objective"] >= max(v for _, v in payload["curve"]) - 1e-9
         assert (out / "optimize_t.json").read_text(encoding="utf-8") == text
+
+    def test_ignores_the_experiment_sweep(self, tmp_path, capsys):
+        # the default fig5 sweep reaches M=400, whose lattice would not fit
+        # this spacing; the optimizer evaluates system.M alone
+        out = tmp_path / "out"
+        assert main(["optimize-t", "--set", "system.M=16", "--set", "system.K=2",
+                     "--set", "system.T=60", "--set", "system.delta_L=0.05",
+                     "--out", str(out)]) == 0
+        assert 2 <= json.loads(capsys.readouterr().out)["t_opt"] <= 60
 
     def test_curve_covers_pilot_range(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -16,18 +16,12 @@ from lis_uplink import (
     build_unit_geometry,
     cgauss,
     draw_unit_block,
-    interference_power,
-    los_channel,
     make_unit_stats,
     place_devices,
     placement_rng,
     sample_unit_channels,
     slice_stats,
-    synthesize_error_direct,
-    unit_block_terms,
 )
-from lis_uplink.channel import unit_geometry
-from lis_uplink.estimation import ChannelEstimate
 from lis_uplink.links import los_phase, slice_geometry, stream
 
 import reference
@@ -146,7 +140,7 @@ class TestUnitStats:
 
 class TestUnitGeometryOracle:
     """Every link of the vectorized unit geometry against the per-link LOS
-    channel of ``channel.los_channel``."""
+    channel of ``reference.los_link``."""
 
     @pytest.mark.parametrize("M", [16, 900])
     def test_every_link_matches_los_channel(self, M):
@@ -154,14 +148,14 @@ class TestUnitGeometryOracle:
         dep = place_devices(cfg, LayoutConfig(name="quad"), placement_rng(cfg.seed, 0))
         for n, k in ((0, 0), (2, 1), (3, 2)):
             geom = build_unit_geometry(dep, cfg, n, k)
-            unit = unit_geometry(dep, cfg, n, k)
-            assert np.array_equal(geom.antennas, unit.antennas)
+            antennas = np.array([reference.antenna_position(dep, cfg, n, k, m) for m in range(M)])
+            assert_close(geom.antennas, antennas, rtol=0, atol=1e-12)
             for l in range(cfg.N):
                 for j in range(cfg.K):
-                    los = los_channel(dep.devices[l, j], unit, cfg)
-                    assert_close(geom.distances[l, j], los.distances, rtol=1e-14)
-                    assert_close(geom.hlos[l, j], los.vector, rtol=1e-12)
-                    assert_close(geom.beta2_sum[l, j], los.power, rtol=1e-12)
+                    d, h, power = reference.los_link(dep.devices[l, j], antennas, dep.frames[n], cfg.lam)
+                    assert_close(geom.distances[l, j], d, rtol=1e-14)
+                    assert_close(geom.hlos[l, j], h, rtol=1e-12)
+                    assert_close(geom.beta2_sum[l, j], power, rtol=1e-12)
 
     @pytest.mark.parametrize("M", [16, 900])
     def test_phase_equals_complex_form_bit_for_bit(self, M):
@@ -197,8 +191,9 @@ class TestSliceStats:
         assert np.allclose(sliced.hbar, stats1.hbar, rtol=1e-15, atol=0)
         assert np.allclose(sliced.roots, stats1.roots, rtol=1e-15, atol=0)
         assert np.array_equal(sliced.kappa, stats1.kappa)
-        t1 = unit_block_terms(sliced, draw1, 2, tiny_world.rho_p[:, :1], tiny_world.rho_d[:, :1])
-        t2 = unit_block_terms(stats1, draw1, 2, tiny_world.rho_p[:, :1], tiny_world.rho_d[:, :1])
+        rho_p, rho_d = tiny_world.rho_p[:, :1], tiny_world.rho_d[:, :1]
+        t1 = BlockKernel(sliced, draw1.g, draw1.w, rho_p, rho_d).terms(2)
+        t2 = BlockKernel(stats1, draw1.g, draw1.w, rho_p, rho_d).terms(2)
         assert_close(t1.I, t2.I, rtol=1e-12)
         assert_close(t1.gamma, t2.gamma, rtol=1e-12)
 
@@ -254,36 +249,69 @@ class TestSliceStats:
         assert_close(b.gamma_perfect, a.gamma_perfect, rtol=1e-12)
 
 
+def _pilot_block_terms(stats, g, w, rho_p, rho_d, t):
+    """Matched-filter terms of unit (n, k) from the full M x t pilot block:
+    every device of every panel sends its DFT pilot with amplitude
+    sqrt(t rho_p), the noise block is w psi_k^T (so LS despreading turns it
+    into exactly w / sqrt(t rho_p[n, k])), and the filter is the LS
+    estimate. Returns the reference decomposition plus gamma."""
+    n, k = stats.geom.n, stats.geom.k
+    channels = sample_unit_channels(stats, g)
+    book = reference.pilot_book(t, channels.shape[1])
+    psi = book[:, k]
+    Y = reference.received_block(channels, book, rho_p, np.outer(w, psi))
+    h_hat = reference.ls_despread(Y, psi, t, rho_p[n, k])
+    terms = reference.interference_terms(h_hat, stats.geom.hlos[n, k], channels, rho_d, n, k)
+    terms["gamma"] = rho_d[n, k] * terms["S"] / terms["I"]
+    return terms
+
+
 class TestBlockKernel:
     @pytest.mark.parametrize("t", [2, 8, 100])
     def test_kernel_matches_direct_evaluation(self, tiny_world, t):
-        cfg, dep = tiny_world.config, tiny_world.deployment
+        cfg = tiny_world.config
         n, k = 0, 0
         geom = tiny_world.unit(n, k)
         draw = draw_unit_block(np.random.default_rng(8), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        terms = unit_block_terms(stats, draw, t, tiny_world.rho_p, tiny_world.rho_d)
+        terms = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, tiny_world.rho_d).terms(t)
 
+        # the estimation error drawn from its definition: ratio-weighted
+        # same-pilot channels of the other panels plus the shrunk noise
         channels = sample_unit_channels(stats, draw.g)
         ratios = tiny_world.rho_p[:, k] / tiny_world.rho_p[n, k]
         contams = np.delete(channels[:, k], n, axis=0)
-        e = synthesize_error_direct(
-            contams, np.delete(ratios, n), t, tiny_world.rho_p[n, k], noise=draw.w
+        e = np.sqrt(np.delete(ratios, n)) @ contams + draw.w / math.sqrt(t * tiny_world.rho_p[n, k])
+        bd = reference.interference_terms(
+            geom.hlos[n, k] + e, geom.hlos[n, k], channels, tiny_world.rho_d, n, k
         )
-        est = ChannelEstimate(estimate=geom.hlos[n, k] + e, error=e, h_los=geom.hlos[n, k])
-        bd = interference_power(est, channels, tiny_world.rho_d, n, k)
 
-        assert_close(terms.X, bd.X, rtol=1e-10)
-        assert_close(terms.Z, bd.Z, rtol=1e-10)
-        assert_close(terms.I, bd.I, rtol=1e-10)
-        assert_close(terms.signal, bd.S, rtol=1e-12)
+        assert_close(terms.X, bd["X"], rtol=1e-10)
+        assert_close(terms.Z, bd["Z"], rtol=1e-10)
+        assert_close(terms.I, bd["I"], rtol=1e-10)
+        assert_close(terms.signal, bd["S"], rtol=1e-12)
         assert_close(
-            terms.gamma, tiny_world.rho_d[n, k] * bd.S / bd.I, rtol=1e-10
+            terms.gamma, tiny_world.rho_d[n, k] * bd["S"] / bd["I"], rtol=1e-10
         )
         # leakage grid: serving slot zeroed, rest matches the breakdown
         assert terms.Y[n, k] == 0.0
-        assert_close(np.delete(terms.Y[n], k), bd.Y_intra, rtol=1e-10)
-        assert_close(np.delete(terms.Y, n, axis=0).ravel(), bd.Y_inter, rtol=1e-10)
+        assert_close(terms.Y, bd["Y"], rtol=1e-10)
+
+    @pytest.mark.parametrize("interference", ["rician", "nlos_inter"])
+    @pytest.mark.parametrize("t_over_K", [1, 2, 5])
+    def test_kernel_matches_full_pilot_block(self, quad_world, interference, t_over_K):
+        # every same-panel pilot must cancel in the despread block, which
+        # the kernel's shortcut assumes without forming the block
+        world = quad_world
+        cfg = world.config
+        K, t = cfg.K, t_over_K * cfg.K
+        for n, k in ((0, 1), (3, 1), (2, 0)):
+            draw = draw_unit_block(np.random.default_rng(40 + n), cfg.N, K, cfg.P, cfg.M)
+            stats = make_unit_stats(world.unit(n, k), draw, cfg, interference)
+            terms = BlockKernel(stats, draw.g, draw.w, world.rho_p, world.rho_d).terms(t)
+            ref = _pilot_block_terms(stats, draw.g, draw.w, world.rho_p, world.rho_d, t)
+            for name in ("X", "Y", "Z", "I", "gamma"):
+                assert_close(getattr(terms, name), ref[name], rtol=1e-10)
 
     def test_perfect_csi_terms(self, tiny_world):
         cfg = tiny_world.config
@@ -291,16 +319,15 @@ class TestBlockKernel:
         geom = tiny_world.unit(n, k)
         draw = draw_unit_block(np.random.default_rng(10), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        terms = unit_block_terms(stats, draw, 2, tiny_world.rho_p, tiny_world.rho_d)
+        terms = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, tiny_world.rho_d).terms(2)
 
         channels = sample_unit_channels(stats, draw.g)
-        est = ChannelEstimate(
-            estimate=geom.hlos[n, k], error=np.zeros(cfg.M, complex), h_los=geom.hlos[n, k]
+        bd = reference.interference_terms(
+            geom.hlos[n, k], geom.hlos[n, k], channels, tiny_world.rho_d, n, k
         )
-        bd = interference_power(est, channels, tiny_world.rho_d, n, k)
-        assert_close(terms.I_perfect, bd.I, rtol=1e-10)
+        assert_close(terms.I_perfect, bd["I"], rtol=1e-10)
         assert_close(
-            terms.gamma_perfect, tiny_world.rho_d[n, k] * bd.S / bd.I, rtol=1e-10
+            terms.gamma_perfect, tiny_world.rho_d[n, k] * bd["S"] / bd["I"], rtol=1e-10
         )
 
     def test_kernel_reuse_across_pilot_lengths(self, tiny_world):
@@ -308,9 +335,10 @@ class TestBlockKernel:
         geom = tiny_world.unit(0, 0)
         draw = draw_unit_block(np.random.default_rng(11), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        kernel = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, tiny_world.rho_d)
+        rho_p, rho_d = tiny_world.rho_p, tiny_world.rho_d
+        kernel = BlockKernel(stats, draw.g, draw.w, rho_p, rho_d)
         for t in (2, 16, 64):
-            fresh = unit_block_terms(stats, draw, t, tiny_world.rho_p, tiny_world.rho_d)
+            fresh = BlockKernel(stats, draw.g, draw.w, rho_p, rho_d).terms(t)
             reused = kernel.terms(t)
             assert reused.I == fresh.I
             assert reused.gamma == fresh.gamma

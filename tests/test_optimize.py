@@ -12,11 +12,9 @@ from lis_uplink import (
     LinkWorld,
     SystemConfig,
     build_moment_set,
-    corollary1_t,
     draw_unit_block,
     expected_floor_table,
     make_unit_stats,
-    network_nse,
     nse_of_gammas,
     optimal_num_devices,
     optimal_pilot_length,
@@ -103,18 +101,17 @@ class TestOptimalPilotLength:
 
 
 class TestCorollary:
-    def test_frozen_values(self):
-        assert corollary1_t(20) == 20
-        assert corollary1_t(1) == 1
-        assert corollary1_t(20, T=500) == 20
+    """Corollary 1: in the interference-floor regime the SINR does not
+    depend on t, so the prelog alone decides and the optimum is t = K."""
 
-    def test_degenerate_boundary_warns(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            assert corollary1_t(50, T=50) == 50
+    def test_frozen_values(self):
+        for K, T in ((20, 500), (1, 500), (20, 21), (50, 50)):
+            sol = optimal_pilot_length(lambda t: (1.0 - t / T) * 7.5, T=T, K=K)
+            assert sol.t_opt == K
 
     def test_invalid_k(self):
-        with pytest.raises(ValueError, match="K >= 1"):
-            corollary1_t(0)
+        with pytest.raises(ValueError, match="1 <= K"):
+            optimal_pilot_length(lambda t: 1.0, T=10, K=0)
 
 
 class TestExpectedFloorTable:
@@ -225,12 +222,11 @@ class TestScheduling:
 
 class TestNetworkNse:
     def test_mean_examples(self):
-        assert network_nse([100.0, 110.0, 90.0, 100.0], N=4) == 100.0
-        assert network_nse([42.0], N=1) == 42.0
-        assert network_nse([7.0, 7.0, 7.0]) == 7.0
+        # NSE: prelog times the mean over panels of the per-panel SE sums
+        def per_panel(sums):
+            return (2.0 ** np.asarray(sums, dtype=float) - 1.0)[:, np.newaxis]
 
-    def test_errors(self):
-        with pytest.raises(ValueError, match="at least one"):
-            network_nse([])
-        with pytest.raises(ValueError, match="N=3"):
-            network_nse([1.0, 2.0], N=3)
+        prelog = 1.0 - 1.0 / 1000
+        assert_close(nse_of_gammas(per_panel([100.0, 110.0, 90.0, 100.0]), 1, 1000), prelog * 100.0)
+        assert_close(nse_of_gammas(per_panel([42.0]), 1, 1000), prelog * 42.0)
+        assert_close(nse_of_gammas(per_panel([7.0, 7.0, 7.0]), 1, 1000), prelog * 7.0)

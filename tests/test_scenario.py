@@ -12,12 +12,11 @@ from lis_uplink import (
     LayoutConfig,
     PlacementConfig,
     SystemConfig,
-    antenna_position,
     build_layout,
+    build_unit_geometry,
     center_distances,
     data_snrs,
     los_probability,
-    perpendicular_offsets,
     pilot_snrs,
     place_devices,
     rician_factor,
@@ -25,6 +24,7 @@ from lis_uplink import (
     unit_antenna_grid,
 )
 
+import reference
 from conftest import assert_close
 
 
@@ -160,7 +160,7 @@ class TestAntennaLattice:
     def test_single_antenna_is_unit_center(self):
         dep = _place(SystemConfig(M=1, K=1, N=1), seed=0)
         assert_close(
-            antenna_position(dep, SystemConfig(M=1, K=1, N=1), 0, 0, 0),
+            unit_antenna_grid(dep, SystemConfig(M=1, K=1, N=1), 0, 0)[0],
             dep.unit_centers[0, 0],
             rtol=0,
             atol=0,
@@ -189,13 +189,13 @@ class TestAntennaLattice:
         dep = _place(cfg, seed=4)
         grid = unit_antenna_grid(dep, cfg, 1, 1)
         for m in range(cfg.M):
-            assert_close(antenna_position(dep, cfg, 1, 1, m), grid[m], rtol=0, atol=1e-12)
+            assert_close(reference.antenna_position(dep, cfg, 1, 1, m), grid[m], rtol=0, atol=1e-12)
 
     def test_antenna_index_bounds(self):
         cfg = SystemConfig(M=4, K=1, N=1)
         dep = _place(cfg, seed=0)
         with pytest.raises(IndexError):
-            antenna_position(dep, cfg, 0, 0, 4)
+            reference.antenna_position(dep, cfg, 0, 0, 4)
 
     def test_grid_lies_in_rotated_plane(self):
         cfg = SystemConfig(M=16, K=1, N=4)
@@ -252,11 +252,20 @@ class TestLinkStatistics:
         assert np.all(d[3] >= 4.0)
 
     def test_perpendicular_offsets(self):
-        dep = _place(SystemConfig(M=16, K=2, N=4), seed=6)
-        off0 = perpendicular_offsets(dep, 0)
+        # the LOS gain beta^2 = (z / d) / (4 pi d^2) carries each device's
+        # perpendicular offset z to the receiving panel's plane
+        cfg = SystemConfig(M=16, K=2, N=4)
+        dep = _place(cfg, seed=6)
+
+        def offsets(n):
+            geom = build_unit_geometry(dep, cfg, n, 0)
+            d = geom.distances[..., 0]
+            return np.abs(geom.hlos[..., 0]) ** 2 * 4.0 * math.pi * d**3
+
+        off0 = offsets(0)
         assert_close(off0[0], dep.devices_local[0, :, 2], rtol=1e-12)
         # facing panel's own devices are on its front side too
-        off3 = perpendicular_offsets(dep, 3)
+        off3 = offsets(3)
         assert np.all(off3[3] > 0)
         assert_close(off3[3], dep.devices_local[3, :, 2], rtol=1e-12)
 

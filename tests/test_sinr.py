@@ -1,56 +1,61 @@
-"""Matched-filter SINR decomposition and instantaneous spectral efficiency."""
+"""Matched-filter SINR decomposition and spectral efficiency: the per-filter
+decomposition of ``tests/reference.py``, ``BlockKernel``'s terms on top of
+the full pilot-block estimate, and the panel SSE of the sampled curves."""
 
 import math
 
 import numpy as np
-import pytest
 
 from lis_uplink import (
+    BlockKernel,
     build_moment_set,
     build_unit_geometry,
     cgauss,
-    desired_power,
     draw_unit_block,
-    instantaneous_sinr,
-    instantaneous_sse,
-    interference_power,
-    ls_estimate,
     make_unit_stats,
-    pilot_book,
-    received_pilot,
     sample_unit_channels,
 )
-from lis_uplink.estimation import ChannelEstimate
+from lis_uplink.harness import _sse
 
+import reference
 from conftest import assert_close
 
 
 class TestDesiredPower:
     def test_uniform_gains(self):
         amps = np.full(7, 0.3)
-        assert_close(desired_power(amps), (7 * 0.09) ** 2)
+        assert_close(reference.desired_power(amps), (7 * 0.09) ** 2)
 
     def test_single_unit_gain(self):
-        assert desired_power(np.array([1.0])) == 1.0
+        assert reference.desired_power(np.array([1.0])) == 1.0
 
     def test_accepts_complex_vector(self):
         amps = np.array([0.2, 0.5, 0.1])
         phases = np.exp(1j * np.array([0.3, -1.2, 2.0]))
-        assert_close(desired_power(amps * phases), desired_power(amps), rtol=1e-12)
+        assert_close(
+            reference.desired_power(amps * phases), reference.desired_power(amps), rtol=1e-12
+        )
+
+
+def _ls_filter(world, channels, n, k, rng):
+    """LS estimate of unit (n, k)'s serving channel from a full noisy pilot
+    block of every device toward this unit."""
+    t = world.config.pilot_len
+    book = reference.pilot_book(t, world.config.K)
+    Y = reference.received_block(channels, book, world.rho_p, cgauss(rng, (world.config.M, t)))
+    return reference.ls_despread(Y, book[:, k], t, world.rho_p[n, k])
 
 
 class TestInterferencePower:
     def test_perfect_csi_single_device(self):
         h = cgauss(np.random.default_rng(0), 8)
-        est = ChannelEstimate(estimate=h, error=np.zeros(8, complex), h_los=h)
-        bd = interference_power(est, h[np.newaxis, np.newaxis], np.ones((1, 1)), 0, 0)
+        bd = reference.interference_terms(h, h, h[np.newaxis, np.newaxis], np.ones((1, 1)), 0, 0)
         norm2 = float(np.sum(np.abs(h) ** 2))
-        assert_close(bd.I, norm2, rtol=1e-12)
-        assert_close(bd.Z, norm2, rtol=1e-12)
-        assert bd.X == 0.0
-        assert bd.Y_intra.size == 0 and bd.Y_inter.size == 0
-        gamma = instantaneous_sinr(bd.S, bd.I, 3.0)
-        assert_close(gamma, 3.0 * norm2, rtol=1e-12)
+        assert_close(bd["I"], norm2, rtol=1e-12)
+        assert_close(bd["Z"], norm2, rtol=1e-12)
+        assert bd["X"] == 0.0
+        assert np.all(bd["Y"] == 0.0)
+        assert_close(3.0 * bd["S"] / bd["I"], 3.0 * norm2, rtol=1e-12)
 
     def test_orthogonal_intra_channel_leaks_nothing(self):
         M = 4
@@ -59,57 +64,36 @@ class TestInterferencePower:
         intra = np.zeros(M, complex)
         intra[1] = 5.0
         channels = np.stack([h_hat, intra])[np.newaxis]  # (1, 2, M)
-        est = ChannelEstimate(estimate=h_hat, error=np.zeros(M, complex), h_los=h_hat)
-        bd = interference_power(est, channels, np.ones((1, 2)), 0, 0)
-        assert bd.Y_intra.shape == (1,)
-        assert bd.Y_intra[0] == 0.0
-
-    def test_missing_error_rejected(self):
-        est = ChannelEstimate(estimate=np.ones(4, complex), error=None, h_los=None)
-        with pytest.raises(ValueError, match="error"):
-            interference_power(est, np.zeros((1, 1, 4), complex), np.ones((1, 1)), 0, 0)
+        bd = reference.interference_terms(h_hat, h_hat, channels, np.ones((1, 2)), 0, 0)
+        assert bd["Y"].shape == (1, 2)
+        assert bd["Y"][0, 1] == 0.0
 
     def test_reassembly_identity(self, tiny_world):
-        cfg, dep = tiny_world.config, tiny_world.deployment
+        # the kernel's composite I is the rho-weighted sum of its parts
+        cfg = tiny_world.config
         n, k = 0, 1
-        geom = build_unit_geometry(dep, cfg, n, k)
         draw = draw_unit_block(np.random.default_rng(21), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(geom, draw, cfg)
-        channels = sample_unit_channels(stats, draw.g)
-        book = pilot_book(cfg.pilot_len, cfg.K)
-        Y_p = received_pilot(channels, book, tiny_world.rho_p, np.random.default_rng(22))
-        est = ls_estimate(
-            Y_p, book.column(k), cfg.pilot_len, tiny_world.rho_p[n, k],
-            h_los=geom.hlos[n, k],
-        )
-        bd = interference_power(est, channels, tiny_world.rho_d, n, k)
-        rho_intra = np.delete(tiny_world.rho_d[n], k)
-        rho_inter = np.delete(tiny_world.rho_d, n, axis=0).ravel()
-        re = bd.reassemble(tiny_world.rho_d[n, k], rho_intra, rho_inter)
-        assert abs(re - bd.I) <= 1e-10 * bd.I
-        assert bd.S > 0 and bd.X >= 0 and bd.Z > 0
-        assert np.all(bd.Y_intra >= 0) and np.all(bd.Y_inter >= 0)
+        stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
+        rho_d = tiny_world.rho_d
+        terms = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, rho_d).terms(cfg.pilot_len)
+        re = rho_d[n, k] * terms.X + float(np.sum(rho_d * terms.Y)) + terms.Z
+        assert abs(re - terms.I) <= 1e-10 * terms.I
+        assert terms.signal > 0 and terms.X >= 0 and terms.Z > 0
+        assert np.all(terms.Y >= 0)
 
     def test_extra_interferer_weakly_lowers_sinr(self, tiny_world):
-        cfg, dep = tiny_world.config, tiny_world.deployment
+        cfg = tiny_world.config
         n, k = 0, 0
-        geom = build_unit_geometry(dep, cfg, n, k)
         draw = draw_unit_block(np.random.default_rng(23), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(geom, draw, cfg)
-        channels = sample_unit_channels(stats, draw.g)
-        est = ChannelEstimate(
-            estimate=geom.hlos[n, k], error=np.zeros(cfg.M, complex), h_los=geom.hlos[n, k]
-        )
-        bd_full = interference_power(est, channels, tiny_world.rho_d, n, k)
-        muted = channels.copy()
-        muted[1, :, :] = 0.0  # silence the other panel
-        bd_muted = interference_power(est, muted, tiny_world.rho_d, n, k)
-        g_full = instantaneous_sinr(bd_full.S, bd_full.I, tiny_world.rho_d[n, k])
-        g_muted = instantaneous_sinr(bd_muted.S, bd_muted.I, tiny_world.rho_d[n, k])
-        assert g_full <= g_muted
+        stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
+        muted = tiny_world.rho_d.copy()
+        muted[1, :] = 0.0  # silence the other panel
+        full = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, tiny_world.rho_d)
+        quiet = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, muted)
+        assert full.gamma_perfect <= quiet.gamma_perfect
 
     def test_mean_alignment_matches_closed_form(self, tiny_world):
-        # full matrix-path pipeline, conditioned on one block's gates and
+        # full pilot-block pipeline, conditioned on one block's gates and
         # angles, against the closed-form second moment of X
         cfg, dep = tiny_world.config, tiny_world.deployment
         n, k = 0, 0
@@ -117,7 +101,6 @@ class TestInterferencePower:
         block = draw_unit_block(np.random.default_rng(31), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, block, cfg)
         t = cfg.pilot_len
-        book = pilot_book(t, cfg.K)
         moments = build_moment_set(
             stats, t, tiny_world.rho_p, tiny_world.rho_d,
             z_own=dep.devices_local[n, k, 2], L=cfg.L,
@@ -128,48 +111,40 @@ class TestInterferencePower:
         for i in range(n_draws):
             g = cgauss(rng, (cfg.N, cfg.K, cfg.P))
             channels = sample_unit_channels(stats, g)
-            Y_p = received_pilot(channels, book, tiny_world.rho_p, rng)
-            est = ls_estimate(
-                Y_p, book.column(k), t, tiny_world.rho_p[n, k], h_los=geom.hlos[n, k]
-            )
-            xs[i] = interference_power(est, channels, tiny_world.rho_d, n, k).X
+            h_hat = _ls_filter(tiny_world, channels, n, k, rng)
+            xs[i] = abs(np.vdot(h_hat - geom.hlos[n, k], geom.hlos[n, k])) ** 2
         se = xs.std(ddof=1) / math.sqrt(n_draws)
         assert abs(xs.mean() - moments.mu_X()) < 3.0 * se
 
 
 class TestInstantaneousSinr:
-    def test_unit_ratio(self):
-        assert instantaneous_sinr(2.5, 2.5, 1.0) == 1.0
-
-    def test_scales_with_rho(self):
-        assert_close(instantaneous_sinr(4.0, 2.0, 3.0), 6.0)
-
-    def test_degenerate_interference_flagged(self):
-        with pytest.raises(ValueError, match="positive"):
-            instantaneous_sinr(1.0, 0.0, 1.0)
+    def test_scales_with_rho(self, tiny_world):
+        # with exact CSI the serving device does not interfere with itself,
+        # so its SINR is linear in its own data SNR
+        cfg = tiny_world.config
+        n, k = 1, 0
+        draw = draw_unit_block(np.random.default_rng(24), cfg.N, cfg.K, cfg.P, cfg.M)
+        stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
+        louder = tiny_world.rho_d.copy()
+        louder[n, k] *= 3.0
+        base = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, tiny_world.rho_d)
+        loud = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, louder)
+        assert_close(loud.gamma_perfect, 3.0 * base.gamma_perfect, rtol=1e-12)
+        assert_close(base.gamma_perfect, base.rho_d_own * base.signal / base.I_perfect, rtol=1e-12)
 
 
 class TestInstantaneousSse:
+    """Panel SSE (1 - t/T) sum_k log2(1 + gamma_k) of the sampled curves."""
+
     def test_full_training_block_gives_zero(self):
-        res = instantaneous_sse(np.array([5.0, 2.0]), t=500, T=500)
-        assert res.sse == 0.0
-        assert res.prelog == 0.0
+        assert _sse(np.array([5.0, 2.0]), t=500, T=500) == 0.0
 
     def test_half_block_single_device(self):
-        res = instantaneous_sse(np.array([1.0]), t=250, T=500)
-        assert_close(res.sse, 0.5)
-        assert_close(res.per_device_se[0], 1.0)
+        assert_close(_sse(np.array([1.0]), t=250, T=500), 0.5)
 
     def test_paper_frame_prelog(self):
-        res = instantaneous_sse(np.ones(20), t=20, T=500)
-        assert_close(res.prelog, 0.96)
+        assert_close(_sse(np.ones(20), t=20, T=500), 0.96 * 20)
 
     def test_sum_identity(self):
         gam = np.array([0.5, 3.0, 9.0])
-        res = instantaneous_sse(gam, t=10, T=100)
-        assert_close(res.sse, 0.9 * np.sum(np.log2(1.0 + gam)), rtol=1e-12)
-        assert np.array_equal(res.gamma, gam)
-
-    def test_overlong_training_rejected(self):
-        with pytest.raises(ValueError, match="pilot length"):
-            instantaneous_sse(np.ones(2), t=501, T=500)
+        assert_close(_sse(gam, t=10, T=100), 0.9 * np.sum(np.log2(1.0 + gam)), rtol=1e-12)
