@@ -1,9 +1,11 @@
-"""Golden outputs: every experiment id, plus the analytic-only runner, at a
-pinned seed and tiny scale, compared against stored expectations.
+"""Golden outputs: every experiment id, plus the analytic-only runner and
+the ``lis-sim optimize-t``/``optimize-k`` front ends, at a pinned seed and
+tiny scale, compared against stored expectations.
 
 Each case's summary rows (label, sweep value and count exactly; mean,
 variance and stderr at rtol 1e-12) and its manifest ``extras`` are kept
-in ``tests/golden/<case>.json``. A refactor of the engine must leave these
+in ``tests/golden/<case>.json``; an optimizer case keeps the JSON file the
+command writes. A refactor of the engine must leave these
 unchanged. Regenerate them only for an intended change of outputs, and
 record that change in CHANGES.md:
 
@@ -19,6 +21,7 @@ import pytest
 
 from lis_uplink import preset_run_config, run_asymptotic, run_experiment
 from lis_uplink import harness as hz
+from lis_uplink.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SEED = 3
@@ -63,6 +66,20 @@ CASES = {
 }
 
 
+# optimizer case -> (subcommand, --set overrides); four panels so the
+# interference regime matters
+_OPT_SMALL = ["system.N=4", "system.M=36"]
+OPTIMIZER_CASES = {
+    "optimize-t-rician": ("optimize-t", [*_OPT_SMALL, "system.K=4", "system.T=100"]),
+    "optimize-t-nlos_inter": ("optimize-t", [
+        *_OPT_SMALL, "system.K=4", "system.T=100", "experiment.interference=nlos_inter"]),
+    "optimize-k-rician": ("optimize-k", [*_OPT_SMALL, "system.T=20", "placement.pool_size=12"]),
+    "optimize-k-nlos_inter": ("optimize-k", [
+        *_OPT_SMALL, "system.T=20", "placement.pool_size=12",
+        "experiment.interference=nlos_inter"]),
+}
+
+
 def _observe(case: str) -> dict:
     runner, exp_id, overrides = CASES[case]
     result = runner(preset_run_config(exp_id, seed=SEED).with_overrides(overrides))
@@ -104,9 +121,33 @@ def test_matches_golden(case):
     _assert_same(actual["extras"], expected["extras"])
 
 
+def _run_optimizer(case: str, out_dir) -> str:
+    sub, sets = OPTIMIZER_CASES[case]
+    argv = [sub, "--seed", str(SEED), "--out", str(out_dir)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    return (Path(out_dir) / f"{sub.replace('-', '_')}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(OPTIMIZER_CASES))
+def test_optimizer_matches_golden(case, tmp_path, capsys):
+    expected = json.loads((GOLDEN_DIR / f"{case}.json").read_text(encoding="utf-8"))
+    actual = json.loads(_run_optimizer(case, tmp_path))
+    capsys.readouterr()
+    _assert_same(actual, expected, case)
+
+
 if __name__ == "__main__":
+    import tempfile
+
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in sorted(CASES):
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(_observe(name), indent=1) + "\n", encoding="utf-8")
         print(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(OPTIMIZER_CASES):
+            path = GOLDEN_DIR / f"{name}.json"
+            path.write_text(_run_optimizer(name, tmp), encoding="utf-8")
+            print(path)
