@@ -12,7 +12,6 @@ from .asymptotics import (
     AsymptoticSse,
     MomentSet,
     build_moment_set,
-    mu_I,
     quarter_solid_angle,
     rate_log,
     theorem1_sse,
@@ -47,7 +46,6 @@ from .links import (
     UnitBlockDraw,
     UnitChannelStats,
     UnitLinkGeometry,
-    block_rng,
     build_unit_geometry,
     draw_unit_block,
     make_unit_stats,

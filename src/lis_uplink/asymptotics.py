@@ -9,9 +9,12 @@ refined lattice) the serving power approaches a deterministic solid-angle
 expression and the SINR approaches a deterministic ratio; dropping the
 vanishing fluctuation terms gives the interference-floor bound.
 
-The moments' sums over pilot contaminators are BLAS matrix products
-against one stacked, weight-scaled matrix of contaminator roots (see
-``_moment_parts``), so no Python loop runs over contaminators.
+``build_moment_set`` returns one unit's ``MomentSet``: every moment is
+stored as a t-independent coefficient and a 1/t coefficient, and
+``MomentSet.mu_I_bar(t)`` assembles the composite interference at any
+pilot length. The sums over pilot contaminators are BLAS matrix products
+against one stacked, weight-scaled matrix of contaminator roots, so no
+Python loop runs over contaminators.
 """
 
 from __future__ import annotations
@@ -31,16 +34,31 @@ def rate_log(x):
     return np.log2(x)
 
 
+def _sq_norm(a: np.ndarray, axes: int = 1) -> np.ndarray:
+    """Sum of |a|^2 over the trailing ``axes`` axes of a complex array."""
+    flat = np.ascontiguousarray(a).reshape(*a.shape[: a.ndim - axes], -1).view(np.float64)
+    return np.einsum("...i,...i->...", flat, flat)
+
+
+def _check_t(t) -> float:
+    t = float(t)
+    if t <= 0:
+        raise ValueError(f"pilot length must be positive, got {t}")
+    return t
+
+
 @dataclass(frozen=True)
-class _MomentParts:
-    """Pilot-length-independent ingredients of one unit's moments.
+class MomentSet:
+    """Closed-form moments of one unit's X, Y, Z terms.
 
     Every variance has the shape const + noise/t; the two coefficients are
-    stored separately so moments can be re-evaluated at any pilot length.
+    stored separately, so the moments can be evaluated at any pilot length
+    (the build t is the default).
     """
 
     n: int
     k: int
+    t: float
     M: int
     mu_x: complex
     var_x_const: float
@@ -51,11 +69,71 @@ class _MomentParts:
     q_bar: np.ndarray           # (M,) mean of the channel estimate
     var_z_const_m: np.ndarray   # (M,)
     var_z_noise_m: float        # per-antenna coefficient of 1/t
-    beta2_sum: float            # serving-link LOS power
+    rho_d: np.ndarray           # (N, K) data SNRs used in the assembly
+    rho_d_own: float
     rho_p_own: float
+    beta2_sum: float            # serving-link LOS power
+    z_own: float                # device's perpendicular distance to its panel
+    L: float                    # panel half-side
+
+    def _t(self, t) -> float:
+        return _check_t(self.t if t is None else t)
+
+    def mu_X(self, t=None) -> float:
+        t = self._t(t)
+        return self.var_x_const + self.var_x_noise / t + abs(self.mu_x) ** 2
+
+    def mu_Y_bar(self, t=None) -> np.ndarray:
+        t = self._t(t)
+        return self.var_y_const + self.var_y_noise / t + np.abs(self.mu_y) ** 2
+
+    def mu_Z(self, t=None) -> float:
+        t = self._t(t)
+        return float(
+            np.sum(self.var_z_const_m)
+            + self.M * self.var_z_noise_m / t
+            + np.sum(np.abs(self.q_bar) ** 2)
+        )
+
+    def mu_I_bar(self, t=None) -> float:
+        """Composite interference mean: rho-weighted X and Y second moments
+        plus the filter norm, every variance evaluated at pilot length t."""
+        t = self._t(t)
+        rho, rho_own = self.rho_d, self.rho_d_own
+        const = (
+            rho_own * (self.var_x_const + abs(self.mu_x) ** 2)
+            + float(np.sum(rho * (self.var_y_const + np.abs(self.mu_y) ** 2)))
+            + float(np.sum(self.var_z_const_m) + np.sum(np.abs(self.q_bar) ** 2))
+        )
+        noise = (
+            rho_own * self.var_x_noise
+            + float(np.sum(rho * self.var_y_noise))
+            + self.M * self.var_z_noise_m
+        )
+        return const + noise / t
+
+    @property
+    def mu_I_hat(self) -> float:
+        """Pilot-length-independent floor: only the squared means survive."""
+        return float(
+            self.rho_d_own * abs(self.mu_x) ** 2
+            + np.sum(self.rho_d * np.abs(self.mu_y) ** 2)
+        )
 
 
-def _moment_parts(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> _MomentParts:
+def build_moment_set(
+    stats: UnitChannelStats,
+    t,
+    pilot_snrs: np.ndarray,
+    data_snrs: np.ndarray,
+    z_own: float,
+    L: float,
+) -> MomentSet:
+    """Evaluate all closed-form moments of one unit; t is the default
+    pilot length of the returned set."""
+    t = _check_t(t)
+    pilot_snrs = np.asarray(pilot_snrs, dtype=float)
+    data_snrs = np.asarray(data_snrs, dtype=float)
     geom = stats.geom
     n, k = geom.n, geom.k
     N, K = geom.p_los.shape
@@ -83,11 +161,6 @@ def _moment_parts(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> _MomentPar
         stats.roots[live, k] * np.sqrt(cont_w[live])[:, np.newaxis, np.newaxis]
     ).transpose(1, 0, 2).reshape(M, live.size * P)
 
-    # X = |e^H h_los|^2: mean of the Gaussian scalar plus its variance.
-    mu_x = complex(np.vdot(mu_e, hlos_own))
-    var_x_const = float(_sq_norm(hlos_own @ conj_roots))
-    var_x_noise = geom.own_power / rho_p_own
-
     # Y_lj = |h_hat^H h_lj|^2: mean from the two fixed means; variance from
     # the estimate's fluctuation against the interferer mean (EL) plus the
     # interferer's scattered part against the full estimate (EN).
@@ -112,158 +185,29 @@ def _moment_parts(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> _MomentPar
     var_y_const[n, k] = 0.0
     var_y_noise[n, k] = 0.0
 
-    # Z = ||h_hat||^2: per-antenna mean q_bar plus per-antenna variance.
-    var_z_const_m = _sq_norm(conj_roots)
-    var_z_noise_m = 1.0 / rho_p_own
-
-    return _MomentParts(
+    return MomentSet(
         n=n,
         k=k,
+        t=t,
         M=M,
-        mu_x=mu_x,
-        var_x_const=var_x_const,
-        var_x_noise=var_x_noise,
+        # X = |e^H h_los|^2: mean of the Gaussian scalar plus its variance
+        mu_x=complex(np.vdot(mu_e, hlos_own)),
+        var_x_const=float(_sq_norm(hlos_own @ conj_roots)),
+        var_x_noise=geom.own_power / rho_p_own,
         mu_y=mu_y,
         var_y_const=var_y_const,
         var_y_noise=var_y_noise,
+        # Z = ||h_hat||^2: per-antenna mean q_bar plus per-antenna variance
         q_bar=q_bar,
-        var_z_const_m=var_z_const_m,
-        var_z_noise_m=var_z_noise_m,
-        beta2_sum=geom.own_power,
-        rho_p_own=rho_p_own,
-    )
-
-
-def _sq_norm(a: np.ndarray, axes: int = 1) -> np.ndarray:
-    """Sum of |a|^2 over the trailing ``axes`` axes of a complex array."""
-    flat = np.ascontiguousarray(a).reshape(*a.shape[: a.ndim - axes], -1).view(np.float64)
-    return np.einsum("...i,...i->...", flat, flat)
-
-
-def _check_t(t) -> float:
-    t = float(t)
-    if t <= 0:
-        raise ValueError(f"pilot length must be positive, got {t}")
-    return t
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """Closed-form moments of one unit's X, Y, Z terms at pilot length t,
-    plus the split coefficients needed to re-evaluate them at any t."""
-
-    n: int
-    k: int
-    t: float
-    M: int
-    mu_x: complex
-    var_x: float
-    mu_y: np.ndarray          # (N, K) complex, serving slot zero
-    var_y: np.ndarray         # (N, K) at the build t
-    mu_z_m: np.ndarray        # (M,) complex (equals q_bar)
-    var_z_m: np.ndarray       # (M,) at the build t
-    q_bar: np.ndarray
-    rho_d: np.ndarray         # (N, K) data SNRs used in the assembly
-    rho_d_own: float
-    rho_p_own: float
-    beta2_sum: float
-    z_own: float              # device's perpendicular distance to its panel
-    L: float                  # panel half-side
-    parts: _MomentParts
-
-    # ---- per-term second moments, re-evaluable in t ----
-
-    def _t(self, t) -> float:
-        return _check_t(self.t if t is None else t)
-
-    def mu_X(self, t=None) -> float:
-        t = self._t(t)
-        p = self.parts
-        return p.var_x_const + p.var_x_noise / t + abs(p.mu_x) ** 2
-
-    def mu_Y_bar(self, t=None) -> np.ndarray:
-        t = self._t(t)
-        p = self.parts
-        return p.var_y_const + p.var_y_noise / t + np.abs(p.mu_y) ** 2
-
-    def mu_Z(self, t=None) -> float:
-        t = self._t(t)
-        p = self.parts
-        return float(
-            np.sum(p.var_z_const_m)
-            + self.M * p.var_z_noise_m / t
-            + np.sum(np.abs(p.q_bar) ** 2)
-        )
-
-    # ---- composite interference ----
-
-    def mu_I_bar(self, t=None) -> float:
-        return mu_I(self, self.rho_d, self._t(t))
-
-    @property
-    def mu_I_hat(self) -> float:
-        """Pilot-length-independent floor: only the squared means survive."""
-        p = self.parts
-        return float(
-            self.rho_d_own * abs(p.mu_x) ** 2
-            + np.sum(self.rho_d * np.abs(p.mu_y) ** 2)
-        )
-
-
-def build_moment_set(
-    stats: UnitChannelStats,
-    t,
-    pilot_snrs: np.ndarray,
-    data_snrs: np.ndarray,
-    z_own: float,
-    L: float,
-) -> MomentSet:
-    """Evaluate all closed-form moments of one unit at pilot length t."""
-    t = _check_t(t)
-    pilot_snrs = np.asarray(pilot_snrs, dtype=float)
-    data_snrs = np.asarray(data_snrs, dtype=float)
-    parts = _moment_parts(stats, pilot_snrs)
-    var_z_m = parts.var_z_const_m + parts.var_z_noise_m / t
-    return MomentSet(
-        n=parts.n,
-        k=parts.k,
-        t=t,
-        M=parts.M,
-        mu_x=parts.mu_x,
-        var_x=parts.var_x_const + parts.var_x_noise / t,
-        mu_y=parts.mu_y,
-        var_y=parts.var_y_const + parts.var_y_noise / t,
-        mu_z_m=parts.q_bar,
-        var_z_m=var_z_m,
-        q_bar=parts.q_bar,
+        var_z_const_m=_sq_norm(conj_roots),
+        var_z_noise_m=1.0 / rho_p_own,
         rho_d=data_snrs,
-        rho_d_own=float(data_snrs[parts.n, parts.k]),
-        rho_p_own=parts.rho_p_own,
-        beta2_sum=parts.beta2_sum,
+        rho_d_own=float(data_snrs[n, k]),
+        rho_p_own=rho_p_own,
+        beta2_sum=geom.own_power,
         z_own=float(z_own),
         L=float(L),
-        parts=parts,
     )
-
-
-def mu_I(moments: MomentSet, data_snrs: np.ndarray, t) -> float:
-    """Composite interference mean: rho-weighted X and Y second moments
-    plus the filter norm, every variance evaluated at pilot length t."""
-    t = _check_t(t)
-    rho = np.asarray(data_snrs, dtype=float)
-    p = moments.parts
-    rho_own = float(rho[moments.n, moments.k])
-    const = (
-        rho_own * (p.var_x_const + abs(p.mu_x) ** 2)
-        + float(np.sum(rho * (p.var_y_const + np.abs(p.mu_y) ** 2)))
-        + float(np.sum(p.var_z_const_m) + np.sum(np.abs(p.q_bar) ** 2))
-    )
-    noise = (
-        rho_own * p.var_x_noise
-        + float(np.sum(rho * p.var_y_noise))
-        + moments.M * p.var_z_noise_m
-    )
-    return const + noise / t
 
 
 def quarter_solid_angle(L: float, z: float) -> float:
@@ -289,11 +233,17 @@ class AsymptoticSse:
     prelog: float
 
 
-def _bound_sinrs(p_bar: np.ndarray, floors: np.ndarray, rho_own: np.ndarray) -> np.ndarray:
-    out = np.empty_like(p_bar)
-    for i, (pb, fl, rho) in enumerate(zip(p_bar, floors, rho_own)):
-        out[i] = math.inf if fl == 0.0 else rho * pb / fl
-    return out
+def serving_power(M: int, p, L: float):
+    """Deterministic serving power M^2 p^2 / (16 pi^2 L^4) of a device whose
+    unit quadrant subtends the solid angle p."""
+    return M * M * p * p / (16.0 * math.pi**2 * L**4)
+
+
+def floor_sinrs(rho_own: np.ndarray, p_bar: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """Interference-floor SINRs rho * p_bar / floor; inf where the floor is
+    zero (an interference-free device)."""
+    with np.errstate(divide="ignore"):
+        return np.where(floors > 0.0, rho_own * p_bar / floors, np.inf)
 
 
 def theorem1_sse(moment_sets: list[MomentSet], t, T: int) -> AsymptoticSse:
@@ -308,13 +258,12 @@ def theorem1_sse(moment_sets: list[MomentSet], t, T: int) -> AsymptoticSse:
         raise ValueError(f"pilot length t={t} exceeds the block length T={T}")
     M = moment_sets[0].M
     p = np.array([quarter_solid_angle(ms.L, ms.z_own) for ms in moment_sets])
-    L4 = np.array([ms.L**4 for ms in moment_sets])
-    p_bar = M * M * p * p / (16.0 * math.pi**2 * L4)
+    p_bar = np.array([serving_power(M, pq, ms.L) for pq, ms in zip(p, moment_sets)])
     rho_own = np.array([ms.rho_d_own for ms in moment_sets])
     mu_bar = np.array([ms.mu_I_bar(t) for ms in moment_sets])
     gamma_bar = rho_own * p_bar / mu_bar
     floors = np.array([ms.mu_I_hat for ms in moment_sets])
-    gamma_hat = _bound_sinrs(p_bar, floors, rho_own)
+    gamma_hat = floor_sinrs(rho_own, p_bar, floors)
     prelog = 1.0 - t / T
     if prelog <= 0.0:
         sse_bar = 0.0

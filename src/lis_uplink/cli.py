@@ -9,18 +9,22 @@ import json
 import sys
 from pathlib import Path
 
-from .asymptotics import build_moment_set, theorem1_sse
+from .asymptotics import theorem1_sse
 from .config import CONFIG_KEY_HELP, ConfigError, RunConfig, load_config, parse_override
 from .harness import (
+    ExperimentSpec,
+    _moments,
+    _optimal_count,
+    _place,
+    _unit_block,
+    _worlds,
     interference_regime,
     preset_run_config,
     run_asymptotic,
     run_experiment,
     write_outputs,
 )
-from .links import LinkWorld, block_rng, draw_unit_block, make_unit_stats, placement_rng
-from .optimize import expected_floor_table, optimal_num_devices, optimal_pilot_length
-from .scenario import place_devices
+from .optimize import optimal_pilot_length
 
 _Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -94,86 +98,64 @@ def _build_run_config(args, preset_id: str | None = None) -> RunConfig:
     return rc
 
 
-def _cmd_simulate(args) -> int:
-    rc = _build_run_config(args)
-    result = run_experiment(rc, args.workers)
-    files = write_outputs(result, args.out)
-    for f in files:
+def _write_result(args, result) -> int:
+    for f in write_outputs(result, args.out):
         print(f)
     return 0
+
+
+def _cmd_simulate(args) -> int:
+    return _write_result(args, run_experiment(_build_run_config(args), args.workers))
 
 
 def _cmd_asymptotic(args) -> int:
-    rc = _build_run_config(args)
-    result = run_asymptotic(rc, args.workers)
-    files = write_outputs(result, args.out)
-    for f in files:
-        print(f)
+    return _write_result(args, run_asymptotic(_build_run_config(args), args.workers))
+
+
+def _optimizer_spec(rc: RunConfig) -> ExperimentSpec:
+    """The engine's view of an optimizer run: only the interference regime
+    is resolved, the experiment's sweep is not used."""
+    exp = dataclasses.replace(rc.experiment, interference=interference_regime(rc.experiment))
+    return ExperimentSpec(rc.system, rc.layout, rc.placement, exp)
+
+
+def _write_json(args, name: str, payload: dict) -> int:
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text + "\n", encoding="utf-8")
     return 0
-
-
-def _theory_moment_sets(rc: RunConfig):
-    """Moment sets of panel 0 on placement 0, block 0: the analytic
-    objective used by the optimizer front ends."""
-    cfg = rc.system
-    regime = interference_regime(rc.experiment)
-    dep = place_devices(cfg, rc.layout, placement_rng(cfg.seed, 0), placement=rc.placement)
-    world = LinkWorld(dep, cfg)
-    t = cfg.pilot_len
-    sets = []
-    for k in range(cfg.K):
-        rng = block_rng(cfg.seed, 0, 0, 0, k)
-        draw = draw_unit_block(rng, cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(world.unit(0, k), draw, cfg, regime)
-        sets.append(
-            build_moment_set(
-                stats, t, world.rho_p, world.rho_d,
-                z_own=dep.devices_local[0, k, 2], L=cfg.L,
-            )
-        )
-    return sets
 
 
 def _cmd_optimize_t(args) -> int:
-    rc = _build_run_config(args)
-    cfg = rc.system
-    sets = _theory_moment_sets(rc)
-    sol = optimal_pilot_length(sets, cfg.T, cfg.K, cfg.M)
+    """Theorem 1 SSE of panel 0 on placement 0, block 0, over the pilot length."""
+    spec = _optimizer_spec(_build_run_config(args))
+    cfg = spec.system
+    worlds = _worlds(spec, _place(spec, 0))
+    sets = [_moments(stats, world, cfg.pilot_len)
+            for k in range(cfg.K) for world, stats, _ in _unit_block(spec, worlds, 0, 0, 0, k)]
+
+    def objective(t) -> float:
+        return theorem1_sse(sets, t, cfg.T).sse_bar
+
+    sol = optimal_pilot_length(objective, cfg.T, cfg.K)
     ts = sorted(set(range(cfg.K, cfg.T + 1, max(1, (cfg.T - cfg.K) // 64))) | {cfg.K, cfg.T})
-    curve = [[int(t), theorem1_sse(sets, t, cfg.T).sse_bar] for t in ts]
-    payload = {
+    return _write_json(args, "optimize_t.json", {
         "t_opt": sol.t_opt,
         "objective": sol.objective_opt,
-        "curve": curve,
+        "curve": [[int(t), objective(t)] for t in ts],
         "t_opt_continuous": sol.t_opt_continuous,
         "iterations": sol.iterations,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "optimize_t.json").write_text(text + "\n", encoding="utf-8")
-    return 0
+    })
 
 
 def _cmd_optimize_k(args) -> int:
-    rc = _build_run_config(args)
-    cfg = rc.system
-    regime = interference_regime(rc.experiment)
-    dep = place_devices(
-        cfg, rc.layout, placement_rng(cfg.seed, 0),
-        placement=rc.placement, K=rc.placement.pool_target(cfg.T), allow_partial=True,
-    )
-    table = expected_floor_table(dep, cfg, regime=regime)
-    sol = optimal_num_devices(table.gamma_hat, cfg.T, K_values=range(1, dep.K + 1))
-    payload = sol.trace()
-    payload["pool"] = dep.K
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "optimize_k.json").write_text(text + "\n", encoding="utf-8")
-    return 0
+    """Theorem 2 floor NSE over the device count on placement 0's pool."""
+    spec = _optimizer_spec(_build_run_config(args))
+    dep = _place(spec, 0, pool=True)
+    sol = _optimal_count(dep, spec.system, spec.experiment.interference)
+    return _write_json(args, "optimize_k.json", {**sol.trace(), "pool": dep.K})
 
 
 def _cmd_validate(args) -> int:
@@ -211,11 +193,7 @@ def _cmd_reproduce(args) -> int:
             f"{rc.experiment.id!r}",
             "experiment.id",
         )
-    result = run_experiment(rc, args.workers)
-    files = write_outputs(result, args.out)
-    for f in files:
-        print(f)
-    return 0
+    return _write_result(args, run_experiment(rc, args.workers))
 
 
 _COMMANDS = {

@@ -10,8 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, get_args, get_type_hints
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -237,12 +237,12 @@ class RunConfig:
             section_data = data.get(section_name, {})
             if not isinstance(section_data, dict):
                 raise ConfigError(f"config section {section_name!r} must be an object", section_name)
-            valid = {f.name: f for f in fields(section_cls)}
+            annotations = get_type_hints(section_cls)
             for key in section_data:
-                if key not in valid:
+                if key not in annotations:
                     raise ConfigError(f"unknown config key {section_name}.{key}", f"{section_name}.{key}")
             coerced = {
-                key: _coerce(f"{section_name}.{key}", valid[key], value)
+                key: _coerce(f"{section_name}.{key}", annotations[key], value)
                 for key, value in section_data.items()
             }
             try:
@@ -266,9 +266,6 @@ class RunConfig:
             data[section][key] = value
         return RunConfig.from_dict(data)
 
-    def with_system(self, **changes) -> "RunConfig":
-        return replace(self, system=replace(self.system, **changes))
-
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
@@ -286,26 +283,24 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _coerce(dotted: str, field_obj, value: Any) -> Any:
-    """Coerce JSON/CLI values to the field's expected Python type."""
+def _coerce(dotted: str, annotation, value: Any) -> Any:
+    """Coerce a JSON/CLI value to the type of its field's annotation
+    (``int``, ``float``, ``bool``, ``tuple`` or ``str``, optionally ``| None``).
+    Numbers must be finite and may not be booleans."""
     if value is None or isinstance(value, str) and value.lower() in ("null", "none"):
         return None
-    name = field_obj.name
-    int_fields = {"M", "K", "N", "T", "t", "P", "seed", "attempt_budget",
-                  "pool_size", "realizations", "placements", "theory_stride"}
-    float_fields = {"L", "carrier_freq", "delta_L", "beta_PL", "d_C",
-                    "rho_p_tgt", "rho_tgt", "x_l", "y_l", "d_x", "d_z",
-                    "box_height"}
-    bool_fields = {"raw_records"}
+    kind = next(t for t in get_args(annotation) or (annotation,) if t is not type(None))
     try:
-        if name in int_fields:
-            out = int(value)
-            if isinstance(value, float) and value != out:
+        if kind in (int, float):
+            if isinstance(value, bool):
+                raise ValueError(f"expected a number, got {value!r}")
+            out = kind(value)
+            if kind is int and isinstance(value, float) and value != out:
                 raise ValueError(f"expected integer, got {value}")
+            if not math.isfinite(out):
+                raise ValueError(f"expected a finite number, got {value!r}")
             return out
-        if name in float_fields:
-            return float(value)
-        if name in bool_fields:
+        if kind is bool:
             if isinstance(value, bool):
                 return value
             if isinstance(value, str):
@@ -314,12 +309,12 @@ def _coerce(dotted: str, field_obj, value: Any) -> Any:
                 if value.lower() in ("false", "0", "no"):
                     return False
             raise ValueError(f"expected boolean, got {value!r}")
-        if name == "sweep_values":
+        if kind is tuple:
             if isinstance(value, str):
                 value = json.loads(value)
             return tuple(value)
         return value
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad value for {dotted}: {exc}", dotted) from exc
 
 

@@ -13,16 +13,22 @@ it always gets the panel-0 slice of the multi-LIS draw, so multi-vs-single
 differences are paired.
 
 Randomness is addressed, not sequenced: every placement and every
-(block, unit) pair gets its own seed-derived substream, so results do not
-depend on scheduling. ``_run`` maps a reduction over placements; records
-are concatenated in placement order and aggregated with fixed-order
-reductions, which makes output files byte-identical for any worker count.
+(block, unit) pair gets its own seed-derived substream (``_unit_rng`` is
+the one block-stream address), so results do not depend on scheduling.
+``_run`` maps a reduction over placements; records are concatenated in
+placement order and aggregated with fixed-order reductions, which makes
+output files byte-identical for any worker count.
 
 To add a figure, write a module-level ``reduction(spec, p)`` returning
 ``(records, extras)``, with records as ``RawRecord`` field tuples; reduce
 one unit at a time so different units' roots are never alive together.
 Register it in ``_REDUCTIONS`` with a default sweep in ``_DEFAULT_SWEEPS``
 and a preset in ``_PRESETS``.
+
+The ``lis-sim optimize-t``/``optimize-k`` front ends use the same engine:
+placement 0 from ``_place``, block 0 of panel 0's units from
+``_unit_block`` and ``_moments`` for the pilot-length objective, and
+``_optimal_count`` for the device count.
 """
 
 from __future__ import annotations
@@ -340,7 +346,7 @@ def _sampled_nse(spec: ExperimentSpec, worlds, p: int, b: int, K_grid) -> dict:
 def _optimal_count(dep, cfg: SystemConfig, regime: str):
     """Device count maximizing the Theorem 2 floor NSE over the pool."""
     table = expected_floor_table(dep, cfg, regime=regime)
-    return optimal_num_devices(table.gamma_hat, cfg.T, K_values=range(1, dep.K + 1))
+    return optimal_num_devices(table.gamma_hat, cfg.T, dep.K)
 
 
 def _sse(gammas, t: int, T: int) -> float:

@@ -45,10 +45,6 @@ def placement_rng(seed: int, placement_idx: int) -> np.random.Generator:
     return stream(seed, DOMAIN_PLACEMENT, placement_idx)
 
 
-def block_rng(seed: int, placement_idx: int, block_idx: int, n: int, k: int) -> np.random.Generator:
-    return stream(seed, DOMAIN_BLOCK, placement_idx, block_idx, n, k)
-
-
 @dataclass(frozen=True)
 class UnitLinkGeometry:
     """Deterministic geometry of every link arriving at unit (n, k)."""

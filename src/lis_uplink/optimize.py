@@ -6,7 +6,7 @@ linearly shrinking prelog), so a golden-section search plus an integer
 refinement finds the global integer optimum. In the interference-floor
 regime the SINR no longer depends on t and the optimum collapses to t = K.
 
-The device-count problem scores K = 1..T with the floor-bound SINRs,
+The device-count problem scores K = 1..pool with the floor-bound SINRs,
 t = K, and devices admitted in fixed priority order; LOS gates enter
 through their expectation, which keeps the curve deterministic for a
 given deployment.
@@ -15,13 +15,12 @@ given deployment.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import quarter_solid_angle, rate_log, theorem1_sse
+from .asymptotics import floor_sinrs, quarter_solid_angle, rate_log, serving_power
 from .config import SystemConfig
 from .links import build_unit_geometry
 from .scenario import Deployment, data_snrs, pilot_snrs
@@ -37,42 +36,20 @@ class PilotSolution:
     curve: tuple          # ((t, objective) pairs, evaluation order)
     iterations: int
 
-    def trace(self) -> dict:
-        return {
-            "t_opt_continuous": self.t_opt_continuous,
-            "t_opt": self.t_opt,
-            "objective_opt": self.objective_opt,
-            "iterations": self.iterations,
-            "evaluations": [[float(t), float(v)] for t, v in self.curve],
-        }
-
-    def trace_json(self) -> str:
-        return json.dumps(self.trace(), sort_keys=True)
-
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def optimal_pilot_length(moments, T: int, K: int, M: int | None = None) -> PilotSolution:
-    """Maximize the deterministic SSE over the pilot length t in [K, T].
+def optimal_pilot_length(objective, T: int, K: int) -> PilotSolution:
+    """Maximize objective(t), e.g. the deterministic SSE, over the pilot
+    length t in [K, T].
 
-    moments: either a list of MomentSet (one per served device of the
-    panel) or a callable t -> objective. Golden-section search shrinks the
-    bracket below one symbol, then the neighboring integers and the
-    interval endpoints are compared; ties prefer the smaller t.
+    Golden-section search shrinks the bracket below one symbol, then the
+    neighboring integers and the interval endpoints are compared; ties
+    prefer the smaller t.
     """
     if K < 1 or T < K:
         raise ValueError(f"need 1 <= K <= T, got K={K}, T={T}")
-    if callable(moments):
-        objective = moments
-    else:
-        sets = list(moments)
-        if not sets:
-            raise ValueError("need at least one unit's moments")
-
-        def objective(t: float) -> float:
-            return theorem1_sse(sets, t, T).sse_bar
-
     evals: list[tuple[float, float]] = []
 
     def f(t: float) -> float:
@@ -142,11 +119,7 @@ class ExpectedFloorTable:
 
     def gamma_hat(self, K: int) -> np.ndarray:
         """(N, K) floor-bound SINRs with K admitted devices."""
-        fl = self.floors(K)
-        rho = self.rho_d_own[:, :K]
-        pb = self.p_bar[:, :K]
-        with np.errstate(divide="ignore"):
-            return np.where(fl > 0.0, rho * pb / fl, np.inf)
+        return floor_sinrs(self.rho_d_own[:, :K], self.p_bar[:, :K], self.floors(K))
 
 
 def expected_floor_table(
@@ -212,8 +185,7 @@ def expected_floor_table(
             leak[n, k] = np.einsum("lj->j", w)
 
             z_own = deployment.devices_local[n, k, 2]
-            pq = quarter_solid_angle(cfg.L, z_own)
-            p_bar[n, k] = M * M * pq * pq / (16.0 * math.pi**2 * cfg.L**4)
+            p_bar[n, k] = serving_power(M, quarter_solid_angle(cfg.L, z_own), cfg.L)
 
     return ExpectedFloorTable(base=base, leak=leak, p_bar=p_bar, rho_d_own=rho_d)
 
@@ -226,7 +198,6 @@ class SchedulingSolution:
     nse_opt: float
     K_values: tuple
     nse_curve: np.ndarray
-    priority_order: tuple  # admission order of pool devices (per panel)
 
     def trace(self) -> dict:
         return {
@@ -235,9 +206,6 @@ class SchedulingSolution:
             "K_values": [int(k) for k in self.K_values],
             "nse_curve": [float(v) for v in self.nse_curve],
         }
-
-    def trace_json(self) -> str:
-        return json.dumps(self.trace(), sort_keys=True)
 
 
 def nse_of_gammas(gammas: np.ndarray, K: int, T: int) -> float:
@@ -251,31 +219,14 @@ def nse_of_gammas(gammas: np.ndarray, K: int, T: int) -> float:
     return float(prelog * np.mean(per_panel))
 
 
-def optimal_num_devices(
-    gamma_hat_provider,
-    T: int,
-    N: int | None = None,
-    K_values=None,
-    K_max: int | None = None,
-) -> SchedulingSolution:
-    """Score K = 1..min(K_max, T) admitted devices and return the argmax.
+def optimal_num_devices(gamma_hat, T: int, pool: int) -> SchedulingSolution:
+    """Score K = 1..pool admitted devices and return the argmax.
 
-    gamma_hat_provider: K -> (N, K) deterministic SINRs of the first K
-    devices per panel (pilot length t = K). The caller bounds the sweep to
-    the placeable pool via K_max or an explicit K_values grid.
+    gamma_hat: K -> (N, K) deterministic SINRs of the first K devices per
+    panel (pilot length t = K).
     """
-    if K_values is None:
-        top = min(int(K_max), int(T)) if K_max is not None else int(T)
-        K_values = range(1, top + 1)
-    K_values = [int(K) for K in K_values]
-    if not K_values:
-        raise ValueError("empty device-count candidate set")
-    curve = np.empty(len(K_values))
-    for i, K in enumerate(K_values):
-        gam = np.asarray(gamma_hat_provider(K), dtype=float)
-        if N is not None and gam.shape[0] != N:
-            raise ValueError(f"provider returned {gam.shape[0]} panels, expected {N}")
-        curve[i] = nse_of_gammas(gam, K, T)
+    K_values = list(range(1, pool + 1))
+    curve = np.array([nse_of_gammas(gamma_hat(K), K, T) for K in K_values])
     # A diverging objective means some unit has a zero deterministic floor
     # at that K, so the asymptotic bound carries no scheduling information
     # there; such K are kept in the curve but excluded from the argmax.
@@ -284,11 +235,9 @@ def optimal_num_devices(
         raise ValueError("no admissible device count has a finite objective")
     masked = np.where(finite, curve, -np.inf)
     best = int(np.argmax(masked))  # first index wins ties: smallest K
-    pool = max(K_values)
     return SchedulingSolution(
         K_opt=K_values[best],
         nse_opt=float(curve[best]),
         K_values=tuple(K_values),
         nse_curve=curve,
-        priority_order=tuple(range(pool)),
     )

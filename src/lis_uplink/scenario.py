@@ -32,9 +32,6 @@ class LisFrame:
     def to_global(self, points_local: np.ndarray) -> np.ndarray:
         return points_local @ self.rotation.T + self.origin
 
-    def to_local(self, points_global: np.ndarray) -> np.ndarray:
-        return (points_global - self.origin) @ self.rotation
-
     @property
     def normal(self) -> np.ndarray:
         """Global unit normal of the panel plane (local +z)."""
@@ -82,29 +79,12 @@ class Deployment:
     unit_centers: np.ndarray       # (N, K, 3) global
 
     @property
-    def lis_origins(self) -> np.ndarray:
-        return np.stack([f.origin for f in self.frames])
-
-    @property
     def N(self) -> int:
         return self.devices.shape[0]
 
     @property
     def K(self) -> int:
         return self.devices.shape[1]
-
-    def subset(self, K: int) -> "Deployment":
-        """First-K-devices view (the placement is sequential, so subsets
-        of a larger pool are exactly what a smaller placement would give)."""
-        if not (1 <= K <= self.K):
-            raise ValueError(f"subset size {K} outside [1, {self.K}]")
-        return Deployment(
-            frames=self.frames,
-            devices_local=self.devices_local[:, :K],
-            devices=self.devices[:, :K],
-            unit_centers_local=self.unit_centers_local[:, :K],
-            unit_centers=self.unit_centers[:, :K],
-        )
 
     def panel(self, n: int) -> "Deployment":
         """Single-panel view: panel n alone with its own devices (the
@@ -237,7 +217,7 @@ def rician_factor(d):
     return float(out) if out.ndim == 0 else out
 
 
-def transmit_snr(device, unit_center, target: float, mode: str = "pilot") -> float:
+def transmit_snr(device, unit_center, target: float) -> float:
     """Transmit SNR that makes the received SNR at the unit-center antenna
     equal ``target``: rho * beta_center^2 = target.
 
@@ -245,8 +225,6 @@ def transmit_snr(device, unit_center, target: float, mode: str = "pilot") -> flo
     center; the center-antenna LOS gain is beta^2 = (z/d) / (4 pi d^2)
     with d the device-to-center distance and z the perpendicular offset.
     """
-    if mode not in ("pilot", "data"):
-        raise ValueError(f"mode must be pilot|data, got {mode!r}")
     delta = np.asarray(device, float) - np.asarray(unit_center, float)
     d = float(np.linalg.norm(delta))
     z = float(delta[2])
@@ -258,22 +236,22 @@ def transmit_snr(device, unit_center, target: float, mode: str = "pilot") -> flo
 
 def pilot_snrs(deployment: Deployment, config: SystemConfig) -> np.ndarray:
     """Per-device pilot transmit SNR (N, K) from the power-control rule."""
-    return _snr_grid(deployment, config.rho_p_tgt, "pilot")
+    return _snr_grid(deployment, config.rho_p_tgt)
 
 
 def data_snrs(deployment: Deployment, config: SystemConfig) -> np.ndarray:
     """Per-device data transmit SNR (N, K) from the power-control rule."""
-    return _snr_grid(deployment, config.rho_tgt, "data")
+    return _snr_grid(deployment, config.rho_tgt)
 
 
-def _snr_grid(deployment: Deployment, target: float, mode: str) -> np.ndarray:
+def _snr_grid(deployment: Deployment, target: float) -> np.ndarray:
     N, K = deployment.N, deployment.K
     out = np.empty((N, K))
     for n in range(N):
         for k in range(K):
             dev = deployment.devices_local[n, k]
             center = np.array([dev[0], dev[1], 0.0])
-            out[n, k] = transmit_snr(dev, center, target, mode)
+            out[n, k] = transmit_snr(dev, center, target)
     return out
 
 

@@ -14,23 +14,26 @@ Per-link oracles of the uplink model, one link or one unit at a time:
   pilot block and its least-squares despreading, against the estimation
   shortcut inside ``links.BlockKernel``;
 - ``desired_power`` and ``interference_terms``: the matched-filter X, Y, Z
-  and I of one filter vector, against ``BlockKernel.terms``.
+  and I of one filter vector, against ``BlockKernel.terms``;
+- ``to_local`` and ``subset``: a panel frame's inverse map and the
+  first-K-devices view of a deployment.
 
-The remaining functions transcribe the ``einsum`` forms of the moment and
-kernel contractions.
+``moment_fields``, ``los_phase`` and ``kernel_products`` transcribe the
+``einsum`` forms of the moment and kernel contractions.
 """
 
 import math
 
 import numpy as np
 
-from lis_uplink.asymptotics import _MomentParts
 from lis_uplink.links import UnitChannelStats, sample_unit_channels
+from lis_uplink.scenario import Deployment
 
 
-def moment_parts(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> _MomentParts:
-    """Lemma 1-3 ingredients of unit (n, k), one ``einsum`` per sum and one
-    pass per contaminator for the Lemma 2 cross term."""
+def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
+    """Lemma 1-3 coefficients of unit (n, k), keyed by their ``MomentSet``
+    field names: one ``einsum`` per sum and one pass per contaminator for
+    the Lemma 2 cross term."""
     geom = stats.geom
     n, k = geom.n, geom.k
     N, K = geom.p_los.shape
@@ -82,22 +85,22 @@ def moment_parts(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> _MomentPart
     var_z_const_m = np.einsum("c,cm->m", cont_w, rowpow)
     var_z_noise_m = 1.0 / rho_p_own
 
-    return _MomentParts(
-        n=n,
-        k=k,
-        M=M,
-        mu_x=mu_x,
-        var_x_const=var_x_const,
-        var_x_noise=var_x_noise,
-        mu_y=mu_y,
-        var_y_const=var_y_const,
-        var_y_noise=var_y_noise,
-        q_bar=q_bar,
-        var_z_const_m=var_z_const_m,
-        var_z_noise_m=var_z_noise_m,
-        beta2_sum=geom.own_power,
-        rho_p_own=rho_p_own,
-    )
+    return {
+        "n": n,
+        "k": k,
+        "M": M,
+        "mu_x": mu_x,
+        "var_x_const": var_x_const,
+        "var_x_noise": var_x_noise,
+        "mu_y": mu_y,
+        "var_y_const": var_y_const,
+        "var_y_noise": var_y_noise,
+        "q_bar": q_bar,
+        "var_z_const_m": var_z_const_m,
+        "var_z_noise_m": var_z_noise_m,
+        "beta2_sum": geom.own_power,
+        "rho_p_own": rho_p_own,
+    }
 
 
 def los_phase(d: np.ndarray, lam: float) -> np.ndarray:
@@ -204,3 +207,22 @@ def interference_terms(h_hat, h_los, channels: np.ndarray, rho_d: np.ndarray, n:
     Z = float(np.sum(np.abs(h_hat) ** 2))
     I = float(rho_d[n, k] * X + np.sum(rho_d * Y) + Z)
     return {"X": X, "Y": Y, "Z": Z, "I": I, "S": desired_power(h_los)}
+
+
+def to_local(frame, points_global: np.ndarray) -> np.ndarray:
+    """Inverse of ``LisFrame.to_global``: global points in the panel frame."""
+    return (points_global - frame.origin) @ frame.rotation
+
+
+def subset(deployment: Deployment, K: int) -> Deployment:
+    """First-K-devices view of a deployment (the placement is sequential,
+    so it is exactly what a K-device placement would give)."""
+    if not (1 <= K <= deployment.K):
+        raise ValueError(f"subset size {K} outside [1, {deployment.K}]")
+    return Deployment(
+        frames=deployment.frames,
+        devices_local=deployment.devices_local[:, :K],
+        devices=deployment.devices[:, :K],
+        unit_centers_local=deployment.unit_centers_local[:, :K],
+        unit_centers=deployment.unit_centers[:, :K],
+    )

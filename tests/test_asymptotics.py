@@ -16,13 +16,10 @@ from lis_uplink import (
     cgauss,
     draw_unit_block,
     make_unit_stats,
-    mu_I,
     place_devices,
     quarter_solid_angle,
     theorem1_sse,
 )
-from lis_uplink.asymptotics import _moment_parts
-
 import reference
 from conftest import assert_close
 
@@ -58,7 +55,8 @@ class TestSinglePanelReductions:
         ms = _moment_set(solo_world, stats, t)
         beta2 = stats.geom.own_power
         assert ms.mu_x == 0.0
-        assert_close(ms.var_x, beta2 / (t * solo_world.rho_p[0, 0]), rtol=1e-12)
+        assert ms.var_x_const == 0.0
+        assert_close(ms.var_x_noise / t, beta2 / (t * solo_world.rho_p[0, 0]), rtol=1e-12)
 
     def test_filter_norm_noise_inflation(self, solo_world):
         _, stats = _stats(solo_world, 0, 0, seed=3)
@@ -66,7 +64,8 @@ class TestSinglePanelReductions:
         ms = _moment_set(solo_world, stats, t)
         rho = solo_world.rho_p[0, 0]
         assert np.array_equal(ms.q_bar, stats.geom.hlos[0, 0])
-        assert_close(ms.var_z_m, np.full(16, 1.0 / (t * rho)), rtol=1e-12)
+        assert_close(ms.var_z_const_m + ms.var_z_noise_m / t, np.full(16, 1.0 / (t * rho)),
+                     rtol=1e-12)
         assert_close(ms.mu_Z(), stats.geom.own_power + 16.0 / (t * rho), rtol=1e-12)
 
     def test_composite_interference_closed_form_and_limit(self, solo_world):
@@ -77,7 +76,7 @@ class TestSinglePanelReductions:
         beta2 = stats.geom.own_power
         expected = rho_d * beta2 / (t * rho_p) + beta2 + 16.0 / (t * rho_p)
         assert_close(ms.mu_I_bar(t), expected, rtol=1e-12)
-        assert_close(mu_I(ms, solo_world.rho_d, 1e15), beta2, rtol=1e-9)
+        assert_close(ms.mu_I_bar(1e15), beta2, rtol=1e-9)
         assert ms.mu_I_hat == 0.0  # no contamination, no floor
 
     def test_intra_only_leakage_has_zero_mean_when_gates_fail(self):
@@ -87,8 +86,9 @@ class TestSinglePanelReductions:
         _, stats = _stats(world, 0, 0, seed=6, coins=1.0)  # every gate fails
         ms = _moment_set(world, stats, 3)
         assert np.all(ms.mu_y == 0.0)
-        assert ms.var_y[0, 0] == 0.0  # serving slot zeroed
-        assert np.all(ms.var_y[0, 1:] > 0.0)
+        var_y = ms.var_y_const + ms.var_y_noise / 3
+        assert var_y[0, 0] == 0.0  # serving slot zeroed
+        assert np.all(var_y[0, 1:] > 0.0)
 
 
 class TestPilotLengthStructure:
@@ -159,8 +159,8 @@ class TestMomentsAgainstSampling:
 
 
 class TestMomentPartsAgainstReference:
-    """The GEMM contractions of ``_moment_parts`` against the per-contaminator
-    ``einsum`` transcription in ``tests/reference.py``."""
+    """The GEMM contractions of ``build_moment_set`` against the
+    per-contaminator ``einsum`` transcription in ``tests/reference.py``."""
 
     @given(
         N=st.sampled_from([1, 2, 4]),
@@ -184,21 +184,24 @@ class TestMomentPartsAgainstReference:
         draw = draw_unit_block(np.random.default_rng(seed + 1), N, K, P, cfg.M)
         stats = make_unit_stats(world.unit(n, k), draw, cfg, interference)
 
-        actual = _moment_parts(stats, world.rho_p)
-        expected = reference.moment_parts(stats, world.rho_p)
-        for field in dataclasses.fields(expected):
-            got = np.asarray(getattr(actual, field.name))
-            want = np.asarray(getattr(expected, field.name))
-            assert got.shape == want.shape and got.dtype == want.dtype, field.name
+        actual = _moment_set(world, stats, 1)
+        expected = reference.moment_fields(stats, world.rho_p)
+        # every stored moment coefficient is checked; the rest are inputs
+        assert {f.name for f in dataclasses.fields(actual)} - set(expected) == {
+            "t", "rho_d", "rho_d_own", "z_own", "L"}
+        for name, value in expected.items():
+            got = np.asarray(getattr(actual, name))
+            want = np.asarray(value)
+            assert got.shape == want.shape and got.dtype == want.dtype, name
             if want.dtype.kind in "iu":
-                assert np.array_equal(got, want), field.name
+                assert np.array_equal(got, want), name
                 continue
             zero = want == 0
             np.testing.assert_allclose(
-                got[~zero], want[~zero], rtol=1e-12, atol=0.0, err_msg=field.name
+                got[~zero], want[~zero], rtol=1e-12, atol=0.0, err_msg=name
             )
             scale = np.max(np.abs(want), initial=0.0)
-            assert np.all(np.abs(got[zero]) <= 1e-13 * scale), field.name
+            assert np.all(np.abs(got[zero]) <= 1e-13 * scale), name
 
 
 class TestSolidAngle:

@@ -150,6 +150,12 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("config error (system.M)")
 
+    @pytest.mark.parametrize("setting", ["system.L=NaN", "system.K=true"])
+    def test_non_finite_or_boolean_value_exits_2(self, setting, capsys):
+        assert main(["optimize-k", "--set", setting]) == 2
+        key = setting.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"config error ({key})")
+
     def test_unknown_override_key_exits_2(self, capsys):
         assert main(["simulate", "--set", "bogus.key=1"]) == 2
         err = capsys.readouterr().err

@@ -151,6 +151,41 @@ class TestLoadAndOverrides:
             parse_override("system.M")
 
 
+_SECTIONS = {"system": SystemConfig, "layout": LayoutConfig,
+             "placement": PlacementConfig, "experiment": ExperimentConfig}
+_NUMERIC_KEYS = [
+    f"{section}.{f.name}"
+    for section, cls in _SECTIONS.items()
+    for f in dataclasses.fields(cls)
+    if f.type.split(" |")[0] in ("int", "float")
+]
+
+
+class TestNumericValues:
+    def test_every_numeric_field_is_covered(self):
+        # 14 system, 5 layout, 2 placement and 3 experiment fields,
+        # optional ones (t, delta_L, pool_size) included
+        assert len(_NUMERIC_KEYS) == 24
+        assert {"system.t", "system.delta_L", "placement.pool_size"} <= set(_NUMERIC_KEYS)
+
+    @pytest.mark.parametrize("key", _NUMERIC_KEYS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, False])
+    def test_non_finite_and_boolean_values_rejected(self, key, value):
+        with pytest.raises(ConfigError) as info:
+            RunConfig().with_overrides({key: value})
+        assert info.value.key == key
+        assert key in str(info.value)
+
+    @pytest.mark.parametrize("key", _NUMERIC_KEYS)
+    def test_json_non_finite_values_rejected_at_load(self, key, tmp_path):
+        section, name = key.split(".")
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"{section}": {{"{name}": NaN}}}}', encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert info.value.key == key
+
+
 class TestKeyHelp:
     def test_every_leaf_key_documented(self):
         documented = {key for key, _ in CONFIG_KEY_HELP}

@@ -12,7 +12,6 @@ from lis_uplink import (
     LayoutConfig,
     LinkWorld,
     SystemConfig,
-    block_rng,
     build_unit_geometry,
     cgauss,
     draw_unit_block,
@@ -22,6 +21,7 @@ from lis_uplink import (
     sample_unit_channels,
     slice_stats,
 )
+from lis_uplink.harness import _unit_rng
 from lis_uplink.links import los_phase, slice_geometry, stream
 
 import reference
@@ -53,7 +53,7 @@ class TestStreams:
 
     def test_domain_separation(self):
         p = placement_rng(0, 0).random(4)
-        b = block_rng(0, 0, 0, 0, 0).random(4)
+        b = _unit_rng(0, 0, 0, 0, 0).random(4)
         assert not np.array_equal(p, b)
 
 
@@ -181,7 +181,7 @@ class TestSliceStats:
         stats4 = make_unit_stats(geom4, draw, cfg)
         sliced = slice_stats(stats4, 1)
 
-        small = dep.subset(1)
+        small = reference.subset(dep, 1)
         geom1 = build_unit_geometry(small, cfg, 0, 0)
         draw1 = dataclasses.replace(
             draw, coins=draw.coins[:, :1], angles=draw.angles[:, :1], g=draw.g[:, :1]
@@ -230,7 +230,7 @@ class TestSliceStats:
 
         # geometry of a K-device placement, and the first-K draw
         geom_k = build_unit_geometry(
-            world.deployment.subset(K), dataclasses.replace(cfg, K=K), n, k
+            reference.subset(world.deployment, K), dataclasses.replace(cfg, K=K), n, k
         )
         geom_sliced = slice_geometry(world.unit(n, k), K)
         for field in ("distances", "hlos", "beta2_sum", "center_dist", "kappa_cand", "p_los"):

@@ -1,7 +1,6 @@
 """Pilot-length search, floor tables, device-count scheduling, network NSE."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -51,9 +50,9 @@ class TestOptimalPilotLength:
     def test_bounds_and_refinement_invariant(self):
         sets = _panel_moment_sets(seed=1)
         T, K = 200, 3
-        sol = optimal_pilot_length(sets, T=T, K=K)
-        assert K <= sol.t_opt <= T
         obj = lambda t: theorem1_sse(sets, t, T).sse_bar
+        sol = optimal_pilot_length(obj, T=T, K=K)
+        assert K <= sol.t_opt <= T
         for t in {K, T, math.floor(sol.t_opt_continuous), math.ceil(sol.t_opt_continuous)}:
             assert sol.objective_opt >= obj(t) - 1e-9
 
@@ -64,7 +63,7 @@ class TestOptimalPilotLength:
         T = int(rng.integers(30, 90))
         sets = _panel_moment_sets(seed=seed + 1, K=K)
         obj = lambda t: theorem1_sse(sets, t, T).sse_bar
-        sol = optimal_pilot_length(sets, T=T, K=K)
+        sol = optimal_pilot_length(obj, T=T, K=K)
         grid_best = max(obj(t) for t in range(K, T + 1))
         assert sol.objective_opt >= grid_best - 1e-9
         assert abs(sol.objective_opt - grid_best) <= 1e-9 * max(grid_best, 1.0)
@@ -86,16 +85,12 @@ class TestOptimalPilotLength:
     def test_callable_objective_and_trace(self):
         sol = optimal_pilot_length(lambda t: -((t - 37.3) ** 2), T=100, K=2)
         assert sol.t_opt == 37
-        trace = json.loads(sol.trace_json())
-        assert trace["t_opt"] == 37
-        assert trace["iterations"] == sol.iterations
-        assert len(trace["evaluations"]) == len(sol.curve)
+        assert (37.0, sol.objective_opt) in sol.curve
+        assert sol.iterations > 0
 
     def test_errors(self):
         with pytest.raises(ValueError, match="K <= T"):
             optimal_pilot_length(lambda t: 1.0, T=2, K=5)
-        with pytest.raises(ValueError, match="at least one"):
-            optimal_pilot_length([], T=10, K=2)
         with pytest.raises(ValueError, match="not finite"):
             optimal_pilot_length(lambda t: math.inf, T=10, K=2)
 
@@ -170,27 +165,18 @@ class TestScheduling:
     def test_curve_argmax_and_trace(self):
         cfg, dep = TestExpectedFloorTable()._world(seed=7, K=8)
         table = expected_floor_table(dep, cfg)
-        sol = optimal_num_devices(table.gamma_hat, T=50, N=2, K_max=8)
+        sol = optimal_num_devices(table.gamma_hat, T=50, pool=8)
         assert sol.K_values == tuple(range(1, 9))
         assert sol.nse_opt == np.max(sol.nse_curve)
         assert sol.nse_curve[sol.K_opt - 1] == sol.nse_opt
-        trace = json.loads(sol.trace_json())
+        trace = sol.trace()
         assert trace["K_opt"] == sol.K_opt
         assert len(trace["nse_curve"]) == 8
 
     def test_ties_prefer_smaller_k(self):
-        sol = optimal_num_devices(lambda K: np.zeros((1, K)), T=10, K_max=5)
+        sol = optimal_num_devices(lambda K: np.zeros((1, K)), T=10, pool=5)
         assert sol.K_opt == 1
         assert np.all(sol.nse_curve == 0.0)
-
-    def test_explicit_grid_and_errors(self):
-        provider = lambda K: np.full((2, K), 1.0)
-        sol = optimal_num_devices(provider, T=20, K_values=[2, 4, 8])
-        assert sol.K_values == (2, 4, 8)
-        with pytest.raises(ValueError, match="empty"):
-            optimal_num_devices(provider, T=20, K_values=[])
-        with pytest.raises(ValueError, match="panels"):
-            optimal_num_devices(provider, T=20, N=3, K_max=4)
 
     def test_nse_of_gammas(self):
         gam = np.array([[1.0, 3.0], [7.0, 15.0]])
@@ -208,7 +194,7 @@ class TestScheduling:
                 gam[:] = np.inf
             return gam
 
-        sol = optimal_num_devices(provider, T=10, K_max=5)
+        sol = optimal_num_devices(provider, T=10, pool=5)
         assert math.isinf(sol.nse_curve[0])
         assert sol.K_opt > 1
         assert math.isfinite(sol.nse_opt)
@@ -217,7 +203,7 @@ class TestScheduling:
     def test_all_diverging_objective_rejected(self):
         provider = lambda K: np.full((1, K), np.inf)
         with pytest.raises(ValueError, match="finite"):
-            optimal_num_devices(provider, T=10, K_max=3)
+            optimal_num_devices(provider, T=10, pool=3)
 
 
 class TestNetworkNse:
