@@ -12,6 +12,7 @@ from pathlib import Path
 from .asymptotics import theorem1_sse
 from .config import CONFIG_KEY_HELP, ConfigError, RunConfig, load_config, parse_override
 from .harness import (
+    EXPERIMENTS,
     ExperimentSpec,
     _moments,
     _optimal_count,
@@ -30,9 +31,10 @@ _Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
 def _key_epilog() -> str:
-    width = max(len(key) for key, _ in CONFIG_KEY_HELP)
+    texts = {**dict(CONFIG_KEY_HELP), "experiment.id": "experiment id: " + " | ".join(EXPERIMENTS)}
+    width = max(map(len, texts))
     lines = ["configuration keys (override with --set key=value):"]
-    for key, text in CONFIG_KEY_HELP:
+    for key, text in texts.items():
         lines.append(f"  {key.ljust(width)}  {text}")
     return "\n".join(lines)
 
@@ -77,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("reproduce", help="run a named experiment at its preset scale")
-    p.add_argument("experiment", help="experiment id (fig4..fig9, fig6b, oracle)")
+    p.add_argument("experiment", help="experiment id: " + ", ".join(EXPERIMENTS))
     _add_common(p)
 
     return parser

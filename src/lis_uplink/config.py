@@ -149,16 +149,15 @@ class PlacementConfig:
         return self.pool_size or min(T - 1, 40)
 
 
-EXPERIMENT_IDS = ("fig4", "fig5", "fig6", "fig6b", "fig7", "fig8", "fig9", "oracle")
 INTERFERENCE_REGIMES = ("rician", "nlos_inter")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What to sweep and how many samples to draw."""
+    """What to sweep and how many samples to draw; ``harness.ExperimentSpec``
+    checks the id and the sweep values against the id's ``EXPERIMENTS`` row."""
 
     id: str = "fig5"
-    sweep_variable: str = "M"          # M | K | t
     sweep_values: tuple = ()           # empty -> experiment default
     realizations: int = 100            # coherence blocks per placement
     placements: int = 2                # independent device placements
@@ -167,13 +166,6 @@ class ExperimentConfig:
     theory_stride: int = 0             # analytic curves every n-th block (0 -> auto)
 
     def __post_init__(self):
-        if self.id not in EXPERIMENT_IDS:
-            raise ConfigError(
-                f"experiment.id must be one of {EXPERIMENT_IDS}, got {self.id!r}",
-                "experiment.id",
-            )
-        if self.sweep_variable not in ("M", "K", "t"):
-            raise ConfigError("experiment.sweep_variable must be M|K|t", "experiment.sweep_variable")
         if self.realizations < 1:
             raise ConfigError("experiment.realizations must be >= 1", "experiment.realizations")
         if self.placements < 1:
@@ -205,8 +197,10 @@ class RunConfig:
 
     def __post_init__(self):
         layout = self.layout
-        quad = layout.name == "quad" or (layout.name == "auto" and self.system.N == 4)
-        if quad and layout.box_height >= layout.d_z:
+        if layout.name == "quad" and self.system.N != 4:
+            raise ConfigError(f"quad layout requires system.N=4, got N={self.system.N}",
+                              "layout.name")
+        if layout.name != "line" and self.system.N == 4 and layout.box_height >= layout.d_z:
             # devices of the target panel must sit in front of the facing one
             raise ConfigError(
                 f"quad layout needs layout.box_height < layout.d_z, got "
@@ -368,9 +362,8 @@ CONFIG_KEY_HELP: tuple[tuple[str, str], ...] = (
     ("layout.box_height", "device box height above the panel plane (m)"),
     ("placement.attempt_budget", "resample attempts per device (count)"),
     ("placement.pool_size", "candidate device pool for K sweeps (count or null)"),
-    ("experiment.id", "experiment preset: " + " | ".join(EXPERIMENT_IDS)),
-    ("experiment.sweep_variable", "swept parameter: M | K | t"),
-    ("experiment.sweep_values", "ascending sweep values (JSON list)"),
+    ("experiment.id", "experiment id: a row of harness.EXPERIMENTS"),
+    ("experiment.sweep_values", "ascending integers of the swept M, t or K (JSON list)"),
     ("experiment.realizations", "coherence blocks per placement (count)"),
     ("experiment.placements", "independent device placements (count)"),
     ("experiment.interference", "rician | nlos_inter | null (preset default)"),

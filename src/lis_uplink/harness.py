@@ -20,10 +20,9 @@ placement order and aggregated with fixed-order reductions, which makes
 output files byte-identical for any worker count.
 
 To add a figure, write a module-level ``reduction(spec, p)`` returning
-``(records, extras)``, with records as ``RawRecord`` field tuples; reduce
-one unit at a time so different units' roots are never alive together.
-Register it in ``_REDUCTIONS`` with a default sweep in ``_DEFAULT_SWEEPS``
-and a preset in ``_PRESETS``.
+``(records, extras)``, with records as ``RawRecord`` field tuples, and add
+one ``Experiment`` row for it to ``EXPERIMENTS``; reduce one unit at a time
+so different units' roots are never alive together.
 
 The ``lis-sim optimize-t``/``optimize-k`` front ends use the same engine:
 placement 0 from ``_place``, block 0 of panel 0's units from
@@ -37,10 +36,12 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 import re
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -69,33 +70,31 @@ from .links import (
 from .optimize import expected_floor_table, nse_of_gammas, optimal_num_devices
 from .scenario import place_devices
 
-# Default sweep per experiment preset (variable, values). fig8 sweeps the
-# admitted-device count over the whole placeable pool, so its grid is
-# derived at run time.
-_DEFAULT_SWEEPS: dict[str, tuple[str, tuple]] = {
-    "fig4": ("M", (36, 144, 400, 900)),
-    "fig5": ("M", (100, 400, 900)),
-    "fig6": ("M", (100, 400, 900)),
-    "fig6b": ("M", (100, 400, 900)),
-    "fig7": ("t", (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 500)),
-    "fig8": ("K", ()),
-    "fig9": ("M", (100, 196, 400)),
-    "oracle": ("M", (16, 100)),
-}
-_DEFAULT_REGIME = {"fig6": "nlos_inter", "fig6b": "nlos_inter"}
-
 _MC_KSWEEP_CAP = 225  # sampled device-count curves cap the array size here
-_DEFAULT_K_GRID = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32, 36, 40)
+
+
+def _experiment(exp_id: str) -> Experiment:
+    """The ``EXPERIMENTS`` row of an id; ConfigError on an unknown id."""
+    if exp_id not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment id {exp_id!r}; choose from "
+                          + ", ".join(EXPERIMENTS), "experiment.id")
+    return EXPERIMENTS[exp_id]
 
 
 def interference_regime(exp: ExperimentConfig) -> str:
-    """The experiment's interference regime, else its preset's default."""
-    return exp.interference or _DEFAULT_REGIME.get(exp.id, "rician")
+    """The experiment's interference regime, else its row's default."""
+    return exp.interference or _experiment(exp.id).interference
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully resolved experiment: configuration plus concrete sweep."""
+    """A fully resolved experiment: configuration plus concrete sweep.
+
+    ``from_run_config`` alone resolves a config against its ``EXPERIMENTS``
+    row: it rejects an unknown id, fills an empty sweep with the row's grid,
+    checks each value against the swept variable and stores it as ``int``,
+    and fills in the interference regime and the theory stride. Reductions
+    and the manifest use the result as is."""
 
     system: SystemConfig
     layout: LayoutConfig
@@ -105,41 +104,35 @@ class ExperimentSpec:
     @classmethod
     def from_run_config(cls, rc: RunConfig) -> "ExperimentSpec":
         exp = rc.experiment
+        row = _experiment(exp.id)
         if exp.id == "oracle" and exp.realizations < 2:
             # one sample has no standard error, so the oracle's z-gate is void
             raise ConfigError(
                 f"the moment oracle needs at least 2 realizations, got {exp.realizations}",
                 "experiment.realizations",
             )
-        var, values = _DEFAULT_SWEEPS[exp.id]
-        if exp.sweep_values != ():
-            if exp.sweep_variable != var:
-                raise ConfigError(
-                    f"experiment {exp.id!r} sweeps {var!r}, "
-                    f"got sweep_variable={exp.sweep_variable!r}",
-                    "experiment.sweep_variable",
-                )
-            values = exp.sweep_values
-        if var == "t":
-            lo, hi = rc.system.pilot_len, rc.system.T
-            bad = [v for v in values if not (lo <= v <= hi)]
-            if bad:
-                raise ConfigError(
-                    f"pilot sweep values must lie in [{lo}, {hi}], got {bad}",
-                    "experiment.sweep_values",
-                )
-        if var == "M":
+        values = exp.sweep_values or row.grid
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   and float(v).is_integer() for v in values):
+            raise ConfigError(f"sweep values must be finite integers, got {list(values)}",
+                              "experiment.sweep_values")
+        values = tuple(map(int, values))
+        lo, hi = (rc.system.pilot_len, rc.system.T) if row.variable == "t" else (1, math.inf)
+        bad = [v for v in values if not (lo <= v <= hi)]
+        if bad:
+            raise ConfigError(f"{row.variable} sweep values must lie in [{lo}, {hi}], got {bad}",
+                              "experiment.sweep_values")
+        if row.variable == "M":
             # every array size must make a valid system before any block runs
             for v in values:
                 try:
                     dataclasses.replace(rc.system, M=v)
                 except ConfigError as exc:
-                    raise ConfigError(
-                        f"sweep value M={v} is invalid: {exc}", "experiment.sweep_values"
-                    ) from exc
-        resolved = dataclasses.replace(
-            exp, sweep_variable=var, sweep_values=values, interference=interference_regime(exp)
-        )
+                    raise ConfigError(f"sweep value M={v} is invalid: {exc}",
+                                      "experiment.sweep_values") from exc
+        stride = exp.theory_stride or (row.stride and max(1, exp.realizations // row.stride))
+        resolved = dataclasses.replace(exp, sweep_values=values, theory_stride=stride,
+                                       interference=exp.interference or row.interference)
         return cls(system=rc.system, layout=rc.layout, placement=rc.placement, experiment=resolved)
 
     @property
@@ -320,7 +313,7 @@ def _sweep_blocks(spec: ExperimentSpec, p: int, twin: bool):
     """(M, worlds, b) for every array size of placement p and every block."""
     dep = _place(spec, p)
     for M in spec.experiment.sweep_values:
-        worlds = _worlds(spec, dep, twin, M=int(M))
+        worlds = _worlds(spec, dep, twin, M=M)
         for b in range(spec.experiment.realizations):
             yield M, worlds, b
 
@@ -367,7 +360,7 @@ def _se_variance(spec: ExperimentSpec, p: int):
     dep = _place(spec, p)
     recs, mean_se = [], {}
     for M in spec.experiment.sweep_values:
-        worlds = _worlds(spec, dep, twin=True, M=int(M))
+        worlds = _worlds(spec, dep, twin=True, M=M)
         cfg = worlds[0].config
         t = cfg.pilot_len
         frozen = _unit_block(spec, worlds, p, 0, 0, 0)
@@ -379,17 +372,16 @@ def _se_variance(spec: ExperimentSpec, p: int):
                 se[i, r] = _sse(kern.gamma(t), t, cfg.T)
         for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), se):
             recs.append((float(M), label, p, 0, float(np.var(row, ddof=1)) if R > 1 else 0.0))
-            mean_se.setdefault(label, {})[int(M)] = float(np.mean(row))
+            mean_se.setdefault(label, {})[M] = float(np.mean(row))
     return recs, {"mean_se": mean_se}
 
 
 def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
     """fig5/fig6: panel-0 SSE of the multi-LIS system and its single-LIS
     twin on paired draws, plus Theorem 1/2 curves every stride-th block.
-    With sample=False (run_asymptotic): the multi-LIS Theorem curves alone
-    on every block, with no receive-side sampling."""
-    exp = spec.experiment
-    stride = (exp.theory_stride or max(1, exp.realizations // 8)) if sample else 1
+    With sample=False (run_asymptotic, which resolves the stride to 1): the
+    multi-LIS Theorem curves alone, with no receive-side sampling."""
+    stride = spec.experiment.theory_stride
     recs = []
     for M, worlds, b in _sweep_blocks(spec, p, twin=sample):
         cfg = worlds[0].config
@@ -439,19 +431,18 @@ def _pilot(spec: ExperimentSpec, p: int):
     """fig7: SSE versus pilot length on a fixed array size; each block's
     sampled kernels are reused across the whole t grid."""
     exp = spec.experiment
-    stride = exp.theory_stride or max(1, exp.realizations // 2)
     worlds = _worlds(spec, _place(spec, p))
     cfg = worlds[0].config
     recs = []
     for b in range(exp.realizations):
-        theory = b % stride == 0
+        theory = b % exp.theory_stride == 0
         kernels, sets = [], []
         for k in range(cfg.K):
             ((world, stats, draw),) = _unit_block(spec, worlds, p, b, 0, k)
             kernels.append(_kernel(stats, world, draw.g, draw.w))
             if theory:
                 sets.append(_moments(stats, world, cfg.pilot_len))
-        for t in (int(v) for v in exp.sweep_values):
+        for t in exp.sweep_values:
             sse = _sse([kern.gamma(t) for kern in kernels], t, cfg.T) if t < cfg.T else 0.0
             recs.append((float(t), "multi-LIS imperfect CSI", p, b, sse))
             if theory:
@@ -469,8 +460,7 @@ def _ksweep(spec: ExperimentSpec, p: int):
     recs = [(float(K), "Theorem 2 bound NSE", p, 0, float(v))
             for K, v in zip(sol.K_values, sol.nse_curve) if math.isfinite(v)]
     mc_M = cfg.M if cfg.M <= _MC_KSWEEP_CAP else 196
-    grid = [int(v) for v in exp.sweep_values] or list(_DEFAULT_K_GRID)
-    K_grid = sorted({K for K in grid if 1 <= K <= pool} | {sol.K_opt})
+    K_grid = sorted({K for K in exp.sweep_values if K <= pool} | {sol.K_opt})
     worlds = _worlds(spec, dep, M=mc_M, K=pool, t=None)
     for b in range(exp.realizations):
         nse = _sampled_nse(spec, worlds, p, b, K_grid)
@@ -487,9 +477,9 @@ def _nse_vs_m(spec: ExperimentSpec, p: int):
     dep = _place(spec, p, pool=True)
     recs, K_opt = [], {}
     for M in exp.sweep_values:
-        worlds = _worlds(spec, dep, M=int(M), K=dep.K, t=None)
+        worlds = _worlds(spec, dep, M=M, K=dep.K, t=None)
         sol = _optimal_count(dep, worlds[0].config, exp.interference)
-        K_opt[int(M)] = sol.K_opt
+        K_opt[M] = sol.K_opt
         recs.append((float(M), "Theorem 2 bound NSE at optimized K", p, 0, sol.nse_opt))
         for K, label in ((sol.K_opt, "Monte Carlo NSE at optimized K"),
                          (min(20, dep.K), "Monte Carlo NSE at K=20")):
@@ -520,7 +510,7 @@ def _oracle(spec: ExperimentSpec, p: int):
     dep = _place(spec, p)
     recs, report = [], []
     for M in spec.experiment.sweep_values:
-        worlds = _worlds(spec, dep, M=int(M))
+        worlds = _worlds(spec, dep, M=M)
         cfg = worlds[0].config
         t = cfg.pilot_len
         ((world, stats, _),) = _unit_block(spec, worlds, p, 0, 0, 0)
@@ -535,7 +525,7 @@ def _oracle(spec: ExperimentSpec, p: int):
                      (float(M), "Z", p, r, terms.Z), (float(M), "I over M^2", p, r, terms.I / M2)]
         closed = (ms.mu_X(), float(np.sum(ms.rho_d * ms.mu_Y_bar())), ms.mu_Z(), ms.mu_I_bar())
         report.append({
-            "M": int(M), "unit": [0, 0], "t": t,
+            "M": M, "unit": [0, 0], "t": t,
             "kappa": [[float(v) for v in row] for row in stats.kappa],
             **{name: _oracle_entry(row, c)
                for name, row, c in zip(("X", "Y_total", "Z", "I"), samples, closed)},
@@ -544,15 +534,45 @@ def _oracle(spec: ExperimentSpec, p: int):
     return recs, {"oracle": report}
 
 
-_REDUCTIONS = {
-    "fig4": _se_variance,
-    "fig5": _panel0_sse,
-    "fig6": _panel0_sse,
-    "fig6b": _csi,
-    "fig7": _pilot,
-    "fig8": _ksweep,
-    "fig9": _nse_vs_m,
-    "oracle": _oracle,
+# ---------------------------------------------------------------------------
+# experiment table
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One row of ``EXPERIMENTS``: a figure's reduction, its sweep and its
+    desk-scale preset."""
+
+    reduce: Callable          # reduction (spec, placement) -> (records, extras)
+    variable: str             # swept parameter: M, t or K
+    grid: tuple               # default sweep values
+    interference: str = "rician"  # default interference regime
+    stride: int = 0           # theory curves every realizations // stride blocks (0: none)
+    asymptotic: bool = False  # run_asymptotic accepts it
+    system: dict = field(default_factory=dict)  # preset changes to the reference system
+    counts: dict = field(default_factory=dict)  # preset experiment sample counts
+    layout: LayoutConfig = LayoutConfig()       # preset layout
+
+
+EXPERIMENTS = {
+    "fig4": Experiment(_se_variance, "M", (36, 144, 400, 900), asymptotic=True,
+                       system={"K": 20}, counts={"realizations": 500, "placements": 10}),
+    "fig5": Experiment(_panel0_sse, "M", (100, 400, 900), stride=8, asymptotic=True,
+                       counts={"realizations": 24, "placements": 4}),
+    "fig6": Experiment(_panel0_sse, "M", (100, 400, 900), "nlos_inter", stride=8,
+                       asymptotic=True, counts={"realizations": 24, "placements": 4}),
+    "fig6b": Experiment(_csi, "M", (100, 400, 900), "nlos_inter", asymptotic=True,
+                        counts={"realizations": 48, "placements": 4}),
+    "fig7": Experiment(_pilot, "t", (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 500),
+                       stride=2, counts={"realizations": 24, "placements": 4, "theory_stride": 12}),
+    # K values above a placement's pool are skipped at run time
+    "fig8": Experiment(_ksweep, "K", (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32, 36, 40),
+                       system={"K": 20, "T": 50}, counts={"realizations": 8, "placements": 12}),
+    "fig9": Experiment(_nse_vs_m, "M", (100, 196, 400), system={"M": 400, "K": 20, "T": 50},
+                       counts={"realizations": 4, "placements": 3}),
+    "oracle": Experiment(_oracle, "M", (16, 100), system={"M": 100, "K": 2, "N": 2, "P": 4},
+                         counts={"realizations": 10000, "placements": 1},
+                         layout=LayoutConfig(name="line", d_x=0.5)),
 }
 
 
@@ -574,20 +594,21 @@ def _run(spec: ExperimentSpec, reduce, workers) -> ExperimentResult:
 def run_experiment(run_config: RunConfig, workers=None) -> ExperimentResult:
     """Resolve, run, and aggregate the experiment named by the config."""
     spec = ExperimentSpec.from_run_config(run_config)
-    return _run(spec, _REDUCTIONS[spec.experiment.id], workers)
+    return _run(spec, EXPERIMENTS[spec.experiment.id].reduce, workers)
 
 
 def run_asymptotic(rc: RunConfig, workers=None) -> ExperimentResult:
     """Analytic curves of an M-sweep experiment: the panel-0 reduction with
     receive-side sampling off (gates and scattering angles are still drawn
-    per block)."""
-    allowed = ("fig4", "fig5", "fig6", "fig6b")
-    if rc.experiment.id not in allowed:
+    per block), with theory curves on every block."""
+    if not _experiment(rc.experiment.id).asymptotic:
+        allowed = tuple(k for k, row in EXPERIMENTS.items() if row.asymptotic)
         raise ConfigError(
             f"runner expects experiment.id in {allowed}, got {rc.experiment.id!r}",
             "experiment.id",
         )
-    spec = ExperimentSpec.from_run_config(rc)
+    exp = dataclasses.replace(rc.experiment, theory_stride=1)
+    spec = ExperimentSpec.from_run_config(dataclasses.replace(rc, experiment=exp))
     return _run(spec, functools.partial(_panel0_sse, sample=False), workers)
 
 
@@ -648,6 +669,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[Path]:
 
     manifest = {
         "experiment_id": exp_id,
+        "sweep_variable": EXPERIMENTS[exp_id].variable,
         "seed": result.spec.seed,
         "config": rc.to_dict(),
         "config_hash": rc.content_hash(),
@@ -664,35 +686,15 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[Path]:
 # presets
 
 
-# Desk-scale preset per figure: changes to the reference system, and the
-# experiment's sample counts.
-_PRESETS = {
-    "fig4": ({"K": 20}, {"realizations": 500, "placements": 10}),
-    "fig5": ({}, {"realizations": 24, "placements": 4}),
-    "fig6": ({}, {"realizations": 24, "placements": 4}),
-    "fig6b": ({}, {"realizations": 48, "placements": 4}),
-    "fig7": ({}, {"realizations": 24, "placements": 4, "theory_stride": 12}),
-    "fig8": ({"K": 20, "T": 50}, {"realizations": 8, "placements": 12}),
-    "fig9": ({"M": 400, "K": 20, "T": 50}, {"realizations": 4, "placements": 3}),
-    "oracle": ({"M": 100, "K": 2, "N": 2, "P": 4}, {"realizations": 10000, "placements": 1}),
-}
-
-
 def preset_run_config(experiment_id: str, seed: int = 0) -> RunConfig:
     """Desk-scale defaults per figure: the reference scenario (3 GHz,
     2L = 0.5 m, 0 dB pilot and 3 dB data targets, T = 500 or 50) with
-    sample counts sized for a single workstation."""
-    if experiment_id not in _PRESETS:
-        raise ConfigError(
-            f"unknown experiment id {experiment_id!r}; choose from "
-            + ", ".join(sorted(_PRESETS)),
-            "experiment.id",
-        )
-    system, counts = _PRESETS[experiment_id]
-    oracle = experiment_id == "oracle"
+    sample counts sized for a single workstation, changed by the id's
+    ``EXPERIMENTS`` row."""
+    row = _experiment(experiment_id)
     return RunConfig(
-        system=SystemConfig(**{"M": 900, "K": 8, "N": 4, "T": 500, "seed": seed, **system}),
-        layout=LayoutConfig(name="line", d_x=0.5) if oracle else LayoutConfig(),
+        system=SystemConfig(**{"M": 900, "K": 8, "N": 4, "T": 500, "seed": seed, **row.system}),
+        layout=row.layout,
         placement=PlacementConfig(),
-        experiment=ExperimentConfig(id=experiment_id, **counts),
+        experiment=ExperimentConfig(id=experiment_id, **row.counts),
     )

@@ -58,8 +58,6 @@ def build_layout(layout: LayoutConfig, N: int) -> list[LisFrame]:
             LisFrame(np.array([+offset, 0.0, 0.0]), identity),
             LisFrame(np.array([0.0, 0.0, layout.d_z]), facing),
         ]
-    if layout.name == "quad":
-        raise ValueError(f"quad layout requires N=4, got N={N}")
     pitch = layout.x_l + layout.d_x
     first = -0.5 * (N - 1) * pitch
     return [
@@ -102,7 +100,7 @@ class Deployment:
 
 def place_devices(
     config: SystemConfig,
-    geometry: LayoutConfig | list[LisFrame],
+    layout: LayoutConfig,
     rng: np.random.Generator,
     *,
     placement: PlacementConfig | None = None,
@@ -120,14 +118,7 @@ def place_devices(
     the largest placeable common pool (a prefix of the full draw).
     """
     placement = placement or PlacementConfig()
-    if isinstance(geometry, LayoutConfig):
-        layout = geometry
-        frames = build_layout(geometry, config.N)
-    else:
-        layout = LayoutConfig()
-        frames = list(geometry)
-    if len(frames) != config.N:
-        raise ValueError(f"geometry provides {len(frames)} panels, config.N={config.N}")
+    frames = build_layout(layout, config.N)
     K = int(K) if K is not None else config.K
     half_x, half_y = 0.5 * layout.x_l, 0.5 * layout.y_l
     side = 2.0 * config.L

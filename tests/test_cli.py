@@ -205,6 +205,31 @@ class TestErrorPaths:
         assert err.startswith("config error (experiment.sweep_values)")
         assert "M=120" in err
 
+    @pytest.mark.parametrize("sub, exp_id, values", [
+        ("asymptotic", "fig5", "[16, NaN]"),
+        ("simulate", "fig5", "[16, Infinity]"),
+        ("simulate", "fig5", "[true, 16]"),
+        ("simulate", "fig7", "[4, 8.5]"),
+        ("simulate", "fig8", "[2.5, 3, 99]"),
+        ("simulate", "fig8", "[0, 2]"),
+    ])
+    def test_bad_sweep_value_exits_2_before_placement(self, sub, exp_id, values,
+                                                      monkeypatch, capsys):
+        monkeypatch.setattr("lis_uplink.harness.place_devices", None)
+        assert main([sub, "--set", f"experiment.id={exp_id}",
+                     "--set", f"experiment.sweep_values={values}"]) == 2
+        assert capsys.readouterr().err.startswith("config error (experiment.sweep_values)")
+
+    def test_manifest_with_sweep_variable_exits_2(self, tmp_path, capsys):
+        # manifests written before the swept variable moved out of the
+        # config echo still carry experiment.sweep_variable
+        path = _tiny_fig4_config(tmp_path)
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        cfg["experiment"]["sweep_variable"] = "M"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error (experiment.sweep_variable)")
+
     def test_reproduce_conflicting_config_exits_2(self, tmp_path, capsys):
         cfg = _tiny_fig4_config(tmp_path)
         assert main(["reproduce", "fig5", "--config", str(cfg)]) == 2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lis_uplink import ExperimentSpec
 from lis_uplink.config import (
     CONFIG_KEY_HELP,
     ConfigError,
@@ -63,8 +64,10 @@ class TestExperimentConfig:
         assert err.value.key == "experiment.sweep_values"
 
     def test_unknown_id_rejected(self):
+        # ids are rows of harness.EXPERIMENTS, checked when the spec resolves
+        rc = RunConfig(experiment=ExperimentConfig(id="fig99"))
         with pytest.raises(ConfigError) as err:
-            ExperimentConfig(id="fig99")
+            ExperimentSpec.from_run_config(rc)
         assert err.value.key == "experiment.id"
 
     def test_realizations_positive(self):
@@ -78,7 +81,7 @@ class TestRunConfig:
             system=SystemConfig(M=36, K=3, N=2, seed=5),
             layout=LayoutConfig(name="line", d_x=1.5),
             placement=PlacementConfig(pool_size=12),
-            experiment=ExperimentConfig(id="fig7", sweep_variable="t", sweep_values=(4, 8)),
+            experiment=ExperimentConfig(id="fig7", sweep_values=(4, 8)),
         )
         assert RunConfig.from_dict(rc.to_dict()) == rc
 
@@ -106,6 +109,11 @@ class TestRunConfig:
         assert err.value.key == "layout.d_z"
         ok = rc.with_overrides({"layout.name": name, "layout.d_z": 2.5})
         assert ok.layout.d_z == 2.5
+
+    def test_quad_layout_needs_four_panels(self):
+        with pytest.raises(ConfigError, match="N=4") as err:
+            RunConfig(system=SystemConfig(N=2)).with_overrides({"layout.name": "quad"})
+        assert err.value.key == "layout.name"
 
     def test_line_layout_ignores_facing_separation(self):
         rc = RunConfig(system=SystemConfig(N=2)).with_overrides({"layout.d_z": 1.0})

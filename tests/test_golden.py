@@ -42,7 +42,7 @@ CASES = {
     "fig6b": (run_experiment, "fig6b", {
         **M_SWEEP, "experiment.realizations": 3, "experiment.placements": 2}),
     "fig7": (run_experiment, "fig7", {
-        "system.M": 36, "experiment.sweep_variable": "t",
+        "system.M": 36,
         "experiment.sweep_values": [8, 16, 64, 500],
         "experiment.realizations": 4, "experiment.placements": 1,
         "experiment.theory_stride": 2}),

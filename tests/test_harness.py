@@ -11,6 +11,7 @@ from lis_uplink import (
     ConfigError,
     ExperimentSpec,
     RawRecord,
+    RunConfig,
     preset_run_config,
     run_asymptotic,
     run_experiment,
@@ -18,8 +19,7 @@ from lis_uplink import (
     write_outputs,
 )
 from lis_uplink import harness as hz
-
-EXPERIMENT_IDS = ("fig4", "fig5", "fig6", "fig6b", "fig7", "fig8", "fig9", "oracle")
+from lis_uplink.cli import main
 
 
 def _rec(sweep, label, value, p=0, b=0):
@@ -88,12 +88,10 @@ class TestSummarize:
 
 
 class TestSpecResolution:
-    @pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
+    @pytest.mark.parametrize("exp_id", list(hz.EXPERIMENTS))
     def test_defaults_fill_empty_sweep(self, exp_id):
         spec = ExperimentSpec.from_run_config(preset_run_config(exp_id))
-        var, values = hz._DEFAULT_SWEEPS[exp_id]
-        assert spec.experiment.sweep_variable == var
-        assert spec.experiment.sweep_values == values
+        assert spec.experiment.sweep_values == hz.EXPERIMENTS[exp_id].grid
         expect_regime = "nlos_inter" if exp_id in ("fig6", "fig6b") else "rician"
         assert spec.experiment.interference == expect_regime
 
@@ -107,31 +105,35 @@ class TestSpecResolution:
     def test_custom_sweep_values_kept(self):
         rc = _shrunk("fig5", sweep=(16.0, 36.0))
         spec = ExperimentSpec.from_run_config(rc)
-        assert spec.experiment.sweep_values == (16.0, 36.0)
-        assert spec.experiment.sweep_variable == "M"
+        assert spec.experiment.sweep_values == (16, 36)
+        assert all(type(v) is int for v in spec.experiment.sweep_values)
 
     def test_custom_device_count_grid_kept(self):
         rc = preset_run_config("fig8")
         rc = dataclasses.replace(
             rc,
-            experiment=dataclasses.replace(
-                rc.experiment, sweep_variable="K", sweep_values=(2.0, 4.0)),
+            experiment=dataclasses.replace(rc.experiment, sweep_values=(2.0, 4.0)),
         )
         spec = ExperimentSpec.from_run_config(rc)
-        assert spec.experiment.sweep_values == (2.0, 4.0)
+        assert spec.experiment.sweep_values == (2, 4)
 
-    def test_sweep_variable_mismatch_rejected(self):
-        rc = _shrunk("fig7", sweep=(8.0, 16.0))  # sweep_variable left at "M"
-        with pytest.raises(ConfigError, match="sweeps 't'") as err:
-            ExperimentSpec.from_run_config(rc)
-        assert err.value.key == "experiment.sweep_variable"
+    def test_theory_stride_resolved_per_experiment(self):
+        def stride(exp_id, **exp_kw):
+            rc = preset_run_config(exp_id)
+            rc = dataclasses.replace(rc, experiment=dataclasses.replace(rc.experiment, **exp_kw))
+            return ExperimentSpec.from_run_config(rc).experiment.theory_stride
+
+        assert stride("fig5", realizations=24) == 3
+        assert stride("fig6", realizations=5) == 1
+        assert stride("fig7", realizations=24, theory_stride=0) == 12
+        assert stride("fig7", theory_stride=5) == 5
+        assert stride("fig4") == 0  # no theory curves
 
     def test_pilot_sweep_bounds_enforced(self):
         rc = preset_run_config("fig7")
         rc = dataclasses.replace(
             rc,
-            experiment=dataclasses.replace(
-                rc.experiment, sweep_variable="t", sweep_values=(4.0, 501.0)),
+            experiment=dataclasses.replace(rc.experiment, sweep_values=(4.0, 501.0)),
         )
         with pytest.raises(ConfigError, match=r"\[8, 500\]") as err:
             ExperimentSpec.from_run_config(rc)
@@ -266,6 +268,10 @@ class TestRunExperiment:
         assert abs(report["X"]["z"]) < 6.0
         assert abs(report["Z"]["z"]) < 6.0
 
+    def test_asymptotic_runner_puts_theory_on_every_block(self):
+        rc = _shrunk("fig5", sweep=(16,), realizations=3, placements=1)
+        assert run_asymptotic(rc).spec.experiment.theory_stride == 1
+
     def test_runner_wrappers_check_experiment_id(self):
         with pytest.raises(ConfigError, match="runner expects") as err:
             run_asymptotic(_shrunk("oracle", realizations=2))
@@ -318,8 +324,10 @@ class TestWriteOutputs:
         files = write_outputs(result, tmp_path)
         manifest = json.loads((tmp_path / "fig5_manifest.json").read_text())
         assert set(manifest) == {
-            "config", "config_hash", "experiment_id", "extras", "outputs", "seed"}
+            "config", "config_hash", "experiment_id", "extras", "outputs", "seed",
+            "sweep_variable"}
         assert manifest["experiment_id"] == "fig5"
+        assert manifest["sweep_variable"] == "M"
         assert manifest["seed"] == 0
         rc = result.spec.resolved_run_config()
         assert manifest["config"] == json.loads(json.dumps(rc.to_dict()))
@@ -380,13 +388,15 @@ class TestWorkerCountInvariance:
 
 
 class TestPresets:
-    @pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
+    @pytest.mark.parametrize("exp_id", list(hz.EXPERIMENTS))
     def test_every_preset_resolves(self, exp_id):
         rc = preset_run_config(exp_id, seed=7)
         assert rc.system.seed == 7
+        assert RunConfig.from_dict(rc.to_dict()) == rc
         spec = ExperimentSpec.from_run_config(rc)
         assert spec.experiment.id == exp_id
-        assert spec.experiment.sweep_variable == hz._DEFAULT_SWEEPS[exp_id][0]
+        assert spec.experiment.sweep_values == hz.EXPERIMENTS[exp_id].grid
+        assert RunConfig.from_dict(spec.to_dict()) == spec.resolved_run_config()
 
     def test_reference_scales(self):
         base = preset_run_config("fig5")
@@ -408,3 +418,15 @@ class TestPresets:
         with pytest.raises(ConfigError, match="unknown experiment id") as err:
             preset_run_config("fig1")
         assert err.value.key == "experiment.id"
+
+    @pytest.mark.parametrize("runner", [run_experiment, run_asymptotic])
+    def test_unknown_id_rejected_before_placement(self, runner, monkeypatch):
+        monkeypatch.setattr(hz, "place_devices", None)  # any placement would fail
+        rc = RunConfig().with_overrides({"experiment.id": "fig1"})
+        with pytest.raises(ConfigError, match="unknown experiment id") as err:
+            runner(rc)
+        assert err.value.key == "experiment.id"
+
+    def test_optimizer_rejects_unknown_id(self, capsys):
+        assert main(["optimize-t", "--set", "experiment.id=fig1"]) == 2
+        assert capsys.readouterr().err.startswith("config error (experiment.id)")
