@@ -2,10 +2,13 @@
 contracts, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from lis_uplink.cli import build_parser, main
+
+HELP_GOLDEN = Path(__file__).resolve().parent / "golden" / "lis-sim-help.txt"
 
 
 def _tiny_fig4_config(tmp_path, **extra_system):
@@ -74,6 +77,13 @@ class TestParser:
         for key in ("system.M", "system.rho_tgt", "layout.d_z",
                     "placement.pool_size", "experiment.sweep_values"):
             assert key in out
+
+    def test_help_output_matches_golden(self, monkeypatch, capsys):
+        # argparse wraps usage lines to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert capsys.readouterr().out == HELP_GOLDEN.read_text(encoding="utf-8")
 
 
 class TestConfigPrecedence:
