@@ -18,7 +18,6 @@ from .asymptotics import (
 )
 from .channel import cgauss, rician_mixing
 from .config import (
-    CONFIG_KEY_HELP,
     ConfigError,
     ExperimentConfig,
     LayoutConfig,
@@ -73,7 +72,6 @@ from .scenario import (
     pilot_snrs,
     place_devices,
     rician_factor,
-    transmit_snr,
     unit_antenna_grid,
 )
 

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .asymptotics import theorem1_sse
-from .config import CONFIG_KEY_HELP, ConfigError, RunConfig, load_config, parse_override
+from .config import ConfigError, RunConfig, load_config, parse_override
 from .harness import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -31,7 +31,11 @@ _Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
 def _key_epilog() -> str:
-    texts = {**dict(CONFIG_KEY_HELP), "experiment.id": "experiment id: " + " | ".join(EXPERIMENTS)}
+    rc = RunConfig()
+    texts = {f"{section.name}.{f.name}": f.metadata["help"]
+             for section in dataclasses.fields(rc)
+             for f in dataclasses.fields(getattr(rc, section.name))}
+    texts["experiment.id"] = "experiment id: " + " | ".join(EXPERIMENTS)
     width = max(map(len, texts))
     lines = ["configuration keys (override with --set key=value):"]
     for key, text in texts.items():
@@ -44,8 +48,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, default=None, help="override system.seed")
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: LIS_SIM_WORKERS or 1)",
+        "--workers", type=int, default=1, help="worker processes (default: 1)",
     )
     parser.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",

@@ -1,8 +1,14 @@
 """System, layout, placement, and experiment configuration.
 
 All scalar knobs of the simulator live here as frozen dataclasses with a
-JSON-compatible schema. Dotted-path overrides (``system.M=256``) are applied
-with type coercion and strict key checking so typos fail loudly.
+JSON-compatible schema. A section's field is the one declaration of its key
+``section.field``: ``_key`` gives the field its default, its ``--help`` text
+and its single-value bound, if any, and ``_check_bounds``, called first in
+each section's ``__post_init__``, enforces that bound. Rules that tie keys
+together are written out in ``SystemConfig`` and ``RunConfig``;
+``harness.ExperimentSpec.from_run_config`` checks the experiment id and the
+sweep values. Dotted-path overrides (``system.M=256``) are applied with type
+coercion and strict key checking so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -10,8 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, get_args, get_type_hints
+
+import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -24,6 +32,33 @@ class ConfigError(ValueError):
         self.key = key
 
 
+def _key(default: Any, text: str, bound: str | tuple | None = None) -> Any:
+    """Declare a config key: its default, its ``--help`` text and, when it
+    has one, its single-value bound: a key of ``_BOUNDS`` or a tuple of the
+    allowed values. ``None`` passes every bound."""
+    return field(default=default, metadata={"help": text, "bound": bound})
+
+
+_BOUNDS = {">= 1": lambda v: v >= 1, ">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0}
+
+
+def _check_bounds(section) -> None:
+    """Raise ConfigError, keyed ``section.field``, on the first field of a
+    config section that lies outside its declared bound."""
+    name = type(section).__name__.removesuffix("Config").lower()
+    for f in fields(section):
+        bound, value = f.metadata["bound"], getattr(section, f.name)
+        if bound is None or value is None:
+            continue
+        if isinstance(bound, tuple):
+            ok, what = value in bound, "one of " + " | ".join(bound)
+        else:
+            ok, what = _BOUNDS[bound](value), bound
+        if not ok:
+            raise ConfigError(f"{name}.{f.name} must be {what}, got {value!r}",
+                              f"{name}.{f.name}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Scalar physical and frame parameters shared by every module.
@@ -33,50 +68,35 @@ class SystemConfig:
     2L/sqrt(M) when left unset.
     """
 
-    M: int = 64              # antennas per LIS unit (perfect square)
-    K: int = 4               # devices per LIS
-    N: int = 1               # number of LISs
-    T: int = 500             # coherence block length (symbols)
-    t: int | None = None     # pilot training length (symbols), default K
-    L: float = 0.25          # half side-length of an LIS unit (m)
-    carrier_freq: float = 3.0e9   # Hz
-    delta_L: float | None = None  # antenna spacing (m), default 2L/sqrt(M)
-    P: int = 20              # dominant NLOS path count per link
-    beta_PL: float = 3.7     # NLOS path-loss exponent
-    d_C: float = 10.0        # LOS cutoff distance (m)
-    rho_p_tgt: float = 1.0   # pilot target SNR (linear)
-    rho_tgt: float = 10 ** 0.3  # data target SNR (linear)
-    seed: int = 0            # root RNG seed
+    M: int = _key(64, "antennas per LIS unit (count, perfect square)", ">= 1")
+    K: int = _key(4, "devices per LIS (count)", ">= 1")
+    N: int = _key(1, "number of LISs (count >= 1)", ">= 1")
+    T: int = _key(500, "coherence block length (symbols)")
+    t: int | None = _key(None, "pilot training length (symbols; null -> K)")
+    L: float = _key(0.25, "half side-length of an LIS unit (m; unit side is 2L)", "> 0")
+    carrier_freq: float = _key(3.0e9, "carrier frequency (Hz); wavelength = c/carrier_freq",
+                               "> 0")
+    delta_L: float | None = _key(None, "antenna spacing (m; null -> 2L/sqrt(M))", "> 0")
+    P: int = _key(20, "dominant NLOS path count per link (count)", ">= 1")
+    beta_PL: float = _key(3.7, "NLOS path-loss exponent (dimensionless)")
+    d_C: float = _key(10.0, "LOS cutoff distance (m)", "> 0")
+    rho_p_tgt: float = _key(1.0, "pilot target SNR (linear)", "> 0")
+    rho_tgt: float = _key(10 ** 0.3, "data target SNR (linear)", "> 0")
+    seed: int = _key(0, "root RNG seed (integer)", ">= 0")
 
     def __post_init__(self):
-        side = math.isqrt(int(self.M))
-        if self.M < 1 or side * side != self.M:
+        _check_bounds(self)
+        if self.m_side ** 2 != self.M:
             raise ConfigError(f"system.M must be a perfect square, got {self.M}", "system.M")
-        if self.K < 1:
-            raise ConfigError(f"system.K must be >= 1, got {self.K}", "system.K")
-        if self.N < 1:
-            raise ConfigError(f"system.N must be >= 1, got {self.N}", "system.N")
-        if self.L <= 0:
-            raise ConfigError(f"system.L must be > 0, got {self.L}", "system.L")
-        if self.carrier_freq <= 0:
-            raise ConfigError("system.carrier_freq must be > 0", "system.carrier_freq")
-        if self.P < 1:
-            raise ConfigError(f"system.P must be >= 1, got {self.P}", "system.P")
-        if self.d_C <= 0:
-            raise ConfigError(f"system.d_C must be > 0, got {self.d_C}", "system.d_C")
-        if self.rho_p_tgt <= 0 or self.rho_tgt <= 0:
-            raise ConfigError("SNR targets must be positive", "system.rho_p_tgt")
         if not (self.K <= self.pilot_len <= self.T):
             raise ConfigError(
                 f"system.t must satisfy K <= t <= T, got t={self.pilot_len}, "
                 f"K={self.K}, T={self.T}",
                 "system.t",
             )
-        if self.spacing <= 0:
-            raise ConfigError("system.delta_L must be > 0", "system.delta_L")
-        if side * self.spacing > 2 * self.L * (1 + 1e-12):
+        if self.m_side * self.spacing > 2 * self.L * (1 + 1e-12):
             raise ConfigError(
-                f"antenna lattice sqrt(M)*delta_L = {side * self.spacing:.6g} m "
+                f"antenna lattice sqrt(M)*delta_L = {self.m_side * self.spacing:.6g} m "
                 f"exceeds the unit side 2L = {2 * self.L:.6g} m",
                 "system.delta_L",
             )
@@ -115,33 +135,28 @@ class LayoutConfig:
     and line otherwise.
     """
 
-    name: str = "auto"        # auto | line | quad
-    x_l: float = 4.0          # panel footprint side along x (m)
-    y_l: float = 4.0          # panel footprint side along y (m)
-    d_x: float = 4.0          # edge-to-edge gap to the side panels (m)
-    d_z: float = 6.0          # plane separation to the facing panel (m)
-    box_height: float = 2.0   # device box height above the panel plane (m)
+    name: str = _key("auto", "multi-LIS arrangement: auto | line | quad",
+                     ("auto", "line", "quad"))
+    x_l: float = _key(4.0, "panel footprint side along x (m)", "> 0")
+    y_l: float = _key(4.0, "panel footprint side along y (m)", "> 0")
+    d_x: float = _key(4.0, "edge-to-edge gap to side panels (m)", "> 0")
+    d_z: float = _key(6.0, "plane separation to the facing panel (m)", "> 0")
+    box_height: float = _key(2.0, "device box height above the panel plane (m)", "> 0")
 
     def __post_init__(self):
-        if self.name not in ("auto", "line", "quad"):
-            raise ConfigError(f"layout.name must be auto|line|quad, got {self.name!r}", "layout.name")
-        for key in ("x_l", "y_l", "d_x", "d_z", "box_height"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"layout.{key} must be > 0", f"layout.{key}")
+        _check_bounds(self)
 
 
 @dataclass(frozen=True)
 class PlacementConfig:
     """Device placement knobs for the rejection sampler."""
 
-    attempt_budget: int = 10000   # resample attempts per device before failing
-    pool_size: int | None = None  # candidate pool for device-count sweeps
+    attempt_budget: int = _key(10000, "resample attempts per device (count)", ">= 1")
+    pool_size: int | None = _key(None, "candidate device pool for K sweeps (count or null)",
+                                 ">= 1")
 
     def __post_init__(self):
-        if self.attempt_budget < 1:
-            raise ConfigError("placement.attempt_budget must be >= 1", "placement.attempt_budget")
-        if self.pool_size is not None and self.pool_size < 1:
-            raise ConfigError("placement.pool_size must be >= 1", "placement.pool_size")
+        _check_bounds(self)
 
     def pool_target(self, T: int) -> int:
         """Devices per panel requested for a device-count sweep: pool_size,
@@ -149,41 +164,27 @@ class PlacementConfig:
         return self.pool_size or min(T - 1, 40)
 
 
-INTERFERENCE_REGIMES = ("rician", "nlos_inter")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What to sweep and how many samples to draw; ``harness.ExperimentSpec``
-    checks the id and the sweep values against the id's ``EXPERIMENTS`` row."""
+    """What to sweep and how many samples to draw.
 
-    id: str = "fig5"
-    sweep_values: tuple = ()           # empty -> experiment default
-    realizations: int = 100            # coherence blocks per placement
-    placements: int = 2                # independent device placements
-    interference: str | None = None    # rician | nlos_inter | None (id default)
-    raw_records: bool = False          # also emit per-realization records
-    theory_stride: int = 0             # analytic curves every n-th block (0 -> auto)
+    ``ExperimentSpec.from_run_config`` in ``harness`` checks the id, and
+    that the sweep values are integers of the id's swept variable, inside
+    its range and strictly ascending."""
+
+    id: str = _key("fig5", "experiment id: a row of harness.EXPERIMENTS")
+    sweep_values: tuple = _key((), "ascending integers of the swept M, t or K (JSON list)")
+    realizations: int = _key(100, "coherence blocks per placement (count)", ">= 1")
+    placements: int = _key(2, "independent device placements (count)", ">= 1")
+    interference: str | None = _key(None, "rician | nlos_inter | null (preset default)",
+                                    ("rician", "nlos_inter"))
+    raw_records: bool = _key(False, "emit per-realization records (bool)")
+    theory_stride: int = _key(0, "evaluate analytic curves every n-th block (0 -> auto)",
+                              ">= 0")
 
     def __post_init__(self):
-        if self.realizations < 1:
-            raise ConfigError("experiment.realizations must be >= 1", "experiment.realizations")
-        if self.placements < 1:
-            raise ConfigError("experiment.placements must be >= 1", "experiment.placements")
-        if self.theory_stride < 0:
-            raise ConfigError("experiment.theory_stride must be >= 0", "experiment.theory_stride")
-        if self.interference is not None and self.interference not in INTERFERENCE_REGIMES:
-            raise ConfigError(
-                f"experiment.interference must be one of {INTERFERENCE_REGIMES}",
-                "experiment.interference",
-            )
-        values = tuple(self.sweep_values)
-        if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-            raise ConfigError(
-                "experiment.sweep_values must be strictly ascending",
-                "experiment.sweep_values",
-            )
-        object.__setattr__(self, "sweep_values", values)
+        _check_bounds(self)
+        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
 
 
 @dataclass(frozen=True)
@@ -209,20 +210,13 @@ class RunConfig:
             )
 
     def to_dict(self) -> dict:
-        out: dict[str, dict[str, Any]] = {}
-        for section_name in ("system", "layout", "placement", "experiment"):
-            section = getattr(self, section_name)
-            out[section_name] = {
-                f.name: _jsonable(getattr(section, f.name)) for f in fields(section)
-            }
-        return out
+        return _jsonable(asdict(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration root must be a JSON object")
-        known = {"system": SystemConfig, "layout": LayoutConfig,
-                 "placement": PlacementConfig, "experiment": ExperimentConfig}
+        known = get_type_hints(cls)
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown config section {key!r}", key)
@@ -272,8 +266,14 @@ class RunConfig:
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return list(value)
+    """JSON-ready copy of a value: string keys, tuples as lists, numpy
+    scalars and arrays as Python numbers and lists."""
+    if isinstance(value, dict):
+        return {str(key): _jsonable(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
     return value
 
 
@@ -337,36 +337,3 @@ def parse_override(text: str) -> tuple[str, Any]:
         value = raw
     return key, value
 
-
-# Config-key documentation used by the CLI --help epilog. One line per key.
-CONFIG_KEY_HELP: tuple[tuple[str, str], ...] = (
-    ("system.M", "antennas per LIS unit (count, perfect square)"),
-    ("system.K", "devices per LIS (count)"),
-    ("system.N", "number of LISs (count >= 1)"),
-    ("system.T", "coherence block length (symbols)"),
-    ("system.t", "pilot training length (symbols; null -> K)"),
-    ("system.L", "half side-length of an LIS unit (m; unit side is 2L)"),
-    ("system.carrier_freq", "carrier frequency (Hz); wavelength = c/carrier_freq"),
-    ("system.delta_L", "antenna spacing (m; null -> 2L/sqrt(M))"),
-    ("system.P", "dominant NLOS path count per link (count)"),
-    ("system.beta_PL", "NLOS path-loss exponent (dimensionless)"),
-    ("system.d_C", "LOS cutoff distance (m)"),
-    ("system.rho_p_tgt", "pilot target SNR (linear)"),
-    ("system.rho_tgt", "data target SNR (linear)"),
-    ("system.seed", "root RNG seed (integer)"),
-    ("layout.name", "multi-LIS arrangement: auto | line | quad"),
-    ("layout.x_l", "panel footprint side along x (m)"),
-    ("layout.y_l", "panel footprint side along y (m)"),
-    ("layout.d_x", "edge-to-edge gap to side panels (m)"),
-    ("layout.d_z", "plane separation to the facing panel (m)"),
-    ("layout.box_height", "device box height above the panel plane (m)"),
-    ("placement.attempt_budget", "resample attempts per device (count)"),
-    ("placement.pool_size", "candidate device pool for K sweeps (count or null)"),
-    ("experiment.id", "experiment id: a row of harness.EXPERIMENTS"),
-    ("experiment.sweep_values", "ascending integers of the swept M, t or K (JSON list)"),
-    ("experiment.realizations", "coherence blocks per placement (count)"),
-    ("experiment.placements", "independent device placements (count)"),
-    ("experiment.interference", "rician | nlos_inter | null (preset default)"),
-    ("experiment.raw_records", "emit per-realization records (bool)"),
-    ("experiment.theory_stride", "evaluate analytic curves every n-th block (0 -> auto)"),
-)

@@ -37,7 +37,6 @@ import functools
 import json
 import math
 import numbers
-import os
 import re
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -55,6 +54,7 @@ from .config import (
     PlacementConfig,
     RunConfig,
     SystemConfig,
+    _jsonable,
 )
 from .links import (
     DOMAIN_BLOCK,
@@ -92,9 +92,10 @@ class ExperimentSpec:
 
     ``from_run_config`` alone resolves a config against its ``EXPERIMENTS``
     row: it rejects an unknown id, fills an empty sweep with the row's grid,
-    checks each value against the swept variable and stores it as ``int``,
-    and fills in the interference regime and the theory stride. Reductions
-    and the manifest use the result as is."""
+    checks each value against the swept variable, stores it as ``int`` and
+    checks that the sweep strictly ascends, and fills in the interference
+    regime and the theory stride. Reductions and the manifest use the
+    result as is."""
 
     system: SystemConfig
     layout: LayoutConfig
@@ -117,6 +118,9 @@ class ExperimentSpec:
             raise ConfigError(f"sweep values must be finite integers, got {list(values)}",
                               "experiment.sweep_values")
         values = tuple(map(int, values))
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ConfigError(f"sweep values must be strictly ascending, got {list(values)}",
+                              "experiment.sweep_values")
         lo, hi = (rc.system.pilot_len, rc.system.T) if row.variable == "t" else (1, math.inf)
         bad = [v for v in values if not (lo <= v <= hi)]
         if bad:
@@ -198,21 +202,6 @@ def summarize(records) -> list[StatSummary]:
 
 # ---------------------------------------------------------------------------
 # block engine
-
-
-def resolve_workers(workers=None) -> int:
-    """Explicit argument, else LIS_SIM_WORKERS, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("LIS_SIM_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(
-                f"LIS_SIM_WORKERS must be an integer, got {env!r}", "LIS_SIM_WORKERS"
-            ) from exc
-    return 1
 
 
 def _pmap(fn, tasks, workers: int) -> list:
@@ -581,23 +570,23 @@ def _task(task):
     return reduce(spec, p)
 
 
-def _run(spec: ExperimentSpec, reduce, workers) -> ExperimentResult:
+def _run(spec: ExperimentSpec, reduce, workers: int) -> ExperimentResult:
     """Map a reduction over placements; records are concatenated in
     placement order, so outputs do not depend on the worker count."""
     tasks = [(reduce, spec, p) for p in range(spec.experiment.placements)]
-    outs = _pmap(_task, tasks, resolve_workers(workers))
+    outs = _pmap(_task, tasks, workers)
     records = [RawRecord(*rec) for recs, _ in outs for rec in recs]
     extras = {"placements": [extras for _, extras in outs]}
     return ExperimentResult(spec=spec, records=records, summaries=summarize(records), extras=extras)
 
 
-def run_experiment(run_config: RunConfig, workers=None) -> ExperimentResult:
+def run_experiment(run_config: RunConfig, workers: int = 1) -> ExperimentResult:
     """Resolve, run, and aggregate the experiment named by the config."""
     spec = ExperimentSpec.from_run_config(run_config)
     return _run(spec, EXPERIMENTS[spec.experiment.id].reduce, workers)
 
 
-def run_asymptotic(rc: RunConfig, workers=None) -> ExperimentResult:
+def run_asymptotic(rc: RunConfig, workers: int = 1) -> ExperimentResult:
     """Analytic curves of an M-sweep experiment: the panel-0 reduction with
     receive-side sampling off (gates and scattering angles are still drawn
     per block), with theory curves on every block."""
@@ -625,18 +614,6 @@ def _fmt(x: float) -> str:
 
 def _slug(label: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-")
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(key): _jsonable(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
 
 
 def write_outputs(result: ExperimentResult, out_dir) -> list[Path]:

@@ -208,42 +208,29 @@ def rician_factor(d):
     return float(out) if out.ndim == 0 else out
 
 
-def transmit_snr(device, unit_center, target: float) -> float:
-    """Transmit SNR that makes the received SNR at the unit-center antenna
-    equal ``target``: rho * beta_center^2 = target.
-
-    Coordinates are in the panel frame, whose plane contains the unit
-    center; the center-antenna LOS gain is beta^2 = (z/d) / (4 pi d^2)
-    with d the device-to-center distance and z the perpendicular offset.
-    """
-    delta = np.asarray(device, float) - np.asarray(unit_center, float)
-    d = float(np.linalg.norm(delta))
-    z = float(delta[2])
-    if d <= 0.0 or z <= 0.0:
-        raise ValueError("device sits on the LIS plane; channel gain undefined")
-    beta2_center = (z / d) / (4.0 * math.pi * d * d)
-    return float(target) / beta2_center
-
-
 def pilot_snrs(deployment: Deployment, config: SystemConfig) -> np.ndarray:
     """Per-device pilot transmit SNR (N, K) from the power-control rule."""
-    return _snr_grid(deployment, config.rho_p_tgt)
+    return config.rho_p_tgt / _center_gain(deployment)
 
 
 def data_snrs(deployment: Deployment, config: SystemConfig) -> np.ndarray:
     """Per-device data transmit SNR (N, K) from the power-control rule."""
-    return _snr_grid(deployment, config.rho_tgt)
+    return config.rho_tgt / _center_gain(deployment)
 
 
-def _snr_grid(deployment: Deployment, target: float) -> np.ndarray:
-    N, K = deployment.N, deployment.K
-    out = np.empty((N, K))
-    for n in range(N):
-        for k in range(K):
-            dev = deployment.devices_local[n, k]
-            center = np.array([dev[0], dev[1], 0.0])
-            out[n, k] = transmit_snr(dev, center, target)
-    return out
+def _center_gain(deployment: Deployment) -> np.ndarray:
+    """LOS gain beta^2 (N, K) of each device at its own unit-center antenna.
+
+    Power control sets the transmit SNR to target / beta^2, so that the
+    received SNR there equals the target. In general beta^2 =
+    (z/d) / (4 pi d^2) with d the device-to-center distance and z the
+    perpendicular offset; every device sits at boresight of its unit, so
+    d = z and beta^2 = 1 / (4 pi z^2).
+    """
+    z = deployment.devices_local[..., 2]
+    if np.any(z <= 0.0):
+        raise ValueError("device sits on the LIS plane; channel gain undefined")
+    return 1.0 / (4.0 * math.pi * z * z)
 
 
 def center_distances(deployment: Deployment, n: int, k: int) -> np.ndarray:

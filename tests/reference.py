@@ -16,7 +16,10 @@ Per-link oracles of the uplink model, one link or one unit at a time:
 - ``desired_power`` and ``interference_terms``: the matched-filter X, Y, Z
   and I of one filter vector, against ``BlockKernel.terms``;
 - ``to_local`` and ``subset``: a panel frame's inverse map and the
-  first-K-devices view of a deployment.
+  first-K-devices view of a deployment;
+- ``transmit_snr``: the power-control rule of one device toward any unit
+  center, off-boresight included, against ``scenario.pilot_snrs`` and
+  ``data_snrs``.
 
 ``moment_fields``, ``los_phase`` and ``kernel_products`` transcribe the
 ``einsum`` forms of the moment and kernel contractions.
@@ -226,3 +229,20 @@ def subset(deployment: Deployment, K: int) -> Deployment:
         unit_centers_local=deployment.unit_centers_local[:, :K],
         unit_centers=deployment.unit_centers[:, :K],
     )
+
+
+def transmit_snr(device, unit_center, target: float) -> float:
+    """Transmit SNR that makes the received SNR at the unit-center antenna
+    equal ``target``: rho * beta_center^2 = target.
+
+    Coordinates are in the panel frame, whose plane contains the unit
+    center; the center-antenna LOS gain is beta^2 = (z/d) / (4 pi d^2)
+    with d the device-to-center distance and z the perpendicular offset.
+    """
+    delta = np.asarray(device, float) - np.asarray(unit_center, float)
+    d = float(np.linalg.norm(delta))
+    z = float(delta[2])
+    if d <= 0.0 or z <= 0.0:
+        raise ValueError("device sits on the LIS plane; channel gain undefined")
+    beta2_center = (z / d) / (4.0 * math.pi * d * d)
+    return float(target) / beta2_center

@@ -1,11 +1,13 @@
 """Command-line front end: parsing, config precedence, dispatch, output
 contracts, and exit codes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from lis_uplink import RunConfig
 from lis_uplink.cli import build_parser, main
 
 HELP_GOLDEN = Path(__file__).resolve().parent / "golden" / "lis-sim-help.txt"
@@ -43,7 +45,7 @@ class TestParser:
         args = build_parser().parse_args([sub])
         assert args.subcommand == sub
         assert args.out == "out"
-        assert args.config is None and args.seed is None and args.workers is None
+        assert args.config is None and args.seed is None and args.workers == 1
         assert args.overrides == []
 
     def test_reproduce_takes_experiment_argument(self):
@@ -73,10 +75,16 @@ class TestParser:
             main(["--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "configuration keys (override with --set key=value):" in out
-        for key in ("system.M", "system.rho_tgt", "layout.d_z",
-                    "placement.pool_size", "experiment.sweep_values"):
-            assert key in out
+        header = "configuration keys (override with --set key=value):"
+        assert header in out
+        documented = dict(line.split(maxsplit=1) for line in
+                          out.split(header)[1].strip("\n").splitlines())
+        rc = RunConfig()
+        leaves = [f"{section.name}.{f.name}" for section in dataclasses.fields(rc)
+                  for f in dataclasses.fields(getattr(rc, section.name))]
+        assert len(leaves) == 29
+        assert list(documented) == leaves
+        assert all(text.strip() for text in documented.values())
 
     def test_help_output_matches_golden(self, monkeypatch, capsys):
         # argparse wraps usage lines to the terminal width
@@ -166,6 +174,13 @@ class TestErrorPaths:
         key = setting.split("=")[0]
         assert capsys.readouterr().err.startswith(f"config error ({key})")
 
+    @pytest.mark.parametrize("setting", ["system.M=-4", "system.seed=-1", "system.rho_tgt=-1"])
+    def test_out_of_bound_value_exits_2_before_placement(self, setting, monkeypatch, capsys):
+        monkeypatch.setattr("lis_uplink.harness.place_devices", None)
+        assert main(["simulate", "--set", setting]) == 2
+        key = setting.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"config error ({key})")
+
     def test_unknown_override_key_exits_2(self, capsys):
         assert main(["simulate", "--set", "bogus.key=1"]) == 2
         err = capsys.readouterr().err
@@ -222,6 +237,8 @@ class TestErrorPaths:
         ("simulate", "fig7", "[4, 8.5]"),
         ("simulate", "fig8", "[2.5, 3, 99]"),
         ("simulate", "fig8", "[0, 2]"),
+        ("simulate", "fig5", '["a", 1]'),
+        ("simulate", "fig5", "[100, 100]"),
     ])
     def test_bad_sweep_value_exits_2_before_placement(self, sub, exp_id, values,
                                                       monkeypatch, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lis_uplink import ExperimentSpec
 from lis_uplink.config import (
-    CONFIG_KEY_HELP,
     ConfigError,
     ExperimentConfig,
     LayoutConfig,
@@ -59,8 +58,10 @@ class TestSystemConfig:
 
 class TestExperimentConfig:
     def test_sweep_values_must_ascend(self):
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig(id="fig5", sweep_values=(100, 100))
+        # checked where the sweep resolves, after the type of each value
+        rc = RunConfig(experiment=ExperimentConfig(id="fig5", sweep_values=(100, 100)))
+        with pytest.raises(ConfigError, match="ascending") as err:
+            ExperimentSpec.from_run_config(rc)
         assert err.value.key == "experiment.sweep_values"
 
     def test_unknown_id_rejected(self):
@@ -194,18 +195,39 @@ class TestNumericValues:
         assert info.value.key == key
 
 
-class TestKeyHelp:
-    def test_every_leaf_key_documented(self):
-        documented = {key for key, _ in CONFIG_KEY_HELP}
-        rc = RunConfig()
-        for section in ("system", "layout", "placement", "experiment"):
-            obj = getattr(rc, section)
-            for field in dataclasses.fields(obj):
-                assert f"{section}.{field.name}" in documented
+# every declared single-value bound, with a value just outside it
+_OUT_OF_BOUND = {
+    "system.M": 0, "system.K": 0, "system.N": 0, "system.L": 0.0,
+    "system.carrier_freq": 0.0, "system.delta_L": 0.0, "system.P": 0,
+    "system.d_C": 0.0, "system.rho_p_tgt": 0.0, "system.rho_tgt": 0.0,
+    "system.seed": -1,
+    "layout.name": "ring", "layout.x_l": 0.0, "layout.y_l": 0.0,
+    "layout.d_x": 0.0, "layout.d_z": 0.0, "layout.box_height": 0.0,
+    "placement.attempt_budget": 0, "placement.pool_size": 0,
+    "experiment.realizations": 0, "experiment.placements": 0,
+    "experiment.interference": "mixed", "experiment.theory_stride": -1,
+}
 
-    def test_every_help_entry_has_units_text(self):
-        for key, text in CONFIG_KEY_HELP:
-            assert text.strip(), f"empty help for {key}"
+
+class TestBounds:
+    def test_every_declared_bound_is_covered(self):
+        declared = {
+            f"{section}.{f.name}"
+            for section, cls in _SECTIONS.items()
+            for f in dataclasses.fields(cls)
+            if f.metadata["bound"] is not None
+        }
+        assert declared == set(_OUT_OF_BOUND)
+
+    @pytest.mark.parametrize("key, value", sorted(_OUT_OF_BOUND.items()))
+    def test_value_just_outside_bound_rejected(self, key, value):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError) as err:
+            _SECTIONS[section](**{name: value})
+        assert err.value.key == key
+        with pytest.raises(ConfigError) as err:
+            RunConfig().with_overrides({key: value})
+        assert err.value.key == key and key in str(err.value)
 
 
 @given(

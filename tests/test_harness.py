@@ -1,6 +1,7 @@
 """Experiment engine: spec resolution, aggregation, runners, file output."""
 
 import dataclasses
+import inspect
 import json
 import math
 
@@ -148,28 +149,14 @@ class TestSpecResolution:
 
 
 class TestResolveWorkers:
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("LIS_SIM_WORKERS", "7")
-        assert hz.resolve_workers(3) == 3
+    def test_default_is_serial(self):
+        for runner in (hz.run_experiment, hz.run_asymptotic):
+            assert inspect.signature(runner).parameters["workers"].default == 1
 
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv("LIS_SIM_WORKERS", "5")
-        assert hz.resolve_workers(None) == 5
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("LIS_SIM_WORKERS", raising=False)
-        assert hz.resolve_workers(None) == 1
-
-    def test_values_clamped_to_one(self, monkeypatch):
-        monkeypatch.setenv("LIS_SIM_WORKERS", "0")
-        assert hz.resolve_workers(None) == 1
-        assert hz.resolve_workers(-4) == 1
-
-    def test_non_integer_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv("LIS_SIM_WORKERS", "many")
-        with pytest.raises(ConfigError, match="integer") as err:
-            hz.resolve_workers(None)
-        assert err.value.key == "LIS_SIM_WORKERS"
+    def test_values_clamped_to_one(self):
+        # counts below one run serially (a lambda would not survive a pool)
+        for workers in (0, -4):
+            assert hz._pmap(lambda x: x + 1, [1, 2, 3], workers) == [2, 3, 4]
 
     def test_serial_map_paths(self):
         assert hz._pmap(lambda x: x + 1, [1, 2, 3], 1) == [2, 3, 4]

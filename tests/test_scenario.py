@@ -20,7 +20,6 @@ from lis_uplink import (
     pilot_snrs,
     place_devices,
     rician_factor,
-    transmit_snr,
     unit_antenna_grid,
 )
 
@@ -270,16 +269,25 @@ class TestLinkStatistics:
         assert_close(off3[3], dep.devices_local[3, :, 2], rtol=1e-12)
 
 
+def _boresight(z):
+    """One panel at the origin with one device straight above its unit
+    center, at height z."""
+    device = np.array([[[0.0, 0.0, z]]])
+    center = np.zeros((1, 1, 3))
+    frames = tuple(build_layout(LayoutConfig(name="line"), 1))
+    return Deployment(frames, device, device, center, center)
+
+
 class TestPowerControl:
     def test_definitional_inversion(self):
         # beta^2 = (z/d)/(4 pi d^2) = 0.01 for a device straight above the
         # center at d = 1/(0.2 sqrt(pi)); the 0 dB target then needs rho = 100.
         d = 1.0 / (0.2 * math.sqrt(math.pi))
-        rho = transmit_snr(np.array([0.0, 0.0, d]), np.zeros(3), 1.0)
-        assert_close(rho, 100.0)
+        rho = pilot_snrs(_boresight(d), SystemConfig(rho_p_tgt=1.0))
+        assert_close(rho, np.array([[100.0]]))
 
     def test_unit_height_device(self):
-        rho = transmit_snr(np.array([0.0, 0.0, 1.0]), np.zeros(3), 1.0)
+        rho = float(pilot_snrs(_boresight(1.0), SystemConfig(rho_p_tgt=1.0))[0, 0])
         assert_close(rho, 4.0 * math.pi)
         assert round(rho, 3) == 12.566
 
@@ -298,8 +306,22 @@ class TestPowerControl:
         assert np.all(rho > 0)
 
     def test_on_plane_device_rejected(self):
-        with pytest.raises(ValueError, match="plane"):
-            transmit_snr(np.array([1.0, 0.0, 0.0]), np.zeros(3), 1.0)
+        for snrs in (pilot_snrs, data_snrs):
+            with pytest.raises(ValueError, match="plane"):
+                snrs(_boresight(0.0), SystemConfig())
+
+    @pytest.mark.parametrize("N, name", [(4, "quad"), (2, "line")])
+    def test_matches_reference_loop_bit_for_bit(self, N, name):
+        cfg = SystemConfig(M=16, K=3, N=N)
+        for seed in range(5):
+            dep = _place(cfg, LayoutConfig(name=name), seed=seed)
+            for snrs, target in ((pilot_snrs, cfg.rho_p_tgt), (data_snrs, cfg.rho_tgt)):
+                loop = np.empty((N, cfg.K))
+                for n in range(N):
+                    for k in range(cfg.K):
+                        dev = dep.devices_local[n, k]
+                        loop[n, k] = reference.transmit_snr(dev, [dev[0], dev[1], 0.0], target)
+                assert np.array_equal(snrs(dep, cfg), loop)
 
     @given(
         dx=st.floats(-5.0, 5.0, allow_nan=False),
@@ -310,7 +332,7 @@ class TestPowerControl:
     def test_inversion_identity(self, dx, dy, z, target):
         center = np.array([0.3, -0.7, 0.0])
         device = center + np.array([dx, dy, z])
-        rho = transmit_snr(device, center, target)
+        rho = reference.transmit_snr(device, center, target)
         d = math.sqrt(dx * dx + dy * dy + z * z)
         beta2 = (z / d) / (4.0 * math.pi * d * d)
         assert abs(rho * beta2 - target) <= 1e-12 * target
