@@ -26,7 +26,7 @@ import numpy as np
 
 # ``stream`` is not called here; perfbench/test_tracer.py checks that its
 # tracer reaches this module's binding of it
-from .links import UnitChannelStats, stream  # noqa: F401
+from .links import UnitChannelStats, contamination_weights, stream  # noqa: F401
 
 
 def rate_log(x):
@@ -71,8 +71,6 @@ class MomentSet:
     var_z_noise_m: float        # per-antenna coefficient of 1/t
     rho_d: np.ndarray           # (N, K) data SNRs used in the assembly
     rho_d_own: float
-    rho_p_own: float
-    beta2_sum: float            # serving-link LOS power
     z_own: float                # device's perpendicular distance to its panel
     L: float                    # panel half-side
 
@@ -98,19 +96,8 @@ class MomentSet:
     def mu_I_bar(self, t=None) -> float:
         """Composite interference mean: rho-weighted X and Y second moments
         plus the filter norm, every variance evaluated at pilot length t."""
-        t = self._t(t)
-        rho, rho_own = self.rho_d, self.rho_d_own
-        const = (
-            rho_own * (self.var_x_const + abs(self.mu_x) ** 2)
-            + float(np.sum(rho * (self.var_y_const + np.abs(self.mu_y) ** 2)))
-            + float(np.sum(self.var_z_const_m) + np.sum(np.abs(self.q_bar) ** 2))
-        )
-        noise = (
-            rho_own * self.var_x_noise
-            + float(np.sum(rho * self.var_y_noise))
-            + self.M * self.var_z_noise_m
-        )
-        return const + noise / t
+        return (self.rho_d_own * self.mu_X(t) + float(np.sum(self.rho_d * self.mu_Y_bar(t)))
+                + self.mu_Z(t))
 
     @property
     def mu_I_hat(self) -> float:
@@ -142,11 +129,7 @@ def build_moment_set(
     rho_p_own = float(pilot_snrs[n, k])
     hbar = stats.hbar.reshape(N * K, M)
 
-    # Contaminators: same-pilot devices on other panels, weighted by the
-    # root of their pilot-SNR ratio. Same-panel pilots are orthogonal after
-    # despreading and drop out exactly.
-    sqrt_ratio = np.sqrt(pilot_snrs[:, k] / rho_p_own)
-    sqrt_ratio[n] = 0.0
+    sqrt_ratio = contamination_weights(pilot_snrs, n, k)
     cont_w = sqrt_ratio**2 * stats.nlos_var[:, k]  # scattered-power weight per contaminator
 
     mu_e = sqrt_ratio @ stats.hbar[:, k]
@@ -203,8 +186,6 @@ def build_moment_set(
         var_z_noise_m=1.0 / rho_p_own,
         rho_d=data_snrs,
         rho_d_own=float(data_snrs[n, k]),
-        rho_p_own=rho_p_own,
-        beta2_sum=geom.own_power,
         z_own=float(z_own),
         L=float(L),
     )
@@ -220,17 +201,12 @@ def quarter_solid_angle(L: float, z: float) -> float:
 @dataclass(frozen=True)
 class AsymptoticSse:
     """Deterministic large-M SSE of one panel and its interference-floor
-    bound, per device."""
+    bound."""
 
-    p: np.ndarray          # (K,) quadrant solid angles
     p_bar: np.ndarray      # (K,) deterministic serving powers M^2 p^2/(16 pi^2 L^4)
-    gamma_bar: np.ndarray  # (K,) deterministic SINRs
     gamma_hat: np.ndarray  # (K,) floor-bound SINRs (inf if interference-free)
     sse_bar: float
     sse_hat: float
-    t: float
-    T: int
-    prelog: float
 
 
 def serving_power(M: int, p, L: float):
@@ -244,6 +220,15 @@ def floor_sinrs(rho_own: np.ndarray, p_bar: np.ndarray, floors: np.ndarray) -> n
     zero (an interference-free device)."""
     with np.errstate(divide="ignore"):
         return np.where(floors > 0.0, rho_own * p_bar / floors, np.inf)
+
+
+def sse(gammas, t, T: int) -> float:
+    """Sum spectral efficiency (1 - t/T) sum_k log2(1 + gamma_k) of one
+    panel at pilot length t; 0 once the pilots fill the block (t >= T)."""
+    prelog = 1.0 - t / T
+    if prelog <= 0.0:
+        return 0.0
+    return prelog * float(np.sum(rate_log(1.0 + np.asarray(gammas, dtype=float))))
 
 
 def theorem1_sse(moment_sets: list[MomentSet], t, T: int) -> AsymptoticSse:
@@ -264,21 +249,5 @@ def theorem1_sse(moment_sets: list[MomentSet], t, T: int) -> AsymptoticSse:
     gamma_bar = rho_own * p_bar / mu_bar
     floors = np.array([ms.mu_I_hat for ms in moment_sets])
     gamma_hat = floor_sinrs(rho_own, p_bar, floors)
-    prelog = 1.0 - t / T
-    if prelog <= 0.0:
-        sse_bar = 0.0
-        sse_hat = 0.0
-    else:
-        sse_bar = float(prelog * np.sum(rate_log(1.0 + gamma_bar)))
-        sse_hat = float(prelog * np.sum(rate_log(1.0 + gamma_hat)))
-    return AsymptoticSse(
-        p=p,
-        p_bar=p_bar,
-        gamma_bar=gamma_bar,
-        gamma_hat=gamma_hat,
-        sse_bar=sse_bar,
-        sse_hat=sse_hat,
-        t=t,
-        T=int(T),
-        prelog=float(prelog),
-    )
+    return AsymptoticSse(p_bar=p_bar, gamma_hat=gamma_hat,
+                         sse_bar=sse(gamma_bar, t, T), sse_hat=sse(gamma_hat, t, T))

@@ -159,7 +159,7 @@ def _cmd_optimize_k(args) -> int:
     """Theorem 2 floor NSE over the device count on placement 0's pool."""
     spec = _optimizer_spec(_build_run_config(args))
     dep = _place(spec, 0, pool=True)
-    sol = _optimal_count(dep, spec.system, spec.experiment.interference)
+    sol = _optimal_count(spec, *_worlds(spec, dep, K=dep.K, t=None))
     return _write_json(args, "optimize_k.json", {**sol.trace(), "pool": dep.K})
 
 

@@ -71,14 +71,14 @@ class SystemConfig:
     M: int = _key(64, "antennas per LIS unit (count, perfect square)", ">= 1")
     K: int = _key(4, "devices per LIS (count)", ">= 1")
     N: int = _key(1, "number of LISs (count >= 1)", ">= 1")
-    T: int = _key(500, "coherence block length (symbols)")
+    T: int = _key(500, "coherence block length (symbols)", ">= 1")
     t: int | None = _key(None, "pilot training length (symbols; null -> K)")
     L: float = _key(0.25, "half side-length of an LIS unit (m; unit side is 2L)", "> 0")
     carrier_freq: float = _key(3.0e9, "carrier frequency (Hz); wavelength = c/carrier_freq",
                                "> 0")
     delta_L: float | None = _key(None, "antenna spacing (m; null -> 2L/sqrt(M))", "> 0")
     P: int = _key(20, "dominant NLOS path count per link (count)", ">= 1")
-    beta_PL: float = _key(3.7, "NLOS path-loss exponent (dimensionless)")
+    beta_PL: float = _key(3.7, "NLOS path-loss exponent (dimensionless)", "> 0")
     d_C: float = _key(10.0, "LOS cutoff distance (m)", "> 0")
     rho_p_tgt: float = _key(1.0, "pilot target SNR (linear)", "> 0")
     rho_tgt: float = _key(10 ** 0.3, "data target SNR (linear)", "> 0")
@@ -88,6 +88,9 @@ class SystemConfig:
         _check_bounds(self)
         if self.m_side ** 2 != self.M:
             raise ConfigError(f"system.M must be a perfect square, got {self.M}", "system.M")
+        if self.t is None and self.K > self.T:
+            raise ConfigError(f"system.K must satisfy K <= T, got K={self.K}, T={self.T}",
+                              "system.K")
         if not (self.K <= self.pilot_len <= self.T):
             raise ConfigError(
                 f"system.t must satisfy K <= t <= T, got t={self.pilot_len}, "

@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import build_moment_set, rate_log, theorem1_sse
+from .asymptotics import build_moment_set, sse, theorem1_sse
 from .channel import cgauss
 from .config import (
     ConfigError,
@@ -87,8 +87,9 @@ def interference_regime(exp: ExperimentConfig) -> str:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """A fully resolved experiment: configuration plus concrete sweep.
+class ExperimentSpec(RunConfig):
+    """A fully resolved run configuration: the same sections, with the
+    experiment's sweep made concrete.
 
     ``from_run_config`` alone resolves a config against its ``EXPERIMENTS``
     row: it rejects an unknown id, fills an empty sweep with the row's grid,
@@ -96,11 +97,6 @@ class ExperimentSpec:
     checks that the sweep strictly ascends, and fills in the interference
     regime and the theory stride. Reductions and the manifest use the
     result as is."""
-
-    system: SystemConfig
-    layout: LayoutConfig
-    placement: PlacementConfig
-    experiment: ExperimentConfig
 
     @classmethod
     def from_run_config(cls, rc: RunConfig) -> "ExperimentSpec":
@@ -138,16 +134,6 @@ class ExperimentSpec:
         resolved = dataclasses.replace(exp, sweep_values=values, theory_stride=stride,
                                        interference=exp.interference or row.interference)
         return cls(system=rc.system, layout=rc.layout, placement=rc.placement, experiment=resolved)
-
-    @property
-    def seed(self) -> int:
-        return self.system.seed
-
-    def resolved_run_config(self) -> RunConfig:
-        return RunConfig(self.system, self.layout, self.placement, self.experiment)
-
-    def to_dict(self) -> dict:
-        return self.resolved_run_config().to_dict()
 
 
 @dataclass(frozen=True)
@@ -215,7 +201,7 @@ def _place(spec: ExperimentSpec, p_idx: int, pool: bool = False):
     """Devices of placement p_idx; with pool, the largest common placeable
     pool up to ``PlacementConfig.pool_target``."""
     K = spec.placement.pool_target(spec.system.T) if pool else None
-    return place_devices(spec.system, spec.layout, placement_rng(spec.seed, p_idx),
+    return place_devices(spec.system, spec.layout, placement_rng(spec.system.seed, p_idx),
                          placement=spec.placement, K=K, allow_partial=pool)
 
 
@@ -223,18 +209,15 @@ def _unit_rng(seed: int, p_idx: int, b_idx: int, n_key: int, k: int):
     return stream(seed, DOMAIN_BLOCK, p_idx, b_idx, n_key, k)
 
 
-def _panel0_draw(draw):
-    """Panel-0 slice of a multi-panel draw: the single-LIS twin sees the
-    same gates, angles, fading, and receiver noise, so multi-vs-single
-    differences are paired and carry only the inter-panel terms."""
-    return dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1], g=draw.g[:1])
+def _draw_prefix(draw, N: int | None = None, K: int | None = None):
+    """First N panels and first K devices per panel of a draw (None keeps
+    the whole axis); the receiver noise is per antenna and kept whole.
 
-
-def _admitted_draw(draw, K: int):
-    """First K devices per panel of a pool-shaped draw; the receiver noise
-    is per antenna and kept whole."""
-    return dataclasses.replace(draw, coins=draw.coins[:, :K], angles=draw.angles[:, :K],
-                               g=draw.g[:, :K])
+    With N=1 this is the single-LIS twin's draw: it sees the same gates,
+    angles, fading and receiver noise, so multi-vs-single differences are
+    paired and carry only the inter-panel terms."""
+    return dataclasses.replace(draw, coins=draw.coins[:N, :K], angles=draw.angles[:N, :K],
+                               g=draw.g[:N, :K])
 
 
 def _worlds(spec: ExperimentSpec, dep, twin: bool = False, **changes) -> list:
@@ -260,10 +243,10 @@ def _unit_block(spec: ExperimentSpec, worlds, p: int, b: int, n: int, k: int,
     Callers reduce one unit before drawing the next, so the (N, K, M, P)
     roots of different units are never alive together."""
     cfg = worlds[0].config
-    draw = draw_unit_block(_unit_rng(spec.seed, p, b, n, k), cfg.N, cfg.K, cfg.P, cfg.M)
+    draw = draw_unit_block(_unit_rng(spec.system.seed, p, b, n, k), cfg.N, cfg.K, cfg.P, cfg.M)
     if admitted is not None:
-        draw = _admitted_draw(draw, admitted)
-    draws = [draw] + [_panel0_draw(draw)] * (len(worlds) - 1)
+        draw = _draw_prefix(draw, K=admitted)
+    draws = [draw] + [_draw_prefix(draw, N=1)] * (len(worlds) - 1)
     out = []
     for world, d in zip(worlds, draws):
         geom = world.unit(n, k)
@@ -276,7 +259,7 @@ def _unit_block(spec: ExperimentSpec, worlds, p: int, b: int, n: int, k: int,
 def _refades(spec: ExperimentSpec, cfg: SystemConfig, p: int, r: int, n: int, k: int):
     """Fresh fading g and noise w of realization r of unit (n, k), on top
     of the frozen block-0 condition (stream address b = r + 1)."""
-    rng = _unit_rng(spec.seed, p, r + 1, n, k)
+    rng = _unit_rng(spec.system.seed, p, r + 1, n, k)
     return cgauss(rng, (cfg.N, cfg.K, cfg.P)), cgauss(rng, (cfg.M,))
 
 
@@ -325,14 +308,11 @@ def _sampled_nse(spec: ExperimentSpec, worlds, p: int, b: int, K_grid) -> dict:
     return {K: nse_of_gammas(gam[K], K, cfg.T) for K in K_grid}
 
 
-def _optimal_count(dep, cfg: SystemConfig, regime: str):
-    """Device count maximizing the Theorem 2 floor NSE over the pool."""
-    table = expected_floor_table(dep, cfg, regime=regime)
-    return optimal_num_devices(table.gamma_hat, cfg.T, dep.K)
-
-
-def _sse(gammas, t: int, T: int) -> float:
-    return (1.0 - t / T) * float(np.sum(rate_log(1.0 + np.asarray(gammas))))
+def _optimal_count(spec: ExperimentSpec, world: LinkWorld):
+    """Device count maximizing the Theorem 2 floor NSE over the pool of a
+    world whose config holds that pool (K = pool, t unset)."""
+    table = expected_floor_table(world, spec.experiment.interference)
+    return optimal_num_devices(table.gamma_hat, world.config.T, world.deployment.K)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +338,7 @@ def _se_variance(spec: ExperimentSpec, p: int):
             g, w = _refades(spec, cfg, p, r, 0, 0)
             for i, (world, stats, _) in enumerate(frozen):
                 kern = _kernel(stats, world, g[: world.config.N], w)
-                se[i, r] = _sse(kern.gamma(t), t, cfg.T)
+                se[i, r] = sse(kern.gamma(t), t, cfg.T)
         for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), se):
             recs.append((float(M), label, p, 0, float(np.var(row, ddof=1)) if R > 1 else 0.0))
             mean_se.setdefault(label, {})[M] = float(np.mean(row))
@@ -386,7 +366,7 @@ def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
                     sets[i].append(_moments(stats, world, t))
         if sample:
             for row, tag in zip(gammas, ("multi-LIS", "single-LIS")):
-                recs.append((float(M), f"{tag} imperfect CSI", p, b, _sse(row, t, T)))
+                recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(row, t, T)))
         if theory:
             for unit_sets, suffix in zip(sets, ("", " single-LIS")):
                 th = theorem1_sse(unit_sets, t, T)
@@ -411,8 +391,8 @@ def _csi(spec: ExperimentSpec, p: int):
                 kern = _kernel(stats, world, draw.g, draw.w)
                 gammas[i, :, k] = kern.gamma(t), kern.gamma_perfect
         for (est, exact), tag in zip(gammas, ("multi-LIS", "single-LIS")):
-            recs.append((float(M), f"{tag} imperfect CSI", p, b, _sse(est, t, T)))
-            recs.append((float(M), f"{tag} perfect CSI", p, b, _sse(exact, t, T)))
+            recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(est, t, T)))
+            recs.append((float(M), f"{tag} perfect CSI", p, b, sse(exact, t, T)))
     return recs, {}
 
 
@@ -432,8 +412,8 @@ def _pilot(spec: ExperimentSpec, p: int):
             if theory:
                 sets.append(_moments(stats, world, cfg.pilot_len))
         for t in exp.sweep_values:
-            sse = _sse([kern.gamma(t) for kern in kernels], t, cfg.T) if t < cfg.T else 0.0
-            recs.append((float(t), "multi-LIS imperfect CSI", p, b, sse))
+            value = sse([kern.gamma(t) for kern in kernels], t, cfg.T)
+            recs.append((float(t), "multi-LIS imperfect CSI", p, b, value))
             if theory:
                 recs.append((float(t), "Theorem 1", p, b, theorem1_sse(sets, t, cfg.T).sse_bar))
     return recs, {}
@@ -445,7 +425,7 @@ def _ksweep(spec: ExperimentSpec, p: int):
     cfg, exp = spec.system, spec.experiment
     dep = _place(spec, p, pool=True)
     pool = dep.K
-    sol = _optimal_count(dep, cfg, exp.interference)
+    sol = _optimal_count(spec, *_worlds(spec, dep, K=pool, t=None))
     recs = [(float(K), "Theorem 2 bound NSE", p, 0, float(v))
             for K, v in zip(sol.K_values, sol.nse_curve) if math.isfinite(v)]
     mc_M = cfg.M if cfg.M <= _MC_KSWEEP_CAP else 196
@@ -467,7 +447,7 @@ def _nse_vs_m(spec: ExperimentSpec, p: int):
     recs, K_opt = [], {}
     for M in exp.sweep_values:
         worlds = _worlds(spec, dep, M=M, K=dep.K, t=None)
-        sol = _optimal_count(dep, worlds[0].config, exp.interference)
+        sol = _optimal_count(spec, *worlds)
         K_opt[M] = sol.K_opt
         recs.append((float(M), "Theorem 2 bound NSE at optimized K", p, 0, sol.nse_opt))
         for K, label in ((sol.K_opt, "Monte Carlo NSE at optimized K"),
@@ -623,7 +603,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     exp_id = result.spec.experiment.id
-    rc = result.spec.resolved_run_config()
+    rc = result.spec
     files: list[Path] = []
 
     def write_csv(name, header, lines):
@@ -647,7 +627,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[Path]:
     manifest = {
         "experiment_id": exp_id,
         "sweep_variable": EXPERIMENTS[exp_id].variable,
-        "seed": result.spec.seed,
+        "seed": rc.system.seed,
         "config": rc.to_dict(),
         "config_hash": rc.content_hash(),
         "outputs": [f.name for f in files],

@@ -7,6 +7,13 @@ statistics (LOS gating coins and scattered-path angles); fading and noise
 are then drawn from those statistics. Both the Monte Carlo samplers and
 the closed-form moment formulas consume the same objects, so the two
 evaluation routes stay conditioned on identical channel laws.
+
+The two rules of the link model live here alone: ``contamination_weights``
+(which same-pilot devices contaminate a unit's channel estimate, and how
+strongly) and ``los_allowed`` (which panels' links may carry LOS under an
+interference regime). The sampler (``make_unit_stats``, ``BlockKernel``),
+the Lemma moments (``asymptotics.build_moment_set``) and the Theorem 2
+floor table (``optimize.expected_floor_table``) all read them.
 """
 
 from __future__ import annotations
@@ -51,11 +58,9 @@ class UnitLinkGeometry:
 
     n: int
     k: int
-    antennas: np.ndarray      # (M, 3)
     distances: np.ndarray     # (N, K, M) device-to-antenna distances
     hlos: np.ndarray          # (N, K, M) LOS vectors of all incoming links
     beta2_sum: np.ndarray     # (N, K) sum over antennas of the LOS gains^2
-    center_dist: np.ndarray   # (N, K) device-to-unit-center distances
     kappa_cand: np.ndarray    # (N, K) Rician factor if the link carries LOS
     p_los: np.ndarray         # (N, K) LOS probability of each link
 
@@ -96,11 +101,9 @@ def build_unit_geometry(
     return UnitLinkGeometry(
         n=n,
         k=k,
-        antennas=antennas,
         distances=d,
         hlos=hlos,
         beta2_sum=np.einsum("ljm->lj", beta * beta),
-        center_dist=cdist,
         kappa_cand=rician_factor(cdist),
         p_los=los_probability(cdist, config.d_C),
     )
@@ -136,15 +139,37 @@ class UnitBlockDraw:
     w: np.ndarray        # (M,) complex estimation noise
 
 
-def draw_unit_block(
-    rng: np.random.Generator, N: int, K: int, P: int, M: int,
-    coins: np.ndarray | None = None,
-) -> UnitBlockDraw:
-    drawn_coins = rng.random((N, K)) if coins is None else coins
+def draw_unit_block(rng: np.random.Generator, N: int, K: int, P: int, M: int) -> UnitBlockDraw:
+    coins = rng.random((N, K))
     angles = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=(N, K, P, 2))
     g = cgauss(rng, (N, K, P))
     w = cgauss(rng, (M,))
-    return UnitBlockDraw(coins=drawn_coins, angles=angles, g=g, w=w)
+    return UnitBlockDraw(coins=coins, angles=angles, g=g, w=w)
+
+
+def contamination_weights(rho_p: np.ndarray, n: int, k: int) -> np.ndarray:
+    """(N,) weights of the devices on unit (n, k)'s pilot in its channel
+    estimate: the root pilot-SNR ratio sqrt(rho_p[l, k] / rho_p[n, k]) of
+    the pilot-k device of every panel l, zero on the unit's own panel.
+
+    Per-device pilot power control makes same-panel pilots cancel in the
+    despread output, so only other-panel devices on the same pilot
+    contaminate the estimate."""
+    weights = np.sqrt(rho_p[:, k] / rho_p[n, k])
+    weights[n] = 0.0
+    return weights
+
+
+def los_allowed(regime: str, N: int, n: int) -> np.ndarray:
+    """(N, 1) mask of the panels whose links toward panel n may carry LOS.
+
+    "rician": every panel; "nlos_inter": panel n alone, links from other
+    panels are pure-scattered."""
+    if regime == "rician":
+        return np.ones((N, 1), dtype=bool)
+    if regime == "nlos_inter":
+        return np.arange(N)[:, np.newaxis] == n
+    raise ValueError(f"unknown interference regime {regime!r}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +179,6 @@ class UnitChannelStats:
 
     geom: UnitLinkGeometry
     kappa: np.ndarray       # (N, K) effective Rician factors (inf on own slot)
-    los_scale: np.ndarray   # (N, K) sqrt(kappa/(kappa+1))
     nlos_scale: np.ndarray  # (N, K) sqrt(1/(kappa+1))
     hbar: np.ndarray        # (N, K, M) LOS means (own slot: full LOS vector)
     roots: np.ndarray       # (N, K, M, P) correlation roots
@@ -173,28 +197,18 @@ def make_unit_stats(
 ) -> UnitChannelStats:
     """Apply the LOS gates and build this block's channel statistics.
 
-    interference="rician": every interference link keeps LOS with its
-    distance-dependent probability. "nlos_inter": links from other panels
-    are forced pure-scattered (their gates are still consumed so draws stay
-    aligned across regimes); same-panel links gate normally.
+    A link keeps LOS when its coin falls below its LOS probability and
+    ``los_allowed`` lets its panel carry LOS under `interference`; every
+    gate is consumed in either regime, so draws stay aligned across them.
     """
-    N, K = geom.p_los.shape
-    gated = draw.coins < geom.p_los
+    N = geom.p_los.shape[0]
+    gated = (draw.coins < geom.p_los) & los_allowed(interference, N, geom.n)
     kappa = np.where(gated, geom.kappa_cand, 0.0)
-    if interference == "nlos_inter":
-        other = np.arange(N)[:, np.newaxis] != geom.n
-        kappa = np.where(other, 0.0, kappa)
-    elif interference != "rician":
-        raise ValueError(f"unknown interference regime {interference!r}")
-    kappa = kappa.astype(float)
     kappa[geom.n, geom.k] = np.inf  # serving link is deterministic LOS
     los_scale, nlos_scale = rician_mixing(kappa)
     hbar = los_scale[:, :, np.newaxis] * geom.hlos
     roots = root_matrix_from_angles(draw.angles, geom.distances, config)
-    return UnitChannelStats(
-        geom=geom, kappa=kappa, los_scale=los_scale, nlos_scale=nlos_scale,
-        hbar=hbar, roots=roots,
-    )
+    return UnitChannelStats(geom=geom, kappa=kappa, nlos_scale=nlos_scale, hbar=hbar, roots=roots)
 
 
 def sample_unit_channels(stats: UnitChannelStats, g: np.ndarray) -> np.ndarray:
@@ -216,7 +230,6 @@ def slice_geometry(geom: UnitLinkGeometry, K: int) -> UnitLinkGeometry:
         distances=geom.distances[:, :K],
         hlos=geom.hlos[:, :K],
         beta2_sum=geom.beta2_sum[:, :K],
-        center_dist=geom.center_dist[:, :K],
         kappa_cand=geom.kappa_cand[:, :K],
         p_los=geom.p_los[:, :K],
     )
@@ -229,7 +242,6 @@ def slice_stats(stats: UnitChannelStats, K: int) -> UnitChannelStats:
         stats,
         geom=slice_geometry(stats.geom, K),
         kappa=stats.kappa[:, :K],
-        los_scale=stats.los_scale[:, :K],
         nlos_scale=stats.nlos_scale[:, :K],
         hbar=stats.hbar[:, :K],
         roots=stats.roots[:, :K],
@@ -260,11 +272,10 @@ class BlockKernel:
     """One block's sampled inner products for one unit, assembled into
     interference scalars at any pilot length.
 
-    Per-device pilot power control makes same-panel pilots cancel in the
-    despread output, so the estimation error is the root-SNR-ratio-weighted
-    sum of other-panel same-pilot channels plus white noise shrunk by
-    sqrt(t * rho_p_own); only that shrink factor depends on t, so a pilot
-    sweep reuses every sampled product.
+    The estimation error is the ``contamination_weights``-weighted sum of
+    the same-pilot channels plus white noise shrunk by sqrt(t * rho_p_own);
+    only that shrink factor depends on t, so a pilot sweep reuses every
+    sampled product.
     """
 
     def __init__(
@@ -281,16 +292,13 @@ class BlockKernel:
         ch = sample_unit_channels(stats, g)
         hlos = geom.hlos[n, k]
 
-        sqrt_ratio = np.sqrt(rho_p[:, k] / rho_p[n, k])
-        sqrt_ratio[n] = 0.0
-        contam = sqrt_ratio @ ch[:, k]
+        contam = contamination_weights(rho_p, n, k) @ ch[:, k]
         u = hlos + contam
 
         self.rho_p_own = float(rho_p[n, k])
         self.rho_d = np.asarray(rho_d, dtype=float)
         self.rho_d_own = float(rho_d[n, k])
         self.signal = geom.own_power**2
-        self.beta2_sum = geom.own_power
 
         self.A = ch @ np.conj(u)
         self.C = ch @ np.conj(w)

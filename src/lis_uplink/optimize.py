@@ -9,21 +9,21 @@ regime the SINR no longer depends on t and the optimum collapses to t = K.
 The device-count problem scores K = 1..pool with the floor-bound SINRs,
 t = K, and devices admitted in fixed priority order; LOS gates enter
 through their expectation, which keeps the curve deterministic for a
-given deployment.
+given deployment. The floor table reads a ``LinkWorld`` over the whole
+pool: its config, power control and deployment are the ones the sampler
+uses, and the contamination and LOS rules come from ``links``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import floor_sinrs, quarter_solid_angle, rate_log, serving_power
-from .config import SystemConfig
-from .links import build_unit_geometry
-from .scenario import Deployment, data_snrs, pilot_snrs
+from .channel import rician_mixing
+from .links import LinkWorld, build_unit_geometry, contamination_weights, los_allowed
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class PilotSolution:
     t_opt_continuous: float
     t_opt: int
     objective_opt: float
-    curve: tuple          # ((t, objective) pairs, evaluation order)
     iterations: int
 
 
@@ -50,13 +49,11 @@ def optimal_pilot_length(objective, T: int, K: int) -> PilotSolution:
     """
     if K < 1 or T < K:
         raise ValueError(f"need 1 <= K <= T, got K={K}, T={T}")
-    evals: list[tuple[float, float]] = []
 
     def f(t: float) -> float:
         v = float(objective(float(t)))
         if not math.isfinite(v):
             raise ValueError(f"objective is not finite at t={t}: {v}")
-        evals.append((float(t), v))
         return v
 
     a, b = float(K), float(T)
@@ -88,7 +85,6 @@ def optimal_pilot_length(objective, T: int, K: int) -> PilotSolution:
         t_opt_continuous=float(t_star),
         t_opt=int(best_t),
         objective_opt=float(best_v),
-        curve=tuple(evals),
         iterations=iterations,
     )
 
@@ -122,49 +118,39 @@ class ExpectedFloorTable:
         return floor_sinrs(self.rho_d_own[:, :K], self.p_bar[:, :K], self.floors(K))
 
 
-def expected_floor_table(
-    deployment: Deployment, config: SystemConfig, regime: str = "rician"
-) -> ExpectedFloorTable:
-    """Build the expected-gating floor table over the full device pool.
+def expected_floor_table(world: LinkWorld, regime: str = "rician") -> ExpectedFloorTable:
+    """Build the expected-gating floor table over the world's device pool.
 
     The LOS gate of each link enters through its expectation: squared
     means of sums of independently gated LOS terms expand into the squared
     expected sum plus a Bernoulli variance term. A same-pilot interferer
     shares its gate with its own contamination term, so that one term is
-    pulled out of the expectation before squaring.
-
-    regime follows the sampler: "rician" gates every interference link by
-    its LOS probability; "nlos_inter" strips the LOS component from links
-    arriving from other panels, leaving only same-panel floors.
+    pulled out of the expectation before squaring. Links that
+    ``los_allowed`` bars under `regime` carry no LOS, as in the sampler.
     """
-    if regime not in ("rician", "nlos_inter"):
-        raise ValueError(f"unknown interference regime {regime!r}")
+    deployment, cfg = world.deployment, world.config
+    rho_p, rho_d = world.rho_p, world.rho_d
     N, Kp = deployment.N, deployment.K
-    cfg = config
-    if cfg.N != N or cfg.K != Kp:
-        cfg = dataclasses.replace(config, N=N, K=Kp, t=None)
-    rho_p = pilot_snrs(deployment, cfg)
-    rho_d = data_snrs(deployment, cfg)
-    M = cfg.M
+    diag = np.arange(N)
 
     base = np.zeros((N, Kp))
     leak = np.zeros((N, Kp, Kp))
     p_bar = np.zeros((N, Kp))
     for n in range(N):
+        allowed = los_allowed(regime, N, n)
         for k in range(Kp):
+            # built here rather than by world.unit: caching the whole pool's
+            # geometry would hold ~240 MiB at M = 400, and would change the
+            # build_unit_geometry call count perfbench/test_tracer.py pins
             geom = build_unit_geometry(deployment, cfg, n, k)
             p = geom.p_los
-            s = np.sqrt(geom.kappa_cand / (geom.kappa_cand + 1.0))
-            if regime == "nlos_inter":
-                s = np.where(np.arange(N)[:, np.newaxis] == n, s, 0.0)
+            s = np.where(allowed, rician_mixing(geom.kappa_cand)[0], 0.0)
             s2 = s * s
             hlos = geom.hlos
-            own = hlos[n, k]
-            u = np.einsum("m,ljm->lj", np.conj(own), hlos)
             V = np.einsum("cm,ljm->clj", np.conj(hlos[:, k]), hlos)
+            u = V[n]  # own = hlos[n, k]
 
-            a = np.sqrt(rho_p[:, k] / rho_p[n, k]) * s[:, k]
-            a[n] = 0.0
+            a = contamination_weights(rho_p, n, k) * s[:, k]
             pk = p[:, k]
 
             x = a * np.conj(u[:, k])
@@ -174,18 +160,20 @@ def expected_floor_table(
 
             mean_in = u + np.einsum("c,clj->lj", a * pk, V)
             var_in = np.einsum("c,clj->lj", a * a * pk * (1.0 - pk), np.abs(V) ** 2)
-            for l in range(N):
-                if l == n or a[l] == 0.0:
-                    continue
-                # same-pilot interferer: its gate is the c=l contamination gate
-                mean_in[l, k] += a[l] * (1.0 - pk[l]) * V[l, l, k]
-                var_in[l, k] -= a[l] ** 2 * pk[l] * (1.0 - pk[l]) * np.abs(V[l, l, k]) ** 2
+            # same-pilot interferer: its gate is the c=l contamination gate
+            # (a is zero on panel n and on LOS-free panels, which adds zero);
+            # float_power squares through pow(), as a scalar ** does, where
+            # an array ** 2 multiplies and can differ in the last bit
+            v_same = V[diag, diag, k]
+            mean_in[:, k] += a * (1.0 - pk) * v_same
+            var_in[:, k] -= (np.float_power(a, 2) * pk * (1.0 - pk)
+                             * np.float_power(np.abs(v_same), 2))
             w = rho_d * p * s2 * (np.abs(mean_in) ** 2 + var_in)
             w[n, k] = 0.0
             leak[n, k] = np.einsum("lj->j", w)
 
             z_own = deployment.devices_local[n, k, 2]
-            p_bar[n, k] = serving_power(M, quarter_solid_angle(cfg.L, z_own), cfg.L)
+            p_bar[n, k] = serving_power(cfg.M, quarter_solid_angle(cfg.L, z_own), cfg.L)
 
     return ExpectedFloorTable(base=base, leak=leak, p_bar=p_bar, rho_d_own=rho_d)
 

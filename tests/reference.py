@@ -23,14 +23,24 @@ Per-link oracles of the uplink model, one link or one unit at a time:
 
 ``moment_fields``, ``los_phase`` and ``kernel_products`` transcribe the
 ``einsum`` forms of the moment and kernel contractions.
+
+``expected_floor_table`` is the Theorem 2 floor table built from a
+deployment and a system config, with its own power control, contamination
+and LOS rules and a per-panel same-pilot loop, against
+``optimize.expected_floor_table`` on a ``LinkWorld``; ``mu_I_bar`` is the
+composite interference mean assembled as one const + noise/t split,
+against ``MomentSet.mu_I_bar``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
-from lis_uplink.links import UnitChannelStats, sample_unit_channels
-from lis_uplink.scenario import Deployment
+from lis_uplink.asymptotics import quarter_solid_angle, serving_power
+from lis_uplink.links import UnitChannelStats, build_unit_geometry, sample_unit_channels
+from lis_uplink.optimize import ExpectedFloorTable
+from lis_uplink.scenario import Deployment, data_snrs, pilot_snrs
 
 
 def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
@@ -101,8 +111,6 @@ def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
         "q_bar": q_bar,
         "var_z_const_m": var_z_const_m,
         "var_z_noise_m": var_z_noise_m,
-        "beta2_sum": geom.own_power,
-        "rho_p_own": rho_p_own,
     }
 
 
@@ -246,3 +254,77 @@ def transmit_snr(device, unit_center, target: float) -> float:
         raise ValueError("device sits on the LIS plane; channel gain undefined")
     beta2_center = (z / d) / (4.0 * math.pi * d * d)
     return float(target) / beta2_center
+
+
+def expected_floor_table(deployment: Deployment, config, regime: str = "rician") -> ExpectedFloorTable:
+    """Expected-gating floor table over the full device pool, one unit and
+    one same-pilot panel at a time."""
+    if regime not in ("rician", "nlos_inter"):
+        raise ValueError(f"unknown interference regime {regime!r}")
+    N, Kp = deployment.N, deployment.K
+    cfg = config
+    if cfg.N != N or cfg.K != Kp:
+        cfg = dataclasses.replace(config, N=N, K=Kp, t=None)
+    rho_p = pilot_snrs(deployment, cfg)
+    rho_d = data_snrs(deployment, cfg)
+    M = cfg.M
+
+    base = np.zeros((N, Kp))
+    leak = np.zeros((N, Kp, Kp))
+    p_bar = np.zeros((N, Kp))
+    for n in range(N):
+        for k in range(Kp):
+            geom = build_unit_geometry(deployment, cfg, n, k)
+            p = geom.p_los
+            s = np.sqrt(geom.kappa_cand / (geom.kappa_cand + 1.0))
+            if regime == "nlos_inter":
+                s = np.where(np.arange(N)[:, np.newaxis] == n, s, 0.0)
+            s2 = s * s
+            hlos = geom.hlos
+            own = hlos[n, k]
+            u = np.einsum("m,ljm->lj", np.conj(own), hlos)
+            V = np.einsum("cm,ljm->clj", np.conj(hlos[:, k]), hlos)
+
+            a = np.sqrt(rho_p[:, k] / rho_p[n, k]) * s[:, k]
+            a[n] = 0.0
+            pk = p[:, k]
+
+            x = a * np.conj(u[:, k])
+            base[n, k] = rho_d[n, k] * (
+                np.abs(np.sum(pk * x)) ** 2 + float(np.sum(pk * (1.0 - pk) * np.abs(x) ** 2))
+            )
+
+            mean_in = u + np.einsum("c,clj->lj", a * pk, V)
+            var_in = np.einsum("c,clj->lj", a * a * pk * (1.0 - pk), np.abs(V) ** 2)
+            for l in range(N):
+                if l == n or a[l] == 0.0:
+                    continue
+                # same-pilot interferer: its gate is the c=l contamination gate
+                mean_in[l, k] += a[l] * (1.0 - pk[l]) * V[l, l, k]
+                var_in[l, k] -= a[l] ** 2 * pk[l] * (1.0 - pk[l]) * np.abs(V[l, l, k]) ** 2
+            w = rho_d * p * s2 * (np.abs(mean_in) ** 2 + var_in)
+            w[n, k] = 0.0
+            leak[n, k] = np.einsum("lj->j", w)
+
+            z_own = deployment.devices_local[n, k, 2]
+            p_bar[n, k] = serving_power(M, quarter_solid_angle(cfg.L, z_own), cfg.L)
+
+    return ExpectedFloorTable(base=base, leak=leak, p_bar=p_bar, rho_d_own=rho_d)
+
+
+def mu_I_bar(ms, t: float) -> float:
+    """Composite interference mean of a ``MomentSet`` at pilot length t:
+    the t-independent part of the rho-weighted X, Y and Z second moments
+    plus their 1/t coefficients over t."""
+    rho, rho_own = ms.rho_d, ms.rho_d_own
+    const = (
+        rho_own * (ms.var_x_const + abs(ms.mu_x) ** 2)
+        + float(np.sum(rho * (ms.var_y_const + np.abs(ms.mu_y) ** 2)))
+        + float(np.sum(ms.var_z_const_m) + np.sum(np.abs(ms.q_bar) ** 2))
+    )
+    noise = (
+        rho_own * ms.var_x_noise
+        + float(np.sum(rho * ms.var_y_noise))
+        + ms.M * ms.var_z_noise_m
+    )
+    return const + noise / t

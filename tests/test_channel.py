@@ -21,6 +21,7 @@ from lis_uplink import (
     quarter_solid_angle,
     rician_mixing,
     sample_unit_channels,
+    unit_antenna_grid,
 )
 from lis_uplink.channel import root_matrix_from_angles
 from lis_uplink.config import SPEED_OF_LIGHT
@@ -117,7 +118,7 @@ class TestLosChannel:
         dep = place_devices(cfg, LayoutConfig(), np.random.default_rng(0), K=1)
         geom = build_unit_geometry(dep, cfg, 3, 0)
         assert_close(dep.frames[3].normal, [0.0, 0.0, -1.0])
-        assert np.allclose(geom.antennas[:, 2], 6.0)
+        assert np.allclose(unit_antenna_grid(dep, cfg, 3, 0)[:, 2], 6.0)
         assert np.all(np.abs(geom.hlos[3, 0]) > 0)
 
 

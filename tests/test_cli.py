@@ -174,7 +174,8 @@ class TestErrorPaths:
         key = setting.split("=")[0]
         assert capsys.readouterr().err.startswith(f"config error ({key})")
 
-    @pytest.mark.parametrize("setting", ["system.M=-4", "system.seed=-1", "system.rho_tgt=-1"])
+    @pytest.mark.parametrize("setting", ["system.M=-4", "system.seed=-1", "system.rho_tgt=-1",
+                                         "system.T=0", "system.K=600", "system.beta_PL=-3"])
     def test_out_of_bound_value_exits_2_before_placement(self, setting, monkeypatch, capsys):
         monkeypatch.setattr("lis_uplink.harness.place_devices", None)
         assert main(["simulate", "--set", setting]) == 2

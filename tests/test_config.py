@@ -197,9 +197,9 @@ class TestNumericValues:
 
 # every declared single-value bound, with a value just outside it
 _OUT_OF_BOUND = {
-    "system.M": 0, "system.K": 0, "system.N": 0, "system.L": 0.0,
+    "system.M": 0, "system.K": 0, "system.N": 0, "system.T": 0, "system.L": 0.0,
     "system.carrier_freq": 0.0, "system.delta_L": 0.0, "system.P": 0,
-    "system.d_C": 0.0, "system.rho_p_tgt": 0.0, "system.rho_tgt": 0.0,
+    "system.beta_PL": 0.0, "system.d_C": 0.0, "system.rho_p_tgt": 0.0, "system.rho_tgt": 0.0,
     "system.seed": -1,
     "layout.name": "ring", "layout.x_l": 0.0, "layout.y_l": 0.0,
     "layout.d_x": 0.0, "layout.d_z": 0.0, "layout.box_height": 0.0,

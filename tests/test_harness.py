@@ -142,10 +142,9 @@ class TestSpecResolution:
 
     def test_resolution_is_idempotent(self):
         spec = ExperimentSpec.from_run_config(preset_run_config("fig6", seed=9))
-        again = ExperimentSpec.from_run_config(spec.resolved_run_config())
+        again = ExperimentSpec.from_run_config(spec)
         assert again == spec
-        assert spec.seed == 9
-        assert spec.to_dict() == spec.resolved_run_config().to_dict()
+        assert spec.system.seed == 9
 
 
 class TestResolveWorkers:
@@ -168,12 +167,20 @@ class TestPanelZeroSlice:
     def test_slice_shares_draw_content(self):
         rng = hz._unit_rng(0, 0, 0, 0, 0)
         draw = hz.draw_unit_block(rng, 3, 2, 4, 16)
-        cut = hz._panel0_draw(draw)
+        cut = hz._draw_prefix(draw, N=1)
         assert cut.coins.shape[0] == 1 and cut.angles.shape[0] == 1
         assert cut.g.shape[0] == 1
         assert np.array_equal(cut.coins, draw.coins[:1])
         assert np.array_equal(cut.angles, draw.angles[:1])
         assert np.array_equal(cut.g, draw.g[:1])
+        assert np.shares_memory(cut.g, draw.g)
+        assert cut.w is draw.w
+
+    def test_device_prefix_keeps_every_panel(self):
+        draw = hz.draw_unit_block(hz._unit_rng(0, 0, 0, 0, 0), 3, 4, 2, 16)
+        cut = hz._draw_prefix(draw, K=2)
+        assert cut.coins.shape == (3, 2) and cut.angles.shape == (3, 2, 2, 2)
+        assert np.array_equal(cut.g, draw.g[:, :2])
         assert np.shares_memory(cut.g, draw.g)
         assert cut.w is draw.w
 
@@ -316,7 +323,7 @@ class TestWriteOutputs:
         assert manifest["experiment_id"] == "fig5"
         assert manifest["sweep_variable"] == "M"
         assert manifest["seed"] == 0
-        rc = result.spec.resolved_run_config()
+        rc = result.spec
         assert manifest["config"] == json.loads(json.dumps(rc.to_dict()))
         assert manifest["config_hash"] == rc.content_hash()
         assert manifest["outputs"] == [f.name for f in files[:-1]]
@@ -383,7 +390,7 @@ class TestPresets:
         spec = ExperimentSpec.from_run_config(rc)
         assert spec.experiment.id == exp_id
         assert spec.experiment.sweep_values == hz.EXPERIMENTS[exp_id].grid
-        assert RunConfig.from_dict(spec.to_dict()) == spec.resolved_run_config()
+        assert RunConfig.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
 
     def test_reference_scales(self):
         base = preset_run_config("fig5")

@@ -13,13 +13,13 @@ from lis_uplink import (
     LinkWorld,
     SystemConfig,
     build_unit_geometry,
-    cgauss,
     draw_unit_block,
     make_unit_stats,
     place_devices,
     placement_rng,
     sample_unit_channels,
     slice_stats,
+    unit_antenna_grid,
 )
 from lis_uplink.harness import _unit_rng
 from lis_uplink.links import los_phase, slice_geometry, stream
@@ -75,18 +75,6 @@ class TestBlockDraw:
         assert np.array_equal(a.g, b.g)
         assert a.w.shape != b.w.shape
 
-    def test_supplied_coins_skip_the_gate_draw(self):
-        coins = np.full((2, 2), 0.5)
-        got = draw_unit_block(np.random.default_rng(9), N=2, K=2, P=3, M=4, coins=coins)
-        rng = np.random.default_rng(9)
-        angles = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=(2, 2, 3, 2))
-        g = cgauss(rng, (2, 2, 3))
-        w = cgauss(rng, (4,))
-        assert np.array_equal(got.coins, coins)
-        assert np.array_equal(got.angles, angles)
-        assert np.array_equal(got.g, g)
-        assert np.array_equal(got.w, w)
-
 
 class TestUnitStats:
     def test_serving_link_is_pure_los(self, tiny_world):
@@ -95,7 +83,6 @@ class TestUnitStats:
         draw = draw_unit_block(np.random.default_rng(1), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         assert stats.kappa[0, 1] == np.inf
-        assert stats.los_scale[0, 1] == 1.0
         assert stats.nlos_scale[0, 1] == 0.0
         assert np.array_equal(stats.hbar[0, 1], geom.hlos[0, 1])
 
@@ -149,7 +136,7 @@ class TestUnitGeometryOracle:
         for n, k in ((0, 0), (2, 1), (3, 2)):
             geom = build_unit_geometry(dep, cfg, n, k)
             antennas = np.array([reference.antenna_position(dep, cfg, n, k, m) for m in range(M)])
-            assert_close(geom.antennas, antennas, rtol=0, atol=1e-12)
+            assert_close(unit_antenna_grid(dep, cfg, n, k), antennas, rtol=0, atol=1e-12)
             for l in range(cfg.N):
                 for j in range(cfg.K):
                     d, h, power = reference.los_link(dep.devices[l, j], antennas, dep.frames[n], cfg.lam)
@@ -233,13 +220,13 @@ class TestSliceStats:
             reference.subset(world.deployment, K), dataclasses.replace(cfg, K=K), n, k
         )
         geom_sliced = slice_geometry(world.unit(n, k), K)
-        for field in ("distances", "hlos", "beta2_sum", "center_dist", "kappa_cand", "p_los"):
+        for field in ("distances", "hlos", "beta2_sum", "kappa_cand", "p_los"):
             assert np.array_equal(getattr(geom_k, field), getattr(geom_sliced, field)), field
         draw_k = dataclasses.replace(
             draw, coins=draw.coins[:, :K], angles=draw.angles[:, :K], g=draw.g[:, :K]
         )
         fresh = make_unit_stats(geom_k, draw_k, cfg, interference)
-        for field in ("kappa", "los_scale", "nlos_scale", "hbar", "roots"):
+        for field in ("kappa", "nlos_scale", "hbar", "roots"):
             assert np.array_equal(getattr(fresh, field), getattr(sliced, field)), field
 
         rho_p, rho_d = world.rho_p[:, :K], world.rho_d[:, :K]

@@ -18,9 +18,11 @@ from lis_uplink import (
     optimal_num_devices,
     optimal_pilot_length,
     place_devices,
+    placement_rng,
     theorem1_sse,
 )
 
+import reference
 from conftest import assert_close
 
 
@@ -85,7 +87,7 @@ class TestOptimalPilotLength:
     def test_callable_objective_and_trace(self):
         sol = optimal_pilot_length(lambda t: -((t - 37.3) ** 2), T=100, K=2)
         assert sol.t_opt == 37
-        assert (37.0, sol.objective_opt) in sol.curve
+        assert sol.objective_opt == -((37 - 37.3) ** 2)
         assert sol.iterations > 0
 
     def test_errors(self):
@@ -113,11 +115,10 @@ class TestExpectedFloorTable:
     def _world(self, seed=0, N=2, K=4, d_x=0.5):
         cfg = SystemConfig(M=16, K=K, N=N, T=500, P=4, seed=seed)
         dep = place_devices(cfg, LayoutConfig(name="line", d_x=d_x), np.random.default_rng(seed))
-        return cfg, dep
+        return LinkWorld(dep, cfg)
 
     def test_cumulative_structure(self):
-        cfg, dep = self._world()
-        table = expected_floor_table(dep, cfg)
+        table = expected_floor_table(self._world())
         assert table.pool == 4
         assert np.all(table.leak >= -1e-12)
         for K in range(1, 4):
@@ -132,21 +133,21 @@ class TestExpectedFloorTable:
     def test_single_device_single_panel_floor_free(self):
         cfg = SystemConfig(M=16, K=1, N=1, P=4)
         dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(3))
-        table = expected_floor_table(dep, cfg)
+        table = expected_floor_table(LinkWorld(dep, cfg))
         assert table.floors(1)[0, 0] == 0.0
         assert math.isinf(table.gamma_hat(1)[0, 0])
 
     def test_nlos_inter_equals_isolated_panel(self):
-        cfg, dep = self._world(seed=4)
-        table = expected_floor_table(dep, cfg, regime="nlos_inter")
-        solo = expected_floor_table(dep.panel(0), cfg)
+        world = self._world(seed=4)
+        table = expected_floor_table(world, regime="nlos_inter")
+        solo_cfg = dataclasses.replace(world.config, N=1)
+        solo = expected_floor_table(LinkWorld(world.deployment.panel(0), solo_cfg))
         assert np.all(table.base == 0.0)
         for K in (1, 2, 4):
             assert_close(table.floors(K)[0], solo.floors(K)[0], rtol=1e-12)
 
     def test_gamma_hat_is_ratio(self):
-        cfg, dep = self._world(seed=5)
-        table = expected_floor_table(dep, cfg)
+        table = expected_floor_table(self._world(seed=5))
         K = 3
         fl = table.floors(K)
         gam = table.gamma_hat(K)
@@ -156,15 +157,25 @@ class TestExpectedFloorTable:
         )
 
     def test_unknown_regime_rejected(self):
-        cfg, dep = self._world()
         with pytest.raises(ValueError, match="regime"):
-            expected_floor_table(dep, cfg, regime="rayleigh")
+            expected_floor_table(self._world(), regime="rayleigh")
+
+    @pytest.mark.parametrize("regime", ["rician", "nlos_inter"])
+    @pytest.mark.parametrize("layout, N, pool", [("quad", 4, 6), ("line", 2, 5)])
+    def test_equals_per_panel_oracle(self, layout, N, pool, regime):
+        # the quad placement of seed 13 at M = 100 has a floor entry that
+        # moves in the last bit if a square is taken by multiplication
+        cfg = SystemConfig(M=100, K=pool, N=N, T=50, P=4, seed=13)
+        dep = place_devices(cfg, LayoutConfig(name=layout, d_x=0.5), placement_rng(13, 0))
+        table = expected_floor_table(LinkWorld(dep, cfg), regime)
+        want = reference.expected_floor_table(dep, cfg, regime)
+        for name in ("base", "leak", "p_bar", "rho_d_own"):
+            assert np.array_equal(getattr(table, name), getattr(want, name)), name
 
 
 class TestScheduling:
     def test_curve_argmax_and_trace(self):
-        cfg, dep = TestExpectedFloorTable()._world(seed=7, K=8)
-        table = expected_floor_table(dep, cfg)
+        table = expected_floor_table(TestExpectedFloorTable()._world(seed=7, K=8))
         sol = optimal_num_devices(table.gamma_hat, T=50, pool=8)
         assert sol.K_values == tuple(range(1, 9))
         assert sol.nse_opt == np.max(sol.nse_curve)

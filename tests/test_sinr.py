@@ -15,7 +15,7 @@ from lis_uplink import (
     make_unit_stats,
     sample_unit_channels,
 )
-from lis_uplink.harness import _sse
+from lis_uplink.asymptotics import sse
 
 import reference
 from conftest import assert_close
@@ -137,14 +137,15 @@ class TestInstantaneousSse:
     """Panel SSE (1 - t/T) sum_k log2(1 + gamma_k) of the sampled curves."""
 
     def test_full_training_block_gives_zero(self):
-        assert _sse(np.array([5.0, 2.0]), t=500, T=500) == 0.0
+        assert sse(np.array([5.0, 2.0]), t=500, T=500) == 0.0
+        assert sse(np.array([np.inf]), t=500, T=500) == 0.0
 
     def test_half_block_single_device(self):
-        assert_close(_sse(np.array([1.0]), t=250, T=500), 0.5)
+        assert_close(sse(np.array([1.0]), t=250, T=500), 0.5)
 
     def test_paper_frame_prelog(self):
-        assert_close(_sse(np.ones(20), t=20, T=500), 0.96 * 20)
+        assert_close(sse(np.ones(20), t=20, T=500), 0.96 * 20)
 
     def test_sum_identity(self):
         gam = np.array([0.5, 3.0, 9.0])
-        assert_close(_sse(gam, t=10, T=100), 0.9 * np.sum(np.log2(1.0 + gam)), rtol=1e-12)
+        assert_close(sse(gam, t=10, T=100), 0.9 * np.sum(np.log2(1.0 + gam)), rtol=1e-12)
