@@ -12,7 +12,6 @@ from .asymptotics import (
     AsymptoticSse,
     MomentSet,
     build_moment_set,
-    quarter_solid_angle,
     rate_log,
     theorem1_sse,
 )
@@ -71,6 +70,7 @@ from .scenario import (
     los_probability,
     pilot_snrs,
     place_devices,
+    quarter_solid_angle,
     rician_factor,
     unit_antenna_grid,
 )

@@ -10,16 +10,17 @@ expression and the SINR approaches a deterministic ratio; dropping the
 vanishing fluctuation terms gives the interference-floor bound.
 
 ``build_moment_set`` returns one unit's ``MomentSet``: every moment is
-stored as a t-independent coefficient and a 1/t coefficient, and
-``MomentSet.mu_I_bar(t)`` assembles the composite interference at any
-pilot length. The sums over pilot contaminators are BLAS matrix products
-against one stacked, weight-scaled matrix of contaminator roots, so no
-Python loop runs over contaminators.
+stored as a t-independent coefficient and a 1/t coefficient, so a set has
+no pilot length of its own, and ``MomentSet.mu_I_bar(t)`` assembles the
+composite interference at whatever pilot length the caller passes. The
+transmit SNRs and the serving power come from the unit's link budget
+(``UnitLinkGeometry``). The sums over pilot contaminators are BLAS matrix
+products against one stacked, weight-scaled matrix of contaminator roots,
+so no Python loop runs over contaminators.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +53,9 @@ class MomentSet:
     """Closed-form moments of one unit's X, Y, Z terms.
 
     Every variance has the shape const + noise/t; the two coefficients are
-    stored separately, so the moments can be evaluated at any pilot length
-    (the build t is the default).
+    stored separately, so the moments can be evaluated at any pilot length t.
     """
 
-    n: int
-    k: int
-    t: float
     M: int
     mu_x: complex
     var_x_const: float
@@ -71,29 +68,25 @@ class MomentSet:
     var_z_noise_m: float        # per-antenna coefficient of 1/t
     rho_d: np.ndarray           # (N, K) data SNRs used in the assembly
     rho_d_own: float
-    z_own: float                # device's perpendicular distance to its panel
-    L: float                    # panel half-side
+    p_bar: float                # deterministic serving power of the unit
 
-    def _t(self, t) -> float:
-        return _check_t(self.t if t is None else t)
-
-    def mu_X(self, t=None) -> float:
-        t = self._t(t)
+    def mu_X(self, t) -> float:
+        t = _check_t(t)
         return self.var_x_const + self.var_x_noise / t + abs(self.mu_x) ** 2
 
-    def mu_Y_bar(self, t=None) -> np.ndarray:
-        t = self._t(t)
+    def mu_Y_bar(self, t) -> np.ndarray:
+        t = _check_t(t)
         return self.var_y_const + self.var_y_noise / t + np.abs(self.mu_y) ** 2
 
-    def mu_Z(self, t=None) -> float:
-        t = self._t(t)
+    def mu_Z(self, t) -> float:
+        t = _check_t(t)
         return float(
             np.sum(self.var_z_const_m)
             + self.M * self.var_z_noise_m / t
             + np.sum(np.abs(self.q_bar) ** 2)
         )
 
-    def mu_I_bar(self, t=None) -> float:
+    def mu_I_bar(self, t) -> float:
         """Composite interference mean: rho-weighted X and Y second moments
         plus the filter norm, every variance evaluated at pilot length t."""
         return (self.rho_d_own * self.mu_X(t) + float(np.sum(self.rho_d * self.mu_Y_bar(t)))
@@ -108,28 +101,17 @@ class MomentSet:
         )
 
 
-def build_moment_set(
-    stats: UnitChannelStats,
-    t,
-    pilot_snrs: np.ndarray,
-    data_snrs: np.ndarray,
-    z_own: float,
-    L: float,
-) -> MomentSet:
-    """Evaluate all closed-form moments of one unit; t is the default
-    pilot length of the returned set."""
-    t = _check_t(t)
-    pilot_snrs = np.asarray(pilot_snrs, dtype=float)
-    data_snrs = np.asarray(data_snrs, dtype=float)
+def build_moment_set(stats: UnitChannelStats) -> MomentSet:
+    """Evaluate all closed-form moments of one unit under its link budget."""
     geom = stats.geom
     n, k = geom.n, geom.k
     N, K = geom.p_los.shape
     M, P = stats.roots.shape[2:]
     hlos_own = geom.hlos[n, k]
-    rho_p_own = float(pilot_snrs[n, k])
+    rho_p_own = float(geom.rho_p[n, k])
     hbar = stats.hbar.reshape(N * K, M)
 
-    sqrt_ratio = contamination_weights(pilot_snrs, n, k)
+    sqrt_ratio = contamination_weights(geom.rho_p, n, k)
     cont_w = sqrt_ratio**2 * stats.nlos_var[:, k]  # scattered-power weight per contaminator
 
     mu_e = sqrt_ratio @ stats.hbar[:, k]
@@ -169,9 +151,6 @@ def build_moment_set(
     var_y_noise[n, k] = 0.0
 
     return MomentSet(
-        n=n,
-        k=k,
-        t=t,
         M=M,
         # X = |e^H h_los|^2: mean of the Gaussian scalar plus its variance
         mu_x=complex(np.vdot(mu_e, hlos_own)),
@@ -184,35 +163,19 @@ def build_moment_set(
         q_bar=q_bar,
         var_z_const_m=_sq_norm(conj_roots),
         var_z_noise_m=1.0 / rho_p_own,
-        rho_d=data_snrs,
-        rho_d_own=float(data_snrs[n, k]),
-        z_own=float(z_own),
-        L=float(L),
+        rho_d=geom.rho_d,
+        rho_d_own=float(geom.rho_d[n, k]),
+        p_bar=geom.p_bar,
     )
-
-
-def quarter_solid_angle(L: float, z: float) -> float:
-    """Solid angle of one panel quadrant seen from boresight distance z."""
-    if z <= 0:
-        raise ValueError(f"boresight distance must be positive, got {z}")
-    return math.atan(L * L / (z * math.sqrt(2.0 * L * L + z * z)))
 
 
 @dataclass(frozen=True)
 class AsymptoticSse:
     """Deterministic large-M SSE of one panel and its interference-floor
-    bound."""
+    bound (inf if some device is interference-free)."""
 
-    p_bar: np.ndarray      # (K,) deterministic serving powers M^2 p^2/(16 pi^2 L^4)
-    gamma_hat: np.ndarray  # (K,) floor-bound SINRs (inf if interference-free)
     sse_bar: float
     sse_hat: float
-
-
-def serving_power(M: int, p, L: float):
-    """Deterministic serving power M^2 p^2 / (16 pi^2 L^4) of a device whose
-    unit quadrant subtends the solid angle p."""
-    return M * M * p * p / (16.0 * math.pi**2 * L**4)
 
 
 def floor_sinrs(rho_own: np.ndarray, p_bar: np.ndarray, floors: np.ndarray) -> np.ndarray:
@@ -241,13 +204,10 @@ def theorem1_sse(moment_sets: list[MomentSet], t, T: int) -> AsymptoticSse:
         raise ValueError("need at least one unit's moments")
     if t > T:
         raise ValueError(f"pilot length t={t} exceeds the block length T={T}")
-    M = moment_sets[0].M
-    p = np.array([quarter_solid_angle(ms.L, ms.z_own) for ms in moment_sets])
-    p_bar = np.array([serving_power(M, pq, ms.L) for pq, ms in zip(p, moment_sets)])
+    p_bar = np.array([ms.p_bar for ms in moment_sets])
     rho_own = np.array([ms.rho_d_own for ms in moment_sets])
     mu_bar = np.array([ms.mu_I_bar(t) for ms in moment_sets])
     gamma_bar = rho_own * p_bar / mu_bar
     floors = np.array([ms.mu_I_hat for ms in moment_sets])
     gamma_hat = floor_sinrs(rho_own, p_bar, floors)
-    return AsymptoticSse(p_bar=p_bar, gamma_hat=gamma_hat,
-                         sse_bar=sse(gamma_bar, t, T), sse_hat=sse(gamma_hat, t, T))
+    return AsymptoticSse(sse_bar=sse(gamma_bar, t, T), sse_hat=sse(gamma_hat, t, T))

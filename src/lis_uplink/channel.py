@@ -73,13 +73,10 @@ def _phase_ramp(phi: np.ndarray, side: int, step: float) -> np.ndarray:
     return np.cumprod(ramp, axis=-2, out=ramp)
 
 
-def rician_mixing(kappa) -> tuple:
+def rician_mixing(kappa: np.ndarray) -> tuple:
     """(LOS scale, NLOS scale) = (sqrt(k/(k+1)), sqrt(1/(k+1))), handling
     kappa = inf (pure LOS) and kappa = 0 (pure scattered)."""
-    kappa = np.asarray(kappa, dtype=float)
     with np.errstate(invalid="ignore"):
         los = np.where(np.isinf(kappa), 1.0, np.sqrt(kappa / (kappa + 1.0)))
     nlos = np.where(np.isinf(kappa), 0.0, np.sqrt(1.0 / (kappa + 1.0)))
-    if los.ndim == 0:
-        return float(los), float(nlos)
     return los, nlos

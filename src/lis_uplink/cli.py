@@ -9,12 +9,11 @@ import json
 import sys
 from pathlib import Path
 
-from .asymptotics import theorem1_sse
+from .asymptotics import build_moment_set, theorem1_sse
 from .config import ConfigError, RunConfig, load_config, parse_override
 from .harness import (
     EXPERIMENTS,
     ExperimentSpec,
-    _moments,
     _optimal_count,
     _place,
     _unit_block,
@@ -138,8 +137,8 @@ def _cmd_optimize_t(args) -> int:
     spec = _optimizer_spec(_build_run_config(args))
     cfg = spec.system
     worlds = _worlds(spec, _place(spec, 0))
-    sets = [_moments(stats, world, cfg.pilot_len)
-            for k in range(cfg.K) for world, stats, _ in _unit_block(spec, worlds, 0, 0, 0, k)]
+    sets = [build_moment_set(stats)
+            for k in range(cfg.K) for stats, _ in _unit_block(spec, worlds, 0, 0, 0, k)]
 
     def objective(t) -> float:
         return theorem1_sse(sets, t, cfg.T).sse_bar

@@ -200,6 +200,11 @@ class RunConfig:
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
     def __post_init__(self):
+        pool = self.placement.pool_size
+        if pool is not None and pool > self.system.T:
+            # a device-count sweep builds a world with K = pool, so K <= T
+            raise ConfigError(f"placement.pool_size must be <= system.T, got pool_size={pool}, "
+                              f"T={self.system.T}", "placement.pool_size")
         layout = self.layout
         if layout.name == "quad" and self.system.N != 4:
             raise ConfigError(f"quad layout requires system.N=4, got N={self.system.N}",

@@ -3,14 +3,16 @@ figure, aggregation, CSV output.
 
 Every figure reduces the same per-unit pipeline. ``_place`` draws a
 placement, ``_worlds`` builds the link world of a sweep point (plus the
-panel-0 single-LIS twin on request), ``_unit_block`` draws block b of unit
-(n, k) and builds its statistics in every world, and ``_kernel`` /
-``_moments`` turn those into a sampled ``BlockKernel`` and a Lemma/Theorem
-moment set; ``_sweep_blocks`` walks a placement's (array size, block)
-grid. Only ``_place``, ``_unit_block`` and ``_refades`` (fresh
-fading on a frozen block-0 condition) draw randomness. A twin never draws:
-it always gets the panel-0 slice of the multi-LIS draw, so multi-vs-single
-differences are paired.
+panel-0 single-LIS twin on request), and ``_unit_block`` draws block b of
+unit (n, k) and builds its statistics in every world. Each statistics
+object carries its unit's link budget, so ``BlockKernel(stats, g, w)`` and
+``build_moment_set(stats)`` turn it into a sampled kernel and a
+Lemma/Theorem moment set with no further arguments; ``_sweep_blocks``
+walks a placement's (array size, block) grid. Only ``_place``,
+``_unit_block`` and ``_refades`` (fresh fading on a frozen block-0
+condition) draw randomness. A twin never draws: it always gets the
+panel-0 slice of the multi-LIS draw, so multi-vs-single differences are
+paired.
 
 Randomness is addressed, not sequenced: every placement and every
 (block, unit) pair gets its own seed-derived substream (``_unit_rng`` is
@@ -26,7 +28,7 @@ so different units' roots are never alive together.
 
 The ``lis-sim optimize-t``/``optimize-k`` front ends use the same engine:
 placement 0 from ``_place``, block 0 of panel 0's units from
-``_unit_block`` and ``_moments`` for the pilot-length objective, and
+``_unit_block`` and their moment sets for the pilot-length objective, and
 ``_optimal_count`` for the device count.
 """
 
@@ -132,7 +134,7 @@ class ExperimentSpec(RunConfig):
                                       "experiment.sweep_values") from exc
         stride = exp.theory_stride or (row.stride and max(1, exp.realizations // row.stride))
         resolved = dataclasses.replace(exp, sweep_values=values, theory_stride=stride,
-                                       interference=exp.interference or row.interference)
+                                       interference=interference_regime(exp))
         return cls(system=rc.system, layout=rc.layout, placement=rc.placement, experiment=resolved)
 
 
@@ -233,7 +235,7 @@ def _worlds(spec: ExperimentSpec, dep, twin: bool = False, **changes) -> list:
 def _unit_block(spec: ExperimentSpec, worlds, p: int, b: int, n: int, k: int,
                 admitted: int | None = None) -> list:
     """Draw block b of unit (n, k) once and build its statistics in every
-    world: one (world, stats, draw) per world, the twin on the panel-0 slice.
+    world: one (stats, draw) per world, the twin on the panel-0 slice.
 
     With `admitted`, the draw keeps the world's full device shape (so the
     stream is consumed as for any other count), but the statistics and the
@@ -252,7 +254,7 @@ def _unit_block(spec: ExperimentSpec, worlds, p: int, b: int, n: int, k: int,
         geom = world.unit(n, k)
         if admitted is not None:
             geom = slice_geometry(geom, admitted)
-        out.append((world, make_unit_stats(geom, d, world.config, spec.experiment.interference), d))
+        out.append((make_unit_stats(geom, d, world.config, spec.experiment.interference), d))
     return out
 
 
@@ -261,24 +263,6 @@ def _refades(spec: ExperimentSpec, cfg: SystemConfig, p: int, r: int, n: int, k:
     of the frozen block-0 condition (stream address b = r + 1)."""
     rng = _unit_rng(spec.system.seed, p, r + 1, n, k)
     return cgauss(rng, (cfg.N, cfg.K, cfg.P)), cgauss(rng, (cfg.M,))
-
-
-def _kernel(stats, world: LinkWorld, g, w, K=None) -> BlockKernel:
-    """Sampled kernel of one unit in `world`; with K, restricted to the
-    first K devices per panel."""
-    rho_p, rho_d = world.rho_p, world.rho_d
-    if K is not None:
-        stats, g, rho_p, rho_d = slice_stats(stats, K), g[:, :K], rho_p[:, :K], rho_d[:, :K]
-    return BlockKernel(stats, g, w, rho_p, rho_d)
-
-
-def _moments(stats, world: LinkWorld, t: int):
-    """Lemma/Theorem moment set of one unit's block statistics."""
-    n, k = stats.geom.n, stats.geom.k
-    return build_moment_set(
-        stats, t, world.rho_p, world.rho_d,
-        z_own=world.deployment.devices_local[n, k, 2], L=world.config.L,
-    )
 
 
 def _sweep_blocks(spec: ExperimentSpec, p: int, twin: bool):
@@ -295,16 +279,16 @@ def _sampled_nse(spec: ExperimentSpec, worlds, p: int, b: int, K_grid) -> dict:
     pilot length t = K. Unit (n, k) is drawn once on the whole pool, its
     statistics are built for the first max(K_grid) devices only and then
     sliced to each K > k."""
-    (world,) = worlds
-    cfg = world.config
+    cfg = worlds[0].config
     K_max = max(K_grid)
     gam = {K: np.empty((cfg.N, K)) for K in K_grid}
     for n in range(cfg.N):
         for k in range(K_max):
-            ((_, stats, draw),) = _unit_block(spec, worlds, p, b, n, k, admitted=K_max)
+            ((stats, draw),) = _unit_block(spec, worlds, p, b, n, k, admitted=K_max)
             for K in K_grid:
                 if k < K:
-                    gam[K][n, k] = _kernel(stats, world, draw.g, draw.w, K).gamma(K)
+                    kern = BlockKernel(slice_stats(stats, K), draw.g[:, :K], draw.w)
+                    gam[K][n, k] = kern.gamma(K)
     return {K: nse_of_gammas(gam[K], K, cfg.T) for K in K_grid}
 
 
@@ -336,9 +320,9 @@ def _se_variance(spec: ExperimentSpec, p: int):
         se = np.empty((len(worlds), R))
         for r in range(R):
             g, w = _refades(spec, cfg, p, r, 0, 0)
-            for i, (world, stats, _) in enumerate(frozen):
-                kern = _kernel(stats, world, g[: world.config.N], w)
-                se[i, r] = sse(kern.gamma(t), t, cfg.T)
+            for i, (stats, draw) in enumerate(frozen):
+                # the twin's frozen draw covers panel 0 alone
+                se[i, r] = sse(BlockKernel(stats, g[: len(draw.g)], w).gamma(t), t, cfg.T)
         for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), se):
             recs.append((float(M), label, p, 0, float(np.var(row, ddof=1)) if R > 1 else 0.0))
             mean_se.setdefault(label, {})[M] = float(np.mean(row))
@@ -359,11 +343,11 @@ def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
         gammas = np.empty((len(worlds), cfg.K))
         sets = [[] for _ in worlds]
         for k in range(cfg.K):
-            for i, (world, stats, draw) in enumerate(_unit_block(spec, worlds, p, b, 0, k)):
+            for i, (stats, draw) in enumerate(_unit_block(spec, worlds, p, b, 0, k)):
                 if sample:
-                    gammas[i, k] = _kernel(stats, world, draw.g, draw.w).gamma(t)
+                    gammas[i, k] = BlockKernel(stats, draw.g, draw.w).gamma(t)
                 if theory:
-                    sets[i].append(_moments(stats, world, t))
+                    sets[i].append(build_moment_set(stats))
         if sample:
             for row, tag in zip(gammas, ("multi-LIS", "single-LIS")):
                 recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(row, t, T)))
@@ -387,8 +371,8 @@ def _csi(spec: ExperimentSpec, p: int):
         t, T = cfg.pilot_len, cfg.T
         gammas = np.empty((len(worlds), 2, cfg.K))  # world, (estimated, exact), unit
         for k in range(cfg.K):
-            for i, (world, stats, draw) in enumerate(_unit_block(spec, worlds, p, b, 0, k)):
-                kern = _kernel(stats, world, draw.g, draw.w)
+            for i, (stats, draw) in enumerate(_unit_block(spec, worlds, p, b, 0, k)):
+                kern = BlockKernel(stats, draw.g, draw.w)
                 gammas[i, :, k] = kern.gamma(t), kern.gamma_perfect
         for (est, exact), tag in zip(gammas, ("multi-LIS", "single-LIS")):
             recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(est, t, T)))
@@ -407,10 +391,10 @@ def _pilot(spec: ExperimentSpec, p: int):
         theory = b % exp.theory_stride == 0
         kernels, sets = [], []
         for k in range(cfg.K):
-            ((world, stats, draw),) = _unit_block(spec, worlds, p, b, 0, k)
-            kernels.append(_kernel(stats, world, draw.g, draw.w))
+            ((stats, draw),) = _unit_block(spec, worlds, p, b, 0, k)
+            kernels.append(BlockKernel(stats, draw.g, draw.w))
             if theory:
-                sets.append(_moments(stats, world, cfg.pilot_len))
+                sets.append(build_moment_set(stats))
         for t in exp.sweep_values:
             value = sse([kern.gamma(t) for kern in kernels], t, cfg.T)
             recs.append((float(t), "multi-LIS imperfect CSI", p, b, value))
@@ -482,17 +466,17 @@ def _oracle(spec: ExperimentSpec, p: int):
         worlds = _worlds(spec, dep, M=M)
         cfg = worlds[0].config
         t = cfg.pilot_len
-        ((world, stats, _),) = _unit_block(spec, worlds, p, 0, 0, 0)
-        ms = _moments(stats, world, t)
+        ((stats, _),) = _unit_block(spec, worlds, p, 0, 0, 0)
+        ms = build_moment_set(stats)
         M2 = float(cfg.M) ** 2
         samples = np.empty((4, R))  # X, Y total, Z, I
         for r in range(R):
             g, w = _refades(spec, cfg, p, r, 0, 0)
-            terms = _kernel(stats, world, g, w).terms(t)
-            samples[:, r] = terms.X, float(np.sum(world.rho_d * terms.Y)), terms.Z, terms.I
+            terms = BlockKernel(stats, g, w).terms(t)
+            samples[:, r] = terms.X, float(np.sum(ms.rho_d * terms.Y)), terms.Z, terms.I
             recs += [(float(M), "X", p, r, terms.X), (float(M), "Y total", p, r, samples[1, r]),
                      (float(M), "Z", p, r, terms.Z), (float(M), "I over M^2", p, r, terms.I / M2)]
-        closed = (ms.mu_X(), float(np.sum(ms.rho_d * ms.mu_Y_bar())), ms.mu_Z(), ms.mu_I_bar())
+        closed = (ms.mu_X(t), float(np.sum(ms.rho_d * ms.mu_Y_bar(t))), ms.mu_Z(t), ms.mu_I_bar(t))
         report.append({
             "M": M, "unit": [0, 0], "t": t,
             "kappa": [[float(v) for v in row] for row in stats.kappa],

@@ -8,6 +8,11 @@ are then drawn from those statistics. Both the Monte Carlo samplers and
 the closed-form moment formulas consume the same objects, so the two
 evaluation routes stay conditioned on identical channel laws.
 
+A unit's geometry also carries the link budget that its placement fixes:
+the pilot and data transmit SNRs of every device (power control) and the
+deterministic serving power of Theorems 1 and 2. The sampler, the Lemma
+moments and the floor table read the budget from there alone.
+
 The two rules of the link model live here alone: ``contamination_weights``
 (which same-pilot devices contaminate a unit's channel estimate, and how
 strongly) and ``los_allowed`` (which panels' links may carry LOS under an
@@ -32,7 +37,9 @@ from .scenario import (
     data_snrs,
     los_probability,
     pilot_snrs,
+    quarter_solid_angle,
     rician_factor,
+    serving_power,
     unit_antenna_grid,
 )
 
@@ -54,7 +61,8 @@ def placement_rng(seed: int, placement_idx: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class UnitLinkGeometry:
-    """Deterministic geometry of every link arriving at unit (n, k)."""
+    """Deterministic geometry and link budget of every link arriving at
+    unit (n, k)."""
 
     n: int
     k: int
@@ -63,6 +71,9 @@ class UnitLinkGeometry:
     beta2_sum: np.ndarray     # (N, K) sum over antennas of the LOS gains^2
     kappa_cand: np.ndarray    # (N, K) Rician factor if the link carries LOS
     p_los: np.ndarray         # (N, K) LOS probability of each link
+    rho_p: np.ndarray         # (N, K) pilot transmit SNR of every device
+    rho_d: np.ndarray         # (N, K) data transmit SNR of every device
+    p_bar: float              # deterministic serving power M^2 p^2/(16 pi^2 L^4)
 
     @property
     def own_power(self) -> float:
@@ -98,6 +109,7 @@ def build_unit_geometry(
     hlos = los_phase(d, config.lam)
     hlos *= beta
     cdist = center_distances(deployment, n, k)
+    p = quarter_solid_angle(config.L, deployment.devices_local[n, k, 2])
     return UnitLinkGeometry(
         n=n,
         k=k,
@@ -106,17 +118,18 @@ def build_unit_geometry(
         beta2_sum=np.einsum("ljm->lj", beta * beta),
         kappa_cand=rician_factor(cdist),
         p_los=los_probability(cdist, config.d_C),
+        rho_p=pilot_snrs(deployment, config),
+        rho_d=data_snrs(deployment, config),
+        p_bar=serving_power(config.M, p, config.L),
     )
 
 
 class LinkWorld:
-    """Deployment-level cache: per-unit link geometry plus power control."""
+    """Deployment-level cache of per-unit link geometry."""
 
     def __init__(self, deployment: Deployment, config: SystemConfig):
         self.deployment = deployment
         self.config = config
-        self.rho_p = pilot_snrs(deployment, config)   # (N, K)
-        self.rho_d = data_snrs(deployment, config)    # (N, K)
         self._units: dict[tuple[int, int], UnitLinkGeometry] = {}
 
     def unit(self, n: int, k: int) -> UnitLinkGeometry:
@@ -232,6 +245,8 @@ def slice_geometry(geom: UnitLinkGeometry, K: int) -> UnitLinkGeometry:
         beta2_sum=geom.beta2_sum[:, :K],
         kappa_cand=geom.kappa_cand[:, :K],
         p_los=geom.p_los[:, :K],
+        rho_p=geom.rho_p[:, :K],
+        rho_d=geom.rho_d[:, :K],
     )
 
 
@@ -262,10 +277,7 @@ class BlockTerms:
     Y: np.ndarray          # (N, K) |h_hat^H h_lj|^2, serving slot zeroed
     Z: float
     I: float               # rho-weighted composite interference
-    signal: float          # (sum_m beta_m^2)^2 of the serving link
     gamma: float           # estimated-CSI SINR
-    I_perfect: float       # composite when the filter is h_los itself
-    gamma_perfect: float   # perfect-CSI SINR
 
 
 class BlockKernel:
@@ -275,29 +287,22 @@ class BlockKernel:
     The estimation error is the ``contamination_weights``-weighted sum of
     the same-pilot channels plus white noise shrunk by sqrt(t * rho_p_own);
     only that shrink factor depends on t, so a pilot sweep reuses every
-    sampled product.
+    sampled product. The transmit SNRs are the link budget of ``stats.geom``.
     """
 
-    def __init__(
-        self,
-        stats: UnitChannelStats,
-        g: np.ndarray,
-        w: np.ndarray,
-        rho_p: np.ndarray,
-        rho_d: np.ndarray,
-    ):
+    def __init__(self, stats: UnitChannelStats, g: np.ndarray, w: np.ndarray):
         geom = stats.geom
         n, k = geom.n, geom.k
         self.n, self.k = n, k
         ch = sample_unit_channels(stats, g)
         hlos = geom.hlos[n, k]
 
-        contam = contamination_weights(rho_p, n, k) @ ch[:, k]
+        contam = contamination_weights(geom.rho_p, n, k) @ ch[:, k]
         u = hlos + contam
 
-        self.rho_p_own = float(rho_p[n, k])
-        self.rho_d = np.asarray(rho_d, dtype=float)
-        self.rho_d_own = float(rho_d[n, k])
+        self.rho_p_own = float(geom.rho_p[n, k])
+        self.rho_d = geom.rho_d
+        self.rho_d_own = float(geom.rho_d[n, k])
         self.signal = geom.own_power**2
 
         self.A = ch @ np.conj(u)
@@ -308,11 +313,11 @@ class BlockKernel:
         self.uw = complex(np.vdot(u, w))
         self.w_norm2 = float(np.vdot(w, w).real)
 
-        A_pure = ch @ np.conj(hlos)
-        Y_pure = np.abs(A_pure) ** 2
+        # perfect-CSI SINR: the filter is h_los itself
+        Y_pure = np.abs(ch @ np.conj(hlos)) ** 2
         Y_pure[n, k] = 0.0
-        self.I_perfect = float(np.sum(self.rho_d * Y_pure)) + geom.own_power
-        self.gamma_perfect = self.rho_d_own * self.signal / self.I_perfect
+        I_perfect = float(np.sum(self.rho_d * Y_pure)) + geom.own_power
+        self.gamma_perfect = self.rho_d_own * self.signal / I_perfect
 
     def terms(self, t) -> BlockTerms:
         s = math.sqrt(float(t) * self.rho_p_own)
@@ -326,10 +331,7 @@ class BlockKernel:
             Y=Y,
             Z=float(Z),
             I=float(I),
-            signal=self.signal,
             gamma=self.rho_d_own * self.signal / I,
-            I_perfect=self.I_perfect,
-            gamma_perfect=self.gamma_perfect,
         )
 
     def gamma(self, t) -> float:

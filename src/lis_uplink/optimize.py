@@ -10,8 +10,10 @@ The device-count problem scores K = 1..pool with the floor-bound SINRs,
 t = K, and devices admitted in fixed priority order; LOS gates enter
 through their expectation, which keeps the curve deterministic for a
 given deployment. The floor table reads a ``LinkWorld`` over the whole
-pool: its config, power control and deployment are the ones the sampler
-uses, and the contamination and LOS rules come from ``links``.
+pool: its config and deployment are the ones the sampler uses, each
+unit's transmit SNRs and serving power come from that unit's link budget
+(``UnitLinkGeometry``), and the contamination and LOS rules come from
+``links``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import floor_sinrs, quarter_solid_angle, rate_log, serving_power
+from .asymptotics import floor_sinrs, rate_log
 from .channel import rician_mixing
 from .links import LinkWorld, build_unit_geometry, contamination_weights, los_allowed
 
@@ -129,13 +131,13 @@ def expected_floor_table(world: LinkWorld, regime: str = "rician") -> ExpectedFl
     ``los_allowed`` bars under `regime` carry no LOS, as in the sampler.
     """
     deployment, cfg = world.deployment, world.config
-    rho_p, rho_d = world.rho_p, world.rho_d
     N, Kp = deployment.N, deployment.K
     diag = np.arange(N)
 
     base = np.zeros((N, Kp))
     leak = np.zeros((N, Kp, Kp))
     p_bar = np.zeros((N, Kp))
+    rho_d_own = np.zeros((N, Kp))
     for n in range(N):
         allowed = los_allowed(regime, N, n)
         for k in range(Kp):
@@ -143,6 +145,7 @@ def expected_floor_table(world: LinkWorld, regime: str = "rician") -> ExpectedFl
             # geometry would hold ~240 MiB at M = 400, and would change the
             # build_unit_geometry call count perfbench/test_tracer.py pins
             geom = build_unit_geometry(deployment, cfg, n, k)
+            rho_d = geom.rho_d
             p = geom.p_los
             s = np.where(allowed, rician_mixing(geom.kappa_cand)[0], 0.0)
             s2 = s * s
@@ -150,7 +153,7 @@ def expected_floor_table(world: LinkWorld, regime: str = "rician") -> ExpectedFl
             V = np.einsum("cm,ljm->clj", np.conj(hlos[:, k]), hlos)
             u = V[n]  # own = hlos[n, k]
 
-            a = contamination_weights(rho_p, n, k) * s[:, k]
+            a = contamination_weights(geom.rho_p, n, k) * s[:, k]
             pk = p[:, k]
 
             x = a * np.conj(u[:, k])
@@ -171,11 +174,9 @@ def expected_floor_table(world: LinkWorld, regime: str = "rician") -> ExpectedFl
             w = rho_d * p * s2 * (np.abs(mean_in) ** 2 + var_in)
             w[n, k] = 0.0
             leak[n, k] = np.einsum("lj->j", w)
+            p_bar[n, k], rho_d_own[n, k] = geom.p_bar, rho_d[n, k]
 
-            z_own = deployment.devices_local[n, k, 2]
-            p_bar[n, k] = serving_power(cfg.M, quarter_solid_angle(cfg.L, z_own), cfg.L)
-
-    return ExpectedFloorTable(base=base, leak=leak, p_bar=p_bar, rho_d_own=rho_d)
+    return ExpectedFloorTable(base=base, leak=leak, p_bar=p_bar, rho_d_own=rho_d_own)
 
 
 @dataclass(frozen=True)

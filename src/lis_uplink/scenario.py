@@ -192,20 +192,16 @@ def unit_antenna_grid(
     return deployment.frames[n].to_global(local)
 
 
-def los_probability(d, d_C: float):
+def los_probability(d: np.ndarray, d_C: float) -> np.ndarray:
     """Probability that a link of center distance d carries an LOS path:
     a linear ramp from 1 at d = 0 down to 0 at the cutoff d_C and beyond."""
-    d = np.asarray(d, dtype=float)
-    out = np.clip((d_C - d) / d_C, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return np.clip((d_C - d) / d_C, 0.0, 1.0)
 
 
-def rician_factor(d):
+def rician_factor(d: np.ndarray) -> np.ndarray:
     """Linear Rician factor of a link at center distance d meters,
     10^((13 - 0.03 d)/10)."""
-    d = np.asarray(d, dtype=float)
-    out = 10.0 ** ((13.0 - 0.03 * d) / 10.0)
-    return float(out) if out.ndim == 0 else out
+    return 10.0 ** ((13.0 - 0.03 * d) / 10.0)
 
 
 def pilot_snrs(deployment: Deployment, config: SystemConfig) -> np.ndarray:
@@ -231,6 +227,19 @@ def _center_gain(deployment: Deployment) -> np.ndarray:
     if np.any(z <= 0.0):
         raise ValueError("device sits on the LIS plane; channel gain undefined")
     return 1.0 / (4.0 * math.pi * z * z)
+
+
+def quarter_solid_angle(L: float, z: float) -> float:
+    """Solid angle of one panel quadrant seen from boresight distance z."""
+    if z <= 0:
+        raise ValueError(f"boresight distance must be positive, got {z}")
+    return math.atan(L * L / (z * math.sqrt(2.0 * L * L + z * z)))
+
+
+def serving_power(M: int, p: float, L: float) -> float:
+    """Deterministic serving power M^2 p^2 / (16 pi^2 L^4) of a device whose
+    unit quadrant subtends the solid angle p."""
+    return M * M * p * p / (16.0 * math.pi**2 * L**4)
 
 
 def center_distances(deployment: Deployment, n: int, k: int) -> np.ndarray:

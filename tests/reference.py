@@ -22,7 +22,9 @@ Per-link oracles of the uplink model, one link or one unit at a time:
   ``data_snrs``.
 
 ``moment_fields``, ``los_phase`` and ``kernel_products`` transcribe the
-``einsum`` forms of the moment and kernel contractions.
+``einsum`` forms of the moment and kernel contractions. ``with_budget``
+swaps the link budget a unit's statistics carry, for tests that set their
+own transmit SNRs.
 
 ``expected_floor_table`` is the Theorem 2 floor table built from a
 deployment and a system config, with its own power control, contamination
@@ -37,10 +39,21 @@ import math
 
 import numpy as np
 
-from lis_uplink.asymptotics import quarter_solid_angle, serving_power
 from lis_uplink.links import UnitChannelStats, build_unit_geometry, sample_unit_channels
 from lis_uplink.optimize import ExpectedFloorTable
-from lis_uplink.scenario import Deployment, data_snrs, pilot_snrs
+from lis_uplink.scenario import (
+    Deployment,
+    data_snrs,
+    pilot_snrs,
+    quarter_solid_angle,
+    serving_power,
+)
+
+
+def with_budget(stats: UnitChannelStats, **budget) -> UnitChannelStats:
+    """Block statistics whose geometry carries the given ``rho_p``,
+    ``rho_d`` or ``p_bar`` in place of its own link budget."""
+    return dataclasses.replace(stats, geom=dataclasses.replace(stats.geom, **budget))
 
 
 def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
@@ -99,8 +112,6 @@ def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
     var_z_noise_m = 1.0 / rho_p_own
 
     return {
-        "n": n,
-        "k": k,
         "M": M,
         "mu_x": mu_x,
         "var_x_const": var_x_const,

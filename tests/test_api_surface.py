@@ -7,15 +7,26 @@ refers to is reached only from tests; such code belongs in
 ``Name`` and ``Attribute`` node of the package's modules (``__init__.py``,
 which only re-exports, excluded); a field counts as used only when some
 module loads it as an attribute.
+
+The scan matches by attribute name, so a field also passes when another
+class has a field of the same name that is read. The run-time check
+attributes every read to its class instead: it runs the golden cases and
+the optimizer front ends with every exported dataclass instrumented.
 """
 
 import ast
 import dataclasses
+import functools
 import inspect
+import os
+import sys
 import types
 from pathlib import Path
 
 import lis_uplink
+from lis_uplink import preset_run_config, write_outputs
+
+from test_golden import CASES, OPTIMIZER_CASES, SEED, _run_optimizer
 
 PACKAGE_DIR = Path(lis_uplink.__file__).resolve().parent
 
@@ -88,3 +99,40 @@ def test_every_dataclass_field_of_an_exported_class_is_read_inside_the_package()
     }
     unread = sorted(f for f in fields if f.split(".")[1] not in loaded and f not in EXEMPT)
     assert unread == [], f"dataclass fields no package code reads: {unread}"
+
+
+@functools.lru_cache(maxsize=None)
+def _in_package(filename: str) -> bool:
+    return Path(os.path.abspath(filename)).parent == PACKAGE_DIR
+
+
+def test_every_dataclass_field_of_an_exported_class_is_read_at_run_time(monkeypatch, tmp_path):
+    """Runs every golden case (raw records on, output files written) and
+    the four optimizer CLI cases with ``__getattribute__`` of each exported
+    dataclass hooked. A field counts as read only when the reading code
+    sits in a package module: reads from ``dataclasses`` (``replace``,
+    ``asdict``), from the generated dunder methods and from tests do not
+    count."""
+    classes = [cls for cls in _exported_classes().values() if dataclasses.is_dataclass(cls)]
+    names = {cls: {f.name for f in dataclasses.fields(cls)} for cls in classes}
+    read = set()
+
+    def hook(self, name):
+        owners = [cls for cls in type(self).__mro__ if name in names.get(cls, ())]
+        if owners and _in_package(sys._getframe(1).f_code.co_filename):
+            read.update((cls, name) for cls in owners)
+        return object.__getattribute__(self, name)
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__getattribute__", hook, raising=False)
+    for case, (runner, exp_id, overrides) in sorted(CASES.items()):
+        rc = preset_run_config(exp_id, seed=SEED).with_overrides(
+            {**overrides, "experiment.raw_records": True})
+        write_outputs(runner(rc), tmp_path / case)
+    for case in sorted(OPTIMIZER_CASES):
+        _run_optimizer(case, tmp_path / case)
+    monkeypatch.undo()
+
+    unread = sorted(f"{cls.__name__}.{name}" for cls in classes for name in names[cls]
+                    if (cls, name) not in read and f"{cls.__name__}.{name}" not in EXEMPT)
+    assert unread == [], f"dataclass fields no package code reads in a run: {unread}"

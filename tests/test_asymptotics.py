@@ -16,6 +16,7 @@ from lis_uplink import (
     cgauss,
     draw_unit_block,
     make_unit_stats,
+    pilot_snrs,
     place_devices,
     quarter_solid_angle,
     theorem1_sse,
@@ -32,15 +33,6 @@ def _stats(world, n, k, seed, coins=None, interference="rician"):
     return draw, make_unit_stats(world.unit(n, k), draw, cfg, interference)
 
 
-def _moment_set(world, stats, t):
-    dep = world.deployment
-    n, k = stats.geom.n, stats.geom.k
-    return build_moment_set(
-        stats, t, world.rho_p, world.rho_d,
-        z_own=dep.devices_local[n, k, 2], L=world.config.L,
-    )
-
-
 @pytest.fixture(scope="module")
 def solo_world():
     cfg = SystemConfig(M=16, K=1, N=1, T=500, P=4, t=4)
@@ -52,27 +44,27 @@ class TestSinglePanelReductions:
     def test_error_alignment_is_pure_noise(self, solo_world):
         _, stats = _stats(solo_world, 0, 0, seed=2)
         t = 4
-        ms = _moment_set(solo_world, stats, t)
+        ms = build_moment_set(stats)
         beta2 = stats.geom.own_power
         assert ms.mu_x == 0.0
         assert ms.var_x_const == 0.0
-        assert_close(ms.var_x_noise / t, beta2 / (t * solo_world.rho_p[0, 0]), rtol=1e-12)
+        assert_close(ms.var_x_noise / t, beta2 / (t * stats.geom.rho_p[0, 0]), rtol=1e-12)
 
     def test_filter_norm_noise_inflation(self, solo_world):
         _, stats = _stats(solo_world, 0, 0, seed=3)
         t = 8
-        ms = _moment_set(solo_world, stats, t)
-        rho = solo_world.rho_p[0, 0]
+        ms = build_moment_set(stats)
+        rho = stats.geom.rho_p[0, 0]
         assert np.array_equal(ms.q_bar, stats.geom.hlos[0, 0])
         assert_close(ms.var_z_const_m + ms.var_z_noise_m / t, np.full(16, 1.0 / (t * rho)),
                      rtol=1e-12)
-        assert_close(ms.mu_Z(), stats.geom.own_power + 16.0 / (t * rho), rtol=1e-12)
+        assert_close(ms.mu_Z(t), stats.geom.own_power + 16.0 / (t * rho), rtol=1e-12)
 
     def test_composite_interference_closed_form_and_limit(self, solo_world):
         _, stats = _stats(solo_world, 0, 0, seed=4)
         t = 4
-        ms = _moment_set(solo_world, stats, t)
-        rho_p, rho_d = solo_world.rho_p[0, 0], solo_world.rho_d[0, 0]
+        ms = build_moment_set(stats)
+        rho_p, rho_d = stats.geom.rho_p[0, 0], stats.geom.rho_d[0, 0]
         beta2 = stats.geom.own_power
         expected = rho_d * beta2 / (t * rho_p) + beta2 + 16.0 / (t * rho_p)
         assert_close(ms.mu_I_bar(t), expected, rtol=1e-12)
@@ -84,7 +76,7 @@ class TestSinglePanelReductions:
         dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(5))
         world = LinkWorld(dep, cfg)
         _, stats = _stats(world, 0, 0, seed=6, coins=1.0)  # every gate fails
-        ms = _moment_set(world, stats, 3)
+        ms = build_moment_set(stats)
         assert np.all(ms.mu_y == 0.0)
         var_y = ms.var_y_const + ms.var_y_noise / 3
         assert var_y[0, 0] == 0.0  # serving slot zeroed
@@ -94,14 +86,14 @@ class TestSinglePanelReductions:
 class TestPilotLengthStructure:
     def test_moments_are_affine_in_inverse_t(self, tiny_world):
         _, stats = _stats(tiny_world, 0, 0, seed=0)
-        ms = _moment_set(tiny_world, stats, 2)
+        ms = build_moment_set(stats)
         for f in (ms.mu_X, ms.mu_Z, ms.mu_I_bar):
             v1, v2, v4 = f(6), f(12), f(24)
             assert abs((v1 - v2) - 2.0 * (v2 - v4)) <= 1e-10 * max(v1, 1.0)
 
     def test_composite_mean_strictly_decreasing_in_t(self, tiny_world):
         _, stats = _stats(tiny_world, 0, 0, seed=0)
-        ms = _moment_set(tiny_world, stats, 2)
+        ms = build_moment_set(stats)
         K = tiny_world.config.K
         vals = [ms.mu_I_bar(t) for t in (K, 2 * K, 4 * K)]
         assert vals[0] > vals[1] > vals[2]
@@ -109,14 +101,16 @@ class TestPilotLengthStructure:
     def test_floor_is_a_lower_bound_at_any_t(self, tiny_world):
         for seed in range(6):
             _, stats = _stats(tiny_world, 0, 0, seed=seed)
-            ms = _moment_set(tiny_world, stats, 2)
+            ms = build_moment_set(stats)
             for t in (2, 20, 200, 2000):
                 assert ms.mu_I_hat <= ms.mu_I_bar(t)
 
     def test_invalid_t_rejected(self, tiny_world):
         _, stats = _stats(tiny_world, 0, 0, seed=0)
-        with pytest.raises(ValueError, match="positive"):
-            _moment_set(tiny_world, stats, 0)
+        ms = build_moment_set(stats)
+        for f in (ms.mu_X, ms.mu_Y_bar, ms.mu_Z, ms.mu_I_bar):
+            with pytest.raises(ValueError, match="positive"):
+                f(0)
 
 
 class TestMomentsAgainstSampling:
@@ -125,7 +119,7 @@ class TestMomentsAgainstSampling:
         n, k = 0, 0
         draw, stats = _stats(tiny_world, n, k, seed=0)  # all gates on
         t = cfg.pilot_len
-        ms = _moment_set(tiny_world, stats, t)
+        ms = build_moment_set(stats)
 
         n_draws = 5000
         rng = np.random.default_rng(77)
@@ -136,7 +130,7 @@ class TestMomentsAgainstSampling:
         for r in range(n_draws):
             g = cgauss(rng, (cfg.N, cfg.K, cfg.P))
             w = cgauss(rng, (cfg.M,))
-            terms = BlockKernel(stats, g, w, tiny_world.rho_p, tiny_world.rho_d).terms(t)
+            terms = BlockKernel(stats, g, w).terms(t)
             X[r], Z[r], I[r] = terms.X, terms.Z, terms.I
             Y[r] = terms.Y
 
@@ -144,9 +138,9 @@ class TestMomentsAgainstSampling:
             se = sample.std(ddof=1) / math.sqrt(n_draws)
             return abs(sample.mean() - closed) / se
 
-        assert z_score(X, ms.mu_X()) < 5.0
-        assert z_score(Z, ms.mu_Z()) < 5.0
-        mu_Y = ms.mu_Y_bar()
+        assert z_score(X, ms.mu_X(t)) < 5.0
+        assert z_score(Z, ms.mu_Z(t)) < 5.0
+        mu_Y = ms.mu_Y_bar(t)
         # exact entries: same-panel partner and the cross-pilot inter link
         assert z_score(Y[:, 0, 1], mu_Y[0, 1]) < 5.0
         assert z_score(Y[:, 1, 1], mu_Y[1, 1]) < 5.0
@@ -184,11 +178,11 @@ class TestMomentPartsAgainstReference:
         draw = draw_unit_block(np.random.default_rng(seed + 1), N, K, P, cfg.M)
         stats = make_unit_stats(world.unit(n, k), draw, cfg, interference)
 
-        actual = _moment_set(world, stats, 1)
-        expected = reference.moment_fields(stats, world.rho_p)
-        # every stored moment coefficient is checked; the rest are inputs
+        actual = build_moment_set(stats)
+        expected = reference.moment_fields(stats, pilot_snrs(dep, cfg))
+        # every stored moment coefficient is checked; the rest is the link budget
         assert {f.name for f in dataclasses.fields(actual)} - set(expected) == {
-            "t", "rho_d", "rho_d_own", "z_own", "L"}
+            "rho_d", "rho_d_own", "p_bar"}
         for name, value in expected.items():
             got = np.asarray(getattr(actual, name))
             want = np.asarray(value)
@@ -215,7 +209,7 @@ class TestMomentPartsAgainstReference:
         dep = place_devices(cfg, LayoutConfig(d_x=0.5), np.random.default_rng(seed))
         world = LinkWorld(dep, cfg)
         _, stats = _stats(world, N - 1, 1, seed=seed + 1, interference=interference)
-        ms = _moment_set(world, stats, 1)
+        ms = build_moment_set(stats)
         assert math.isclose(ms.mu_I_bar(t), reference.mu_I_bar(ms, t), rel_tol=1e-13)
 
 
@@ -237,7 +231,7 @@ class TestSolidAngle:
 
 
 class TestTheorems:
-    def _panel_moments(self, world, seed, t, coins=None):
+    def _panel_moments(self, world, seed, coins=None):
         cfg = world.config
         out = []
         for k in range(cfg.K):
@@ -247,45 +241,45 @@ class TestTheorems:
             if coins is not None:
                 draw = dataclasses.replace(draw, coins=np.full((cfg.N, cfg.K), coins))
             stats = make_unit_stats(world.unit(0, k), draw, cfg)
-            out.append(_moment_set(world, stats, t))
+            out.append(build_moment_set(stats))
         return out
 
     def test_deterministic_sse_assembly(self, tiny_world):
         cfg = tiny_world.config
         t, T = 4, cfg.T
-        sets = self._panel_moments(tiny_world, seed=0, t=t, coins=0.0)
+        sets = self._panel_moments(tiny_world, seed=0, coins=0.0)
         res = theorem1_sse(sets, t, T)
         M = cfg.M
         gamma_bar = []
         for i, ms in enumerate(sets):
-            p = quarter_solid_angle(cfg.L, ms.z_own)
+            p = quarter_solid_angle(cfg.L, tiny_world.deployment.devices_local[0, i, 2])
             p_bar = M * M * p * p / (16.0 * math.pi**2 * cfg.L**4)
-            assert_close(res.p_bar[i], p_bar, rtol=1e-12)
+            assert_close(ms.p_bar, p_bar, rtol=1e-12)
             gamma_bar.append(ms.rho_d_own * p_bar / ms.mu_I_bar(t))
         expect_sse = (1.0 - t / T) * np.sum(np.log2(1.0 + np.array(gamma_bar)))
         assert_close(res.sse_bar, expect_sse, rtol=1e-12)
 
     def test_bound_dominates_deterministic_sse(self, tiny_world):
-        sets = self._panel_moments(tiny_world, seed=0, t=4, coins=0.0)
+        sets = self._panel_moments(tiny_world, seed=0, coins=0.0)
         res = theorem1_sse(sets, 4, 500)
         assert res.sse_hat >= res.sse_bar
         assert np.all(np.array([ms.mu_I_hat for ms in sets]) > 0.0)
 
     def test_interference_free_floor_is_infinite(self, solo_world):
         _, stats = _stats(solo_world, 0, 0, seed=2)
-        ms = _moment_set(solo_world, stats, 4)
+        ms = build_moment_set(stats)
         res = theorem1_sse([ms], 4, 500)
-        assert math.isinf(res.gamma_hat[0])
+        assert ms.mu_I_hat == 0.0  # a zero floor: the floor-bound SINR is inf
         assert math.isinf(res.sse_hat)
         assert math.isfinite(res.sse_bar)
 
     def test_full_training_gives_zero_sse(self, tiny_world):
-        sets = self._panel_moments(tiny_world, seed=0, t=500, coins=0.0)
+        sets = self._panel_moments(tiny_world, seed=0, coins=0.0)
         res = theorem1_sse(sets, 500, 500)
         assert res.sse_bar == 0.0 and res.sse_hat == 0.0
 
     def test_bad_inputs_rejected(self, tiny_world):
-        sets = self._panel_moments(tiny_world, seed=0, t=4)
+        sets = self._panel_moments(tiny_world, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
             theorem1_sse(sets, 501, 500)
         with pytest.raises(ValueError, match="at least one"):

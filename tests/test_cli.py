@@ -231,6 +231,15 @@ class TestErrorPaths:
         assert err.startswith("config error (experiment.sweep_values)")
         assert "M=120" in err
 
+    @pytest.mark.parametrize("argv", [["optimize-k"], ["simulate", "--set", "experiment.id=fig8"]])
+    def test_pool_above_block_length_exits_2_before_placement(self, argv, monkeypatch, capsys):
+        def no_placement(*args, **kwargs):
+            raise AssertionError("placement ran before the pool size was checked")
+
+        monkeypatch.setattr("lis_uplink.harness.place_devices", no_placement)
+        assert main([*argv, "--set", "system.T=20", "--set", "placement.pool_size=30"]) == 2
+        assert capsys.readouterr().err.startswith("config error (placement.pool_size)")
+
     @pytest.mark.parametrize("sub, exp_id, values", [
         ("asymptotic", "fig5", "[16, NaN]"),
         ("simulate", "fig5", "[16, Infinity]"),

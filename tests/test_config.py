@@ -116,6 +116,14 @@ class TestRunConfig:
             RunConfig(system=SystemConfig(N=2)).with_overrides({"layout.name": "quad"})
         assert err.value.key == "layout.name"
 
+    def test_pool_must_fit_in_the_block(self):
+        # a device-count sweep serves K = pool devices, so pool <= T
+        rc = RunConfig(system=SystemConfig(T=20)).with_overrides({"placement.pool_size": 20})
+        assert rc.placement.pool_size == 20
+        with pytest.raises(ConfigError, match="pool_size=21") as err:
+            rc.with_overrides({"placement.pool_size": 21})
+        assert err.value.key == "placement.pool_size"
+
     def test_line_layout_ignores_facing_separation(self):
         rc = RunConfig(system=SystemConfig(N=2)).with_overrides({"layout.d_z": 1.0})
         assert rc.layout.box_height > rc.layout.d_z

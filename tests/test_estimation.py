@@ -141,9 +141,9 @@ class TestDirectErrorSynthesis:
         # one panel: the error is the scaled noise alone
         world, draw, stats = _single_panel_unit(tiny_cfg, seed=7)
         t = 4
-        kernel = BlockKernel(stats, draw.g, draw.w, world.rho_p, world.rho_d)
+        kernel = BlockKernel(stats, draw.g, draw.w)
         hlos = stats.geom.hlos[0, 0]
-        e = draw.w / math.sqrt(t * world.rho_p[0, 0])
+        e = draw.w / math.sqrt(t * stats.geom.rho_p[0, 0])
         assert kernel.Xc == 0.0
         assert_close(kernel.terms(t).X, abs(np.vdot(e, hlos)) ** 2, rtol=1e-12)
         assert_close(kernel.terms(t).Z, np.sum(np.abs(hlos + e) ** 2), rtol=1e-12)
@@ -153,8 +153,8 @@ class TestDirectErrorSynthesis:
         n, k = 1, 1
         draw = draw_unit_block(np.random.default_rng(8), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
-        rho_p = tiny_world.rho_p
-        kernel = BlockKernel(stats, draw.g, draw.w, rho_p, tiny_world.rho_d)
+        rho_p = stats.geom.rho_p
+        kernel = BlockKernel(stats, draw.g, draw.w)
         ch = sample_unit_channels(stats, draw.g)
         contam = math.sqrt(rho_p[0, k] / rho_p[n, k]) * ch[0, k]
         hlos = stats.geom.hlos[n, k]
@@ -168,9 +168,9 @@ class TestDirectErrorSynthesis:
         # block statistics; the sampled X, Z and I must agree in mean
         cfg = tiny_world.config
         n, k, t, draws = 0, 0, 2, 4000
-        rho_p, rho_d = tiny_world.rho_p, tiny_world.rho_d
         block = draw_unit_block(np.random.default_rng(12), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(tiny_world.unit(n, k), block, cfg)
+        rho_p, rho_d = stats.geom.rho_p, stats.geom.rho_d
         hlos = stats.geom.hlos[n, k]
         book = reference.pilot_book(t, cfg.K)
         direct = np.empty((draws, 3))
@@ -178,7 +178,7 @@ class TestDirectErrorSynthesis:
         rng_direct, rng_matrix = np.random.default_rng(13), np.random.default_rng(14)
         for i in range(draws):
             g = cgauss(rng_direct, (cfg.N, cfg.K, cfg.P))
-            terms = BlockKernel(stats, g, cgauss(rng_direct, cfg.M), rho_p, rho_d).terms(t)
+            terms = BlockKernel(stats, g, cgauss(rng_direct, cfg.M)).terms(t)
             direct[i] = terms.X, terms.Z, terms.I
             channels = sample_unit_channels(stats, cgauss(rng_matrix, (cfg.N, cfg.K, cfg.P)))
             h_hat = _ls(channels, book, rho_p, k, rho_p[n, k], cgauss(rng_matrix, (cfg.M, t)))

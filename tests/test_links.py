@@ -13,10 +13,13 @@ from lis_uplink import (
     LinkWorld,
     SystemConfig,
     build_unit_geometry,
+    data_snrs,
     draw_unit_block,
     make_unit_stats,
+    pilot_snrs,
     place_devices,
     placement_rng,
+    quarter_solid_angle,
     sample_unit_channels,
     slice_stats,
     unit_antenna_grid,
@@ -178,9 +181,8 @@ class TestSliceStats:
         assert np.allclose(sliced.hbar, stats1.hbar, rtol=1e-15, atol=0)
         assert np.allclose(sliced.roots, stats1.roots, rtol=1e-15, atol=0)
         assert np.array_equal(sliced.kappa, stats1.kappa)
-        rho_p, rho_d = tiny_world.rho_p[:, :1], tiny_world.rho_d[:, :1]
-        t1 = BlockKernel(sliced, draw1.g, draw1.w, rho_p, rho_d).terms(2)
-        t2 = BlockKernel(stats1, draw1.g, draw1.w, rho_p, rho_d).terms(2)
+        t1 = BlockKernel(sliced, draw1.g, draw1.w).terms(2)
+        t2 = BlockKernel(stats1, draw1.g, draw1.w).terms(2)
         assert_close(t1.I, t2.I, rtol=1e-12)
         assert_close(t1.gamma, t2.gamma, rtol=1e-12)
 
@@ -220,7 +222,8 @@ class TestSliceStats:
             reference.subset(world.deployment, K), dataclasses.replace(cfg, K=K), n, k
         )
         geom_sliced = slice_geometry(world.unit(n, k), K)
-        for field in ("distances", "hlos", "beta2_sum", "kappa_cand", "p_los"):
+        for field in ("distances", "hlos", "beta2_sum", "kappa_cand", "p_los",
+                      "rho_p", "rho_d", "p_bar"):
             assert np.array_equal(getattr(geom_k, field), getattr(geom_sliced, field)), field
         draw_k = dataclasses.replace(
             draw, coins=draw.coins[:, :K], angles=draw.angles[:, :K], g=draw.g[:, :K]
@@ -229,9 +232,8 @@ class TestSliceStats:
         for field in ("kappa", "nlos_scale", "hbar", "roots"):
             assert np.array_equal(getattr(fresh, field), getattr(sliced, field)), field
 
-        rho_p, rho_d = world.rho_p[:, :K], world.rho_d[:, :K]
-        a = BlockKernel(sliced, draw_k.g, draw.w, rho_p, rho_d)
-        b = BlockKernel(fresh, draw_k.g, draw.w, rho_p, rho_d)
+        a = BlockKernel(sliced, draw_k.g, draw.w)
+        b = BlockKernel(fresh, draw_k.g, draw.w)
         assert_close(b.gamma(K), a.gamma(K), rtol=1e-12)
         assert_close(b.gamma_perfect, a.gamma_perfect, rtol=1e-12)
 
@@ -261,25 +263,26 @@ class TestBlockKernel:
         geom = tiny_world.unit(n, k)
         draw = draw_unit_block(np.random.default_rng(8), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        terms = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, tiny_world.rho_d).terms(t)
+        kernel = BlockKernel(stats, draw.g, draw.w)
+        terms = kernel.terms(t)
 
         # the estimation error drawn from its definition: ratio-weighted
         # same-pilot channels of the other panels plus the shrunk noise
+        rho_p = pilot_snrs(tiny_world.deployment, cfg)
+        rho_d = data_snrs(tiny_world.deployment, cfg)
         channels = sample_unit_channels(stats, draw.g)
-        ratios = tiny_world.rho_p[:, k] / tiny_world.rho_p[n, k]
+        ratios = rho_p[:, k] / rho_p[n, k]
         contams = np.delete(channels[:, k], n, axis=0)
-        e = np.sqrt(np.delete(ratios, n)) @ contams + draw.w / math.sqrt(t * tiny_world.rho_p[n, k])
+        e = np.sqrt(np.delete(ratios, n)) @ contams + draw.w / math.sqrt(t * rho_p[n, k])
         bd = reference.interference_terms(
-            geom.hlos[n, k] + e, geom.hlos[n, k], channels, tiny_world.rho_d, n, k
+            geom.hlos[n, k] + e, geom.hlos[n, k], channels, rho_d, n, k
         )
 
         assert_close(terms.X, bd["X"], rtol=1e-10)
         assert_close(terms.Z, bd["Z"], rtol=1e-10)
         assert_close(terms.I, bd["I"], rtol=1e-10)
-        assert_close(terms.signal, bd["S"], rtol=1e-12)
-        assert_close(
-            terms.gamma, tiny_world.rho_d[n, k] * bd["S"] / bd["I"], rtol=1e-10
-        )
+        assert_close(kernel.signal, bd["S"], rtol=1e-12)
+        assert_close(terms.gamma, rho_d[n, k] * bd["S"] / bd["I"], rtol=1e-10)
         # leakage grid: serving slot zeroed, rest matches the breakdown
         assert terms.Y[n, k] == 0.0
         assert_close(terms.Y, bd["Y"], rtol=1e-10)
@@ -295,8 +298,9 @@ class TestBlockKernel:
         for n, k in ((0, 1), (3, 1), (2, 0)):
             draw = draw_unit_block(np.random.default_rng(40 + n), cfg.N, K, cfg.P, cfg.M)
             stats = make_unit_stats(world.unit(n, k), draw, cfg, interference)
-            terms = BlockKernel(stats, draw.g, draw.w, world.rho_p, world.rho_d).terms(t)
-            ref = _pilot_block_terms(stats, draw.g, draw.w, world.rho_p, world.rho_d, t)
+            terms = BlockKernel(stats, draw.g, draw.w).terms(t)
+            ref = _pilot_block_terms(stats, draw.g, draw.w, pilot_snrs(world.deployment, cfg),
+                                     data_snrs(world.deployment, cfg), t)
             for name in ("X", "Y", "Z", "I", "gamma"):
                 assert_close(getattr(terms, name), ref[name], rtol=1e-10)
 
@@ -306,26 +310,24 @@ class TestBlockKernel:
         geom = tiny_world.unit(n, k)
         draw = draw_unit_block(np.random.default_rng(10), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        terms = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, tiny_world.rho_d).terms(2)
+        kernel = BlockKernel(stats, draw.g, draw.w)
 
+        rho_d = data_snrs(tiny_world.deployment, cfg)
         channels = sample_unit_channels(stats, draw.g)
         bd = reference.interference_terms(
-            geom.hlos[n, k], geom.hlos[n, k], channels, tiny_world.rho_d, n, k
+            geom.hlos[n, k], geom.hlos[n, k], channels, rho_d, n, k
         )
-        assert_close(terms.I_perfect, bd["I"], rtol=1e-10)
-        assert_close(
-            terms.gamma_perfect, tiny_world.rho_d[n, k] * bd["S"] / bd["I"], rtol=1e-10
-        )
+        assert_close(kernel.signal, bd["S"], rtol=1e-12)
+        assert_close(kernel.gamma_perfect, rho_d[n, k] * bd["S"] / bd["I"], rtol=1e-10)
 
     def test_kernel_reuse_across_pilot_lengths(self, tiny_world):
         cfg = tiny_world.config
         geom = tiny_world.unit(0, 0)
         draw = draw_unit_block(np.random.default_rng(11), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        rho_p, rho_d = tiny_world.rho_p, tiny_world.rho_d
-        kernel = BlockKernel(stats, draw.g, draw.w, rho_p, rho_d)
+        kernel = BlockKernel(stats, draw.g, draw.w)
         for t in (2, 16, 64):
-            fresh = BlockKernel(stats, draw.g, draw.w, rho_p, rho_d).terms(t)
+            fresh = BlockKernel(stats, draw.g, draw.w).terms(t)
             reused = kernel.terms(t)
             assert reused.I == fresh.I
             assert reused.gamma == fresh.gamma
@@ -335,7 +337,7 @@ class TestBlockKernel:
         geom = tiny_world.unit(0, 0)
         draw = draw_unit_block(np.random.default_rng(12), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        kernel = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, tiny_world.rho_d)
+        kernel = BlockKernel(stats, draw.g, draw.w)
         z = [kernel.terms(t).Z for t in (2, 8, 32, 128, 10**9)]
         # Z converges to the noise-free filter norm as training energy grows
         assert_close(z[-1], kernel.u_norm2, rtol=1e-4)
@@ -356,14 +358,17 @@ class TestBlockKernelProperties:
         n = data.draw(st.integers(0, N - 1), label="n")
         k = data.draw(st.integers(0, K - 1), label="k")
         world, draw, stats = _random_unit(N, K, side, P, seed, n, k)
-        kernel = BlockKernel(stats, draw.g, draw.w, world.rho_p, world.rho_d)
-        A, C, A_pure = reference.kernel_products(stats, draw.g, draw.w, world.rho_p)
+        kernel = BlockKernel(stats, draw.g, draw.w)
+        dep, cfg = world.deployment, world.config
+        A, C, A_pure = reference.kernel_products(stats, draw.g, draw.w, pilot_snrs(dep, cfg))
         for got, want in ((kernel.A, A), (kernel.C, C)):
             assert_close(got, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
+        rho_d = data_snrs(dep, cfg)
         Y_pure = np.abs(A_pure) ** 2
         Y_pure[n, k] = 0.0
-        I_perfect = float(np.sum(world.rho_d * Y_pure)) + stats.geom.own_power
-        assert_close(kernel.I_perfect, I_perfect, rtol=1e-12)
+        I_perfect = float(np.sum(rho_d * Y_pure)) + stats.geom.own_power
+        gamma_perfect = rho_d[n, k] * stats.geom.own_power**2 / I_perfect
+        assert_close(kernel.gamma_perfect, gamma_perfect, rtol=1e-12)
 
     @given(
         N=st.sampled_from([1, 2, 4]),
@@ -383,10 +388,10 @@ class TestBlockKernelProperties:
             return
         l, j = data.draw(st.sampled_from(others), label="interferer")
         world, draw, stats = _random_unit(N, K, side, P, seed, n, k)
-        louder = world.rho_d.copy()
+        louder = stats.geom.rho_d.copy()
         louder[l, j] *= factor
-        base = BlockKernel(stats, draw.g, draw.w, world.rho_p, world.rho_d)
-        loud = BlockKernel(stats, draw.g, draw.w, world.rho_p, louder)
+        base = BlockKernel(stats, draw.g, draw.w)
+        loud = BlockKernel(reference.with_budget(stats, rho_d=louder), draw.g, draw.w)
         assert loud.gamma(t) <= base.gamma(t)
         assert loud.gamma_perfect <= base.gamma_perfect
 
@@ -396,9 +401,18 @@ class TestLinkWorld:
         assert tiny_world.unit(0, 0) is tiny_world.unit(0, 0)
 
     def test_power_control_grids(self, tiny_world):
-        assert tiny_world.rho_p.shape == (2, 2)
-        assert np.all(tiny_world.rho_p > 0)
-        assert_close(tiny_world.rho_d / tiny_world.rho_p, np.full((2, 2), 10**0.3))
+        # every unit carries the deployment's power control and its own
+        # deterministic serving power
+        dep, cfg = tiny_world.deployment, tiny_world.config
+        for n, k in ((0, 0), (1, 1)):
+            geom = tiny_world.unit(n, k)
+            assert geom.rho_p.shape == (2, 2)
+            assert np.all(geom.rho_p > 0)
+            assert np.array_equal(geom.rho_p, pilot_snrs(dep, cfg))
+            assert np.array_equal(geom.rho_d, data_snrs(dep, cfg))
+            assert_close(geom.rho_d / geom.rho_p, np.full((2, 2), 10**0.3))
+            p = quarter_solid_angle(cfg.L, dep.devices_local[n, k, 2])
+            assert_close(geom.p_bar, cfg.M**2 * p**2 / (16.0 * math.pi**2 * cfg.L**4))
 
     def test_own_power_matches_geometry(self, tiny_world):
         geom = tiny_world.unit(1, 1)

@@ -26,21 +26,15 @@ import reference
 from conftest import assert_close
 
 
-def _panel_moment_sets(seed, M=16, K=3, N=2, P=4, d_x=0.5, t=None):
+def _panel_moment_sets(seed, M=16, K=3, N=2, P=4, d_x=0.5):
     cfg = SystemConfig(M=M, K=K, N=N, T=500, P=P, seed=seed)
     dep = place_devices(cfg, LayoutConfig(name="line", d_x=d_x), np.random.default_rng(seed))
     world = LinkWorld(dep, cfg)
-    t = t if t is not None else cfg.pilot_len
     sets = []
     for k in range(K):
         draw = draw_unit_block(np.random.default_rng(seed * 101 + k), N, K, P, M)
         stats = make_unit_stats(world.unit(0, k), draw, cfg)
-        sets.append(
-            build_moment_set(
-                stats, t, world.rho_p, world.rho_d,
-                z_own=dep.devices_local[0, k, 2], L=cfg.L,
-            )
-        )
+        sets.append(build_moment_set(stats))
     return sets
 
 

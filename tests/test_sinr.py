@@ -13,6 +13,7 @@ from lis_uplink import (
     cgauss,
     draw_unit_block,
     make_unit_stats,
+    pilot_snrs,
     sample_unit_channels,
 )
 from lis_uplink.asymptotics import sse
@@ -41,9 +42,10 @@ def _ls_filter(world, channels, n, k, rng):
     """LS estimate of unit (n, k)'s serving channel from a full noisy pilot
     block of every device toward this unit."""
     t = world.config.pilot_len
+    rho_p = pilot_snrs(world.deployment, world.config)
     book = reference.pilot_book(t, world.config.K)
-    Y = reference.received_block(channels, book, world.rho_p, cgauss(rng, (world.config.M, t)))
-    return reference.ls_despread(Y, book[:, k], t, world.rho_p[n, k])
+    Y = reference.received_block(channels, book, rho_p, cgauss(rng, (world.config.M, t)))
+    return reference.ls_despread(Y, book[:, k], t, rho_p[n, k])
 
 
 class TestInterferencePower:
@@ -74,11 +76,12 @@ class TestInterferencePower:
         n, k = 0, 1
         draw = draw_unit_block(np.random.default_rng(21), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
-        rho_d = tiny_world.rho_d
-        terms = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, rho_d).terms(cfg.pilot_len)
+        rho_d = stats.geom.rho_d
+        kernel = BlockKernel(stats, draw.g, draw.w)
+        terms = kernel.terms(cfg.pilot_len)
         re = rho_d[n, k] * terms.X + float(np.sum(rho_d * terms.Y)) + terms.Z
         assert abs(re - terms.I) <= 1e-10 * terms.I
-        assert terms.signal > 0 and terms.X >= 0 and terms.Z > 0
+        assert kernel.signal > 0 and terms.X >= 0 and terms.Z > 0
         assert np.all(terms.Y >= 0)
 
     def test_extra_interferer_weakly_lowers_sinr(self, tiny_world):
@@ -86,10 +89,10 @@ class TestInterferencePower:
         n, k = 0, 0
         draw = draw_unit_block(np.random.default_rng(23), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
-        muted = tiny_world.rho_d.copy()
+        muted = stats.geom.rho_d.copy()
         muted[1, :] = 0.0  # silence the other panel
-        full = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, tiny_world.rho_d)
-        quiet = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, muted)
+        full = BlockKernel(stats, draw.g, draw.w)
+        quiet = BlockKernel(reference.with_budget(stats, rho_d=muted), draw.g, draw.w)
         assert full.gamma_perfect <= quiet.gamma_perfect
 
     def test_mean_alignment_matches_closed_form(self, tiny_world):
@@ -101,10 +104,7 @@ class TestInterferencePower:
         block = draw_unit_block(np.random.default_rng(31), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, block, cfg)
         t = cfg.pilot_len
-        moments = build_moment_set(
-            stats, t, tiny_world.rho_p, tiny_world.rho_d,
-            z_own=dep.devices_local[n, k, 2], L=cfg.L,
-        )
+        moments = build_moment_set(stats)
         rng = np.random.default_rng(32)
         n_draws = 10_000
         xs = np.empty(n_draws)
@@ -114,7 +114,7 @@ class TestInterferencePower:
             h_hat = _ls_filter(tiny_world, channels, n, k, rng)
             xs[i] = abs(np.vdot(h_hat - geom.hlos[n, k], geom.hlos[n, k])) ** 2
         se = xs.std(ddof=1) / math.sqrt(n_draws)
-        assert abs(xs.mean() - moments.mu_X()) < 3.0 * se
+        assert abs(xs.mean() - moments.mu_X(t)) < 3.0 * se
 
 
 class TestInstantaneousSinr:
@@ -125,12 +125,15 @@ class TestInstantaneousSinr:
         n, k = 1, 0
         draw = draw_unit_block(np.random.default_rng(24), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
-        louder = tiny_world.rho_d.copy()
+        louder = stats.geom.rho_d.copy()
         louder[n, k] *= 3.0
-        base = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, tiny_world.rho_d)
-        loud = BlockKernel(stats, draw.g, draw.w, tiny_world.rho_p, louder)
+        base = BlockKernel(stats, draw.g, draw.w)
+        loud = BlockKernel(reference.with_budget(stats, rho_d=louder), draw.g, draw.w)
         assert_close(loud.gamma_perfect, 3.0 * base.gamma_perfect, rtol=1e-12)
-        assert_close(base.gamma_perfect, base.rho_d_own * base.signal / base.I_perfect, rtol=1e-12)
+        hlos = stats.geom.hlos[n, k]
+        channels = sample_unit_channels(stats, draw.g)
+        bd = reference.interference_terms(hlos, hlos, channels, stats.geom.rho_d, n, k)
+        assert_close(base.gamma_perfect, base.rho_d_own * base.signal / bd["I"], rtol=1e-12)
 
 
 class TestInstantaneousSse:
