@@ -14,9 +14,11 @@ stored as a t-independent coefficient and a 1/t coefficient, so a set has
 no pilot length of its own, and ``MomentSet.mu_I_bar(t)`` assembles the
 composite interference at whatever pilot length the caller passes. The
 transmit SNRs and the serving power come from the unit's link budget
-(``UnitLinkGeometry``). The sums over pilot contaminators are BLAS matrix
-products against one stacked, weight-scaled matrix of contaminator roots,
-so no Python loop runs over contaminators.
+(``UnitLinkGeometry``). The moments need the roots as matrices, so
+``build_moment_set`` densifies the unit's factored roots once; nothing
+else in the package builds the (N, K, M, P) tensor. The sums over pilot
+contaminators are BLAS matrix products against one stacked, weight-scaled
+matrix of contaminator roots, so no Python loop runs over contaminators.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def build_moment_set(stats: UnitChannelStats) -> MomentSet:
     geom = stats.geom
     n, k = geom.n, geom.k
     N, K = geom.p_los.shape
-    M, P = stats.roots.shape[2:]
+    roots = stats.roots.dense()  # (N, K, M, P)
+    M, P = roots.shape[2:]
     hlos_own = geom.hlos[n, k]
     rho_p_own = float(geom.rho_p[n, k])
     hbar = stats.hbar.reshape(N * K, M)
@@ -123,7 +126,7 @@ def build_moment_set(stats: UnitChannelStats) -> MomentSet:
     # is the squared norm of v @ conj_roots.
     live = np.flatnonzero(cont_w > 0.0)
     conj_roots = np.conj(
-        stats.roots[live, k] * np.sqrt(cont_w[live])[:, np.newaxis, np.newaxis]
+        roots[live, k] * np.sqrt(cont_w[live])[:, np.newaxis, np.newaxis]
     ).transpose(1, 0, 2).reshape(M, live.size * P)
 
     # Y_lj = |h_hat^H h_lj|^2: mean from the two fixed means; variance from
@@ -137,10 +140,10 @@ def build_moment_set(stats: UnitChannelStats) -> MomentSet:
     # term_b, the Lemma 2 cross term, is one matmul: the stacked
     # contaminator roots (C*P, M) against every interferer's (M, P) root,
     # batched over (l, j).
-    proj_en = np.conj(q_bar) @ stats.roots                 # (N, K, P)
+    proj_en = np.conj(q_bar) @ roots                       # (N, K, P)
     term_a = _sq_norm(proj_en)
-    term_b = _sq_norm(conj_roots.T @ stats.roots, axes=2)
-    rootfrob = _sq_norm(stats.roots, axes=2)
+    term_b = _sq_norm(conj_roots.T @ roots, axes=2)
+    rootfrob = _sq_norm(roots, axes=2)
     en_const = stats.nlos_var * (term_a + term_b)
     en_noise = stats.nlos_var * rootfrob / rho_p_own
 

@@ -1,15 +1,20 @@
-"""Gaussian draws, Rician mixing and correlation-root assembly.
+"""Gaussian draws, Rician mixing and correlation roots.
 
 Every link channel is a LOS mean plus a correlated scattered component
 R g: R is an M x P correlation root whose columns are planar-array
 steering vectors, one per scattered path, attenuated by the per-antenna
-path loss; g is a standard complex Gaussian draw. The LOS geometry and
-the per-unit sampling live in ``links``.
+path loss; g is a standard complex Gaussian draw. A planar steering
+vector is d_v kron d_h, so ``CorrelationRoot`` keeps R in that factored
+form: two (side, P) phase ramps and the (M,) path loss per link, never
+the (M, P) matrix. ``CorrelationRoot.dense`` builds the matrix for the
+closed-form moments. The LOS geometry and the per-unit sampling live in
+``links``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +30,47 @@ def cgauss(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
+@dataclass(frozen=True)
+class CorrelationRoot:
+    """Correlation roots of a batch of links in Kronecker form.
+
+    The (M, P) root of one link is diag(pathloss) [ramp_v[:, p] kron
+    ramp_h[:, p]]_p, so only the two (side, P) ramps and the (M,) path
+    loss are stored: 2 side P complex entries and M reals per link against
+    M P complex entries for the dense root.
+    """
+
+    ramp_v: np.ndarray    # (..., side, P) vertical ramps, times alpha_p / sqrt(M)
+    ramp_h: np.ndarray    # (..., side, P) horizontal ramps
+    pathloss: np.ndarray  # (..., M) per-antenna amplitude d^(-beta/2)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the three factors."""
+        return self.ramp_v.nbytes + self.ramp_h.nbytes + self.pathloss.nbytes
+
+    def dense(self) -> np.ndarray:
+        """The (..., M, P) root matrices."""
+        # d_v kron d_h: entry m = iv * side + ih, vertical index major
+        *batch, side, P = self.ramp_v.shape
+        out = np.empty((*batch, side, side, P), dtype=complex)
+        np.multiply(self.ramp_v[..., :, np.newaxis, :], self.ramp_h[..., np.newaxis, :, :],
+                    out=out)
+        out = out.reshape(*batch, side * side, P)
+        # the real path loss scales real and imaginary parts alike
+        parts = out.view(np.float64)
+        parts *= self.pathloss[..., :, np.newaxis]
+        return out
+
+
 def root_matrix_from_angles(
     angles: np.ndarray, distances: np.ndarray, config: SystemConfig
-) -> np.ndarray:
-    """Vectorized correlation-root assembly.
+) -> CorrelationRoot:
+    """Vectorized correlation-root assembly, in factored form.
 
     angles: (..., P, 2) path angle pairs (theta_v, theta_h);
     distances: (..., M) per-antenna distances for the same links.
-    Returns (..., M, P) matrices diag(d^-beta/2) @ [alpha_p * steer_p],
+    Returns the roots diag(d^-beta/2) @ [alpha_p * steer_p] of every link,
     with alpha_p = sqrt|cos theta_v cos theta_h| and steer_p the planar
     steering vector (1/sqrt(M)) d_v kron d_h whose per-axis phase steps
     are (2 pi delta_L / lambda) * phi, phi_v = sin theta_v and
@@ -52,16 +90,11 @@ def root_matrix_from_angles(
     step = 2.0 * math.pi * config.spacing / config.lam
     ramp_v = _phase_ramp(phi_v, side, step)
     ramp_v *= (alpha / math.sqrt(config.M))[..., np.newaxis, :]
-    ramp_h = _phase_ramp(phi_h, side, step)
-    # d_v kron d_h: entry m = iv * side + ih, vertical index major
-    batch, P = phi_v.shape[:-1], phi_v.shape[-1]
-    out = np.empty((*batch, side, side, P), dtype=complex)
-    np.multiply(ramp_v[..., :, np.newaxis, :], ramp_h[..., np.newaxis, :, :], out=out)
-    out = out.reshape(*batch, config.M, P)
-    # the real path loss scales real and imaginary parts alike
-    parts = out.view(np.float64)
-    parts *= (distances ** (-config.beta_PL / 2.0))[..., :, np.newaxis]
-    return out
+    return CorrelationRoot(
+        ramp_v=ramp_v,
+        ramp_h=_phase_ramp(phi_h, side, step),
+        pathloss=distances ** (-config.beta_PL / 2.0),
+    )
 
 
 def _phase_ramp(phi: np.ndarray, side: int, step: float) -> np.ndarray:

@@ -23,8 +23,9 @@ output files byte-identical for any worker count.
 
 To add a figure, write a module-level ``reduction(spec, p)`` returning
 ``(records, extras)``, with records as ``RawRecord`` field tuples, and add
-one ``Experiment`` row for it to ``EXPERIMENTS``; reduce one unit at a time
-so different units' roots are never alive together.
+one ``Experiment`` row for it to ``EXPERIMENTS``; reduce one unit at a time,
+so that at most one unit's statistics (and, inside ``build_moment_set``,
+its dense roots) are alive at once.
 
 The ``lis-sim optimize-t``/``optimize-k`` front ends use the same engine:
 placement 0 from ``_place``, block 0 of panel 0's units from
@@ -242,8 +243,8 @@ def _unit_block(spec: ExperimentSpec, worlds, p: int, b: int, n: int, k: int,
     returned draw cover only the first `admitted` devices per panel: the
     roots are never built for devices a sweep does not admit.
 
-    Callers reduce one unit before drawing the next, so the (N, K, M, P)
-    roots of different units are never alive together."""
+    The statistics hold their roots in factored form; dense (N, K, M, P)
+    roots exist only inside ``build_moment_set``, one unit at a time."""
     cfg = worlds[0].config
     draw = draw_unit_block(_unit_rng(spec.system.seed, p, b, n, k), cfg.N, cfg.K, cfg.P, cfg.M)
     if admitted is not None:
@@ -372,7 +373,7 @@ def _csi(spec: ExperimentSpec, p: int):
         gammas = np.empty((len(worlds), 2, cfg.K))  # world, (estimated, exact), unit
         for k in range(cfg.K):
             for i, (stats, draw) in enumerate(_unit_block(spec, worlds, p, b, 0, k)):
-                kern = BlockKernel(stats, draw.g, draw.w)
+                kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
                 gammas[i, :, k] = kern.gamma(t), kern.gamma_perfect
         for (est, exact), tag in zip(gammas, ("multi-LIS", "single-LIS")):
             recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(est, t, T)))

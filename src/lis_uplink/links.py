@@ -8,6 +8,11 @@ are then drawn from those statistics. Both the Monte Carlo samplers and
 the closed-form moment formulas consume the same objects, so the two
 evaluation routes stay conditioned on identical channel laws.
 
+A block's scattering roots stay in the factored form of
+``channel.CorrelationRoot``: ``sample_unit_channels`` forms every R g as
+path loss times vec(ramp_v diag(g) ramp_h^T), one batched matrix product
+per block, and no (N, K, M, P) root tensor is built on the sampling path.
+
 A unit's geometry also carries the link budget that its placement fixes:
 the pilot and data transmit SNRs of every device (power control) and the
 deterministic serving power of Theorems 1 and 2. The sampler, the Lemma
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import cgauss, rician_mixing, root_matrix_from_angles
+from .channel import CorrelationRoot, cgauss, rician_mixing, root_matrix_from_angles
 from .config import SystemConfig
 from .scenario import (
     Deployment,
@@ -194,7 +199,7 @@ class UnitChannelStats:
     kappa: np.ndarray       # (N, K) effective Rician factors (inf on own slot)
     nlos_scale: np.ndarray  # (N, K) sqrt(1/(kappa+1))
     hbar: np.ndarray        # (N, K, M) LOS means (own slot: full LOS vector)
-    roots: np.ndarray       # (N, K, M, P) correlation roots
+    roots: CorrelationRoot  # (N, K) factored correlation roots; .dense() is (N, K, M, P)
 
     @property
     def nlos_var(self) -> np.ndarray:
@@ -227,9 +232,18 @@ def make_unit_stats(
 def sample_unit_channels(stats: UnitChannelStats, g: np.ndarray) -> np.ndarray:
     """Sample all incoming link channels (N, K, M) given fading g (N, K, P):
     h = hbar + sqrt(1/(kappa+1)) * root @ g. The serving slot stays exactly
-    the LOS vector."""
-    scattered = np.einsum("ljmp,ljp->ljm", stats.roots, g)
-    return stats.hbar + stats.nlos_scale[:, :, np.newaxis] * scattered
+    the LOS vector.
+
+    With the root in Kronecker form, root @ g is the path loss times
+    vec(ramp_v diag(g) ramp_h^T): one (side, P) @ (P, side) product per link."""
+    roots = stats.roots
+    scattered = (roots.ramp_v * g[..., np.newaxis, :]) @ roots.ramp_h.swapaxes(-1, -2)
+    scattered = scattered.reshape(stats.hbar.shape)
+    # path loss and mixing are real: scale real and imaginary parts alike
+    scale = stats.nlos_scale[:, :, np.newaxis] * roots.pathloss
+    parts = scattered.view(np.float64).reshape(*scale.shape, 2)
+    parts *= scale[..., np.newaxis]
+    return stats.hbar + scattered
 
 
 def slice_geometry(geom: UnitLinkGeometry, K: int) -> UnitLinkGeometry:
@@ -259,7 +273,11 @@ def slice_stats(stats: UnitChannelStats, K: int) -> UnitChannelStats:
         kappa=stats.kappa[:, :K],
         nlos_scale=stats.nlos_scale[:, :K],
         hbar=stats.hbar[:, :K],
-        roots=stats.roots[:, :K],
+        roots=CorrelationRoot(
+            ramp_v=stats.roots.ramp_v[:, :K],
+            ramp_h=stats.roots.ramp_h[:, :K],
+            pathloss=stats.roots.pathloss[:, :K],
+        ),
     )
 
 
@@ -288,9 +306,13 @@ class BlockKernel:
     the same-pilot channels plus white noise shrunk by sqrt(t * rho_p_own);
     only that shrink factor depends on t, so a pilot sweep reuses every
     sampled product. The transmit SNRs are the link budget of ``stats.geom``.
+
+    ``gamma_perfect``, the SINR of the exact filter h_los, is computed only
+    for a kernel built with ``perfect_csi=True`` and is None otherwise.
     """
 
-    def __init__(self, stats: UnitChannelStats, g: np.ndarray, w: np.ndarray):
+    def __init__(self, stats: UnitChannelStats, g: np.ndarray, w: np.ndarray,
+                 perfect_csi: bool = False):
         geom = stats.geom
         n, k = geom.n, geom.k
         self.n, self.k = n, k
@@ -313,11 +335,13 @@ class BlockKernel:
         self.uw = complex(np.vdot(u, w))
         self.w_norm2 = float(np.vdot(w, w).real)
 
-        # perfect-CSI SINR: the filter is h_los itself
-        Y_pure = np.abs(ch @ np.conj(hlos)) ** 2
-        Y_pure[n, k] = 0.0
-        I_perfect = float(np.sum(self.rho_d * Y_pure)) + geom.own_power
-        self.gamma_perfect = self.rho_d_own * self.signal / I_perfect
+        self.gamma_perfect = None
+        if perfect_csi:
+            # perfect-CSI SINR: the filter is h_los itself
+            Y_pure = np.abs(ch @ np.conj(hlos)) ** 2
+            Y_pure[n, k] = 0.0
+            I_perfect = float(np.sum(self.rho_d * Y_pure)) + geom.own_power
+            self.gamma_perfect = self.rho_d_own * self.signal / I_perfect
 
     def terms(self, t) -> BlockTerms:
         s = math.sqrt(float(t) * self.rho_p_own)

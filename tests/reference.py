@@ -9,7 +9,7 @@ Per-link oracles of the uplink model, one link or one unit at a time:
   and one device's free-space LOS channel toward a unit, against
   ``unit_antenna_grid`` and ``links.build_unit_geometry``;
 - ``steering_vector``: one planar-array steering column, against the
-  columns of ``channel.root_matrix_from_angles``;
+  columns of a dense ``channel.root_matrix_from_angles`` root;
 - ``pilot_book``, ``received_block`` and ``ls_despread``: the full M x t
   pilot block and its least-squares despreading, against the estimation
   shortcut inside ``links.BlockKernel``;
@@ -21,8 +21,9 @@ Per-link oracles of the uplink model, one link or one unit at a time:
   center, off-boresight included, against ``scenario.pilot_snrs`` and
   ``data_snrs``.
 
-``moment_fields``, ``los_phase`` and ``kernel_products`` transcribe the
-``einsum`` forms of the moment and kernel contractions. ``with_budget``
+``moment_fields``, ``los_phase``, ``kernel_products`` and
+``dense_channels`` transcribe the ``einsum`` forms of the moment, kernel
+and sampling contractions on dense (N, K, M, P) roots. ``with_budget``
 swaps the link budget a unit's statistics carry, for tests that set their
 own transmit SNRs.
 
@@ -75,7 +76,8 @@ def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
     mu_e = np.einsum("l,lm->m", sqrt_ratio, stats.hbar[:, k])
     q_bar = hlos_own + mu_e
 
-    roots_k = stats.roots[:, k]
+    roots = stats.roots.dense()
+    roots_k = roots[:, k]
     rowpow = np.einsum("lmp->lm", np.abs(roots_k) ** 2)
 
     mu_x = complex(np.einsum("m,m->", np.conj(mu_e), hlos_own))
@@ -90,15 +92,15 @@ def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
     el_const = np.einsum("c,cljp->lj", cont_w, np.abs(proj_el) ** 2)
     el_noise = hbar_norm2 / rho_p_own
 
-    proj_en = np.einsum("m,ljmp->ljp", np.conj(q_bar), stats.roots)
+    proj_en = np.einsum("m,ljmp->ljp", np.conj(q_bar), roots)
     term_a = np.einsum("ljp->lj", np.abs(proj_en) ** 2)
     term_b = np.zeros((N, K))
     for c in range(N):
         if cont_w[c] == 0.0:
             continue
-        cross = np.einsum("mp,ljmq->ljpq", np.conj(roots_k[c]), stats.roots)
+        cross = np.einsum("mp,ljmq->ljpq", np.conj(roots_k[c]), roots)
         term_b += cont_w[c] * np.einsum("ljpq->lj", np.abs(cross) ** 2)
-    rootfrob = np.einsum("ljmp->lj", np.abs(stats.roots) ** 2)
+    rootfrob = np.einsum("ljmp->lj", np.abs(roots) ** 2)
     en_const = stats.nlos_var * (term_a + term_b)
     en_noise = stats.nlos_var * rootfrob / rho_p_own
 
@@ -128,6 +130,13 @@ def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
 def los_phase(d: np.ndarray, lam: float) -> np.ndarray:
     """LOS phase exp(-2j pi d / lambda) in its complex-arithmetic form."""
     return np.exp(-2j * np.pi * d / lam)
+
+
+def dense_channels(stats: UnitChannelStats, g: np.ndarray) -> np.ndarray:
+    """All incoming link channels hbar + sqrt(1/(kappa+1)) R g with every R g
+    contracted from the dense root, against ``sample_unit_channels``."""
+    scattered = np.einsum("ljmp,ljp->ljm", stats.roots.dense(), g)
+    return stats.hbar + stats.nlos_scale[:, :, np.newaxis] * scattered
 
 
 def kernel_products(stats: UnitChannelStats, g: np.ndarray, w: np.ndarray, pilot_snrs: np.ndarray):

@@ -126,7 +126,7 @@ def _unit_distance_roots(angles, cfg):
     """Correlation roots of the given path angles at unit distance, so the
     per-antenna path loss is 1 and column p is alpha_p * steer_p."""
     angles = np.asarray(angles, dtype=float)
-    return root_matrix_from_angles(angles, np.ones((*angles.shape[:-2], cfg.M)), cfg)
+    return root_matrix_from_angles(angles, np.ones((*angles.shape[:-2], cfg.M)), cfg).dense()
 
 
 def _steering_columns(phi_v, phi_h, cfg):
@@ -141,8 +141,8 @@ def _steering_columns(phi_v, phi_h, cfg):
 
 
 class TestSteeringVector:
-    """Steering vectors as the unit-distance columns of
-    ``root_matrix_from_angles``, divided by their path gains."""
+    """Steering vectors as the unit-distance columns of a dense
+    ``root_matrix_from_angles`` root, divided by their path gains."""
 
     def test_broadside_is_flat(self):
         cfg = SystemConfig(M=16, delta_L=0.05)
@@ -197,7 +197,7 @@ class TestCorrelationRoot:
         cfg = SystemConfig(M=16, K=1, N=1, P=3)
         dep = _point_deployment([[0.2, 0.1, 1.3]])
         d = build_unit_geometry(dep, cfg, 0, 0).distances[0, 0]
-        matrix = root_matrix_from_angles(np.zeros((3, 2)), d, cfg)
+        matrix = root_matrix_from_angles(np.zeros((3, 2)), d, cfg).dense()
         expected_col = d ** (-cfg.beta_PL / 2.0) / math.sqrt(cfg.M)
         for p in range(3):
             assert_close(matrix[:, p], expected_col.astype(complex), rtol=1e-12)
@@ -206,7 +206,7 @@ class TestCorrelationRoot:
         cfg = SystemConfig(M=16, K=1, N=1, P=2)
         d = np.full(16, 2.0)
         angles = np.array([[math.pi / 2.0, 0.0], [0.3, -0.4]])
-        matrix = root_matrix_from_angles(angles, d, cfg)
+        matrix = root_matrix_from_angles(angles, d, cfg).dense()
         assert np.max(np.abs(matrix[:, 0])) < 1e-6
         assert np.max(np.abs(matrix[:, 1])) > 1e-3
 
@@ -218,7 +218,7 @@ class TestCorrelationRoot:
         rng = np.random.default_rng(len(batch))
         angles = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(*batch, cfg.P, 2))
         d = rng.uniform(1.0, 10.0, size=(*batch, cfg.M))
-        roots = root_matrix_from_angles(angles, d, cfg)
+        roots = root_matrix_from_angles(angles, d, cfg).dense()
         assert roots.shape == (*batch, cfg.M, cfg.P)
         for link in np.ndindex(*batch):
             pathloss = d[link] ** (-cfg.beta_PL / 2.0)
@@ -239,7 +239,8 @@ class TestCorrelationRoot:
         stats = make_unit_stats(build_unit_geometry(dep, cfg, 0, 0), draw, cfg)
         assert np.all(np.abs(draw.angles) <= math.pi / 2.0)
         pathloss = stats.geom.distances ** (-cfg.beta_PL / 2.0) / math.sqrt(cfg.M)
-        gains = np.linalg.norm(stats.roots, axis=2) / np.linalg.norm(pathloss, axis=2)[..., None]
+        roots = stats.roots.dense()
+        gains = np.linalg.norm(roots, axis=2) / np.linalg.norm(pathloss, axis=2)[..., None]
         assert np.all(gains <= 1.0 + 1e-15)
         assert np.all(gains >= 0.0)
 
@@ -248,7 +249,7 @@ class TestCorrelationRoot:
         dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(5))
         draw = draw_unit_block(np.random.default_rng(6), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(build_unit_geometry(dep, cfg, 0, 0), draw, cfg)
-        root = stats.roots[0, 1]
+        root = stats.roots.dense()[0, 1]
         theta_v, theta_h = draw.angles[0, 1, :, 0], draw.angles[0, 1, :, 1]
         nlos_gains_sq = np.abs(np.cos(theta_v) * np.cos(theta_h))
         pathloss_sq = stats.geom.distances[0, 1] ** (-cfg.beta_PL)
@@ -284,7 +285,7 @@ class TestRicianSampling:
         h = sample_unit_channels(stats, g)
         assert stats.kappa[0, 1] == 0.0
         assert np.all(stats.hbar[0, 1] == 0.0)
-        assert_close(h[0, 1], stats.roots[0, 1] @ g[0, 1], rtol=1e-12)
+        assert_close(h[0, 1], stats.roots.dense()[0, 1] @ g[0, 1], rtol=1e-12)
 
     def test_total_is_exact_sum(self):
         cfg = SystemConfig(M=9, K=2, N=1, P=3)
@@ -294,13 +295,14 @@ class TestRicianSampling:
         kappa = geom.kappa_cand[0, 1]
         assert stats.kappa[0, 1] == kappa
         assert_close(stats.hbar[0, 1], math.sqrt(kappa / (kappa + 1.0)) * geom.hlos[0, 1], rtol=1e-12)
-        fluctuation = math.sqrt(1.0 / (kappa + 1.0)) * (stats.roots[0, 1] @ g[0, 1])
+        root = stats.roots.dense()[0, 1]
+        fluctuation = math.sqrt(1.0 / (kappa + 1.0)) * (root @ g[0, 1])
         assert_close(h[0, 1], stats.hbar[0, 1] + fluctuation, rtol=1e-12)
 
     def test_fluctuation_covariance_matches_root(self):
         cfg = SystemConfig(M=16, K=2, N=1, P=4)
         geom, draw, stats = _lone_link_stats([0.7, -0.4, 1.2], cfg, coin=0.0, seed=8)
-        root = stats.roots[0, 1]
+        root = stats.roots.dense()[0, 1]
         nlos_var = float(stats.nlos_var[0, 1])
         target = nlos_var * (root @ root.conj().T)
         n = 10_000

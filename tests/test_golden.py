@@ -12,8 +12,12 @@ record that change in CHANGES.md:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +140,28 @@ def test_optimizer_matches_golden(case, tmp_path, capsys):
     actual = json.loads(_run_optimizer(case, tmp_path))
     capsys.readouterr()
     _assert_same(actual, expected, case)
+
+
+def _records(case: str) -> list:
+    """Every raw record of a golden case, in run order."""
+    runner, exp_id, overrides = CASES[case]
+    result = runner(preset_run_config(exp_id, seed=SEED).with_overrides(overrides))
+    return [dataclasses.astuple(r) for r in result.records]
+
+
+def test_records_independent_of_blas_thread_count():
+    # channel sampling and the kernels run through BLAS matrix products;
+    # the fig9 case's records must not depend on how many threads BLAS uses
+    here = Path(__file__).resolve().parent
+    script = "import json, test_golden; print(json.dumps(test_golden._records('fig9')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    outputs = [
+        subprocess.run([sys.executable, "-c", script], env={**env, "OPENBLAS_NUM_THREADS": n},
+                       cwd=here, capture_output=True, text=True, check=True).stdout
+        for n in ("1", "2")
+    ]
+    assert json.loads(outputs[0]), "no records"
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":

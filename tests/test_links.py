@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,9 +124,64 @@ class TestUnitStats:
         stats = make_unit_stats(geom, draw, cfg)
         ch = sample_unit_channels(stats, draw.g)
         assert np.array_equal(ch[0, 0], geom.hlos[0, 0])  # serving slot exact
-        scattered = np.einsum("ljmp,ljp->ljm", stats.roots, draw.g)
-        manual = stats.hbar + stats.nlos_scale[:, :, np.newaxis] * scattered
-        assert np.array_equal(ch, manual)
+        # the separable product sums in another order than the dense einsum
+        assert_close(ch, reference.dense_channels(stats, draw.g), rtol=1e-12)
+
+
+class TestFactoredRoots:
+    """The statistics keep each root as its Kronecker factors: the separable
+    sample, the factor slices and the memory held agree with dense roots."""
+
+    @given(
+        N=st.sampled_from([1, 2, 4]),
+        K=st.integers(1, 4),
+        side=st.integers(1, 6),
+        P=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_separable_sample_equals_dense_product(self, N, K, side, P, seed):
+        _, draw, stats = _random_unit(N, K, side, P, seed, 0, 0)
+        # zero means and unit mixing leave the scattered part R g alone
+        bare = dataclasses.replace(
+            stats, hbar=np.zeros_like(stats.hbar), nlos_scale=np.ones_like(stats.nlos_scale)
+        )
+        got = sample_unit_channels(bare, draw.g)
+        want = (stats.roots.dense() @ draw.g[..., np.newaxis])[..., 0]
+        # the absolute floor only covers entries whose path sum cancels
+        assert_close(got, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
+
+    @given(
+        N=st.sampled_from([1, 2, 4]),
+        pool=st.integers(1, 5),
+        side=st.integers(1, 6),
+        P=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_slice_then_dense_equals_dense_then_slice(self, N, pool, side, P, seed, data):
+        K = data.draw(st.integers(1, pool), label="K")
+        _, _, stats = _random_unit(N, pool, side, P, seed, 0, 0)
+        assert np.array_equal(slice_stats(stats, K).roots.dense(), stats.roots.dense()[:, :K])
+
+    def test_unit_stats_hold_no_dense_root(self):
+        N, K, M, P = 4, 4, 400, 20
+        cfg = SystemConfig(M=M, K=K, N=N, P=P)
+        geom = LinkWorld(place_devices(cfg, LayoutConfig(), placement_rng(0, 0)), cfg).unit(0, 0)
+        draw = draw_unit_block(np.random.default_rng(0), N, K, P, M)
+        tracemalloc.start()
+        try:
+            stats = make_unit_stats(geom, draw, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = N * K * M * P * 16
+        held = [getattr(obj, f.name) for obj in (stats, stats.roots)
+                for f in dataclasses.fields(obj)]
+        assert not any(isinstance(a, np.ndarray) and a.shape[-2:] == (M, P) for a in held)
+        assert stats.roots.nbytes <= dense / 4
+        # nor is a dense root built on the way: every allocation of the
+        # build together stays below a quarter of one
+        assert peak <= dense / 4
 
 
 class TestUnitGeometryOracle:
@@ -179,7 +235,7 @@ class TestSliceStats:
         stats1 = make_unit_stats(geom1, draw1, cfg)
 
         assert np.allclose(sliced.hbar, stats1.hbar, rtol=1e-15, atol=0)
-        assert np.allclose(sliced.roots, stats1.roots, rtol=1e-15, atol=0)
+        assert np.allclose(sliced.roots.dense(), stats1.roots.dense(), rtol=1e-15, atol=0)
         assert np.array_equal(sliced.kappa, stats1.kappa)
         t1 = BlockKernel(sliced, draw1.g, draw1.w).terms(2)
         t2 = BlockKernel(stats1, draw1.g, draw1.w).terms(2)
@@ -229,11 +285,12 @@ class TestSliceStats:
             draw, coins=draw.coins[:, :K], angles=draw.angles[:, :K], g=draw.g[:, :K]
         )
         fresh = make_unit_stats(geom_k, draw_k, cfg, interference)
-        for field in ("kappa", "nlos_scale", "hbar", "roots"):
+        for field in ("kappa", "nlos_scale", "hbar"):
             assert np.array_equal(getattr(fresh, field), getattr(sliced, field)), field
+        assert np.array_equal(fresh.roots.dense(), sliced.roots.dense())
 
-        a = BlockKernel(sliced, draw_k.g, draw.w)
-        b = BlockKernel(fresh, draw_k.g, draw.w)
+        a = BlockKernel(sliced, draw_k.g, draw.w, perfect_csi=True)
+        b = BlockKernel(fresh, draw_k.g, draw.w, perfect_csi=True)
         assert_close(b.gamma(K), a.gamma(K), rtol=1e-12)
         assert_close(b.gamma_perfect, a.gamma_perfect, rtol=1e-12)
 
@@ -310,7 +367,8 @@ class TestBlockKernel:
         geom = tiny_world.unit(n, k)
         draw = draw_unit_block(np.random.default_rng(10), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        kernel = BlockKernel(stats, draw.g, draw.w)
+        kernel = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
+        assert BlockKernel(stats, draw.g, draw.w).gamma_perfect is None
 
         rho_d = data_snrs(tiny_world.deployment, cfg)
         channels = sample_unit_channels(stats, draw.g)
@@ -358,7 +416,7 @@ class TestBlockKernelProperties:
         n = data.draw(st.integers(0, N - 1), label="n")
         k = data.draw(st.integers(0, K - 1), label="k")
         world, draw, stats = _random_unit(N, K, side, P, seed, n, k)
-        kernel = BlockKernel(stats, draw.g, draw.w)
+        kernel = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
         dep, cfg = world.deployment, world.config
         A, C, A_pure = reference.kernel_products(stats, draw.g, draw.w, pilot_snrs(dep, cfg))
         for got, want in ((kernel.A, A), (kernel.C, C)):
@@ -390,8 +448,9 @@ class TestBlockKernelProperties:
         world, draw, stats = _random_unit(N, K, side, P, seed, n, k)
         louder = stats.geom.rho_d.copy()
         louder[l, j] *= factor
-        base = BlockKernel(stats, draw.g, draw.w)
-        loud = BlockKernel(reference.with_budget(stats, rho_d=louder), draw.g, draw.w)
+        base = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
+        loud = BlockKernel(reference.with_budget(stats, rho_d=louder), draw.g, draw.w,
+                           perfect_csi=True)
         assert loud.gamma(t) <= base.gamma(t)
         assert loud.gamma_perfect <= base.gamma_perfect
 

@@ -91,8 +91,9 @@ class TestInterferencePower:
         stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
         muted = stats.geom.rho_d.copy()
         muted[1, :] = 0.0  # silence the other panel
-        full = BlockKernel(stats, draw.g, draw.w)
-        quiet = BlockKernel(reference.with_budget(stats, rho_d=muted), draw.g, draw.w)
+        full = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
+        quiet = BlockKernel(reference.with_budget(stats, rho_d=muted), draw.g, draw.w,
+                            perfect_csi=True)
         assert full.gamma_perfect <= quiet.gamma_perfect
 
     def test_mean_alignment_matches_closed_form(self, tiny_world):
@@ -127,8 +128,9 @@ class TestInstantaneousSinr:
         stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
         louder = stats.geom.rho_d.copy()
         louder[n, k] *= 3.0
-        base = BlockKernel(stats, draw.g, draw.w)
-        loud = BlockKernel(reference.with_budget(stats, rho_d=louder), draw.g, draw.w)
+        base = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
+        loud = BlockKernel(reference.with_budget(stats, rho_d=louder), draw.g, draw.w,
+                           perfect_csi=True)
         assert_close(loud.gamma_perfect, 3.0 * base.gamma_perfect, rtol=1e-12)
         hlos = stats.geom.hlos[n, k]
         channels = sample_unit_channels(stats, draw.g)
