@@ -89,7 +89,9 @@ def root_matrix_from_angles(
     side = config.m_side
     step = 2.0 * math.pi * config.spacing / config.lam
     ramp_v = _phase_ramp(phi_v, side, step)
-    ramp_v *= (alpha / math.sqrt(config.M))[..., np.newaxis, :]
+    # the gain is real: scale real and imaginary parts alike
+    parts = ramp_v.view(np.float64).reshape(*ramp_v.shape, 2)
+    parts *= (alpha / math.sqrt(config.M))[..., np.newaxis, :, np.newaxis]
     return CorrelationRoot(
         ramp_v=ramp_v,
         ramp_h=_phase_ramp(phi_h, side, step),

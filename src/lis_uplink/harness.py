@@ -8,11 +8,14 @@ unit (n, k) and builds its statistics in every world. Each statistics
 object carries its unit's link budget, so ``BlockKernel(stats, g, w)`` and
 ``build_moment_set(stats)`` turn it into a sampled kernel and a
 Lemma/Theorem moment set with no further arguments; ``_sweep_blocks``
-walks a placement's (array size, block) grid. Only ``_place``,
-``_unit_block`` and ``_refades`` (fresh fading on a frozen block-0
-condition) draw randomness. A twin never draws: it always gets the
-panel-0 slice of the multi-LIS draw, so multi-vs-single differences are
-paired.
+walks a placement's (array size, block) grid. The device-count figures
+(fig8, fig9) sample on ``_sampling_worlds``: the config keeps the whole
+pool, so every draw has the pool's shape, while the deployment is the
+prefix of admitted devices, so geometry is built and cached for those
+alone. Only ``_place``, ``_unit_block`` and ``_refades`` (fresh fading
+on a frozen block-0 condition) draw randomness. A twin never draws: it
+always gets the panel-0 slice of the multi-LIS draw, so multi-vs-single
+differences are paired.
 
 Randomness is addressed, not sequenced: every placement and every
 (block, unit) pair gets its own seed-derived substream (``_unit_rng`` is
@@ -238,7 +241,7 @@ def _unit_block(spec: ExperimentSpec, worlds, p: int, b: int, n: int, k: int,
     """Draw block b of unit (n, k) once and build its statistics in every
     world: one (stats, draw) per world, the twin on the panel-0 slice.
 
-    With `admitted`, the draw keeps the world's full device shape (so the
+    With `admitted`, the draw keeps the config's full device shape (so the
     stream is consumed as for any other count), but the statistics and the
     returned draw cover only the first `admitted` devices per panel: the
     roots are never built for devices a sweep does not admit.
@@ -275,9 +278,18 @@ def _sweep_blocks(spec: ExperimentSpec, p: int, twin: bool):
             yield M, worlds, b
 
 
+def _sampling_worlds(spec: ExperimentSpec, dep, admitted: int, **changes) -> list:
+    """Sampling world of a device-count sweep point: its config holds the
+    whole pool (K = pool, t unset), so every block draw keeps the pool's
+    shape and stream, but its deployment is the first `admitted` devices
+    per panel, so geometry is built and cached for those devices only."""
+    return _worlds(spec, dep.prefix(admitted), K=dep.K, t=None, **changes)
+
+
 def _sampled_nse(spec: ExperimentSpec, worlds, p: int, b: int, K_grid) -> dict:
     """Monte Carlo NSE of block b for every admitted count K in K_grid, with
-    pilot length t = K. Unit (n, k) is drawn once on the whole pool, its
+    pilot length t = K, on ``_sampling_worlds`` that cover at least
+    max(K_grid) devices. Unit (n, k) is drawn once on the whole pool, its
     statistics are built for the first max(K_grid) devices only and then
     sliced to each K > k."""
     cfg = worlds[0].config
@@ -415,7 +427,7 @@ def _ksweep(spec: ExperimentSpec, p: int):
             for K, v in zip(sol.K_values, sol.nse_curve) if math.isfinite(v)]
     mc_M = cfg.M if cfg.M <= _MC_KSWEEP_CAP else 196
     K_grid = sorted({K for K in exp.sweep_values if K <= pool} | {sol.K_opt})
-    worlds = _worlds(spec, dep, M=mc_M, K=pool, t=None)
+    worlds = _sampling_worlds(spec, dep, max(K_grid), M=mc_M)
     for b in range(exp.realizations):
         nse = _sampled_nse(spec, worlds, p, b, K_grid)
         recs += [(float(K), "Monte Carlo NSE", p, b, nse[K]) for K in K_grid]
@@ -431,12 +443,13 @@ def _nse_vs_m(spec: ExperimentSpec, p: int):
     dep = _place(spec, p, pool=True)
     recs, K_opt = [], {}
     for M in exp.sweep_values:
-        worlds = _worlds(spec, dep, M=M, K=dep.K, t=None)
-        sol = _optimal_count(spec, *worlds)
+        sol = _optimal_count(spec, *_worlds(spec, dep, M=M, K=dep.K, t=None))
         K_opt[M] = sol.K_opt
         recs.append((float(M), "Theorem 2 bound NSE at optimized K", p, 0, sol.nse_opt))
-        for K, label in ((sol.K_opt, "Monte Carlo NSE at optimized K"),
-                         (min(20, dep.K), "Monte Carlo NSE at K=20")):
+        policies = ((sol.K_opt, "Monte Carlo NSE at optimized K"),
+                    (min(20, dep.K), "Monte Carlo NSE at K=20"))
+        worlds = _sampling_worlds(spec, dep, max(K for K, _ in policies), M=M)
+        for K, label in policies:
             for b in range(exp.realizations):
                 recs.append((float(M), label, p, b, _sampled_nse(spec, worlds, p, b, [K])[K]))
     return recs, {"pool": dep.K, "K_opt": K_opt}

@@ -87,11 +87,18 @@ class UnitLinkGeometry:
 
 
 def los_phase(d: np.ndarray, lam: float) -> np.ndarray:
-    """exp(-2j pi d / lam), with the argument formed in real arithmetic.
+    """exp(-2j pi d / lam), written as the cosine and sine of one real
+    argument into the real and imaginary parts of the result.
 
     Equal bit for bit to the complex form: dividing a complex array by a
-    real scalar multiplies both parts by its reciprocal."""
-    return np.exp(1j * ((-2.0 * np.pi * d) * (1.0 / lam)))
+    real scalar multiplies both parts by its reciprocal, and the complex
+    exponential of 0 + iy is (cos y, sin y)."""
+    x = np.multiply(d, -2.0 * np.pi)
+    x *= 1.0 / lam
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
 
 def build_unit_geometry(
@@ -103,16 +110,25 @@ def build_unit_geometry(
     z = np.einsum("lji,i->lj", deployment.devices - deployment.frames[n].origin, normal)
     if np.any(z <= 0):
         raise ValueError("every device must lie on the front side of every panel plane")
-    # squared distances summed one axis at a time: no (N, K, M, 3) array
+    # squared distances summed one axis at a time in one scratch buffer,
+    # which then holds beta: no (N, K, M, 3) array
     d = np.zeros(z.shape + antennas.shape[:1])
+    scratch = np.empty_like(d)
     for axis in range(3):
-        step = deployment.devices[:, :, axis, np.newaxis] - antennas[:, axis]
-        step *= step
-        d += step
+        np.subtract(deployment.devices[:, :, axis, np.newaxis], antennas[:, axis], out=scratch)
+        scratch *= scratch
+        d += scratch
     np.sqrt(d, out=d)
-    beta = np.sqrt(z[:, :, np.newaxis] / d) / np.sqrt(4.0 * np.pi * d * d)
+    # beta = sqrt(z / d) / sqrt(4 pi d^2)
+    beta = np.sqrt(np.divide(z[:, :, np.newaxis], d, out=scratch), out=scratch)
+    spread = np.multiply(d, 4.0 * np.pi)
+    spread *= d
+    beta /= np.sqrt(spread, out=spread)
     hlos = los_phase(d, config.lam)
-    hlos *= beta
+    # beta is real: scale real and imaginary parts alike
+    parts = hlos.view(np.float64).reshape(*beta.shape, 2)
+    parts *= beta[..., np.newaxis]
+    beta2 = np.multiply(beta, beta, out=beta)  # beta is spent: square it in place
     cdist = center_distances(deployment, n, k)
     p = quarter_solid_angle(config.L, deployment.devices_local[n, k, 2])
     return UnitLinkGeometry(
@@ -120,7 +136,7 @@ def build_unit_geometry(
         k=k,
         distances=d,
         hlos=hlos,
-        beta2_sum=np.einsum("ljm->lj", beta * beta),
+        beta2_sum=np.einsum("ljm->lj", beta2),
         kappa_cand=rician_factor(cdist),
         p_los=los_probability(cdist, config.d_C),
         rho_p=pilot_snrs(deployment, config),
@@ -243,7 +259,8 @@ def sample_unit_channels(stats: UnitChannelStats, g: np.ndarray) -> np.ndarray:
     scale = stats.nlos_scale[:, :, np.newaxis] * roots.pathloss
     parts = scattered.view(np.float64).reshape(*scale.shape, 2)
     parts *= scale[..., np.newaxis]
-    return stats.hbar + scattered
+    scattered += stats.hbar
+    return scattered
 
 
 def slice_geometry(geom: UnitLinkGeometry, K: int) -> UnitLinkGeometry:

@@ -142,15 +142,15 @@ def expected_floor_table(world: LinkWorld, regime: str = "rician") -> ExpectedFl
         allowed = los_allowed(regime, N, n)
         for k in range(Kp):
             # built here rather than by world.unit: caching the whole pool's
-            # geometry would hold ~240 MiB at M = 400, and would change the
-            # build_unit_geometry call count perfbench/test_tracer.py pins
+            # geometry would hold ~240 MiB at M = 400
             geom = build_unit_geometry(deployment, cfg, n, k)
             rho_d = geom.rho_d
             p = geom.p_los
             s = np.where(allowed, rician_mixing(geom.kappa_cand)[0], 0.0)
             s2 = s * s
             hlos = geom.hlos
-            V = np.einsum("cm,ljm->clj", np.conj(hlos[:, k]), hlos)
+            # V[c, l, j] = hlos[c, k]^H hlos[l, j], one matrix product
+            V = (np.conj(hlos[:, k]) @ hlos.reshape(N * Kp, -1).T).reshape(N, N, Kp)
             u = V[n]  # own = hlos[n, k]
 
             a = contamination_weights(geom.rho_p, n, k) * s[:, k]

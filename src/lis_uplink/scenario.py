@@ -18,6 +18,10 @@ import numpy as np
 from .config import LayoutConfig, PlacementConfig, SystemConfig
 
 
+# uniform triples drawn per candidate chunk of the placement sampler
+_CANDIDATE_CHUNK = 64
+
+
 class InfeasiblePlacementError(RuntimeError):
     """Raised when the rejection sampler exhausts its attempt budget."""
 
@@ -84,6 +88,20 @@ class Deployment:
     def K(self) -> int:
         return self.devices.shape[1]
 
+    def prefix(self, K: int) -> "Deployment":
+        """View of the first K devices of every panel (no copies): devices
+        are admitted in placement order, so this is the deployment of a
+        K-device admission from the same pool."""
+        if not (1 <= K <= self.K):
+            raise ValueError(f"prefix size {K} outside [1, {self.K}]")
+        return Deployment(
+            frames=self.frames,
+            devices_local=self.devices_local[:, :K],
+            devices=self.devices[:, :K],
+            unit_centers_local=self.unit_centers_local[:, :K],
+            unit_centers=self.unit_centers[:, :K],
+        )
+
     def panel(self, n: int) -> "Deployment":
         """Single-panel view: panel n alone with its own devices (the
         matching single-LIS system for gap comparisons)."""
@@ -111,6 +129,15 @@ def place_devices(
     resampling each device until its unit square is disjoint from the ones
     already placed on the same panel.
 
+    Candidates are drawn in chunks of ``_CANDIDATE_CHUNK`` uniform triples
+    and tried strictly one per attempt, in draw order, across devices and
+    panels; a device takes the first candidate whose square clears every
+    square accepted on its panel (one vectorized Chebyshev check per
+    chunk). A candidate on the panel plane (z == 0) is a spent attempt. The
+    accepted positions are those of drawing one triple per attempt, but the
+    generator ends advanced past the unused rest of the last chunk, so the
+    call owns `rng`: pass a generator dedicated to this placement.
+
     Deterministic given the generator state; raises
     InfeasiblePlacementError when the per-device attempt budget runs out.
     With allow_partial, budget exhaustion instead stops that panel and all
@@ -123,24 +150,36 @@ def place_devices(
     half_x, half_y = 0.5 * layout.x_l, 0.5 * layout.y_l
     side = 2.0 * config.L
 
-    per_panel: list[list[np.ndarray]] = []
+    cand = np.empty((0, 3))  # drawn candidates (x, y, z); cand[pos:] not yet tried
+    pos = 0
+    per_panel = []
     for n in range(config.N):
-        accepted: list[np.ndarray] = []
+        accepted = np.empty((K, 3))
         for k in range(K):
-            for _ in range(placement.attempt_budget):
-                u = rng.random(3)
-                x = (2.0 * u[0] - 1.0) * half_x
-                y = (2.0 * u[1] - 1.0) * half_y
-                z = u[2] * layout.box_height
-                if z == 0.0:
-                    continue  # zero-probability boundary; a device on the plane has no geometry
-                if all(
-                    max(abs(x - q[0]), abs(y - q[1])) >= side for q in accepted
-                ):
-                    accepted.append(np.array([x, y, z]))
+            budget = placement.attempt_budget
+            while budget:
+                if pos == len(cand):
+                    u = rng.random((_CANDIDATE_CHUNK, 3))
+                    cand = np.column_stack(((2.0 * u[:, 0] - 1.0) * half_x,
+                                            (2.0 * u[:, 1] - 1.0) * half_y,
+                                            u[:, 2] * layout.box_height))
+                    pos = 0
+                window = cand[pos : pos + budget]
+                gap = np.maximum(np.abs(window[:, np.newaxis, 0] - accepted[:k, 0]),
+                                 np.abs(window[:, np.newaxis, 1] - accepted[:k, 1]))
+                # z == 0 is a zero-probability boundary: a device on the
+                # plane has no geometry
+                ok = (window[:, 2] != 0.0) & np.all(gap >= side, axis=1)
+                hit = int(np.argmax(ok))
+                if ok[hit]:
+                    accepted[k] = window[hit]
+                    pos += hit + 1
                     break
+                pos += len(window)
+                budget -= len(window)
             else:
                 if allow_partial:
+                    accepted = accepted[:k]
                     break
                 raise InfeasiblePlacementError(
                     f"infeasible placement: panel {n} device {k} found no "
@@ -153,7 +192,7 @@ def place_devices(
         raise InfeasiblePlacementError(
             "infeasible placement: a panel accepted no devices at all"
         )
-    devices_local = np.stack([np.stack(acc[:pool]) for acc in per_panel])
+    devices_local = np.stack([acc[:pool] for acc in per_panel])
 
     centers_local = devices_local.copy()
     centers_local[..., 2] = 0.0

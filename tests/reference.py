@@ -16,7 +16,9 @@ Per-link oracles of the uplink model, one link or one unit at a time:
 - ``desired_power`` and ``interference_terms``: the matched-filter X, Y, Z
   and I of one filter vector, against ``BlockKernel.terms``;
 - ``to_local`` and ``subset``: a panel frame's inverse map and the
-  first-K-devices view of a deployment;
+  first-K-devices view of a deployment, against ``Deployment.prefix``;
+- ``place_devices``: the rejection placement drawing one candidate per
+  attempt, against the chunked ``scenario.place_devices``;
 - ``transmit_snr``: the power-control rule of one device toward any unit
   center, off-boresight included, against ``scenario.pilot_snrs`` and
   ``data_snrs``.
@@ -42,8 +44,11 @@ import numpy as np
 
 from lis_uplink.links import UnitChannelStats, build_unit_geometry, sample_unit_channels
 from lis_uplink.optimize import ExpectedFloorTable
+from lis_uplink.config import PlacementConfig
 from lis_uplink.scenario import (
     Deployment,
+    InfeasiblePlacementError,
+    build_layout,
     data_snrs,
     pilot_snrs,
     quarter_solid_angle,
@@ -256,6 +261,54 @@ def subset(deployment: Deployment, K: int) -> Deployment:
         devices=deployment.devices[:, :K],
         unit_centers_local=deployment.unit_centers_local[:, :K],
         unit_centers=deployment.unit_centers[:, :K],
+    )
+
+
+def place_devices(config, layout, rng, *, placement=None, K=None, allow_partial=False) -> Deployment:
+    """Rejection placement drawing one uniform triple per attempt, against
+    the chunked ``scenario.place_devices``: same acceptance rule, budget
+    and truncation, so the same deployment from the same generator state."""
+    placement = placement or PlacementConfig()
+    frames = build_layout(layout, config.N)
+    K = int(K) if K is not None else config.K
+    half_x, half_y = 0.5 * layout.x_l, 0.5 * layout.y_l
+    side = 2.0 * config.L
+
+    per_panel = []
+    for n in range(config.N):
+        accepted = []
+        for k in range(K):
+            for _ in range(placement.attempt_budget):
+                u = rng.random(3)
+                x = (2.0 * u[0] - 1.0) * half_x
+                y = (2.0 * u[1] - 1.0) * half_y
+                z = u[2] * layout.box_height
+                if z == 0.0:
+                    continue  # a spent attempt
+                if all(max(abs(x - q[0]), abs(y - q[1])) >= side for q in accepted):
+                    accepted.append(np.array([x, y, z]))
+                    break
+            else:
+                if allow_partial:
+                    break
+                raise InfeasiblePlacementError(
+                    f"infeasible placement: panel {n} device {k} found no "
+                    f"disjoint unit square in {placement.attempt_budget} attempts"
+                )
+        per_panel.append(accepted)
+
+    pool = min(len(acc) for acc in per_panel)
+    if pool == 0:
+        raise InfeasiblePlacementError("infeasible placement: a panel accepted no devices at all")
+    devices_local = np.stack([np.stack(acc[:pool]) for acc in per_panel])
+    centers_local = devices_local.copy()
+    centers_local[..., 2] = 0.0
+    return Deployment(
+        frames=tuple(frames),
+        devices_local=devices_local,
+        devices=np.stack([frames[n].to_global(devices_local[n]) for n in range(config.N)]),
+        unit_centers_local=centers_local,
+        unit_centers=np.stack([frames[n].to_global(centers_local[n]) for n in range(config.N)]),
     )
 
 

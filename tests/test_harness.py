@@ -20,6 +20,7 @@ from lis_uplink import (
     write_outputs,
 )
 from lis_uplink import harness as hz
+from lis_uplink import links
 from lis_uplink.cli import main
 
 
@@ -183,6 +184,48 @@ class TestPanelZeroSlice:
         assert np.array_equal(cut.g, draw.g[:, :2])
         assert np.shares_memory(cut.g, draw.g)
         assert cut.w is draw.w
+
+
+class TestAdmittedPrefix:
+    """fig8 and fig9 sample on a world that covers only the admitted devices
+    of the pool: the first max(K_grid), or max(K_opt, min(20, pool))."""
+
+    @pytest.mark.parametrize("exp_id, overrides", [
+        ("fig9", {"experiment.sweep_values": [16, 36]}),
+        ("fig8", {"system.M": 16, "experiment.sweep_values": [1, 2, 4]}),
+    ])
+    def test_prefix_world_equals_whole_pool_world(self, exp_id, overrides, monkeypatch):
+        rc = preset_run_config(exp_id, seed=2).with_overrides({
+            **overrides, "placement.pool_size": 24, "experiment.realizations": 2,
+            "experiment.placements": 1})
+        shapes = []
+        build = links.build_unit_geometry
+
+        def recording(*args):
+            geom = build(*args)
+            shapes.append(geom.hlos.shape)
+            return geom
+
+        # LinkWorld.unit alone reaches this binding; the floor table holds its own
+        monkeypatch.setattr(links, "build_unit_geometry", recording)
+        got = run_experiment(rc)
+        extras = got.extras["placements"][0]
+        pool = extras["pool"]
+        if exp_id == "fig9":
+            admitted = {M: max(K, min(20, pool)) for M, K in extras["K_opt"].items()}
+        else:
+            admitted = {16: max(extras["K_grid"])}
+        assert all(K < pool for K in admitted.values()), (admitted, pool)
+        assert shapes and all(shape == (4, admitted[shape[2]], shape[2]) for shape in shapes)
+
+        # the same run on a sampling world over the whole pool
+        monkeypatch.setattr(hz, "_sampling_worlds", lambda spec, dep, admitted, **changes:
+                            hz._worlds(spec, dep, K=dep.K, t=None, **changes))
+        shapes.clear()
+        whole = run_experiment(rc)
+        assert {shape[1] for shape in shapes} == {pool}
+        assert got.records == whole.records
+        assert got.extras == whole.extras
 
 
 class TestRunExperiment:

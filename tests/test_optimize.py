@@ -157,13 +157,16 @@ class TestExpectedFloorTable:
     @pytest.mark.parametrize("regime", ["rician", "nlos_inter"])
     @pytest.mark.parametrize("layout, N, pool", [("quad", 4, 6), ("line", 2, 5)])
     def test_equals_per_panel_oracle(self, layout, N, pool, regime):
-        # the quad placement of seed 13 at M = 100 has a floor entry that
-        # moves in the last bit if a square is taken by multiplication
+        # the package forms the LOS inner products V as one matrix product
+        # and the oracle with an einsum, so the floors agree to the
+        # summation-order bound; the link budget is copied and stays exact
         cfg = SystemConfig(M=100, K=pool, N=N, T=50, P=4, seed=13)
         dep = place_devices(cfg, LayoutConfig(name=layout, d_x=0.5), placement_rng(13, 0))
         table = expected_floor_table(LinkWorld(dep, cfg), regime)
         want = reference.expected_floor_table(dep, cfg, regime)
-        for name in ("base", "leak", "p_bar", "rho_d_own"):
+        for name in ("base", "leak"):
+            assert_close(getattr(table, name), getattr(want, name), rtol=1e-12)
+        for name in ("p_bar", "rho_d_own"):
             assert np.array_equal(getattr(table, name), getattr(want, name)), name
 
 

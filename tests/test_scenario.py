@@ -122,6 +122,45 @@ class TestPlacement:
         )
         assert 1 <= dep.K < 30
 
+    @given(
+        N=st.sampled_from([1, 2, 4]),
+        quad=st.booleans(),
+        K=st.integers(1, 8),
+        budget=st.integers(1, 150),
+        L=st.sampled_from([0.25, 0.6, 1.0, 3.0]),
+        allow_partial=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_chunked_sampler_matches_per_attempt_oracle(
+        self, N, quad, K, budget, L, allow_partial, seed
+    ):
+        # small budgets and large units exhaust devices mid-chunk, so the
+        # leftover candidates must carry over to the next device and panel
+        cfg = SystemConfig(M=16, K=K, N=N, L=L)
+        layout = LayoutConfig(name="quad" if quad and N == 4 else "line")
+        kw = {"placement": PlacementConfig(attempt_budget=budget), "allow_partial": allow_partial}
+        try:
+            want = reference.place_devices(cfg, layout, np.random.default_rng(seed), **kw)
+        except InfeasiblePlacementError as exc:
+            with pytest.raises(InfeasiblePlacementError) as got:
+                _place(cfg, layout, seed, **kw)
+            assert str(got.value) == str(exc)
+            return
+        got = _place(cfg, layout, seed, **kw)
+        for name in ("devices_local", "devices", "unit_centers_local", "unit_centers"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert all(np.array_equal(a.rotation, b.rotation) and np.array_equal(a.origin, b.origin)
+                   for a, b in zip(got.frames, want.frames))
+
+    def test_pool_placement_matches_per_attempt_oracle(self):
+        # the fig9 pool shape: 40 requested per quad panel, truncated
+        cfg = SystemConfig(M=16, K=8, N=4, T=50)
+        for seed in range(3):
+            kw = {"K": 40, "allow_partial": True}
+            got = _place(cfg, seed=seed, **kw)
+            want = reference.place_devices(cfg, LayoutConfig(), np.random.default_rng(seed), **kw)
+            assert np.array_equal(got.devices_local, want.devices_local)
+
     def test_unit_centers_are_device_projections(self):
         dep = _place(SystemConfig(M=16, K=4, N=4), seed=9)
         assert_close(
@@ -140,17 +179,26 @@ class TestPlacement:
         big = _place(cfg_big, seed=7)
         small = _place(cfg_small, seed=7)
         assert np.array_equal(reference.subset(big, 3).devices, small.devices)
+        assert np.array_equal(big.prefix(3).devices, small.devices)
 
     def test_subset_and_panel_views(self):
         dep = _place(SystemConfig(M=16, K=4, N=4), seed=3)
         sub = reference.subset(dep, 2)
         assert sub.K == 2 and sub.N == 4
         assert np.array_equal(sub.devices, dep.devices[:, :2])
+        pre = dep.prefix(2)
+        assert pre.frames is dep.frames
+        for name in ("devices_local", "devices", "unit_centers_local", "unit_centers"):
+            assert np.array_equal(getattr(pre, name), getattr(sub, name)), name
+            assert np.shares_memory(getattr(pre, name), getattr(dep, name)), name
         pan = dep.panel(3)
         assert pan.N == 1 and pan.K == 4
         assert np.array_equal(pan.devices[0], dep.devices[3])
         with pytest.raises(ValueError):
             reference.subset(dep, 0)
+        for K in (0, 5):
+            with pytest.raises(ValueError, match="prefix size"):
+                dep.prefix(K)
         with pytest.raises(ValueError):
             dep.panel(4)
 
