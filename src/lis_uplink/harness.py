@@ -17,6 +17,12 @@ on a frozen block-0 condition) draw randomness. A twin never draws: it
 always gets the panel-0 slice of the multi-LIS draw, so multi-vs-single
 differences are paired.
 
+fig4 and the moment oracle redraw a unit's fading R times on one frozen
+block. ``_refade_chunks`` draws each realization from its own
+``_refades`` stream, in order, and stacks them along a leading draw axis
+in chunks whose channels (16 N K M bytes per draw) fit
+``_REFADE_CHUNK_BYTES``; one ``BlockKernel`` then serves a whole chunk.
+
 Randomness is addressed, not sequenced: every placement and every
 (block, unit) pair gets its own seed-derived substream (``_unit_rng`` is
 the one block-stream address), so results do not depend on scheduling.
@@ -77,6 +83,9 @@ from .optimize import expected_floor_table, nse_of_gammas, optimal_num_devices
 from .scenario import place_devices
 
 _MC_KSWEEP_CAP = 225  # sampled device-count curves cap the array size here
+# Refade chunks: one kernel holds a chunk's stacked (c, N, K, M) channels
+# (16 N K M bytes per draw) and a few temporaries of that size.
+_REFADE_CHUNK_BYTES = 256 * 1024
 
 
 def _experiment(exp_id: str) -> Experiment:
@@ -263,10 +272,25 @@ def _unit_block(spec: ExperimentSpec, worlds, p: int, b: int, n: int, k: int,
 
 
 def _refades(spec: ExperimentSpec, cfg: SystemConfig, p: int, r: int, n: int, k: int):
-    """Fresh fading g and noise w of realization r of unit (n, k), on top
-    of the frozen block-0 condition (stream address b = r + 1)."""
+    """Fresh fading g (N, K, P) and noise w (M,) of realization r of unit
+    (n, k), on top of the frozen block-0 condition (stream address
+    b = r + 1). ``_refade_chunks`` stacks them along a leading draw axis."""
     rng = _unit_rng(spec.system.seed, p, r + 1, n, k)
     return cgauss(rng, (cfg.N, cfg.K, cfg.P)), cgauss(rng, (cfg.M,))
+
+
+def _refade_chunks(spec: ExperimentSpec, cfg: SystemConfig, p: int, R: int, n: int, k: int):
+    """Realizations 0..R-1 of unit (n, k), each from ``_refades`` in order,
+    stacked in chunks: yields (realization slice, g (c, N, K, P), w (c, M))
+    with c as many draws as fit their channels in ``_REFADE_CHUNK_BYTES``."""
+    chunk = max(1, _REFADE_CHUNK_BYTES // (16 * cfg.N * cfg.K * cfg.M))
+    for start in range(0, R, chunk):
+        rs = range(start, min(start + chunk, R))
+        g = np.empty((len(rs), cfg.N, cfg.K, cfg.P), dtype=complex)
+        w = np.empty((len(rs), cfg.M), dtype=complex)
+        for i, r in enumerate(rs):
+            g[i], w[i] = _refades(spec, cfg, p, r, n, k)
+        yield slice(rs.start, rs.stop), g, w
 
 
 def _sweep_blocks(spec: ExperimentSpec, p: int, twin: bool):
@@ -331,11 +355,11 @@ def _se_variance(spec: ExperimentSpec, p: int):
         t = cfg.pilot_len
         frozen = _unit_block(spec, worlds, p, 0, 0, 0)
         se = np.empty((len(worlds), R))
-        for r in range(R):
-            g, w = _refades(spec, cfg, p, r, 0, 0)
+        for rs, g, w in _refade_chunks(spec, cfg, p, R, 0, 0):
             for i, (stats, draw) in enumerate(frozen):
                 # the twin's frozen draw covers panel 0 alone
-                se[i, r] = sse(BlockKernel(stats, g[: len(draw.g)], w).gamma(t), t, cfg.T)
+                gammas = BlockKernel(stats, g[:, : len(draw.g)], w).gamma(t)
+                se[i, rs] = [sse(gamma, t, cfg.T) for gamma in gammas]
         for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), se):
             recs.append((float(M), label, p, 0, float(np.var(row, ddof=1)) if R > 1 else 0.0))
             mean_se.setdefault(label, {})[M] = float(np.mean(row))
@@ -484,12 +508,13 @@ def _oracle(spec: ExperimentSpec, p: int):
         ms = build_moment_set(stats)
         M2 = float(cfg.M) ** 2
         samples = np.empty((4, R))  # X, Y total, Z, I
-        for r in range(R):
-            g, w = _refades(spec, cfg, p, r, 0, 0)
+        for rs, g, w in _refade_chunks(spec, cfg, p, R, 0, 0):
             terms = BlockKernel(stats, g, w).terms(t)
-            samples[:, r] = terms.X, float(np.sum(ms.rho_d * terms.Y)), terms.Z, terms.I
-            recs += [(float(M), "X", p, r, terms.X), (float(M), "Y total", p, r, samples[1, r]),
-                     (float(M), "Z", p, r, terms.Z), (float(M), "I over M^2", p, r, terms.I / M2)]
+            samples[:, rs] = (terms.X, np.sum(ms.rho_d * terms.Y, axis=(-2, -1)),
+                              terms.Z, terms.I)
+        for r, (x, y, z, i) in enumerate(samples.T.tolist()):
+            recs += [(float(M), "X", p, r, x), (float(M), "Y total", p, r, y),
+                     (float(M), "Z", p, r, z), (float(M), "I over M^2", p, r, i / M2)]
         closed = (ms.mu_X(t), float(np.sum(ms.rho_d * ms.mu_Y_bar(t))), ms.mu_Z(t), ms.mu_I_bar(t))
         report.append({
             "M": M, "unit": [0, 0], "t": t,

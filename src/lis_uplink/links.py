@@ -246,18 +246,20 @@ def make_unit_stats(
 
 
 def sample_unit_channels(stats: UnitChannelStats, g: np.ndarray) -> np.ndarray:
-    """Sample all incoming link channels (N, K, M) given fading g (N, K, P):
-    h = hbar + sqrt(1/(kappa+1)) * root @ g. The serving slot stays exactly
-    the LOS vector.
+    """Sample all incoming link channels (..., N, K, M) given fading g
+    (..., N, K, P), where the leading axes index independent draws on the
+    same block statistics: h = hbar + sqrt(1/(kappa+1)) * root @ g. The
+    serving slot stays exactly the LOS vector.
 
     With the root in Kronecker form, root @ g is the path loss times
-    vec(ramp_v diag(g) ramp_h^T): one (side, P) @ (P, side) product per link."""
+    vec(ramp_v diag(g) ramp_h^T): one (side, P) @ (P, side) product per
+    link and draw."""
     roots = stats.roots
     scattered = (roots.ramp_v * g[..., np.newaxis, :]) @ roots.ramp_h.swapaxes(-1, -2)
-    scattered = scattered.reshape(stats.hbar.shape)
+    scattered = scattered.reshape(g.shape[:-1] + stats.hbar.shape[-1:])
     # path loss and mixing are real: scale real and imaginary parts alike
     scale = stats.nlos_scale[:, :, np.newaxis] * roots.pathloss
-    parts = scattered.view(np.float64).reshape(*scale.shape, 2)
+    parts = scattered.view(np.float64).reshape(*scattered.shape, 2)
     parts *= scale[..., np.newaxis]
     scattered += stats.hbar
     return scattered
@@ -300,7 +302,9 @@ def slice_stats(stats: UnitChannelStats, K: int) -> UnitChannelStats:
 
 @dataclass(frozen=True)
 class BlockTerms:
-    """Matched-filter scalars of one coherence block for one unit.
+    """Matched-filter scalars of one coherence block for one unit, for
+    every draw of the kernel: each field has the kernel's leading draw
+    shape (a scalar for a single draw), Y adds the (N, K) link axes.
 
     The receive filter is the least-squares channel estimate
     h_hat = h_los + e, with e the pilot-contamination-plus-noise error.
@@ -308,16 +312,33 @@ class BlockTerms:
     toward each interfering link, Z the filter norm (noise beam power).
     """
 
-    X: float
-    Y: np.ndarray          # (N, K) |h_hat^H h_lj|^2, serving slot zeroed
-    Z: float
-    I: float               # rho-weighted composite interference
-    gamma: float           # estimated-CSI SINR
+    X: np.ndarray
+    Y: np.ndarray          # (..., N, K) |h_hat^H h_lj|^2, serving slot zeroed
+    Z: np.ndarray
+    I: np.ndarray          # rho-weighted composite interference
+    gamma: np.ndarray      # estimated-CSI SINR
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x over the last axis of a (..., N, K, M) and x (..., M), per
+    leading draw: one matrix-vector product per draw and panel."""
+    return (a @ x[..., np.newaxis, :, np.newaxis])[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, per leading draw (a BLAS dot of each)."""
+    return (a[..., np.newaxis, :] @ b[..., :, np.newaxis])[..., 0, 0]
 
 
 class BlockKernel:
     """One block's sampled inner products for one unit, assembled into
     interference scalars at any pilot length.
+
+    g (..., N, K, P) and w (..., M) may carry leading axes of independent
+    draws on the same statistics (fresh fading on a frozen block): the
+    kernel then forms every draw's products in batched matrix products, and
+    ``terms``, ``gamma`` and ``gamma_perfect`` carry the leading shape. A
+    single draw has no leading axis and gives scalars.
 
     The estimation error is the ``contamination_weights``-weighted sum of
     the same-pilot channels plus white noise shrunk by sqrt(t * rho_p_own);
@@ -336,7 +357,7 @@ class BlockKernel:
         ch = sample_unit_channels(stats, g)
         hlos = geom.hlos[n, k]
 
-        contam = contamination_weights(geom.rho_p, n, k) @ ch[:, k]
+        contam = contamination_weights(geom.rho_p, n, k) @ ch[..., k, :]
         u = hlos + contam
 
         self.rho_p_own = float(geom.rho_p[n, k])
@@ -344,36 +365,33 @@ class BlockKernel:
         self.rho_d_own = float(geom.rho_d[n, k])
         self.signal = geom.own_power**2
 
-        self.A = ch @ np.conj(u)
-        self.C = ch @ np.conj(w)
-        self.Xc = complex(np.vdot(contam, hlos))
-        self.Xw = complex(np.vdot(w, hlos))
-        self.u_norm2 = float(np.vdot(u, u).real)
-        self.uw = complex(np.vdot(u, w))
-        self.w_norm2 = float(np.vdot(w, w).real)
+        u_conj, w_conj = np.conj(u), np.conj(w)
+        self.A = _matvec(ch, u_conj)
+        self.C = _matvec(ch, w_conj)
+        self.Xc = _dot(np.conj(contam), hlos)
+        self.Xw = _dot(w_conj, hlos)
+        self.u_norm2 = _dot(u_conj, u).real
+        self.uw = _dot(u_conj, w)
+        self.w_norm2 = _dot(w_conj, w).real
 
         self.gamma_perfect = None
         if perfect_csi:
             # perfect-CSI SINR: the filter is h_los itself
             Y_pure = np.abs(ch @ np.conj(hlos)) ** 2
-            Y_pure[n, k] = 0.0
-            I_perfect = float(np.sum(self.rho_d * Y_pure)) + geom.own_power
+            Y_pure[..., n, k] = 0.0
+            I_perfect = np.sum(self.rho_d * Y_pure, axis=(-2, -1)) + geom.own_power
             self.gamma_perfect = self.rho_d_own * self.signal / I_perfect
 
     def terms(self, t) -> BlockTerms:
         s = math.sqrt(float(t) * self.rho_p_own)
         Y = np.abs(self.A + self.C / s) ** 2
-        Y[self.n, self.k] = 0.0
-        X = abs(self.Xc + self.Xw / s) ** 2
+        Y[..., self.n, self.k] = 0.0
+        # |Xc + Xw / s| with each part divided by the real s, as a Python
+        # complex divides (numpy's complex division multiplies by 1 / s)
+        X = np.hypot(self.Xc.real + self.Xw.real / s, self.Xc.imag + self.Xw.imag / s) ** 2
         Z = self.u_norm2 + 2.0 * self.uw.real / s + self.w_norm2 / (s * s)
-        I = self.rho_d_own * X + float(np.sum(self.rho_d * Y)) + Z
-        return BlockTerms(
-            X=float(X),
-            Y=Y,
-            Z=float(Z),
-            I=float(I),
-            gamma=self.rho_d_own * self.signal / I,
-        )
+        I = self.rho_d_own * X + np.sum(self.rho_d * Y, axis=(-2, -1)) + Z
+        return BlockTerms(X=X, Y=Y, Z=Z, I=I, gamma=self.rho_d_own * self.signal / I)
 
-    def gamma(self, t) -> float:
+    def gamma(self, t) -> np.ndarray:
         return self.terms(t).gamma

@@ -150,17 +150,19 @@ def _records(case: str) -> list:
 
 
 def test_records_independent_of_blas_thread_count():
-    # channel sampling and the kernels run through BLAS matrix products;
-    # the fig9 case's records must not depend on how many threads BLAS uses
+    # channel sampling and the kernels run through BLAS matrix products,
+    # batched over a chunk of draws in fig4 and the oracle; the records of
+    # those cases and of fig9 must not depend on how many threads BLAS uses
     here = Path(__file__).resolve().parent
-    script = "import json, test_golden; print(json.dumps(test_golden._records('fig9')))"
+    script = ("import json, test_golden; print(json.dumps("
+              "{case: test_golden._records(case) for case in ('fig4', 'fig9', 'oracle')}))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
     outputs = [
         subprocess.run([sys.executable, "-c", script], env={**env, "OPENBLAS_NUM_THREADS": n},
                        cwd=here, capture_output=True, text=True, check=True).stdout
         for n in ("1", "2")
     ]
-    assert json.loads(outputs[0]), "no records"
+    assert all(json.loads(outputs[0]).values()), "no records"
     assert outputs[0] == outputs[1]
 
 

@@ -228,6 +228,42 @@ class TestAdmittedPrefix:
         assert got.extras == whole.extras
 
 
+class TestRefadeChunks:
+    """fig4 and the oracle draw R fresh (g, w) pairs on one frozen block and
+    build one kernel per chunk of them, not one per draw."""
+
+    @pytest.mark.parametrize("exp_id, worlds", [("oracle", 1), ("fig4", 2)])
+    def test_one_kernel_per_chunk_and_one_refade_per_realization(self, exp_id, worlds,
+                                                                  monkeypatch):
+        R, Ms = 10, (16, 36)
+        rc = preset_run_config(exp_id, seed=3).with_overrides({
+            "experiment.sweep_values": list(Ms), "experiment.realizations": R,
+            "experiment.placements": 1})
+        N, K = rc.system.N, rc.system.K
+        counts = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(hz, "BlockKernel", counting("kernels", hz.BlockKernel))
+        monkeypatch.setattr(hz, "_refades", counting("refades", hz._refades))
+        records = []
+        # the default budget, then one that splits M = 16 into chunks of 3
+        # draws and leaves one draw per chunk at M = 36
+        for budget in (hz._REFADE_CHUNK_BYTES, 3 * 16 * N * K * 16):
+            monkeypatch.setattr(hz, "_REFADE_CHUNK_BYTES", budget)
+            counts.update(kernels=0, refades=0)
+            records.append(run_experiment(rc).records)
+            chunk = {M: max(1, budget // (16 * N * K * M)) for M in Ms}
+            # fig4 builds a kernel for the multi-LIS world and for its twin
+            assert counts == {"kernels": sum(worlds * math.ceil(R / chunk[M]) for M in Ms),
+                              "refades": R * len(Ms)}
+        assert records[0] == records[1]
+
+
 class TestRunExperiment:
     def test_se_variance_smoke(self):
         rc = _shrunk("fig4", seed=3, sweep=(16.0, 64.0), realizations=40,

@@ -25,6 +25,7 @@ from lis_uplink import (
     slice_stats,
     unit_antenna_grid,
 )
+from lis_uplink.channel import cgauss
 from lis_uplink.harness import _unit_rng
 from lis_uplink.links import los_phase, slice_geometry, stream
 
@@ -453,6 +454,45 @@ class TestBlockKernelProperties:
                            perfect_csi=True)
         assert loud.gamma(t) <= base.gamma(t)
         assert loud.gamma_perfect <= base.gamma_perfect
+
+
+class TestBatchedKernel:
+    @given(
+        N=st.sampled_from([1, 2, 4]),
+        K=st.integers(1, 4),
+        side=st.integers(2, 6),
+        P=st.integers(1, 5),
+        batch=st.integers(1, 7),
+        ts=st.lists(st.integers(1, 500), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_batch_equals_loop_of_single_draws(self, N, K, side, P, batch, ts, seed, data):
+        n = data.draw(st.integers(0, N - 1), label="n")
+        k = data.draw(st.integers(0, K - 1), label="k")
+        _, _, stats = _random_unit(N, K, side, P, seed, n, k)
+        rng = np.random.default_rng(seed + 2)
+        g, w = cgauss(rng, (batch, N, K, P)), cgauss(rng, (batch, side * side))
+        batched = BlockKernel(stats, g, w, perfect_csi=True)
+        singles = [BlockKernel(stats, g[r], w[r], perfect_csi=True) for r in range(batch)]
+
+        channels = sample_unit_channels(stats, g)
+        assert channels.shape == (batch, N, K, side * side)
+        for r in range(batch):
+            assert_close(channels[r], sample_unit_channels(stats, g[r]))
+        assert_close(batched.gamma_perfect, [one.gamma_perfect for one in singles])
+        for t in ts:
+            got = batched.terms(t)
+            want = [one.terms(t) for one in singles]
+            for name in ("X", "Y", "Z", "I", "gamma"):
+                assert_close(getattr(got, name), [getattr(one, name) for one in want])
+            assert got.Y.shape == (batch, N, K)
+            assert np.all(got.Y[:, n, k] == 0.0)
+            # a single draw has no leading axis: scalars and an (N, K) grid
+            assert all(np.shape(getattr(one, name)) == ()
+                       for one in want for name in ("X", "Z", "I", "gamma"))
+            assert all(one.Y.shape == (N, K) for one in want)
+        assert np.shape(singles[0].gamma_perfect) == ()
 
 
 class TestLinkWorld:
