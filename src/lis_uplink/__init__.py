@@ -49,7 +49,6 @@ from .links import (
     make_unit_stats,
     placement_rng,
     sample_unit_channels,
-    slice_stats,
 )
 from .optimize import (
     ExpectedFloorTable,

@@ -12,10 +12,14 @@ walks a placement's (array size, block) grid. The device-count figures
 (fig8, fig9) sample on ``_sampling_worlds``: the config keeps the whole
 pool, so every draw has the pool's shape, while the deployment is the
 prefix of admitted devices, so geometry is built and cached for those
-alone. Only ``_place``, ``_unit_block`` and ``_refades`` (fresh fading
-on a frozen block-0 condition) draw randomness. A twin never draws: it
-always gets the panel-0 slice of the multi-LIS draw, so multi-vs-single
-differences are paired.
+alone. ``_sampled_nse`` draws each unit once per block and builds one
+kernel on the largest admitted count of its K grid; every smaller count
+is read off that kernel (``BlockKernel.terms(t, K)``), so the work is one
+draw and one kernel per (unit, block) whatever the grid holds. Only
+``_place``, ``_unit_block`` and ``_refades`` (fresh fading on a frozen
+block-0 condition) draw randomness. A twin never draws: it always gets the
+panel-0 slice of the multi-LIS draw, so multi-vs-single differences are
+paired.
 
 fig4 and the moment oracle redraw a unit's fading R times on one frozen
 block. ``_refade_chunks`` draws each realization from its own
@@ -76,9 +80,12 @@ from .links import (
     make_unit_stats,
     placement_rng,
     slice_geometry,
-    slice_stats,
     stream,
 )
+
+# ``slice_stats`` is not called here; perfbench/test_tracer.py checks that its
+# tracer reaches this module's binding of it
+from .links import slice_stats  # noqa: F401
 from .optimize import expected_floor_table, nse_of_gammas, optimal_num_devices
 from .scenario import place_devices
 
@@ -313,19 +320,20 @@ def _sampling_worlds(spec: ExperimentSpec, dep, admitted: int, **changes) -> lis
 def _sampled_nse(spec: ExperimentSpec, worlds, p: int, b: int, K_grid) -> dict:
     """Monte Carlo NSE of block b for every admitted count K in K_grid, with
     pilot length t = K, on ``_sampling_worlds`` that cover at least
-    max(K_grid) devices. Unit (n, k) is drawn once on the whole pool, its
-    statistics are built for the first max(K_grid) devices only and then
-    sliced to each K > k."""
+    max(K_grid) devices. Unit (n, k) is drawn once on the whole pool, and
+    its statistics and its one ``BlockKernel`` are built for the first
+    max(K_grid) devices only; each K > k reads its SINR off that kernel with
+    ``gamma(K, K)``, which sums the interference over the first K devices."""
     cfg = worlds[0].config
     K_max = max(K_grid)
     gam = {K: np.empty((cfg.N, K)) for K in K_grid}
     for n in range(cfg.N):
         for k in range(K_max):
             ((stats, draw),) = _unit_block(spec, worlds, p, b, n, k, admitted=K_max)
+            kern = BlockKernel(stats, draw.g, draw.w)
             for K in K_grid:
                 if k < K:
-                    kern = BlockKernel(slice_stats(stats, K), draw.g[:, :K], draw.w)
-                    gam[K][n, k] = kern.gamma(K)
+                    gam[K][n, k] = kern.gamma(K, K)
     return {K: nse_of_gammas(gam[K], K, cfg.T) for K in K_grid}
 
 
@@ -462,7 +470,12 @@ def _ksweep(spec: ExperimentSpec, p: int):
 
 def _nse_vs_m(spec: ExperimentSpec, p: int):
     """fig9: NSE versus array size under three admission policies: the
-    deterministic optimum, its sampled value, and fixed K=20."""
+    deterministic optimum, its sampled value, and fixed K=20.
+
+    Both sampled policies come from one ``_sampled_nse`` call per block, so
+    each unit is drawn and its kernel built once for the larger count;
+    records list every block of the optimized-K policy, then every block of
+    K=20."""
     exp = spec.experiment
     dep = _place(spec, p, pool=True)
     recs, K_opt = [], {}
@@ -472,10 +485,11 @@ def _nse_vs_m(spec: ExperimentSpec, p: int):
         recs.append((float(M), "Theorem 2 bound NSE at optimized K", p, 0, sol.nse_opt))
         policies = ((sol.K_opt, "Monte Carlo NSE at optimized K"),
                     (min(20, dep.K), "Monte Carlo NSE at K=20"))
-        worlds = _sampling_worlds(spec, dep, max(K for K, _ in policies), M=M)
+        K_grid = sorted({K for K, _ in policies})
+        worlds = _sampling_worlds(spec, dep, max(K_grid), M=M)
+        nse = [_sampled_nse(spec, worlds, p, b, K_grid) for b in range(exp.realizations)]
         for K, label in policies:
-            for b in range(exp.realizations):
-                recs.append((float(M), label, p, b, _sampled_nse(spec, worlds, p, b, [K])[K]))
+            recs += [(float(M), label, p, b, nse_b[K]) for b, nse_b in enumerate(nse)]
     return recs, {"pool": dep.K, "K_opt": K_opt}
 
 

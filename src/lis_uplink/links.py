@@ -283,9 +283,11 @@ def slice_geometry(geom: UnitLinkGeometry, K: int) -> UnitLinkGeometry:
     )
 
 
+# ``slice_stats`` is not called by the package (``BlockKernel.terms(t, K)``
+# serves nested device counts); perfbench/tracer.py traces it by name
 def slice_stats(stats: UnitChannelStats, K: int) -> UnitChannelStats:
     """Restrict a unit's block statistics to the first K devices per panel
-    (array views, no copies); used for nested device-count sweeps."""
+    (array views, no copies)."""
     return dataclasses.replace(
         stats,
         geom=slice_geometry(stats.geom, K),
@@ -332,7 +334,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class BlockKernel:
     """One block's sampled inner products for one unit, assembled into
-    interference scalars at any pilot length.
+    interference scalars at any pilot length and for any admitted prefix of
+    the devices it was built on.
 
     g (..., N, K, P) and w (..., M) may carry leading axes of independent
     draws on the same statistics (fresh fading on a frozen block): the
@@ -382,16 +385,25 @@ class BlockKernel:
             I_perfect = np.sum(self.rho_d * Y_pure, axis=(-2, -1)) + geom.own_power
             self.gamma_perfect = self.rho_d_own * self.signal / I_perfect
 
-    def terms(self, t) -> BlockTerms:
+    def terms(self, t, K: int | None = None) -> BlockTerms:
+        """Block terms at pilot length t. With K, only the first K devices
+        per panel are admitted: Y (..., N, K) and the interference sum cover
+        those links alone. That is exact, because a link's products A and C
+        do not depend on which other devices are admitted (the estimate's
+        contamination uses pilot k alone), so one kernel on the largest
+        admitted count serves every smaller one. ValueError when the unit's
+        own pilot index k is not below K."""
+        if K is not None and self.k >= K:
+            raise ValueError(f"unit pilot index {self.k} not active with K={K}")
         s = math.sqrt(float(t) * self.rho_p_own)
-        Y = np.abs(self.A + self.C / s) ** 2
+        Y = np.abs(self.A[..., :K] + self.C[..., :K] / s) ** 2
         Y[..., self.n, self.k] = 0.0
         # |Xc + Xw / s| with each part divided by the real s, as a Python
         # complex divides (numpy's complex division multiplies by 1 / s)
         X = np.hypot(self.Xc.real + self.Xw.real / s, self.Xc.imag + self.Xw.imag / s) ** 2
         Z = self.u_norm2 + 2.0 * self.uw.real / s + self.w_norm2 / (s * s)
-        I = self.rho_d_own * X + np.sum(self.rho_d * Y, axis=(-2, -1)) + Z
+        I = self.rho_d_own * X + np.sum(self.rho_d[:, :K] * Y, axis=(-2, -1)) + Z
         return BlockTerms(X=X, Y=Y, Z=Z, I=I, gamma=self.rho_d_own * self.signal / I)
 
-    def gamma(self, t) -> np.ndarray:
-        return self.terms(t).gamma
+    def gamma(self, t, K: int | None = None) -> np.ndarray:
+        return self.terms(t, K).gamma

@@ -29,6 +29,11 @@ and sampling contractions on dense (N, K, M, P) roots. ``with_budget``
 swaps the link budget a unit's statistics carry, for tests that set their
 own transmit SNRs.
 
+``sampled_nse_per_count`` is the device-count sampler that redraws every
+unit and builds its statistics and kernel once per admitted count K, on the
+first K devices alone, against ``harness._sampled_nse``'s one kernel per
+unit read at every K.
+
 ``expected_floor_table`` is the Theorem 2 floor table built from a
 deployment and a system config, with its own power control, contamination
 and LOS rules and a per-panel same-pilot loop, against
@@ -42,8 +47,14 @@ import math
 
 import numpy as np
 
-from lis_uplink.links import UnitChannelStats, build_unit_geometry, sample_unit_channels
-from lis_uplink.optimize import ExpectedFloorTable
+from lis_uplink import harness
+from lis_uplink.links import (
+    BlockKernel,
+    UnitChannelStats,
+    build_unit_geometry,
+    sample_unit_channels,
+)
+from lis_uplink.optimize import ExpectedFloorTable, nse_of_gammas
 from lis_uplink.config import PlacementConfig
 from lis_uplink.scenario import (
     Deployment,
@@ -401,3 +412,19 @@ def mu_I_bar(ms, t: float) -> float:
         + ms.M * ms.var_z_noise_m
     )
     return const + noise / t
+
+
+def sampled_nse_per_count(spec, worlds, p: int, b: int, K_grid) -> dict:
+    """Monte Carlo NSE of block b for every K in K_grid, one count at a
+    time: unit (n, k) is drawn again for each K > k, and its statistics and
+    kernel cover the first K devices per panel alone."""
+    cfg = worlds[0].config
+    out = {}
+    for K in K_grid:
+        gam = np.empty((cfg.N, K))
+        for n in range(cfg.N):
+            for k in range(K):
+                ((stats, draw),) = harness._unit_block(spec, worlds, p, b, n, k, admitted=K)
+                gam[n, k] = BlockKernel(stats, draw.g, draw.w).gamma(K)
+        out[K] = nse_of_gammas(gam, K, cfg.T)
+    return out

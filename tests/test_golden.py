@@ -151,11 +151,13 @@ def _records(case: str) -> list:
 
 def test_records_independent_of_blas_thread_count():
     # channel sampling and the kernels run through BLAS matrix products,
-    # batched over a chunk of draws in fig4 and the oracle; the records of
-    # those cases and of fig9 must not depend on how many threads BLAS uses
+    # batched over a chunk of draws in fig4 and the oracle; fig8 and fig9
+    # read every admitted count off slices of one product over the largest
+    # count. The records of those cases must not depend on how many threads
+    # BLAS uses
     here = Path(__file__).resolve().parent
-    script = ("import json, test_golden; print(json.dumps("
-              "{case: test_golden._records(case) for case in ('fig4', 'fig9', 'oracle')}))")
+    script = ("import json, test_golden; print(json.dumps({case: test_golden._records(case) "
+              "for case in ('fig4', 'fig8', 'fig9', 'oracle')}))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
     outputs = [
         subprocess.run([sys.executable, "-c", script], env={**env, "OPENBLAS_NUM_THREADS": n},

@@ -23,6 +23,8 @@ from lis_uplink import harness as hz
 from lis_uplink import links
 from lis_uplink.cli import main
 
+import reference
+
 
 def _rec(sweep, label, value, p=0, b=0):
     return RawRecord(sweep_value=sweep, label=label, placement=p,
@@ -262,6 +264,49 @@ class TestRefadeChunks:
             assert counts == {"kernels": sum(worlds * math.ceil(R / chunk[M]) for M in Ms),
                               "refades": R * len(Ms)}
         assert records[0] == records[1]
+
+
+class TestOneKernelPerUnit:
+    """fig8 and fig9 draw each (unit, block) once and build one kernel on it
+    for the largest admitted count of the block's K grid; every smaller
+    count is read off that kernel."""
+
+    @pytest.mark.parametrize("exp_id, overrides", [
+        ("fig8", {"experiment.sweep_values": [1, 2, 4]}),
+        ("fig9", {"experiment.sweep_values": [16, 36]}),
+    ])
+    def test_one_draw_and_one_kernel_per_unit_and_block(self, exp_id, overrides, monkeypatch):
+        R = 2
+        rc = preset_run_config(exp_id, seed=2).with_overrides({
+            **overrides, "system.M": 16, "placement.pool_size": 24,
+            "experiment.realizations": R, "experiment.placements": 1})
+        N = rc.system.N
+        counts = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(hz, "BlockKernel", counting("kernels", hz.BlockKernel))
+        monkeypatch.setattr(hz, "draw_unit_block", counting("draws", hz.draw_unit_block))
+        counts.update(kernels=0, draws=0)
+        got = run_experiment(rc)
+        extras = got.extras["placements"][0]
+        if exp_id == "fig9":
+            pool = extras["pool"]
+            grids = [{K, min(20, pool)} for K in extras["K_opt"].values()]
+            # one array size admits two counts, so its units serve both
+            assert any(len(grid) == 2 for grid in grids), (extras, pool)
+        else:
+            grids = [extras["K_grid"]]
+        units = sum(R * N * max(grid) for grid in grids)
+        assert counts == {"kernels": units, "draws": units}
+
+        # the records of drawing and building every unit again per count
+        monkeypatch.setattr(hz, "_sampled_nse", reference.sampled_nse_per_count)
+        assert run_experiment(rc).records == got.records
 
 
 class TestRunExperiment:

@@ -22,12 +22,11 @@ from lis_uplink import (
     placement_rng,
     quarter_solid_angle,
     sample_unit_channels,
-    slice_stats,
     unit_antenna_grid,
 )
 from lis_uplink.channel import cgauss
 from lis_uplink.harness import _unit_rng
-from lis_uplink.links import los_phase, slice_geometry, stream
+from lis_uplink.links import los_phase, slice_geometry, slice_stats, stream
 
 import reference
 from conftest import assert_close
@@ -493,6 +492,52 @@ class TestBatchedKernel:
                        for one in want for name in ("X", "Z", "I", "gamma"))
             assert all(one.Y.shape == (N, K) for one in want)
         assert np.shape(singles[0].gamma_perfect) == ()
+
+
+class TestAdmittedCount:
+    """One kernel on the statistics of K_max devices per panel serves every
+    admitted count K > k: ``terms(t, K)`` equals a kernel built on the
+    statistics and fading of the first K devices, bit for bit from K = 2 on.
+
+    At K = 1 the per-count kernel's matrix-vector products have one row,
+    which numpy evaluates as a dot product: the sums run in another order
+    than the BLAS matrix-vector rows of the K_max kernel, so K = 1 agrees to
+    rtol 1e-12 (with the absolute floor of the other kernel oracles)."""
+
+    @given(
+        N=st.sampled_from([1, 2, 4]),
+        K_max=st.integers(1, 6),
+        side=st.integers(2, 6),
+        P=st.integers(1, 5),
+        batch=st.sampled_from([None, 1, 3]),
+        t=st.integers(1, 500),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_prefix_terms_equal_kernel_on_sliced_stats(self, N, K_max, side, P, batch, t,
+                                                       seed, data):
+        n = data.draw(st.integers(0, N - 1), label="n")
+        k = data.draw(st.integers(0, K_max - 1), label="k")
+        _, draw, stats = _random_unit(N, K_max, side, P, seed, n, k)
+        g, w = draw.g, draw.w
+        if batch is not None:  # fresh draws on the same statistics
+            rng = np.random.default_rng(seed + 2)
+            g, w = cgauss(rng, (batch, N, K_max, P)), cgauss(rng, (batch, side * side))
+        kernel = BlockKernel(stats, g, w)
+        for K in range(k + 1, K_max + 1):
+            got = kernel.terms(t, K)
+            want = BlockKernel(slice_stats(stats, K), g[..., :K, :], w).terms(t)
+            for name in ("X", "Y", "Z", "I", "gamma"):
+                a, b = getattr(got, name), getattr(want, name)
+                if K > 1 or K_max == 1:
+                    assert np.array_equal(a, b), (name, K)
+                else:
+                    assert_close(a, b, rtol=1e-12, atol=1e-13 * np.max(np.abs(b)))
+            assert np.array_equal(kernel.gamma(t, K), got.gamma)
+        # no K admits every device the kernel was built on
+        assert np.array_equal(kernel.gamma(t), kernel.gamma(t, K_max))
+        with pytest.raises(ValueError, match="pilot index"):
+            kernel.terms(t, k)
 
 
 class TestLinkWorld:
