@@ -16,7 +16,7 @@ from .harness import (
     ExperimentSpec,
     _optimal_count,
     _place,
-    _unit_block,
+    _unit_blocks,
     _worlds,
     interference_regime,
     preset_run_config,
@@ -137,8 +137,8 @@ def _cmd_optimize_t(args) -> int:
     spec = _optimizer_spec(_build_run_config(args))
     cfg = spec.system
     worlds = _worlds(spec, _place(spec, 0))
-    sets = [build_moment_set(stats)
-            for k in range(cfg.K) for stats, _ in _unit_block(spec, worlds, 0, 0, 0, k)]
+    sets = [build_moment_set(stats) for k in range(cfg.K)
+            for pairs in _unit_blocks(spec, worlds, 0, [0], 0, k) for stats, _ in pairs]
 
     def objective(t) -> float:
         return theorem1_sse(sets, t, cfg.T).sse_bar

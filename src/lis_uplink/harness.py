@@ -3,23 +3,25 @@ figure, aggregation, CSV output.
 
 Every figure reduces the same per-unit pipeline. ``_place`` draws a
 placement, ``_worlds`` builds the link world of a sweep point (plus the
-panel-0 single-LIS twin on request), and ``_unit_block`` draws block b of
-unit (n, k) and builds its statistics in every world. Each statistics
-object carries its unit's link budget, so ``BlockKernel(stats, g, w)`` and
+panel-0 single-LIS twin on request), and ``_unit_blocks`` builds unit
+(n, k)'s geometry once in every world, then draws each requested block
+and builds its statistics there. Each statistics object carries its
+unit's link budget, so ``BlockKernel(stats, g, w)`` and
 ``build_moment_set(stats)`` turn it into a sampled kernel and a
-Lemma/Theorem moment set with no further arguments; ``_sweep_blocks``
-walks a placement's (array size, block) grid. The device-count figures
-(fig8, fig9) sample on ``_sampling_worlds``: the config keeps the whole
-pool, so every draw has the pool's shape, while the deployment is the
-prefix of admitted devices, so geometry is built and cached for those
-alone. ``_sampled_nse`` draws each unit once per block and builds one
-kernel on the largest admitted count of its K grid; every smaller count
-is read off that kernel (``BlockKernel.terms(t, K)``), so the work is one
-draw and one kernel per (unit, block) whatever the grid holds. Only
-``_place``, ``_unit_block`` and ``_refades`` (fresh fading on a frozen
-block-0 condition) draw randomness. A twin never draws: it always gets the
-panel-0 slice of the multi-LIS draw, so multi-vs-single differences are
-paired.
+Lemma/Theorem moment set with no further arguments. Reductions walk units
+outside blocks: they fill per-block arrays unit by unit and emit their
+records block by block afterwards, so a world holds one unit's geometry at
+a time. The device-count figures (fig8, fig9) sample on
+``_sampling_worlds``: the config keeps the whole pool, so every draw has
+the pool's shape, while the deployment is the prefix of admitted devices,
+so geometry is built for those alone. ``_sampled_nse`` draws each unit
+once per block and builds one kernel on the largest admitted count of its
+K grid; every smaller count is read off that kernel
+(``BlockKernel.terms(t, K)``), so the work is one draw and one kernel per
+(unit, block) whatever the grid holds. Only ``_place``, ``_unit_blocks``
+and ``_refades`` (fresh fading on a frozen block-0 condition) draw
+randomness. A twin never draws: it always gets the panel-0 slice of the
+multi-LIS draw, so multi-vs-single differences are paired.
 
 fig4 and the moment oracle redraw a unit's fading R times on one frozen
 block. ``_refade_chunks`` draws each realization from its own
@@ -36,13 +38,15 @@ output files byte-identical for any worker count.
 
 To add a figure, write a module-level ``reduction(spec, p)`` returning
 ``(records, extras)``, with records as ``RawRecord`` field tuples, and add
-one ``Experiment`` row for it to ``EXPERIMENTS``; reduce one unit at a time,
-so that at most one unit's statistics (and, inside ``build_moment_set``,
-its dense roots) are alive at once.
+one ``Experiment`` row for it to ``EXPERIMENTS``; walk units in the outer
+loop and their ``_unit_blocks`` in the inner one, keeping per-block
+scalars rather than statistics, so that at most one unit's geometry and
+statistics (and, inside ``build_moment_set``, its dense roots) are alive
+at once.
 
 The ``lis-sim optimize-t``/``optimize-k`` front ends use the same engine:
 placement 0 from ``_place``, block 0 of panel 0's units from
-``_unit_block`` and their moment sets for the pilot-length objective, and
+``_unit_blocks`` and their moment sets for the pilot-length objective, and
 ``_optimal_count`` for the device count.
 """
 
@@ -79,7 +83,6 @@ from .links import (
     draw_unit_block,
     make_unit_stats,
     placement_rng,
-    slice_geometry,
     stream,
 )
 
@@ -252,30 +255,24 @@ def _worlds(spec: ExperimentSpec, dep, twin: bool = False, **changes) -> list:
     return worlds
 
 
-def _unit_block(spec: ExperimentSpec, worlds, p: int, b: int, n: int, k: int,
-                admitted: int | None = None) -> list:
-    """Draw block b of unit (n, k) once and build its statistics in every
-    world: one (stats, draw) per world, the twin on the panel-0 slice.
+def _unit_blocks(spec: ExperimentSpec, worlds, p: int, blocks, n: int, k: int):
+    """Build unit (n, k)'s geometry once in every world, then yield, for
+    each block b in `blocks` in order, one (stats, draw) per world: block b
+    is drawn once, the twin gets its panel-0 slice.
 
-    With `admitted`, the draw keeps the config's full device shape (so the
-    stream is consumed as for any other count), but the statistics and the
-    returned draw cover only the first `admitted` devices per panel: the
-    roots are never built for devices a sweep does not admit.
-
-    The statistics hold their roots in factored form; dense (N, K, M, P)
-    roots exist only inside ``build_moment_set``, one unit at a time."""
+    Each draw keeps the config's device shape (so the stream is consumed
+    as for any other count) and is cut to the first-world deployment's
+    devices: the admitted prefix on ``_sampling_worlds``, every device
+    elsewhere. The statistics hold their roots in factored form; dense
+    (N, K, M, P) roots exist only inside ``build_moment_set``."""
     cfg = worlds[0].config
-    draw = draw_unit_block(_unit_rng(spec.system.seed, p, b, n, k), cfg.N, cfg.K, cfg.P, cfg.M)
-    if admitted is not None:
-        draw = _draw_prefix(draw, K=admitted)
-    draws = [draw] + [_draw_prefix(draw, N=1)] * (len(worlds) - 1)
-    out = []
-    for world, d in zip(worlds, draws):
-        geom = world.unit(n, k)
-        if admitted is not None:
-            geom = slice_geometry(geom, admitted)
-        out.append((make_unit_stats(geom, d, world.config, spec.experiment.interference), d))
-    return out
+    geoms = [world.unit(n, k) for world in worlds]
+    for b in blocks:
+        draw = draw_unit_block(_unit_rng(spec.system.seed, p, b, n, k), cfg.N, cfg.K, cfg.P, cfg.M)
+        draw = _draw_prefix(draw, K=worlds[0].deployment.K)
+        draws = [draw] + [_draw_prefix(draw, N=1)] * (len(worlds) - 1)
+        yield [(make_unit_stats(geom, d, world.config, spec.experiment.interference), d)
+               for world, geom, d in zip(worlds, geoms, draws)]
 
 
 def _refades(spec: ExperimentSpec, cfg: SystemConfig, p: int, r: int, n: int, k: int):
@@ -300,41 +297,39 @@ def _refade_chunks(spec: ExperimentSpec, cfg: SystemConfig, p: int, R: int, n: i
         yield slice(rs.start, rs.stop), g, w
 
 
-def _sweep_blocks(spec: ExperimentSpec, p: int, twin: bool):
-    """(M, worlds, b) for every array size of placement p and every block."""
+def _sweep_worlds(spec: ExperimentSpec, p: int, twin: bool):
+    """(M, worlds) for every array size of placement p."""
     dep = _place(spec, p)
     for M in spec.experiment.sweep_values:
-        worlds = _worlds(spec, dep, twin, M=M)
-        for b in range(spec.experiment.realizations):
-            yield M, worlds, b
+        yield M, _worlds(spec, dep, twin, M=M)
 
 
 def _sampling_worlds(spec: ExperimentSpec, dep, admitted: int, **changes) -> list:
     """Sampling world of a device-count sweep point: its config holds the
     whole pool (K = pool, t unset), so every block draw keeps the pool's
     shape and stream, but its deployment is the first `admitted` devices
-    per panel, so geometry is built and cached for those devices only."""
+    per panel, so geometry, statistics and draws cover those alone."""
     return _worlds(spec, dep.prefix(admitted), K=dep.K, t=None, **changes)
 
 
-def _sampled_nse(spec: ExperimentSpec, worlds, p: int, b: int, K_grid) -> dict:
-    """Monte Carlo NSE of block b for every admitted count K in K_grid, with
-    pilot length t = K, on ``_sampling_worlds`` that cover at least
-    max(K_grid) devices. Unit (n, k) is drawn once on the whole pool, and
-    its statistics and its one ``BlockKernel`` are built for the first
-    max(K_grid) devices only; each K > k reads its SINR off that kernel with
-    ``gamma(K, K)``, which sums the interference over the first K devices."""
+def _sampled_nse(spec: ExperimentSpec, worlds, p: int, blocks, K_grid) -> list:
+    """Monte Carlo NSE of every block in `blocks` for every admitted count K
+    in K_grid, with pilot length t = K, on ``_sampling_worlds`` over the
+    first max(K_grid) devices: one {K: NSE} per block. Unit (n, k) is drawn
+    once per block on the whole pool, and its statistics and its one
+    ``BlockKernel`` cover the admitted devices only; each K > k reads its
+    SINR off that kernel with ``gamma(K, K)``, which sums the interference
+    over the first K devices."""
     cfg = worlds[0].config
-    K_max = max(K_grid)
-    gam = {K: np.empty((cfg.N, K)) for K in K_grid}
+    gam = {K: np.empty((len(blocks), cfg.N, K)) for K in K_grid}
     for n in range(cfg.N):
-        for k in range(K_max):
-            ((stats, draw),) = _unit_block(spec, worlds, p, b, n, k, admitted=K_max)
-            kern = BlockKernel(stats, draw.g, draw.w)
-            for K in K_grid:
-                if k < K:
-                    gam[K][n, k] = kern.gamma(K, K)
-    return {K: nse_of_gammas(gam[K], K, cfg.T) for K in K_grid}
+        for k in range(max(K_grid)):
+            for i, ((stats, draw),) in enumerate(_unit_blocks(spec, worlds, p, blocks, n, k)):
+                kern = BlockKernel(stats, draw.g, draw.w)
+                for K in K_grid:
+                    if k < K:
+                        gam[K][i, n, k] = kern.gamma(K, K)
+    return [{K: nse_of_gammas(gam[K][i], K, cfg.T) for K in K_grid} for i in range(len(blocks))]
 
 
 def _optimal_count(spec: ExperimentSpec, world: LinkWorld):
@@ -361,7 +356,7 @@ def _se_variance(spec: ExperimentSpec, p: int):
         worlds = _worlds(spec, dep, twin=True, M=M)
         cfg = worlds[0].config
         t = cfg.pilot_len
-        frozen = _unit_block(spec, worlds, p, 0, 0, 0)
+        (frozen,) = _unit_blocks(spec, worlds, p, [0], 0, 0)
         se = np.empty((len(worlds), R))
         for rs, g, w in _refade_chunks(spec, cfg, p, R, 0, 0):
             for i, (stats, draw) in enumerate(frozen):
@@ -379,72 +374,77 @@ def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
     twin on paired draws, plus Theorem 1/2 curves every stride-th block.
     With sample=False (run_asymptotic, which resolves the stride to 1): the
     multi-LIS Theorem curves alone, with no receive-side sampling."""
-    stride = spec.experiment.theory_stride
+    stride, R = spec.experiment.theory_stride, spec.experiment.realizations
     recs = []
-    for M, worlds, b in _sweep_blocks(spec, p, twin=sample):
+    for M, worlds in _sweep_worlds(spec, p, twin=sample):
         cfg = worlds[0].config
         t, T = cfg.pilot_len, cfg.T
-        theory = b % stride == 0
-        gammas = np.empty((len(worlds), cfg.K))
-        sets = [[] for _ in worlds]
+        gammas = np.empty((R, len(worlds), cfg.K))
+        sets = [[[] for _ in worlds] for _ in range(R)]  # block, world, unit
         for k in range(cfg.K):
-            for i, (stats, draw) in enumerate(_unit_block(spec, worlds, p, b, 0, k)):
-                if sample:
-                    gammas[i, k] = BlockKernel(stats, draw.g, draw.w).gamma(t)
-                if theory:
-                    sets[i].append(build_moment_set(stats))
-        if sample:
-            for row, tag in zip(gammas, ("multi-LIS", "single-LIS")):
-                recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(row, t, T)))
-        if theory:
-            for unit_sets, suffix in zip(sets, ("", " single-LIS")):
-                th = theorem1_sse(unit_sets, t, T)
-                recs.append((float(M), f"Theorem 1{suffix}", p, b, th.sse_bar))
-                # an interference-free draw has an unbounded floor; such
-                # blocks are excluded from the bound curve
-                if math.isfinite(th.sse_hat):
-                    recs.append((float(M), f"Theorem 2 bound{suffix}", p, b, th.sse_hat))
+            for b, pairs in enumerate(_unit_blocks(spec, worlds, p, range(R), 0, k)):
+                for i, (stats, draw) in enumerate(pairs):
+                    if sample:
+                        gammas[b, i, k] = BlockKernel(stats, draw.g, draw.w).gamma(t)
+                    if b % stride == 0:
+                        sets[b][i].append(build_moment_set(stats))
+        for b in range(R):
+            if sample:
+                for row, tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
+                    recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(row, t, T)))
+            if b % stride == 0:
+                for unit_sets, suffix in zip(sets[b], ("", " single-LIS")):
+                    th = theorem1_sse(unit_sets, t, T)
+                    recs.append((float(M), f"Theorem 1{suffix}", p, b, th.sse_bar))
+                    # an interference-free draw has an unbounded floor; such
+                    # blocks are excluded from the bound curve
+                    if math.isfinite(th.sse_hat):
+                        recs.append((float(M), f"Theorem 2 bound{suffix}", p, b, th.sse_hat))
     return recs, {}
 
 
 def _csi(spec: ExperimentSpec, p: int):
     """fig6b: panel-0 SSE with estimated and with exact filters, multi- and
     single-LIS, all four curves from the same paired draws."""
+    R = spec.experiment.realizations
     recs = []
-    for M, worlds, b in _sweep_blocks(spec, p, twin=True):
+    for M, worlds in _sweep_worlds(spec, p, twin=True):
         cfg = worlds[0].config
         t, T = cfg.pilot_len, cfg.T
-        gammas = np.empty((len(worlds), 2, cfg.K))  # world, (estimated, exact), unit
+        gammas = np.empty((R, len(worlds), 2, cfg.K))  # block, world, (estimated, exact), unit
         for k in range(cfg.K):
-            for i, (stats, draw) in enumerate(_unit_block(spec, worlds, p, b, 0, k)):
-                kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
-                gammas[i, :, k] = kern.gamma(t), kern.gamma_perfect
-        for (est, exact), tag in zip(gammas, ("multi-LIS", "single-LIS")):
-            recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(est, t, T)))
-            recs.append((float(M), f"{tag} perfect CSI", p, b, sse(exact, t, T)))
+            for b, pairs in enumerate(_unit_blocks(spec, worlds, p, range(R), 0, k)):
+                for i, (stats, draw) in enumerate(pairs):
+                    kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
+                    gammas[b, i, :, k] = kern.gamma(t), kern.gamma_perfect
+        for b in range(R):
+            for (est, exact), tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
+                recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(est, t, T)))
+                recs.append((float(M), f"{tag} perfect CSI", p, b, sse(exact, t, T)))
     return recs, {}
 
 
 def _pilot(spec: ExperimentSpec, p: int):
     """fig7: SSE versus pilot length on a fixed array size; each block's
-    sampled kernels are reused across the whole t grid."""
+    sampled kernels are read at the whole t grid."""
     exp = spec.experiment
     worlds = _worlds(spec, _place(spec, p))
     cfg = worlds[0].config
+    R, ts = exp.realizations, exp.sweep_values
+    gammas = np.empty((R, len(ts), cfg.K))
+    sets = [[] for _ in range(R)]
+    for k in range(cfg.K):
+        for b, ((stats, draw),) in enumerate(_unit_blocks(spec, worlds, p, range(R), 0, k)):
+            kern = BlockKernel(stats, draw.g, draw.w)
+            gammas[b, :, k] = [kern.gamma(t) for t in ts]
+            if b % exp.theory_stride == 0:
+                sets[b].append(build_moment_set(stats))
     recs = []
-    for b in range(exp.realizations):
-        theory = b % exp.theory_stride == 0
-        kernels, sets = [], []
-        for k in range(cfg.K):
-            ((stats, draw),) = _unit_block(spec, worlds, p, b, 0, k)
-            kernels.append(BlockKernel(stats, draw.g, draw.w))
-            if theory:
-                sets.append(build_moment_set(stats))
-        for t in exp.sweep_values:
-            value = sse([kern.gamma(t) for kern in kernels], t, cfg.T)
-            recs.append((float(t), "multi-LIS imperfect CSI", p, b, value))
-            if theory:
-                recs.append((float(t), "Theorem 1", p, b, theorem1_sse(sets, t, cfg.T).sse_bar))
+    for b in range(R):
+        for t, row in zip(ts, gammas[b]):
+            recs.append((float(t), "multi-LIS imperfect CSI", p, b, sse(row, t, cfg.T)))
+            if b % exp.theory_stride == 0:
+                recs.append((float(t), "Theorem 1", p, b, theorem1_sse(sets[b], t, cfg.T).sse_bar))
     return recs, {}
 
 
@@ -460,9 +460,9 @@ def _ksweep(spec: ExperimentSpec, p: int):
     mc_M = cfg.M if cfg.M <= _MC_KSWEEP_CAP else 196
     K_grid = sorted({K for K in exp.sweep_values if K <= pool} | {sol.K_opt})
     worlds = _sampling_worlds(spec, dep, max(K_grid), M=mc_M)
-    for b in range(exp.realizations):
-        nse = _sampled_nse(spec, worlds, p, b, K_grid)
-        recs += [(float(K), "Monte Carlo NSE", p, b, nse[K]) for K in K_grid]
+    nse = _sampled_nse(spec, worlds, p, range(exp.realizations), K_grid)
+    recs += [(float(K), "Monte Carlo NSE", p, b, nse_b[K])
+             for b, nse_b in enumerate(nse) for K in K_grid]
     extras = {"pool": pool, "K_opt": sol.K_opt, "nse_opt": sol.nse_opt, "mc_M": mc_M,
               "K_grid": list(K_grid), "det_curve": [float(v) for v in sol.nse_curve]}
     return recs, extras
@@ -472,10 +472,10 @@ def _nse_vs_m(spec: ExperimentSpec, p: int):
     """fig9: NSE versus array size under three admission policies: the
     deterministic optimum, its sampled value, and fixed K=20.
 
-    Both sampled policies come from one ``_sampled_nse`` call per block, so
-    each unit is drawn and its kernel built once for the larger count;
-    records list every block of the optimized-K policy, then every block of
-    K=20."""
+    Both sampled policies come from one ``_sampled_nse`` call per array
+    size, so each unit is drawn and its kernel built once per block for the
+    larger count; records list every block of the optimized-K policy, then
+    every block of K=20."""
     exp = spec.experiment
     dep = _place(spec, p, pool=True)
     recs, K_opt = [], {}
@@ -487,7 +487,7 @@ def _nse_vs_m(spec: ExperimentSpec, p: int):
                     (min(20, dep.K), "Monte Carlo NSE at K=20"))
         K_grid = sorted({K for K, _ in policies})
         worlds = _sampling_worlds(spec, dep, max(K_grid), M=M)
-        nse = [_sampled_nse(spec, worlds, p, b, K_grid) for b in range(exp.realizations)]
+        nse = _sampled_nse(spec, worlds, p, range(exp.realizations), K_grid)
         for K, label in policies:
             recs += [(float(M), label, p, b, nse_b[K]) for b, nse_b in enumerate(nse)]
     return recs, {"pool": dep.K, "K_opt": K_opt}
@@ -518,7 +518,7 @@ def _oracle(spec: ExperimentSpec, p: int):
         worlds = _worlds(spec, dep, M=M)
         cfg = worlds[0].config
         t = cfg.pilot_len
-        ((stats, _),) = _unit_block(spec, worlds, p, 0, 0, 0)
+        [[(stats, _)]] = _unit_blocks(spec, worlds, p, [0], 0, 0)
         ms = build_moment_set(stats)
         M2 = float(cfg.M) ** 2
         samples = np.empty((4, R))  # X, Y total, Z, I

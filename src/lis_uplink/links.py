@@ -146,18 +146,17 @@ def build_unit_geometry(
 
 
 class LinkWorld:
-    """Deployment-level cache of per-unit link geometry."""
+    """A deployment and the system config its links are built for. Nothing
+    is cached: ``unit`` builds a unit's geometry on every call, so a caller
+    that drops each unit before the next holds one unit's geometry at a
+    time."""
 
     def __init__(self, deployment: Deployment, config: SystemConfig):
         self.deployment = deployment
         self.config = config
-        self._units: dict[tuple[int, int], UnitLinkGeometry] = {}
 
     def unit(self, n: int, k: int) -> UnitLinkGeometry:
-        key = (n, k)
-        if key not in self._units:
-            self._units[key] = build_unit_geometry(self.deployment, self.config, n, k)
-        return self._units[key]
+        return build_unit_geometry(self.deployment, self.config, n, k)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ through their expectation, which keeps the curve deterministic for a
 given deployment. The floor table reads a ``LinkWorld`` over the whole
 pool: its config and deployment are the ones the sampler uses, each
 unit's transmit SNRs and serving power come from that unit's link budget
-(``UnitLinkGeometry``), and the contamination and LOS rules come from
-``links``.
+(``UnitLinkGeometry``, built and dropped one unit at a time), and the
+contamination and LOS rules come from ``links``.
 """
 
 from __future__ import annotations
@@ -141,8 +141,7 @@ def expected_floor_table(world: LinkWorld, regime: str = "rician") -> ExpectedFl
     for n in range(N):
         allowed = los_allowed(regime, N, n)
         for k in range(Kp):
-            # built here rather than by world.unit: caching the whole pool's
-            # geometry would hold ~240 MiB at M = 400
+            # one unit's whole-pool geometry at a time, as the sampler holds it
             geom = build_unit_geometry(deployment, cfg, n, k)
             rho_d = geom.rho_d
             p = geom.p_los

@@ -30,9 +30,9 @@ swaps the link budget a unit's statistics carry, for tests that set their
 own transmit SNRs.
 
 ``sampled_nse_per_count`` is the device-count sampler that redraws every
-unit and builds its statistics and kernel once per admitted count K, on the
-first K devices alone, against ``harness._sampled_nse``'s one kernel per
-unit read at every K.
+unit and builds its statistics and kernel once per admitted count K, on a
+world over the deployment's first K devices alone, against
+``harness._sampled_nse``'s one kernel per unit read at every K.
 
 ``expected_floor_table`` is the Theorem 2 floor table built from a
 deployment and a system config, with its own power control, contamination
@@ -50,6 +50,7 @@ import numpy as np
 from lis_uplink import harness
 from lis_uplink.links import (
     BlockKernel,
+    LinkWorld,
     UnitChannelStats,
     build_unit_geometry,
     sample_unit_channels,
@@ -414,17 +415,21 @@ def mu_I_bar(ms, t: float) -> float:
     return const + noise / t
 
 
-def sampled_nse_per_count(spec, worlds, p: int, b: int, K_grid) -> dict:
-    """Monte Carlo NSE of block b for every K in K_grid, one count at a
-    time: unit (n, k) is drawn again for each K > k, and its statistics and
-    kernel cover the first K devices per panel alone."""
+def sampled_nse_per_count(spec, worlds, p: int, blocks, K_grid) -> list:
+    """Monte Carlo NSE of every block in `blocks` for every K in K_grid, one
+    count at a time: unit (n, k) is drawn again for each K > k, on worlds
+    over the deployment's first K devices, so its statistics and kernel
+    cover those devices alone."""
     cfg = worlds[0].config
-    out = {}
+    out = [{} for _ in blocks]
     for K in K_grid:
-        gam = np.empty((cfg.N, K))
+        per_count = [LinkWorld(world.deployment.prefix(K), world.config) for world in worlds]
+        gam = np.empty((len(blocks), cfg.N, K))
         for n in range(cfg.N):
             for k in range(K):
-                ((stats, draw),) = harness._unit_block(spec, worlds, p, b, n, k, admitted=K)
-                gam[n, k] = BlockKernel(stats, draw.g, draw.w).gamma(K)
-        out[K] = nse_of_gammas(gam, K, cfg.T)
+                for i, ((stats, draw),) in enumerate(
+                        harness._unit_blocks(spec, per_count, p, blocks, n, k)):
+                    gam[i, n, k] = BlockKernel(stats, draw.g, draw.w).gamma(K)
+        for nse, gam_b in zip(out, gam):
+            nse[K] = nse_of_gammas(gam_b, K, cfg.T)
     return out

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from lis_uplink import links
 from lis_uplink.cli import main
 
 import reference
+from test_golden import CASES, SEED
 
 
 def _rec(sweep, label, value, p=0, b=0):
@@ -307,6 +309,48 @@ class TestOneKernelPerUnit:
         # the records of drawing and building every unit again per count
         monkeypatch.setattr(hz, "_sampled_nse", reference.sampled_nse_per_count)
         assert run_experiment(rc).records == got.records
+
+
+class TestUnitMajorGeometry:
+    """Reductions walk units outside blocks: each world builds a unit's
+    geometry once for all its blocks and drops it before the next unit, so
+    no more than two units' geometry per world is ever alive."""
+
+    @pytest.mark.parametrize("case", ["fig5", "fig8", "fig9"])
+    def test_one_unit_geometry_alive_per_world(self, case, monkeypatch):
+        _, exp_id, overrides = CASES[case]
+        rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
+        live, peak = [], [0]
+        build = links.build_unit_geometry
+
+        def recording(*args):
+            geom = build(*args)
+            live.append(weakref.ref(geom))
+            peak[0] = max(peak[0], sum(ref() is not None for ref in live))
+            return geom
+
+        # LinkWorld.unit alone reaches this binding; the floor table holds its own
+        monkeypatch.setattr(links, "build_unit_geometry", recording)
+        got = run_experiment(rc)
+        N, K = rc.system.N, rc.system.K
+        Ms = rc.experiment.sweep_values
+        if exp_id == "fig5":
+            # panel 0's units, in the multi-LIS world and its twin
+            worlds = 2
+            builds = rc.experiment.placements * len(Ms) * worlds * K
+        else:
+            worlds = 1
+            builds = 0
+            for extras in got.extras["placements"]:
+                if exp_id == "fig8":
+                    builds += N * max(extras["K_grid"])
+                else:
+                    builds += sum(N * max(K_opt, min(20, extras["pool"]))
+                                  for K_opt in extras["K_opt"].values())
+        assert len(live) == builds
+        # the unit being built, plus the previous unit's, which the
+        # reduction's loop variables still hold
+        assert peak[0] <= 2 * worlds, (peak[0], worlds)
 
 
 class TestRunExperiment:

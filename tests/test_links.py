@@ -541,8 +541,12 @@ class TestAdmittedCount:
 
 
 class TestLinkWorld:
-    def test_unit_cache_returns_same_object(self, tiny_world):
-        assert tiny_world.unit(0, 0) is tiny_world.unit(0, 0)
+    def test_unit_rebuilds_equal_geometry(self, tiny_world):
+        # nothing is cached: each call builds the unit again, with equal arrays
+        a, b = tiny_world.unit(0, 1), tiny_world.unit(0, 1)
+        assert a is not b
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
     def test_power_control_grids(self, tiny_world):
         # every unit carries the deployment's power control and its own
