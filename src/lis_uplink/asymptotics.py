@@ -102,6 +102,10 @@ class MomentSet:
             + np.sum(self.rho_d * np.abs(self.mu_y) ** 2)
         )
 
+    def sse_terms(self, t) -> tuple:
+        """(p_bar, rho_d_own, mu_I_bar(t), mu_I_hat): all ``theorem1_sse`` reads."""
+        return self.p_bar, self.rho_d_own, self.mu_I_bar(t), self.mu_I_hat
+
 
 def build_moment_set(stats: UnitChannelStats) -> MomentSet:
     """Evaluate all closed-form moments of one unit under its link budget."""
@@ -197,20 +201,20 @@ def sse(gammas, t, T: int) -> float:
     return prelog * float(np.sum(rate_log(1.0 + np.asarray(gammas, dtype=float))))
 
 
-def theorem1_sse(moment_sets: list[MomentSet], t, T: int) -> AsymptoticSse:
+def theorem1_sse(moment_sets, t, T: int) -> AsymptoticSse:
     """Deterministic SSE of one panel at pilot length t.
 
-    moment_sets: one MomentSet per served device of the same panel.
+    moment_sets: one MomentSet per served device of the same panel, or
+    each set's ``sse_terms(t)`` row, so a caller can keep the rows and
+    drop the sets.
     """
     t = _check_t(t)
-    if not moment_sets:
+    if len(moment_sets) == 0:
         raise ValueError("need at least one unit's moments")
     if t > T:
         raise ValueError(f"pilot length t={t} exceeds the block length T={T}")
-    p_bar = np.array([ms.p_bar for ms in moment_sets])
-    rho_own = np.array([ms.rho_d_own for ms in moment_sets])
-    mu_bar = np.array([ms.mu_I_bar(t) for ms in moment_sets])
+    p_bar, rho_own, mu_bar, floors = np.array(
+        [ms.sse_terms(t) if isinstance(ms, MomentSet) else ms for ms in moment_sets], dtype=float).T
     gamma_bar = rho_own * p_bar / mu_bar
-    floors = np.array([ms.mu_I_hat for ms in moment_sets])
     gamma_hat = floor_sinrs(rho_own, p_bar, floors)
     return AsymptoticSse(sse_bar=sse(gamma_bar, t, T), sse_hat=sse(gamma_hat, t, T))

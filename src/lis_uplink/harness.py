@@ -9,14 +9,13 @@ and builds its statistics there. Each statistics object carries its
 unit's link budget, so ``BlockKernel(stats, g, w)`` and
 ``build_moment_set(stats)`` turn it into a sampled kernel and a
 Lemma/Theorem moment set with no further arguments. Reductions walk units
-outside blocks: they fill per-block arrays unit by unit and emit their
-records block by block afterwards, so a world holds one unit's geometry at
-a time. The device-count figures (fig8, fig9) sample on
-``_sampling_worlds``: the config keeps the whole pool, so every draw has
-the pool's shape, while the deployment is the prefix of admitted devices,
-so geometry is built for those alone. ``_sampled_nse`` draws each unit
-once per block and builds one kernel on the largest admitted count of its
-K grid; every smaller count is read off that kernel
+outside blocks: they fill per-block arrays of scalars unit by unit and emit
+their records block by block afterwards. The device-count figures (fig8,
+fig9) sample on ``_sampling_worlds``: the config keeps the whole pool, so
+every draw has the pool's shape, while the deployment is the prefix of
+admitted devices, so geometry is built for those alone. ``_sampled_nse``
+draws each unit once per block and builds one kernel on the largest
+admitted count of its K grid; every smaller count is read off that kernel
 (``BlockKernel.terms(t, K)``), so the work is one draw and one kernel per
 (unit, block) whatever the grid holds. Only ``_place``, ``_unit_blocks``
 and ``_refades`` (fresh fading on a frozen block-0 condition) draw
@@ -38,11 +37,11 @@ output files byte-identical for any worker count.
 
 To add a figure, write a module-level ``reduction(spec, p)`` returning
 ``(records, extras)``, with records as ``RawRecord`` field tuples, and add
-one ``Experiment`` row for it to ``EXPERIMENTS``; walk units in the outer
-loop and their ``_unit_blocks`` in the inner one, keeping per-block
-scalars rather than statistics, so that at most one unit's geometry and
-statistics (and, inside ``build_moment_set``, its dense roots) are alive
-at once.
+one ``Experiment`` row for it to ``EXPERIMENTS``. Walk units in the outer
+loop and their ``_unit_blocks`` in the inner one, and keep per-block
+scalars (SINRs, a moment set's ``sse_terms``), never statistics or moment
+sets: only the scalars grow with the blocks, and one unit's geometry is
+alive at a time.
 
 The ``lis-sim optimize-t``/``optimize-k`` front ends use the same engine:
 placement 0 from ``_place``, block 0 of panel 0's units from
@@ -380,21 +379,21 @@ def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
         cfg = worlds[0].config
         t, T = cfg.pilot_len, cfg.T
         gammas = np.empty((R, len(worlds), cfg.K))
-        sets = [[[] for _ in worlds] for _ in range(R)]  # block, world, unit
+        terms = np.empty((R, len(worlds), cfg.K, 4))  # theory blocks' sse_terms(t)
         for k in range(cfg.K):
             for b, pairs in enumerate(_unit_blocks(spec, worlds, p, range(R), 0, k)):
                 for i, (stats, draw) in enumerate(pairs):
                     if sample:
                         gammas[b, i, k] = BlockKernel(stats, draw.g, draw.w).gamma(t)
                     if b % stride == 0:
-                        sets[b][i].append(build_moment_set(stats))
+                        terms[b, i, k] = build_moment_set(stats).sse_terms(t)
         for b in range(R):
             if sample:
                 for row, tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
                     recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(row, t, T)))
             if b % stride == 0:
-                for unit_sets, suffix in zip(sets[b], ("", " single-LIS")):
-                    th = theorem1_sse(unit_sets, t, T)
+                for rows, suffix in zip(terms[b], ("", " single-LIS")):
+                    th = theorem1_sse(rows, t, T)
                     recs.append((float(M), f"Theorem 1{suffix}", p, b, th.sse_bar))
                     # an interference-free draw has an unbounded floor; such
                     # blocks are excluded from the bound curve
@@ -432,19 +431,20 @@ def _pilot(spec: ExperimentSpec, p: int):
     cfg = worlds[0].config
     R, ts = exp.realizations, exp.sweep_values
     gammas = np.empty((R, len(ts), cfg.K))
-    sets = [[] for _ in range(R)]
+    terms = np.empty((R, len(ts), cfg.K, 4))  # theory blocks' sse_terms at each t
     for k in range(cfg.K):
         for b, ((stats, draw),) in enumerate(_unit_blocks(spec, worlds, p, range(R), 0, k)):
             kern = BlockKernel(stats, draw.g, draw.w)
             gammas[b, :, k] = [kern.gamma(t) for t in ts]
             if b % exp.theory_stride == 0:
-                sets[b].append(build_moment_set(stats))
+                ms = build_moment_set(stats)
+                terms[b, :, k] = [ms.sse_terms(t) for t in ts]
     recs = []
     for b in range(R):
-        for t, row in zip(ts, gammas[b]):
+        for t, row, units in zip(ts, gammas[b], terms[b]):
             recs.append((float(t), "multi-LIS imperfect CSI", p, b, sse(row, t, cfg.T)))
             if b % exp.theory_stride == 0:
-                recs.append((float(t), "Theorem 1", p, b, theorem1_sse(sets[b], t, cfg.T).sse_bar))
+                recs.append((float(t), "Theorem 1", p, b, theorem1_sse(units, t, cfg.T).sse_bar))
     return recs, {}
 
 

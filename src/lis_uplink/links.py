@@ -146,10 +146,8 @@ def build_unit_geometry(
 
 
 class LinkWorld:
-    """A deployment and the system config its links are built for. Nothing
-    is cached: ``unit`` builds a unit's geometry on every call, so a caller
-    that drops each unit before the next holds one unit's geometry at a
-    time."""
+    """A deployment and the system config its links are built for; ``unit``
+    builds a unit's geometry on every call (nothing is cached)."""
 
     def __init__(self, deployment: Deployment, config: SystemConfig):
         self.deployment = deployment

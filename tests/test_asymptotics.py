@@ -259,6 +259,13 @@ class TestTheorems:
         expect_sse = (1.0 - t / T) * np.sum(np.log2(1.0 + np.array(gamma_bar)))
         assert_close(res.sse_bar, expect_sse, rtol=1e-12)
 
+    @pytest.mark.parametrize("t", [4, 37.5, 500])
+    def test_sse_terms_rows_give_the_sets_result(self, tiny_world, t):
+        sets = self._panel_moments(tiny_world, seed=3)
+        rows = np.array([ms.sse_terms(t) for ms in sets])
+        assert rows.shape == (len(sets), 4)
+        assert theorem1_sse(rows, t, 500) == theorem1_sse(sets, t, 500)
+
     def test_bound_dominates_deterministic_sse(self, tiny_world):
         sets = self._panel_moments(tiny_world, seed=0, coins=0.0)
         res = theorem1_sse(sets, 4, 500)

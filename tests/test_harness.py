@@ -352,6 +352,28 @@ class TestUnitMajorGeometry:
         # reduction's loop variables still hold
         assert peak[0] <= 2 * worlds, (peak[0], worlds)
 
+    @pytest.mark.parametrize("case", ["asymptotic-fig5", "fig5", "fig7"])
+    def test_theory_blocks_keep_scalars_not_moment_sets(self, case, monkeypatch):
+        """Theory blocks keep each moment set's ``sse_terms`` and drop the
+        set, so the live sets do not grow with blocks, units or worlds."""
+        runner, exp_id, overrides = CASES[case]
+        rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
+        live, peak = [], [0]
+        build = hz.build_moment_set
+
+        def recording(stats):
+            ms = build(stats)
+            live.append(weakref.ref(ms))
+            peak[0] = max(peak[0], sum(ref() is not None for ref in live))
+            return ms
+
+        monkeypatch.setattr(hz, "build_moment_set", recording)
+        runner(rc)
+        # every case builds sets on at least two theory blocks
+        assert len(live) >= 2 * rc.system.K
+        # the set being built, plus the previous one a loop variable holds
+        assert peak[0] <= 2, peak[0]
+
 
 class TestRunExperiment:
     def test_se_variance_smoke(self):
