@@ -17,7 +17,7 @@ from .harness import (
     _optimal_count,
     _place,
     _unit_blocks,
-    _worlds,
+    _world,
     interference_regime,
     preset_run_config,
     run_asymptotic,
@@ -136,9 +136,9 @@ def _cmd_optimize_t(args) -> int:
     """Theorem 1 SSE of panel 0 on placement 0, block 0, over the pilot length."""
     spec = _optimizer_spec(_build_run_config(args))
     cfg = spec.system
-    worlds = _worlds(spec, _place(spec, 0))
+    world = _world(spec, _place(spec, 0))
     sets = [build_moment_set(stats) for k in range(cfg.K)
-            for pairs in _unit_blocks(spec, worlds, 0, [0], 0, k) for stats, _ in pairs]
+            for stats, _ in _unit_blocks(spec, world, 0, [0], 0, k)]
 
     def objective(t) -> float:
         return theorem1_sse(sets, t, cfg.T).sse_bar
@@ -158,7 +158,7 @@ def _cmd_optimize_k(args) -> int:
     """Theorem 2 floor NSE over the device count on placement 0's pool."""
     spec = _optimizer_spec(_build_run_config(args))
     dep = _place(spec, 0, pool=True)
-    sol = _optimal_count(spec, *_worlds(spec, dep, K=dep.K, t=None))
+    sol = _optimal_count(spec, _world(spec, dep, K=dep.K, t=None))
     return _write_json(args, "optimize_k.json", {**sol.trace(), "pool": dep.K})
 
 

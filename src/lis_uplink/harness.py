@@ -2,31 +2,37 @@
 figure, aggregation, CSV output.
 
 Every figure reduces the same per-unit pipeline. ``_place`` draws a
-placement, ``_worlds`` builds the link world of a sweep point (plus the
-panel-0 single-LIS twin on request), and ``_unit_blocks`` builds unit
-(n, k)'s geometry once in every world, then draws each requested block
-and builds its statistics there. Each statistics object carries its
-unit's link budget, so ``BlockKernel(stats, g, w)`` and
+placement, ``_world`` builds the one link world of a sweep point, and
+``_unit_blocks`` builds unit (n, k)'s geometry once, then draws each
+requested block and builds its statistics. Each statistics object carries
+its unit's link budget, so ``BlockKernel(stats, g, w)`` and
 ``build_moment_set(stats)`` turn it into a sampled kernel and a
 Lemma/Theorem moment set with no further arguments. Reductions walk units
 outside blocks: they fill per-block arrays of scalars unit by unit and emit
-their records block by block afterwards. The device-count figures (fig8,
-fig9) sample on ``_sampling_worlds``: the config keeps the whole pool, so
-every draw has the pool's shape, while the deployment is the prefix of
-admitted devices, so geometry is built for those alone. ``_sampled_nse``
-draws each unit once per block and builds one kernel on the largest
-admitted count of its K grid; every smaller count is read off that kernel
-(``BlockKernel.terms(t, K)``), so the work is one draw and one kernel per
-(unit, block) whatever the grid holds. Only ``_place``, ``_unit_blocks``
-and ``_refades`` (fresh fading on a frozen block-0 condition) draw
-randomness. A twin never draws: it always gets the panel-0 slice of the
-multi-LIS draw, so multi-vs-single differences are paired.
+their records block by block afterwards.
+
+fig4, fig5, fig6 and fig6b compare each multi-LIS unit with its
+single-LIS twin, panel 0 alone, on paired draws. The twin is never drawn,
+built or sampled on its own: ``BlockKernel(..., twin=True)`` forms its
+kernel from panel 0's rows of the unit's channels, and its moment set
+comes from the statistics cut to panel 0 with ``slice_stats``.
+
+The device-count figures (fig8, fig9) sample on ``_sampling_world``: the
+config keeps the whole pool, so every draw has the pool's shape, while the
+deployment is the prefix of admitted devices, so geometry is built for
+those alone. ``_sampled_nse`` draws each unit once per block and builds one
+kernel on the largest admitted count of its K grid; every smaller count is
+read off that kernel (``BlockKernel.terms(t, K)``), so the work is one draw
+and one kernel per (unit, block) whatever the grid holds. Only ``_place``,
+``_unit_blocks`` and ``_refades`` (fresh fading on a frozen block-0
+condition) draw randomness.
 
 fig4 and the moment oracle redraw a unit's fading R times on one frozen
 block. ``_refade_chunks`` draws each realization from its own
 ``_refades`` stream, in order, and stacks them along a leading draw axis
 in chunks whose channels (16 N K M bytes per draw) fit
-``_REFADE_CHUNK_BYTES``; one ``BlockKernel`` then serves a whole chunk.
+``_REFADE_CHUNK_BYTES``; one ``BlockKernel`` then serves a whole chunk,
+fig4's twin included.
 
 Randomness is addressed, not sequenced: every placement and every
 (block, unit) pair gets its own seed-derived substream (``_unit_rng`` is
@@ -58,7 +64,6 @@ import math
 import numbers
 import re
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,12 +87,9 @@ from .links import (
     draw_unit_block,
     make_unit_stats,
     placement_rng,
+    slice_stats,
     stream,
 )
-
-# ``slice_stats`` is not called here; perfbench/test_tracer.py checks that its
-# tracer reaches this module's binding of it
-from .links import slice_stats  # noqa: F401
 from .optimize import expected_floor_table, nse_of_gammas, optimal_num_devices
 from .scenario import place_devices
 
@@ -217,6 +219,9 @@ def summarize(records) -> list[StatSummary]:
 def _pmap(fn, tasks, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    # imported here: the process pool is most of the package's import time
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 
@@ -233,45 +238,32 @@ def _unit_rng(seed: int, p_idx: int, b_idx: int, n_key: int, k: int):
     return stream(seed, DOMAIN_BLOCK, p_idx, b_idx, n_key, k)
 
 
-def _draw_prefix(draw, N: int | None = None, K: int | None = None):
-    """First N panels and first K devices per panel of a draw (None keeps
-    the whole axis); the receiver noise is per antenna and kept whole.
-
-    With N=1 this is the single-LIS twin's draw: it sees the same gates,
-    angles, fading and receiver noise, so multi-vs-single differences are
-    paired and carry only the inter-panel terms."""
-    return dataclasses.replace(draw, coins=draw.coins[:N, :K], angles=draw.angles[:N, :K],
-                               g=draw.g[:N, :K])
+def _draw_prefix(draw, K: int):
+    """First K devices per panel of a draw (the per-antenna noise is kept)."""
+    return dataclasses.replace(draw, coins=draw.coins[:, :K], angles=draw.angles[:, :K],
+                               g=draw.g[:, :K])
 
 
-def _worlds(spec: ExperimentSpec, dep, twin: bool = False, **changes) -> list:
-    """Link world of one sweep point (system config with `changes`); with
-    twin, followed by the panel-0 single-LIS world."""
-    cfg = dataclasses.replace(spec.system, **changes)
-    worlds = [LinkWorld(dep, cfg)]
-    if twin:
-        worlds.append(LinkWorld(dep.panel(0), dataclasses.replace(cfg, N=1)))
-    return worlds
+def _world(spec: ExperimentSpec, dep, **changes) -> LinkWorld:
+    """Link world of one sweep point: the system config with `changes`."""
+    return LinkWorld(dep, dataclasses.replace(spec.system, **changes))
 
 
-def _unit_blocks(spec: ExperimentSpec, worlds, p: int, blocks, n: int, k: int):
-    """Build unit (n, k)'s geometry once in every world, then yield, for
-    each block b in `blocks` in order, one (stats, draw) per world: block b
-    is drawn once, the twin gets its panel-0 slice.
+def _unit_blocks(spec: ExperimentSpec, world: LinkWorld, p: int, blocks, n: int, k: int):
+    """Build unit (n, k)'s geometry once, then yield (stats, draw) for each
+    block b in `blocks` in order.
 
     Each draw keeps the config's device shape (so the stream is consumed
-    as for any other count) and is cut to the first-world deployment's
-    devices: the admitted prefix on ``_sampling_worlds``, every device
-    elsewhere. The statistics hold their roots in factored form; dense
-    (N, K, M, P) roots exist only inside ``build_moment_set``."""
-    cfg = worlds[0].config
-    geoms = [world.unit(n, k) for world in worlds]
+    as for any other count) and is cut to the deployment's devices: the
+    admitted prefix on ``_sampling_world``, every device elsewhere. The
+    statistics hold their roots in factored form; dense (N, K, M, P) roots
+    exist only inside ``build_moment_set``."""
+    cfg = world.config
+    geom = world.unit(n, k)
     for b in blocks:
         draw = draw_unit_block(_unit_rng(spec.system.seed, p, b, n, k), cfg.N, cfg.K, cfg.P, cfg.M)
-        draw = _draw_prefix(draw, K=worlds[0].deployment.K)
-        draws = [draw] + [_draw_prefix(draw, N=1)] * (len(worlds) - 1)
-        yield [(make_unit_stats(geom, d, world.config, spec.experiment.interference), d)
-               for world, geom, d in zip(worlds, geoms, draws)]
+        draw = _draw_prefix(draw, world.deployment.K)
+        yield make_unit_stats(geom, draw, cfg, spec.experiment.interference), draw
 
 
 def _refades(spec: ExperimentSpec, cfg: SystemConfig, p: int, r: int, n: int, k: int):
@@ -296,34 +288,34 @@ def _refade_chunks(spec: ExperimentSpec, cfg: SystemConfig, p: int, R: int, n: i
         yield slice(rs.start, rs.stop), g, w
 
 
-def _sweep_worlds(spec: ExperimentSpec, p: int, twin: bool):
-    """(M, worlds) for every array size of placement p."""
+def _sweep_worlds(spec: ExperimentSpec, p: int):
+    """(M, world) for every array size of placement p."""
     dep = _place(spec, p)
     for M in spec.experiment.sweep_values:
-        yield M, _worlds(spec, dep, twin, M=M)
+        yield M, _world(spec, dep, M=M)
 
 
-def _sampling_worlds(spec: ExperimentSpec, dep, admitted: int, **changes) -> list:
+def _sampling_world(spec: ExperimentSpec, dep, admitted: int, **changes) -> LinkWorld:
     """Sampling world of a device-count sweep point: its config holds the
     whole pool (K = pool, t unset), so every block draw keeps the pool's
     shape and stream, but its deployment is the first `admitted` devices
     per panel, so geometry, statistics and draws cover those alone."""
-    return _worlds(spec, dep.prefix(admitted), K=dep.K, t=None, **changes)
+    return _world(spec, dep.prefix(admitted), K=dep.K, t=None, **changes)
 
 
-def _sampled_nse(spec: ExperimentSpec, worlds, p: int, blocks, K_grid) -> list:
+def _sampled_nse(spec: ExperimentSpec, world: LinkWorld, p: int, blocks, K_grid) -> list:
     """Monte Carlo NSE of every block in `blocks` for every admitted count K
-    in K_grid, with pilot length t = K, on ``_sampling_worlds`` over the
+    in K_grid, with pilot length t = K, on ``_sampling_world`` over the
     first max(K_grid) devices: one {K: NSE} per block. Unit (n, k) is drawn
     once per block on the whole pool, and its statistics and its one
     ``BlockKernel`` cover the admitted devices only; each K > k reads its
     SINR off that kernel with ``gamma(K, K)``, which sums the interference
     over the first K devices."""
-    cfg = worlds[0].config
+    cfg = world.config
     gam = {K: np.empty((len(blocks), cfg.N, K)) for K in K_grid}
     for n in range(cfg.N):
         for k in range(max(K_grid)):
-            for i, ((stats, draw),) in enumerate(_unit_blocks(spec, worlds, p, blocks, n, k)):
+            for i, (stats, draw) in enumerate(_unit_blocks(spec, world, p, blocks, n, k)):
                 kern = BlockKernel(stats, draw.g, draw.w)
                 for K in K_grid:
                     if k < K:
@@ -344,24 +336,21 @@ def _optimal_count(spec: ExperimentSpec, world: LinkWorld):
 
 def _se_variance(spec: ExperimentSpec, p: int):
     """fig4: per-device SE variance of unit (0, 0) across fast-fading draws,
-    multi- and single-LIS. The slow state (gates, scattering angles) is
-    frozen per placement so the statistic isolates channel hardening. One
-    record per placement carries the within-placement variance; curves then
-    average over placements."""
+    multi- and single-LIS, both off one kernel per chunk of refades. The
+    slow state (gates, scattering angles) is frozen per placement so the
+    statistic isolates channel hardening. One record per placement carries
+    the within-placement variance; curves then average over placements."""
     R = spec.experiment.realizations
-    dep = _place(spec, p)
     recs, mean_se = [], {}
-    for M in spec.experiment.sweep_values:
-        worlds = _worlds(spec, dep, twin=True, M=M)
-        cfg = worlds[0].config
+    for M, world in _sweep_worlds(spec, p):
+        cfg = world.config
         t = cfg.pilot_len
-        (frozen,) = _unit_blocks(spec, worlds, p, [0], 0, 0)
-        se = np.empty((len(worlds), R))
+        [(stats, _)] = _unit_blocks(spec, world, p, [0], 0, 0)
+        se = np.empty((2, R))
         for rs, g, w in _refade_chunks(spec, cfg, p, R, 0, 0):
-            for i, (stats, draw) in enumerate(frozen):
-                # the twin's frozen draw covers panel 0 alone
-                gammas = BlockKernel(stats, g[:, : len(draw.g)], w).gamma(t)
-                se[i, rs] = [sse(gamma, t, cfg.T) for gamma in gammas]
+            kern = BlockKernel(stats, g, w, twin=True)
+            for row, system in zip(se, (kern, kern.twin)):
+                row[rs] = [sse(gamma, t, cfg.T) for gamma in system.gamma(t)]
         for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), se):
             recs.append((float(M), label, p, 0, float(np.var(row, ddof=1)) if R > 1 else 0.0))
             mean_se.setdefault(label, {})[M] = float(np.mean(row))
@@ -370,23 +359,26 @@ def _se_variance(spec: ExperimentSpec, p: int):
 
 def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
     """fig5/fig6: panel-0 SSE of the multi-LIS system and its single-LIS
-    twin on paired draws, plus Theorem 1/2 curves every stride-th block.
+    twin on paired draws, plus Theorem 1/2 curves every stride-th block;
+    one kernel and one cut of the statistics per (unit, block) serve both.
     With sample=False (run_asymptotic, which resolves the stride to 1): the
     multi-LIS Theorem curves alone, with no receive-side sampling."""
     stride, R = spec.experiment.theory_stride, spec.experiment.realizations
     recs = []
-    for M, worlds in _sweep_worlds(spec, p, twin=sample):
-        cfg = worlds[0].config
+    for M, world in _sweep_worlds(spec, p):
+        cfg = world.config
         t, T = cfg.pilot_len, cfg.T
-        gammas = np.empty((R, len(worlds), cfg.K))
-        terms = np.empty((R, len(worlds), cfg.K, 4))  # theory blocks' sse_terms(t)
+        panels = (cfg.N, 1)[: 2 if sample else 1]  # kept by multi-LIS, then the twin
+        gammas = np.empty((R, 2, cfg.K))
+        terms = np.empty((R, len(panels), cfg.K, 4))  # theory blocks' sse_terms(t)
         for k in range(cfg.K):
-            for b, pairs in enumerate(_unit_blocks(spec, worlds, p, range(R), 0, k)):
-                for i, (stats, draw) in enumerate(pairs):
-                    if sample:
-                        gammas[b, i, k] = BlockKernel(stats, draw.g, draw.w).gamma(t)
-                    if b % stride == 0:
-                        terms[b, i, k] = build_moment_set(stats).sse_terms(t)
+            for b, (stats, draw) in enumerate(_unit_blocks(spec, world, p, range(R), 0, k)):
+                if sample:
+                    kern = BlockKernel(stats, draw.g, draw.w, twin=True)
+                    gammas[b, :, k] = kern.gamma(t), kern.twin.gamma(t)
+                if b % stride == 0:
+                    terms[b, :, k] = [build_moment_set(slice_stats(stats, N=N)).sse_terms(t)
+                                      for N in panels]
         for b in range(R):
             if sample:
                 for row, tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
@@ -404,18 +396,18 @@ def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
 
 def _csi(spec: ExperimentSpec, p: int):
     """fig6b: panel-0 SSE with estimated and with exact filters, multi- and
-    single-LIS, all four curves from the same paired draws."""
+    single-LIS, all four curves off one kernel per (unit, block)."""
     R = spec.experiment.realizations
     recs = []
-    for M, worlds in _sweep_worlds(spec, p, twin=True):
-        cfg = worlds[0].config
+    for M, world in _sweep_worlds(spec, p):
+        cfg = world.config
         t, T = cfg.pilot_len, cfg.T
-        gammas = np.empty((R, len(worlds), 2, cfg.K))  # block, world, (estimated, exact), unit
+        gammas = np.empty((R, 2, 2, cfg.K))  # block, system, (estimated, exact), unit
         for k in range(cfg.K):
-            for b, pairs in enumerate(_unit_blocks(spec, worlds, p, range(R), 0, k)):
-                for i, (stats, draw) in enumerate(pairs):
-                    kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
-                    gammas[b, i, :, k] = kern.gamma(t), kern.gamma_perfect
+            for b, (stats, draw) in enumerate(_unit_blocks(spec, world, p, range(R), 0, k)):
+                kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=True, twin=True)
+                for i, system in enumerate((kern, kern.twin)):
+                    gammas[b, i, :, k] = system.gamma(t), system.gamma_perfect
         for b in range(R):
             for (est, exact), tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
                 recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(est, t, T)))
@@ -427,13 +419,13 @@ def _pilot(spec: ExperimentSpec, p: int):
     """fig7: SSE versus pilot length on a fixed array size; each block's
     sampled kernels are read at the whole t grid."""
     exp = spec.experiment
-    worlds = _worlds(spec, _place(spec, p))
-    cfg = worlds[0].config
+    world = _world(spec, _place(spec, p))
+    cfg = world.config
     R, ts = exp.realizations, exp.sweep_values
     gammas = np.empty((R, len(ts), cfg.K))
     terms = np.empty((R, len(ts), cfg.K, 4))  # theory blocks' sse_terms at each t
     for k in range(cfg.K):
-        for b, ((stats, draw),) in enumerate(_unit_blocks(spec, worlds, p, range(R), 0, k)):
+        for b, (stats, draw) in enumerate(_unit_blocks(spec, world, p, range(R), 0, k)):
             kern = BlockKernel(stats, draw.g, draw.w)
             gammas[b, :, k] = [kern.gamma(t) for t in ts]
             if b % exp.theory_stride == 0:
@@ -454,13 +446,13 @@ def _ksweep(spec: ExperimentSpec, p: int):
     cfg, exp = spec.system, spec.experiment
     dep = _place(spec, p, pool=True)
     pool = dep.K
-    sol = _optimal_count(spec, *_worlds(spec, dep, K=pool, t=None))
+    sol = _optimal_count(spec, _world(spec, dep, K=pool, t=None))
     recs = [(float(K), "Theorem 2 bound NSE", p, 0, float(v))
             for K, v in zip(sol.K_values, sol.nse_curve) if math.isfinite(v)]
     mc_M = cfg.M if cfg.M <= _MC_KSWEEP_CAP else 196
     K_grid = sorted({K for K in exp.sweep_values if K <= pool} | {sol.K_opt})
-    worlds = _sampling_worlds(spec, dep, max(K_grid), M=mc_M)
-    nse = _sampled_nse(spec, worlds, p, range(exp.realizations), K_grid)
+    world = _sampling_world(spec, dep, max(K_grid), M=mc_M)
+    nse = _sampled_nse(spec, world, p, range(exp.realizations), K_grid)
     recs += [(float(K), "Monte Carlo NSE", p, b, nse_b[K])
              for b, nse_b in enumerate(nse) for K in K_grid]
     extras = {"pool": pool, "K_opt": sol.K_opt, "nse_opt": sol.nse_opt, "mc_M": mc_M,
@@ -480,14 +472,14 @@ def _nse_vs_m(spec: ExperimentSpec, p: int):
     dep = _place(spec, p, pool=True)
     recs, K_opt = [], {}
     for M in exp.sweep_values:
-        sol = _optimal_count(spec, *_worlds(spec, dep, M=M, K=dep.K, t=None))
+        sol = _optimal_count(spec, _world(spec, dep, M=M, K=dep.K, t=None))
         K_opt[M] = sol.K_opt
         recs.append((float(M), "Theorem 2 bound NSE at optimized K", p, 0, sol.nse_opt))
         policies = ((sol.K_opt, "Monte Carlo NSE at optimized K"),
                     (min(20, dep.K), "Monte Carlo NSE at K=20"))
         K_grid = sorted({K for K, _ in policies})
-        worlds = _sampling_worlds(spec, dep, max(K_grid), M=M)
-        nse = _sampled_nse(spec, worlds, p, range(exp.realizations), K_grid)
+        world = _sampling_world(spec, dep, max(K_grid), M=M)
+        nse = _sampled_nse(spec, world, p, range(exp.realizations), K_grid)
         for K, label in policies:
             recs += [(float(M), label, p, b, nse_b[K]) for b, nse_b in enumerate(nse)]
     return recs, {"pool": dep.K, "K_opt": K_opt}
@@ -512,13 +504,11 @@ def _oracle(spec: ExperimentSpec, p: int):
     can be compared across M.
     """
     R = spec.experiment.realizations
-    dep = _place(spec, p)
     recs, report = [], []
-    for M in spec.experiment.sweep_values:
-        worlds = _worlds(spec, dep, M=M)
-        cfg = worlds[0].config
+    for M, world in _sweep_worlds(spec, p):
+        cfg = world.config
         t = cfg.pilot_len
-        [[(stats, _)]] = _unit_blocks(spec, worlds, p, [0], 0, 0)
+        [(stats, _)] = _unit_blocks(spec, world, p, [0], 0, 0)
         ms = build_moment_set(stats)
         M2 = float(cfg.M) ** 2
         samples = np.empty((4, R))  # X, Y total, Z, I

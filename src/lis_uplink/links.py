@@ -28,6 +28,7 @@ floor table (``optimize.expected_floor_table``) all read them.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -262,39 +263,42 @@ def sample_unit_channels(stats: UnitChannelStats, g: np.ndarray) -> np.ndarray:
     return scattered
 
 
-def slice_geometry(geom: UnitLinkGeometry, K: int) -> UnitLinkGeometry:
-    """Restrict a unit's link geometry to the first K devices per panel
-    (array views, no copies). Valid when the unit's own pilot index is
-    below K."""
-    if geom.k >= K:
+def slice_geometry(geom: UnitLinkGeometry, K: int | None = None,
+                   N: int | None = None) -> UnitLinkGeometry:
+    """Restrict a unit's link geometry to the first N panels and the first
+    K devices per panel (array views, no copies; None keeps an axis whole).
+    Valid when the unit's panel is below N and its pilot index below K."""
+    if K is not None and geom.k >= K:
         raise ValueError(f"unit pilot index {geom.k} not active with K={K}")
+    if N is not None and geom.n >= N:
+        raise ValueError(f"unit panel {geom.n} not kept with N={N}")
     return dataclasses.replace(
         geom,
-        distances=geom.distances[:, :K],
-        hlos=geom.hlos[:, :K],
-        beta2_sum=geom.beta2_sum[:, :K],
-        kappa_cand=geom.kappa_cand[:, :K],
-        p_los=geom.p_los[:, :K],
-        rho_p=geom.rho_p[:, :K],
-        rho_d=geom.rho_d[:, :K],
+        distances=geom.distances[:N, :K],
+        hlos=geom.hlos[:N, :K],
+        beta2_sum=geom.beta2_sum[:N, :K],
+        kappa_cand=geom.kappa_cand[:N, :K],
+        p_los=geom.p_los[:N, :K],
+        rho_p=geom.rho_p[:N, :K],
+        rho_d=geom.rho_d[:N, :K],
     )
 
 
-# ``slice_stats`` is not called by the package (``BlockKernel.terms(t, K)``
-# serves nested device counts); perfbench/tracer.py traces it by name
-def slice_stats(stats: UnitChannelStats, K: int) -> UnitChannelStats:
-    """Restrict a unit's block statistics to the first K devices per panel
-    (array views, no copies)."""
+def slice_stats(stats: UnitChannelStats, K: int | None = None,
+                N: int | None = None) -> UnitChannelStats:
+    """Restrict a unit's block statistics to the first N panels and the
+    first K devices per panel (array views, no copies). Cut to panel 0, a
+    panel-0 unit's statistics are its single-LIS twin's bit for bit."""
     return dataclasses.replace(
         stats,
-        geom=slice_geometry(stats.geom, K),
-        kappa=stats.kappa[:, :K],
-        nlos_scale=stats.nlos_scale[:, :K],
-        hbar=stats.hbar[:, :K],
+        geom=slice_geometry(stats.geom, K, N),
+        kappa=stats.kappa[:N, :K],
+        nlos_scale=stats.nlos_scale[:N, :K],
+        hbar=stats.hbar[:N, :K],
         roots=CorrelationRoot(
-            ramp_v=stats.roots.ramp_v[:, :K],
-            ramp_h=stats.roots.ramp_h[:, :K],
-            pathloss=stats.roots.pathloss[:, :K],
+            ramp_v=stats.roots.ramp_v[:N, :K],
+            ramp_h=stats.roots.ramp_h[:N, :K],
+            pathloss=stats.roots.pathloss[:N, :K],
         ),
     )
 
@@ -347,10 +351,13 @@ class BlockKernel:
 
     ``gamma_perfect``, the SINR of the exact filter h_los, is computed only
     for a kernel built with ``perfect_csi=True`` and is None otherwise.
+    With ``twin=True``, ``twin`` is the kernel of the unit's single-LIS
+    twin, its panel alone, from that panel's rows of the same channels;
+    else None.
     """
 
     def __init__(self, stats: UnitChannelStats, g: np.ndarray, w: np.ndarray,
-                 perfect_csi: bool = False):
+                 perfect_csi: bool = False, twin: bool = False):
         geom = stats.geom
         n, k = geom.n, geom.k
         self.n, self.k = n, k
@@ -363,6 +370,7 @@ class BlockKernel:
         self.rho_p_own = float(geom.rho_p[n, k])
         self.rho_d = geom.rho_d
         self.rho_d_own = float(geom.rho_d[n, k])
+        self.own_power = geom.own_power
         self.signal = geom.own_power**2
 
         u_conj, w_conj = np.conj(u), np.conj(w)
@@ -374,13 +382,27 @@ class BlockKernel:
         self.uw = _dot(u_conj, w)
         self.w_norm2 = _dot(w_conj, w).real
 
-        self.gamma_perfect = None
-        if perfect_csi:
-            # perfect-CSI SINR: the filter is h_los itself
-            Y_pure = np.abs(ch @ np.conj(hlos)) ** 2
-            Y_pure[..., n, k] = 0.0
-            I_perfect = np.sum(self.rho_d * Y_pure, axis=(-2, -1)) + geom.own_power
-            self.gamma_perfect = self.rho_d_own * self.signal / I_perfect
+        # perfect-CSI SINR: the filter is h_los itself
+        self.gamma_perfect = self._exact_sinr(ch @ np.conj(hlos)) if perfect_csi else None
+        self.twin = None
+        if twin:
+            # the unit's panel alone: no other panel's device contaminates the
+            # estimate, so the filter is u = h_los (A is then also the exact
+            # filter's product), Xc is zero and C is this panel's rows of C
+            self.twin = single = copy.copy(self)
+            single.n, single.rho_d = 0, self.rho_d[n : n + 1]
+            hlos_conj = np.conj(hlos)
+            single.A = _matvec(ch[..., n : n + 1, :, :], hlos_conj)
+            single.C, single.Xc = self.C[..., n : n + 1, :], 0.0
+            single.u_norm2, single.uw = _dot(hlos_conj, hlos).real, _dot(hlos_conj, w)
+            single.gamma_perfect = single._exact_sinr(single.A) if perfect_csi else None
+
+    def _exact_sinr(self, proj: np.ndarray) -> np.ndarray:
+        """SINR of the filter h_los from its products proj with every link."""
+        Y_pure = np.abs(proj) ** 2
+        Y_pure[..., self.n, self.k] = 0.0
+        I_perfect = np.sum(self.rho_d * Y_pure, axis=(-2, -1)) + self.own_power
+        return self.rho_d_own * self.signal / I_perfect
 
     def terms(self, t, K: int | None = None) -> BlockTerms:
         """Block terms at pilot length t. With K, only the first K devices

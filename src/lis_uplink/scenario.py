@@ -102,19 +102,6 @@ class Deployment:
             unit_centers=self.unit_centers[:, :K],
         )
 
-    def panel(self, n: int) -> "Deployment":
-        """Single-panel view: panel n alone with its own devices (the
-        matching single-LIS system for gap comparisons)."""
-        if not (0 <= n < self.N):
-            raise ValueError(f"panel index {n} outside [0, {self.N})")
-        return Deployment(
-            frames=(self.frames[n],),
-            devices_local=self.devices_local[n : n + 1],
-            devices=self.devices[n : n + 1],
-            unit_centers_local=self.unit_centers_local[n : n + 1],
-            unit_centers=self.unit_centers[n : n + 1],
-        )
-
 
 def place_devices(
     config: SystemConfig,

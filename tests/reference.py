@@ -34,6 +34,15 @@ unit and builds its statistics and kernel once per admitted count K, on a
 world over the deployment's first K devices alone, against
 ``harness._sampled_nse``'s one kernel per unit read at every K.
 
+``panel`` is the single-panel view of a deployment. ``twin_blocks`` and
+the three twin-world reductions ``se_variance``, ``panel0_sse`` and
+``csi`` (fig4, fig5/fig6, fig6b) compare each multi-LIS unit with a
+single-LIS twin built as a system of its own: an N = 1 ``LinkWorld`` over
+``panel(deployment, 0)`` with its own geometry, statistics, sampled
+channels and moment sets, fed the panel-0 slice of every multi-LIS draw.
+They are the oracle of the engine's twin, which is the panel-0 cut of the
+multi-LIS unit's statistics and of its kernel's channels.
+
 ``expected_floor_table`` is the Theorem 2 floor table built from a
 deployment and a system config, with its own power control, contamination
 and LOS rules and a per-panel same-pilot loop, against
@@ -48,11 +57,13 @@ import math
 import numpy as np
 
 from lis_uplink import harness
+from lis_uplink.asymptotics import build_moment_set, sse, theorem1_sse
 from lis_uplink.links import (
     BlockKernel,
     LinkWorld,
     UnitChannelStats,
     build_unit_geometry,
+    make_unit_stats,
     sample_unit_channels,
 )
 from lis_uplink.optimize import ExpectedFloorTable, nse_of_gammas
@@ -415,21 +426,117 @@ def mu_I_bar(ms, t: float) -> float:
     return const + noise / t
 
 
-def sampled_nse_per_count(spec, worlds, p: int, blocks, K_grid) -> list:
+def sampled_nse_per_count(spec, world, p: int, blocks, K_grid) -> list:
     """Monte Carlo NSE of every block in `blocks` for every K in K_grid, one
-    count at a time: unit (n, k) is drawn again for each K > k, on worlds
+    count at a time: unit (n, k) is drawn again for each K > k, on a world
     over the deployment's first K devices, so its statistics and kernel
     cover those devices alone."""
-    cfg = worlds[0].config
+    cfg = world.config
     out = [{} for _ in blocks]
     for K in K_grid:
-        per_count = [LinkWorld(world.deployment.prefix(K), world.config) for world in worlds]
+        per_count = LinkWorld(world.deployment.prefix(K), world.config)
         gam = np.empty((len(blocks), cfg.N, K))
         for n in range(cfg.N):
             for k in range(K):
-                for i, ((stats, draw),) in enumerate(
+                for i, (stats, draw) in enumerate(
                         harness._unit_blocks(spec, per_count, p, blocks, n, k)):
                     gam[i, n, k] = BlockKernel(stats, draw.g, draw.w).gamma(K)
         for nse, gam_b in zip(out, gam):
             nse[K] = nse_of_gammas(gam_b, K, cfg.T)
     return out
+
+
+def panel(deployment: Deployment, n: int) -> Deployment:
+    """Single-panel view: panel n alone with its own devices (the matching
+    single-LIS system for gap comparisons)."""
+    if not (0 <= n < deployment.N):
+        raise ValueError(f"panel index {n} outside [0, {deployment.N})")
+    return Deployment(
+        frames=(deployment.frames[n],),
+        devices_local=deployment.devices_local[n : n + 1],
+        devices=deployment.devices[n : n + 1],
+        unit_centers_local=deployment.unit_centers_local[n : n + 1],
+        unit_centers=deployment.unit_centers[n : n + 1],
+    )
+
+
+def twin_blocks(spec, world, p: int, blocks, k: int):
+    """For each block in `blocks`, ((stats, draw) of unit (0, k) in the
+    multi-LIS world, (stats, draw) of the same unit in its single-LIS
+    twin): an N = 1 world over panel 0, with its own geometry and
+    statistics built from the panel-0 slice of the multi-LIS draw."""
+    twin = LinkWorld(panel(world.deployment, 0), dataclasses.replace(world.config, N=1))
+    geom = twin.unit(0, k)
+    for stats, draw in harness._unit_blocks(spec, world, p, blocks, 0, k):
+        cut = dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1],
+                                  g=draw.g[:1])
+        yield (stats, draw), (make_unit_stats(geom, cut, twin.config,
+                                              spec.experiment.interference), cut)
+
+
+def se_variance(spec, p: int):
+    """fig4 on a twin world: the twin's kernel samples panel 0's channels
+    from its own statistics and the first panel of every refade."""
+    R = spec.experiment.realizations
+    dep = harness._place(spec, p)
+    recs, mean_se = [], {}
+    for M in spec.experiment.sweep_values:
+        world = harness._world(spec, dep, M=M)
+        cfg, t = world.config, world.config.pilot_len
+        (frozen,) = twin_blocks(spec, world, p, [0], 0)
+        se = np.empty((2, R))
+        for rs, g, w in harness._refade_chunks(spec, cfg, p, R, 0, 0):
+            for i, (stats, draw) in enumerate(frozen):
+                gammas = BlockKernel(stats, g[:, : len(draw.g)], w).gamma(t)
+                se[i, rs] = [sse(gamma, t, cfg.T) for gamma in gammas]
+        for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), se):
+            recs.append((float(M), label, p, 0, float(np.var(row, ddof=1)) if R > 1 else 0.0))
+            mean_se.setdefault(label, {})[M] = float(np.mean(row))
+    return recs, {"mean_se": mean_se}
+
+
+def panel0_sse(spec, p: int):
+    """fig5/fig6 on a twin world: the twin's kernels and moment sets come
+    from its own statistics."""
+    stride, R = spec.experiment.theory_stride, spec.experiment.realizations
+    recs = []
+    for M, world in harness._sweep_worlds(spec, p):
+        t, T, K = world.config.pilot_len, world.config.T, world.config.K
+        gammas = np.empty((R, 2, K))
+        terms = np.empty((R, 2, K, 4))
+        for k in range(K):
+            for b, pairs in enumerate(twin_blocks(spec, world, p, range(R), k)):
+                for i, (stats, draw) in enumerate(pairs):
+                    gammas[b, i, k] = BlockKernel(stats, draw.g, draw.w).gamma(t)
+                    if b % stride == 0:
+                        terms[b, i, k] = build_moment_set(stats).sse_terms(t)
+        for b in range(R):
+            for row, tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
+                recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(row, t, T)))
+            if b % stride == 0:
+                for rows, suffix in zip(terms[b], ("", " single-LIS")):
+                    th = theorem1_sse(rows, t, T)
+                    recs.append((float(M), f"Theorem 1{suffix}", p, b, th.sse_bar))
+                    if math.isfinite(th.sse_hat):
+                        recs.append((float(M), f"Theorem 2 bound{suffix}", p, b, th.sse_hat))
+    return recs, {}
+
+
+def csi(spec, p: int):
+    """fig6b on a twin world: the twin's perfect- and estimated-CSI kernel
+    comes from its own statistics."""
+    R = spec.experiment.realizations
+    recs = []
+    for M, world in harness._sweep_worlds(spec, p):
+        t, T, K = world.config.pilot_len, world.config.T, world.config.K
+        gammas = np.empty((R, 2, 2, K))
+        for k in range(K):
+            for b, pairs in enumerate(twin_blocks(spec, world, p, range(R), k)):
+                for i, (stats, draw) in enumerate(pairs):
+                    kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
+                    gammas[b, i, :, k] = kern.gamma(t), kern.gamma_perfect
+        for b in range(R):
+            for (est, exact), tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
+                recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(est, t, T)))
+                recs.append((float(M), f"{tag} perfect CSI", p, b, sse(exact, t, T)))
+    return recs, {}

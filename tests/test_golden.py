@@ -153,11 +153,12 @@ def test_records_independent_of_blas_thread_count():
     # channel sampling and the kernels run through BLAS matrix products,
     # batched over a chunk of draws in fig4 and the oracle; fig8 and fig9
     # read every admitted count off slices of one product over the largest
-    # count. The records of those cases must not depend on how many threads
-    # BLAS uses
+    # count, and fig4, fig5 and fig6b read the single-LIS twin off panel 0's
+    # rows of the multi-LIS products. The records of those cases must not
+    # depend on how many threads BLAS uses
     here = Path(__file__).resolve().parent
     script = ("import json, test_golden; print(json.dumps({case: test_golden._records(case) "
-              "for case in ('fig4', 'fig8', 'fig9', 'oracle')}))")
+              "for case in ('fig4', 'fig5', 'fig6b', 'fig8', 'fig9', 'oracle')}))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
     outputs = [
         subprocess.run([sys.executable, "-c", script], env={**env, "OPENBLAS_NUM_THREADS": n},

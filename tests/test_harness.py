@@ -169,17 +169,30 @@ class TestResolveWorkers:
 
 
 class TestPanelZeroSlice:
-    def test_slice_shares_draw_content(self):
-        rng = hz._unit_rng(0, 0, 0, 0, 0)
-        draw = hz.draw_unit_block(rng, 3, 2, 4, 16)
-        cut = hz._draw_prefix(draw, N=1)
-        assert cut.coins.shape[0] == 1 and cut.angles.shape[0] == 1
-        assert cut.g.shape[0] == 1
-        assert np.array_equal(cut.coins, draw.coins[:1])
-        assert np.array_equal(cut.angles, draw.angles[:1])
-        assert np.array_equal(cut.g, draw.g[:1])
-        assert np.shares_memory(cut.g, draw.g)
-        assert cut.w is draw.w
+    @pytest.mark.parametrize("regime", ["rician", "nlos_inter"])
+    def test_panel_cut_of_stats_equals_twin_world_stats(self, quad_world, regime):
+        """The single-LIS twin's statistics, built in an N = 1 world over
+        panel 0 from the panel-0 slice of the draw, are the multi-LIS
+        unit's statistics cut to panel 0, bit for bit and as views."""
+        cfg = quad_world.config
+        twin = links.LinkWorld(reference.panel(quad_world.deployment, 0),
+                               dataclasses.replace(cfg, N=1))
+        for k in range(cfg.K):
+            draw = hz.draw_unit_block(hz._unit_rng(0, 0, 0, 0, k), cfg.N, cfg.K, cfg.P, cfg.M)
+            stats = links.make_unit_stats(quad_world.unit(0, k), draw, cfg, regime)
+            cut = links.slice_stats(stats, N=1)
+            one = dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1],
+                                      g=draw.g[:1])
+            want = links.make_unit_stats(twin.unit(0, k), one, twin.config, regime)
+            for obj, ref in ((cut, want), (cut.geom, want.geom), (cut.roots, want.roots)):
+                for f in dataclasses.fields(obj):
+                    a, b = getattr(obj, f.name), getattr(ref, f.name)
+                    if not dataclasses.is_dataclass(a):
+                        assert np.array_equal(a, b), f.name
+            assert np.shares_memory(cut.hbar, stats.hbar)
+            assert np.shares_memory(cut.roots.ramp_v, stats.roots.ramp_v)
+        with pytest.raises(ValueError, match="panel"):
+            links.slice_stats(links.make_unit_stats(quad_world.unit(1, 0), draw, cfg), N=1)
 
     def test_device_prefix_keeps_every_panel(self):
         draw = hz.draw_unit_block(hz._unit_rng(0, 0, 0, 0, 0), 3, 4, 2, 16)
@@ -223,8 +236,8 @@ class TestAdmittedPrefix:
         assert shapes and all(shape == (4, admitted[shape[2]], shape[2]) for shape in shapes)
 
         # the same run on a sampling world over the whole pool
-        monkeypatch.setattr(hz, "_sampling_worlds", lambda spec, dep, admitted, **changes:
-                            hz._worlds(spec, dep, K=dep.K, t=None, **changes))
+        monkeypatch.setattr(hz, "_sampling_world", lambda spec, dep, admitted, **changes:
+                            hz._world(spec, dep, K=dep.K, t=None, **changes))
         shapes.clear()
         whole = run_experiment(rc)
         assert {shape[1] for shape in shapes} == {pool}
@@ -234,10 +247,11 @@ class TestAdmittedPrefix:
 
 class TestRefadeChunks:
     """fig4 and the oracle draw R fresh (g, w) pairs on one frozen block and
-    build one kernel per chunk of them, not one per draw."""
+    build one kernel per chunk of them, not one per draw. fig4's kernel
+    serves two systems, the multi-LIS unit and its single-LIS twin."""
 
-    @pytest.mark.parametrize("exp_id, worlds", [("oracle", 1), ("fig4", 2)])
-    def test_one_kernel_per_chunk_and_one_refade_per_realization(self, exp_id, worlds,
+    @pytest.mark.parametrize("exp_id, systems", [("oracle", 1), ("fig4", 2)])
+    def test_one_kernel_per_chunk_and_one_refade_per_realization(self, exp_id, systems,
                                                                   monkeypatch):
         R, Ms = 10, (16, 36)
         rc = preset_run_config(exp_id, seed=3).with_overrides({
@@ -249,6 +263,7 @@ class TestRefadeChunks:
         def counting(name, fn):
             def wrapper(*args, **kwargs):
                 counts[name] += 1
+                counts["twins"] += kwargs.get("twin", False)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -259,11 +274,12 @@ class TestRefadeChunks:
         # draws and leaves one draw per chunk at M = 36
         for budget in (hz._REFADE_CHUNK_BYTES, 3 * 16 * N * K * 16):
             monkeypatch.setattr(hz, "_REFADE_CHUNK_BYTES", budget)
-            counts.update(kernels=0, refades=0)
+            counts.update(kernels=0, refades=0, twins=0)
             records.append(run_experiment(rc).records)
             chunk = {M: max(1, budget // (16 * N * K * M)) for M in Ms}
-            # fig4 builds a kernel for the multi-LIS world and for its twin
-            assert counts == {"kernels": sum(worlds * math.ceil(R / chunk[M]) for M in Ms),
+            chunks = sum(math.ceil(R / chunk[M]) for M in Ms)
+            # fig4's one kernel per chunk also carries the twin's products
+            assert counts == {"kernels": chunks, "twins": (systems - 1) * chunks,
                               "refades": R * len(Ms)}
         assert records[0] == records[1]
 
@@ -312,9 +328,9 @@ class TestOneKernelPerUnit:
 
 
 class TestUnitMajorGeometry:
-    """Reductions walk units outside blocks: each world builds a unit's
-    geometry once for all its blocks and drops it before the next unit, so
-    no more than two units' geometry per world is ever alive."""
+    """Reductions walk units outside blocks: the one world of a sweep point
+    builds a unit's geometry once for all its blocks and drops it before
+    the next unit, so no more than two units' geometry is ever alive."""
 
     @pytest.mark.parametrize("case", ["fig5", "fig8", "fig9"])
     def test_one_unit_geometry_alive_per_world(self, case, monkeypatch):
@@ -334,12 +350,11 @@ class TestUnitMajorGeometry:
         got = run_experiment(rc)
         N, K = rc.system.N, rc.system.K
         Ms = rc.experiment.sweep_values
+        worlds = 1  # the single-LIS twin has no world of its own
         if exp_id == "fig5":
-            # panel 0's units, in the multi-LIS world and its twin
-            worlds = 2
-            builds = rc.experiment.placements * len(Ms) * worlds * K
+            # panel 0's units
+            builds = rc.experiment.placements * len(Ms) * K
         else:
-            worlds = 1
             builds = 0
             for extras in got.extras["placements"]:
                 if exp_id == "fig8":
@@ -373,6 +388,53 @@ class TestUnitMajorGeometry:
         assert len(live) >= 2 * rc.system.K
         # the set being built, plus the previous one a loop variable holds
         assert peak[0] <= 2, peak[0]
+
+
+class TestSingleLisTwin:
+    """fig4, fig5, fig6 and fig6b read the single-LIS twin off the
+    multi-LIS unit: its kernel from panel 0's rows of the unit's channels,
+    its moment sets from the statistics cut to panel 0."""
+
+    @pytest.mark.parametrize("case, oracle", [
+        ("fig4", reference.se_variance), ("fig5", reference.panel0_sse),
+        ("fig6", reference.panel0_sse), ("fig6b", reference.csi)])
+    def test_records_equal_twin_world_oracle(self, case, oracle):
+        _, exp_id, overrides = CASES[case]
+        rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
+        got = run_experiment(rc)
+        want = hz._run(ExperimentSpec.from_run_config(rc), oracle, workers=1)
+        assert any("single-LIS" in r.label for r in got.records)
+        assert ([dataclasses.astuple(r) for r in got.records]
+                == [dataclasses.astuple(r) for r in want.records])
+        assert got.extras == want.extras
+
+    def test_fig6b_work_counts(self, monkeypatch):
+        """One geometry per unit, one draw, one set of statistics and one
+        kernel per (unit, block), twin included."""
+        _, exp_id, overrides = CASES["fig6b"]
+        rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
+        counts = dict.fromkeys(("geometry", "stats", "kernels", "twins"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                if name == "kernels":
+                    counts["twins"] += kwargs.get("twin", False)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # LinkWorld.unit alone reaches this binding
+        monkeypatch.setattr(links, "build_unit_geometry",
+                            counting("geometry", links.build_unit_geometry))
+        monkeypatch.setattr(hz, "make_unit_stats", counting("stats", hz.make_unit_stats))
+        monkeypatch.setattr(hz, "BlockKernel", counting("kernels", hz.BlockKernel))
+        run_experiment(rc)
+        exp, K = rc.experiment, rc.system.K
+        units = exp.placements * len(exp.sweep_values) * K
+        blocks = units * exp.realizations
+        assert counts == {"geometry": units, "stats": blocks, "kernels": blocks,
+                          "twins": blocks}
+        assert (units, blocks) == (32, 96)
 
 
 class TestRunExperiment:

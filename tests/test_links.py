@@ -494,6 +494,49 @@ class TestBatchedKernel:
         assert np.shape(singles[0].gamma_perfect) == ()
 
 
+class TestSingleLisTwin:
+    """``BlockKernel(..., twin=True).twin`` against the kernel of the
+    single-LIS system built on its own: an N = 1 world over the unit's
+    panel, fed that panel's slice of the draw and of the fading."""
+
+    @given(
+        N=st.sampled_from([1, 2, 4]),
+        K=st.integers(1, 4),
+        side=st.integers(2, 5),
+        P=st.integers(1, 4),
+        batch=st.sampled_from([None, 1, 3]),
+        t=st.integers(1, 500),
+        regime=st.sampled_from(["rician", "nlos_inter"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_twin_equals_single_panel_world_kernel(self, N, K, side, P, batch, t, regime,
+                                                   seed, data):
+        n = data.draw(st.integers(0, N - 1), label="n")
+        k = data.draw(st.integers(0, K - 1), label="k")
+        world, draw, stats = _random_unit(N, K, side, P, seed, n, k, regime)
+        g, w = draw.g, draw.w
+        if batch is not None:  # fresh draws on the same statistics
+            rng = np.random.default_rng(seed + 2)
+            g, w = cgauss(rng, (batch, N, K, P)), cgauss(rng, (batch, side * side))
+        kernel = BlockKernel(stats, g, w, perfect_csi=True, twin=True)
+        solo = LinkWorld(reference.panel(world.deployment, n),
+                         dataclasses.replace(world.config, N=1))
+        cut = dataclasses.replace(draw, coins=draw.coins[n : n + 1],
+                                  angles=draw.angles[n : n + 1], g=draw.g[n : n + 1])
+        solo_stats = make_unit_stats(solo.unit(0, k), cut, solo.config, regime)
+        want = BlockKernel(solo_stats, g[..., n : n + 1, :, :], w, perfect_csi=True)
+        got = kernel.twin
+        assert got.twin is None and BlockKernel(stats, g, w).twin is None
+        for name in ("X", "Y", "Z", "I", "gamma"):
+            assert np.array_equal(getattr(got.terms(t), name), getattr(want.terms(t), name)), name
+        assert np.array_equal(got.gamma_perfect, want.gamma_perfect)
+        # the multi-LIS kernel is the one built without a twin
+        alone = BlockKernel(stats, g, w, perfect_csi=True)
+        assert np.array_equal(kernel.terms(t).I, alone.terms(t).I)
+        assert np.array_equal(kernel.gamma_perfect, alone.gamma_perfect)
+
+
 class TestAdmittedCount:
     """One kernel on the statistics of K_max devices per panel serves every
     admitted count K > k: ``terms(t, K)`` equals a kernel built on the

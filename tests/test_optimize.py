@@ -135,7 +135,7 @@ class TestExpectedFloorTable:
         world = self._world(seed=4)
         table = expected_floor_table(world, regime="nlos_inter")
         solo_cfg = dataclasses.replace(world.config, N=1)
-        solo = expected_floor_table(LinkWorld(world.deployment.panel(0), solo_cfg))
+        solo = expected_floor_table(LinkWorld(reference.panel(world.deployment, 0), solo_cfg))
         assert np.all(table.base == 0.0)
         for K in (1, 2, 4):
             assert_close(table.floors(K)[0], solo.floors(K)[0], rtol=1e-12)

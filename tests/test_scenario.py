@@ -191,7 +191,7 @@ class TestPlacement:
         for name in ("devices_local", "devices", "unit_centers_local", "unit_centers"):
             assert np.array_equal(getattr(pre, name), getattr(sub, name)), name
             assert np.shares_memory(getattr(pre, name), getattr(dep, name)), name
-        pan = dep.panel(3)
+        pan = reference.panel(dep, 3)
         assert pan.N == 1 and pan.K == 4
         assert np.array_equal(pan.devices[0], dep.devices[3])
         with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ class TestPlacement:
             with pytest.raises(ValueError, match="prefix size"):
                 dep.prefix(K)
         with pytest.raises(ValueError):
-            dep.panel(4)
+            reference.panel(dep, 4)
 
 
 class TestAntennaLattice:
