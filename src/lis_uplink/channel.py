@@ -21,13 +21,31 @@ import numpy as np
 from .config import SystemConfig
 
 
-def cgauss(rng: np.random.Generator, shape) -> np.ndarray:
+def cgauss(rng, *shapes):
     """Standard circularly-symmetric complex Gaussian draws, unit variance
-    per complex entry. Real block drawn before imaginary block so the
-    stream layout is stable."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
+    per complex entry: one array per shape (the array alone for one shape).
+
+    One ``standard_normal`` call per generator draws every shape, its real
+    block and then its imaginary block, so the stream is consumed as by
+    two calls per shape in that order. Scaling each part by 1/sqrt(2) is
+    (re + 1j im) / sqrt(2) bit for bit: numpy divides a complex number by a
+    real one by multiplying with its reciprocal. ``rng`` may also be a
+    sequence of generators, each filling one row of a new leading axis."""
+    batched = not isinstance(rng, np.random.Generator)
+    rngs = rng if batched else [rng]
+    shapes = [(s,) if isinstance(s, (int, np.integer)) else tuple(s) for s in shapes]
+    parts = np.empty((len(rngs), 2 * sum(map(math.prod, shapes))))
+    for row, gen in zip(parts, rngs):
+        gen.standard_normal(out=row)
+    parts *= 1.0 / math.sqrt(2.0)
+    out, start = [], 0
+    for shape in shapes:
+        z, size = np.empty((len(rngs), *shape), dtype=complex), math.prod(shape)
+        block, start = parts[:, start : start + 2 * size], start + 2 * size
+        flat = z.reshape(len(rngs), size)
+        flat.real, flat.imag = block[:, :size], block[:, size:]
+        out.append(z if batched else z[0])
+    return out[0] if len(out) == 1 else tuple(out)
 
 
 @dataclass(frozen=True)

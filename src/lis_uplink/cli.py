@@ -65,20 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("simulate", help="run the experiment named by the config")
-    _add_common(p)
-
-    p = sub.add_parser("asymptotic", help="analytic SSE curves only (no receive sampling)")
-    _add_common(p)
-
-    p = sub.add_parser("optimize-t", help="pilot-length search on the analytic objective")
-    _add_common(p)
-
-    p = sub.add_parser("optimize-k", help="device-count search on the floor bound")
-    _add_common(p)
-
-    p = sub.add_parser("validate", help="moment oracle: sampled means vs closed forms")
-    _add_common(p)
+    for name, text in (
+        ("simulate", "run the experiment named by the config"),
+        ("asymptotic", "analytic SSE curves only (no receive sampling)"),
+        ("optimize-t", "pilot-length search on the analytic objective"),
+        ("optimize-k", "device-count search on the floor bound"),
+        ("validate", "moment oracle: sampled means vs closed forms"),
+    ):
+        _add_common(sub.add_parser(name, help=text))
 
     p = sub.add_parser("reproduce", help="run a named experiment at its preset scale")
     p.add_argument("experiment", help="experiment id: " + ", ".join(EXPERIMENTS))

@@ -24,15 +24,14 @@ those alone. ``_sampled_nse`` draws each unit once per block and builds one
 kernel on the largest admitted count of its K grid; every smaller count is
 read off that kernel (``BlockKernel.terms(t, K)``), so the work is one draw
 and one kernel per (unit, block) whatever the grid holds. Only ``_place``,
-``_unit_blocks`` and ``_refades`` (fresh fading on a frozen block-0
+``_unit_blocks`` and ``_refade_chunks`` (fresh fading on a frozen block-0
 condition) draw randomness.
 
 fig4 and the moment oracle redraw a unit's fading R times on one frozen
-block. ``_refade_chunks`` draws each realization from its own
-``_refades`` stream, in order, and stacks them along a leading draw axis
-in chunks whose channels (16 N K M bytes per draw) fit
-``_REFADE_CHUNK_BYTES``; one ``BlockKernel`` then serves a whole chunk,
-fig4's twin included.
+block. ``_refade_chunks`` draws each realization's fading and noise from
+its own stream in one ``cgauss`` row, in chunks whose channels (16 N K M
+bytes per draw) fit ``_REFADE_CHUNK_BYTES``; one ``BlockKernel`` serves a
+whole chunk, fig4's twin included.
 
 Randomness is addressed, not sequenced: every placement and every
 (block, unit) pair gets its own seed-derived substream (``_unit_rng`` is
@@ -266,25 +265,16 @@ def _unit_blocks(spec: ExperimentSpec, world: LinkWorld, p: int, blocks, n: int,
         yield make_unit_stats(geom, draw, cfg, spec.experiment.interference), draw
 
 
-def _refades(spec: ExperimentSpec, cfg: SystemConfig, p: int, r: int, n: int, k: int):
-    """Fresh fading g (N, K, P) and noise w (M,) of realization r of unit
-    (n, k), on top of the frozen block-0 condition (stream address
-    b = r + 1). ``_refade_chunks`` stacks them along a leading draw axis."""
-    rng = _unit_rng(spec.system.seed, p, r + 1, n, k)
-    return cgauss(rng, (cfg.N, cfg.K, cfg.P)), cgauss(rng, (cfg.M,))
-
-
 def _refade_chunks(spec: ExperimentSpec, cfg: SystemConfig, p: int, R: int, n: int, k: int):
-    """Realizations 0..R-1 of unit (n, k), each from ``_refades`` in order,
-    stacked in chunks: yields (realization slice, g (c, N, K, P), w (c, M))
-    with c as many draws as fit their channels in ``_REFADE_CHUNK_BYTES``."""
+    """Fresh fading and noise of realizations 0..R-1 of unit (n, k) on the
+    frozen block-0 condition, r from stream address b = r + 1, in chunks:
+    yields (realization slice, g (c, N, K, P), w (c, M)) with c as many
+    draws as fit their channels in ``_REFADE_CHUNK_BYTES``."""
     chunk = max(1, _REFADE_CHUNK_BYTES // (16 * cfg.N * cfg.K * cfg.M))
     for start in range(0, R, chunk):
         rs = range(start, min(start + chunk, R))
-        g = np.empty((len(rs), cfg.N, cfg.K, cfg.P), dtype=complex)
-        w = np.empty((len(rs), cfg.M), dtype=complex)
-        for i, r in enumerate(rs):
-            g[i], w[i] = _refades(spec, cfg, p, r, n, k)
+        g, w = cgauss([_unit_rng(spec.system.seed, p, r + 1, n, k) for r in rs],
+                      (cfg.N, cfg.K, cfg.P), (cfg.M,))
         yield slice(rs.start, rs.stop), g, w
 
 

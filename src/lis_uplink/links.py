@@ -58,7 +58,7 @@ DOMAIN_BLOCK = 1
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic substream addressed by integers; independent of worker
     scheduling because the address, not the call order, selects the state."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(int(x) for x in key)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def placement_rng(seed: int, placement_idx: int) -> np.random.Generator:
@@ -174,9 +174,7 @@ class UnitBlockDraw:
 def draw_unit_block(rng: np.random.Generator, N: int, K: int, P: int, M: int) -> UnitBlockDraw:
     coins = rng.random((N, K))
     angles = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=(N, K, P, 2))
-    g = cgauss(rng, (N, K, P))
-    w = cgauss(rng, (M,))
-    return UnitBlockDraw(coins=coins, angles=angles, g=g, w=w)
+    return UnitBlockDraw(coins, angles, *cgauss(rng, (N, K, P), (M,)))
 
 
 def contamination_weights(rho_p: np.ndarray, n: int, k: int) -> np.ndarray:

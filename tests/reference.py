@@ -43,6 +43,12 @@ channels and moment sets, fed the panel-0 slice of every multi-LIS draw.
 They are the oracle of the engine's twin, which is the panel-0 cut of the
 multi-LIS unit's statistics and of its kernel's channels.
 
+``cgauss`` draws complex Gaussians with two ``standard_normal`` calls,
+the real block and then the imaginary block, against ``channel.cgauss``'s
+one call per layout. ``refades`` draws one fig4/oracle realization from
+its own stream with two such draws, against the chunks of
+``harness._refade_chunks``.
+
 ``expected_floor_table`` is the Theorem 2 floor table built from a
 deployment and a system config, with its own power control, contamination
 and LOS rules and a per-panel same-pilot loop, against
@@ -77,6 +83,22 @@ from lis_uplink.scenario import (
     quarter_solid_angle,
     serving_power,
 )
+
+
+def cgauss(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian draws: the real block, then the imaginary
+    block, each from its own ``standard_normal`` call."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
+def refades(spec, cfg, p: int, r: int, n: int, k: int):
+    """Fresh fading g (N, K, P) and noise w (M,) of realization r of unit
+    (n, k), on top of the frozen block-0 condition (stream address
+    b = r + 1), one realization at a time."""
+    rng = harness._unit_rng(spec.system.seed, p, r + 1, n, k)
+    return cgauss(rng, (cfg.N, cfg.K, cfg.P)), cgauss(rng, (cfg.M,))
 
 
 def with_budget(stats: UnitChannelStats, **budget) -> UnitChannelStats:

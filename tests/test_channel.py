@@ -327,6 +327,30 @@ class TestComplexGaussian:
         expected = (re + 1j * im) / math.sqrt(2.0)
         assert np.array_equal(cgauss(np.random.default_rng(0), 5), expected)
 
+    @given(
+        shapes=st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple),
+                        min_size=1, max_size=3),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        batched=st.booleans(),
+    )
+    def test_one_call_equals_two_calls_per_shape(self, shapes, seeds, batched):
+        # one standard_normal call per generator gives the bits and leaves
+        # the generator where two calls per shape, real then imaginary, do
+        got_rngs = [np.random.default_rng(s) for s in seeds]
+        want_rngs = [np.random.default_rng(s) for s in seeds]
+        if not batched:
+            got_rngs, want_rngs = got_rngs[:1], want_rngs[:1]
+        got = cgauss(got_rngs if batched else got_rngs[0], *shapes)
+        got = [got] if len(shapes) == 1 else list(got)
+        want = [[reference.cgauss(rng, s) for s in shapes] for rng in want_rngs]
+        for i, shape in enumerate(shapes):
+            expected = np.stack([row[i] for row in want]) if batched else want[0][i]
+            assert got[i].shape == expected.shape
+            assert np.array_equal(np.atleast_1d(got[i]).view(np.uint64),
+                                  np.atleast_1d(expected).view(np.uint64))
+        for a, b in zip(got_rngs, want_rngs):
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_unit_variance(self):
         z = cgauss(np.random.default_rng(1), 200_000)
         assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.01

@@ -5,9 +5,12 @@ import inspect
 import json
 import math
 import weakref
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lis_uplink import (
     ConfigError,
@@ -246,9 +249,44 @@ class TestAdmittedPrefix:
 
 
 class TestRefadeChunks:
-    """fig4 and the oracle draw R fresh (g, w) pairs on one frozen block and
-    build one kernel per chunk of them, not one per draw. fig4's kernel
-    serves two systems, the multi-LIS unit and its single-LIS twin."""
+    """fig4 and the oracle draw R fresh (g, w) pairs on one frozen block,
+    each from its own stream in one normal draw, and build one kernel per
+    chunk of them, not one per draw. fig4's kernel serves two systems, the
+    multi-LIS unit and its single-LIS twin."""
+
+    @given(N=st.integers(1, 3), K=st.integers(1, 3), P=st.integers(1, 4),
+           M=st.integers(1, 40), R=st.integers(1, 12), draws=st.integers(0, 5),
+           spare=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+    def test_chunks_equal_per_realization_oracle(self, N, K, P, M, R, draws, spare, seed):
+        # a budget of `draws` draws' channels plus a spare fraction of one
+        budget = int(16 * N * K * M * (draws + spare))
+        spec = SimpleNamespace(system=SimpleNamespace(seed=seed))
+        cfg = SimpleNamespace(N=N, K=K, P=P, M=M)
+        p, n, k = 2, N - 1, K - 1
+        opened = []
+        unit_rng = hz._unit_rng
+
+        def recording(*args):
+            opened.append(unit_rng(*args))
+            return opened[-1]
+
+        with mock.patch.object(hz, "_REFADE_CHUNK_BYTES", budget), \
+                mock.patch.object(hz, "_unit_rng", recording):
+            chunks = list(hz._refade_chunks(spec, cfg, p, R, n, k))
+            engine = opened[:]
+            want = [reference.refades(spec, cfg, p, r, n, k) for r in range(R)]
+        oracle = opened[R:]
+        assert len(engine) == len(oracle) == R
+        assert [(rs.start, rs.stop) for rs, _, _ in chunks] == [
+            (a, min(a + max(1, draws), R)) for a in range(0, R, max(1, draws))]
+        g = np.concatenate([g for _, g, _ in chunks])
+        w = np.concatenate([w for _, _, w in chunks])
+        assert g.shape == (R, N, K, P) and w.shape == (R, M)
+        assert np.array_equal(g.view(np.uint64), np.stack([g for g, _ in want]).view(np.uint64))
+        assert np.array_equal(w.view(np.uint64), np.stack([w for _, w in want]).view(np.uint64))
+        # every realization's stream is left where the two-call draws leave it
+        for a, b in zip(engine, oracle):
+            assert a.bit_generator.state == b.bit_generator.state
 
     @pytest.mark.parametrize("exp_id, systems", [("oracle", 1), ("fig4", 2)])
     def test_one_kernel_per_chunk_and_one_refade_per_realization(self, exp_id, systems,
@@ -268,19 +306,20 @@ class TestRefadeChunks:
             return wrapper
 
         monkeypatch.setattr(hz, "BlockKernel", counting("kernels", hz.BlockKernel))
-        monkeypatch.setattr(hz, "_refades", counting("refades", hz._refades))
+        monkeypatch.setattr(hz, "_unit_rng", counting("streams", hz._unit_rng))
         records = []
         # the default budget, then one that splits M = 16 into chunks of 3
         # draws and leaves one draw per chunk at M = 36
         for budget in (hz._REFADE_CHUNK_BYTES, 3 * 16 * N * K * 16):
             monkeypatch.setattr(hz, "_REFADE_CHUNK_BYTES", budget)
-            counts.update(kernels=0, refades=0, twins=0)
+            counts.update(kernels=0, streams=0, twins=0)
             records.append(run_experiment(rc).records)
             chunk = {M: max(1, budget // (16 * N * K * M)) for M in Ms}
             chunks = sum(math.ceil(R / chunk[M]) for M in Ms)
-            # fig4's one kernel per chunk also carries the twin's products
+            # fig4's one kernel per chunk also carries the twin's products;
+            # each M opens the frozen block's stream, then one per realization
             assert counts == {"kernels": chunks, "twins": (systems - 1) * chunks,
-                              "refades": R * len(Ms)}
+                              "streams": (1 + R) * len(Ms)}
         assert records[0] == records[1]
 
 
