@@ -40,7 +40,6 @@ from .harness import (
 from .links import (
     BlockKernel,
     BlockTerms,
-    LinkWorld,
     UnitBlockDraw,
     UnitChannelStats,
     UnitLinkGeometry,

@@ -201,20 +201,18 @@ def sse(gammas, t, T: int) -> float:
     return prelog * float(np.sum(rate_log(1.0 + np.asarray(gammas, dtype=float))))
 
 
-def theorem1_sse(moment_sets, t, T: int) -> AsymptoticSse:
+def theorem1_sse(rows, t, T: int) -> AsymptoticSse:
     """Deterministic SSE of one panel at pilot length t.
 
-    moment_sets: one MomentSet per served device of the same panel, or
-    each set's ``sse_terms(t)`` row, so a caller can keep the rows and
-    drop the sets.
+    rows: ``MomentSet.sse_terms(t)`` of each served device of the panel,
+    so a caller can keep the rows and drop the sets.
     """
     t = _check_t(t)
-    if len(moment_sets) == 0:
+    if len(rows) == 0:
         raise ValueError("need at least one unit's moments")
     if t > T:
         raise ValueError(f"pilot length t={t} exceeds the block length T={T}")
-    p_bar, rho_own, mu_bar, floors = np.array(
-        [ms.sse_terms(t) if isinstance(ms, MomentSet) else ms for ms in moment_sets], dtype=float).T
+    p_bar, rho_own, mu_bar, floors = np.array(rows, dtype=float).T
     gamma_bar = rho_own * p_bar / mu_bar
     gamma_hat = floor_sinrs(rho_own, p_bar, floors)
     return AsymptoticSse(sse_bar=sse(gamma_bar, t, T), sse_hat=sse(gamma_hat, t, T))

@@ -16,8 +16,8 @@ from .harness import (
     ExperimentSpec,
     _optimal_count,
     _place,
+    _pool_config,
     _unit_blocks,
-    _world,
     interference_regime,
     preset_run_config,
     run_asymptotic,
@@ -130,12 +130,12 @@ def _cmd_optimize_t(args) -> int:
     """Theorem 1 SSE of panel 0 on placement 0, block 0, over the pilot length."""
     spec = _optimizer_spec(_build_run_config(args))
     cfg = spec.system
-    world = _world(spec, _place(spec, 0))
+    dep = _place(spec, 0)
     sets = [build_moment_set(stats) for k in range(cfg.K)
-            for stats, _ in _unit_blocks(spec, world, 0, [0], 0, k)]
+            for stats, _ in _unit_blocks(spec, dep, cfg, 0, [0], 0, k)]
 
     def objective(t) -> float:
-        return theorem1_sse(sets, t, cfg.T).sse_bar
+        return theorem1_sse([ms.sse_terms(t) for ms in sets], t, cfg.T).sse_bar
 
     sol = optimal_pilot_length(objective, cfg.T, cfg.K)
     ts = sorted(set(range(cfg.K, cfg.T + 1, max(1, (cfg.T - cfg.K) // 64))) | {cfg.K, cfg.T})
@@ -152,7 +152,7 @@ def _cmd_optimize_k(args) -> int:
     """Theorem 2 floor NSE over the device count on placement 0's pool."""
     spec = _optimizer_spec(_build_run_config(args))
     dep = _place(spec, 0, pool=True)
-    sol = _optimal_count(spec, _world(spec, dep, K=dep.K, t=None))
+    sol = _optimal_count(spec, dep, _pool_config(spec, dep))
     return _write_json(args, "optimize_k.json", {**sol.trace(), "pool": dep.K})
 
 

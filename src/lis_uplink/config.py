@@ -163,7 +163,10 @@ class PlacementConfig:
 
     def pool_target(self, T: int) -> int:
         """Devices per panel requested for a device-count sweep: pool_size,
-        else min(T - 1, 40)."""
+        else min(T - 1, 40); ConfigError when that default pool is empty."""
+        if self.pool_size is None and T < 2:
+            raise ConfigError(f"placement.pool_size must be set when system.T={T}: the "
+                              "default pool min(T - 1, 40) is empty", "placement.pool_size")
         return self.pool_size or min(T - 1, 40)
 
 
@@ -202,7 +205,7 @@ class RunConfig:
     def __post_init__(self):
         pool = self.placement.pool_size
         if pool is not None and pool > self.system.T:
-            # a device-count sweep builds a world with K = pool, so K <= T
+            # a device-count sweep builds its links with K = pool, so K <= T
             raise ConfigError(f"placement.pool_size must be <= system.T, got pool_size={pool}, "
                               f"T={self.system.T}", "placement.pool_size")
         layout = self.layout

@@ -1,11 +1,11 @@
 """Monte Carlo experiment engine: one block engine, one reduction per
 figure, aggregation, CSV output.
 
-Every figure reduces the same per-unit pipeline. ``_place`` draws a
-placement, ``_world`` builds the one link world of a sweep point, and
-``_unit_blocks`` builds unit (n, k)'s geometry once, then draws each
-requested block and builds its statistics. Each statistics object carries
-its unit's link budget, so ``BlockKernel(stats, g, w)`` and
+Every figure reduces the same per-unit pipeline. A sweep point is a
+deployment from ``_place`` and the system config its links are built for;
+``_unit_blocks`` builds unit (n, k)'s geometry from that pair once, then
+draws each requested block and builds its statistics. Each statistics
+object carries its unit's link budget, so ``BlockKernel(stats, g, w)`` and
 ``build_moment_set(stats)`` turn it into a sampled kernel and a
 Lemma/Theorem moment set with no further arguments. Reductions walk units
 outside blocks: they fill per-block arrays of scalars unit by unit and emit
@@ -17,15 +17,15 @@ built or sampled on its own: ``BlockKernel(..., twin=True)`` forms its
 kernel from panel 0's rows of the unit's channels, and its moment set
 comes from the statistics cut to panel 0 with ``slice_stats``.
 
-The device-count figures (fig8, fig9) sample on ``_sampling_world``: the
-config keeps the whole pool, so every draw has the pool's shape, while the
-deployment is the prefix of admitted devices, so geometry is built for
-those alone. ``_sampled_nse`` draws each unit once per block and builds one
-kernel on the largest admitted count of its K grid; every smaller count is
-read off that kernel (``BlockKernel.terms(t, K)``), so the work is one draw
-and one kernel per (unit, block) whatever the grid holds. Only ``_place``,
-``_unit_blocks`` and ``_refade_chunks`` (fresh fading on a frozen block-0
-condition) draw randomness.
+The device-count figures (fig8, fig9) sample under ``_pool_config``
+(K = pool, t unset), so every draw has the pool's shape, on the prefix of
+admitted devices, so geometry is built for those alone. ``_sampled_nse``
+draws each unit once per block and builds one kernel on the largest
+admitted count of its K grid; every smaller count is read off that kernel
+(``BlockKernel.terms(t, K)``), so the work is one draw and one kernel per
+(unit, block) whatever the grid holds. Only ``_place``, ``_unit_blocks``
+and ``_refade_chunks`` (fresh fading on a frozen block-0 condition) draw
+randomness.
 
 fig4 and the moment oracle redraw a unit's fading R times on one frozen
 block. ``_refade_chunks`` draws each realization's fading and noise from
@@ -82,7 +82,7 @@ from .config import (
 from .links import (
     DOMAIN_BLOCK,
     BlockKernel,
-    LinkWorld,
+    build_unit_geometry,
     draw_unit_block,
     make_unit_stats,
     placement_rng,
@@ -142,7 +142,7 @@ class ExperimentSpec(RunConfig):
         if any(a >= b for a, b in zip(values, values[1:])):
             raise ConfigError(f"sweep values must be strictly ascending, got {list(values)}",
                               "experiment.sweep_values")
-        lo, hi = (rc.system.pilot_len, rc.system.T) if row.variable == "t" else (1, math.inf)
+        lo, hi = (rc.system.K, rc.system.T) if row.variable == "t" else (1, math.inf)
         bad = [v for v in values if not (lo <= v <= hi)]
         if bad:
             raise ConfigError(f"{row.variable} sweep values must lie in [{lo}, {hi}], got {bad}",
@@ -243,25 +243,19 @@ def _draw_prefix(draw, K: int):
                                g=draw.g[:, :K])
 
 
-def _world(spec: ExperimentSpec, dep, **changes) -> LinkWorld:
-    """Link world of one sweep point: the system config with `changes`."""
-    return LinkWorld(dep, dataclasses.replace(spec.system, **changes))
-
-
-def _unit_blocks(spec: ExperimentSpec, world: LinkWorld, p: int, blocks, n: int, k: int):
+def _unit_blocks(spec: ExperimentSpec, dep, cfg: SystemConfig, p: int, blocks, n: int, k: int):
     """Build unit (n, k)'s geometry once, then yield (stats, draw) for each
     block b in `blocks` in order.
 
     Each draw keeps the config's device shape (so the stream is consumed
     as for any other count) and is cut to the deployment's devices: the
-    admitted prefix on ``_sampling_world``, every device elsewhere. The
+    admitted prefix in ``_sampled_nse``, every device elsewhere. The
     statistics hold their roots in factored form; dense (N, K, M, P) roots
     exist only inside ``build_moment_set``."""
-    cfg = world.config
-    geom = world.unit(n, k)
+    geom = build_unit_geometry(dep, cfg, n, k)
     for b in blocks:
         draw = draw_unit_block(_unit_rng(spec.system.seed, p, b, n, k), cfg.N, cfg.K, cfg.P, cfg.M)
-        draw = _draw_prefix(draw, world.deployment.K)
+        draw = _draw_prefix(draw, dep.K)
         yield make_unit_stats(geom, draw, cfg, spec.experiment.interference), draw
 
 
@@ -278,34 +272,30 @@ def _refade_chunks(spec: ExperimentSpec, cfg: SystemConfig, p: int, R: int, n: i
         yield slice(rs.start, rs.stop), g, w
 
 
-def _sweep_worlds(spec: ExperimentSpec, p: int):
-    """(M, world) for every array size of placement p."""
+def _sweep_points(spec: ExperimentSpec, p: int):
+    """(M, deployment, config) for every array size of placement p."""
     dep = _place(spec, p)
     for M in spec.experiment.sweep_values:
-        yield M, _world(spec, dep, M=M)
+        yield M, dep, dataclasses.replace(spec.system, M=M)
 
 
-def _sampling_world(spec: ExperimentSpec, dep, admitted: int, **changes) -> LinkWorld:
-    """Sampling world of a device-count sweep point: its config holds the
-    whole pool (K = pool, t unset), so every block draw keeps the pool's
-    shape and stream, but its deployment is the first `admitted` devices
-    per panel, so geometry, statistics and draws cover those alone."""
-    return _world(spec, dep.prefix(admitted), K=dep.K, t=None, **changes)
+def _pool_config(spec: ExperimentSpec, pool, **changes) -> SystemConfig:
+    """Config of a device-count sweep point: K = pool.K, t unset, `changes`."""
+    return dataclasses.replace(spec.system, K=pool.K, t=None, **changes)
 
 
-def _sampled_nse(spec: ExperimentSpec, world: LinkWorld, p: int, blocks, K_grid) -> list:
+def _sampled_nse(spec: ExperimentSpec, pool, cfg: SystemConfig, p: int, blocks, K_grid) -> list:
     """Monte Carlo NSE of every block in `blocks` for every admitted count K
-    in K_grid, with pilot length t = K, on ``_sampling_world`` over the
-    first max(K_grid) devices: one {K: NSE} per block. Unit (n, k) is drawn
-    once per block on the whole pool, and its statistics and its one
-    ``BlockKernel`` cover the admitted devices only; each K > k reads its
-    SINR off that kernel with ``gamma(K, K)``, which sums the interference
-    over the first K devices."""
-    cfg = world.config
+    in K_grid, with pilot length t = K: one {K: NSE} per block. Unit (n, k)
+    is drawn once per block under the pool config `cfg`, and its statistics
+    and its one ``BlockKernel`` cover the first max(K_grid) devices of
+    `pool` only; each K > k reads its SINR off that kernel with
+    ``gamma(K, K)``, which sums the interference over the first K devices."""
+    dep = pool.prefix(max(K_grid))
     gam = {K: np.empty((len(blocks), cfg.N, K)) for K in K_grid}
     for n in range(cfg.N):
         for k in range(max(K_grid)):
-            for i, (stats, draw) in enumerate(_unit_blocks(spec, world, p, blocks, n, k)):
+            for i, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, blocks, n, k)):
                 kern = BlockKernel(stats, draw.g, draw.w)
                 for K in K_grid:
                     if k < K:
@@ -313,11 +303,11 @@ def _sampled_nse(spec: ExperimentSpec, world: LinkWorld, p: int, blocks, K_grid)
     return [{K: nse_of_gammas(gam[K][i], K, cfg.T) for K in K_grid} for i in range(len(blocks))]
 
 
-def _optimal_count(spec: ExperimentSpec, world: LinkWorld):
-    """Device count maximizing the Theorem 2 floor NSE over the pool of a
-    world whose config holds that pool (K = pool, t unset)."""
-    table = expected_floor_table(world, spec.experiment.interference)
-    return optimal_num_devices(table.gamma_hat, world.config.T, world.deployment.K)
+def _optimal_count(spec: ExperimentSpec, pool, cfg: SystemConfig):
+    """Device count maximizing the Theorem 2 floor NSE over `pool` under
+    its ``_pool_config`` `cfg`."""
+    table = expected_floor_table(pool, cfg, spec.experiment.interference)
+    return optimal_num_devices(table.gamma_hat, cfg.T, pool.K)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +322,9 @@ def _se_variance(spec: ExperimentSpec, p: int):
     the within-placement variance; curves then average over placements."""
     R = spec.experiment.realizations
     recs, mean_se = [], {}
-    for M, world in _sweep_worlds(spec, p):
-        cfg = world.config
+    for M, dep, cfg in _sweep_points(spec, p):
         t = cfg.pilot_len
-        [(stats, _)] = _unit_blocks(spec, world, p, [0], 0, 0)
+        [(stats, _)] = _unit_blocks(spec, dep, cfg, p, [0], 0, 0)
         se = np.empty((2, R))
         for rs, g, w in _refade_chunks(spec, cfg, p, R, 0, 0):
             kern = BlockKernel(stats, g, w, twin=True)
@@ -355,14 +344,13 @@ def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
     multi-LIS Theorem curves alone, with no receive-side sampling."""
     stride, R = spec.experiment.theory_stride, spec.experiment.realizations
     recs = []
-    for M, world in _sweep_worlds(spec, p):
-        cfg = world.config
+    for M, dep, cfg in _sweep_points(spec, p):
         t, T = cfg.pilot_len, cfg.T
         panels = (cfg.N, 1)[: 2 if sample else 1]  # kept by multi-LIS, then the twin
         gammas = np.empty((R, 2, cfg.K))
         terms = np.empty((R, len(panels), cfg.K, 4))  # theory blocks' sse_terms(t)
         for k in range(cfg.K):
-            for b, (stats, draw) in enumerate(_unit_blocks(spec, world, p, range(R), 0, k)):
+            for b, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, range(R), 0, k)):
                 if sample:
                     kern = BlockKernel(stats, draw.g, draw.w, twin=True)
                     gammas[b, :, k] = kern.gamma(t), kern.twin.gamma(t)
@@ -389,12 +377,11 @@ def _csi(spec: ExperimentSpec, p: int):
     single-LIS, all four curves off one kernel per (unit, block)."""
     R = spec.experiment.realizations
     recs = []
-    for M, world in _sweep_worlds(spec, p):
-        cfg = world.config
+    for M, dep, cfg in _sweep_points(spec, p):
         t, T = cfg.pilot_len, cfg.T
         gammas = np.empty((R, 2, 2, cfg.K))  # block, system, (estimated, exact), unit
         for k in range(cfg.K):
-            for b, (stats, draw) in enumerate(_unit_blocks(spec, world, p, range(R), 0, k)):
+            for b, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, range(R), 0, k)):
                 kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=True, twin=True)
                 for i, system in enumerate((kern, kern.twin)):
                     gammas[b, i, :, k] = system.gamma(t), system.gamma_perfect
@@ -408,14 +395,13 @@ def _csi(spec: ExperimentSpec, p: int):
 def _pilot(spec: ExperimentSpec, p: int):
     """fig7: SSE versus pilot length on a fixed array size; each block's
     sampled kernels are read at the whole t grid."""
-    exp = spec.experiment
-    world = _world(spec, _place(spec, p))
-    cfg = world.config
+    exp, cfg = spec.experiment, spec.system
+    dep = _place(spec, p)
     R, ts = exp.realizations, exp.sweep_values
     gammas = np.empty((R, len(ts), cfg.K))
     terms = np.empty((R, len(ts), cfg.K, 4))  # theory blocks' sse_terms at each t
     for k in range(cfg.K):
-        for b, (stats, draw) in enumerate(_unit_blocks(spec, world, p, range(R), 0, k)):
+        for b, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, range(R), 0, k)):
             kern = BlockKernel(stats, draw.g, draw.w)
             gammas[b, :, k] = [kern.gamma(t) for t in ts]
             if b % exp.theory_stride == 0:
@@ -436,13 +422,13 @@ def _ksweep(spec: ExperimentSpec, p: int):
     cfg, exp = spec.system, spec.experiment
     dep = _place(spec, p, pool=True)
     pool = dep.K
-    sol = _optimal_count(spec, _world(spec, dep, K=pool, t=None))
+    sol = _optimal_count(spec, dep, _pool_config(spec, dep))
     recs = [(float(K), "Theorem 2 bound NSE", p, 0, float(v))
             for K, v in zip(sol.K_values, sol.nse_curve) if math.isfinite(v)]
     mc_M = cfg.M if cfg.M <= _MC_KSWEEP_CAP else 196
     K_grid = sorted({K for K in exp.sweep_values if K <= pool} | {sol.K_opt})
-    world = _sampling_world(spec, dep, max(K_grid), M=mc_M)
-    nse = _sampled_nse(spec, world, p, range(exp.realizations), K_grid)
+    nse = _sampled_nse(spec, dep, _pool_config(spec, dep, M=mc_M), p,
+                       range(exp.realizations), K_grid)
     recs += [(float(K), "Monte Carlo NSE", p, b, nse_b[K])
              for b, nse_b in enumerate(nse) for K in K_grid]
     extras = {"pool": pool, "K_opt": sol.K_opt, "nse_opt": sol.nse_opt, "mc_M": mc_M,
@@ -462,14 +448,14 @@ def _nse_vs_m(spec: ExperimentSpec, p: int):
     dep = _place(spec, p, pool=True)
     recs, K_opt = [], {}
     for M in exp.sweep_values:
-        sol = _optimal_count(spec, _world(spec, dep, M=M, K=dep.K, t=None))
+        cfg = _pool_config(spec, dep, M=M)
+        sol = _optimal_count(spec, dep, cfg)
         K_opt[M] = sol.K_opt
         recs.append((float(M), "Theorem 2 bound NSE at optimized K", p, 0, sol.nse_opt))
         policies = ((sol.K_opt, "Monte Carlo NSE at optimized K"),
                     (min(20, dep.K), "Monte Carlo NSE at K=20"))
         K_grid = sorted({K for K, _ in policies})
-        world = _sampling_world(spec, dep, max(K_grid), M=M)
-        nse = _sampled_nse(spec, world, p, range(exp.realizations), K_grid)
+        nse = _sampled_nse(spec, dep, cfg, p, range(exp.realizations), K_grid)
         for K, label in policies:
             recs += [(float(M), label, p, b, nse_b[K]) for b, nse_b in enumerate(nse)]
     return recs, {"pool": dep.K, "K_opt": K_opt}
@@ -495,10 +481,9 @@ def _oracle(spec: ExperimentSpec, p: int):
     """
     R = spec.experiment.realizations
     recs, report = [], []
-    for M, world in _sweep_worlds(spec, p):
-        cfg = world.config
+    for M, dep, cfg in _sweep_points(spec, p):
         t = cfg.pilot_len
-        [(stats, _)] = _unit_blocks(spec, world, p, [0], 0, 0)
+        [(stats, _)] = _unit_blocks(spec, dep, cfg, p, [0], 0, 0)
         ms = build_moment_set(stats)
         M2 = float(cfg.M) ** 2
         samples = np.empty((4, R))  # X, Y total, Z, I

@@ -13,8 +13,10 @@ A block's scattering roots stay in the factored form of
 path loss times vec(ramp_v diag(g) ramp_h^T), one batched matrix product
 per block, and no (N, K, M, P) root tensor is built on the sampling path.
 
-A unit's geometry also carries the link budget that its placement fixes:
-the pilot and data transmit SNRs of every device (power control) and the
+``build_unit_geometry`` builds a unit's geometry from a deployment and the
+system config its links are built for, which together are a sweep point.
+The geometry also carries the link budget that its placement fixes: the
+pilot and data transmit SNRs of every device (power control) and the
 deterministic serving power of Theorems 1 and 2. The sampler, the Lemma
 moments and the floor table read the budget from there alone.
 
@@ -146,18 +148,6 @@ def build_unit_geometry(
     )
 
 
-class LinkWorld:
-    """A deployment and the system config its links are built for; ``unit``
-    builds a unit's geometry on every call (nothing is cached)."""
-
-    def __init__(self, deployment: Deployment, config: SystemConfig):
-        self.deployment = deployment
-        self.config = config
-
-    def unit(self, n: int, k: int) -> UnitLinkGeometry:
-        return build_unit_geometry(self.deployment, self.config, n, k)
-
-
 @dataclass(frozen=True)
 class UnitBlockDraw:
     """Raw randomness of one coherence block for one unit: gating coins and
@@ -261,43 +251,19 @@ def sample_unit_channels(stats: UnitChannelStats, g: np.ndarray) -> np.ndarray:
     return scattered
 
 
-def slice_geometry(geom: UnitLinkGeometry, K: int | None = None,
-                   N: int | None = None) -> UnitLinkGeometry:
-    """Restrict a unit's link geometry to the first N panels and the first
-    K devices per panel (array views, no copies; None keeps an axis whole).
-    Valid when the unit's panel is below N and its pilot index below K."""
-    if K is not None and geom.k >= K:
-        raise ValueError(f"unit pilot index {geom.k} not active with K={K}")
-    if N is not None and geom.n >= N:
+def slice_stats(stats: UnitChannelStats, N: int) -> UnitChannelStats:
+    """Restrict a unit's block statistics to the first N panels (array
+    views, no copies). Valid when the unit's panel is below N. Cut to panel
+    0, a panel-0 unit's statistics are its single-LIS twin's bit for bit."""
+    geom, roots = stats.geom, stats.roots
+    if geom.n >= N:
         raise ValueError(f"unit panel {geom.n} not kept with N={N}")
-    return dataclasses.replace(
-        geom,
-        distances=geom.distances[:N, :K],
-        hlos=geom.hlos[:N, :K],
-        beta2_sum=geom.beta2_sum[:N, :K],
-        kappa_cand=geom.kappa_cand[:N, :K],
-        p_los=geom.p_los[:N, :K],
-        rho_p=geom.rho_p[:N, :K],
-        rho_d=geom.rho_d[:N, :K],
-    )
-
-
-def slice_stats(stats: UnitChannelStats, K: int | None = None,
-                N: int | None = None) -> UnitChannelStats:
-    """Restrict a unit's block statistics to the first N panels and the
-    first K devices per panel (array views, no copies). Cut to panel 0, a
-    panel-0 unit's statistics are its single-LIS twin's bit for bit."""
+    per_link = ("distances", "hlos", "beta2_sum", "kappa_cand", "p_los", "rho_p", "rho_d")
     return dataclasses.replace(
         stats,
-        geom=slice_geometry(stats.geom, K, N),
-        kappa=stats.kappa[:N, :K],
-        nlos_scale=stats.nlos_scale[:N, :K],
-        hbar=stats.hbar[:N, :K],
-        roots=CorrelationRoot(
-            ramp_v=stats.roots.ramp_v[:N, :K],
-            ramp_h=stats.roots.ramp_h[:N, :K],
-            pathloss=stats.roots.pathloss[:N, :K],
-        ),
+        geom=dataclasses.replace(geom, **{name: getattr(geom, name)[:N] for name in per_link}),
+        kappa=stats.kappa[:N], nlos_scale=stats.nlos_scale[:N], hbar=stats.hbar[:N],
+        roots=CorrelationRoot(roots.ramp_v[:N], roots.ramp_h[:N], roots.pathloss[:N]),
     )
 
 

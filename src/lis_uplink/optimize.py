@@ -9,9 +9,9 @@ regime the SINR no longer depends on t and the optimum collapses to t = K.
 The device-count problem scores K = 1..pool with the floor-bound SINRs,
 t = K, and devices admitted in fixed priority order; LOS gates enter
 through their expectation, which keeps the curve deterministic for a
-given deployment. The floor table reads a ``LinkWorld`` over the whole
-pool: its config and deployment are the ones the sampler uses, each
-unit's transmit SNRs and serving power come from that unit's link budget
+given deployment. The floor table takes the pool deployment and the
+system config the sampler uses for it (K = pool): each unit's transmit
+SNRs and serving power come from that unit's link budget
 (``UnitLinkGeometry``, built and dropped one unit at a time), and the
 contamination and LOS rules come from ``links``.
 """
@@ -25,7 +25,9 @@ import numpy as np
 
 from .asymptotics import floor_sinrs, rate_log
 from .channel import rician_mixing
-from .links import LinkWorld, build_unit_geometry, contamination_weights, los_allowed
+from .config import SystemConfig
+from .links import build_unit_geometry, contamination_weights, los_allowed
+from .scenario import Deployment
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,10 @@ class ExpectedFloorTable:
         return floor_sinrs(self.rho_d_own[:, :K], self.p_bar[:, :K], self.floors(K))
 
 
-def expected_floor_table(world: LinkWorld, regime: str = "rician") -> ExpectedFloorTable:
-    """Build the expected-gating floor table over the world's device pool.
+def expected_floor_table(deployment: Deployment, config: SystemConfig,
+                         regime: str = "rician") -> ExpectedFloorTable:
+    """Build the expected-gating floor table over the deployment's device
+    pool, with its links built for `config`.
 
     The LOS gate of each link enters through its expectation: squared
     means of sums of independently gated LOS terms expand into the squared
@@ -130,7 +134,6 @@ def expected_floor_table(world: LinkWorld, regime: str = "rician") -> ExpectedFl
     pulled out of the expectation before squaring. Links that
     ``los_allowed`` bars under `regime` carry no LOS, as in the sampler.
     """
-    deployment, cfg = world.deployment, world.config
     N, Kp = deployment.N, deployment.K
     diag = np.arange(N)
 
@@ -142,7 +145,7 @@ def expected_floor_table(world: LinkWorld, regime: str = "rician") -> ExpectedFl
         allowed = los_allowed(regime, N, n)
         for k in range(Kp):
             # one unit's whole-pool geometry at a time, as the sampler holds it
-            geom = build_unit_geometry(deployment, cfg, n, k)
+            geom = build_unit_geometry(deployment, config, n, k)
             rho_d = geom.rho_d
             p = geom.p_los
             s = np.where(allowed, rician_mixing(geom.kappa_cand)[0], 0.0)

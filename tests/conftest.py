@@ -1,10 +1,14 @@
-"""Shared fixtures: small contaminated worlds reused across module tests."""
+"""Shared fixtures: small contaminated systems reused across module tests.
+
+``tiny_world`` and ``quad_world`` are each a (deployment, system config)
+pair, the engine's description of a sweep point: a unit's links are
+``build_unit_geometry(dep, cfg, n, k)``."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lis_uplink import LinkWorld, place_devices
+from lis_uplink import Deployment, place_devices
 from lis_uplink.config import LayoutConfig, PlacementConfig, SystemConfig
 from lis_uplink.links import placement_rng
 
@@ -30,17 +34,15 @@ def tiny_layout() -> LayoutConfig:
 
 
 @pytest.fixture(scope="session")
-def tiny_world(tiny_cfg, tiny_layout) -> LinkWorld:
-    dep = place_devices(tiny_cfg, tiny_layout, placement_rng(tiny_cfg.seed, 0))
-    return LinkWorld(dep, tiny_cfg)
+def tiny_world(tiny_cfg, tiny_layout) -> tuple[Deployment, SystemConfig]:
+    return place_devices(tiny_cfg, tiny_layout, placement_rng(tiny_cfg.seed, 0)), tiny_cfg
 
 
 @pytest.fixture(scope="session")
-def quad_world() -> LinkWorld:
+def quad_world() -> tuple[Deployment, SystemConfig]:
     """Four panels facing each other, the reference multi-panel geometry."""
     cfg = SystemConfig(M=16, K=2, N=4, T=500, P=4, seed=7)
-    dep = place_devices(cfg, LayoutConfig(), placement_rng(cfg.seed, 0))
-    return LinkWorld(dep, cfg)
+    return place_devices(cfg, LayoutConfig(), placement_rng(cfg.seed, 0)), cfg
 
 
 def assert_close(actual, expected, rtol=1e-12, atol=0.0):

@@ -27,21 +27,25 @@ Per-link oracles of the uplink model, one link or one unit at a time:
 ``dense_channels`` transcribe the ``einsum`` forms of the moment, kernel
 and sampling contractions on dense (N, K, M, P) roots. ``with_budget``
 swaps the link budget a unit's statistics carry, for tests that set their
-own transmit SNRs.
+own transmit SNRs. ``prefix_stats`` cuts a unit's statistics to the first
+K devices per panel, against statistics built on ``Deployment.prefix(K)``.
+
+As in the engine, a sweep point is a deployment and the system config its
+links are built for; the oracles below take the pair.
 
 ``sampled_nse_per_count`` is the device-count sampler that redraws every
-unit and builds its statistics and kernel once per admitted count K, on a
-world over the deployment's first K devices alone, against
-``harness._sampled_nse``'s one kernel per unit read at every K.
+unit and builds its statistics and kernel once per admitted count K, on
+the pool's first K devices alone, against ``harness._sampled_nse``'s one
+kernel per unit read at every K.
 
 ``panel`` is the single-panel view of a deployment. ``twin_blocks`` and
-the three twin-world reductions ``se_variance``, ``panel0_sse`` and
-``csi`` (fig4, fig5/fig6, fig6b) compare each multi-LIS unit with a
-single-LIS twin built as a system of its own: an N = 1 ``LinkWorld`` over
-``panel(deployment, 0)`` with its own geometry, statistics, sampled
-channels and moment sets, fed the panel-0 slice of every multi-LIS draw.
-They are the oracle of the engine's twin, which is the panel-0 cut of the
-multi-LIS unit's statistics and of its kernel's channels.
+the three twin reductions ``se_variance``, ``panel0_sse`` and ``csi``
+(fig4, fig5/fig6, fig6b) compare each multi-LIS unit with a single-LIS
+twin built as a system of its own: ``panel(deployment, 0)`` under an
+N = 1 config, with its own geometry, statistics, sampled channels and
+moment sets, fed the panel-0 slice of every multi-LIS draw. They are the
+oracle of the engine's twin, which is the panel-0 cut of the multi-LIS
+unit's statistics and of its kernel's channels.
 
 ``cgauss`` draws complex Gaussians with two ``standard_normal`` calls,
 the real block and then the imaginary block, against ``channel.cgauss``'s
@@ -52,7 +56,7 @@ its own stream with two such draws, against the chunks of
 ``expected_floor_table`` is the Theorem 2 floor table built from a
 deployment and a system config, with its own power control, contamination
 and LOS rules and a per-panel same-pilot loop, against
-``optimize.expected_floor_table`` on a ``LinkWorld``; ``mu_I_bar`` is the
+``optimize.expected_floor_table``; ``mu_I_bar`` is the
 composite interference mean assembled as one const + noise/t split,
 against ``MomentSet.mu_I_bar``.
 """
@@ -64,9 +68,9 @@ import numpy as np
 
 from lis_uplink import harness
 from lis_uplink.asymptotics import build_moment_set, sse, theorem1_sse
+from lis_uplink.channel import CorrelationRoot
 from lis_uplink.links import (
     BlockKernel,
-    LinkWorld,
     UnitChannelStats,
     build_unit_geometry,
     make_unit_stats,
@@ -105,6 +109,19 @@ def with_budget(stats: UnitChannelStats, **budget) -> UnitChannelStats:
     """Block statistics whose geometry carries the given ``rho_p``,
     ``rho_d`` or ``p_bar`` in place of its own link budget."""
     return dataclasses.replace(stats, geom=dataclasses.replace(stats.geom, **budget))
+
+
+def prefix_stats(stats: UnitChannelStats, K: int) -> UnitChannelStats:
+    """First K devices per panel of a unit's block statistics (array views):
+    the statistics of a pool's admitted prefix, every panel kept."""
+    geom, roots = stats.geom, stats.roots
+    per_link = ("distances", "hlos", "beta2_sum", "kappa_cand", "p_los", "rho_p", "rho_d")
+    return dataclasses.replace(
+        stats,
+        geom=dataclasses.replace(geom, **{name: getattr(geom, name)[:, :K] for name in per_link}),
+        kappa=stats.kappa[:, :K], nlos_scale=stats.nlos_scale[:, :K], hbar=stats.hbar[:, :K],
+        roots=CorrelationRoot(roots.ramp_v[:, :K], roots.ramp_h[:, :K], roots.pathloss[:, :K]),
+    )
 
 
 def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
@@ -448,20 +465,19 @@ def mu_I_bar(ms, t: float) -> float:
     return const + noise / t
 
 
-def sampled_nse_per_count(spec, world, p: int, blocks, K_grid) -> list:
+def sampled_nse_per_count(spec, pool, cfg, p: int, blocks, K_grid) -> list:
     """Monte Carlo NSE of every block in `blocks` for every K in K_grid, one
-    count at a time: unit (n, k) is drawn again for each K > k, on a world
-    over the deployment's first K devices, so its statistics and kernel
-    cover those devices alone."""
-    cfg = world.config
+    count at a time: unit (n, k) is drawn again for each K > k under the
+    pool config `cfg`, on the pool's first K devices, so its statistics and
+    kernel cover those devices alone."""
     out = [{} for _ in blocks]
     for K in K_grid:
-        per_count = LinkWorld(world.deployment.prefix(K), world.config)
+        dep = pool.prefix(K)
         gam = np.empty((len(blocks), cfg.N, K))
         for n in range(cfg.N):
             for k in range(K):
                 for i, (stats, draw) in enumerate(
-                        harness._unit_blocks(spec, per_count, p, blocks, n, k)):
+                        harness._unit_blocks(spec, dep, cfg, p, blocks, n, k)):
                     gam[i, n, k] = BlockKernel(stats, draw.g, draw.w).gamma(K)
         for nse, gam_b in zip(out, gam):
             nse[K] = nse_of_gammas(gam_b, K, cfg.T)
@@ -482,30 +498,29 @@ def panel(deployment: Deployment, n: int) -> Deployment:
     )
 
 
-def twin_blocks(spec, world, p: int, blocks, k: int):
-    """For each block in `blocks`, ((stats, draw) of unit (0, k) in the
-    multi-LIS world, (stats, draw) of the same unit in its single-LIS
-    twin): an N = 1 world over panel 0, with its own geometry and
-    statistics built from the panel-0 slice of the multi-LIS draw."""
-    twin = LinkWorld(panel(world.deployment, 0), dataclasses.replace(world.config, N=1))
-    geom = twin.unit(0, k)
-    for stats, draw in harness._unit_blocks(spec, world, p, blocks, 0, k):
+def twin_blocks(spec, dep, cfg, p: int, blocks, k: int):
+    """For each block in `blocks`, ((stats, draw) of unit (0, k) of the
+    multi-LIS system (dep, cfg), (stats, draw) of the same unit in its
+    single-LIS twin): panel 0 alone under an N = 1 config, with its own
+    geometry and statistics built from the panel-0 slice of the multi-LIS
+    draw."""
+    twin_cfg = dataclasses.replace(cfg, N=1)
+    geom = build_unit_geometry(panel(dep, 0), twin_cfg, 0, k)
+    for stats, draw in harness._unit_blocks(spec, dep, cfg, p, blocks, 0, k):
         cut = dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1],
                                   g=draw.g[:1])
-        yield (stats, draw), (make_unit_stats(geom, cut, twin.config,
+        yield (stats, draw), (make_unit_stats(geom, cut, twin_cfg,
                                               spec.experiment.interference), cut)
 
 
 def se_variance(spec, p: int):
-    """fig4 on a twin world: the twin's kernel samples panel 0's channels
+    """fig4 on a twin system: the twin's kernel samples panel 0's channels
     from its own statistics and the first panel of every refade."""
     R = spec.experiment.realizations
-    dep = harness._place(spec, p)
     recs, mean_se = [], {}
-    for M in spec.experiment.sweep_values:
-        world = harness._world(spec, dep, M=M)
-        cfg, t = world.config, world.config.pilot_len
-        (frozen,) = twin_blocks(spec, world, p, [0], 0)
+    for M, dep, cfg in harness._sweep_points(spec, p):
+        t = cfg.pilot_len
+        (frozen,) = twin_blocks(spec, dep, cfg, p, [0], 0)
         se = np.empty((2, R))
         for rs, g, w in harness._refade_chunks(spec, cfg, p, R, 0, 0):
             for i, (stats, draw) in enumerate(frozen):
@@ -518,16 +533,16 @@ def se_variance(spec, p: int):
 
 
 def panel0_sse(spec, p: int):
-    """fig5/fig6 on a twin world: the twin's kernels and moment sets come
+    """fig5/fig6 on a twin system: the twin's kernels and moment sets come
     from its own statistics."""
     stride, R = spec.experiment.theory_stride, spec.experiment.realizations
     recs = []
-    for M, world in harness._sweep_worlds(spec, p):
-        t, T, K = world.config.pilot_len, world.config.T, world.config.K
+    for M, dep, cfg in harness._sweep_points(spec, p):
+        t, T, K = cfg.pilot_len, cfg.T, cfg.K
         gammas = np.empty((R, 2, K))
         terms = np.empty((R, 2, K, 4))
         for k in range(K):
-            for b, pairs in enumerate(twin_blocks(spec, world, p, range(R), k)):
+            for b, pairs in enumerate(twin_blocks(spec, dep, cfg, p, range(R), k)):
                 for i, (stats, draw) in enumerate(pairs):
                     gammas[b, i, k] = BlockKernel(stats, draw.g, draw.w).gamma(t)
                     if b % stride == 0:
@@ -545,15 +560,15 @@ def panel0_sse(spec, p: int):
 
 
 def csi(spec, p: int):
-    """fig6b on a twin world: the twin's perfect- and estimated-CSI kernel
+    """fig6b on a twin system: the twin's perfect- and estimated-CSI kernel
     comes from its own statistics."""
     R = spec.experiment.realizations
     recs = []
-    for M, world in harness._sweep_worlds(spec, p):
-        t, T, K = world.config.pilot_len, world.config.T, world.config.K
+    for M, dep, cfg in harness._sweep_points(spec, p):
+        t, T, K = cfg.pilot_len, cfg.T, cfg.K
         gammas = np.empty((R, 2, 2, K))
         for k in range(K):
-            for b, pairs in enumerate(twin_blocks(spec, world, p, range(R), k)):
+            for b, pairs in enumerate(twin_blocks(spec, dep, cfg, p, range(R), k)):
                 for i, (stats, draw) in enumerate(pairs):
                     kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
                     gammas[b, i, :, k] = kern.gamma(t), kern.gamma_perfect

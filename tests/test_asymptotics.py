@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 from lis_uplink import (
     BlockKernel,
     LayoutConfig,
-    LinkWorld,
     SystemConfig,
     build_moment_set,
+    build_unit_geometry,
     cgauss,
     draw_unit_block,
     make_unit_stats,
@@ -26,18 +26,18 @@ from conftest import assert_close
 
 
 def _stats(world, n, k, seed, coins=None, interference="rician"):
-    cfg = world.config
+    dep, cfg = world
     draw = draw_unit_block(np.random.default_rng(seed), cfg.N, cfg.K, cfg.P, cfg.M)
     if coins is not None:
         draw = dataclasses.replace(draw, coins=np.full((cfg.N, cfg.K), float(coins)))
-    return draw, make_unit_stats(world.unit(n, k), draw, cfg, interference)
+    return draw, make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg, interference)
 
 
 @pytest.fixture(scope="module")
 def solo_world():
     cfg = SystemConfig(M=16, K=1, N=1, T=500, P=4, t=4)
     dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(1))
-    return LinkWorld(dep, cfg)
+    return dep, cfg
 
 
 class TestSinglePanelReductions:
@@ -74,8 +74,7 @@ class TestSinglePanelReductions:
     def test_intra_only_leakage_has_zero_mean_when_gates_fail(self):
         cfg = SystemConfig(M=16, K=3, N=1, T=500, P=4, t=3)
         dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(5))
-        world = LinkWorld(dep, cfg)
-        _, stats = _stats(world, 0, 0, seed=6, coins=1.0)  # every gate fails
+        _, stats = _stats((dep, cfg), 0, 0, seed=6, coins=1.0)  # every gate fails
         ms = build_moment_set(stats)
         assert np.all(ms.mu_y == 0.0)
         var_y = ms.var_y_const + ms.var_y_noise / 3
@@ -94,7 +93,7 @@ class TestPilotLengthStructure:
     def test_composite_mean_strictly_decreasing_in_t(self, tiny_world):
         _, stats = _stats(tiny_world, 0, 0, seed=0)
         ms = build_moment_set(stats)
-        K = tiny_world.config.K
+        K = tiny_world[1].K
         vals = [ms.mu_I_bar(t) for t in (K, 2 * K, 4 * K)]
         assert vals[0] > vals[1] > vals[2]
 
@@ -115,7 +114,7 @@ class TestPilotLengthStructure:
 
 class TestMomentsAgainstSampling:
     def test_conditioned_means_match_kernel_draws(self, tiny_world):
-        cfg = tiny_world.config
+        _, cfg = tiny_world
         n, k = 0, 0
         draw, stats = _stats(tiny_world, n, k, seed=0)  # all gates on
         t = cfg.pilot_len
@@ -172,11 +171,10 @@ class TestMomentPartsAgainstReference:
         # N = 1 has no contaminator: the stacked root matrix has zero columns
         cfg = SystemConfig(M=side * side, K=K, N=N, P=P, seed=seed)
         dep = place_devices(cfg, LayoutConfig(d_x=0.5), np.random.default_rng(seed))
-        world = LinkWorld(dep, cfg)
         n = data.draw(st.integers(0, N - 1), label="n")
         k = K - 1 if last_unit else 0
         draw = draw_unit_block(np.random.default_rng(seed + 1), N, K, P, cfg.M)
-        stats = make_unit_stats(world.unit(n, k), draw, cfg, interference)
+        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg, interference)
 
         actual = build_moment_set(stats)
         expected = reference.moment_fields(stats, pilot_snrs(dep, cfg))
@@ -207,8 +205,7 @@ class TestMomentPartsAgainstReference:
     def test_composite_mean_matches_const_plus_noise_assembly(self, N, interference, seed, t):
         cfg = SystemConfig(M=16, K=2, N=N, P=3, seed=seed)
         dep = place_devices(cfg, LayoutConfig(d_x=0.5), np.random.default_rng(seed))
-        world = LinkWorld(dep, cfg)
-        _, stats = _stats(world, N - 1, 1, seed=seed + 1, interference=interference)
+        _, stats = _stats((dep, cfg), N - 1, 1, seed=seed + 1, interference=interference)
         ms = build_moment_set(stats)
         assert math.isclose(ms.mu_I_bar(t), reference.mu_I_bar(ms, t), rel_tol=1e-13)
 
@@ -230,9 +227,14 @@ class TestSolidAngle:
             quarter_solid_angle(0.25, 0.0)
 
 
+def _rows(sets, t):
+    """Each moment set's ``sse_terms(t)``: the rows ``theorem1_sse`` takes."""
+    return [ms.sse_terms(t) for ms in sets]
+
+
 class TestTheorems:
     def _panel_moments(self, world, seed, coins=None):
-        cfg = world.config
+        dep, cfg = world
         out = []
         for k in range(cfg.K):
             draw = draw_unit_block(
@@ -240,54 +242,47 @@ class TestTheorems:
             )
             if coins is not None:
                 draw = dataclasses.replace(draw, coins=np.full((cfg.N, cfg.K), coins))
-            stats = make_unit_stats(world.unit(0, k), draw, cfg)
+            stats = make_unit_stats(build_unit_geometry(dep, cfg, 0, k), draw, cfg)
             out.append(build_moment_set(stats))
         return out
 
     def test_deterministic_sse_assembly(self, tiny_world):
-        cfg = tiny_world.config
+        dep, cfg = tiny_world
         t, T = 4, cfg.T
         sets = self._panel_moments(tiny_world, seed=0, coins=0.0)
-        res = theorem1_sse(sets, t, T)
+        res = theorem1_sse(_rows(sets, t), t, T)
         M = cfg.M
         gamma_bar = []
         for i, ms in enumerate(sets):
-            p = quarter_solid_angle(cfg.L, tiny_world.deployment.devices_local[0, i, 2])
+            p = quarter_solid_angle(cfg.L, dep.devices_local[0, i, 2])
             p_bar = M * M * p * p / (16.0 * math.pi**2 * cfg.L**4)
             assert_close(ms.p_bar, p_bar, rtol=1e-12)
             gamma_bar.append(ms.rho_d_own * p_bar / ms.mu_I_bar(t))
         expect_sse = (1.0 - t / T) * np.sum(np.log2(1.0 + np.array(gamma_bar)))
         assert_close(res.sse_bar, expect_sse, rtol=1e-12)
 
-    @pytest.mark.parametrize("t", [4, 37.5, 500])
-    def test_sse_terms_rows_give_the_sets_result(self, tiny_world, t):
-        sets = self._panel_moments(tiny_world, seed=3)
-        rows = np.array([ms.sse_terms(t) for ms in sets])
-        assert rows.shape == (len(sets), 4)
-        assert theorem1_sse(rows, t, 500) == theorem1_sse(sets, t, 500)
-
     def test_bound_dominates_deterministic_sse(self, tiny_world):
         sets = self._panel_moments(tiny_world, seed=0, coins=0.0)
-        res = theorem1_sse(sets, 4, 500)
+        res = theorem1_sse(_rows(sets, 4), 4, 500)
         assert res.sse_hat >= res.sse_bar
         assert np.all(np.array([ms.mu_I_hat for ms in sets]) > 0.0)
 
     def test_interference_free_floor_is_infinite(self, solo_world):
         _, stats = _stats(solo_world, 0, 0, seed=2)
         ms = build_moment_set(stats)
-        res = theorem1_sse([ms], 4, 500)
+        res = theorem1_sse(_rows([ms], 4), 4, 500)
         assert ms.mu_I_hat == 0.0  # a zero floor: the floor-bound SINR is inf
         assert math.isinf(res.sse_hat)
         assert math.isfinite(res.sse_bar)
 
     def test_full_training_gives_zero_sse(self, tiny_world):
         sets = self._panel_moments(tiny_world, seed=0, coins=0.0)
-        res = theorem1_sse(sets, 500, 500)
+        res = theorem1_sse(_rows(sets, 500), 500, 500)
         assert res.sse_bar == 0.0 and res.sse_hat == 0.0
 
     def test_bad_inputs_rejected(self, tiny_world):
         sets = self._panel_moments(tiny_world, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
-            theorem1_sse(sets, 501, 500)
+            theorem1_sse(_rows(sets, 501), 501, 500)
         with pytest.raises(ValueError, match="at least one"):
             theorem1_sse([], 4, 500)

@@ -71,8 +71,8 @@ class TestLosChannel:
         assert_close(geom.beta2_sum[0, 0], 1.0 / (4.0 * math.pi * d * d))
 
     def test_vector_and_power_consistency(self, tiny_world):
-        cfg = tiny_world.config
-        geom = tiny_world.unit(0, 0)
+        dep, cfg = tiny_world
+        geom = build_unit_geometry(dep, cfg, 0, 0)
         amplitudes = np.abs(geom.hlos)
         assert np.all(amplitudes > 0)
         assert_close(

@@ -240,6 +240,17 @@ class TestErrorPaths:
         assert main([*argv, "--set", "system.T=20", "--set", "placement.pool_size=30"]) == 2
         assert capsys.readouterr().err.startswith("config error (placement.pool_size)")
 
+    @pytest.mark.parametrize("argv", [["optimize-k"], ["simulate", "--set", "experiment.id=fig8"],
+                                      ["simulate", "--set", "experiment.id=fig9"]])
+    def test_empty_default_pool_exits_2_before_placement(self, argv, monkeypatch, capsys):
+        # at T = 1 the default pool min(T - 1, 40) holds no device
+        def no_placement(*args, **kwargs):
+            raise AssertionError("placement ran before the pool size was checked")
+
+        monkeypatch.setattr("lis_uplink.harness.place_devices", no_placement)
+        assert main([*argv, "--set", "system.T=1", "--set", "system.K=1"]) == 2
+        assert capsys.readouterr().err.startswith("config error (placement.pool_size)")
+
     @pytest.mark.parametrize("sub, exp_id, values", [
         ("asymptotic", "fig5", "[16, NaN]"),
         ("simulate", "fig5", "[16, Infinity]"),

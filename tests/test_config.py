@@ -124,6 +124,15 @@ class TestRunConfig:
             rc.with_overrides({"placement.pool_size": 21})
         assert err.value.key == "placement.pool_size"
 
+    def test_empty_default_pool_rejected(self):
+        # the default pool min(T - 1, 40) is empty at T = 1; a set size is kept
+        with pytest.raises(ConfigError, match="system.T=1") as err:
+            PlacementConfig().pool_target(1)
+        assert err.value.key == "placement.pool_size"
+        assert PlacementConfig().pool_target(2) == 1
+        assert PlacementConfig().pool_target(500) == 40
+        assert PlacementConfig(pool_size=3).pool_target(1) == 3
+
     def test_line_layout_ignores_facing_separation(self):
         rc = RunConfig(system=SystemConfig(N=2)).with_overrides({"layout.d_z": 1.0})
         assert rc.layout.box_height > rc.layout.d_z

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from lis_uplink import (
     BlockKernel,
     LayoutConfig,
-    LinkWorld,
+    build_unit_geometry,
     cgauss,
     draw_unit_block,
     make_unit_stats,
@@ -125,11 +125,11 @@ class TestReceivedPilotAndLs:
 
 
 def _single_panel_unit(cfg, seed):
-    """World, draw and statistics of unit (0, 0) of a one-panel system."""
+    """Draw and statistics of unit (0, 0) of a one-panel system."""
     solo = dataclasses.replace(cfg, N=1)
-    world = LinkWorld(place_devices(solo, LayoutConfig(name="line"), np.random.default_rng(seed)), solo)
+    dep = place_devices(solo, LayoutConfig(name="line"), np.random.default_rng(seed))
     draw = draw_unit_block(np.random.default_rng(seed + 1), 1, solo.K, solo.P, solo.M)
-    return world, draw, make_unit_stats(world.unit(0, 0), draw, solo)
+    return draw, make_unit_stats(build_unit_geometry(dep, solo, 0, 0), draw, solo)
 
 
 class TestDirectErrorSynthesis:
@@ -139,7 +139,7 @@ class TestDirectErrorSynthesis:
 
     def test_no_contaminators_is_pure_scaled_noise(self, tiny_cfg):
         # one panel: the error is the scaled noise alone
-        world, draw, stats = _single_panel_unit(tiny_cfg, seed=7)
+        draw, stats = _single_panel_unit(tiny_cfg, seed=7)
         t = 4
         kernel = BlockKernel(stats, draw.g, draw.w)
         hlos = stats.geom.hlos[0, 0]
@@ -149,10 +149,10 @@ class TestDirectErrorSynthesis:
         assert_close(kernel.terms(t).Z, np.sum(np.abs(hlos + e) ** 2), rtol=1e-12)
 
     def test_noise_free_is_deterministic_sum(self, tiny_world):
-        cfg = tiny_world.config
+        dep, cfg = tiny_world
         n, k = 1, 1
         draw = draw_unit_block(np.random.default_rng(8), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
         rho_p = stats.geom.rho_p
         kernel = BlockKernel(stats, draw.g, draw.w)
         ch = sample_unit_channels(stats, draw.g)
@@ -166,10 +166,10 @@ class TestDirectErrorSynthesis:
         # the kernel's noise term w / sqrt(t rho_p) against despreading a
         # white M x t noise block: independent draws on both paths, same
         # block statistics; the sampled X, Z and I must agree in mean
-        cfg = tiny_world.config
+        dep, cfg = tiny_world
         n, k, t, draws = 0, 0, 2, 4000
         block = draw_unit_block(np.random.default_rng(12), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(tiny_world.unit(n, k), block, cfg)
+        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), block, cfg)
         rho_p, rho_d = stats.geom.rho_p, stats.geom.rho_d
         hlos = stats.geom.hlos[n, k]
         book = reference.pilot_book(t, cfg.K)

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from lis_uplink import (
     ConfigError,
+    Deployment,
     ExperimentSpec,
     RawRecord,
     RunConfig,
@@ -147,6 +148,12 @@ class TestSpecResolution:
         with pytest.raises(ConfigError, match=r"\[8, 500\]") as err:
             ExperimentSpec.from_run_config(rc)
         assert err.value.key == "experiment.sweep_values"
+        # the bounds are [K, T] whatever system.t holds: fig7 sweeps t itself
+        rc = preset_run_config("fig7").with_overrides({"system.t": 16})
+        assert ExperimentSpec.from_run_config(rc).experiment.sweep_values[:2] == (8, 12)
+        with pytest.raises(ConfigError, match=r"\[8, 500\], got \[7\]") as err:
+            ExperimentSpec.from_run_config(rc.with_overrides({"experiment.sweep_values": [7, 16]}))
+        assert err.value.key == "experiment.sweep_values"
 
     def test_resolution_is_idempotent(self):
         spec = ExperimentSpec.from_run_config(preset_run_config("fig6", seed=9))
@@ -174,19 +181,20 @@ class TestResolveWorkers:
 class TestPanelZeroSlice:
     @pytest.mark.parametrize("regime", ["rician", "nlos_inter"])
     def test_panel_cut_of_stats_equals_twin_world_stats(self, quad_world, regime):
-        """The single-LIS twin's statistics, built in an N = 1 world over
-        panel 0 from the panel-0 slice of the draw, are the multi-LIS
+        """The single-LIS twin's statistics, built over panel 0 under an
+        N = 1 config from the panel-0 slice of the draw, are the multi-LIS
         unit's statistics cut to panel 0, bit for bit and as views."""
-        cfg = quad_world.config
-        twin = links.LinkWorld(reference.panel(quad_world.deployment, 0),
-                               dataclasses.replace(cfg, N=1))
+        dep, cfg = quad_world
+        twin_dep, twin_cfg = reference.panel(dep, 0), dataclasses.replace(cfg, N=1)
         for k in range(cfg.K):
             draw = hz.draw_unit_block(hz._unit_rng(0, 0, 0, 0, k), cfg.N, cfg.K, cfg.P, cfg.M)
-            stats = links.make_unit_stats(quad_world.unit(0, k), draw, cfg, regime)
+            stats = links.make_unit_stats(links.build_unit_geometry(dep, cfg, 0, k), draw, cfg,
+                                          regime)
             cut = links.slice_stats(stats, N=1)
             one = dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1],
                                       g=draw.g[:1])
-            want = links.make_unit_stats(twin.unit(0, k), one, twin.config, regime)
+            want = links.make_unit_stats(links.build_unit_geometry(twin_dep, twin_cfg, 0, k), one,
+                                         twin_cfg, regime)
             for obj, ref in ((cut, want), (cut.geom, want.geom), (cut.roots, want.roots)):
                 for f in dataclasses.fields(obj):
                     a, b = getattr(obj, f.name), getattr(ref, f.name)
@@ -195,7 +203,8 @@ class TestPanelZeroSlice:
             assert np.shares_memory(cut.hbar, stats.hbar)
             assert np.shares_memory(cut.roots.ramp_v, stats.roots.ramp_v)
         with pytest.raises(ValueError, match="panel"):
-            links.slice_stats(links.make_unit_stats(quad_world.unit(1, 0), draw, cfg), N=1)
+            links.slice_stats(links.make_unit_stats(links.build_unit_geometry(dep, cfg, 1, 0),
+                                                    draw, cfg), N=1)
 
     def test_device_prefix_keeps_every_panel(self):
         draw = hz.draw_unit_block(hz._unit_rng(0, 0, 0, 0, 0), 3, 4, 2, 16)
@@ -207,8 +216,8 @@ class TestPanelZeroSlice:
 
 
 class TestAdmittedPrefix:
-    """fig8 and fig9 sample on a world that covers only the admitted devices
-    of the pool: the first max(K_grid), or max(K_opt, min(20, pool))."""
+    """fig8 and fig9 sample on the admitted devices of the pool only: the
+    first max(K_grid), or max(K_opt, min(20, pool))."""
 
     @pytest.mark.parametrize("exp_id, overrides", [
         ("fig9", {"experiment.sweep_values": [16, 36]}),
@@ -219,15 +228,15 @@ class TestAdmittedPrefix:
             **overrides, "placement.pool_size": 24, "experiment.realizations": 2,
             "experiment.placements": 1})
         shapes = []
-        build = links.build_unit_geometry
+        build = hz.build_unit_geometry
 
         def recording(*args):
             geom = build(*args)
             shapes.append(geom.hlos.shape)
             return geom
 
-        # LinkWorld.unit alone reaches this binding; the floor table holds its own
-        monkeypatch.setattr(links, "build_unit_geometry", recording)
+        # the floor table holds its own binding
+        monkeypatch.setattr(hz, "build_unit_geometry", recording)
         got = run_experiment(rc)
         extras = got.extras["placements"][0]
         pool = extras["pool"]
@@ -238,9 +247,8 @@ class TestAdmittedPrefix:
         assert all(K < pool for K in admitted.values()), (admitted, pool)
         assert shapes and all(shape == (4, admitted[shape[2]], shape[2]) for shape in shapes)
 
-        # the same run on a sampling world over the whole pool
-        monkeypatch.setattr(hz, "_sampling_world", lambda spec, dep, admitted, **changes:
-                            hz._world(spec, dep, K=dep.K, t=None, **changes))
+        # the same run with no prefix cut: every unit built over the whole pool
+        monkeypatch.setattr(Deployment, "prefix", lambda dep, K: dep)
         shapes.clear()
         whole = run_experiment(rc)
         assert {shape[1] for shape in shapes} == {pool}
@@ -367,16 +375,17 @@ class TestOneKernelPerUnit:
 
 
 class TestUnitMajorGeometry:
-    """Reductions walk units outside blocks: the one world of a sweep point
-    builds a unit's geometry once for all its blocks and drops it before
-    the next unit, so no more than two units' geometry is ever alive."""
+    """Reductions walk units outside blocks: a sweep point's one
+    (deployment, config) pair builds a unit's geometry once for all its
+    blocks, which is dropped before the next unit, so no more than two
+    units' geometry is ever alive."""
 
     @pytest.mark.parametrize("case", ["fig5", "fig8", "fig9"])
     def test_one_unit_geometry_alive_per_world(self, case, monkeypatch):
         _, exp_id, overrides = CASES[case]
         rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
         live, peak = [], [0]
-        build = links.build_unit_geometry
+        build = hz.build_unit_geometry
 
         def recording(*args):
             geom = build(*args)
@@ -384,12 +393,12 @@ class TestUnitMajorGeometry:
             peak[0] = max(peak[0], sum(ref() is not None for ref in live))
             return geom
 
-        # LinkWorld.unit alone reaches this binding; the floor table holds its own
-        monkeypatch.setattr(links, "build_unit_geometry", recording)
+        # the floor table holds its own binding
+        monkeypatch.setattr(hz, "build_unit_geometry", recording)
         got = run_experiment(rc)
         N, K = rc.system.N, rc.system.K
         Ms = rc.experiment.sweep_values
-        worlds = 1  # the single-LIS twin has no world of its own
+        points = 1  # the single-LIS twin has no deployment and config of its own
         if exp_id == "fig5":
             # panel 0's units
             builds = rc.experiment.placements * len(Ms) * K
@@ -404,12 +413,12 @@ class TestUnitMajorGeometry:
         assert len(live) == builds
         # the unit being built, plus the previous unit's, which the
         # reduction's loop variables still hold
-        assert peak[0] <= 2 * worlds, (peak[0], worlds)
+        assert peak[0] <= 2 * points, (peak[0], points)
 
     @pytest.mark.parametrize("case", ["asymptotic-fig5", "fig5", "fig7"])
     def test_theory_blocks_keep_scalars_not_moment_sets(self, case, monkeypatch):
         """Theory blocks keep each moment set's ``sse_terms`` and drop the
-        set, so the live sets do not grow with blocks, units or worlds."""
+        set, so the live sets do not grow with blocks, units or sweep points."""
         runner, exp_id, overrides = CASES[case]
         rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
         live, peak = [], [0]
@@ -462,9 +471,8 @@ class TestSingleLisTwin:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # LinkWorld.unit alone reaches this binding
-        monkeypatch.setattr(links, "build_unit_geometry",
-                            counting("geometry", links.build_unit_geometry))
+        monkeypatch.setattr(hz, "build_unit_geometry",
+                            counting("geometry", hz.build_unit_geometry))
         monkeypatch.setattr(hz, "make_unit_stats", counting("stats", hz.make_unit_stats))
         monkeypatch.setattr(hz, "BlockKernel", counting("kernels", hz.BlockKernel))
         run_experiment(rc)

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from lis_uplink import (
     BlockKernel,
     LayoutConfig,
-    LinkWorld,
     SystemConfig,
     build_unit_geometry,
     data_snrs,
@@ -26,20 +25,20 @@ from lis_uplink import (
 )
 from lis_uplink.channel import cgauss
 from lis_uplink.harness import _unit_rng
-from lis_uplink.links import los_phase, slice_geometry, slice_stats, stream
+from lis_uplink.links import los_phase, slice_stats, stream
 
 import reference
 from conftest import assert_close
 
 
 def _random_unit(N, K, side, P, seed, n, k, interference="rician"):
-    """World, pool-shaped draw and statistics of unit (n, k) on a random
-    placement of K devices per panel."""
+    """(deployment, config), pool-shaped draw and statistics of unit (n, k)
+    on a random placement of K devices per panel."""
     cfg = SystemConfig(M=side * side, K=K, N=N, P=P, seed=seed)
     dep = place_devices(cfg, LayoutConfig(d_x=0.5), np.random.default_rng(seed))
-    world = LinkWorld(dep, cfg)
     draw = draw_unit_block(np.random.default_rng(seed + 1), N, K, P, cfg.M)
-    return world, draw, make_unit_stats(world.unit(n, k), draw, cfg, interference)
+    geom = build_unit_geometry(dep, cfg, n, k)
+    return (dep, cfg), draw, make_unit_stats(geom, draw, cfg, interference)
 
 
 class TestStreams:
@@ -82,8 +81,8 @@ class TestBlockDraw:
 
 class TestUnitStats:
     def test_serving_link_is_pure_los(self, tiny_world):
-        cfg = tiny_world.config
-        geom = tiny_world.unit(0, 1)
+        dep, cfg = tiny_world
+        geom = build_unit_geometry(dep, cfg, 0, 1)
         draw = draw_unit_block(np.random.default_rng(1), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         assert stats.kappa[0, 1] == np.inf
@@ -91,8 +90,8 @@ class TestUnitStats:
         assert np.array_equal(stats.hbar[0, 1], geom.hlos[0, 1])
 
     def test_gating_applies_candidate_kappa(self, tiny_world):
-        cfg = tiny_world.config
-        geom = tiny_world.unit(0, 0)
+        dep, cfg = tiny_world
+        geom = build_unit_geometry(dep, cfg, 0, 0)
         draw = draw_unit_block(np.random.default_rng(2), cfg.N, cfg.K, cfg.P, cfg.M)
         forced = dataclasses.replace(draw, coins=np.zeros((cfg.N, cfg.K)))
         stats = make_unit_stats(geom, forced, cfg)
@@ -106,8 +105,8 @@ class TestUnitStats:
         assert np.all(off == 0.0)
 
     def test_nlos_inter_regime_zeroes_other_panels_only(self, tiny_world):
-        cfg = tiny_world.config
-        geom = tiny_world.unit(0, 0)
+        dep, cfg = tiny_world
+        geom = build_unit_geometry(dep, cfg, 0, 0)
         draw = draw_unit_block(np.random.default_rng(3), cfg.N, cfg.K, cfg.P, cfg.M)
         forced = dataclasses.replace(draw, coins=np.zeros((cfg.N, cfg.K)))
         stats = make_unit_stats(geom, forced, cfg, interference="nlos_inter")
@@ -118,8 +117,8 @@ class TestUnitStats:
             make_unit_stats(geom, draw, cfg, interference="bogus")
 
     def test_sampling_respects_mixing(self, tiny_world):
-        cfg = tiny_world.config
-        geom = tiny_world.unit(0, 0)
+        dep, cfg = tiny_world
+        geom = build_unit_geometry(dep, cfg, 0, 0)
         draw = draw_unit_block(np.random.default_rng(4), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         ch = sample_unit_channels(stats, draw.g)
@@ -159,14 +158,15 @@ class TestFactoredRoots:
         data=st.data(),
     )
     def test_slice_then_dense_equals_dense_then_slice(self, N, pool, side, P, seed, data):
-        K = data.draw(st.integers(1, pool), label="K")
+        kept = data.draw(st.integers(1, N), label="kept")
         _, _, stats = _random_unit(N, pool, side, P, seed, 0, 0)
-        assert np.array_equal(slice_stats(stats, K).roots.dense(), stats.roots.dense()[:, :K])
+        assert np.array_equal(slice_stats(stats, kept).roots.dense(),
+                              stats.roots.dense()[:kept])
 
     def test_unit_stats_hold_no_dense_root(self):
         N, K, M, P = 4, 4, 400, 20
         cfg = SystemConfig(M=M, K=K, N=N, P=P)
-        geom = LinkWorld(place_devices(cfg, LayoutConfig(), placement_rng(0, 0)), cfg).unit(0, 0)
+        geom = build_unit_geometry(place_devices(cfg, LayoutConfig(), placement_rng(0, 0)), cfg, 0, 0)
         draw = draw_unit_block(np.random.default_rng(0), N, K, P, M)
         tracemalloc.start()
         try:
@@ -220,12 +220,16 @@ class TestUnitGeometryOracle:
 
 
 class TestSliceStats:
+    """The panel cut ``slice_stats`` and the first-K-devices cut
+    ``reference.prefix_stats``: the statistics of the admitted prefix of a
+    pool, which the device-count sampler builds on ``Deployment.prefix``."""
+
     def test_prefix_views_match_smaller_world(self, tiny_cfg, tiny_world):
-        cfg, dep = tiny_world.config, tiny_world.deployment
-        geom4 = tiny_world.unit(0, 0)
+        dep, cfg = tiny_world
+        geom4 = build_unit_geometry(dep, cfg, 0, 0)
         draw = draw_unit_block(np.random.default_rng(6), cfg.N, cfg.K, cfg.P, cfg.M)
         stats4 = make_unit_stats(geom4, draw, cfg)
-        sliced = slice_stats(stats4, 1)
+        sliced = reference.prefix_stats(stats4, 1)
 
         small = reference.subset(dep, 1)
         geom1 = build_unit_geometry(small, cfg, 0, 0)
@@ -243,16 +247,13 @@ class TestSliceStats:
         assert_close(t1.gamma, t2.gamma, rtol=1e-12)
 
     def test_inactive_pilot_index_rejected(self, tiny_world):
-        cfg = tiny_world.config
-        geom = tiny_world.unit(0, 1)
+        dep, cfg = tiny_world
+        geom = build_unit_geometry(dep, cfg, 0, 1)
         draw = draw_unit_block(np.random.default_rng(7), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(geom, draw, cfg)
+        kernel = BlockKernel(make_unit_stats(geom, draw, cfg), draw.g, draw.w)
+        # a unit outside the admitted prefix has no SINR at that count
         with pytest.raises(ValueError, match="pilot index"):
-            slice_stats(stats, 1)
-
-    def test_geometry_slice_rejects_inactive_pilot_index(self, tiny_world):
-        with pytest.raises(ValueError, match="pilot index"):
-            slice_geometry(tiny_world.unit(0, 1), 1)
+            kernel.terms(cfg.K, 1)
 
     @given(
         N=st.sampled_from([1, 2, 4]),
@@ -269,15 +270,12 @@ class TestSliceStats:
         n = data.draw(st.integers(0, N - 1), label="n")
         k = data.draw(st.integers(0, pool - 1), label="k")
         K = data.draw(st.integers(k + 1, pool), label="K")
-        world, draw, pooled = _random_unit(N, pool, side, P, seed, n, k, interference)
-        cfg = world.config
-        sliced = slice_stats(pooled, K)
+        (dep, cfg), draw, pooled = _random_unit(N, pool, side, P, seed, n, k, interference)
+        sliced = reference.prefix_stats(pooled, K)
 
         # geometry of a K-device placement, and the first-K draw
-        geom_k = build_unit_geometry(
-            reference.subset(world.deployment, K), dataclasses.replace(cfg, K=K), n, k
-        )
-        geom_sliced = slice_geometry(world.unit(n, k), K)
+        geom_k = build_unit_geometry(reference.subset(dep, K), dataclasses.replace(cfg, K=K), n, k)
+        geom_sliced = sliced.geom
         for field in ("distances", "hlos", "beta2_sum", "kappa_cand", "p_los",
                       "rho_p", "rho_d", "p_bar"):
             assert np.array_equal(getattr(geom_k, field), getattr(geom_sliced, field)), field
@@ -315,9 +313,9 @@ def _pilot_block_terms(stats, g, w, rho_p, rho_d, t):
 class TestBlockKernel:
     @pytest.mark.parametrize("t", [2, 8, 100])
     def test_kernel_matches_direct_evaluation(self, tiny_world, t):
-        cfg = tiny_world.config
+        dep, cfg = tiny_world
         n, k = 0, 0
-        geom = tiny_world.unit(n, k)
+        geom = build_unit_geometry(dep, cfg, n, k)
         draw = draw_unit_block(np.random.default_rng(8), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         kernel = BlockKernel(stats, draw.g, draw.w)
@@ -325,8 +323,8 @@ class TestBlockKernel:
 
         # the estimation error drawn from its definition: ratio-weighted
         # same-pilot channels of the other panels plus the shrunk noise
-        rho_p = pilot_snrs(tiny_world.deployment, cfg)
-        rho_d = data_snrs(tiny_world.deployment, cfg)
+        rho_p = pilot_snrs(dep, cfg)
+        rho_d = data_snrs(dep, cfg)
         channels = sample_unit_channels(stats, draw.g)
         ratios = rho_p[:, k] / rho_p[n, k]
         contams = np.delete(channels[:, k], n, axis=0)
@@ -349,28 +347,27 @@ class TestBlockKernel:
     def test_kernel_matches_full_pilot_block(self, quad_world, interference, t_over_K):
         # every same-panel pilot must cancel in the despread block, which
         # the kernel's shortcut assumes without forming the block
-        world = quad_world
-        cfg = world.config
+        dep, cfg = quad_world
         K, t = cfg.K, t_over_K * cfg.K
         for n, k in ((0, 1), (3, 1), (2, 0)):
             draw = draw_unit_block(np.random.default_rng(40 + n), cfg.N, K, cfg.P, cfg.M)
-            stats = make_unit_stats(world.unit(n, k), draw, cfg, interference)
+            stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg, interference)
             terms = BlockKernel(stats, draw.g, draw.w).terms(t)
-            ref = _pilot_block_terms(stats, draw.g, draw.w, pilot_snrs(world.deployment, cfg),
-                                     data_snrs(world.deployment, cfg), t)
+            ref = _pilot_block_terms(stats, draw.g, draw.w, pilot_snrs(dep, cfg),
+                                     data_snrs(dep, cfg), t)
             for name in ("X", "Y", "Z", "I", "gamma"):
                 assert_close(getattr(terms, name), ref[name], rtol=1e-10)
 
     def test_perfect_csi_terms(self, tiny_world):
-        cfg = tiny_world.config
+        dep, cfg = tiny_world
         n, k = 1, 0
-        geom = tiny_world.unit(n, k)
+        geom = build_unit_geometry(dep, cfg, n, k)
         draw = draw_unit_block(np.random.default_rng(10), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         kernel = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
         assert BlockKernel(stats, draw.g, draw.w).gamma_perfect is None
 
-        rho_d = data_snrs(tiny_world.deployment, cfg)
+        rho_d = data_snrs(dep, cfg)
         channels = sample_unit_channels(stats, draw.g)
         bd = reference.interference_terms(
             geom.hlos[n, k], geom.hlos[n, k], channels, rho_d, n, k
@@ -379,8 +376,8 @@ class TestBlockKernel:
         assert_close(kernel.gamma_perfect, rho_d[n, k] * bd["S"] / bd["I"], rtol=1e-10)
 
     def test_kernel_reuse_across_pilot_lengths(self, tiny_world):
-        cfg = tiny_world.config
-        geom = tiny_world.unit(0, 0)
+        dep, cfg = tiny_world
+        geom = build_unit_geometry(dep, cfg, 0, 0)
         draw = draw_unit_block(np.random.default_rng(11), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         kernel = BlockKernel(stats, draw.g, draw.w)
@@ -391,8 +388,8 @@ class TestBlockKernel:
             assert reused.gamma == fresh.gamma
 
     def test_noise_term_shrinks_with_t(self, tiny_world):
-        cfg = tiny_world.config
-        geom = tiny_world.unit(0, 0)
+        dep, cfg = tiny_world
+        geom = build_unit_geometry(dep, cfg, 0, 0)
         draw = draw_unit_block(np.random.default_rng(12), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         kernel = BlockKernel(stats, draw.g, draw.w)
@@ -415,9 +412,8 @@ class TestBlockKernelProperties:
     def test_products_match_einsum_oracle(self, N, K, side, P, seed, data):
         n = data.draw(st.integers(0, N - 1), label="n")
         k = data.draw(st.integers(0, K - 1), label="k")
-        world, draw, stats = _random_unit(N, K, side, P, seed, n, k)
+        (dep, cfg), draw, stats = _random_unit(N, K, side, P, seed, n, k)
         kernel = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
-        dep, cfg = world.deployment, world.config
         A, C, A_pure = reference.kernel_products(stats, draw.g, draw.w, pilot_snrs(dep, cfg))
         for got, want in ((kernel.A, A), (kernel.C, C)):
             assert_close(got, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
@@ -445,7 +441,7 @@ class TestBlockKernelProperties:
         if not others:
             return
         l, j = data.draw(st.sampled_from(others), label="interferer")
-        world, draw, stats = _random_unit(N, K, side, P, seed, n, k)
+        _, draw, stats = _random_unit(N, K, side, P, seed, n, k)
         louder = stats.geom.rho_d.copy()
         louder[l, j] *= factor
         base = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
@@ -496,7 +492,7 @@ class TestBatchedKernel:
 
 class TestSingleLisTwin:
     """``BlockKernel(..., twin=True).twin`` against the kernel of the
-    single-LIS system built on its own: an N = 1 world over the unit's
+    single-LIS system built on its own: an N = 1 system over the unit's
     panel, fed that panel's slice of the draw and of the fading."""
 
     @given(
@@ -514,17 +510,17 @@ class TestSingleLisTwin:
                                                    seed, data):
         n = data.draw(st.integers(0, N - 1), label="n")
         k = data.draw(st.integers(0, K - 1), label="k")
-        world, draw, stats = _random_unit(N, K, side, P, seed, n, k, regime)
+        (dep, cfg), draw, stats = _random_unit(N, K, side, P, seed, n, k, regime)
         g, w = draw.g, draw.w
         if batch is not None:  # fresh draws on the same statistics
             rng = np.random.default_rng(seed + 2)
             g, w = cgauss(rng, (batch, N, K, P)), cgauss(rng, (batch, side * side))
         kernel = BlockKernel(stats, g, w, perfect_csi=True, twin=True)
-        solo = LinkWorld(reference.panel(world.deployment, n),
-                         dataclasses.replace(world.config, N=1))
+        solo_dep, solo_cfg = reference.panel(dep, n), dataclasses.replace(cfg, N=1)
         cut = dataclasses.replace(draw, coins=draw.coins[n : n + 1],
                                   angles=draw.angles[n : n + 1], g=draw.g[n : n + 1])
-        solo_stats = make_unit_stats(solo.unit(0, k), cut, solo.config, regime)
+        solo_stats = make_unit_stats(build_unit_geometry(solo_dep, solo_cfg, 0, k), cut,
+                                     solo_cfg, regime)
         want = BlockKernel(solo_stats, g[..., n : n + 1, :, :], w, perfect_csi=True)
         got = kernel.twin
         assert got.twin is None and BlockKernel(stats, g, w).twin is None
@@ -569,7 +565,7 @@ class TestAdmittedCount:
         kernel = BlockKernel(stats, g, w)
         for K in range(k + 1, K_max + 1):
             got = kernel.terms(t, K)
-            want = BlockKernel(slice_stats(stats, K), g[..., :K, :], w).terms(t)
+            want = BlockKernel(reference.prefix_stats(stats, K), g[..., :K, :], w).terms(t)
             for name in ("X", "Y", "Z", "I", "gamma"):
                 a, b = getattr(got, name), getattr(want, name)
                 if K > 1 or K_max == 1:
@@ -583,10 +579,10 @@ class TestAdmittedCount:
             kernel.terms(t, k)
 
 
-class TestLinkWorld:
+class TestUnitGeometry:
     def test_unit_rebuilds_equal_geometry(self, tiny_world):
-        # nothing is cached: each call builds the unit again, with equal arrays
-        a, b = tiny_world.unit(0, 1), tiny_world.unit(0, 1)
+        # each call builds the unit again, with equal arrays
+        a, b = build_unit_geometry(*tiny_world, 0, 1), build_unit_geometry(*tiny_world, 0, 1)
         assert a is not b
         for field in dataclasses.fields(a):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
@@ -594,9 +590,9 @@ class TestLinkWorld:
     def test_power_control_grids(self, tiny_world):
         # every unit carries the deployment's power control and its own
         # deterministic serving power
-        dep, cfg = tiny_world.deployment, tiny_world.config
+        dep, cfg = tiny_world
         for n, k in ((0, 0), (1, 1)):
-            geom = tiny_world.unit(n, k)
+            geom = build_unit_geometry(dep, cfg, n, k)
             assert geom.rho_p.shape == (2, 2)
             assert np.all(geom.rho_p > 0)
             assert np.array_equal(geom.rho_p, pilot_snrs(dep, cfg))
@@ -606,6 +602,6 @@ class TestLinkWorld:
             assert_close(geom.p_bar, cfg.M**2 * p**2 / (16.0 * math.pi**2 * cfg.L**4))
 
     def test_own_power_matches_geometry(self, tiny_world):
-        geom = tiny_world.unit(1, 1)
+        geom = build_unit_geometry(*tiny_world, 1, 1)
         assert_close(geom.own_power, geom.beta2_sum[1, 1], rtol=0, atol=0)
         assert geom.own_power > 0

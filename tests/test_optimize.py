@@ -8,9 +8,9 @@ import pytest
 
 from lis_uplink import (
     LayoutConfig,
-    LinkWorld,
     SystemConfig,
     build_moment_set,
+    build_unit_geometry,
     draw_unit_block,
     expected_floor_table,
     make_unit_stats,
@@ -29,13 +29,17 @@ from conftest import assert_close
 def _panel_moment_sets(seed, M=16, K=3, N=2, P=4, d_x=0.5):
     cfg = SystemConfig(M=M, K=K, N=N, T=500, P=P, seed=seed)
     dep = place_devices(cfg, LayoutConfig(name="line", d_x=d_x), np.random.default_rng(seed))
-    world = LinkWorld(dep, cfg)
     sets = []
     for k in range(K):
         draw = draw_unit_block(np.random.default_rng(seed * 101 + k), N, K, P, M)
-        stats = make_unit_stats(world.unit(0, k), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(dep, cfg, 0, k), draw, cfg)
         sets.append(build_moment_set(stats))
     return sets
+
+
+def _sse_bar(sets, t, T):
+    """Theorem 1 SSE of a panel's moment sets at pilot length t."""
+    return theorem1_sse([ms.sse_terms(t) for ms in sets], t, T).sse_bar
 
 
 class TestOptimalPilotLength:
@@ -46,7 +50,7 @@ class TestOptimalPilotLength:
     def test_bounds_and_refinement_invariant(self):
         sets = _panel_moment_sets(seed=1)
         T, K = 200, 3
-        obj = lambda t: theorem1_sse(sets, t, T).sse_bar
+        obj = lambda t: _sse_bar(sets, t, T)
         sol = optimal_pilot_length(obj, T=T, K=K)
         assert K <= sol.t_opt <= T
         for t in {K, T, math.floor(sol.t_opt_continuous), math.ceil(sol.t_opt_continuous)}:
@@ -58,7 +62,7 @@ class TestOptimalPilotLength:
         K = int(rng.integers(2, 5))
         T = int(rng.integers(30, 90))
         sets = _panel_moment_sets(seed=seed + 1, K=K)
-        obj = lambda t: theorem1_sse(sets, t, T).sse_bar
+        obj = lambda t: _sse_bar(sets, t, T)
         sol = optimal_pilot_length(obj, T=T, K=K)
         grid_best = max(obj(t) for t in range(K, T + 1))
         assert sol.objective_opt >= grid_best - 1e-9
@@ -68,7 +72,7 @@ class TestOptimalPilotLength:
     def test_integer_objective_is_unimodal(self, seed):
         sets = _panel_moment_sets(seed=seed)
         T, K = 80, 3
-        vals = [theorem1_sse(sets, t, T).sse_bar for t in range(K, T + 1)]
+        vals = [_sse_bar(sets, t, T) for t in range(K, T + 1)]
         rises_after_fall = 0
         falling = False
         for a, b in zip(vals, vals[1:]):
@@ -106,13 +110,13 @@ class TestCorollary:
 
 
 class TestExpectedFloorTable:
-    def _world(self, seed=0, N=2, K=4, d_x=0.5):
+    def _pool(self, seed=0, N=2, K=4, d_x=0.5):
         cfg = SystemConfig(M=16, K=K, N=N, T=500, P=4, seed=seed)
         dep = place_devices(cfg, LayoutConfig(name="line", d_x=d_x), np.random.default_rng(seed))
-        return LinkWorld(dep, cfg)
+        return dep, cfg
 
     def test_cumulative_structure(self):
-        table = expected_floor_table(self._world())
+        table = expected_floor_table(*self._pool())
         assert table.pool == 4
         assert np.all(table.leak >= -1e-12)
         for K in range(1, 4):
@@ -127,21 +131,20 @@ class TestExpectedFloorTable:
     def test_single_device_single_panel_floor_free(self):
         cfg = SystemConfig(M=16, K=1, N=1, P=4)
         dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(3))
-        table = expected_floor_table(LinkWorld(dep, cfg))
+        table = expected_floor_table(dep, cfg)
         assert table.floors(1)[0, 0] == 0.0
         assert math.isinf(table.gamma_hat(1)[0, 0])
 
     def test_nlos_inter_equals_isolated_panel(self):
-        world = self._world(seed=4)
-        table = expected_floor_table(world, regime="nlos_inter")
-        solo_cfg = dataclasses.replace(world.config, N=1)
-        solo = expected_floor_table(LinkWorld(reference.panel(world.deployment, 0), solo_cfg))
+        dep, cfg = self._pool(seed=4)
+        table = expected_floor_table(dep, cfg, regime="nlos_inter")
+        solo = expected_floor_table(reference.panel(dep, 0), dataclasses.replace(cfg, N=1))
         assert np.all(table.base == 0.0)
         for K in (1, 2, 4):
             assert_close(table.floors(K)[0], solo.floors(K)[0], rtol=1e-12)
 
     def test_gamma_hat_is_ratio(self):
-        table = expected_floor_table(self._world(seed=5))
+        table = expected_floor_table(*self._pool(seed=5))
         K = 3
         fl = table.floors(K)
         gam = table.gamma_hat(K)
@@ -152,7 +155,7 @@ class TestExpectedFloorTable:
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError, match="regime"):
-            expected_floor_table(self._world(), regime="rayleigh")
+            expected_floor_table(*self._pool(), regime="rayleigh")
 
     @pytest.mark.parametrize("regime", ["rician", "nlos_inter"])
     @pytest.mark.parametrize("layout, N, pool", [("quad", 4, 6), ("line", 2, 5)])
@@ -162,7 +165,7 @@ class TestExpectedFloorTable:
         # summation-order bound; the link budget is copied and stays exact
         cfg = SystemConfig(M=100, K=pool, N=N, T=50, P=4, seed=13)
         dep = place_devices(cfg, LayoutConfig(name=layout, d_x=0.5), placement_rng(13, 0))
-        table = expected_floor_table(LinkWorld(dep, cfg), regime)
+        table = expected_floor_table(dep, cfg, regime)
         want = reference.expected_floor_table(dep, cfg, regime)
         for name in ("base", "leak"):
             assert_close(getattr(table, name), getattr(want, name), rtol=1e-12)
@@ -172,7 +175,7 @@ class TestExpectedFloorTable:
 
 class TestScheduling:
     def test_curve_argmax_and_trace(self):
-        table = expected_floor_table(TestExpectedFloorTable()._world(seed=7, K=8))
+        table = expected_floor_table(*TestExpectedFloorTable()._pool(seed=7, K=8))
         sol = optimal_num_devices(table.gamma_hat, T=50, pool=8)
         assert sol.K_values == tuple(range(1, 9))
         assert sol.nse_opt == np.max(sol.nse_curve)

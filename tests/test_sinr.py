@@ -41,10 +41,11 @@ class TestDesiredPower:
 def _ls_filter(world, channels, n, k, rng):
     """LS estimate of unit (n, k)'s serving channel from a full noisy pilot
     block of every device toward this unit."""
-    t = world.config.pilot_len
-    rho_p = pilot_snrs(world.deployment, world.config)
-    book = reference.pilot_book(t, world.config.K)
-    Y = reference.received_block(channels, book, rho_p, cgauss(rng, (world.config.M, t)))
+    dep, cfg = world
+    t = cfg.pilot_len
+    rho_p = pilot_snrs(dep, cfg)
+    book = reference.pilot_book(t, cfg.K)
+    Y = reference.received_block(channels, book, rho_p, cgauss(rng, (cfg.M, t)))
     return reference.ls_despread(Y, book[:, k], t, rho_p[n, k])
 
 
@@ -72,10 +73,10 @@ class TestInterferencePower:
 
     def test_reassembly_identity(self, tiny_world):
         # the kernel's composite I is the rho-weighted sum of its parts
-        cfg = tiny_world.config
+        dep, cfg = tiny_world
         n, k = 0, 1
         draw = draw_unit_block(np.random.default_rng(21), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
         rho_d = stats.geom.rho_d
         kernel = BlockKernel(stats, draw.g, draw.w)
         terms = kernel.terms(cfg.pilot_len)
@@ -85,10 +86,10 @@ class TestInterferencePower:
         assert np.all(terms.Y >= 0)
 
     def test_extra_interferer_weakly_lowers_sinr(self, tiny_world):
-        cfg = tiny_world.config
+        dep, cfg = tiny_world
         n, k = 0, 0
         draw = draw_unit_block(np.random.default_rng(23), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
         muted = stats.geom.rho_d.copy()
         muted[1, :] = 0.0  # silence the other panel
         full = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
@@ -99,7 +100,7 @@ class TestInterferencePower:
     def test_mean_alignment_matches_closed_form(self, tiny_world):
         # full pilot-block pipeline, conditioned on one block's gates and
         # angles, against the closed-form second moment of X
-        cfg, dep = tiny_world.config, tiny_world.deployment
+        dep, cfg = tiny_world
         n, k = 0, 0
         geom = build_unit_geometry(dep, cfg, n, k)
         block = draw_unit_block(np.random.default_rng(31), cfg.N, cfg.K, cfg.P, cfg.M)
@@ -122,10 +123,10 @@ class TestInstantaneousSinr:
     def test_scales_with_rho(self, tiny_world):
         # with exact CSI the serving device does not interfere with itself,
         # so its SINR is linear in its own data SNR
-        cfg = tiny_world.config
+        dep, cfg = tiny_world
         n, k = 1, 0
         draw = draw_unit_block(np.random.default_rng(24), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(tiny_world.unit(n, k), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
         louder = stats.geom.rho_d.copy()
         louder[n, k] *= 3.0
         base = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
