@@ -12,7 +12,6 @@ from .asymptotics import (
     AsymptoticSse,
     MomentSet,
     build_moment_set,
-    rate_log,
     theorem1_sse,
 )
 from .channel import cgauss, rician_mixing

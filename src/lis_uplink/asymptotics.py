@@ -32,11 +32,6 @@ import numpy as np
 from .links import UnitChannelStats, contamination_weights, stream  # noqa: F401
 
 
-def rate_log(x):
-    """log2, the spectral-efficiency log (bits per channel use)."""
-    return np.log2(x)
-
-
 def _sq_norm(a: np.ndarray, axes: int = 1) -> np.ndarray:
     """Sum of |a|^2 over the trailing ``axes`` axes of a complex array."""
     flat = np.ascontiguousarray(a).reshape(*a.shape[: a.ndim - axes], -1).view(np.float64)
@@ -198,7 +193,7 @@ def sse(gammas, t, T: int) -> float:
     prelog = 1.0 - t / T
     if prelog <= 0.0:
         return 0.0
-    return prelog * float(np.sum(rate_log(1.0 + np.asarray(gammas, dtype=float))))
+    return prelog * float(np.sum(np.log2(1.0 + np.asarray(gammas, dtype=float))))
 
 
 def theorem1_sse(rows, t, T: int) -> AsymptoticSse:

@@ -15,7 +15,9 @@ fig4, fig5, fig6 and fig6b compare each multi-LIS unit with its
 single-LIS twin, panel 0 alone, on paired draws. The twin is never drawn,
 built or sampled on its own: ``BlockKernel(..., twin=True)`` forms its
 kernel from panel 0's rows of the unit's channels, and its moment set
-comes from the statistics cut to panel 0 with ``slice_stats``.
+comes from the statistics cut to panel 0 with ``slice_stats``. fig5, fig6
+and fig6b share one reduction, ``_panel0_sse``; fig6b's row turns on its
+exact-filter (perfect-CSI) curves.
 
 The device-count figures (fig8, fig9) sample under ``_pool_config``
 (K = pool, t unset), so every draw has the pool's shape, on the prefix of
@@ -336,32 +338,39 @@ def _se_variance(spec: ExperimentSpec, p: int):
     return recs, {"mean_se": mean_se}
 
 
-def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
-    """fig5/fig6: panel-0 SSE of the multi-LIS system and its single-LIS
-    twin on paired draws, plus Theorem 1/2 curves every stride-th block;
-    one kernel and one cut of the statistics per (unit, block) serve both.
+def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True, perfect_csi: bool = False):
+    """fig5, fig6 and fig6b: panel-0 SSE of the multi-LIS system and its
+    single-LIS twin on paired draws, plus Theorem 1/2 curves every
+    stride-th block (stride 0, fig6b's default: none); one kernel and one
+    cut of the statistics per (unit, block) serve both systems.
+    With perfect_csi (fig6b): each system's SSE with the exact filter
+    ``h_los`` follows its estimated-filter SSE, off the same kernel.
     With sample=False (run_asymptotic, which resolves the stride to 1): the
     multi-LIS Theorem curves alone, with no receive-side sampling."""
     stride, R = spec.experiment.theory_stride, spec.experiment.realizations
+    filters = ("imperfect CSI", "perfect CSI")[: 2 if perfect_csi else 1]
     recs = []
     for M, dep, cfg in _sweep_points(spec, p):
         t, T = cfg.pilot_len, cfg.T
-        panels = (cfg.N, 1)[: 2 if sample else 1]  # kept by multi-LIS, then the twin
-        gammas = np.empty((R, 2, cfg.K))
-        terms = np.empty((R, len(panels), cfg.K, 4))  # theory blocks' sse_terms(t)
+        gammas = np.empty((R, 2, len(filters), cfg.K))  # block, system, filter, unit
+        # theory blocks' sse_terms(t), multi-LIS then (when sampled) the twin
+        terms = np.empty((R, 2 if sample else 1, cfg.K, 4))
         for k in range(cfg.K):
             for b, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, range(R), 0, k)):
                 if sample:
-                    kern = BlockKernel(stats, draw.g, draw.w, twin=True)
-                    gammas[b, :, k] = kern.gamma(t), kern.twin.gamma(t)
-                if b % stride == 0:
-                    terms[b, :, k] = [build_moment_set(slice_stats(stats, N=N)).sse_terms(t)
-                                      for N in panels]
+                    kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=perfect_csi, twin=True)
+                    gammas[b, :, 0, k] = kern.gamma(t), kern.twin.gamma(t)
+                    if perfect_csi:
+                        gammas[b, :, 1, k] = kern.gamma_perfect, kern.twin.gamma_perfect
+                if stride and b % stride == 0:
+                    sets = (stats, slice_stats(stats, N=1)) if sample else (stats,)
+                    terms[b, :, k] = [build_moment_set(s).sse_terms(t) for s in sets]
         for b in range(R):
             if sample:
-                for row, tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
-                    recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(row, t, T)))
-            if b % stride == 0:
+                for rows, tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
+                    for row, name in zip(rows, filters):
+                        recs.append((float(M), f"{tag} {name}", p, b, sse(row, t, T)))
+            if stride and b % stride == 0:
                 for rows, suffix in zip(terms[b], ("", " single-LIS")):
                     th = theorem1_sse(rows, t, T)
                     recs.append((float(M), f"Theorem 1{suffix}", p, b, th.sse_bar))
@@ -369,26 +378,6 @@ def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
                     # blocks are excluded from the bound curve
                     if math.isfinite(th.sse_hat):
                         recs.append((float(M), f"Theorem 2 bound{suffix}", p, b, th.sse_hat))
-    return recs, {}
-
-
-def _csi(spec: ExperimentSpec, p: int):
-    """fig6b: panel-0 SSE with estimated and with exact filters, multi- and
-    single-LIS, all four curves off one kernel per (unit, block)."""
-    R = spec.experiment.realizations
-    recs = []
-    for M, dep, cfg in _sweep_points(spec, p):
-        t, T = cfg.pilot_len, cfg.T
-        gammas = np.empty((R, 2, 2, cfg.K))  # block, system, (estimated, exact), unit
-        for k in range(cfg.K):
-            for b, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, range(R), 0, k)):
-                kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=True, twin=True)
-                for i, system in enumerate((kern, kern.twin)):
-                    gammas[b, i, :, k] = system.gamma(t), system.gamma_perfect
-        for b in range(R):
-            for (est, exact), tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
-                recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(est, t, T)))
-                recs.append((float(M), f"{tag} perfect CSI", p, b, sse(exact, t, T)))
     return recs, {}
 
 
@@ -532,7 +521,8 @@ EXPERIMENTS = {
                        counts={"realizations": 24, "placements": 4}),
     "fig6": Experiment(_panel0_sse, "M", (100, 400, 900), "nlos_inter", stride=8,
                        asymptotic=True, counts={"realizations": 24, "placements": 4}),
-    "fig6b": Experiment(_csi, "M", (100, 400, 900), "nlos_inter", asymptotic=True,
+    "fig6b": Experiment(functools.partial(_panel0_sse, perfect_csi=True), "M", (100, 400, 900),
+                        "nlos_inter", asymptotic=True,
                         counts={"realizations": 48, "placements": 4}),
     "fig7": Experiment(_pilot, "t", (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 500),
                        stride=2, counts={"realizations": 24, "placements": 4, "theory_stride": 12}),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import floor_sinrs, rate_log
+from .asymptotics import floor_sinrs
 from .channel import rician_mixing
 from .config import SystemConfig
 from .links import build_unit_geometry, contamination_weights, los_allowed
@@ -206,7 +206,7 @@ def nse_of_gammas(gammas: np.ndarray, K: int, T: int) -> float:
     prelog = 1.0 - K / T
     if prelog <= 0.0:
         return 0.0
-    per_panel = np.sum(rate_log(1.0 + gammas), axis=-1)
+    per_panel = np.sum(np.log2(1.0 + gammas), axis=-1)
     return float(prelog * np.mean(per_panel))
 
 

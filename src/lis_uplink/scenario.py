@@ -194,26 +194,18 @@ def place_devices(
     )
 
 
-def _lattice_offsets(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Centered lattice offsets along the horizontal (local x) and vertical
-    (local y) axes; index m = iv * sqrt(M) + ih matches the Kronecker order
-    of the steering vectors."""
-    side = config.m_side
-    idx = np.arange(side)
-    off = (idx + 0.5) * config.spacing - 0.5 * side * config.spacing
-    return off, off  # horizontal, vertical share the square geometry
-
-
 def unit_antenna_grid(
     deployment: Deployment, config: SystemConfig, n: int, k: int
 ) -> np.ndarray:
     """All M antenna positions of unit (n, k), shape (M, 3), global frame,
-    ordered m = iv * sqrt(M) + ih."""
-    off_h, off_v = _lattice_offsets(config)
+    on a square lattice centered on the unit: local x is the horizontal
+    index ih, local y the vertical index iv, and the order m = iv * sqrt(M)
+    + ih matches the Kronecker order of the steering vectors."""
     side = config.m_side
+    off = (np.arange(side) + 0.5) * config.spacing - 0.5 * side * config.spacing
     local = np.zeros((side, side, 3))
-    local[..., 0] = off_h[np.newaxis, :]
-    local[..., 1] = off_v[:, np.newaxis]
+    local[..., 0] = off[np.newaxis, :]
+    local[..., 1] = off[:, np.newaxis]
     local = local.reshape(config.M, 3) + deployment.unit_centers_local[n, k]
     return deployment.frames[n].to_global(local)
 

@@ -483,6 +483,19 @@ class TestSingleLisTwin:
                           "twins": blocks}
         assert (units, blocks) == (32, 96)
 
+    def test_fig6b_is_fig6_plus_exact_filter_curves(self):
+        """fig6b and fig6 share the panel-0 reduction and read the same
+        streams: with a theory stride set, fig6b's records less its
+        exact-filter ones are fig6's, in order."""
+        _, _, overrides = CASES["fig6"]
+        assert overrides["experiment.theory_stride"] == 2
+        got, want = (run_experiment(preset_run_config(exp_id, seed=SEED).with_overrides(overrides))
+                     for exp_id in ("fig6b", "fig6"))
+        assert any(r.label.endswith(" perfect CSI") for r in got.records)
+        assert any(r.label.startswith("Theorem") for r in got.records)
+        assert ([r for r in got.records if not r.label.endswith(" perfect CSI")]
+                == want.records)
+
 
 class TestRunExperiment:
     def test_se_variance_smoke(self):
@@ -662,6 +675,8 @@ class TestWorkerCountInvariance:
         ).with_overrides({"placement.pool_size": 6})),
         "asymptotic": (run_asymptotic, lambda: _shrunk(
             "fig5", seed=2, sweep=(16.0,), realizations=2, placements=2)),
+        "fig6b": (run_experiment, lambda: _shrunk(
+            "fig6b", seed=4, sweep=(16.0,), realizations=2, placements=2)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
