@@ -29,8 +29,9 @@ def cgauss(rng, *shapes):
     block and then its imaginary block, so the stream is consumed as by
     two calls per shape in that order. Scaling each part by 1/sqrt(2) is
     (re + 1j im) / sqrt(2) bit for bit: numpy divides a complex number by a
-    real one by multiplying with its reciprocal. ``rng`` may also be a
-    sequence of generators, each filling one row of a new leading axis."""
+    real one by multiplying with its reciprocal. ``rng`` may also be a sized
+    iterable of generators (``links.Substreams``), each filling one row of a
+    new leading axis before the next is taken."""
     batched = not isinstance(rng, np.random.Generator)
     rngs = rng if batched else [rng]
     shapes = [(s,) if isinstance(s, (int, np.integer)) else tuple(s) for s in shapes]

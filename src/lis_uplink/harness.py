@@ -33,11 +33,13 @@ fig4 and the moment oracle redraw a unit's fading R times on one frozen
 block. ``_refade_chunks`` draws each realization's fading and noise from
 its own stream in one ``cgauss`` row, in chunks whose channels (16 N K M
 bytes per draw) fit ``_REFADE_CHUNK_BYTES``; one ``BlockKernel`` serves a
-whole chunk, fig4's twin included.
+whole chunk, fig4's twin included. A unit's R streams are hashed in one
+``stream_words`` pass and opened in turn on one generator (``Substreams``).
 
 Randomness is addressed, not sequenced: every placement and every
-(block, unit) pair gets its own seed-derived substream (``_unit_rng`` is
-the one block-stream address), so results do not depend on scheduling.
+(block, unit) pair gets its own seed-derived substream (the address of
+``_unit_rng``; a refade r is block r + 1), so results do not depend on
+scheduling.
 ``_run`` maps a reduction over placements; records are concatenated in
 placement order and aggregated with fixed-order reductions, which makes
 output files byte-identical for any worker count.
@@ -84,12 +86,14 @@ from .config import (
 from .links import (
     DOMAIN_BLOCK,
     BlockKernel,
+    Substreams,
     build_unit_geometry,
     draw_unit_block,
     make_unit_stats,
     placement_rng,
     slice_stats,
     stream,
+    stream_words,
 )
 from .optimize import expected_floor_table, nse_of_gammas, optimal_num_devices
 from .scenario import place_devices
@@ -265,13 +269,15 @@ def _refade_chunks(spec: ExperimentSpec, cfg: SystemConfig, p: int, R: int, n: i
     """Fresh fading and noise of realizations 0..R-1 of unit (n, k) on the
     frozen block-0 condition, r from stream address b = r + 1, in chunks:
     yields (realization slice, g (c, N, K, P), w (c, M)) with c as many
-    draws as fit their channels in ``_REFADE_CHUNK_BYTES``."""
+    draws as fit their channels in ``_REFADE_CHUNK_BYTES``. The streams are
+    hashed and opened per call, not per chunk: at large M a chunk is a draw."""
     chunk = max(1, _REFADE_CHUNK_BYTES // (16 * cfg.N * cfg.K * cfg.M))
+    streams = Substreams(
+        stream_words(spec.system.seed, DOMAIN_BLOCK, p, np.arange(1, R + 1), n, k))
     for start in range(0, R, chunk):
-        rs = range(start, min(start + chunk, R))
-        g, w = cgauss([_unit_rng(spec.system.seed, p, r + 1, n, k) for r in rs],
-                      (cfg.N, cfg.K, cfg.P), (cfg.M,))
-        yield slice(rs.start, rs.stop), g, w
+        rs = slice(start, min(start + chunk, R))
+        g, w = cgauss(streams[rs], (cfg.N, cfg.K, cfg.P), (cfg.M,))
+        yield rs, g, w
 
 
 def _sweep_points(spec: ExperimentSpec, p: int):

@@ -63,6 +63,70 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
+# numpy's SeedSequence pool hash (uint32) and PCG64's 128-bit seeding step
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hasher(const: int, mult: int):  # SeedSequence's hashmix over uint32 arrays
+    def hashmix(value):
+        nonlocal const
+        value, const = value ^ np.uint32(const), const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+    return hashmix
+
+
+def stream_words(seed: int, *key) -> np.ndarray:
+    """(*batch, 4) uint64 seeding words of ``stream(seed, *key)``, key words
+    broadcast as arrays: ``SeedSequence(seed, spawn_key=key).generate_state(4,
+    uint64)`` row for row, in one hash pass. ValueError for a negative seed
+    or a key word past one entropy word, [0, 2**32)."""
+    if seed < 0 or any(np.any((np.asarray(w) < 0) | (np.asarray(w) > _MASK32)) for w in key):
+        raise ValueError(f"seed must be >= 0 and stream key words in [0, 2**32): {seed}, {key}")
+    run = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    shape = np.broadcast_shapes(*map(np.shape, key))
+    # the seed's words, zero-padded to the pool, then the key's words
+    entropy = [np.full(math.prod(shape), word, dtype=np.uint32)
+               for word in run + [0] * (4 - len(run))]
+    entropy += [np.broadcast_to(w, shape).astype(np.uint32).ravel() for w in key]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src, word in enumerate(entropy):  # the pool mixes itself, then the words past it
+        for dst in (d for d in range(4) if d != src):
+            mixed = pool[dst] * np.uint32(0xCA01F9DD)
+            mixed -= hashmix(pool[src] if src < 4 else word) * np.uint32(0x4973F715)
+            pool[dst] = mixed ^ mixed >> 16
+    out = _hasher(0x8B51F9DD, 0x58F38DED)  # generate_state: 8 words cycling the pool
+    state = np.stack([out(pool[i % 4]) for i in range(8)], axis=-1).astype("<u4")
+    return state.view("<u8").astype(np.uint64).reshape(*shape, 4)
+
+
+class Substreams:
+    """The streams of the ``stream_words`` rows `words`, opened in turn on
+    one reused generator `gen`: iterating sets it to each row's state
+    (PCG64's seeding step in Python integers) and yields it, so a row is
+    drawn before the next is opened. Slicing keeps `gen`."""
+
+    def __init__(self, words: np.ndarray, gen: np.random.Generator | None = None):
+        self.words = words
+        self.gen = np.random.Generator(np.random.PCG64(0)) if gen is None else gen
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, rows: slice) -> Substreams:
+        return Substreams(self.words[rows], self.gen)
+
+    def __iter__(self):
+        for s_hi, s_lo, i_hi, i_lo in self.words.tolist():
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = {"state": ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, "inc": inc}
+            self.gen.bit_generator.state = {"bit_generator": "PCG64", "state": state,
+                                            "has_uint32": 0, "uinteger": 0}
+            yield self.gen
+
+
 def placement_rng(seed: int, placement_idx: int) -> np.random.Generator:
     return stream(seed, DOMAIN_PLACEMENT, placement_idx)
 

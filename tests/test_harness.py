@@ -256,11 +256,25 @@ class TestAdmittedPrefix:
         assert got.extras == whole.extras
 
 
+class _Recorded:
+    """A generator that appends its state to `states` after every normal
+    draw, which is where a refade row's stream ends."""
+
+    def __init__(self, gen, states):
+        self.gen, self.states = gen, states
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.gen.standard_normal(*args, **kwargs)
+        self.states.append(self.gen.bit_generator.state)
+        return out
+
+
 class TestRefadeChunks:
     """fig4 and the oracle draw R fresh (g, w) pairs on one frozen block,
     each from its own stream in one normal draw, and build one kernel per
-    chunk of them, not one per draw. fig4's kernel serves two systems, the
-    multi-LIS unit and its single-LIS twin."""
+    chunk of them, not one per draw. The R streams are hashed in one pass
+    and opened on one generator per (unit, sweep point). fig4's kernel
+    serves two systems, the multi-LIS unit and its single-LIS twin."""
 
     @given(N=st.integers(1, 3), K=st.integers(1, 3), P=st.integers(1, 4),
            M=st.integers(1, 40), R=st.integers(1, 12), draws=st.integers(0, 5),
@@ -271,20 +285,26 @@ class TestRefadeChunks:
         spec = SimpleNamespace(system=SimpleNamespace(seed=seed))
         cfg = SimpleNamespace(N=N, K=K, P=P, M=M)
         p, n, k = 2, N - 1, K - 1
-        opened = []
-        unit_rng = hz._unit_rng
+        ends, gens, opened = [], [], []
+        iterate, unit_rng = links.Substreams.__iter__, hz._unit_rng
 
-        def recording(*args):
+        def recording_rows(streams):
+            for gen in iterate(streams):
+                gens.append(gen)
+                yield _Recorded(gen, ends)
+
+        def recording_rng(*args):
             opened.append(unit_rng(*args))
             return opened[-1]
 
         with mock.patch.object(hz, "_REFADE_CHUNK_BYTES", budget), \
-                mock.patch.object(hz, "_unit_rng", recording):
+                mock.patch.object(links.Substreams, "__iter__", recording_rows), \
+                mock.patch.object(hz, "_unit_rng", recording_rng):
             chunks = list(hz._refade_chunks(spec, cfg, p, R, n, k))
-            engine = opened[:]
+            assert opened == []
             want = [reference.refades(spec, cfg, p, r, n, k) for r in range(R)]
-        oracle = opened[R:]
-        assert len(engine) == len(oracle) == R
+        assert len(opened) == len(gens) == len(ends) == R
+        assert len({id(gen) for gen in gens}) == 1
         assert [(rs.start, rs.stop) for rs, _, _ in chunks] == [
             (a, min(a + max(1, draws), R)) for a in range(0, R, max(1, draws))]
         g = np.concatenate([g for _, g, _ in chunks])
@@ -293,8 +313,8 @@ class TestRefadeChunks:
         assert np.array_equal(g.view(np.uint64), np.stack([g for g, _ in want]).view(np.uint64))
         assert np.array_equal(w.view(np.uint64), np.stack([w for _, w in want]).view(np.uint64))
         # every realization's stream is left where the two-call draws leave it
-        for a, b in zip(engine, oracle):
-            assert a.bit_generator.state == b.bit_generator.state
+        for end, rng in zip(ends, opened):
+            assert end == rng.bit_generator.state
 
     @pytest.mark.parametrize("exp_id, systems", [("oracle", 1), ("fig4", 2)])
     def test_one_kernel_per_chunk_and_one_refade_per_realization(self, exp_id, systems,
@@ -304,7 +324,7 @@ class TestRefadeChunks:
             "experiment.sweep_values": list(Ms), "experiment.realizations": R,
             "experiment.placements": 1})
         N, K = rc.system.N, rc.system.K
-        counts = {}
+        counts, gens = {}, []
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -313,21 +333,34 @@ class TestRefadeChunks:
                 return fn(*args, **kwargs)
             return wrapper
 
+        iterate = links.Substreams.__iter__
+
+        def recording_rows(streams):
+            for gen in iterate(streams):
+                gens.append(gen)
+                yield gen
+
         monkeypatch.setattr(hz, "BlockKernel", counting("kernels", hz.BlockKernel))
         monkeypatch.setattr(hz, "_unit_rng", counting("streams", hz._unit_rng))
+        monkeypatch.setattr(hz, "stream_words", counting("hashes", hz.stream_words))
+        monkeypatch.setattr(links.Substreams, "__iter__", recording_rows)
         records = []
         # the default budget, then one that splits M = 16 into chunks of 3
         # draws and leaves one draw per chunk at M = 36
         for budget in (hz._REFADE_CHUNK_BYTES, 3 * 16 * N * K * 16):
             monkeypatch.setattr(hz, "_REFADE_CHUNK_BYTES", budget)
-            counts.update(kernels=0, streams=0, twins=0)
+            counts.update(kernels=0, streams=0, twins=0, hashes=0)
+            gens.clear()
             records.append(run_experiment(rc).records)
             chunk = {M: max(1, budget // (16 * N * K * M)) for M in Ms}
             chunks = sum(math.ceil(R / chunk[M]) for M in Ms)
             # fig4's one kernel per chunk also carries the twin's products;
-            # each M opens the frozen block's stream, then one per realization
+            # each M opens the frozen block's stream and hashes its R refade
+            # streams once, whatever the chunking
             assert counts == {"kernels": chunks, "twins": (systems - 1) * chunks,
-                              "streams": (1 + R) * len(Ms)}
+                              "streams": len(Ms), "hashes": len(Ms)}
+            # one generator per M, reseeded for each of its realizations
+            assert len(gens) == R * len(Ms) and len({id(gen) for gen in gens}) == len(Ms)
         assert records[0] == records[1]
 
 

@@ -25,7 +25,7 @@ from lis_uplink import (
 )
 from lis_uplink.channel import cgauss
 from lis_uplink.harness import _unit_rng
-from lis_uplink.links import los_phase, slice_stats, stream
+from lis_uplink.links import Substreams, los_phase, slice_stats, stream, stream_words
 
 import reference
 from conftest import assert_close
@@ -58,6 +58,53 @@ class TestStreams:
         p = placement_rng(0, 0).random(4)
         b = _unit_rng(0, 0, 0, 0, 0).random(4)
         assert not np.array_equal(p, b)
+
+
+# seeds of one, two and three entropy words, and past the four-word pool
+_SEEDS = (st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3]) | st.integers(0, 2**96)
+          | st.integers(2**128, 2**200))
+_KEY_WORDS = st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+
+
+class TestBatchedStreams:
+    """``stream_words`` hashes a batch of stream addresses in one pass as
+    SeedSequence hashes each, and ``Substreams`` opens every row on one
+    generator in the state ``stream`` builds for it."""
+
+    @given(seed=_SEEDS, head=st.lists(_KEY_WORDS, max_size=3),
+           varying=st.lists(_KEY_WORDS, min_size=1, max_size=8),
+           tail=st.lists(_KEY_WORDS, max_size=3), cut=st.integers(0, 8))
+    def test_streams_equal_numpy_state_by_state(self, seed, head, varying, tail, cut):
+        words = stream_words(seed, *head, np.array(varying), *tail)
+        assert words.shape == (len(varying), 4) and words.dtype == np.uint64
+        keys = [(*head, word, *tail) for word in varying]
+        seqs = [np.random.SeedSequence(seed, spawn_key=key) for key in keys]
+        assert np.array_equal(words, [seq.generate_state(4, np.uint64) for seq in seqs])
+        assert np.array_equal(stream_words(seed, *keys[0]), words[0])
+        streams = Substreams(words)
+        for seq, gen in zip(seqs, streams):
+            want = np.random.PCG64(seq)
+            assert gen.bit_generator.state == want.state
+            assert np.array_equal(gen.standard_normal(5), np.random.Generator(want).standard_normal(5))
+        # drawn rows, whole and through a slice of the same streams
+        g, w = cgauss(streams, (2, 3), (4,))
+        for r, key in enumerate(keys):
+            g_r, w_r = cgauss(stream(seed, *key), (2, 3), (4,))
+            assert np.array_equal(g[r].view(np.uint64), g_r.view(np.uint64))
+            assert np.array_equal(w[r].view(np.uint64), w_r.view(np.uint64))
+        tail_rows = cgauss(streams[cut:], (3,))
+        assert np.array_equal(tail_rows.view(np.uint64), cgauss(streams, (3,))[cut:].view(np.uint64))
+
+    @pytest.mark.parametrize("word", [-1, 2**32, 2**64])
+    def test_key_word_of_more_than_one_entropy_word_rejected(self, word):
+        with pytest.raises(ValueError, match="key words"):
+            stream_words(0, 1, np.array([0, word]))
+        with pytest.raises(ValueError, match="key words"):
+            stream_words(0, word, np.arange(3))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            stream_words(-1, 1, np.arange(3))
 
 
 class TestBlockDraw:
