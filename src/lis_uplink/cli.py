@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .asymptotics import build_moment_set, theorem1_sse
-from .config import ConfigError, RunConfig, load_config, parse_override
+from .config import ConfigError, RunConfig, json_text, load_config, parse_override
 from .harness import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -118,7 +117,7 @@ def _optimizer_spec(rc: RunConfig) -> ExperimentSpec:
 
 
 def _write_json(args, name: str, payload: dict) -> int:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json_text(payload)
     print(text)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -277,15 +277,23 @@ class RunConfig:
 
 
 def _jsonable(value: Any) -> Any:
-    """JSON-ready copy of a value: string keys, tuples as lists, numpy
-    scalars and arrays as Python numbers and lists."""
+    """JSON-ready copy of a value: string keys, tuples and numpy arrays as
+    lists, numpy scalars as Python ones, non-finite floats as None."""
     if isinstance(value, dict):
         return {str(key): _jsonable(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.generic, np.ndarray)):
-        return value.tolist()
+        return _jsonable(value.tolist())
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
+
+
+def json_text(value: Any) -> str:
+    """Text of every JSON file the package writes: ``_jsonable``'s copy of
+    `value` as strict JSON (``null`` for non-finite), indented, keys sorted."""
+    return json.dumps(_jsonable(value), allow_nan=False, indent=2, sort_keys=True)
 
 
 def _coerce(dotted: str, annotation, value: Any) -> Any:

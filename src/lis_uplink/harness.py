@@ -62,13 +62,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
+import itertools
 import math
 import numbers
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,7 +82,7 @@ from .config import (
     PlacementConfig,
     RunConfig,
     SystemConfig,
-    _jsonable,
+    json_text,
 )
 from .links import (
     DOMAIN_BLOCK,
@@ -167,8 +168,7 @@ class ExperimentSpec(RunConfig):
         return cls(system=rc.system, layout=rc.layout, placement=rc.placement, experiment=resolved)
 
 
-@dataclass(frozen=True)
-class RawRecord:
+class RawRecord(NamedTuple):
     """One per-realization sample of one curve."""
 
     sweep_value: float
@@ -543,17 +543,11 @@ EXPERIMENTS = {
 }
 
 
-def _task(task):
-    reduce, spec, p = task
-    return reduce(spec, p)
-
-
 def _run(spec: ExperimentSpec, reduce, workers: int) -> ExperimentResult:
     """Map a reduction over placements; records are concatenated in
     placement order, so outputs do not depend on the worker count."""
-    tasks = [(reduce, spec, p) for p in range(spec.experiment.placements)]
-    outs = _pmap(_task, tasks, workers)
-    records = [RawRecord(*rec) for recs, _ in outs for rec in recs]
+    outs = _pmap(functools.partial(reduce, spec), range(spec.experiment.placements), workers)
+    records = [RawRecord._make(rec) for recs, _ in outs for rec in recs]
     extras = {"placements": [extras for _, extras in outs]}
     return ExperimentResult(spec=spec, records=records, summaries=summarize(records), extras=extras)
 
@@ -596,12 +590,12 @@ def _slug(label: str) -> str:
 
 def write_outputs(result: ExperimentResult, out_dir) -> list[Path]:
     """Write one CSV per curve, the optional raw-record CSV, and the JSON
-    manifest (config echo, seed, content hash). Bytes depend only on the
-    result content, never on worker scheduling."""
+    manifest (config echo, seed, content hash; strict JSON, ``null`` for a
+    non-finite value). Bytes depend only on the result content, never on
+    worker scheduling."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     exp_id = result.spec.experiment.id
-    rc = result.spec
     files: list[Path] = []
 
     def write_csv(name, header, lines):
@@ -609,11 +603,10 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[Path]:
         path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
         files.append(path)
 
-    for label in sorted({s.label for s in result.summaries}):
+    # summarize sorts by (label, sweep value): each label's rows are one run
+    for label, rows in itertools.groupby(result.summaries, key=lambda s: s.label):
         if "," in label:
             raise ValueError(f"curve label may not contain a comma: {label!r}")
-        rows = sorted((s for s in result.summaries if s.label == label),
-                      key=lambda s: s.sweep_value)
         write_csv(f"{exp_id}_{_slug(label)}.csv", CSV_HEADER, [
             f"{_fmt(s.sweep_value)},{_fmt(s.mean)},{_fmt(s.variance)},"
             f"{_fmt(s.stderr)},{s.count},{s.label}" for s in rows])
@@ -625,14 +618,14 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[Path]:
     manifest = {
         "experiment_id": exp_id,
         "sweep_variable": EXPERIMENTS[exp_id].variable,
-        "seed": rc.system.seed,
-        "config": rc.to_dict(),
-        "config_hash": rc.content_hash(),
+        "seed": result.spec.system.seed,
+        "config": result.spec.to_dict(),
+        "config_hash": result.spec.content_hash(),
         "outputs": [f.name for f in files],
-        "extras": _jsonable(result.extras),
+        "extras": result.extras,
     }
     mpath = out / f"{exp_id}_manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    mpath.write_text(json_text(manifest) + "\n", encoding="utf-8")
     files.append(mpath)
     return files
 

@@ -1,17 +1,18 @@
 """Every public name of ``lis_uplink`` is used by the package itself.
 
 A name exported from ``lis_uplink``, a public method or property of an
-exported class, or a dataclass field of one, that no module of the package
-refers to is reached only from tests; such code belongs in
-``tests/reference.py`` as an oracle, or nowhere. The scan collects every
-``Name`` and ``Attribute`` node of the package's modules (``__init__.py``,
-which only re-exports, excluded); a field counts as used only when some
-module loads it as an attribute.
+exported class, or a field of one (a dataclass's or a ``NamedTuple``'s),
+that no module of the package refers to is reached only from tests; such
+code belongs in ``tests/reference.py`` as an oracle, or nowhere. The scan
+collects every ``Name`` and ``Attribute`` node of the package's modules
+(``__init__.py``, which only re-exports, excluded); a field counts as used
+only when some module loads it as an attribute.
 
 The scan matches by attribute name, so a field also passes when another
 class has a field of the same name that is read. The run-time check
 attributes every read to its class instead: it runs the golden cases and
-the optimizer front ends with every exported dataclass instrumented.
+the optimizer front ends with every exported class that has fields
+instrumented.
 """
 
 import ast
@@ -67,6 +68,14 @@ def test_every_public_name_is_used_inside_the_package():
     assert unused == [], f"exported but unused inside lis_uplink: {unused}"
 
 
+def _field_names(cls) -> tuple:
+    """Field names of a dataclass or a ``NamedTuple`` class; () for any
+    other class."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return cls._fields if issubclass(cls, tuple) and hasattr(cls, "_fields") else ()
+
+
 def _public_members(cls) -> set:
     """Public methods and properties a class defines itself."""
     return {
@@ -93,12 +102,12 @@ def test_every_dataclass_field_of_an_exported_class_is_read_inside_the_package()
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     fields = {
-        f"{name}.{f.name}"
-        for name, cls in _exported_classes().items() if dataclasses.is_dataclass(cls)
-        for f in dataclasses.fields(cls)
+        f"{name}.{field}"
+        for name, cls in _exported_classes().items() for field in _field_names(cls)
     }
+    assert "RawRecord.label" in fields
     unread = sorted(f for f in fields if f.split(".")[1] not in loaded and f not in EXEMPT)
-    assert unread == [], f"dataclass fields no package code reads: {unread}"
+    assert unread == [], f"fields no package code reads: {unread}"
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,12 +118,13 @@ def _in_package(filename: str) -> bool:
 def test_every_dataclass_field_of_an_exported_class_is_read_at_run_time(monkeypatch, tmp_path):
     """Runs every golden case (raw records on, output files written) and
     the four optimizer CLI cases with ``__getattribute__`` of each exported
-    dataclass hooked. A field counts as read only when the reading code
-    sits in a package module: reads from ``dataclasses`` (``replace``,
-    ``asdict``), from the generated dunder methods and from tests do not
-    count."""
-    classes = [cls for cls in _exported_classes().values() if dataclasses.is_dataclass(cls)]
-    names = {cls: {f.name for f in dataclasses.fields(cls)} for cls in classes}
+    dataclass and ``NamedTuple`` hooked. A field counts as read only when
+    the reading code sits in a package module: reads from ``dataclasses``
+    (``replace``, ``asdict``), from the generated dunder methods and from
+    tests do not count, and neither does unpacking a record as a tuple."""
+    classes = [cls for cls in _exported_classes().values() if _field_names(cls)]
+    assert lis_uplink.RawRecord in classes
+    names = {cls: set(_field_names(cls)) for cls in classes}
     read = set()
 
     def hook(self, name):
@@ -135,4 +145,4 @@ def test_every_dataclass_field_of_an_exported_class_is_read_at_run_time(monkeypa
 
     unread = sorted(f"{cls.__name__}.{name}" for cls in classes for name in names[cls]
                     if (cls, name) not in read and f"{cls.__name__}.{name}" not in EXEMPT)
-    assert unread == [], f"dataclass fields no package code reads in a run: {unread}"
+    assert unread == [], f"fields no package code reads in a run: {unread}"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from lis_uplink.config import (
     PlacementConfig,
     RunConfig,
     SystemConfig,
+    json_text,
     load_config,
     parse_override,
 )
@@ -143,6 +145,12 @@ class TestRunConfig:
         assert a.content_hash() == RunConfig().content_hash()
         assert a.content_hash() != b.content_hash()
         assert len(a.content_hash()) == 40  # git-style sha1 hex
+
+    def test_json_text_is_strict_with_null_for_non_finite_values(self):
+        value = {"b": np.array([[1.0, np.inf], [-np.inf, np.nan]]), "a": (np.float64(np.nan), 2)}
+        text = json_text(value)
+        assert json.loads(text) == {"a": [None, 2], "b": [[1.0, None], [None, None]]}
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
 
     def test_canonical_json_is_sorted_and_parseable(self):
         text = RunConfig().canonical_json()

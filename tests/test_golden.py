@@ -5,14 +5,14 @@ tiny scale, compared against stored expectations.
 Each case's summary rows (label, sweep value and count exactly; mean,
 variance and stderr at rtol 1e-12) and its manifest ``extras`` are kept
 in ``tests/golden/<case>.json``; an optimizer case keeps the JSON file the
-command writes. A refactor of the engine must leave these
-unchanged. Regenerate them only for an intended change of outputs, and
-record that change in CHANGES.md:
+command writes. Extras are kept as the manifest writes them, strict JSON
+with ``null`` for a non-finite value. A refactor of the engine must leave
+these unchanged. Regenerate them only for an intended change of outputs,
+and record that change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lis_uplink import preset_run_config, run_asymptotic, run_experiment
-from lis_uplink import harness as hz
+from lis_uplink import preset_run_config, run_asymptotic, run_experiment, write_outputs
 from lis_uplink.cli import main
+from lis_uplink.config import _jsonable
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SEED = 3
@@ -89,8 +89,9 @@ def _observe(case: str) -> dict:
     result = runner(preset_run_config(exp_id, seed=SEED).with_overrides(overrides))
     rows = [[s.label, s.sweep_value, s.count, s.mean, s.variance, s.stderr]
             for s in result.summaries]
-    # the manifest's view of the extras: JSON types, string keys
-    extras = json.loads(json.dumps(hz._jsonable(result.extras)))
+    # the manifest's view of the extras: JSON types, string keys, None for
+    # a non-finite value
+    extras = json.loads(json.dumps(_jsonable(result.extras)))
     return {"rows": rows, "extras": extras}
 
 
@@ -142,11 +143,44 @@ def test_optimizer_matches_golden(case, tmp_path, capsys):
     _assert_same(actual, expected, case)
 
 
+def _strict_loads(text: str):
+    """``json.loads`` that rejects ``NaN``, ``Infinity`` and ``-Infinity``,
+    as ``JSON.parse`` and ``jq`` do."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+# case -> where a non-finite value lands in its JSON: the oracle's
+# serving-link Rician factor, and the unbounded floor NSE of one device
+# with no interferer on fig8's (placement 1) and optimize-k's curves
+NULL_AT = {
+    "oracle": lambda doc: doc["extras"]["placements"][0]["oracle"][0]["kappa"][0][0],
+    "fig8": lambda doc: doc["extras"]["placements"][1]["det_curve"][0],
+    "optimize-k-nlos_inter": lambda doc: doc["nse_curve"][0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NULL_AT))
+def test_json_outputs_are_strict(case, tmp_path, capsys):
+    if case in CASES:
+        runner, exp_id, overrides = CASES[case]
+        files = write_outputs(runner(preset_run_config(exp_id, seed=SEED).with_overrides(
+            overrides)), tmp_path)
+        [manifest] = [f for f in files if f.suffix == ".json"]
+        texts = [manifest.read_text(encoding="utf-8")]
+    else:
+        # the file and the copy printed on stdout
+        texts = [_run_optimizer(case, tmp_path), capsys.readouterr().out]
+    for text in texts:
+        assert NULL_AT[case](_strict_loads(text)) is None
+
+
 def _records(case: str) -> list:
     """Every raw record of a golden case, in run order."""
     runner, exp_id, overrides = CASES[case]
     result = runner(preset_run_config(exp_id, seed=SEED).with_overrides(overrides))
-    return [dataclasses.astuple(r) for r in result.records]
+    return [tuple(r) for r in result.records]
 
 
 def test_records_independent_of_blas_thread_count():

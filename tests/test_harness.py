@@ -281,7 +281,7 @@ class TestRefadeChunks:
            spare=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
     def test_chunks_equal_per_realization_oracle(self, N, K, P, M, R, draws, spare, seed):
         # a budget of `draws` draws' channels plus a spare fraction of one
-        budget = int(16 * N * K * M * (draws + spare))
+        budget = 16 * N * K * M * draws + int(16 * N * K * M * spare)
         spec = SimpleNamespace(system=SimpleNamespace(seed=seed))
         cfg = SimpleNamespace(N=N, K=K, P=P, M=M)
         p, n, k = 2, N - 1, K - 1
@@ -485,8 +485,7 @@ class TestSingleLisTwin:
         got = run_experiment(rc)
         want = hz._run(ExperimentSpec.from_run_config(rc), oracle, workers=1)
         assert any("single-LIS" in r.label for r in got.records)
-        assert ([dataclasses.astuple(r) for r in got.records]
-                == [dataclasses.astuple(r) for r in want.records])
+        assert [tuple(r) for r in got.records] == [tuple(r) for r in want.records]
         assert got.extras == want.extras
 
     def test_fig6b_work_counts(self, monkeypatch):
