@@ -153,48 +153,54 @@ class UnitLinkGeometry:
         return float(self.beta2_sum[self.n, self.k])
 
 
-def los_phase(d: np.ndarray, lam: float) -> np.ndarray:
-    """exp(-2j pi d / lam), written as the cosine and sine of one real
-    argument into the real and imaginary parts of the result.
-
-    Equal bit for bit to the complex form: dividing a complex array by a
-    real scalar multiplies both parts by its reciprocal, and the complex
-    exponential of 0 + iy is (cos y, sin y)."""
-    x = np.multiply(d, -2.0 * np.pi)
-    x *= 1.0 / lam
-    out = np.empty(x.shape, dtype=complex)
-    np.cos(x, out=out.real)
-    np.sin(x, out=out.imag)
+def los_phase(d: np.ndarray, lam: float, gain: np.ndarray) -> np.ndarray:
+    """LOS vectors gain * exp(-2j pi d / lam) from the half-angle tangent
+    t = tan(-pi d / lam): real part gain (1 - t^2)/(1 + t^2), imaginary part
+    gain 2t/(1 + t^2). numpy's float64 tan is SIMD where it dispatches
+    AVX-512 (libm elsewhere, still one transcendental instead of cos and
+    sin), so the result matches the complex form to ~1e-16 but may differ
+    between hosts by a few ulp; it does not depend on how `d` is sliced."""
+    t = np.multiply(d, -np.pi)
+    t *= 1.0 / lam  # half the argument -2 pi d / lam, exactly
+    np.tan(t, out=t)
+    out = np.empty(t.shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.multiply(t, t, out=re)
+    np.divide(gain, np.add(re, 1.0, out=im), out=im)
+    np.subtract(1.0, re, out=re)
+    re *= im
+    im *= np.multiply(t, 2.0, out=t)
     return out
 
 
 def build_unit_geometry(
     deployment: Deployment, config: SystemConfig, n: int, k: int
 ) -> UnitLinkGeometry:
-    antennas = unit_antenna_grid(deployment, config, n, k)
-    normal = deployment.frames[n].normal
+    frame = deployment.frames[n]
+    perm = np.abs(frame.rotation)
+    if not np.array_equal(perm @ perm.T, np.eye(3)):
+        raise ValueError(f"panel {n} rotation is not a signed axis permutation")
     # z: perpendicular offset of every device to panel n's plane
-    z = np.einsum("lji,i->lj", deployment.devices - deployment.frames[n].origin, normal)
+    z = np.einsum("lji,i->lj", deployment.devices - frame.origin, frame.normal)
     if np.any(z <= 0):
         raise ValueError("every device must lie on the front side of every panel plane")
-    # squared distances summed one axis at a time in one scratch buffer,
-    # which then holds beta: no (N, K, M, 3) array
-    d = np.zeros(z.shape + antennas.shape[:1])
-    scratch = np.empty_like(d)
-    for axis in range(3):
-        np.subtract(deployment.devices[:, :, axis, np.newaxis], antennas[:, axis], out=scratch)
-        scratch *= scratch
-        d += scratch
-    np.sqrt(d, out=d)
+    # each global axis runs along one local axis (local x along the (iv, ih)
+    # lattice's ih, y along iv, z along neither), so its squared offsets
+    # take one lattice row and are added into d by broadcasting
+    side = config.m_side
+    grid = unit_antenna_grid(deployment, config, n, k).reshape(side, side, 3)
+    d = np.zeros(z.shape + (side, side))
+    for axis, local in enumerate(perm.argmax(axis=1)):
+        d += np.square(deployment.devices[:, :, axis, np.newaxis, np.newaxis]
+                       - grid[:1 if local != 1 else None, :1 if local != 0 else None, axis])
+    d = np.sqrt(d, out=d).reshape(*z.shape, config.M)
     # beta = sqrt(z / d) / sqrt(4 pi d^2)
-    beta = np.sqrt(np.divide(z[:, :, np.newaxis], d, out=scratch), out=scratch)
+    beta = np.divide(z[:, :, np.newaxis], d)
+    np.sqrt(beta, out=beta)
     spread = np.multiply(d, 4.0 * np.pi)
     spread *= d
     beta /= np.sqrt(spread, out=spread)
-    hlos = los_phase(d, config.lam)
-    # beta is real: scale real and imaginary parts alike
-    parts = hlos.view(np.float64).reshape(*beta.shape, 2)
-    parts *= beta[..., np.newaxis]
+    hlos = los_phase(d, config.lam, beta)
     beta2 = np.multiply(beta, beta, out=beta)  # beta is spent: square it in place
     cdist = center_distances(deployment, n, k)
     p = quarter_solid_angle(config.L, deployment.devices_local[n, k, 2])

@@ -23,9 +23,12 @@ Per-link oracles of the uplink model, one link or one unit at a time:
   center, off-boresight included, against ``scenario.pilot_snrs`` and
   ``data_snrs``.
 
-``moment_fields``, ``los_phase``, ``kernel_products`` and
-``dense_channels`` transcribe the ``einsum`` forms of the moment, kernel
-and sampling contractions on dense (N, K, M, P) roots. ``with_budget``
+``moment_fields``, ``kernel_products`` and ``dense_channels`` transcribe
+the ``einsum`` forms of the moment, kernel and sampling contractions on
+dense (N, K, M, P) roots. ``los_phase`` is the LOS phase in complex
+arithmetic and ``unit_distances`` a unit's distances summed over the
+three global axes of every antenna, against ``links.los_phase`` and
+``links.build_unit_geometry``. ``with_budget``
 swaps the link budget a unit's statistics carry, for tests that set their
 own transmit SNRs. ``prefix_stats`` cuts a unit's statistics to the first
 K devices per panel, against statistics built on ``Deployment.prefix(K)``.
@@ -86,6 +89,7 @@ from lis_uplink.scenario import (
     pilot_snrs,
     quarter_solid_angle,
     serving_power,
+    unit_antenna_grid,
 )
 
 
@@ -197,6 +201,17 @@ def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
 def los_phase(d: np.ndarray, lam: float) -> np.ndarray:
     """LOS phase exp(-2j pi d / lambda) in its complex-arithmetic form."""
     return np.exp(-2j * np.pi * d / lam)
+
+
+def unit_distances(deployment: Deployment, config, n: int, k: int) -> np.ndarray:
+    """(N, K, M) device-to-antenna distances of unit (n, k), the squared
+    offsets summed one global axis at a time over every antenna, against
+    the per-lattice-row sums of ``links.build_unit_geometry``."""
+    antennas = unit_antenna_grid(deployment, config, n, k)
+    d = np.zeros(deployment.devices.shape[:2] + antennas.shape[:1])
+    for axis in range(3):
+        d += np.square(deployment.devices[:, :, axis, np.newaxis] - antennas[:, axis])
+    return np.sqrt(d)
 
 
 def dense_channels(stats: UnitChannelStats, g: np.ndarray) -> np.ndarray:

@@ -8,9 +8,15 @@ in ``tests/golden/<case>.json``; an optimizer case keeps the JSON file the
 command writes. Extras are kept as the manifest writes them, strict JSON
 with ``null`` for a non-finite value. A refactor of the engine must leave
 these unchanged. Regenerate them only for an intended change of outputs,
-and record that change in CHANGES.md:
+and record that change in CHANGES.md. Name the cases whose outputs the
+change meant to move; with no name, every case is rewritten (an unknown
+name exits non-zero and lists the known cases):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
+
+The stored numbers are compared at rtol 1e-12, so a host with another
+BLAS or libm may rewrite the last digits of a case it regenerates: keep
+a regeneration to the cases that changed.
 """
 
 import json
@@ -203,16 +209,29 @@ def test_records_independent_of_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+def test_regeneration_rejects_an_unknown_case():
+    here = Path(__file__).resolve()
+    env = {**os.environ, "PYTHONPATH": str(here.parents[1] / "src")}
+    done = subprocess.run([sys.executable, str(here), "fig10"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode != 0
+    assert "fig10" in done.stderr and all(case in done.stderr for case in (*CASES, *OPTIMIZER_CASES))
+
+
 if __name__ == "__main__":
     import tempfile
 
+    known = [*sorted(CASES), *sorted(OPTIMIZER_CASES)]
+    names = sys.argv[1:] or known
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        sys.exit(f"unknown golden case {', '.join(unknown)}; known cases: {', '.join(known)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in sorted(CASES):
-        path = GOLDEN_DIR / f"{name}.json"
-        path.write_text(json.dumps(_observe(name), indent=1) + "\n", encoding="utf-8")
-        print(path)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(OPTIMIZER_CASES):
+        for name in names:
             path = GOLDEN_DIR / f"{name}.json"
-            path.write_text(_run_optimizer(name, tmp), encoding="utf-8")
+            if name in CASES:
+                path.write_text(json.dumps(_observe(name), indent=1) + "\n", encoding="utf-8")
+            else:
+                path.write_text(_run_optimizer(name, tmp), encoding="utf-8")
             print(path)

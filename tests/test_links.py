@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from lis_uplink import (
     BlockKernel,
     LayoutConfig,
+    LisFrame,
     SystemConfig,
     build_unit_geometry,
     data_snrs,
@@ -251,19 +252,73 @@ class TestUnitGeometryOracle:
                     assert_close(geom.beta2_sum[l, j], power, rtol=1e-12)
 
     @pytest.mark.parametrize("M", [16, 900])
-    def test_phase_equals_complex_form_bit_for_bit(self, M):
+    def test_phase_matches_complex_form(self, M):
         cfg = SystemConfig(M=M, K=3, N=4, seed=22)
         dep = place_devices(cfg, LayoutConfig(name="quad"), placement_rng(cfg.seed, 0))
         d = build_unit_geometry(dep, cfg, 1, 0).distances
-        assert np.array_equal(los_phase(d, cfg.lam), reference.los_phase(d, cfg.lam))
+        assert_close(los_phase(d, cfg.lam, 1.0), reference.los_phase(d, cfg.lam), rtol=0, atol=1e-15)
 
     @given(
         d=st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=64),
         lam=st.floats(1e-3, 10.0),
     )
-    def test_phase_equals_complex_form_for_any_distance(self, d, lam):
+    def test_phase_matches_complex_form_for_any_distance(self, d, lam):
         d = np.asarray(d)
-        assert np.array_equal(los_phase(d, lam), reference.los_phase(d, lam))
+        assert_close(los_phase(d, lam, 1.0), reference.los_phase(d, lam), rtol=0, atol=1e-15)
+
+    def test_phase_near_the_tangent_poles(self):
+        # argument -2 pi d / lam near 0, pi/2 and pi (where the half-angle
+        # tangent grows without bound), and near whole turns
+        ulp = np.spacing(1.0)
+        d = np.array([0.0, 1e-300, 1e-17, 1e-9, 0.25, 0.25 - ulp, 0.25 + ulp,
+                      0.5, 0.5 - ulp, 0.5 + ulp, 0.5 - 1e-9, 1.0, 1.5, 2.5, 1e3 + 0.5])
+        gain = np.linspace(0.5, 2.0, d.size)
+        want = gain * reference.los_phase(d, 1.0)
+        got = los_phase(d, 1.0, gain)
+        assert np.all(np.isfinite(got))
+        assert_close(got, want, rtol=0, atol=2e-15)
+        assert got[0] == gain[0]
+
+    def test_phase_of_a_slice_is_the_slice_of_the_phase(self):
+        # bit for bit, wherever an element falls in a SIMD body or tail
+        cfg = SystemConfig(M=900, K=5, N=4, seed=23)
+        dep = place_devices(cfg, LayoutConfig(name="quad"), placement_rng(cfg.seed, 0))
+        d = build_unit_geometry(dep, cfg, 2, 1).distances
+        gain = 1.0 / d
+        full = los_phase(d, cfg.lam, gain)
+        cuts = [np.s_[..., 1:], np.s_[..., :-3], np.s_[:, :, ::3], np.s_[1:, 2:5, 7:],
+                np.s_[..., ::-1], np.s_[3, 4, 5:12], np.s_[0, 0, :1]]
+        cuts += [np.s_[0, 0, start:start + 37] for start in range(9)]
+        for cut in cuts:
+            assert np.array_equal(los_phase(d[cut], cfg.lam, gain[cut]), full[cut]), cut
+
+    @pytest.mark.parametrize("M", [1, 16, 900])
+    @pytest.mark.parametrize("layout, N", [("quad", 4), ("line", 3)])
+    def test_distances_equal_three_axis_sum(self, layout, N, M):
+        cfg = SystemConfig(M=M, K=4, N=N, seed=24)
+        dep = place_devices(cfg, LayoutConfig(name=layout), placement_rng(cfg.seed, 0))
+        for n in range(N):  # panel 3 of the quad faces the others
+            for k in (0, 3):
+                assert np.array_equal(build_unit_geometry(dep, cfg, n, k).distances,
+                                      reference.unit_distances(dep, cfg, n, k)), (n, k)
+
+    def test_distances_under_any_signed_axis_permutation(self):
+        cfg = SystemConfig(M=16, K=3, N=1, seed=25)
+        dep = place_devices(cfg, LayoutConfig(name="line"), placement_rng(cfg.seed, 0))
+        # a quarter turn about the normal: local x runs along global y
+        quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        turned = dataclasses.replace(dep, frames=(LisFrame(dep.frames[0].origin, quarter),))
+        assert np.array_equal(build_unit_geometry(turned, cfg, 0, 1).distances,
+                              reference.unit_distances(turned, cfg, 0, 1))
+
+    def test_rotation_off_the_axes_rejected(self):
+        cfg = SystemConfig(M=16, K=3, N=1, seed=25)
+        dep = place_devices(cfg, LayoutConfig(name="line"), placement_rng(cfg.seed, 0))
+        c, s = math.cos(0.3), math.sin(0.3)
+        tilted = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        dep = dataclasses.replace(dep, frames=(LisFrame(dep.frames[0].origin, tilted),))
+        with pytest.raises(ValueError, match="signed axis permutation"):
+            build_unit_geometry(dep, cfg, 0, 0)
 
 
 class TestSliceStats:
