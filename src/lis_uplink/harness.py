@@ -5,19 +5,22 @@ Every figure reduces the same per-unit pipeline. A sweep point is a
 deployment from ``_place`` and the system config its links are built for;
 ``_unit_blocks`` builds unit (n, k)'s geometry from that pair once, then
 draws each requested block and builds its statistics. Each statistics
-object carries its unit's link budget, so ``BlockKernel(stats, g, w)`` and
-``build_moment_set(stats)`` turn it into a sampled kernel and a
-Lemma/Theorem moment set with no further arguments. Reductions walk units
-outside blocks: they fill per-block arrays of scalars unit by unit and emit
-their records block by block afterwards.
+object carries its unit's link budget, so it needs no further arguments:
+``build_moment_set(stats)`` is its Lemma/Theorem moment set and, on
+channels ``ch = sample_unit_channels(stats, g)``, ``BlockKernel(stats, ch,
+w)`` is its sampled kernel and ``exact_sinr(stats, ch)`` its exact-filter
+SINR. Channels are sampled only where a kernel is built. Reductions walk
+units outside blocks: they fill per-block arrays of scalars unit by unit
+and emit their records block by block afterwards.
 
 fig4, fig5, fig6 and fig6b compare each multi-LIS unit with its
 single-LIS twin, panel 0 alone, on paired draws. The twin is never drawn,
-built or sampled on its own: ``BlockKernel(..., twin=True)`` forms its
-kernel from panel 0's rows of the unit's channels, and its moment set
-comes from the statistics cut to panel 0 with ``slice_stats``. fig5, fig6
-and fig6b share one reduction, ``_panel0_sse``; fig6b's row turns on its
-exact-filter (perfect-CSI) curves.
+built or sampled on its own: it is the unit's cut to panel 0, statistics
+``slice_stats(stats, N=1)`` and channels ``ch[..., :1, :, :]``, and the
+reductions walk the unit and its cut alike for kernels, exact-filter
+SINRs and moment sets. fig5, fig6 and fig6b share one reduction,
+``_panel0_sse``; fig6b's row turns on its exact-filter (perfect-CSI)
+curves.
 
 The device-count figures (fig8, fig9) sample under ``_pool_config``
 (K = pool, t unset), so every draw has the pool's shape, on the prefix of
@@ -32,14 +35,14 @@ randomness.
 fig4 and the moment oracle redraw a unit's fading R times on one frozen
 block. ``_refade_chunks`` draws each realization's fading and noise from
 its own stream in one ``cgauss`` row, in chunks whose channels (16 N K M
-bytes per draw) fit ``_REFADE_CHUNK_BYTES``; one ``BlockKernel`` serves a
-whole chunk, fig4's twin included. A unit's R streams are hashed in one
+bytes per draw) fit ``_REFADE_CHUNK_BYTES``; one ``BlockKernel`` per
+system serves a whole chunk. A unit's R streams are hashed in one
 ``stream_words`` pass and opened in turn on one generator (``Substreams``).
 
 Randomness is addressed, not sequenced: every placement and every
-(block, unit) pair gets its own seed-derived substream (the address of
-``_unit_rng``; a refade r is block r + 1), so results do not depend on
-scheduling.
+(block, unit) pair gets its own seed-derived substream (``stream(seed,
+DOMAIN_BLOCK, p, b, n, k)``; a refade r is block r + 1), so results do not
+depend on scheduling.
 ``_run`` maps a reduction over placements; records are concatenated in
 placement order and aggregated with fixed-order reductions, which makes
 output files byte-identical for any worker count.
@@ -90,8 +93,10 @@ from .links import (
     Substreams,
     build_unit_geometry,
     draw_unit_block,
+    exact_sinr,
     make_unit_stats,
     placement_rng,
+    sample_unit_channels,
     slice_stats,
     stream,
     stream_words,
@@ -239,29 +244,22 @@ def _place(spec: ExperimentSpec, p_idx: int, pool: bool = False):
                          placement=spec.placement, K=K, allow_partial=pool)
 
 
-def _unit_rng(seed: int, p_idx: int, b_idx: int, n_key: int, k: int):
-    return stream(seed, DOMAIN_BLOCK, p_idx, b_idx, n_key, k)
-
-
-def _draw_prefix(draw, K: int):
-    """First K devices per panel of a draw (the per-antenna noise is kept)."""
-    return dataclasses.replace(draw, coins=draw.coins[:, :K], angles=draw.angles[:, :K],
-                               g=draw.g[:, :K])
-
-
 def _unit_blocks(spec: ExperimentSpec, dep, cfg: SystemConfig, p: int, blocks, n: int, k: int):
     """Build unit (n, k)'s geometry once, then yield (stats, draw) for each
     block b in `blocks` in order.
 
     Each draw keeps the config's device shape (so the stream is consumed
-    as for any other count) and is cut to the deployment's devices: the
-    admitted prefix in ``_sampled_nse``, every device elsewhere. The
-    statistics hold their roots in factored form; dense (N, K, M, P) roots
-    exist only inside ``build_moment_set``."""
-    geom = build_unit_geometry(dep, cfg, n, k)
+    as for any other count) and is cut to the deployment's first dep.K
+    devices per panel, every per-antenna noise sample kept: the admitted
+    prefix in ``_sampled_nse``, every device elsewhere. The statistics hold
+    their roots in factored form; dense (N, K, M, P) roots exist only
+    inside ``build_moment_set``."""
+    geom, K = build_unit_geometry(dep, cfg, n, k), dep.K
     for b in blocks:
-        draw = draw_unit_block(_unit_rng(spec.system.seed, p, b, n, k), cfg.N, cfg.K, cfg.P, cfg.M)
-        draw = _draw_prefix(draw, dep.K)
+        draw = draw_unit_block(stream(spec.system.seed, DOMAIN_BLOCK, p, b, n, k),
+                               cfg.N, cfg.K, cfg.P, cfg.M)
+        draw = dataclasses.replace(draw, coins=draw.coins[:, :K], angles=draw.angles[:, :K],
+                                   g=draw.g[:, :K])
         yield make_unit_stats(geom, draw, cfg, spec.experiment.interference), draw
 
 
@@ -304,7 +302,7 @@ def _sampled_nse(spec: ExperimentSpec, pool, cfg: SystemConfig, p: int, blocks, 
     for n in range(cfg.N):
         for k in range(max(K_grid)):
             for i, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, blocks, n, k)):
-                kern = BlockKernel(stats, draw.g, draw.w)
+                kern = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
                 for K in K_grid:
                     if k < K:
                         gam[K][i, n, k] = kern.gamma(K, K)
@@ -324,20 +322,26 @@ def _optimal_count(spec: ExperimentSpec, pool, cfg: SystemConfig):
 
 def _se_variance(spec: ExperimentSpec, p: int):
     """fig4: per-device SE variance of unit (0, 0) across fast-fading draws,
-    multi- and single-LIS, both off one kernel per chunk of refades. The
-    slow state (gates, scattering angles) is frozen per placement so the
-    statistic isolates channel hardening. One record per placement carries
-    the within-placement variance; curves then average over placements."""
+    multi- and single-LIS (the panel-0 cut), one kernel each per chunk of
+    refades on one sample of its channels. The slow state (gates,
+    scattering angles) is frozen per placement so the statistic isolates
+    channel hardening. One record per placement carries the
+    within-placement variance; curves then average over placements."""
     R = spec.experiment.realizations
     recs, mean_se = [], {}
     for M, dep, cfg in _sweep_points(spec, p):
         t = cfg.pilot_len
         [(stats, _)] = _unit_blocks(spec, dep, cfg, p, [0], 0, 0)
+        systems = ((stats, cfg.N), (slice_stats(stats, N=1), 1))
         se = np.empty((2, R))
         for rs, g, w in _refade_chunks(spec, cfg, p, R, 0, 0):
-            kern = BlockKernel(stats, g, w, twin=True)
-            for row, system in zip(se, (kern, kern.twin)):
-                row[rs] = [sse(gamma, t, cfg.T) for gamma in system.gamma(t)]
+            ch = sample_unit_channels(stats, g)
+            for row, (s, N) in zip(se, systems):
+                kern = BlockKernel(s, ch[..., :N, :, :], w)
+                row[rs] = [sse(gamma, t, cfg.T) for gamma in kern.gamma(t)]
+            # freed before the next chunk's sample: two live chunks' channels
+            # fragment the heap, which then faults fresh pages in per chunk
+            del ch
         for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), se):
             recs.append((float(M), label, p, 0, float(np.var(row, ddof=1)) if R > 1 else 0.0))
             mean_se.setdefault(label, {})[M] = float(np.mean(row))
@@ -347,10 +351,12 @@ def _se_variance(spec: ExperimentSpec, p: int):
 def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True, perfect_csi: bool = False):
     """fig5, fig6 and fig6b: panel-0 SSE of the multi-LIS system and its
     single-LIS twin on paired draws, plus Theorem 1/2 curves every
-    stride-th block (stride 0, fig6b's default: none); one kernel and one
-    cut of the statistics per (unit, block) serve both systems.
+    stride-th block (stride 0, fig6b's default: none). The twin is the
+    unit's cut to panel 0: statistics ``slice_stats(stats, N=1)`` and
+    panel 0's rows of the unit's one sample of channels. Both systems get
+    their kernel and moment set alike from their statistics and channels.
     With perfect_csi (fig6b): each system's SSE with the exact filter
-    ``h_los`` follows its estimated-filter SSE, off the same kernel.
+    ``h_los`` follows its estimated-filter SSE, on the same channels.
     With sample=False (run_asymptotic, which resolves the stride to 1): the
     multi-LIS Theorem curves alone, with no receive-side sampling."""
     stride, R = spec.experiment.theory_stride, spec.experiment.realizations
@@ -363,14 +369,15 @@ def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True, perfect_csi: 
         terms = np.empty((R, 2 if sample else 1, cfg.K, 4))
         for k in range(cfg.K):
             for b, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, range(R), 0, k)):
-                if sample:
-                    kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=perfect_csi, twin=True)
-                    gammas[b, :, 0, k] = kern.gamma(t), kern.twin.gamma(t)
-                    if perfect_csi:
-                        gammas[b, :, 1, k] = kern.gamma_perfect, kern.twin.gamma_perfect
-                if stride and b % stride == 0:
-                    sets = (stats, slice_stats(stats, N=1)) if sample else (stats,)
-                    terms[b, :, k] = [build_moment_set(s).sse_terms(t) for s in sets]
+                ch = sample_unit_channels(stats, draw.g) if sample else None
+                twin = ((slice_stats(stats, N=1), 1),) if sample else ()
+                for i, (s, N) in enumerate(((stats, cfg.N), *twin)):
+                    if sample:
+                        gammas[b, i, 0, k] = BlockKernel(s, ch[..., :N, :, :], draw.w).gamma(t)
+                        if perfect_csi:
+                            gammas[b, i, 1, k] = exact_sinr(s, ch[..., :N, :, :])
+                    if stride and b % stride == 0:
+                        terms[b, i, k] = build_moment_set(s).sse_terms(t)
         for b in range(R):
             if sample:
                 for rows, tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
@@ -397,7 +404,7 @@ def _pilot(spec: ExperimentSpec, p: int):
     terms = np.empty((R, len(ts), cfg.K, 4))  # theory blocks' sse_terms at each t
     for k in range(cfg.K):
         for b, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, range(R), 0, k)):
-            kern = BlockKernel(stats, draw.g, draw.w)
+            kern = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
             gammas[b, :, k] = [kern.gamma(t) for t in ts]
             if b % exp.theory_stride == 0:
                 ms = build_moment_set(stats)
@@ -483,7 +490,7 @@ def _oracle(spec: ExperimentSpec, p: int):
         M2 = float(cfg.M) ** 2
         samples = np.empty((4, R))  # X, Y total, Z, I
         for rs, g, w in _refade_chunks(spec, cfg, p, R, 0, 0):
-            terms = BlockKernel(stats, g, w).terms(t)
+            terms = BlockKernel(stats, sample_unit_channels(stats, g), w).terms(t)
             samples[:, rs] = (terms.X, np.sum(ms.rho_d * terms.Y, axis=(-2, -1)),
                               terms.Z, terms.I)
         for r, (x, y, z, i) in enumerate(samples.T.tolist()):

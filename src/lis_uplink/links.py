@@ -26,11 +26,14 @@ strongly) and ``los_allowed`` (which panels' links may carry LOS under an
 interference regime). The sampler (``make_unit_stats``, ``BlockKernel``),
 the Lemma moments (``asymptotics.build_moment_set``) and the Theorem 2
 floor table (``optimize.expected_floor_table``) all read them.
+
+A panel-0 unit's single-LIS twin is its cut to panel 0, statistics
+``slice_stats(stats, N=1)`` and channels ``ch[..., :1, :, :]``, which
+``BlockKernel`` and ``exact_sinr`` take as they take the unit's own.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -367,35 +370,44 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., np.newaxis, :] @ b[..., :, np.newaxis])[..., 0, 0]
 
 
+def exact_sinr(stats: UnitChannelStats, ch: np.ndarray) -> np.ndarray:
+    """SINR of unit (n, k)'s exact (perfect-CSI) filter h_los on its sampled
+    channels ch (..., N, K, M) from ``sample_unit_channels``, per leading
+    draw (a scalar for a single draw)."""
+    geom = stats.geom
+    n, k = geom.n, geom.k
+    Y = np.abs(ch @ np.conj(geom.hlos[n, k])) ** 2
+    Y[..., n, k] = 0.0
+    I = np.sum(geom.rho_d * Y, axis=(-2, -1)) + geom.own_power
+    return float(geom.rho_d[n, k]) * geom.own_power**2 / I
+
+
 class BlockKernel:
     """One block's sampled inner products for one unit, assembled into
     interference scalars at any pilot length and for any admitted prefix of
     the devices it was built on.
 
-    g (..., N, K, P) and w (..., M) may carry leading axes of independent
-    draws on the same statistics (fresh fading on a frozen block): the
-    kernel then forms every draw's products in batched matrix products, and
-    ``terms``, ``gamma`` and ``gamma_perfect`` carry the leading shape. A
-    single draw has no leading axis and gives scalars.
+    ch (..., N, K, M) are the unit's incoming link channels on `stats`,
+    from ``sample_unit_channels``, and w (..., M) the estimation noise.
+    Leading axes index independent draws on the same statistics (fresh
+    fading on a frozen block): the kernel then forms every draw's products
+    in batched matrix products, and ``terms`` and ``gamma`` carry the
+    leading shape. A single draw has no leading axis and gives scalars.
 
     The estimation error is the ``contamination_weights``-weighted sum of
     the same-pilot channels plus white noise shrunk by sqrt(t * rho_p_own);
     only that shrink factor depends on t, so a pilot sweep reuses every
     sampled product. The transmit SNRs are the link budget of ``stats.geom``.
 
-    ``gamma_perfect``, the SINR of the exact filter h_los, is computed only
-    for a kernel built with ``perfect_csi=True`` and is None otherwise.
-    With ``twin=True``, ``twin`` is the kernel of the unit's single-LIS
-    twin, its panel alone, from that panel's rows of the same channels;
-    else None.
+    The single-LIS twin of a panel-0 unit is the kernel of the panel-0 cut,
+    ``BlockKernel(slice_stats(stats, N=1), ch[..., :1, :, :], w)``: on one
+    panel every contamination weight is zero, so its filter is u = h_los.
     """
 
-    def __init__(self, stats: UnitChannelStats, g: np.ndarray, w: np.ndarray,
-                 perfect_csi: bool = False, twin: bool = False):
+    def __init__(self, stats: UnitChannelStats, ch: np.ndarray, w: np.ndarray):
         geom = stats.geom
         n, k = geom.n, geom.k
         self.n, self.k = n, k
-        ch = sample_unit_channels(stats, g)
         hlos = geom.hlos[n, k]
 
         contam = contamination_weights(geom.rho_p, n, k) @ ch[..., k, :]
@@ -404,7 +416,6 @@ class BlockKernel:
         self.rho_p_own = float(geom.rho_p[n, k])
         self.rho_d = geom.rho_d
         self.rho_d_own = float(geom.rho_d[n, k])
-        self.own_power = geom.own_power
         self.signal = geom.own_power**2
 
         u_conj, w_conj = np.conj(u), np.conj(w)
@@ -415,28 +426,6 @@ class BlockKernel:
         self.u_norm2 = _dot(u_conj, u).real
         self.uw = _dot(u_conj, w)
         self.w_norm2 = _dot(w_conj, w).real
-
-        # perfect-CSI SINR: the filter is h_los itself
-        self.gamma_perfect = self._exact_sinr(ch @ np.conj(hlos)) if perfect_csi else None
-        self.twin = None
-        if twin:
-            # the unit's panel alone: no other panel's device contaminates the
-            # estimate, so the filter is u = h_los (A is then also the exact
-            # filter's product), Xc is zero and C is this panel's rows of C
-            self.twin = single = copy.copy(self)
-            single.n, single.rho_d = 0, self.rho_d[n : n + 1]
-            hlos_conj = np.conj(hlos)
-            single.A = _matvec(ch[..., n : n + 1, :, :], hlos_conj)
-            single.C, single.Xc = self.C[..., n : n + 1, :], 0.0
-            single.u_norm2, single.uw = _dot(hlos_conj, hlos).real, _dot(hlos_conj, w)
-            single.gamma_perfect = single._exact_sinr(single.A) if perfect_csi else None
-
-    def _exact_sinr(self, proj: np.ndarray) -> np.ndarray:
-        """SINR of the filter h_los from its products proj with every link."""
-        Y_pure = np.abs(proj) ** 2
-        Y_pure[..., self.n, self.k] = 0.0
-        I_perfect = np.sum(self.rho_d * Y_pure, axis=(-2, -1)) + self.own_power
-        return self.rho_d_own * self.signal / I_perfect
 
     def terms(self, t, K: int | None = None) -> BlockTerms:
         """Block terms at pilot length t. With K, only the first K devices

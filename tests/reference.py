@@ -48,7 +48,7 @@ twin built as a system of its own: ``panel(deployment, 0)`` under an
 N = 1 config, with its own geometry, statistics, sampled channels and
 moment sets, fed the panel-0 slice of every multi-LIS draw. They are the
 oracle of the engine's twin, which is the panel-0 cut of the multi-LIS
-unit's statistics and of its kernel's channels.
+unit's statistics and of its sampled channels.
 
 ``cgauss`` draws complex Gaussians with two ``standard_normal`` calls,
 the real block and then the imaginary block, against ``channel.cgauss``'s
@@ -73,11 +73,14 @@ from lis_uplink import harness
 from lis_uplink.asymptotics import build_moment_set, sse, theorem1_sse
 from lis_uplink.channel import CorrelationRoot
 from lis_uplink.links import (
+    DOMAIN_BLOCK,
     BlockKernel,
     UnitChannelStats,
     build_unit_geometry,
+    exact_sinr,
     make_unit_stats,
     sample_unit_channels,
+    stream,
 )
 from lis_uplink.optimize import ExpectedFloorTable, nse_of_gammas
 from lis_uplink.config import PlacementConfig
@@ -105,7 +108,7 @@ def refades(spec, cfg, p: int, r: int, n: int, k: int):
     """Fresh fading g (N, K, P) and noise w (M,) of realization r of unit
     (n, k), on top of the frozen block-0 condition (stream address
     b = r + 1), one realization at a time."""
-    rng = harness._unit_rng(spec.system.seed, p, r + 1, n, k)
+    rng = stream(spec.system.seed, DOMAIN_BLOCK, p, r + 1, n, k)
     return cgauss(rng, (cfg.N, cfg.K, cfg.P)), cgauss(rng, (cfg.M,))
 
 
@@ -493,7 +496,8 @@ def sampled_nse_per_count(spec, pool, cfg, p: int, blocks, K_grid) -> list:
             for k in range(K):
                 for i, (stats, draw) in enumerate(
                         harness._unit_blocks(spec, dep, cfg, p, blocks, n, k)):
-                    gam[i, n, k] = BlockKernel(stats, draw.g, draw.w).gamma(K)
+                    ch = sample_unit_channels(stats, draw.g)
+                    gam[i, n, k] = BlockKernel(stats, ch, draw.w).gamma(K)
         for nse, gam_b in zip(out, gam):
             nse[K] = nse_of_gammas(gam_b, K, cfg.T)
     return out
@@ -539,7 +543,8 @@ def se_variance(spec, p: int):
         se = np.empty((2, R))
         for rs, g, w in harness._refade_chunks(spec, cfg, p, R, 0, 0):
             for i, (stats, draw) in enumerate(frozen):
-                gammas = BlockKernel(stats, g[:, : len(draw.g)], w).gamma(t)
+                ch = sample_unit_channels(stats, g[:, : len(draw.g)])
+                gammas = BlockKernel(stats, ch, w).gamma(t)
                 se[i, rs] = [sse(gamma, t, cfg.T) for gamma in gammas]
         for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), se):
             recs.append((float(M), label, p, 0, float(np.var(row, ddof=1)) if R > 1 else 0.0))
@@ -559,7 +564,8 @@ def panel0_sse(spec, p: int):
         for k in range(K):
             for b, pairs in enumerate(twin_blocks(spec, dep, cfg, p, range(R), k)):
                 for i, (stats, draw) in enumerate(pairs):
-                    gammas[b, i, k] = BlockKernel(stats, draw.g, draw.w).gamma(t)
+                    ch = sample_unit_channels(stats, draw.g)
+                    gammas[b, i, k] = BlockKernel(stats, ch, draw.w).gamma(t)
                     if b % stride == 0:
                         terms[b, i, k] = build_moment_set(stats).sse_terms(t)
         for b in range(R):
@@ -585,8 +591,9 @@ def csi(spec, p: int):
         for k in range(K):
             for b, pairs in enumerate(twin_blocks(spec, dep, cfg, p, range(R), k)):
                 for i, (stats, draw) in enumerate(pairs):
-                    kern = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
-                    gammas[b, i, :, k] = kern.gamma(t), kern.gamma_perfect
+                    ch = sample_unit_channels(stats, draw.g)
+                    gammas[b, i, :, k] = (BlockKernel(stats, ch, draw.w).gamma(t),
+                                          exact_sinr(stats, ch))
         for b in range(R):
             for (est, exact), tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
                 recs.append((float(M), f"{tag} imperfect CSI", p, b, sse(est, t, T)))

@@ -19,6 +19,7 @@ from lis_uplink import (
     pilot_snrs,
     place_devices,
     quarter_solid_angle,
+    sample_unit_channels,
     theorem1_sse,
 )
 import reference
@@ -129,7 +130,7 @@ class TestMomentsAgainstSampling:
         for r in range(n_draws):
             g = cgauss(rng, (cfg.N, cfg.K, cfg.P))
             w = cgauss(rng, (cfg.M,))
-            terms = BlockKernel(stats, g, w).terms(t)
+            terms = BlockKernel(stats, sample_unit_channels(stats, g), w).terms(t)
             X[r], Z[r], I[r] = terms.X, terms.Z, terms.I
             Y[r] = terms.Y
 

@@ -141,7 +141,7 @@ class TestDirectErrorSynthesis:
         # one panel: the error is the scaled noise alone
         draw, stats = _single_panel_unit(tiny_cfg, seed=7)
         t = 4
-        kernel = BlockKernel(stats, draw.g, draw.w)
+        kernel = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
         hlos = stats.geom.hlos[0, 0]
         e = draw.w / math.sqrt(t * stats.geom.rho_p[0, 0])
         assert kernel.Xc == 0.0
@@ -154,8 +154,8 @@ class TestDirectErrorSynthesis:
         draw = draw_unit_block(np.random.default_rng(8), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
         rho_p = stats.geom.rho_p
-        kernel = BlockKernel(stats, draw.g, draw.w)
         ch = sample_unit_channels(stats, draw.g)
+        kernel = BlockKernel(stats, ch, draw.w)
         contam = math.sqrt(rho_p[0, k] / rho_p[n, k]) * ch[0, k]
         hlos = stats.geom.hlos[n, k]
         assert_close(kernel.Xc, np.vdot(contam, hlos), rtol=1e-12)
@@ -178,7 +178,8 @@ class TestDirectErrorSynthesis:
         rng_direct, rng_matrix = np.random.default_rng(13), np.random.default_rng(14)
         for i in range(draws):
             g = cgauss(rng_direct, (cfg.N, cfg.K, cfg.P))
-            terms = BlockKernel(stats, g, cgauss(rng_direct, cfg.M)).terms(t)
+            terms = BlockKernel(stats, sample_unit_channels(stats, g),
+                                cgauss(rng_direct, cfg.M)).terms(t)
             direct[i] = terms.X, terms.Z, terms.I
             channels = sample_unit_channels(stats, cgauss(rng_matrix, (cfg.N, cfg.K, cfg.P)))
             h_hat = _ls(channels, book, rho_p, k, rho_p[n, k], cgauss(rng_matrix, (cfg.M, t)))

@@ -193,8 +193,8 @@ def test_records_independent_of_blas_thread_count():
     # channel sampling and the kernels run through BLAS matrix products,
     # batched over a chunk of draws in fig4 and the oracle; fig8 and fig9
     # read every admitted count off slices of one product over the largest
-    # count, and fig4, fig5 and fig6b read the single-LIS twin off panel 0's
-    # rows of the multi-LIS products. The records of those cases must not
+    # count, and fig4, fig5 and fig6b build the single-LIS twin's kernel on
+    # panel 0's rows of the multi-LIS channels. The records of those cases must not
     # depend on how many threads BLAS uses
     here = Path(__file__).resolve().parent
     script = ("import json, test_golden; print(json.dumps({case: test_golden._records(case) "

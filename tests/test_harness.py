@@ -29,7 +29,7 @@ from lis_uplink import links
 from lis_uplink.cli import main
 
 import reference
-from test_golden import CASES, SEED
+from test_golden import CASES, SEED, _run_optimizer
 
 
 def _rec(sweep, label, value, p=0, b=0):
@@ -186,10 +186,10 @@ class TestPanelZeroSlice:
         unit's statistics cut to panel 0, bit for bit and as views."""
         dep, cfg = quad_world
         twin_dep, twin_cfg = reference.panel(dep, 0), dataclasses.replace(cfg, N=1)
+        spec = SimpleNamespace(system=SimpleNamespace(seed=0),
+                               experiment=SimpleNamespace(interference=regime))
         for k in range(cfg.K):
-            draw = hz.draw_unit_block(hz._unit_rng(0, 0, 0, 0, k), cfg.N, cfg.K, cfg.P, cfg.M)
-            stats = links.make_unit_stats(links.build_unit_geometry(dep, cfg, 0, k), draw, cfg,
-                                          regime)
+            [(stats, draw)] = hz._unit_blocks(spec, dep, cfg, 0, [0], 0, k)
             cut = links.slice_stats(stats, N=1)
             one = dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1],
                                       g=draw.g[:1])
@@ -206,13 +206,34 @@ class TestPanelZeroSlice:
             links.slice_stats(links.make_unit_stats(links.build_unit_geometry(dep, cfg, 1, 0),
                                                     draw, cfg), N=1)
 
-    def test_device_prefix_keeps_every_panel(self):
-        draw = hz.draw_unit_block(hz._unit_rng(0, 0, 0, 0, 0), 3, 4, 2, 16)
-        cut = hz._draw_prefix(draw, K=2)
-        assert cut.coins.shape == (3, 2) and cut.angles.shape == (3, 2, 2, 2)
-        assert np.array_equal(cut.g, draw.g[:, :2])
-        assert np.shares_memory(cut.g, draw.g)
-        assert cut.w is draw.w
+    def test_device_prefix_keeps_every_panel(self, quad_world, monkeypatch):
+        """``_unit_blocks`` draws block b of unit (n, k) from stream address
+        (seed, DOMAIN_BLOCK, p, b, n, k) in the config's device shape and
+        cuts it to the deployment's first K devices per panel (views),
+        every panel and the per-antenna noise kept."""
+        dep, cfg = quad_world
+        spec = SimpleNamespace(system=SimpleNamespace(seed=5),
+                               experiment=SimpleNamespace(interference="rician"))
+        drawn, draw_unit_block = [], hz.draw_unit_block
+
+        def recording(*args):
+            drawn.append(draw_unit_block(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(hz, "draw_unit_block", recording)
+        p, n, k = 1, 3, 0
+        blocks = list(hz._unit_blocks(spec, dep.prefix(1), cfg, p, [2, 0], n, k))
+        assert len(drawn) == len(blocks) == 2
+        for b, (stats, cut), draw in zip((2, 0), blocks, drawn):
+            want = draw_unit_block(links.stream(5, links.DOMAIN_BLOCK, p, b, n, k),
+                                   cfg.N, cfg.K, cfg.P, cfg.M)
+            for name in ("coins", "angles", "g", "w"):
+                assert np.array_equal(getattr(draw, name), getattr(want, name)), name
+            assert cut.coins.shape == (cfg.N, 1) and cut.angles.shape == (cfg.N, 1, cfg.P, 2)
+            assert np.array_equal(cut.g, draw.g[:, :1])
+            assert np.shares_memory(cut.g, draw.g)
+            assert cut.w is draw.w
+            assert stats.hbar.shape == (cfg.N, 1, cfg.M)
 
 
 class TestAdmittedPrefix:
@@ -273,8 +294,9 @@ class TestRefadeChunks:
     """fig4 and the oracle draw R fresh (g, w) pairs on one frozen block,
     each from its own stream in one normal draw, and build one kernel per
     chunk of them, not one per draw. The R streams are hashed in one pass
-    and opened on one generator per (unit, sweep point). fig4's kernel
-    serves two systems, the multi-LIS unit and its single-LIS twin."""
+    and opened on one generator per (unit, sweep point). fig4 builds two
+    kernels per chunk on one sample of its channels: the multi-LIS unit's
+    and its single-LIS twin's, the panel-0 cut."""
 
     @given(N=st.integers(1, 3), K=st.integers(1, 3), P=st.integers(1, 4),
            M=st.integers(1, 40), R=st.integers(1, 12), draws=st.integers(0, 5),
@@ -286,7 +308,7 @@ class TestRefadeChunks:
         cfg = SimpleNamespace(N=N, K=K, P=P, M=M)
         p, n, k = 2, N - 1, K - 1
         ends, gens, opened = [], [], []
-        iterate, unit_rng = links.Substreams.__iter__, hz._unit_rng
+        iterate, unit_rng = links.Substreams.__iter__, links.stream
 
         def recording_rows(streams):
             for gen in iterate(streams):
@@ -299,7 +321,8 @@ class TestRefadeChunks:
 
         with mock.patch.object(hz, "_REFADE_CHUNK_BYTES", budget), \
                 mock.patch.object(links.Substreams, "__iter__", recording_rows), \
-                mock.patch.object(hz, "_unit_rng", recording_rng):
+                mock.patch.object(hz, "stream", recording_rng), \
+                mock.patch.object(reference, "stream", recording_rng):
             chunks = list(hz._refade_chunks(spec, cfg, p, R, n, k))
             assert opened == []
             want = [reference.refades(spec, cfg, p, r, n, k) for r in range(R)]
@@ -329,7 +352,6 @@ class TestRefadeChunks:
         def counting(name, fn):
             def wrapper(*args, **kwargs):
                 counts[name] += 1
-                counts["twins"] += kwargs.get("twin", False)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -341,7 +363,9 @@ class TestRefadeChunks:
                 yield gen
 
         monkeypatch.setattr(hz, "BlockKernel", counting("kernels", hz.BlockKernel))
-        monkeypatch.setattr(hz, "_unit_rng", counting("streams", hz._unit_rng))
+        monkeypatch.setattr(hz, "stream", counting("streams", hz.stream))
+        monkeypatch.setattr(hz, "sample_unit_channels",
+                            counting("channels", hz.sample_unit_channels))
         monkeypatch.setattr(hz, "stream_words", counting("hashes", hz.stream_words))
         monkeypatch.setattr(links.Substreams, "__iter__", recording_rows)
         records = []
@@ -349,15 +373,16 @@ class TestRefadeChunks:
         # draws and leaves one draw per chunk at M = 36
         for budget in (hz._REFADE_CHUNK_BYTES, 3 * 16 * N * K * 16):
             monkeypatch.setattr(hz, "_REFADE_CHUNK_BYTES", budget)
-            counts.update(kernels=0, streams=0, twins=0, hashes=0)
+            counts.update(kernels=0, channels=0, streams=0, hashes=0)
             gens.clear()
             records.append(run_experiment(rc).records)
             chunk = {M: max(1, budget // (16 * N * K * M)) for M in Ms}
             chunks = sum(math.ceil(R / chunk[M]) for M in Ms)
-            # fig4's one kernel per chunk also carries the twin's products;
-            # each M opens the frozen block's stream and hashes its R refade
-            # streams once, whatever the chunking
-            assert counts == {"kernels": chunks, "twins": (systems - 1) * chunks,
+            # one sample of each chunk's channels, and one kernel on it per
+            # system (fig4: the twin's on its panel-0 cut); each M opens the
+            # frozen block's stream and hashes its R refade streams once,
+            # whatever the chunking
+            assert counts == {"kernels": systems * chunks, "channels": chunks,
                               "streams": len(Ms), "hashes": len(Ms)}
             # one generator per M, reseeded for each of its realizations
             assert len(gens) == R * len(Ms) and len({id(gen) for gen in gens}) == len(Ms)
@@ -488,32 +513,60 @@ class TestSingleLisTwin:
         assert [tuple(r) for r in got.records] == [tuple(r) for r in want.records]
         assert got.extras == want.extras
 
-    def test_fig6b_work_counts(self, monkeypatch):
-        """One geometry per unit, one draw, one set of statistics and one
-        kernel per (unit, block), twin included."""
-        _, exp_id, overrides = CASES["fig6b"]
+    @pytest.mark.parametrize("case, systems, scale", [
+        ("fig5", 2, (32, 128)), ("fig6", 2, (16, 64)), ("fig6b", 2, (32, 96)),
+        ("fig7", 1, (8, 32))], ids=["fig5", "fig6", "fig6b", "fig7"])
+    def test_work_counts(self, case, systems, scale, monkeypatch):
+        """One geometry per unit; one draw, one set of statistics and one
+        sample of the channels per (unit, block); one kernel per system on
+        that sample: the unit's and, on fig5, fig6 and fig6b, its single-LIS
+        twin's, the panel-0 cut."""
+        _, exp_id, overrides = CASES[case]
         rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
-        counts = dict.fromkeys(("geometry", "stats", "kernels", "twins"), 0)
+        counts = dict.fromkeys(("geometry", "stats", "channels", "kernels"), 0)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
                 counts[name] += 1
-                if name == "kernels":
-                    counts["twins"] += kwargs.get("twin", False)
                 return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(hz, "build_unit_geometry",
                             counting("geometry", hz.build_unit_geometry))
         monkeypatch.setattr(hz, "make_unit_stats", counting("stats", hz.make_unit_stats))
+        monkeypatch.setattr(hz, "sample_unit_channels",
+                            counting("channels", hz.sample_unit_channels))
         monkeypatch.setattr(hz, "BlockKernel", counting("kernels", hz.BlockKernel))
         run_experiment(rc)
         exp, K = rc.experiment, rc.system.K
-        units = exp.placements * len(exp.sweep_values) * K
+        points = 1 if exp_id == "fig7" else len(exp.sweep_values)  # fig7 sweeps t
+        units = exp.placements * points * K
         blocks = units * exp.realizations
-        assert counts == {"geometry": units, "stats": blocks, "kernels": blocks,
-                          "twins": blocks}
-        assert (units, blocks) == (32, 96)
+        assert counts == {"geometry": units, "stats": blocks, "channels": blocks,
+                          "kernels": systems * blocks}
+        assert (units, blocks) == scale
+
+    def test_analytic_runners_sample_no_channels(self, monkeypatch, tmp_path, capsys):
+        """``run_asymptotic`` and ``lis-sim optimize-t`` read moment sets
+        alone: they sample no channels and build no kernel."""
+        counts = {"channels": 0, "kernels": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (hz, links):
+            monkeypatch.setattr(mod, "sample_unit_channels",
+                                counting("channels", mod.sample_unit_channels))
+            monkeypatch.setattr(mod, "BlockKernel", counting("kernels", mod.BlockKernel))
+        runner, exp_id, overrides = CASES["asymptotic-fig5"]
+        assert runner is run_asymptotic
+        assert runner(preset_run_config(exp_id, seed=SEED).with_overrides(overrides)).records
+        _run_optimizer("optimize-t-rician", tmp_path)
+        capsys.readouterr()
+        assert counts == {"channels": 0, "kernels": 0}
 
     def test_fig6b_is_fig6_plus_exact_filter_curves(self):
         """fig6b and fig6 share the panel-0 reduction and read the same

@@ -25,8 +25,15 @@ from lis_uplink import (
     unit_antenna_grid,
 )
 from lis_uplink.channel import cgauss
-from lis_uplink.harness import _unit_rng
-from lis_uplink.links import Substreams, los_phase, slice_stats, stream, stream_words
+from lis_uplink.links import (
+    DOMAIN_BLOCK,
+    Substreams,
+    exact_sinr,
+    los_phase,
+    slice_stats,
+    stream,
+    stream_words,
+)
 
 import reference
 from conftest import assert_close
@@ -57,7 +64,7 @@ class TestStreams:
 
     def test_domain_separation(self):
         p = placement_rng(0, 0).random(4)
-        b = _unit_rng(0, 0, 0, 0, 0).random(4)
+        b = stream(0, DOMAIN_BLOCK, 0, 0, 0, 0).random(4)
         assert not np.array_equal(p, b)
 
 
@@ -343,8 +350,8 @@ class TestSliceStats:
         assert np.allclose(sliced.hbar, stats1.hbar, rtol=1e-15, atol=0)
         assert np.allclose(sliced.roots.dense(), stats1.roots.dense(), rtol=1e-15, atol=0)
         assert np.array_equal(sliced.kappa, stats1.kappa)
-        t1 = BlockKernel(sliced, draw1.g, draw1.w).terms(2)
-        t2 = BlockKernel(stats1, draw1.g, draw1.w).terms(2)
+        t1 = BlockKernel(sliced, sample_unit_channels(sliced, draw1.g), draw1.w).terms(2)
+        t2 = BlockKernel(stats1, sample_unit_channels(stats1, draw1.g), draw1.w).terms(2)
         assert_close(t1.I, t2.I, rtol=1e-12)
         assert_close(t1.gamma, t2.gamma, rtol=1e-12)
 
@@ -352,7 +359,8 @@ class TestSliceStats:
         dep, cfg = tiny_world
         geom = build_unit_geometry(dep, cfg, 0, 1)
         draw = draw_unit_block(np.random.default_rng(7), cfg.N, cfg.K, cfg.P, cfg.M)
-        kernel = BlockKernel(make_unit_stats(geom, draw, cfg), draw.g, draw.w)
+        stats = make_unit_stats(geom, draw, cfg)
+        kernel = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
         # a unit outside the admitted prefix has no SINR at that count
         with pytest.raises(ValueError, match="pilot index"):
             kernel.terms(cfg.K, 1)
@@ -389,10 +397,10 @@ class TestSliceStats:
             assert np.array_equal(getattr(fresh, field), getattr(sliced, field)), field
         assert np.array_equal(fresh.roots.dense(), sliced.roots.dense())
 
-        a = BlockKernel(sliced, draw_k.g, draw.w, perfect_csi=True)
-        b = BlockKernel(fresh, draw_k.g, draw.w, perfect_csi=True)
+        ch_a, ch_b = (sample_unit_channels(s, draw_k.g) for s in (sliced, fresh))
+        a, b = BlockKernel(sliced, ch_a, draw.w), BlockKernel(fresh, ch_b, draw.w)
         assert_close(b.gamma(K), a.gamma(K), rtol=1e-12)
-        assert_close(b.gamma_perfect, a.gamma_perfect, rtol=1e-12)
+        assert_close(exact_sinr(fresh, ch_b), exact_sinr(sliced, ch_a), rtol=1e-12)
 
 
 def _pilot_block_terms(stats, g, w, rho_p, rho_d, t):
@@ -420,14 +428,14 @@ class TestBlockKernel:
         geom = build_unit_geometry(dep, cfg, n, k)
         draw = draw_unit_block(np.random.default_rng(8), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        kernel = BlockKernel(stats, draw.g, draw.w)
+        channels = sample_unit_channels(stats, draw.g)
+        kernel = BlockKernel(stats, channels, draw.w)
         terms = kernel.terms(t)
 
         # the estimation error drawn from its definition: ratio-weighted
         # same-pilot channels of the other panels plus the shrunk noise
         rho_p = pilot_snrs(dep, cfg)
         rho_d = data_snrs(dep, cfg)
-        channels = sample_unit_channels(stats, draw.g)
         ratios = rho_p[:, k] / rho_p[n, k]
         contams = np.delete(channels[:, k], n, axis=0)
         e = np.sqrt(np.delete(ratios, n)) @ contams + draw.w / math.sqrt(t * rho_p[n, k])
@@ -454,7 +462,7 @@ class TestBlockKernel:
         for n, k in ((0, 1), (3, 1), (2, 0)):
             draw = draw_unit_block(np.random.default_rng(40 + n), cfg.N, K, cfg.P, cfg.M)
             stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg, interference)
-            terms = BlockKernel(stats, draw.g, draw.w).terms(t)
+            terms = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w).terms(t)
             ref = _pilot_block_terms(stats, draw.g, draw.w, pilot_snrs(dep, cfg),
                                      data_snrs(dep, cfg), t)
             for name in ("X", "Y", "Z", "I", "gamma"):
@@ -466,25 +474,25 @@ class TestBlockKernel:
         geom = build_unit_geometry(dep, cfg, n, k)
         draw = draw_unit_block(np.random.default_rng(10), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        kernel = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
-        assert BlockKernel(stats, draw.g, draw.w).gamma_perfect is None
+        channels = sample_unit_channels(stats, draw.g)
+        kernel = BlockKernel(stats, channels, draw.w)
 
         rho_d = data_snrs(dep, cfg)
-        channels = sample_unit_channels(stats, draw.g)
         bd = reference.interference_terms(
             geom.hlos[n, k], geom.hlos[n, k], channels, rho_d, n, k
         )
         assert_close(kernel.signal, bd["S"], rtol=1e-12)
-        assert_close(kernel.gamma_perfect, rho_d[n, k] * bd["S"] / bd["I"], rtol=1e-10)
+        assert_close(exact_sinr(stats, channels), rho_d[n, k] * bd["S"] / bd["I"], rtol=1e-10)
 
     def test_kernel_reuse_across_pilot_lengths(self, tiny_world):
         dep, cfg = tiny_world
         geom = build_unit_geometry(dep, cfg, 0, 0)
         draw = draw_unit_block(np.random.default_rng(11), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        kernel = BlockKernel(stats, draw.g, draw.w)
+        channels = sample_unit_channels(stats, draw.g)
+        kernel = BlockKernel(stats, channels, draw.w)
         for t in (2, 16, 64):
-            fresh = BlockKernel(stats, draw.g, draw.w).terms(t)
+            fresh = BlockKernel(stats, channels, draw.w).terms(t)
             reused = kernel.terms(t)
             assert reused.I == fresh.I
             assert reused.gamma == fresh.gamma
@@ -494,7 +502,7 @@ class TestBlockKernel:
         geom = build_unit_geometry(dep, cfg, 0, 0)
         draw = draw_unit_block(np.random.default_rng(12), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
-        kernel = BlockKernel(stats, draw.g, draw.w)
+        kernel = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
         z = [kernel.terms(t).Z for t in (2, 8, 32, 128, 10**9)]
         # Z converges to the noise-free filter norm as training energy grows
         assert_close(z[-1], kernel.u_norm2, rtol=1e-4)
@@ -515,7 +523,8 @@ class TestBlockKernelProperties:
         n = data.draw(st.integers(0, N - 1), label="n")
         k = data.draw(st.integers(0, K - 1), label="k")
         (dep, cfg), draw, stats = _random_unit(N, K, side, P, seed, n, k)
-        kernel = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
+        channels = sample_unit_channels(stats, draw.g)
+        kernel = BlockKernel(stats, channels, draw.w)
         A, C, A_pure = reference.kernel_products(stats, draw.g, draw.w, pilot_snrs(dep, cfg))
         for got, want in ((kernel.A, A), (kernel.C, C)):
             assert_close(got, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
@@ -524,7 +533,7 @@ class TestBlockKernelProperties:
         Y_pure[n, k] = 0.0
         I_perfect = float(np.sum(rho_d * Y_pure)) + stats.geom.own_power
         gamma_perfect = rho_d[n, k] * stats.geom.own_power**2 / I_perfect
-        assert_close(kernel.gamma_perfect, gamma_perfect, rtol=1e-12)
+        assert_close(exact_sinr(stats, channels), gamma_perfect, rtol=1e-12)
 
     @given(
         N=st.sampled_from([1, 2, 4]),
@@ -546,11 +555,11 @@ class TestBlockKernelProperties:
         _, draw, stats = _random_unit(N, K, side, P, seed, n, k)
         louder = stats.geom.rho_d.copy()
         louder[l, j] *= factor
-        base = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
-        loud = BlockKernel(reference.with_budget(stats, rho_d=louder), draw.g, draw.w,
-                           perfect_csi=True)
+        loud_stats = reference.with_budget(stats, rho_d=louder)
+        channels = sample_unit_channels(stats, draw.g)
+        base, loud = (BlockKernel(s, channels, draw.w) for s in (stats, loud_stats))
         assert loud.gamma(t) <= base.gamma(t)
-        assert loud.gamma_perfect <= base.gamma_perfect
+        assert exact_sinr(loud_stats, channels) <= exact_sinr(stats, channels)
 
 
 class TestBatchedKernel:
@@ -570,14 +579,15 @@ class TestBatchedKernel:
         _, _, stats = _random_unit(N, K, side, P, seed, n, k)
         rng = np.random.default_rng(seed + 2)
         g, w = cgauss(rng, (batch, N, K, P)), cgauss(rng, (batch, side * side))
-        batched = BlockKernel(stats, g, w, perfect_csi=True)
-        singles = [BlockKernel(stats, g[r], w[r], perfect_csi=True) for r in range(batch)]
-
         channels = sample_unit_channels(stats, g)
         assert channels.shape == (batch, N, K, side * side)
+        single_channels = [sample_unit_channels(stats, g[r]) for r in range(batch)]
         for r in range(batch):
-            assert_close(channels[r], sample_unit_channels(stats, g[r]))
-        assert_close(batched.gamma_perfect, [one.gamma_perfect for one in singles])
+            assert_close(channels[r], single_channels[r])
+        batched = BlockKernel(stats, channels, w)
+        singles = [BlockKernel(stats, single_channels[r], w[r]) for r in range(batch)]
+        exact = [exact_sinr(stats, ch) for ch in single_channels]
+        assert_close(exact_sinr(stats, channels), exact)
         for t in ts:
             got = batched.terms(t)
             want = [one.terms(t) for one in singles]
@@ -589,13 +599,15 @@ class TestBatchedKernel:
             assert all(np.shape(getattr(one, name)) == ()
                        for one in want for name in ("X", "Z", "I", "gamma"))
             assert all(one.Y.shape == (N, K) for one in want)
-        assert np.shape(singles[0].gamma_perfect) == ()
+        assert np.shape(exact[0]) == ()
 
 
 class TestSingleLisTwin:
-    """``BlockKernel(..., twin=True).twin`` against the kernel of the
-    single-LIS system built on its own: an N = 1 system over the unit's
-    panel, fed that panel's slice of the draw and of the fading."""
+    """The single-LIS twin of a panel-0 unit is the panel-0 cut: its kernel
+    and exact-filter SINR take ``slice_stats(stats, N=1)`` and the
+    channels' panel-0 rows, and equal those of the single-LIS system built
+    on its own (an N = 1 system over panel 0, fed that panel's slice of the
+    draw and of the fading) bit for bit."""
 
     @given(
         N=st.sampled_from([1, 2, 4]),
@@ -610,29 +622,49 @@ class TestSingleLisTwin:
     )
     def test_twin_equals_single_panel_world_kernel(self, N, K, side, P, batch, t, regime,
                                                    seed, data):
-        n = data.draw(st.integers(0, N - 1), label="n")
         k = data.draw(st.integers(0, K - 1), label="k")
-        (dep, cfg), draw, stats = _random_unit(N, K, side, P, seed, n, k, regime)
+        (dep, cfg), draw, stats = _random_unit(N, K, side, P, seed, 0, k, regime)
         g, w = draw.g, draw.w
         if batch is not None:  # fresh draws on the same statistics
             rng = np.random.default_rng(seed + 2)
             g, w = cgauss(rng, (batch, N, K, P)), cgauss(rng, (batch, side * side))
-        kernel = BlockKernel(stats, g, w, perfect_csi=True, twin=True)
-        solo_dep, solo_cfg = reference.panel(dep, n), dataclasses.replace(cfg, N=1)
-        cut = dataclasses.replace(draw, coins=draw.coins[n : n + 1],
-                                  angles=draw.angles[n : n + 1], g=draw.g[n : n + 1])
+        twin, ch = slice_stats(stats, N=1), sample_unit_channels(stats, g)
+        got = BlockKernel(twin, ch[..., :1, :, :], w)
+        solo_dep, solo_cfg = reference.panel(dep, 0), dataclasses.replace(cfg, N=1)
+        cut = dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1],
+                                  g=draw.g[:1])
         solo_stats = make_unit_stats(build_unit_geometry(solo_dep, solo_cfg, 0, k), cut,
                                      solo_cfg, regime)
-        want = BlockKernel(solo_stats, g[..., n : n + 1, :, :], w, perfect_csi=True)
-        got = kernel.twin
-        assert got.twin is None and BlockKernel(stats, g, w).twin is None
+        solo_ch = sample_unit_channels(solo_stats, g[..., :1, :, :])
+        want = BlockKernel(solo_stats, solo_ch, w)
         for name in ("X", "Y", "Z", "I", "gamma"):
             assert np.array_equal(getattr(got.terms(t), name), getattr(want.terms(t), name)), name
-        assert np.array_equal(got.gamma_perfect, want.gamma_perfect)
-        # the multi-LIS kernel is the one built without a twin
-        alone = BlockKernel(stats, g, w, perfect_csi=True)
-        assert np.array_equal(kernel.terms(t).I, alone.terms(t).I)
-        assert np.array_equal(kernel.gamma_perfect, alone.gamma_perfect)
+        assert np.array_equal(exact_sinr(twin, ch[..., :1, :, :]), exact_sinr(solo_stats, solo_ch))
+
+    @given(
+        N=st.sampled_from([1, 2, 4]),
+        K=st.integers(1, 4),
+        side=st.integers(2, 5),
+        P=st.integers(1, 4),
+        batch=st.sampled_from([None, 1, 3]),
+        regime=st.sampled_from(["rician", "nlos_inter"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_one_panel_filter_is_the_los_vector(self, N, K, side, P, batch, regime, seed, data):
+        """On one panel no device contaminates the estimate, so the filter
+        is u = h_los: the cut kernel's A is ch @ conj(h_los), bit for bit."""
+        k = data.draw(st.integers(0, K - 1), label="k")
+        _, draw, stats = _random_unit(N, K, side, P, seed, 0, k, regime)
+        g, w = draw.g, draw.w
+        if batch is not None:
+            rng = np.random.default_rng(seed + 2)
+            g, w = cgauss(rng, (batch, N, K, P)), cgauss(rng, (batch, side * side))
+        ch = sample_unit_channels(stats, g)[..., :1, :, :]
+        kernel = BlockKernel(slice_stats(stats, N=1), ch, w)
+        want = ch @ np.conj(stats.geom.hlos[0, k])
+        assert kernel.A.shape == want.shape
+        assert np.array_equal(kernel.A, want)
 
 
 class TestAdmittedCount:
@@ -664,10 +696,11 @@ class TestAdmittedCount:
         if batch is not None:  # fresh draws on the same statistics
             rng = np.random.default_rng(seed + 2)
             g, w = cgauss(rng, (batch, N, K_max, P)), cgauss(rng, (batch, side * side))
-        kernel = BlockKernel(stats, g, w)
+        kernel = BlockKernel(stats, sample_unit_channels(stats, g), w)
         for K in range(k + 1, K_max + 1):
+            cut = reference.prefix_stats(stats, K)
+            want = BlockKernel(cut, sample_unit_channels(cut, g[..., :K, :]), w).terms(t)
             got = kernel.terms(t, K)
-            want = BlockKernel(reference.prefix_stats(stats, K), g[..., :K, :], w).terms(t)
             for name in ("X", "Y", "Z", "I", "gamma"):
                 a, b = getattr(got, name), getattr(want, name)
                 if K > 1 or K_max == 1:

@@ -17,6 +17,7 @@ from lis_uplink import (
     sample_unit_channels,
 )
 from lis_uplink.asymptotics import sse
+from lis_uplink.links import exact_sinr
 
 import reference
 from conftest import assert_close
@@ -78,7 +79,7 @@ class TestInterferencePower:
         draw = draw_unit_block(np.random.default_rng(21), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
         rho_d = stats.geom.rho_d
-        kernel = BlockKernel(stats, draw.g, draw.w)
+        kernel = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
         terms = kernel.terms(cfg.pilot_len)
         re = rho_d[n, k] * terms.X + float(np.sum(rho_d * terms.Y)) + terms.Z
         assert abs(re - terms.I) <= 1e-10 * terms.I
@@ -92,10 +93,10 @@ class TestInterferencePower:
         stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
         muted = stats.geom.rho_d.copy()
         muted[1, :] = 0.0  # silence the other panel
-        full = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
-        quiet = BlockKernel(reference.with_budget(stats, rho_d=muted), draw.g, draw.w,
-                            perfect_csi=True)
-        assert full.gamma_perfect <= quiet.gamma_perfect
+        channels = sample_unit_channels(stats, draw.g)
+        full = exact_sinr(stats, channels)
+        quiet = exact_sinr(reference.with_budget(stats, rho_d=muted), channels)
+        assert full <= quiet
 
     def test_mean_alignment_matches_closed_form(self, tiny_world):
         # full pilot-block pipeline, conditioned on one block's gates and
@@ -129,14 +130,14 @@ class TestInstantaneousSinr:
         stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
         louder = stats.geom.rho_d.copy()
         louder[n, k] *= 3.0
-        base = BlockKernel(stats, draw.g, draw.w, perfect_csi=True)
-        loud = BlockKernel(reference.with_budget(stats, rho_d=louder), draw.g, draw.w,
-                           perfect_csi=True)
-        assert_close(loud.gamma_perfect, 3.0 * base.gamma_perfect, rtol=1e-12)
-        hlos = stats.geom.hlos[n, k]
         channels = sample_unit_channels(stats, draw.g)
+        base = exact_sinr(stats, channels)
+        loud = exact_sinr(reference.with_budget(stats, rho_d=louder), channels)
+        assert_close(loud, 3.0 * base, rtol=1e-12)
+        hlos = stats.geom.hlos[n, k]
         bd = reference.interference_terms(hlos, hlos, channels, stats.geom.rho_d, n, k)
-        assert_close(base.gamma_perfect, base.rho_d_own * base.signal / bd["I"], rtol=1e-12)
+        kernel = BlockKernel(stats, channels, draw.w)
+        assert_close(base, kernel.rho_d_own * kernel.signal / bd["I"], rtol=1e-12)
 
 
 class TestInstantaneousSse:
