@@ -1,5 +1,6 @@
 """Command-line front end: parse configuration, dispatch experiments and
-optimizers, emit plot-ready CSV and JSON."""
+optimizers, emit plot-ready CSV and JSON. Subcommands call public ``harness``
+functions only; the optimizers' JSON payloads and the t grid live here."""
 
 from __future__ import annotations
 
@@ -8,16 +9,11 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .asymptotics import build_moment_set, theorem1_sse
 from .config import ConfigError, RunConfig, json_text, load_config, parse_override
 from .harness import (
     EXPERIMENTS,
-    ExperimentSpec,
-    _optimal_count,
-    _place,
-    _pool_config,
-    _unit_blocks,
-    interference_regime,
+    device_count,
+    pilot_objective,
     preset_run_config,
     run_asymptotic,
     run_experiment,
@@ -109,13 +105,6 @@ def _cmd_asymptotic(args) -> int:
     return _write_result(args, run_asymptotic(_build_run_config(args), args.workers))
 
 
-def _optimizer_spec(rc: RunConfig) -> ExperimentSpec:
-    """The engine's view of an optimizer run: only the interference regime
-    is resolved, the experiment's sweep is not used."""
-    exp = dataclasses.replace(rc.experiment, interference=interference_regime(rc.experiment))
-    return ExperimentSpec(rc.system, rc.layout, rc.placement, exp)
-
-
 def _write_json(args, name: str, payload: dict) -> int:
     text = json_text(payload)
     print(text)
@@ -127,15 +116,8 @@ def _write_json(args, name: str, payload: dict) -> int:
 
 def _cmd_optimize_t(args) -> int:
     """Theorem 1 SSE of panel 0 on placement 0, block 0, over the pilot length."""
-    spec = _optimizer_spec(_build_run_config(args))
-    cfg = spec.system
-    dep = _place(spec, 0)
-    sets = [build_moment_set(stats) for k in range(cfg.K)
-            for stats, _ in _unit_blocks(spec, dep, cfg, 0, [0], 0, k)]
-
-    def objective(t) -> float:
-        return theorem1_sse([ms.sse_terms(t) for ms in sets], t, cfg.T).sse_bar
-
+    rc = _build_run_config(args)
+    cfg, objective = rc.system, pilot_objective(rc)
     sol = optimal_pilot_length(objective, cfg.T, cfg.K)
     ts = sorted(set(range(cfg.K, cfg.T + 1, max(1, (cfg.T - cfg.K) // 64))) | {cfg.K, cfg.T})
     return _write_json(args, "optimize_t.json", {
@@ -149,18 +131,13 @@ def _cmd_optimize_t(args) -> int:
 
 def _cmd_optimize_k(args) -> int:
     """Theorem 2 floor NSE over the device count on placement 0's pool."""
-    spec = _optimizer_spec(_build_run_config(args))
-    dep = _place(spec, 0, pool=True)
-    sol = _optimal_count(spec, dep, _pool_config(spec, dep))
-    return _write_json(args, "optimize_k.json", {**sol.trace(), "pool": dep.K})
+    sol, pool = device_count(_build_run_config(args))
+    return _write_json(args, "optimize_k.json", {**sol.trace(), "pool": pool.K})
 
 
 def _cmd_validate(args) -> int:
     rc = _build_run_config(args, preset_id="oracle")
-    if rc.experiment.id != "oracle":
-        rc = dataclasses.replace(
-            rc, experiment=dataclasses.replace(rc.experiment, id="oracle")
-        )
+    rc = dataclasses.replace(rc, experiment=dataclasses.replace(rc.experiment, id="oracle"))
     result = run_experiment(rc, args.workers)
     write_outputs(result, args.out)
     ok = True

@@ -55,10 +55,10 @@ scalars (SINRs, a moment set's ``sse_terms``), never statistics or moment
 sets: only the scalars grow with the blocks, and one unit's geometry is
 alive at a time.
 
-The ``lis-sim optimize-t``/``optimize-k`` front ends use the same engine:
-placement 0 from ``_place``, block 0 of panel 0's units from
-``_unit_blocks`` and their moment sets for the pilot-length objective, and
-``_optimal_count`` for the device count.
+The optimizer objectives are engine calls on a config whose interference
+regime alone is resolved: ``pilot_objective`` is t -> panel 0's Theorem 1
+SSE on placement 0, block 0; ``device_count`` is the floor-bound device
+count on a placement's pool, fig8's and ``lis-sim optimize-k``'s one path.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _experiment(exp_id: str) -> Experiment:
     return EXPERIMENTS[exp_id]
 
 
-def interference_regime(exp: ExperimentConfig) -> str:
+def _interference_regime(exp: ExperimentConfig) -> str:
     """The experiment's interference regime, else its row's default."""
     return exp.interference or _experiment(exp.id).interference
 
@@ -169,8 +169,15 @@ class ExperimentSpec(RunConfig):
                                       "experiment.sweep_values") from exc
         stride = exp.theory_stride or (row.stride and max(1, exp.realizations // row.stride))
         resolved = dataclasses.replace(exp, sweep_values=values, theory_stride=stride,
-                                       interference=interference_regime(exp))
+                                       interference=_interference_regime(exp))
         return cls(system=rc.system, layout=rc.layout, placement=rc.placement, experiment=resolved)
+
+
+def _optimizer_spec(rc: RunConfig) -> ExperimentSpec:
+    """The engine's view of an optimizer run: only the interference regime
+    is resolved, the experiment's sweep is not used. A spec maps to an equal one."""
+    exp = dataclasses.replace(rc.experiment, interference=_interference_regime(rc.experiment))
+    return ExperimentSpec(rc.system, rc.layout, rc.placement, exp)
 
 
 class RawRecord(NamedTuple):
@@ -316,6 +323,24 @@ def _optimal_count(spec: ExperimentSpec, pool, cfg: SystemConfig):
     return optimal_num_devices(table.gamma_hat, cfg.T, pool.K)
 
 
+def device_count(rc: RunConfig, p: int = 0):
+    """(``SchedulingSolution``, pool ``Deployment``): the count maximizing
+    the Theorem 2 floor NSE over placement p's pool under ``_pool_config``."""
+    spec = _optimizer_spec(rc)
+    pool = _place(spec, p, pool=True)
+    return _optimal_count(spec, pool, _pool_config(spec, pool)), pool
+
+
+def pilot_objective(rc: RunConfig) -> Callable[[int], float]:
+    """t -> Theorem 1 SSE (``sse_bar``) of panel 0 on placement 0, block
+    0: the pilot-length objective, on moment sets built once."""
+    spec = _optimizer_spec(rc)
+    dep, cfg = _place(spec, 0), spec.system
+    sets = [build_moment_set(stats) for k in range(cfg.K)
+            for stats, _ in _unit_blocks(spec, dep, cfg, 0, [0], 0, k)]
+    return lambda t: theorem1_sse([ms.sse_terms(t) for ms in sets], t, cfg.T).sse_bar
+
+
 # ---------------------------------------------------------------------------
 # figure reductions: (spec, placement) -> (record tuples, extras)
 
@@ -422,18 +447,16 @@ def _ksweep(spec: ExperimentSpec, p: int):
     """fig8: deterministic NSE(K) curve over the placeable pool plus a
     sampled cross-check curve at a tractable array size."""
     cfg, exp = spec.system, spec.experiment
-    dep = _place(spec, p, pool=True)
-    pool = dep.K
-    sol = _optimal_count(spec, dep, _pool_config(spec, dep))
+    sol, pool = device_count(spec, p)
     recs = [(float(K), "Theorem 2 bound NSE", p, 0, float(v))
             for K, v in zip(sol.K_values, sol.nse_curve) if math.isfinite(v)]
     mc_M = cfg.M if cfg.M <= _MC_KSWEEP_CAP else 196
-    K_grid = sorted({K for K in exp.sweep_values if K <= pool} | {sol.K_opt})
-    nse = _sampled_nse(spec, dep, _pool_config(spec, dep, M=mc_M), p,
+    K_grid = sorted({K for K in exp.sweep_values if K <= pool.K} | {sol.K_opt})
+    nse = _sampled_nse(spec, pool, _pool_config(spec, pool, M=mc_M), p,
                        range(exp.realizations), K_grid)
     recs += [(float(K), "Monte Carlo NSE", p, b, nse_b[K])
              for b, nse_b in enumerate(nse) for K in K_grid]
-    extras = {"pool": pool, "K_opt": sol.K_opt, "nse_opt": sol.nse_opt, "mc_M": mc_M,
+    extras = {"pool": pool.K, "K_opt": sol.K_opt, "nse_opt": sol.nse_opt, "mc_M": mc_M,
               "K_grid": list(K_grid), "det_curve": [float(v) for v in sol.nse_curve]}
     return recs, extras
 

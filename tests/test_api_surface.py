@@ -13,6 +13,10 @@ class has a field of the same name that is read. The run-time check
 attributes every read to its class instead: it runs the golden cases and
 the optimizer front ends with every exported class that has fields
 instrumented.
+
+A module's private names are its own: no package module imports one from
+another, so the CLI and any later caller reach the engine through public
+names alone.
 """
 
 import ast
@@ -66,6 +70,36 @@ def test_every_public_name_is_used_inside_the_package():
     }
     unused = sorted(public - _referenced_names() - EXEMPT)
     assert unused == [], f"exported but unused inside lis_uplink: {unused}"
+
+
+def _private_imports(package_dir: Path) -> list:
+    """``file: name`` for every private name a module of the package at
+    `package_dir` takes from another: a relative ``from .mod import _name``
+    or a read of ``mod._name`` on a package module's name."""
+    modules = {path.stem for path in package_dir.glob("*.py")}
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")
+                  and not node.attr.startswith("__")):
+                found.append(f"{path.name}: {node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = _private_imports(PACKAGE_DIR)
+    assert found == [], f"private names used across package modules: {found}"
+
+
+def test_private_import_scan_sees_both_forms(tmp_path):
+    (tmp_path / "engine.py").write_text("def _hidden():\n    pass\n", encoding="utf-8")
+    (tmp_path / "front.py").write_text(
+        "from . import engine\nfrom .engine import _hidden, public\n"
+        "engine._hidden()\nengine.__name__\n", encoding="utf-8")
+    assert _private_imports(tmp_path) == ["front.py: _hidden", "front.py: engine._hidden"]
 
 
 def _field_names(cls) -> tuple:

@@ -548,7 +548,8 @@ class TestSingleLisTwin:
 
     def test_analytic_runners_sample_no_channels(self, monkeypatch, tmp_path, capsys):
         """``run_asymptotic`` and ``lis-sim optimize-t`` read moment sets
-        alone: they sample no channels and build no kernel."""
+        alone, and ``lis-sim optimize-k`` the floor table alone: they sample
+        no channels and build no kernel."""
         counts = {"channels": 0, "kernels": 0}
 
         def counting(name, fn):
@@ -564,7 +565,8 @@ class TestSingleLisTwin:
         runner, exp_id, overrides = CASES["asymptotic-fig5"]
         assert runner is run_asymptotic
         assert runner(preset_run_config(exp_id, seed=SEED).with_overrides(overrides)).records
-        _run_optimizer("optimize-t-rician", tmp_path)
+        for case in ("optimize-t-rician", "optimize-k-rician", "optimize-k-nlos_inter"):
+            _run_optimizer(case, tmp_path / case)
         capsys.readouterr()
         assert counts == {"channels": 0, "kernels": 0}
 
@@ -673,6 +675,42 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="at least 2") as err:
             ExperimentSpec.from_run_config(rc)
         assert err.value.key == "experiment.realizations"
+
+
+class TestOptimizerObjectives:
+    """The optimizers read the figures' engine paths: the pilot objective is
+    fig7's Theorem 1 curve of placement 0, block 0, and ``optimize-k``
+    writes fig8's deterministic device-count solution of placement 0."""
+
+    def test_pilot_objective_is_fig7_theorem1_of_block_0(self):
+        ts = (3, 5, 9, 20, 41, 60)
+        rc = preset_run_config("fig7", seed=3).with_overrides({
+            "system.M": 36, "system.K": 3, "system.T": 60,
+            "experiment.sweep_values": list(ts), "experiment.theory_stride": 1,
+            "experiment.realizations": 2, "experiment.placements": 2})
+        theory = {r.sweep_value: r.value for r in run_experiment(rc).records
+                  if r.label == "Theorem 1" and (r.placement, r.realization) == (0, 0)}
+        objective = hz.pilot_objective(rc)
+        assert theory == {float(t): objective(t) for t in ts}
+
+    def test_optimize_k_writes_fig8_solution_of_placement_0(self, tmp_path, capsys):
+        rc = preset_run_config("fig8", seed=3).with_overrides({
+            "system.M": 36, "system.T": 20, "placement.pool_size": 8,
+            "experiment.realizations": 1, "experiment.placements": 2})
+        # fig8 hands device_count its resolved spec, which must resolve to itself
+        spec = ExperimentSpec.from_run_config(rc)
+        assert hz._optimizer_spec(spec) == spec
+        write_outputs(run_experiment(rc), tmp_path / "fig8")
+        manifest = json.loads((tmp_path / "fig8" / "fig8_manifest.json").read_text(encoding="utf-8"))
+        fig8 = manifest["extras"]["placements"][0]
+        config = tmp_path / "fig8.json"
+        config.write_text(json.dumps(rc.to_dict()), encoding="utf-8")
+        assert main(["optimize-k", "--config", str(config), "--out", str(tmp_path / "k")]) == 0
+        capsys.readouterr()
+        got = json.loads((tmp_path / "k" / "optimize_k.json").read_text(encoding="utf-8"))
+        assert {key: got[key] for key in ("K_opt", "nse_opt", "nse_curve", "pool")} == {
+            "K_opt": fig8["K_opt"], "nse_opt": fig8["nse_opt"],
+            "nse_curve": fig8["det_curve"], "pool": fig8["pool"]}
 
 
 class TestWriteOutputs:
