@@ -62,14 +62,12 @@ from .scenario import (
     InfeasiblePlacementError,
     LisFrame,
     build_layout,
-    center_distances,
     data_snrs,
     los_probability,
     pilot_snrs,
     place_devices,
     quarter_solid_angle,
     rician_factor,
-    unit_antenna_grid,
 )
 
 __version__ = "0.1.0"

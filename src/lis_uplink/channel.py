@@ -76,9 +76,7 @@ class CorrelationRoot:
         np.multiply(self.ramp_v[..., :, np.newaxis, :], self.ramp_h[..., np.newaxis, :, :],
                     out=out)
         out = out.reshape(*batch, side * side, P)
-        # the real path loss scales real and imaginary parts alike
-        parts = out.view(np.float64)
-        parts *= self.pathloss[..., :, np.newaxis]
+        out *= self.pathloss[..., :, np.newaxis]
         return out
 
 
@@ -108,9 +106,7 @@ def root_matrix_from_angles(
     side = config.m_side
     step = 2.0 * math.pi * config.spacing / config.lam
     ramp_v = _phase_ramp(phi_v, side, step)
-    # the gain is real: scale real and imaginary parts alike
-    parts = ramp_v.view(np.float64).reshape(*ramp_v.shape, 2)
-    parts *= (alpha / math.sqrt(config.M))[..., np.newaxis, :, np.newaxis]
+    ramp_v *= (alpha / math.sqrt(config.M))[..., np.newaxis, :]
     return CorrelationRoot(
         ramp_v=ramp_v,
         ramp_h=_phase_ramp(phi_h, side, step),

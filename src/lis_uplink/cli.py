@@ -132,7 +132,7 @@ def _cmd_optimize_t(args) -> int:
 def _cmd_optimize_k(args) -> int:
     """Theorem 2 floor NSE over the device count on placement 0's pool."""
     sol, pool = device_count(_build_run_config(args))
-    return _write_json(args, "optimize_k.json", {**sol.trace(), "pool": pool.K})
+    return _write_json(args, "optimize_k.json", {**dataclasses.asdict(sol), "pool": pool.K})
 
 
 def _cmd_validate(args) -> int:

@@ -15,10 +15,12 @@ per block, and no (N, K, M, P) root tensor is built on the sampling path.
 
 ``build_unit_geometry`` builds a unit's geometry from a deployment and the
 system config its links are built for, which together are a sweep point.
-The geometry also carries the link budget that its placement fixes: the
-pilot and data transmit SNRs of every device (power control) and the
-deterministic serving power of Theorems 1 and 2. The sampler, the Lemma
-moments and the floor table read the budget from there alone.
+It works along the unit's own panel axes, where the unit's antennas form a
+square lattice around its device's local (x, y), so any panel rotation is
+accepted. The geometry also carries the link budget that its placement
+fixes: the pilot and data transmit SNRs of every device (power control)
+and the deterministic serving power of Theorems 1 and 2. The sampler, the
+Lemma moments and the floor table read the budget from there alone.
 
 The two rules of the link model live here alone: ``contamination_weights``
 (which same-pilot devices contaminate a unit's channel estimate, and how
@@ -44,14 +46,12 @@ from .channel import CorrelationRoot, cgauss, rician_mixing, root_matrix_from_an
 from .config import SystemConfig
 from .scenario import (
     Deployment,
-    center_distances,
     data_snrs,
     los_probability,
     pilot_snrs,
     quarter_solid_angle,
     rician_factor,
     serving_power,
-    unit_antenna_grid,
 )
 
 # RNG stream domains (SeedSequence spawn keys): placement draws and
@@ -179,23 +179,22 @@ def los_phase(d: np.ndarray, lam: float, gain: np.ndarray) -> np.ndarray:
 def build_unit_geometry(
     deployment: Deployment, config: SystemConfig, n: int, k: int
 ) -> UnitLinkGeometry:
+    # every position along panel n's own axes, for any rotation: z is the
+    # perpendicular offset from the plane, and the unit's antennas form a
+    # lattice around its device's local (x, y) whose rows run along x (ih)
+    # and y (iv), so the squared offsets along x, y and z broadcast into d
     frame = deployment.frames[n]
-    perm = np.abs(frame.rotation)
-    if not np.array_equal(perm @ perm.T, np.eye(3)):
-        raise ValueError(f"panel {n} rotation is not a signed axis permutation")
-    # z: perpendicular offset of every device to panel n's plane
-    z = np.einsum("lji,i->lj", deployment.devices - frame.origin, frame.normal)
+    devices = deployment.devices @ frame.rotation
+    origin = frame.origin @ frame.rotation
+    z = devices[..., 2] - origin[2]
     if np.any(z <= 0):
         raise ValueError("every device must lie on the front side of every panel plane")
-    # each global axis runs along one local axis (local x along the (iv, ih)
-    # lattice's ih, y along iv, z along neither), so its squared offsets
-    # take one lattice row and are added into d by broadcasting
     side = config.m_side
-    grid = unit_antenna_grid(deployment, config, n, k).reshape(side, side, 3)
-    d = np.zeros(z.shape + (side, side))
-    for axis, local in enumerate(perm.argmax(axis=1)):
-        d += np.square(deployment.devices[:, :, axis, np.newaxis, np.newaxis]
-                       - grid[:1 if local != 1 else None, :1 if local != 0 else None, axis])
+    off = (np.arange(side) + 0.5) * config.spacing - 0.5 * side * config.spacing
+    rows = (off[:, np.newaxis] + deployment.devices_local[n, k, :2]) + origin[:2]
+    x, y = devices[..., 0, np.newaxis, np.newaxis], devices[..., 1, np.newaxis, np.newaxis]
+    d = np.square(x - rows[:, 0]) + np.square(y - rows[:, 1, np.newaxis])
+    d += np.square(z)[..., np.newaxis, np.newaxis]
     d = np.sqrt(d, out=d).reshape(*z.shape, config.M)
     # beta = sqrt(z / d) / sqrt(4 pi d^2)
     beta = np.divide(z[:, :, np.newaxis], d)
@@ -205,7 +204,8 @@ def build_unit_geometry(
     beta /= np.sqrt(spread, out=spread)
     hlos = los_phase(d, config.lam, beta)
     beta2 = np.multiply(beta, beta, out=beta)  # beta is spent: square it in place
-    cdist = center_distances(deployment, n, k)
+    to_center = devices - (origin + np.append(deployment.devices_local[n, k, :2], 0.0))
+    cdist = np.sqrt(np.einsum("lji,lji->lj", to_center, to_center))
     p = quarter_solid_angle(config.L, deployment.devices_local[n, k, 2])
     return UnitLinkGeometry(
         n=n,
@@ -316,10 +316,7 @@ def sample_unit_channels(stats: UnitChannelStats, g: np.ndarray) -> np.ndarray:
     roots = stats.roots
     scattered = (roots.ramp_v * g[..., np.newaxis, :]) @ roots.ramp_h.swapaxes(-1, -2)
     scattered = scattered.reshape(g.shape[:-1] + stats.hbar.shape[-1:])
-    # path loss and mixing are real: scale real and imaginary parts alike
-    scale = stats.nlos_scale[:, :, np.newaxis] * roots.pathloss
-    parts = scattered.view(np.float64).reshape(*scattered.shape, 2)
-    parts *= scale[..., np.newaxis]
+    scattered *= stats.nlos_scale[:, :, np.newaxis] * roots.pathloss
     scattered += stats.hbar
     return scattered
 

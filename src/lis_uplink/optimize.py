@@ -190,14 +190,6 @@ class SchedulingSolution:
     K_values: tuple
     nse_curve: np.ndarray
 
-    def trace(self) -> dict:
-        return {
-            "K_opt": self.K_opt,
-            "nse_opt": self.nse_opt,
-            "K_values": [int(k) for k in self.K_values],
-            "nse_curve": [float(v) for v in self.nse_curve],
-        }
-
 
 def nse_of_gammas(gammas: np.ndarray, K: int, T: int) -> float:
     """NSE for K admitted devices at t = K: prelog times the mean over

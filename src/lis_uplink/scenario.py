@@ -1,11 +1,12 @@
 """Multi-LIS geometry, device placement, and link-budget scalars.
 
 Each LIS is a planar panel with its own local frame (panel in the local
-z = 0 plane, devices at local z > 0). A device's LIS unit is the 2L x 2L
-patch of the panel directly under the device: unit centers are the (x, y)
-projections of the devices, so every device sits at boresight of its own
-unit. Placement rejects draws until all same-panel unit squares are
-pairwise disjoint.
+z = 0 plane, devices at local z > 0), under any rotation. A device's LIS
+unit is the 2L x 2L patch of the panel directly under the device: its
+center is the device's local (x, y), so every device sits at boresight of
+its own unit, and its antennas form a square lattice on the panel's own
+axes (``links.build_unit_geometry``). Placement rejects draws until all
+same-panel unit squares are pairwise disjoint.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ class LisFrame:
 
     def to_global(self, points_local: np.ndarray) -> np.ndarray:
         return points_local @ self.rotation.T + self.origin
-
-    @property
-    def normal(self) -> np.ndarray:
-        """Global unit normal of the panel plane (local +z)."""
-        return self.rotation[:, 2]
 
 
 def build_layout(layout: LayoutConfig, N: int) -> list[LisFrame]:
@@ -72,13 +68,12 @@ def build_layout(layout: LayoutConfig, N: int) -> list[LisFrame]:
 
 @dataclass(frozen=True)
 class Deployment:
-    """Placed devices and their LIS units for one scenario draw."""
+    """Placed devices for one scenario draw; device (n, k)'s unit is
+    centered at devices_local[n, k, :2] on panel n."""
 
     frames: tuple[LisFrame, ...]
-    devices_local: np.ndarray      # (N, K, 3) in each panel's frame, z > 0
-    devices: np.ndarray            # (N, K, 3) global
-    unit_centers_local: np.ndarray  # (N, K, 3) on the local z=0 plane
-    unit_centers: np.ndarray       # (N, K, 3) global
+    devices_local: np.ndarray  # (N, K, 3) in each panel's frame, z > 0
+    devices: np.ndarray        # (N, K, 3) global
 
     @property
     def N(self) -> int:
@@ -98,8 +93,6 @@ class Deployment:
             frames=self.frames,
             devices_local=self.devices_local[:, :K],
             devices=self.devices[:, :K],
-            unit_centers_local=self.unit_centers_local[:, :K],
-            unit_centers=self.unit_centers[:, :K],
         )
 
 
@@ -180,34 +173,11 @@ def place_devices(
             "infeasible placement: a panel accepted no devices at all"
         )
     devices_local = np.stack([acc[:pool] for acc in per_panel])
-
-    centers_local = devices_local.copy()
-    centers_local[..., 2] = 0.0
-    devices = np.stack([frames[n].to_global(devices_local[n]) for n in range(config.N)])
-    centers = np.stack([frames[n].to_global(centers_local[n]) for n in range(config.N)])
     return Deployment(
         frames=tuple(frames),
         devices_local=devices_local,
-        devices=devices,
-        unit_centers_local=centers_local,
-        unit_centers=centers,
+        devices=np.stack([frames[n].to_global(devices_local[n]) for n in range(config.N)]),
     )
-
-
-def unit_antenna_grid(
-    deployment: Deployment, config: SystemConfig, n: int, k: int
-) -> np.ndarray:
-    """All M antenna positions of unit (n, k), shape (M, 3), global frame,
-    on a square lattice centered on the unit: local x is the horizontal
-    index ih, local y the vertical index iv, and the order m = iv * sqrt(M)
-    + ih matches the Kronecker order of the steering vectors."""
-    side = config.m_side
-    off = (np.arange(side) + 0.5) * config.spacing - 0.5 * side * config.spacing
-    local = np.zeros((side, side, 3))
-    local[..., 0] = off[np.newaxis, :]
-    local[..., 1] = off[:, np.newaxis]
-    local = local.reshape(config.M, 3) + deployment.unit_centers_local[n, k]
-    return deployment.frames[n].to_global(local)
 
 
 def los_probability(d: np.ndarray, d_C: float) -> np.ndarray:
@@ -258,10 +228,3 @@ def serving_power(M: int, p: float, L: float) -> float:
     """Deterministic serving power M^2 p^2 / (16 pi^2 L^4) of a device whose
     unit quadrant subtends the solid angle p."""
     return M * M * p * p / (16.0 * math.pi**2 * L**4)
-
-
-def center_distances(deployment: Deployment, n: int, k: int) -> np.ndarray:
-    """Distance from every device (l, j) to the center of unit (n, k),
-    shape (N, K). Feeds the Rician factor and the LOS probability."""
-    diff = deployment.devices - deployment.unit_centers[n, k]
-    return np.sqrt(np.einsum("lji,lji->lj", diff, diff))

@@ -7,7 +7,12 @@ Per-link oracles of the uplink model, one link or one unit at a time:
 
 - ``antenna_position`` and ``los_link``: one antenna of a unit's lattice
   and one device's free-space LOS channel toward a unit, against
-  ``unit_antenna_grid`` and ``links.build_unit_geometry``;
+  ``links.build_unit_geometry``;
+- ``unit_antenna_grid``, ``unit_center`` and ``center_distances``: a
+  unit's antennas (``antenna_position`` for every m at once) and center in
+  global coordinates, and every device's distance to that center, against
+  the panel-axis lattice rows, ``kappa_cand`` and ``p_los`` of
+  ``links.build_unit_geometry``;
 - ``steering_vector``: one planar-array steering column, against the
   columns of a dense ``channel.root_matrix_from_angles`` root;
 - ``pilot_book``, ``received_block`` and ``ls_despread``: the full M x t
@@ -92,7 +97,6 @@ from lis_uplink.scenario import (
     pilot_snrs,
     quarter_solid_angle,
     serving_power,
-    unit_antenna_grid,
 )
 
 
@@ -242,13 +246,38 @@ def kernel_products(stats: UnitChannelStats, g: np.ndarray, w: np.ndarray, pilot
 
 
 def antenna_position(deployment, config, n: int, k: int, m: int) -> np.ndarray:
-    """Global position of antenna m of unit (n, k): a centered square
-    lattice of pitch delta_L, index m = iv * sqrt(M) + ih (vertical major)."""
+    """Global position of antenna m of unit (n, k): a square lattice of
+    pitch delta_L centered on the device's local (x, y) on panel n, index
+    m = iv * sqrt(M) + ih (vertical major)."""
     side = config.m_side
     iv, ih = divmod(int(m), side)
-    offsets = (np.arange(side) + 0.5 - 0.5 * side) * config.spacing
-    local = deployment.unit_centers_local[n, k] + np.array([offsets[ih], offsets[iv], 0.0])
+    offsets = (np.arange(side) + 0.5) * config.spacing - 0.5 * side * config.spacing
+    local = np.append(deployment.devices_local[n, k, :2], 0.0) + [offsets[ih], offsets[iv], 0.0]
     return deployment.frames[n].to_global(local)
+
+
+def unit_antenna_grid(deployment, config, n: int, k: int) -> np.ndarray:
+    """(M, 3) global positions of all antennas of unit (n, k) in the order
+    m = iv * sqrt(M) + ih, ``antenna_position`` for every m at once."""
+    side = config.m_side
+    iv, ih = np.divmod(np.arange(config.M), side)
+    offsets = (np.arange(side) + 0.5) * config.spacing - 0.5 * side * config.spacing
+    local = np.zeros((config.M, 3))
+    local[:, 0], local[:, 1] = offsets[ih], offsets[iv]
+    return deployment.frames[n].to_global(np.append(deployment.devices_local[n, k, :2], 0.0) + local)
+
+
+def unit_center(deployment, n: int, k: int) -> np.ndarray:
+    """Global position of the center of unit (n, k): the device's local
+    (x, y) on panel n's plane."""
+    return deployment.frames[n].to_global(np.append(deployment.devices_local[n, k, :2], 0.0))
+
+
+def center_distances(deployment, n: int, k: int) -> np.ndarray:
+    """(N, K) distance from every device to the center of unit (n, k),
+    summed over the three global axes."""
+    diff = deployment.devices - unit_center(deployment, n, k)
+    return np.sqrt(np.einsum("lji,lji->lj", diff, diff))
 
 
 def los_link(device, antennas: np.ndarray, frame, lam: float):
@@ -257,7 +286,7 @@ def los_link(device, antennas: np.ndarray, frame, lam: float):
     lambda), power sum_m beta_m^2), with beta_m = sqrt(z / d_m) /
     sqrt(4 pi d_m^2) and z the device's offset along the panel normal."""
     device = np.asarray(device, dtype=float)
-    z = float(np.dot(device - frame.origin, frame.normal))
+    z = float(np.dot(device - frame.origin, frame.rotation[:, 2]))
     d = np.array([math.dist(device, a) for a in antennas])
     beta = np.sqrt(z / d) / np.sqrt(4.0 * math.pi * d * d)
     return d, beta * np.exp(-2j * math.pi * d / lam), float(np.sum(beta**2))
@@ -339,8 +368,6 @@ def subset(deployment: Deployment, K: int) -> Deployment:
         frames=deployment.frames,
         devices_local=deployment.devices_local[:, :K],
         devices=deployment.devices[:, :K],
-        unit_centers_local=deployment.unit_centers_local[:, :K],
-        unit_centers=deployment.unit_centers[:, :K],
     )
 
 
@@ -381,14 +408,10 @@ def place_devices(config, layout, rng, *, placement=None, K=None, allow_partial=
     if pool == 0:
         raise InfeasiblePlacementError("infeasible placement: a panel accepted no devices at all")
     devices_local = np.stack([np.stack(acc[:pool]) for acc in per_panel])
-    centers_local = devices_local.copy()
-    centers_local[..., 2] = 0.0
     return Deployment(
         frames=tuple(frames),
         devices_local=devices_local,
         devices=np.stack([frames[n].to_global(devices_local[n]) for n in range(config.N)]),
-        unit_centers_local=centers_local,
-        unit_centers=np.stack([frames[n].to_global(centers_local[n]) for n in range(config.N)]),
     )
 
 
@@ -512,8 +535,6 @@ def panel(deployment: Deployment, n: int) -> Deployment:
         frames=(deployment.frames[n],),
         devices_local=deployment.devices_local[n : n + 1],
         devices=deployment.devices[n : n + 1],
-        unit_centers_local=deployment.unit_centers_local[n : n + 1],
-        unit_centers=deployment.unit_centers[n : n + 1],
     )
 
 

@@ -21,7 +21,6 @@ from lis_uplink import (
     quarter_solid_angle,
     rician_mixing,
     sample_unit_channels,
-    unit_antenna_grid,
 )
 from lis_uplink.channel import root_matrix_from_angles
 from lis_uplink.config import SPEED_OF_LIGHT
@@ -35,14 +34,10 @@ def _point_deployment(device_local, N_panels=1, layout=None):
     layout = layout or LayoutConfig(name="line")
     frames = build_layout(layout, N_panels)
     dev = np.tile(np.asarray(device_local, float), (N_panels, 1, 1))
-    cen = dev.copy()
-    cen[..., 2] = 0.0
     return Deployment(
         frames=tuple(frames),
         devices_local=dev,
         devices=np.stack([frames[n].to_global(dev[n]) for n in range(N_panels)]),
-        unit_centers_local=cen,
-        unit_centers=np.stack([frames[n].to_global(cen[n]) for n in range(N_panels)]),
     )
 
 
@@ -117,8 +112,8 @@ class TestLosChannel:
         cfg = SystemConfig(M=16, K=1, N=4)
         dep = place_devices(cfg, LayoutConfig(), np.random.default_rng(0), K=1)
         geom = build_unit_geometry(dep, cfg, 3, 0)
-        assert_close(dep.frames[3].normal, [0.0, 0.0, -1.0])
-        assert np.allclose(unit_antenna_grid(dep, cfg, 3, 0)[:, 2], 6.0)
+        assert_close(dep.frames[3].rotation[:, 2], [0.0, 0.0, -1.0])
+        assert np.allclose(reference.unit_antenna_grid(dep, cfg, 3, 0)[:, 2], 6.0)
         assert np.all(np.abs(geom.hlos[3, 0]) > 0)
 
 

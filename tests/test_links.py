@@ -10,19 +10,21 @@ from hypothesis import given, strategies as st
 
 from lis_uplink import (
     BlockKernel,
+    Deployment,
     LayoutConfig,
     LisFrame,
     SystemConfig,
     build_unit_geometry,
     data_snrs,
     draw_unit_block,
+    los_probability,
     make_unit_stats,
     pilot_snrs,
     place_devices,
     placement_rng,
     quarter_solid_angle,
+    rician_factor,
     sample_unit_channels,
-    unit_antenna_grid,
 )
 from lis_uplink.channel import cgauss
 from lis_uplink.links import (
@@ -250,7 +252,7 @@ class TestUnitGeometryOracle:
         for n, k in ((0, 0), (2, 1), (3, 2)):
             geom = build_unit_geometry(dep, cfg, n, k)
             antennas = np.array([reference.antenna_position(dep, cfg, n, k, m) for m in range(M)])
-            assert_close(unit_antenna_grid(dep, cfg, n, k), antennas, rtol=0, atol=1e-12)
+            assert_close(reference.unit_antenna_grid(dep, cfg, n, k), antennas, rtol=0, atol=1e-12)
             for l in range(cfg.N):
                 for j in range(cfg.K):
                     d, h, power = reference.los_link(dep.devices[l, j], antennas, dep.frames[n], cfg.lam)
@@ -318,14 +320,35 @@ class TestUnitGeometryOracle:
         assert np.array_equal(build_unit_geometry(turned, cfg, 0, 1).distances,
                               reference.unit_distances(turned, cfg, 0, 1))
 
-    def test_rotation_off_the_axes_rejected(self):
+    def test_frame_tilted_about_its_normal(self):
+        # off the global axes: the lattice rows run along the panel's own
+        # x and y, so the distances are the per-antenna Euclidean ones
         cfg = SystemConfig(M=16, K=3, N=1, seed=25)
         dep = place_devices(cfg, LayoutConfig(name="line"), placement_rng(cfg.seed, 0))
         c, s = math.cos(0.3), math.sin(0.3)
-        tilted = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        dep = dataclasses.replace(dep, frames=(LisFrame(dep.frames[0].origin, tilted),))
-        with pytest.raises(ValueError, match="signed axis permutation"):
-            build_unit_geometry(dep, cfg, 0, 0)
+        frame = LisFrame(np.array([0.4, -0.2, 0.1]),
+                         np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
+        dep = Deployment((frame,), dep.devices_local, frame.to_global(dep.devices_local))
+        for k in range(cfg.K):
+            geom = build_unit_geometry(dep, cfg, 0, k)
+            antennas = reference.unit_antenna_grid(dep, cfg, 0, k)
+            for j in range(cfg.K):
+                d, _, power = reference.los_link(dep.devices[0, j], antennas, frame, cfg.lam)
+                assert_close(geom.distances[0, j], d, rtol=1e-12)
+                assert_close(geom.beta2_sum[0, j], power, rtol=1e-12)
+
+    @pytest.mark.parametrize("layout, N", [("quad", 4), ("line", 3)])
+    def test_center_distance_laws_equal_global_axis_sum(self, layout, N):
+        # identity and facing frames only: in a quarter-turn frame the
+        # einsum adds the same squares in another order
+        cfg = SystemConfig(M=16, K=4, N=N, seed=26)
+        dep = place_devices(cfg, LayoutConfig(name=layout), placement_rng(cfg.seed, 0))
+        for n in range(N):
+            for k in range(cfg.K):
+                geom = build_unit_geometry(dep, cfg, n, k)
+                cdist = reference.center_distances(dep, n, k)
+                assert np.array_equal(geom.kappa_cand, rician_factor(cdist)), (n, k)
+                assert np.array_equal(geom.p_los, los_probability(cdist, cfg.d_C)), (n, k)
 
 
 class TestSliceStats:

@@ -14,13 +14,11 @@ from lis_uplink import (
     SystemConfig,
     build_layout,
     build_unit_geometry,
-    center_distances,
     data_snrs,
     los_probability,
     pilot_snrs,
     place_devices,
     rician_factor,
-    unit_antenna_grid,
 )
 
 import reference
@@ -54,9 +52,9 @@ class TestLayout:
 
     def test_quad_facing_panel_points_back_down(self):
         frames = build_layout(LayoutConfig(name="quad"), 4)
-        assert_close(frames[3].normal, [0.0, 0.0, -1.0])
+        assert_close(frames[3].rotation[:, 2], [0.0, 0.0, -1.0])
         for n in range(3):
-            assert_close(frames[n].normal, [0.0, 0.0, 1.0])
+            assert_close(frames[n].rotation[:, 2], [0.0, 0.0, 1.0])
 
     def test_quad_rejects_wrong_panel_count(self):
         with pytest.raises(ValueError, match="N=4"):
@@ -82,7 +80,7 @@ class TestPlacement:
         dep = _place(cfg, seed=5)
         side = 2 * cfg.L
         for n in range(dep.N):
-            c = dep.unit_centers_local[n, :, :2]
+            c = dep.devices_local[n, :, :2]
             for a in range(dep.K):
                 for b in range(a + 1, dep.K):
                     cheb = np.max(np.abs(c[a] - c[b]))
@@ -105,7 +103,7 @@ class TestPlacement:
         a = _place(cfg, seed=42)
         b = _place(cfg, seed=42)
         assert np.array_equal(a.devices, b.devices)
-        assert np.array_equal(a.unit_centers, b.unit_centers)
+        assert np.array_equal(a.devices_local, b.devices_local)
         c = _place(cfg, seed=43)
         assert not np.array_equal(a.devices, c.devices)
 
@@ -147,7 +145,7 @@ class TestPlacement:
             assert str(got.value) == str(exc)
             return
         got = _place(cfg, layout, seed, **kw)
-        for name in ("devices_local", "devices", "unit_centers_local", "unit_centers"):
+        for name in ("devices_local", "devices"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert all(np.array_equal(a.rotation, b.rotation) and np.array_equal(a.origin, b.origin)
                    for a, b in zip(got.frames, want.frames))
@@ -160,13 +158,6 @@ class TestPlacement:
             got = _place(cfg, seed=seed, **kw)
             want = reference.place_devices(cfg, LayoutConfig(), np.random.default_rng(seed), **kw)
             assert np.array_equal(got.devices_local, want.devices_local)
-
-    def test_unit_centers_are_device_projections(self):
-        dep = _place(SystemConfig(M=16, K=4, N=4), seed=9)
-        assert_close(
-            dep.unit_centers_local[..., :2], dep.devices_local[..., :2], rtol=0, atol=0
-        )
-        assert np.all(dep.unit_centers_local[..., 2] == 0.0)
 
     def test_facing_panel_devices_hang_between_planes(self):
         dep = _place(SystemConfig(M=16, K=3, N=4), seed=2)
@@ -188,7 +179,7 @@ class TestPlacement:
         assert np.array_equal(sub.devices, dep.devices[:, :2])
         pre = dep.prefix(2)
         assert pre.frames is dep.frames
-        for name in ("devices_local", "devices", "unit_centers_local", "unit_centers"):
+        for name in ("devices_local", "devices"):
             assert np.array_equal(getattr(pre, name), getattr(sub, name)), name
             assert np.shares_memory(getattr(pre, name), getattr(dep, name)), name
         pan = reference.panel(dep, 3)
@@ -207,8 +198,8 @@ class TestAntennaLattice:
     def test_single_antenna_is_unit_center(self):
         dep = _place(SystemConfig(M=1, K=1, N=1), seed=0)
         assert_close(
-            unit_antenna_grid(dep, SystemConfig(M=1, K=1, N=1), 0, 0)[0],
-            dep.unit_centers[0, 0],
+            reference.unit_antenna_grid(dep, SystemConfig(M=1, K=1, N=1), 0, 0)[0],
+            reference.unit_center(dep, 0, 0),
             rtol=0,
             atol=0,
         )
@@ -216,7 +207,7 @@ class TestAntennaLattice:
     def test_four_antenna_lattice_offsets(self):
         cfg = SystemConfig(M=4, K=1, N=1, delta_L=0.1)
         dep = _place(cfg, seed=0)
-        grid = unit_antenna_grid(dep, cfg, 0, 0) - dep.unit_centers[0, 0]
+        grid = reference.unit_antenna_grid(dep, cfg, 0, 0) - reference.unit_center(dep, 0, 0)
         expected = {(-0.05, -0.05), (0.05, -0.05), (-0.05, 0.05), (0.05, 0.05)}
         got = {(round(p[0], 12), round(p[1], 12)) for p in grid}
         assert got == expected
@@ -225,7 +216,7 @@ class TestAntennaLattice:
     def test_large_lattice_extent(self):
         cfg = SystemConfig(M=900, K=1, N=1, L=0.25)
         dep = _place(cfg, seed=0)
-        grid = unit_antenna_grid(dep, cfg, 0, 0) - dep.unit_centers[0, 0]
+        grid = reference.unit_antenna_grid(dep, cfg, 0, 0) - reference.unit_center(dep, 0, 0)
         extent = (math.isqrt(cfg.M) - 1) / 2 * cfg.spacing
         assert_close(np.max(grid[:, 0]), extent)
         assert_close(np.max(grid[:, 1]), extent)
@@ -234,7 +225,7 @@ class TestAntennaLattice:
     def test_position_matches_grid_ordering(self):
         cfg = SystemConfig(M=9, K=2, N=2)
         dep = _place(cfg, seed=4)
-        grid = unit_antenna_grid(dep, cfg, 1, 1)
+        grid = reference.unit_antenna_grid(dep, cfg, 1, 1)
         for m in range(cfg.M):
             assert_close(reference.antenna_position(dep, cfg, 1, 1, m), grid[m], rtol=0, atol=1e-12)
 
@@ -247,7 +238,7 @@ class TestAntennaLattice:
     def test_grid_lies_in_rotated_plane(self):
         cfg = SystemConfig(M=16, K=1, N=4)
         dep = _place(cfg, seed=1)
-        grid = unit_antenna_grid(dep, cfg, 3, 0)
+        grid = reference.unit_antenna_grid(dep, cfg, 3, 0)
         assert np.allclose(grid[:, 2], 6.0)  # facing panel plane sits at z = 6
 
 
@@ -285,14 +276,14 @@ class TestLinkStatistics:
         for n in range(2):
             for k in range(3):
                 assert_close(
-                    center_distances(dep, n, k)[n, k],
+                    reference.center_distances(dep, n, k)[n, k],
                     dep.devices_local[n, k, 2],
                     rtol=1e-12,
                 )
 
     def test_center_distances_shape_and_symmetry_frame(self):
         dep = _place(SystemConfig(M=16, K=2, N=4), seed=6)
-        d = center_distances(dep, 0, 0)
+        d = reference.center_distances(dep, 0, 0)
         assert d.shape == (4, 2)
         assert np.all(d > 0)
         # facing panel device to target-panel unit: at least the plane gap
@@ -321,9 +312,7 @@ def _boresight(z):
     """One panel at the origin with one device straight above its unit
     center, at height z."""
     device = np.array([[[0.0, 0.0, z]]])
-    center = np.zeros((1, 1, 3))
-    frames = tuple(build_layout(LayoutConfig(name="line"), 1))
-    return Deployment(frames, device, device, center, center)
+    return Deployment(tuple(build_layout(LayoutConfig(name="line"), 1)), device, device)
 
 
 class TestPowerControl:
