@@ -7,8 +7,10 @@ path loss; g is a standard complex Gaussian draw. A planar steering
 vector is d_v kron d_h, so ``CorrelationRoot`` keeps R in that factored
 form: two (side, P) phase ramps and the (M,) path loss per link, never
 the (M, P) matrix. ``CorrelationRoot.dense`` builds the matrix for the
-closed-form moments. The LOS geometry and the per-unit sampling live in
-``links``.
+closed-form moments. Every phase in the package, LOS vectors included,
+is a ``half_angle_phasor``: one tangent per entry, no cos, sin or complex
+exp, and each ramp is filled by doubling from one phasor per path. The
+LOS geometry and the per-unit sampling live in ``links``.
 """
 
 from __future__ import annotations
@@ -80,6 +82,26 @@ class CorrelationRoot:
         return out
 
 
+def half_angle_phasor(h: np.ndarray, gain=1.0, den=1.0) -> np.ndarray:
+    """gain / den * exp(2j h) as (1 - t^2) q + 2j t q, q = gain / (den (1 + t^2)),
+    from t = tan(h), overwriting the float array `h`: one divide per entry.
+    numpy's float64 tan is SIMD where it dispatches AVX-512 (libm
+    elsewhere), so the result matches the complex form to ~1e-16 but may
+    differ between hosts by a few ulp; it does not depend on how `h` is
+    sliced."""
+    t = np.tan(h, out=h)
+    out = np.empty(t.shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.multiply(t, t, out=re)
+    np.add(re, 1.0, out=im)
+    im *= den
+    np.divide(gain, im, out=im)
+    np.subtract(1.0, re, out=re)
+    re *= im
+    im *= np.multiply(t, 2.0, out=t)
+    return out
+
+
 def root_matrix_from_angles(
     angles: np.ndarray, distances: np.ndarray, config: SystemConfig
 ) -> CorrelationRoot:
@@ -95,32 +117,37 @@ def root_matrix_from_angles(
     """
     angles = np.asarray(angles, dtype=float)
     distances = np.asarray(distances, dtype=float)
-    theta_v = angles[..., 0]
-    theta_h = angles[..., 1]
-    phi_v = np.sin(theta_v)                      # (..., P)
-    phi_h = np.sin(theta_h) * np.cos(theta_h)    # (..., P)
-    alpha = np.sqrt(np.abs(np.cos(theta_v) * np.cos(theta_h)))  # (..., P)
+    # sin|theta| + j cos|theta| on half the complement pi/2 - |theta| (whose
+    # low part is cos(pi/2) in float): cos keeps its relative precision up to
+    # endfire, where alpha's square root magnifies an error; sin needs ~1e-16
+    trig = half_angle_phasor((math.pi / 2.0 - np.abs(angles) + math.cos(math.pi / 2.0)) * 0.5)
+    cos, sin = trig.imag, np.copysign(trig.real, angles)
+    phi_h = sin[..., 1] * cos[..., 1]
+    alpha = np.sqrt(np.abs(cos[..., 0] * cos[..., 1]))
 
-    # progressive phases per axis, (..., side, P); the vertical ramp also
-    # carries the path gain and the 1/sqrt(M) normalization
+    # progressive phases per axis, (..., side, P); the vertical ramp's row
+    # 0 carries the path gain and the 1/sqrt(M) normalization
     side = config.m_side
     step = 2.0 * math.pi * config.spacing / config.lam
-    ramp_v = _phase_ramp(phi_v, side, step)
-    ramp_v *= (alpha / math.sqrt(config.M))[..., np.newaxis, :]
     return CorrelationRoot(
-        ramp_v=ramp_v,
+        ramp_v=_phase_ramp(sin[..., 0], side, step, alpha / math.sqrt(config.M)),
         ramp_h=_phase_ramp(phi_h, side, step),
         pathloss=distances ** (-config.beta_PL / 2.0),
     )
 
 
-def _phase_ramp(phi: np.ndarray, side: int, step: float) -> np.ndarray:
-    """exp(1j * step * i * phi) for i = 0..side-1 as (..., side, P): running
-    products of one unit phasor per path, so only P exponentials per link."""
+def _phase_ramp(phi: np.ndarray, side: int, step: float, gain=1.0) -> np.ndarray:
+    """gain * exp(1j * step * i * phi) for i = 0..side-1 as (..., side, P),
+    by doubling: row 0 is the gain and rows n..2n-1 are rows 0..n-1 times
+    z^n, with z = exp(1j * step * phi) one phasor per path."""
     ramp = np.empty((*phi.shape[:-1], side, phi.shape[-1]), dtype=complex)
-    ramp[..., 0, :] = 1.0
-    ramp[..., 1:, :] = np.exp(1j * step * phi)[..., np.newaxis, :]
-    return np.cumprod(ramp, axis=-2, out=ramp)
+    ramp[..., 0, :] = gain
+    z, n = half_angle_phasor(phi * (0.5 * step))[..., np.newaxis, :], 1
+    while n < side:
+        out = ramp[..., n:2 * n, :]
+        np.multiply(ramp[..., :out.shape[-2], :], z, out=out)
+        n, z = 2 * n, z * z
+    return ramp
 
 
 def rician_mixing(kappa: np.ndarray) -> tuple:

@@ -17,10 +17,13 @@ per block, and no (N, K, M, P) root tensor is built on the sampling path.
 system config its links are built for, which together are a sweep point.
 It works along the unit's own panel axes, where the unit's antennas form a
 square lattice around its device's local (x, y), so any panel rotation is
-accepted. The geometry also carries the link budget that its placement
-fixes: the pilot and data transmit SNRs of every device (power control)
-and the deterministic serving power of Theorems 1 and 2. The sampler, the
-Lemma moments and the floor table read the budget from there alone.
+accepted. Its LOS vectors are ``channel.half_angle_phasor`` values on the
+half LOS phase, the gain folded into the one divide; of their powers only
+the serving link's is summed (``own_power``). The geometry also carries
+the link budget that its placement fixes: the pilot and data transmit
+SNRs of every device (power control) and the deterministic serving power
+of Theorems 1 and 2. The sampler, the Lemma moments and the floor table
+read the budget from there alone.
 
 The two rules of the link model live here alone: ``contamination_weights``
 (which same-pilot devices contaminate a unit's channel estimate, and how
@@ -42,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CorrelationRoot, cgauss, rician_mixing, root_matrix_from_angles
+from .channel import (CorrelationRoot, cgauss, half_angle_phasor, rician_mixing,
+                      root_matrix_from_angles)
 from .config import SystemConfig
 from .scenario import (
     Deployment,
@@ -143,37 +147,12 @@ class UnitLinkGeometry:
     k: int
     distances: np.ndarray     # (N, K, M) device-to-antenna distances
     hlos: np.ndarray          # (N, K, M) LOS vectors of all incoming links
-    beta2_sum: np.ndarray     # (N, K) sum over antennas of the LOS gains^2
+    own_power: float          # serving-link LOS power sum_m |hlos[n, k, m]|^2
     kappa_cand: np.ndarray    # (N, K) Rician factor if the link carries LOS
     p_los: np.ndarray         # (N, K) LOS probability of each link
     rho_p: np.ndarray         # (N, K) pilot transmit SNR of every device
     rho_d: np.ndarray         # (N, K) data transmit SNR of every device
     p_bar: float              # deterministic serving power M^2 p^2/(16 pi^2 L^4)
-
-    @property
-    def own_power(self) -> float:
-        """Serving-link LOS power sum_m beta_m^2."""
-        return float(self.beta2_sum[self.n, self.k])
-
-
-def los_phase(d: np.ndarray, lam: float, gain: np.ndarray) -> np.ndarray:
-    """LOS vectors gain * exp(-2j pi d / lam) from the half-angle tangent
-    t = tan(-pi d / lam): real part gain (1 - t^2)/(1 + t^2), imaginary part
-    gain 2t/(1 + t^2). numpy's float64 tan is SIMD where it dispatches
-    AVX-512 (libm elsewhere, still one transcendental instead of cos and
-    sin), so the result matches the complex form to ~1e-16 but may differ
-    between hosts by a few ulp; it does not depend on how `d` is sliced."""
-    t = np.multiply(d, -np.pi)
-    t *= 1.0 / lam  # half the argument -2 pi d / lam, exactly
-    np.tan(t, out=t)
-    out = np.empty(t.shape, dtype=complex)
-    re, im = out.real, out.imag
-    np.multiply(t, t, out=re)
-    np.divide(gain, np.add(re, 1.0, out=im), out=im)
-    np.subtract(1.0, re, out=re)
-    re *= im
-    im *= np.multiply(t, 2.0, out=t)
-    return out
 
 
 def build_unit_geometry(
@@ -196,14 +175,13 @@ def build_unit_geometry(
     d = np.square(x - rows[:, 0]) + np.square(y - rows[:, 1, np.newaxis])
     d += np.square(z)[..., np.newaxis, np.newaxis]
     d = np.sqrt(d, out=d).reshape(*z.shape, config.M)
-    # beta = sqrt(z / d) / sqrt(4 pi d^2)
-    beta = np.divide(z[:, :, np.newaxis], d)
-    np.sqrt(beta, out=beta)
-    spread = np.multiply(d, 4.0 * np.pi)
-    spread *= d
-    beta /= np.sqrt(spread, out=spread)
-    hlos = los_phase(d, config.lam, beta)
-    beta2 = np.multiply(beta, beta, out=beta)  # beta is spent: square it in place
+    # hlos = beta exp(-2j pi d / lam), beta = sqrt(z / d) / sqrt(4 pi d^2) =
+    # sqrt(z / 4 pi) / (sqrt(d) d): a phasor on the half angle -pi d / lam
+    h = np.multiply(d, -np.pi)
+    h *= 1.0 / config.lam
+    den = np.sqrt(d)
+    den *= d
+    hlos = half_angle_phasor(h, np.sqrt(z / (4.0 * np.pi))[..., np.newaxis], den)
     to_center = devices - (origin + np.append(deployment.devices_local[n, k, :2], 0.0))
     cdist = np.sqrt(np.einsum("lji,lji->lj", to_center, to_center))
     p = quarter_solid_angle(config.L, deployment.devices_local[n, k, 2])
@@ -212,7 +190,7 @@ def build_unit_geometry(
         k=k,
         distances=d,
         hlos=hlos,
-        beta2_sum=np.einsum("ljm->lj", beta2),
+        own_power=float(np.sum(hlos[n, k].real ** 2 + hlos[n, k].imag ** 2)),
         kappa_cand=rician_factor(cdist),
         p_los=los_probability(cdist, config.d_C),
         rho_p=pilot_snrs(deployment, config),
@@ -328,7 +306,7 @@ def slice_stats(stats: UnitChannelStats, N: int) -> UnitChannelStats:
     geom, roots = stats.geom, stats.roots
     if geom.n >= N:
         raise ValueError(f"unit panel {geom.n} not kept with N={N}")
-    per_link = ("distances", "hlos", "beta2_sum", "kappa_cand", "p_los", "rho_p", "rho_d")
+    per_link = ("distances", "hlos", "kappa_cand", "p_los", "rho_p", "rho_d")
     return dataclasses.replace(
         stats,
         geom=dataclasses.replace(geom, **{name: getattr(geom, name)[:N] for name in per_link}),
@@ -356,14 +334,9 @@ class BlockTerms:
     gamma: np.ndarray      # estimated-CSI SINR
 
 
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x over the last axis of a (..., N, K, M) and x (..., M), per
-    leading draw: one matrix-vector product per draw and panel."""
-    return (a @ x[..., np.newaxis, :, np.newaxis])[..., 0]
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b over the last axis, per leading draw (a BLAS dot of each)."""
+    """a . b over the last axis, broadcast: a BLAS dot per pair, so a link's
+    product does not depend on how many links are batched with it."""
     return (a[..., np.newaxis, :] @ b[..., :, np.newaxis])[..., 0, 0]
 
 
@@ -373,7 +346,7 @@ def exact_sinr(stats: UnitChannelStats, ch: np.ndarray) -> np.ndarray:
     draw (a scalar for a single draw)."""
     geom = stats.geom
     n, k = geom.n, geom.k
-    Y = np.abs(ch @ np.conj(geom.hlos[n, k])) ** 2
+    Y = np.abs(_dot(ch, np.conj(geom.hlos[n, k]))) ** 2
     Y[..., n, k] = 0.0
     I = np.sum(geom.rho_d * Y, axis=(-2, -1)) + geom.own_power
     return float(geom.rho_d[n, k]) * geom.own_power**2 / I
@@ -416,8 +389,8 @@ class BlockKernel:
         self.signal = geom.own_power**2
 
         u_conj, w_conj = np.conj(u), np.conj(w)
-        self.A = _matvec(ch, u_conj)
-        self.C = _matvec(ch, w_conj)
+        self.A = _dot(ch, u_conj[..., np.newaxis, np.newaxis, :])
+        self.C = _dot(ch, w_conj[..., np.newaxis, np.newaxis, :])
         self.Xc = _dot(np.conj(contam), hlos)
         self.Xw = _dot(w_conj, hlos)
         self.u_norm2 = _dot(u_conj, u).real

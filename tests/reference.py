@@ -31,9 +31,15 @@ Per-link oracles of the uplink model, one link or one unit at a time:
 ``moment_fields``, ``kernel_products`` and ``dense_channels`` transcribe
 the ``einsum`` forms of the moment, kernel and sampling contractions on
 dense (N, K, M, P) roots. ``los_phase`` is the LOS phase in complex
-arithmetic and ``unit_distances`` a unit's distances summed over the
-three global axes of every antenna, against ``links.los_phase`` and
-``links.build_unit_geometry``. ``with_budget``
+arithmetic, against ``channel.half_angle_phasor`` on the LOS half
+angles, and ``unit_distances`` a unit's distances summed over the three
+global axes of every antenna, against ``links.build_unit_geometry``.
+``phase_ramp_cumprod`` (running products of one phasor) and
+``phase_ramp_exp`` (one complex exponential per entry) are the steering
+ramps against the doubling ramps of ``channel._phase_ramp``, and
+``root_factors`` assembles the factored roots from ``np.sin``/``np.cos``
+of the path angles and cumprod ramps, scaled by the path gains in a pass
+of their own, against ``channel.root_matrix_from_angles``. ``with_budget``
 swaps the link budget a unit's statistics carry, for tests that set their
 own transmit SNRs. ``prefix_stats`` cuts a unit's statistics to the first
 K devices per panel, against statistics built on ``Deployment.prefix(K)``.
@@ -126,7 +132,7 @@ def prefix_stats(stats: UnitChannelStats, K: int) -> UnitChannelStats:
     """First K devices per panel of a unit's block statistics (array views):
     the statistics of a pool's admitted prefix, every panel kept."""
     geom, roots = stats.geom, stats.roots
-    per_link = ("distances", "hlos", "beta2_sum", "kappa_cand", "p_los", "rho_p", "rho_d")
+    per_link = ("distances", "hlos", "kappa_cand", "p_los", "rho_p", "rho_d")
     return dataclasses.replace(
         stats,
         geom=dataclasses.replace(geom, **{name: getattr(geom, name)[:, :K] for name in per_link}),
@@ -208,6 +214,38 @@ def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
 def los_phase(d: np.ndarray, lam: float) -> np.ndarray:
     """LOS phase exp(-2j pi d / lambda) in its complex-arithmetic form."""
     return np.exp(-2j * np.pi * d / lam)
+
+
+def phase_ramp_cumprod(phi: np.ndarray, side: int, step: float) -> np.ndarray:
+    """exp(1j * step * i * phi) for i = 0..side-1 as (..., side, P): running
+    products of one complex-exponential phasor per path."""
+    ramp = np.empty((*phi.shape[:-1], side, phi.shape[-1]), dtype=complex)
+    ramp[..., 0, :] = 1.0
+    ramp[..., 1:, :] = np.exp(1j * step * phi)[..., np.newaxis, :]
+    return np.cumprod(ramp, axis=-2, out=ramp)
+
+
+def phase_ramp_exp(phi: np.ndarray, side: int, step: float) -> np.ndarray:
+    """exp(1j * step * i * phi) for i = 0..side-1 as (..., side, P), one
+    complex exponential per entry."""
+    i = np.arange(side)[:, np.newaxis]
+    return np.exp(1j * step * i * phi[..., np.newaxis, :])
+
+
+def root_factors(angles: np.ndarray, distances: np.ndarray, config) -> CorrelationRoot:
+    """Factored correlation roots from ``np.sin``/``np.cos`` of the path
+    angles and cumprod ramps, the vertical ramp scaled by alpha_p / sqrt(M)
+    in a pass of its own."""
+    theta_v, theta_h = angles[..., 0], angles[..., 1]
+    alpha = np.sqrt(np.abs(np.cos(theta_v) * np.cos(theta_h)))
+    step = 2.0 * math.pi * config.spacing / config.lam
+    ramp_v = phase_ramp_cumprod(np.sin(theta_v), config.m_side, step)
+    ramp_v *= (alpha / math.sqrt(config.M))[..., np.newaxis, :]
+    return CorrelationRoot(
+        ramp_v=ramp_v,
+        ramp_h=phase_ramp_cumprod(np.sin(theta_h) * np.cos(theta_h), config.m_side, step),
+        pathloss=distances ** (-config.beta_PL / 2.0),
+    )
 
 
 def unit_distances(deployment: Deployment, config, n: int, k: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from lis_uplink import (
     rician_mixing,
     sample_unit_channels,
 )
-from lis_uplink.channel import root_matrix_from_angles
+from lis_uplink.channel import _phase_ramp, root_matrix_from_angles
 from lis_uplink.config import SPEED_OF_LIGHT
 
 import reference
@@ -63,7 +63,7 @@ class TestLosChannel:
             geom.hlos[0, 0, 0],
             np.exp(-2j * math.pi * d / cfg.lam) / math.sqrt(4.0 * math.pi * d * d),
         )
-        assert_close(geom.beta2_sum[0, 0], 1.0 / (4.0 * math.pi * d * d))
+        assert_close(geom.own_power, 1.0 / (4.0 * math.pi * d * d))
 
     def test_vector_and_power_consistency(self, tiny_world):
         dep, cfg = tiny_world
@@ -74,7 +74,13 @@ class TestLosChannel:
             geom.hlos / amplitudes, np.exp(-2j * math.pi * geom.distances / cfg.lam),
             rtol=0, atol=1e-12,
         )
-        assert_close(geom.beta2_sum, np.sum(amplitudes**2, axis=-1))
+        # each link's power sum_m |hlos|^2 against the per-link LOS channel
+        antennas = reference.unit_antenna_grid(dep, cfg, 0, 0)
+        for l, j in np.ndindex(*geom.p_los.shape):
+            power = reference.los_link(dep.devices[l, j], antennas, dep.frames[0], cfg.lam)[2]
+            assert_close(np.sum(np.abs(geom.hlos[l, j]) ** 2), power, rtol=1e-12)
+            if (l, j) == (0, 0):
+                assert_close(geom.own_power, power, rtol=1e-12)
 
     def test_power_grows_with_antenna_count(self):
         dep = _point_deployment([[0.1, -0.3, 1.0]])
@@ -252,6 +258,71 @@ class TestCorrelationRoot:
         # Frobenius mass factorizes exactly
         expected = np.sum(nlos_gains_sq) * np.sum(pathloss_sq) / cfg.M
         assert_close(np.sum(np.abs(root) ** 2), expected, rtol=1e-12)
+
+
+    @pytest.mark.parametrize("batch, M", [((), 900), ((2, 3), 25), ((4, 40), 400)],
+                             ids=["P,2", "N,K,P,2", "pool"])
+    def test_factors_match_sincos_cumprod_assembly(self, batch, M):
+        # endfire and broadside angles included: cos keeps its relative
+        # precision at +-pi/2, so alpha does too
+        cfg = SystemConfig(M=M, K=3, N=2, P=20)
+        rng = np.random.default_rng(M)
+        angles = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(*batch, cfg.P, 2))
+        angles[..., :6, :] = [[math.pi / 2.0, 0.3], [-math.pi / 2.0, -1.2], [0.0, 0.0],
+                              [0.4, math.pi / 2.0], [-1e-300, -math.pi / 2.0], [1e-9, -1e-9]]
+        d = rng.uniform(1.0, 10.0, size=(*batch, cfg.M))
+        got = root_matrix_from_angles(angles, d, cfg)
+        want = reference.root_factors(angles, d, cfg)
+        assert_close(got.ramp_v, want.ramp_v, rtol=1e-13)
+        assert_close(got.ramp_h, want.ramp_h, rtol=1e-13)
+        assert np.array_equal(got.pathloss, want.pathloss)
+        assert_close(got.dense(), want.dense(), rtol=1e-13)
+
+    def test_roots_of_a_slice_are_the_slice_of_the_roots(self):
+        # bit for bit, single links and single paths included, so a unit's
+        # first-K statistics are the slice of its pool statistics
+        rng = np.random.default_rng(8)
+        shapes = [(1, 2, 3, 1)] * 20 + [(2, 3, 5, 2), (4, 6, 8, 4), (1, 1, 2, 1)]
+        for N, K, side, P in shapes:
+            cfg = SystemConfig(M=side * side, K=K, N=N, P=P)
+            angles = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(N, K, P, 2))
+            d = rng.uniform(1.0, 3.0, size=(N, K, cfg.M))
+            full = root_matrix_from_angles(angles, d, cfg)
+            for cut in (np.s_[:, :1], np.s_[:1, :1], np.s_[:, K - 1:], np.s_[:1]):
+                part = root_matrix_from_angles(angles[cut], d[cut], cfg)
+                for name in ("ramp_v", "ramp_h", "pathloss"):
+                    assert np.array_equal(getattr(part, name), getattr(full, name)[cut]), (N, K, cut)
+
+
+class TestPhaseRamp:
+    """The doubling ramps of ``channel._phase_ramp`` against running
+    products and against one exponential per entry."""
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 5, 8, 10, 14, 17, 20, 30, 33])
+    def test_doubling_matches_cumprod_and_exp(self, side):
+        rng = np.random.default_rng(side)
+        phi = rng.uniform(-1.0, 1.0, size=(4, 5, 7))
+        gain = rng.uniform(0.0, 1.0, size=phi.shape)
+        step = 2.0 * math.pi * 0.5
+        ramp = _phase_ramp(phi, side, step, gain)
+        assert ramp.shape == (4, 5, side, 7)
+        assert np.array_equal(ramp[..., 0, :], gain.astype(complex))
+        assert_close(ramp, gain[..., np.newaxis, :] * reference.phase_ramp_cumprod(phi, side, step),
+                     rtol=1e-13)
+        assert_close(ramp, gain[..., np.newaxis, :] * reference.phase_ramp_exp(phi, side, step),
+                     rtol=1e-13)
+        assert np.array_equal(_phase_ramp(phi, side, step)[..., 0, :], np.ones(phi.shape))
+
+    @given(
+        phi=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+        side=st.integers(1, 40),
+        spacing=st.floats(0.05, 2.0),
+    )
+    def test_any_step_matches_exp(self, phi, side, spacing):
+        phi = np.asarray(phi)
+        step = 2.0 * math.pi * spacing
+        assert_close(_phase_ramp(phi, side, step), reference.phase_ramp_exp(phi, side, step),
+                     rtol=1e-13)
 
 
 class TestRicianSampling:

@@ -26,12 +26,11 @@ from lis_uplink import (
     rician_factor,
     sample_unit_channels,
 )
-from lis_uplink.channel import cgauss
+from lis_uplink.channel import cgauss, half_angle_phasor
 from lis_uplink.links import (
     DOMAIN_BLOCK,
     Substreams,
     exact_sinr,
-    los_phase,
     slice_stats,
     stream,
     stream_words,
@@ -241,9 +240,18 @@ class TestFactoredRoots:
         assert peak <= dense / 4
 
 
+def _los_phasor(d, lam, gain=1.0, den=1.0):
+    """``half_angle_phasor`` on the LOS half angles -pi d / lam, formed as
+    ``build_unit_geometry`` forms them."""
+    h = np.multiply(d, -np.pi)
+    h *= 1.0 / lam
+    return half_angle_phasor(h, gain, den)
+
+
 class TestUnitGeometryOracle:
     """Every link of the vectorized unit geometry against the per-link LOS
-    channel of ``reference.los_link``."""
+    channel of ``reference.los_link``, and the tangent phasor of its LOS
+    phase against the complex form."""
 
     @pytest.mark.parametrize("M", [16, 900])
     def test_every_link_matches_los_channel(self, M):
@@ -258,14 +266,16 @@ class TestUnitGeometryOracle:
                     d, h, power = reference.los_link(dep.devices[l, j], antennas, dep.frames[n], cfg.lam)
                     assert_close(geom.distances[l, j], d, rtol=1e-14)
                     assert_close(geom.hlos[l, j], h, rtol=1e-12)
-                    assert_close(geom.beta2_sum[l, j], power, rtol=1e-12)
+                    assert_close(np.sum(np.abs(geom.hlos[l, j]) ** 2), power, rtol=1e-12)
+                    if (l, j) == (n, k):
+                        assert_close(geom.own_power, power, rtol=1e-12)
 
     @pytest.mark.parametrize("M", [16, 900])
     def test_phase_matches_complex_form(self, M):
         cfg = SystemConfig(M=M, K=3, N=4, seed=22)
         dep = place_devices(cfg, LayoutConfig(name="quad"), placement_rng(cfg.seed, 0))
         d = build_unit_geometry(dep, cfg, 1, 0).distances
-        assert_close(los_phase(d, cfg.lam, 1.0), reference.los_phase(d, cfg.lam), rtol=0, atol=1e-15)
+        assert_close(_los_phasor(d, cfg.lam), reference.los_phase(d, cfg.lam), rtol=0, atol=1e-15)
 
     @given(
         d=st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=64),
@@ -273,7 +283,13 @@ class TestUnitGeometryOracle:
     )
     def test_phase_matches_complex_form_for_any_distance(self, d, lam):
         d = np.asarray(d)
-        assert_close(los_phase(d, lam, 1.0), reference.los_phase(d, lam), rtol=0, atol=1e-15)
+        assert_close(_los_phasor(d, lam), reference.los_phase(d, lam), rtol=0, atol=1e-15)
+        # gain / den e^{2jh} against the complex form on the same half angles
+        gain, den = np.linspace(0.5, 2.0, d.size), np.linspace(2.0, 1.0, d.size)
+        h = np.multiply(d, -np.pi)
+        h *= 1.0 / lam
+        want = gain / den * np.exp(2j * h)
+        assert_close(half_angle_phasor(h, gain, den), want, rtol=0, atol=2e-15)
 
     def test_phase_near_the_tangent_poles(self):
         # argument -2 pi d / lam near 0, pi/2 and pi (where the half-angle
@@ -283,7 +299,7 @@ class TestUnitGeometryOracle:
                       0.5, 0.5 - ulp, 0.5 + ulp, 0.5 - 1e-9, 1.0, 1.5, 2.5, 1e3 + 0.5])
         gain = np.linspace(0.5, 2.0, d.size)
         want = gain * reference.los_phase(d, 1.0)
-        got = los_phase(d, 1.0, gain)
+        got = _los_phasor(d, 1.0, gain)
         assert np.all(np.isfinite(got))
         assert_close(got, want, rtol=0, atol=2e-15)
         assert got[0] == gain[0]
@@ -294,12 +310,12 @@ class TestUnitGeometryOracle:
         dep = place_devices(cfg, LayoutConfig(name="quad"), placement_rng(cfg.seed, 0))
         d = build_unit_geometry(dep, cfg, 2, 1).distances
         gain = 1.0 / d
-        full = los_phase(d, cfg.lam, gain)
+        full = _los_phasor(d, cfg.lam, gain)
         cuts = [np.s_[..., 1:], np.s_[..., :-3], np.s_[:, :, ::3], np.s_[1:, 2:5, 7:],
                 np.s_[..., ::-1], np.s_[3, 4, 5:12], np.s_[0, 0, :1]]
         cuts += [np.s_[0, 0, start:start + 37] for start in range(9)]
         for cut in cuts:
-            assert np.array_equal(los_phase(d[cut], cfg.lam, gain[cut]), full[cut]), cut
+            assert np.array_equal(_los_phasor(d[cut], cfg.lam, gain[cut]), full[cut]), cut
 
     @pytest.mark.parametrize("M", [1, 16, 900])
     @pytest.mark.parametrize("layout, N", [("quad", 4), ("line", 3)])
@@ -335,7 +351,9 @@ class TestUnitGeometryOracle:
             for j in range(cfg.K):
                 d, _, power = reference.los_link(dep.devices[0, j], antennas, frame, cfg.lam)
                 assert_close(geom.distances[0, j], d, rtol=1e-12)
-                assert_close(geom.beta2_sum[0, j], power, rtol=1e-12)
+                assert_close(np.sum(np.abs(geom.hlos[0, j]) ** 2), power, rtol=1e-12)
+                if j == k:
+                    assert_close(geom.own_power, power, rtol=1e-12)
 
     @pytest.mark.parametrize("layout, N", [("quad", 4), ("line", 3)])
     def test_center_distance_laws_equal_global_axis_sum(self, layout, N):
@@ -409,7 +427,7 @@ class TestSliceStats:
         # geometry of a K-device placement, and the first-K draw
         geom_k = build_unit_geometry(reference.subset(dep, K), dataclasses.replace(cfg, K=K), n, k)
         geom_sliced = sliced.geom
-        for field in ("distances", "hlos", "beta2_sum", "kappa_cand", "p_los",
+        for field in ("distances", "hlos", "own_power", "kappa_cand", "p_los",
                       "rho_p", "rho_d", "p_bar"):
             assert np.array_equal(getattr(geom_k, field), getattr(geom_sliced, field)), field
         draw_k = dataclasses.replace(
@@ -676,7 +694,8 @@ class TestSingleLisTwin:
     )
     def test_one_panel_filter_is_the_los_vector(self, N, K, side, P, batch, regime, seed, data):
         """On one panel no device contaminates the estimate, so the filter
-        is u = h_los: the cut kernel's A is ch @ conj(h_los), bit for bit."""
+        is u = h_los: the cut kernel's A is the per-link dot ch . conj(h_los)
+        that ``exact_sinr`` forms, bit for bit."""
         k = data.draw(st.integers(0, K - 1), label="k")
         _, draw, stats = _random_unit(N, K, side, P, seed, 0, k, regime)
         g, w = draw.g, draw.w
@@ -685,7 +704,7 @@ class TestSingleLisTwin:
             g, w = cgauss(rng, (batch, N, K, P)), cgauss(rng, (batch, side * side))
         ch = sample_unit_channels(stats, g)[..., :1, :, :]
         kernel = BlockKernel(slice_stats(stats, N=1), ch, w)
-        want = ch @ np.conj(stats.geom.hlos[0, k])
+        want = (ch[..., np.newaxis, :] @ np.conj(stats.geom.hlos[0, k])[:, np.newaxis])[..., 0, 0]
         assert kernel.A.shape == want.shape
         assert np.array_equal(kernel.A, want)
 
@@ -693,12 +712,9 @@ class TestSingleLisTwin:
 class TestAdmittedCount:
     """One kernel on the statistics of K_max devices per panel serves every
     admitted count K > k: ``terms(t, K)`` equals a kernel built on the
-    statistics and fading of the first K devices, bit for bit from K = 2 on.
-
-    At K = 1 the per-count kernel's matrix-vector products have one row,
-    which numpy evaluates as a dot product: the sums run in another order
-    than the BLAS matrix-vector rows of the K_max kernel, so K = 1 agrees to
-    rtol 1e-12 (with the absolute floor of the other kernel oracles)."""
+    statistics and fading of the first K devices, bit for bit, K = 1
+    included: every link's products are BLAS dots of their own, whatever
+    the number of links batched with them."""
 
     @given(
         N=st.sampled_from([1, 2, 4]),
@@ -725,11 +741,7 @@ class TestAdmittedCount:
             want = BlockKernel(cut, sample_unit_channels(cut, g[..., :K, :]), w).terms(t)
             got = kernel.terms(t, K)
             for name in ("X", "Y", "Z", "I", "gamma"):
-                a, b = getattr(got, name), getattr(want, name)
-                if K > 1 or K_max == 1:
-                    assert np.array_equal(a, b), (name, K)
-                else:
-                    assert_close(a, b, rtol=1e-12, atol=1e-13 * np.max(np.abs(b)))
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (name, K)
             assert np.array_equal(kernel.gamma(t, K), got.gamma)
         # no K admits every device the kernel was built on
         assert np.array_equal(kernel.gamma(t), kernel.gamma(t, K_max))
@@ -760,6 +772,11 @@ class TestUnitGeometry:
             assert_close(geom.p_bar, cfg.M**2 * p**2 / (16.0 * math.pi**2 * cfg.L**4))
 
     def test_own_power_matches_geometry(self, tiny_world):
-        geom = build_unit_geometry(*tiny_world, 1, 1)
-        assert_close(geom.own_power, geom.beta2_sum[1, 1], rtol=0, atol=0)
+        # the serving link's power, from its own LOS vector
+        dep, cfg = tiny_world
+        geom = build_unit_geometry(dep, cfg, 1, 1)
+        antennas = reference.unit_antenna_grid(dep, cfg, 1, 1)
+        power = reference.los_link(dep.devices[1, 1], antennas, dep.frames[1], cfg.lam)[2]
+        assert_close(geom.own_power, power, rtol=1e-12)
+        assert_close(geom.own_power, np.sum(np.abs(geom.hlos[1, 1]) ** 2), rtol=1e-15)
         assert geom.own_power > 0
