@@ -53,7 +53,6 @@ from .optimize import (
     PilotSolution,
     SchedulingSolution,
     expected_floor_table,
-    nse_of_gammas,
     optimal_num_devices,
     optimal_pilot_length,
 )

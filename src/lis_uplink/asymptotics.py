@@ -188,12 +188,14 @@ def floor_sinrs(rho_own: np.ndarray, p_bar: np.ndarray, floors: np.ndarray) -> n
 
 
 def sse(gammas, t, T: int) -> float:
-    """Sum spectral efficiency (1 - t/T) sum_k log2(1 + gamma_k) of one
-    panel at pilot length t; 0 once the pilots fill the block (t >= T)."""
+    """Sum spectral efficiency (1 - t/T) sum_k log2(1 + gamma_k) at pilot
+    length t, summed over the last axis and averaged over any leading panel
+    axes: one panel's SSE for (K,) SINRs, the network SE for (N, K); 0 once
+    the pilots fill the block (t >= T)."""
     prelog = 1.0 - t / T
     if prelog <= 0.0:
         return 0.0
-    return prelog * float(np.sum(np.log2(1.0 + np.asarray(gammas, dtype=float))))
+    return prelog * float(np.mean(np.sum(np.log2(1.0 + np.asarray(gammas, dtype=float)), axis=-1)))
 
 
 def theorem1_sse(rows, t, T: int) -> AsymptoticSse:

@@ -101,7 +101,7 @@ from .links import (
     stream,
     stream_words,
 )
-from .optimize import expected_floor_table, nse_of_gammas, optimal_num_devices
+from .optimize import expected_floor_table, optimal_num_devices
 from .scenario import place_devices
 
 _MC_KSWEEP_CAP = 225  # sampled device-count curves cap the array size here
@@ -248,7 +248,7 @@ def _place(spec: ExperimentSpec, p_idx: int, pool: bool = False):
     pool up to ``PlacementConfig.pool_target``."""
     K = spec.placement.pool_target(spec.system.T) if pool else None
     return place_devices(spec.system, spec.layout, placement_rng(spec.system.seed, p_idx),
-                         placement=spec.placement, K=K, allow_partial=pool)
+                         placement=spec.placement, K=K)
 
 
 def _unit_blocks(spec: ExperimentSpec, dep, cfg: SystemConfig, p: int, blocks, n: int, k: int):
@@ -297,30 +297,30 @@ def _pool_config(spec: ExperimentSpec, pool, **changes) -> SystemConfig:
     return dataclasses.replace(spec.system, K=pool.K, t=None, **changes)
 
 
-def _sampled_nse(spec: ExperimentSpec, pool, cfg: SystemConfig, p: int, blocks, K_grid) -> list:
-    """Monte Carlo NSE of every block in `blocks` for every admitted count K
-    in K_grid, with pilot length t = K: one {K: NSE} per block. Unit (n, k)
-    is drawn once per block under the pool config `cfg`, and its statistics
-    and its one ``BlockKernel`` cover the first max(K_grid) devices of
-    `pool` only; each K > k reads its SINR off that kernel with
+def _sampled_nse(spec: ExperimentSpec, pool, cfg: SystemConfig, p: int, K_grid) -> list:
+    """Monte Carlo NSE of each of the experiment's blocks for every count K
+    in K_grid at pilot length t = K: one {K: NSE} per block. Unit (n, k) is
+    drawn once per block under the pool config `cfg`; its statistics and
+    its one ``BlockKernel`` cover the first max(K_grid) devices of `pool`
+    only, and each K > k reads its SINR off that kernel with
     ``gamma(K, K)``, which sums the interference over the first K devices."""
-    dep = pool.prefix(max(K_grid))
-    gam = {K: np.empty((len(blocks), cfg.N, K)) for K in K_grid}
+    dep, R = pool.prefix(max(K_grid)), spec.experiment.realizations
+    gam = {K: np.empty((R, cfg.N, K)) for K in K_grid}
     for n in range(cfg.N):
         for k in range(max(K_grid)):
-            for i, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, blocks, n, k)):
+            for i, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, range(R), n, k)):
                 kern = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
                 for K in K_grid:
                     if k < K:
                         gam[K][i, n, k] = kern.gamma(K, K)
-    return [{K: nse_of_gammas(gam[K][i], K, cfg.T) for K in K_grid} for i in range(len(blocks))]
+    return [{K: sse(gam[K][i], K, cfg.T) for K in K_grid} for i in range(R)]
 
 
 def _optimal_count(spec: ExperimentSpec, pool, cfg: SystemConfig):
     """Device count maximizing the Theorem 2 floor NSE over `pool` under
     its ``_pool_config`` `cfg`."""
     table = expected_floor_table(pool, cfg, spec.experiment.interference)
-    return optimal_num_devices(table.gamma_hat, cfg.T, pool.K)
+    return optimal_num_devices(table, cfg.T)
 
 
 def device_count(rc: RunConfig, p: int = 0):
@@ -452,8 +452,7 @@ def _ksweep(spec: ExperimentSpec, p: int):
             for K, v in zip(sol.K_values, sol.nse_curve) if math.isfinite(v)]
     mc_M = cfg.M if cfg.M <= _MC_KSWEEP_CAP else 196
     K_grid = sorted({K for K in exp.sweep_values if K <= pool.K} | {sol.K_opt})
-    nse = _sampled_nse(spec, pool, _pool_config(spec, pool, M=mc_M), p,
-                       range(exp.realizations), K_grid)
+    nse = _sampled_nse(spec, pool, _pool_config(spec, pool, M=mc_M), p, K_grid)
     recs += [(float(K), "Monte Carlo NSE", p, b, nse_b[K])
              for b, nse_b in enumerate(nse) for K in K_grid]
     extras = {"pool": pool.K, "K_opt": sol.K_opt, "nse_opt": sol.nse_opt, "mc_M": mc_M,
@@ -480,7 +479,7 @@ def _nse_vs_m(spec: ExperimentSpec, p: int):
         policies = ((sol.K_opt, "Monte Carlo NSE at optimized K"),
                     (min(20, dep.K), "Monte Carlo NSE at K=20"))
         K_grid = sorted({K for K, _ in policies})
-        nse = _sampled_nse(spec, dep, cfg, p, range(exp.realizations), K_grid)
+        nse = _sampled_nse(spec, dep, cfg, p, K_grid)
         for K, label in policies:
             recs += [(float(M), label, p, b, nse_b[K]) for b, nse_b in enumerate(nse)]
     return recs, {"pool": dep.K, "K_opt": K_opt}

@@ -6,14 +6,15 @@ linearly shrinking prelog), so a golden-section search plus an integer
 refinement finds the global integer optimum. In the interference-floor
 regime the SINR no longer depends on t and the optimum collapses to t = K.
 
-The device-count problem scores K = 1..pool with the floor-bound SINRs,
-t = K, and devices admitted in fixed priority order; LOS gates enter
-through their expectation, which keeps the curve deterministic for a
-given deployment. The floor table takes the pool deployment and the
-system config the sampler uses for it (K = pool): each unit's transmit
-SNRs and serving power come from that unit's link budget
-(``UnitLinkGeometry``, built and dropped one unit at a time), and the
-contamination and LOS rules come from ``links``.
+The device-count problem scores K = 1..pool by the network SE
+(``asymptotics.sse``) of the floor-bound SINRs at t = K, with devices
+admitted in fixed priority order; LOS gates enter through their
+expectation, which keeps the curve deterministic for a given deployment.
+The floor table takes the pool deployment and the system config the
+sampler uses for it (K = pool): each unit's transmit SNRs and serving
+power come from that unit's link budget (``UnitLinkGeometry``, built and
+dropped one unit at a time), and the contamination and LOS rules come
+from ``links``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import floor_sinrs
+from .asymptotics import floor_sinrs, sse
 from .channel import rician_mixing
 from .config import SystemConfig
 from .links import build_unit_geometry, contamination_weights, los_allowed
@@ -191,25 +192,12 @@ class SchedulingSolution:
     nse_curve: np.ndarray
 
 
-def nse_of_gammas(gammas: np.ndarray, K: int, T: int) -> float:
-    """NSE for K admitted devices at t = K: prelog times the mean over
-    panels of the per-panel SE sums."""
-    gammas = np.asarray(gammas, dtype=float)
-    prelog = 1.0 - K / T
-    if prelog <= 0.0:
-        return 0.0
-    per_panel = np.sum(np.log2(1.0 + gammas), axis=-1)
-    return float(prelog * np.mean(per_panel))
-
-
-def optimal_num_devices(gamma_hat, T: int, pool: int) -> SchedulingSolution:
-    """Score K = 1..pool admitted devices and return the argmax.
-
-    gamma_hat: K -> (N, K) deterministic SINRs of the first K devices per
-    panel (pilot length t = K).
-    """
-    K_values = list(range(1, pool + 1))
-    curve = np.array([nse_of_gammas(gamma_hat(K), K, T) for K in K_values])
+def optimal_num_devices(table: ExpectedFloorTable, T: int) -> SchedulingSolution:
+    """Score K = 1..table.pool admitted devices by the network SE of the
+    table's (N, K) floor-bound SINRs ``table.gamma_hat(K)`` at pilot length
+    t = K, and return the argmax."""
+    K_values = list(range(1, table.pool + 1))
+    curve = np.array([sse(table.gamma_hat(K), K, T) for K in K_values])
     # A diverging objective means some unit has a zero deterministic floor
     # at that K, so the asymptotic bound carries no scheduling information
     # there; such K are kept in the curve but excluded from the argmax.

@@ -103,11 +103,10 @@ def place_devices(
     *,
     placement: PlacementConfig | None = None,
     K: int | None = None,
-    allow_partial: bool = False,
 ) -> Deployment:
-    """Draw K devices per panel, uniform in the x_l x y_l x box_height box,
-    resampling each device until its unit square is disjoint from the ones
-    already placed on the same panel.
+    """Draw K devices per panel (config.K when K is unset), uniform in the
+    x_l x y_l x box_height box, resampling each device until its unit
+    square is disjoint from the ones already placed on the same panel.
 
     Candidates are drawn in chunks of ``_CANDIDATE_CHUNK`` uniform triples
     and tried strictly one per attempt, in draw order, across devices and
@@ -118,15 +117,15 @@ def place_devices(
     generator ends advanced past the unused rest of the last chunk, so the
     call owns `rng`: pass a generator dedicated to this placement.
 
-    Deterministic given the generator state; raises
+    Deterministic given the generator state. Without K, raises
     InfeasiblePlacementError when the per-device attempt budget runs out.
-    With allow_partial, budget exhaustion instead stops that panel and all
-    panels are truncated to the smallest realized count, so the result is
-    the largest placeable common pool (a prefix of the full draw).
+    A given K is a pool request: budget exhaustion instead stops that panel
+    and all panels are truncated to the smallest realized count, so the
+    result is the largest placeable common pool (a prefix of the full draw).
     """
     placement = placement or PlacementConfig()
     frames = build_layout(layout, config.N)
-    K = int(K) if K is not None else config.K
+    count = int(K) if K is not None else config.K
     half_x, half_y = 0.5 * layout.x_l, 0.5 * layout.y_l
     side = 2.0 * config.L
 
@@ -134,8 +133,8 @@ def place_devices(
     pos = 0
     per_panel = []
     for n in range(config.N):
-        accepted = np.empty((K, 3))
-        for k in range(K):
+        accepted = np.empty((count, 3))
+        for k in range(count):
             budget = placement.attempt_budget
             while budget:
                 if pos == len(cand):
@@ -158,7 +157,7 @@ def place_devices(
                 pos += len(window)
                 budget -= len(window)
             else:
-                if allow_partial:
+                if K is not None:
                     accepted = accepted[:k]
                     break
                 raise InfeasiblePlacementError(

@@ -50,7 +50,10 @@ links are built for; the oracles below take the pair.
 ``sampled_nse_per_count`` is the device-count sampler that redraws every
 unit and builds its statistics and kernel once per admitted count K, on
 the pool's first K devices alone, against ``harness._sampled_nse``'s one
-kernel per unit read at every K.
+kernel per unit read at every K. It scores each count with
+``nse_of_gammas``, the network SE at t = K written out on its own (prelog
+times the mean over panels of the per-panel SE sums), which is the oracle
+of ``asymptotics.sse`` on (N, K) SINRs.
 
 ``panel`` is the single-panel view of a deployment. ``twin_blocks`` and
 the three twin reductions ``se_variance``, ``panel0_sse`` and ``csi``
@@ -93,7 +96,7 @@ from lis_uplink.links import (
     sample_unit_channels,
     stream,
 )
-from lis_uplink.optimize import ExpectedFloorTable, nse_of_gammas
+from lis_uplink.optimize import ExpectedFloorTable
 from lis_uplink.config import PlacementConfig
 from lis_uplink.scenario import (
     Deployment,
@@ -409,13 +412,15 @@ def subset(deployment: Deployment, K: int) -> Deployment:
     )
 
 
-def place_devices(config, layout, rng, *, placement=None, K=None, allow_partial=False) -> Deployment:
+def place_devices(config, layout, rng, *, placement=None, K=None) -> Deployment:
     """Rejection placement drawing one uniform triple per attempt, against
     the chunked ``scenario.place_devices``: same acceptance rule, budget
-    and truncation, so the same deployment from the same generator state."""
+    and truncation (a given K is a pool request), so the same deployment
+    from the same generator state."""
     placement = placement or PlacementConfig()
     frames = build_layout(layout, config.N)
-    K = int(K) if K is not None else config.K
+    pool_request = K is not None
+    K = int(K) if pool_request else config.K
     half_x, half_y = 0.5 * layout.x_l, 0.5 * layout.y_l
     side = 2.0 * config.L
 
@@ -434,7 +439,7 @@ def place_devices(config, layout, rng, *, placement=None, K=None, allow_partial=
                     accepted.append(np.array([x, y, z]))
                     break
             else:
-                if allow_partial:
+                if pool_request:
                     break
                 raise InfeasiblePlacementError(
                     f"infeasible placement: panel {n} device {k} found no "
@@ -544,11 +549,23 @@ def mu_I_bar(ms, t: float) -> float:
     return const + noise / t
 
 
-def sampled_nse_per_count(spec, pool, cfg, p: int, blocks, K_grid) -> list:
-    """Monte Carlo NSE of every block in `blocks` for every K in K_grid, one
-    count at a time: unit (n, k) is drawn again for each K > k under the
-    pool config `cfg`, on the pool's first K devices, so its statistics and
-    kernel cover those devices alone."""
+def nse_of_gammas(gammas: np.ndarray, K: int, T: int) -> float:
+    """NSE for K admitted devices at t = K: prelog times the mean over
+    panels of the per-panel SE sums."""
+    gammas = np.asarray(gammas, dtype=float)
+    prelog = 1.0 - K / T
+    if prelog <= 0.0:
+        return 0.0
+    per_panel = np.sum(np.log2(1.0 + gammas), axis=-1)
+    return float(prelog * np.mean(per_panel))
+
+
+def sampled_nse_per_count(spec, pool, cfg, p: int, K_grid) -> list:
+    """Monte Carlo NSE of each of the experiment's blocks for every K in
+    K_grid, one count at a time: unit (n, k) is drawn again for each K > k
+    under the pool config `cfg`, on the pool's first K devices, so its
+    statistics and kernel cover those devices alone."""
+    blocks = range(spec.experiment.realizations)
     out = [{} for _ in blocks]
     for K in K_grid:
         dep = pool.prefix(K)

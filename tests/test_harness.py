@@ -713,6 +713,29 @@ class TestOptimizerObjectives:
             "nse_curve": fig8["det_curve"], "pool": fig8["pool"]}
 
 
+class TestPlacementRequests:
+    """The device-count figures request their pool as ``place_devices``'s
+    keyword ``K``, and every other placement passes ``K=None``: a tracer
+    that reports realized over requested devices reads that keyword."""
+
+    @pytest.mark.parametrize("case", ["fig9", "fig8", "fig5"])
+    def test_pool_target_is_the_keyword_k(self, case, monkeypatch):
+        _, exp_id, overrides = CASES[case]
+        rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
+        calls, place = [], hz.place_devices
+
+        def recording(*args, **kwargs):
+            calls.append((len(args), kwargs["K"]))
+            return place(*args, **kwargs)
+
+        monkeypatch.setattr(hz, "place_devices", recording)
+        run_experiment(rc)
+        pool = rc.placement.pool_target(rc.system.T)
+        want = pool if case in ("fig8", "fig9") else None
+        assert pool != rc.system.K
+        assert calls == [(3, want)] * rc.experiment.placements
+
+
 class TestWriteOutputs:
     @staticmethod
     def _result(tmp_records=None, raw=False, extras=None):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from lis_uplink import (
     draw_unit_block,
     expected_floor_table,
     make_unit_stats,
-    nse_of_gammas,
     optimal_num_devices,
     optimal_pilot_length,
     place_devices,
     placement_rng,
     theorem1_sse,
 )
+from lis_uplink.asymptotics import sse
 
 import reference
 from conftest import assert_close
@@ -173,25 +174,45 @@ class TestExpectedFloorTable:
             assert np.array_equal(getattr(table, name), getattr(want, name)), name
 
 
+def _table(gamma_hat, pool):
+    """A stand-in floor table: (N, K) SINRs ``gamma_hat(K)`` over `pool` devices."""
+    return SimpleNamespace(gamma_hat=gamma_hat, pool=pool)
+
+
 class TestScheduling:
     def test_curve_argmax_and_trace(self):
         table = expected_floor_table(*TestExpectedFloorTable()._pool(seed=7, K=8))
-        sol = optimal_num_devices(table.gamma_hat, T=50, pool=8)
+        sol = optimal_num_devices(table, T=50)
         assert sol.K_values == tuple(range(1, 9))
         assert sol.nse_opt == np.max(sol.nse_curve)
         assert sol.nse_curve[sol.K_opt - 1] == sol.nse_opt
+        want = [reference.nse_of_gammas(table.gamma_hat(K), K, 50) for K in sol.K_values]
+        assert list(sol.nse_curve) == want
+
+    @pytest.mark.parametrize("pool", [1, 3, 7])
+    def test_curve_spans_the_table_pool(self, pool):
+        asked = []
+
+        def gamma_hat(K):
+            asked.append(K)
+            return np.full((2, K), 3.0)
+
+        sol = optimal_num_devices(_table(gamma_hat, pool), T=10)
+        assert asked == list(range(1, pool + 1))
+        assert sol.K_values == tuple(asked) and len(sol.nse_curve) == pool
 
     def test_ties_prefer_smaller_k(self):
-        sol = optimal_num_devices(lambda K: np.zeros((1, K)), T=10, pool=5)
+        sol = optimal_num_devices(_table(lambda K: np.zeros((1, K)), 5), T=10)
         assert sol.K_opt == 1
         assert np.all(sol.nse_curve == 0.0)
 
     def test_nse_of_gammas(self):
+        # the network SE of (N, K) SINRs at t = K
         gam = np.array([[1.0, 3.0], [7.0, 15.0]])
-        got = nse_of_gammas(gam, K=2, T=10)
+        got = sse(gam, 2, 10)
         assert_close(got, 0.8 * 0.5 * ((1 + 2) + (3 + 4)))
-        assert nse_of_gammas(gam, K=10, T=10) == 0.0
-        assert nse_of_gammas(gam, K=12, T=10) == 0.0
+        assert sse(gam, 10, 10) == 0.0
+        assert sse(gam, 12, 10) == 0.0
 
     def test_diverging_objective_excluded_from_argmax(self):
         # A zero floor makes the bound SINR infinite; that K stays in the
@@ -202,16 +223,16 @@ class TestScheduling:
                 gam[:] = np.inf
             return gam
 
-        sol = optimal_num_devices(provider, T=10, pool=5)
+        sol = optimal_num_devices(_table(provider, 5), T=10)
         assert math.isinf(sol.nse_curve[0])
         assert sol.K_opt > 1
         assert math.isfinite(sol.nse_opt)
         assert sol.nse_opt == max(v for v in sol.nse_curve if math.isfinite(v))
 
     def test_all_diverging_objective_rejected(self):
-        provider = lambda K: np.full((1, K), np.inf)
+        table = _table(lambda K: np.full((1, K), np.inf), 3)
         with pytest.raises(ValueError, match="finite"):
-            optimal_num_devices(provider, T=10, pool=3)
+            optimal_num_devices(table, T=10)
 
 
 class TestNetworkNse:
@@ -221,6 +242,6 @@ class TestNetworkNse:
             return (2.0 ** np.asarray(sums, dtype=float) - 1.0)[:, np.newaxis]
 
         prelog = 1.0 - 1.0 / 1000
-        assert_close(nse_of_gammas(per_panel([100.0, 110.0, 90.0, 100.0]), 1, 1000), prelog * 100.0)
-        assert_close(nse_of_gammas(per_panel([42.0]), 1, 1000), prelog * 42.0)
-        assert_close(nse_of_gammas(per_panel([7.0, 7.0, 7.0]), 1, 1000), prelog * 7.0)
+        assert_close(sse(per_panel([100.0, 110.0, 90.0, 100.0]), 1, 1000), prelog * 100.0)
+        assert_close(sse(per_panel([42.0]), 1, 1000), prelog * 42.0)
+        assert_close(sse(per_panel([7.0, 7.0, 7.0]), 1, 1000), prelog * 7.0)

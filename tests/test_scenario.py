@@ -110,15 +110,24 @@ class TestPlacement:
     def test_infeasible_placement_reports(self):
         # Units of side 6 m cannot tile two disjoint squares in a 4 m plane.
         cfg = SystemConfig(M=16, K=2, N=1, L=3.0)
+        budget = PlacementConfig(attempt_budget=50)
         with pytest.raises(InfeasiblePlacementError, match="infeasible placement"):
-            _place(cfg, seed=0, placement=PlacementConfig(attempt_budget=50))
+            _place(cfg, seed=0, placement=budget)
+        # the same count as a pool request keeps what fits
+        assert _place(cfg, seed=0, placement=budget, K=2).K == 1
 
-    def test_allow_partial_truncates_to_common_pool(self):
+    def test_pool_request_truncates_to_common_pool(self):
         cfg = SystemConfig(M=16, K=30, N=1, T=500, t=30, L=0.45)
-        dep = _place(
-            cfg, seed=1, placement=PlacementConfig(attempt_budget=200), allow_partial=True
-        )
+        dep = _place(cfg, seed=1, placement=PlacementConfig(attempt_budget=200), K=30)
         assert 1 <= dep.K < 30
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_feasible_pool_request_is_the_full_placement(self, seed):
+        cfg = SystemConfig(M=16, K=6, N=4)
+        want = _place(cfg, seed=seed)
+        got = _place(cfg, seed=seed, K=cfg.K)
+        for name in ("devices_local", "devices"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     @given(
         N=st.sampled_from([1, 2, 4]),
@@ -126,17 +135,17 @@ class TestPlacement:
         K=st.integers(1, 8),
         budget=st.integers(1, 150),
         L=st.sampled_from([0.25, 0.6, 1.0, 3.0]),
-        allow_partial=st.booleans(),
+        pool_request=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_chunked_sampler_matches_per_attempt_oracle(
-        self, N, quad, K, budget, L, allow_partial, seed
+        self, N, quad, K, budget, L, pool_request, seed
     ):
         # small budgets and large units exhaust devices mid-chunk, so the
         # leftover candidates must carry over to the next device and panel
         cfg = SystemConfig(M=16, K=K, N=N, L=L)
         layout = LayoutConfig(name="quad" if quad and N == 4 else "line")
-        kw = {"placement": PlacementConfig(attempt_budget=budget), "allow_partial": allow_partial}
+        kw = {"placement": PlacementConfig(attempt_budget=budget), "K": K if pool_request else None}
         try:
             want = reference.place_devices(cfg, layout, np.random.default_rng(seed), **kw)
         except InfeasiblePlacementError as exc:
@@ -154,7 +163,7 @@ class TestPlacement:
         # the fig9 pool shape: 40 requested per quad panel, truncated
         cfg = SystemConfig(M=16, K=8, N=4, T=50)
         for seed in range(3):
-            kw = {"K": 40, "allow_partial": True}
+            kw = {"K": 40}
             got = _place(cfg, seed=seed, **kw)
             want = reference.place_devices(cfg, LayoutConfig(), np.random.default_rng(seed), **kw)
             assert np.array_equal(got.devices_local, want.devices_local)

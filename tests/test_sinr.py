@@ -1,10 +1,12 @@
 """Matched-filter SINR decomposition and spectral efficiency: the per-filter
 decomposition of ``tests/reference.py``, ``BlockKernel``'s terms on top of
-the full pilot-block estimate, and the panel SSE of the sampled curves."""
+the full pilot-block estimate, and the one SE formula of the panel and
+network curves."""
 
 import math
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from lis_uplink import (
     BlockKernel,
@@ -156,3 +158,20 @@ class TestInstantaneousSse:
     def test_sum_identity(self):
         gam = np.array([0.5, 3.0, 9.0])
         assert_close(sse(gam, t=10, T=100), 0.9 * np.sum(np.log2(1.0 + gam)), rtol=1e-12)
+
+    @settings(max_examples=200)
+    @given(N=st.integers(1, 4), K=st.integers(1, 44), T=st.integers(1, 60), data=st.data())
+    def test_one_formula_for_panels_and_networks(self, N, K, T, data):
+        # bit for bit: (N, K) SINRs give the device-count oracle's network SE
+        # at t = K, and each (K,) row the one-panel sum at any t, with the
+        # pilots filling the block (t >= T) and interference-free devices
+        g = np.array(data.draw(st.lists(st.floats(0.0, 1e9), min_size=N * K, max_size=N * K)))
+        g = g.reshape(N, K)
+        if data.draw(st.booleans()):
+            g[data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, K - 1))] = math.inf
+        assert sse(g, K, T) == reference.nse_of_gammas(g, K, T)
+        t = data.draw(st.integers(1, T + 5))
+        prelog = 1.0 - t / T
+        for row in g:
+            want = prelog * float(np.sum(np.log2(1 + row))) if prelog > 0.0 else 0.0
+            assert sse(row, t, T) == want
