@@ -61,12 +61,11 @@ from .scenario import (
     InfeasiblePlacementError,
     LisFrame,
     build_layout,
-    data_snrs,
     los_probability,
-    pilot_snrs,
     place_devices,
     quarter_solid_angle,
     rician_factor,
+    transmit_snrs,
 )
 
 __version__ = "0.1.0"

@@ -51,18 +51,18 @@ class MomentSet:
 
     Every variance has the shape const + noise/t; the two coefficients are
     stored separately, so the moments can be evaluated at any pilot length t.
+    Each field is a scalar or an (N, K) array over the incoming links.
     """
 
-    M: int
     mu_x: complex
     var_x_const: float
     var_x_noise: float          # coefficient of 1/t
     mu_y: np.ndarray            # (N, K) complex, serving slot zero
     var_y_const: np.ndarray     # (N, K)
     var_y_noise: np.ndarray     # (N, K) coefficients of 1/t
-    q_bar: np.ndarray           # (M,) mean of the channel estimate
-    var_z_const_m: np.ndarray   # (M,)
-    var_z_noise_m: float        # per-antenna coefficient of 1/t
+    var_z_const: float
+    var_z_noise: float          # coefficient of 1/t
+    z_mean_sq: float            # squared norm of the channel estimate's mean
     rho_d: np.ndarray           # (N, K) data SNRs used in the assembly
     rho_d_own: float
     p_bar: float                # deterministic serving power of the unit
@@ -76,12 +76,7 @@ class MomentSet:
         return self.var_y_const + self.var_y_noise / t + np.abs(self.mu_y) ** 2
 
     def mu_Z(self, t) -> float:
-        t = _check_t(t)
-        return float(
-            np.sum(self.var_z_const_m)
-            + self.M * self.var_z_noise_m / t
-            + np.sum(np.abs(self.q_bar) ** 2)
-        )
+        return self.var_z_const + self.var_z_noise / _check_t(t) + self.z_mean_sq
 
     def mu_I_bar(self, t) -> float:
         """Composite interference mean: rho-weighted X and Y second moments
@@ -117,7 +112,7 @@ def build_moment_set(stats: UnitChannelStats) -> MomentSet:
     cont_w = sqrt_ratio**2 * stats.nlos_var[:, k]  # scattered-power weight per contaminator
 
     mu_e = sqrt_ratio @ stats.hbar[:, k]
-    q_bar = hlos_own + mu_e
+    h_mean = hlos_own + mu_e
 
     # Every contaminator-weighted sum below runs over the columns of one
     # (M, C*P) matrix: the live contaminators' conjugated roots side by
@@ -131,7 +126,7 @@ def build_moment_set(stats: UnitChannelStats) -> MomentSet:
     # Y_lj = |h_hat^H h_lj|^2: mean from the two fixed means; variance from
     # the estimate's fluctuation against the interferer mean (EL) plus the
     # interferer's scattered part against the full estimate (EN).
-    mu_y = (hbar @ np.conj(q_bar)).reshape(N, K)
+    mu_y = (hbar @ np.conj(h_mean)).reshape(N, K)
     el_const = _sq_norm(hbar @ conj_roots).reshape(N, K)
     el_noise = _sq_norm(hbar).reshape(N, K) / rho_p_own
 
@@ -139,7 +134,7 @@ def build_moment_set(stats: UnitChannelStats) -> MomentSet:
     # term_b, the Lemma 2 cross term, is one matmul: the stacked
     # contaminator roots (C*P, M) against every interferer's (M, P) root,
     # batched over (l, j).
-    proj_en = np.conj(q_bar) @ roots                       # (N, K, P)
+    proj_en = np.conj(h_mean) @ roots                      # (N, K, P)
     term_a = _sq_norm(proj_en)
     term_b = _sq_norm(conj_roots.T @ roots, axes=2)
     rootfrob = _sq_norm(roots, axes=2)
@@ -153,7 +148,6 @@ def build_moment_set(stats: UnitChannelStats) -> MomentSet:
     var_y_noise[n, k] = 0.0
 
     return MomentSet(
-        M=M,
         # X = |e^H h_los|^2: mean of the Gaussian scalar plus its variance
         mu_x=complex(np.vdot(mu_e, hlos_own)),
         var_x_const=float(_sq_norm(hlos_own @ conj_roots)),
@@ -161,10 +155,10 @@ def build_moment_set(stats: UnitChannelStats) -> MomentSet:
         mu_y=mu_y,
         var_y_const=var_y_const,
         var_y_noise=var_y_noise,
-        # Z = ||h_hat||^2: per-antenna mean q_bar plus per-antenna variance
-        q_bar=q_bar,
-        var_z_const_m=_sq_norm(conj_roots),
-        var_z_noise_m=1.0 / rho_p_own,
+        # Z = ||h_hat||^2: the per-antenna variances summed, plus the mean's norm
+        var_z_const=float(np.sum(_sq_norm(conj_roots))),
+        var_z_noise=M / rho_p_own,
+        z_mean_sq=float(np.sum(np.abs(h_mean) ** 2)),
         rho_d=geom.rho_d,
         rho_d_own=float(geom.rho_d[n, k]),
         p_bar=geom.p_bar,

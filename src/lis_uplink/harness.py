@@ -78,15 +78,7 @@ import numpy as np
 
 from .asymptotics import build_moment_set, sse, theorem1_sse
 from .channel import cgauss
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    LayoutConfig,
-    PlacementConfig,
-    RunConfig,
-    SystemConfig,
-    json_text,
-)
+from .config import ConfigError, ExperimentConfig, RunConfig, SystemConfig, json_text
 from .links import (
     DOMAIN_BLOCK,
     BlockKernel,
@@ -544,31 +536,37 @@ class Experiment:
     interference: str = "rician"  # default interference regime
     stride: int = 0           # theory curves every realizations // stride blocks (0: none)
     asymptotic: bool = False  # run_asymptotic accepts it
-    system: dict = field(default_factory=dict)  # preset changes to the reference system
-    counts: dict = field(default_factory=dict)  # preset experiment sample counts
-    layout: LayoutConfig = LayoutConfig()       # preset layout
+    preset: dict = field(default_factory=dict)  # section.key changes to the reference run
 
 
 EXPERIMENTS = {
     "fig4": Experiment(_se_variance, "M", (36, 144, 400, 900), asymptotic=True,
-                       system={"K": 20}, counts={"realizations": 500, "placements": 10}),
+                       preset={"system.K": 20, "experiment.realizations": 500,
+                               "experiment.placements": 10}),
     "fig5": Experiment(_panel0_sse, "M", (100, 400, 900), stride=8, asymptotic=True,
-                       counts={"realizations": 24, "placements": 4}),
+                       preset={"experiment.realizations": 24, "experiment.placements": 4}),
     "fig6": Experiment(_panel0_sse, "M", (100, 400, 900), "nlos_inter", stride=8,
-                       asymptotic=True, counts={"realizations": 24, "placements": 4}),
+                       asymptotic=True,
+                       preset={"experiment.realizations": 24, "experiment.placements": 4}),
     "fig6b": Experiment(functools.partial(_panel0_sse, perfect_csi=True), "M", (100, 400, 900),
                         "nlos_inter", asymptotic=True,
-                        counts={"realizations": 48, "placements": 4}),
+                        preset={"experiment.realizations": 48, "experiment.placements": 4}),
     "fig7": Experiment(_pilot, "t", (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 500),
-                       stride=2, counts={"realizations": 24, "placements": 4, "theory_stride": 12}),
+                       stride=2, preset={"experiment.realizations": 24,
+                                         "experiment.placements": 4,
+                                         "experiment.theory_stride": 12}),
     # K values above a placement's pool are skipped at run time
     "fig8": Experiment(_ksweep, "K", (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32, 36, 40),
-                       system={"K": 20, "T": 50}, counts={"realizations": 8, "placements": 12}),
-    "fig9": Experiment(_nse_vs_m, "M", (100, 196, 400), system={"M": 400, "K": 20, "T": 50},
-                       counts={"realizations": 4, "placements": 3}),
-    "oracle": Experiment(_oracle, "M", (16, 100), system={"M": 100, "K": 2, "N": 2, "P": 4},
-                         counts={"realizations": 10000, "placements": 1},
-                         layout=LayoutConfig(name="line", d_x=0.5)),
+                       preset={"system.K": 20, "system.T": 50, "experiment.realizations": 8,
+                               "experiment.placements": 12}),
+    "fig9": Experiment(_nse_vs_m, "M", (100, 196, 400),
+                       preset={"system.M": 400, "system.K": 20, "system.T": 50,
+                               "experiment.realizations": 4, "experiment.placements": 3}),
+    "oracle": Experiment(_oracle, "M", (16, 100),
+                         preset={"system.M": 100, "system.K": 2, "system.N": 2, "system.P": 4,
+                                 "experiment.realizations": 10000,
+                                 "experiment.placements": 1,
+                                 "layout.name": "line", "layout.d_x": 0.5}),
 }
 
 
@@ -666,12 +664,10 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[Path]:
 def preset_run_config(experiment_id: str, seed: int = 0) -> RunConfig:
     """Desk-scale defaults per figure: the reference scenario (3 GHz,
     2L = 0.5 m, 0 dB pilot and 3 dB data targets, T = 500 or 50) with
-    sample counts sized for a single workstation, changed by the id's
-    ``EXPERIMENTS`` row."""
+    sample counts sized for a single workstation, changed by the dotted
+    overrides of the id's ``EXPERIMENTS`` row."""
     row = _experiment(experiment_id)
     return RunConfig(
-        system=SystemConfig(**{"M": 900, "K": 8, "N": 4, "T": 500, "seed": seed, **row.system}),
-        layout=row.layout,
-        placement=PlacementConfig(),
-        experiment=ExperimentConfig(id=experiment_id, **row.counts),
-    )
+        system=SystemConfig(M=900, K=8, N=4, T=500, seed=seed),
+        experiment=ExperimentConfig(id=experiment_id),
+    ).with_overrides(row.preset)

@@ -48,15 +48,8 @@ import numpy as np
 from .channel import (CorrelationRoot, cgauss, half_angle_phasor, rician_mixing,
                       root_matrix_from_angles)
 from .config import SystemConfig
-from .scenario import (
-    Deployment,
-    data_snrs,
-    los_probability,
-    pilot_snrs,
-    quarter_solid_angle,
-    rician_factor,
-    serving_power,
-)
+from .scenario import (Deployment, los_probability, quarter_solid_angle, rician_factor,
+                       serving_power, transmit_snrs)
 
 # RNG stream domains (SeedSequence spawn keys): placement draws and
 # per-unit block draws.
@@ -185,6 +178,7 @@ def build_unit_geometry(
     to_center = devices - (origin + np.append(deployment.devices_local[n, k, :2], 0.0))
     cdist = np.sqrt(np.einsum("lji,lji->lj", to_center, to_center))
     p = quarter_solid_angle(config.L, deployment.devices_local[n, k, 2])
+    rho_p, rho_d = transmit_snrs(deployment, config)
     return UnitLinkGeometry(
         n=n,
         k=k,
@@ -193,8 +187,8 @@ def build_unit_geometry(
         own_power=float(np.sum(hlos[n, k].real ** 2 + hlos[n, k].imag ** 2)),
         kappa_cand=rician_factor(cdist),
         p_los=los_probability(cdist, config.d_C),
-        rho_p=pilot_snrs(deployment, config),
-        rho_d=data_snrs(deployment, config),
+        rho_p=rho_p,
+        rho_d=rho_d,
         p_bar=serving_power(config.M, p, config.L),
     )
 
@@ -410,9 +404,7 @@ class BlockKernel:
         s = math.sqrt(float(t) * self.rho_p_own)
         Y = np.abs(self.A[..., :K] + self.C[..., :K] / s) ** 2
         Y[..., self.n, self.k] = 0.0
-        # |Xc + Xw / s| with each part divided by the real s, as a Python
-        # complex divides (numpy's complex division multiplies by 1 / s)
-        X = np.hypot(self.Xc.real + self.Xw.real / s, self.Xc.imag + self.Xw.imag / s) ** 2
+        X = np.abs(self.Xc + self.Xw / s) ** 2
         Z = self.u_norm2 + 2.0 * self.uw.real / s + self.w_norm2 / (s * s)
         I = self.rho_d_own * X + np.sum(self.rho_d[:, :K] * Y, axis=(-2, -1)) + Z
         return BlockTerms(X=X, Y=Y, Z=Z, I=I, gamma=self.rho_d_own * self.signal / I)

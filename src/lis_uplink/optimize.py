@@ -167,13 +167,10 @@ def expected_floor_table(deployment: Deployment, config: SystemConfig,
             mean_in = u + np.einsum("c,clj->lj", a * pk, V)
             var_in = np.einsum("c,clj->lj", a * a * pk * (1.0 - pk), np.abs(V) ** 2)
             # same-pilot interferer: its gate is the c=l contamination gate
-            # (a is zero on panel n and on LOS-free panels, which adds zero);
-            # float_power squares through pow(), as a scalar ** does, where
-            # an array ** 2 multiplies and can differ in the last bit
+            # (a is zero on panel n and on LOS-free panels, which adds zero)
             v_same = V[diag, diag, k]
             mean_in[:, k] += a * (1.0 - pk) * v_same
-            var_in[:, k] -= (np.float_power(a, 2) * pk * (1.0 - pk)
-                             * np.float_power(np.abs(v_same), 2))
+            var_in[:, k] -= a * a * pk * (1.0 - pk) * np.abs(v_same) ** 2
             w = rho_d * p * s2 * (np.abs(mean_in) ** 2 + var_in)
             w[n, k] = 0.0
             leak[n, k] = np.einsum("lj->j", w)

@@ -191,29 +191,22 @@ def rician_factor(d: np.ndarray) -> np.ndarray:
     return 10.0 ** ((13.0 - 0.03 * d) / 10.0)
 
 
-def pilot_snrs(deployment: Deployment, config: SystemConfig) -> np.ndarray:
-    """Per-device pilot transmit SNR (N, K) from the power-control rule."""
-    return config.rho_p_tgt / _center_gain(deployment)
+def transmit_snrs(deployment: Deployment,
+                  config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Pilot and data transmit SNRs (N, K) of every device from the
+    power-control rule: each target over the LOS gain beta^2 of the device
+    at its own unit-center antenna, so that the received SNR there equals
+    the target.
 
-
-def data_snrs(deployment: Deployment, config: SystemConfig) -> np.ndarray:
-    """Per-device data transmit SNR (N, K) from the power-control rule."""
-    return config.rho_tgt / _center_gain(deployment)
-
-
-def _center_gain(deployment: Deployment) -> np.ndarray:
-    """LOS gain beta^2 (N, K) of each device at its own unit-center antenna.
-
-    Power control sets the transmit SNR to target / beta^2, so that the
-    received SNR there equals the target. In general beta^2 =
-    (z/d) / (4 pi d^2) with d the device-to-center distance and z the
-    perpendicular offset; every device sits at boresight of its unit, so
-    d = z and beta^2 = 1 / (4 pi z^2).
+    In general beta^2 = (z/d) / (4 pi d^2) with d the device-to-center
+    distance and z the perpendicular offset; every device sits at boresight
+    of its unit, so d = z and beta^2 = 1 / (4 pi z^2).
     """
     z = deployment.devices_local[..., 2]
     if np.any(z <= 0.0):
         raise ValueError("device sits on the LIS plane; channel gain undefined")
-    return 1.0 / (4.0 * math.pi * z * z)
+    gain = 1.0 / (4.0 * math.pi * z * z)
+    return config.rho_p_tgt / gain, config.rho_tgt / gain
 
 
 def quarter_solid_angle(L: float, z: float) -> float:

@@ -25,8 +25,7 @@ Per-link oracles of the uplink model, one link or one unit at a time:
 - ``place_devices``: the rejection placement drawing one candidate per
   attempt, against the chunked ``scenario.place_devices``;
 - ``transmit_snr``: the power-control rule of one device toward any unit
-  center, off-boresight included, against ``scenario.pilot_snrs`` and
-  ``data_snrs``.
+  center, off-boresight included, against ``scenario.transmit_snrs``.
 
 ``moment_fields``, ``kernel_products`` and ``dense_channels`` transcribe
 the ``einsum`` forms of the moment, kernel and sampling contractions on
@@ -102,10 +101,9 @@ from lis_uplink.scenario import (
     Deployment,
     InfeasiblePlacementError,
     build_layout,
-    data_snrs,
-    pilot_snrs,
     quarter_solid_angle,
     serving_power,
+    transmit_snrs,
 )
 
 
@@ -197,20 +195,16 @@ def moment_fields(stats: UnitChannelStats, pilot_snrs: np.ndarray) -> dict:
     var_y_const[n, k] = 0.0
     var_y_noise[n, k] = 0.0
 
-    var_z_const_m = np.einsum("c,cm->m", cont_w, rowpow)
-    var_z_noise_m = 1.0 / rho_p_own
-
     return {
-        "M": M,
         "mu_x": mu_x,
         "var_x_const": var_x_const,
         "var_x_noise": var_x_noise,
         "mu_y": mu_y,
         "var_y_const": var_y_const,
         "var_y_noise": var_y_noise,
-        "q_bar": q_bar,
-        "var_z_const_m": var_z_const_m,
-        "var_z_noise_m": var_z_noise_m,
+        "var_z_const": float(np.einsum("c,cm->", cont_w, rowpow)),
+        "var_z_noise": M / rho_p_own,
+        "z_mean_sq": float(np.einsum("m->", np.abs(q_bar) ** 2)),
     }
 
 
@@ -484,8 +478,7 @@ def expected_floor_table(deployment: Deployment, config, regime: str = "rician")
     cfg = config
     if cfg.N != N or cfg.K != Kp:
         cfg = dataclasses.replace(config, N=N, K=Kp, t=None)
-    rho_p = pilot_snrs(deployment, cfg)
-    rho_d = data_snrs(deployment, cfg)
+    rho_p, rho_d = transmit_snrs(deployment, cfg)
     M = cfg.M
 
     base = np.zeros((N, Kp))
@@ -539,12 +532,12 @@ def mu_I_bar(ms, t: float) -> float:
     const = (
         rho_own * (ms.var_x_const + abs(ms.mu_x) ** 2)
         + float(np.sum(rho * (ms.var_y_const + np.abs(ms.mu_y) ** 2)))
-        + float(np.sum(ms.var_z_const_m) + np.sum(np.abs(ms.q_bar) ** 2))
+        + ms.var_z_const + ms.z_mean_sq
     )
     noise = (
         rho_own * ms.var_x_noise
         + float(np.sum(rho * ms.var_y_noise))
-        + ms.M * ms.var_z_noise_m
+        + ms.var_z_noise
     )
     return const + noise / t
 

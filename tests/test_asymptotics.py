@@ -16,11 +16,11 @@ from lis_uplink import (
     cgauss,
     draw_unit_block,
     make_unit_stats,
-    pilot_snrs,
     place_devices,
     quarter_solid_angle,
     sample_unit_channels,
     theorem1_sse,
+    transmit_snrs,
 )
 import reference
 from conftest import assert_close
@@ -56,9 +56,11 @@ class TestSinglePanelReductions:
         t = 8
         ms = build_moment_set(stats)
         rho = stats.geom.rho_p[0, 0]
-        assert np.array_equal(ms.q_bar, stats.geom.hlos[0, 0])
-        assert_close(ms.var_z_const_m + ms.var_z_noise_m / t, np.full(16, 1.0 / (t * rho)),
-                     rtol=1e-12)
+        # no contaminator: the estimate's mean is the LOS vector, and only
+        # the noise term varies
+        assert_close(ms.z_mean_sq, stats.geom.own_power, rtol=1e-12)
+        assert ms.var_z_const == 0.0
+        assert_close(ms.var_z_noise / t, 16.0 / (t * rho), rtol=1e-12)
         assert_close(ms.mu_Z(t), stats.geom.own_power + 16.0 / (t * rho), rtol=1e-12)
 
     def test_composite_interference_closed_form_and_limit(self, solo_world):
@@ -178,7 +180,7 @@ class TestMomentPartsAgainstReference:
         stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg, interference)
 
         actual = build_moment_set(stats)
-        expected = reference.moment_fields(stats, pilot_snrs(dep, cfg))
+        expected = reference.moment_fields(stats, transmit_snrs(dep, cfg)[0])
         # every stored moment coefficient is checked; the rest is the link budget
         assert {f.name for f in dataclasses.fields(actual)} - set(expected) == {
             "rho_d", "rho_d_own", "p_bar"}
@@ -209,6 +211,18 @@ class TestMomentPartsAgainstReference:
         _, stats = _stats((dep, cfg), N - 1, 1, seed=seed + 1, interference=interference)
         ms = build_moment_set(stats)
         assert math.isclose(ms.mu_I_bar(t), reference.mu_I_bar(ms, t), rel_tol=1e-13)
+
+    def test_no_field_has_an_antenna_axis(self):
+        # a set's size depends on the links alone: every moment is summed
+        # over the antennas, so no field grows with M
+        cfg = SystemConfig(M=100, K=3, N=4, P=4)
+        dep = place_devices(cfg, LayoutConfig(), np.random.default_rng(9))
+        _, stats = _stats((dep, cfg), 1, 2, seed=10)
+        ms = build_moment_set(stats)
+        arrays = {f.name: getattr(ms, f.name) for f in dataclasses.fields(ms)
+                  if isinstance(getattr(ms, f.name), np.ndarray)}
+        assert set(arrays) == {"mu_y", "var_y_const", "var_y_noise", "rho_d"}
+        assert all(value.shape == (4, 3) for value in arrays.values())
 
 
 class TestSolidAngle:

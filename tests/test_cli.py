@@ -3,11 +3,12 @@ contracts, and exit codes."""
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from lis_uplink import RunConfig
+from lis_uplink import MomentSet, RunConfig
 from lis_uplink.cli import build_parser, main
 
 HELP_GOLDEN = Path(__file__).resolve().parent / "golden" / "lis-sim-help.txt"
@@ -385,6 +386,19 @@ class TestValidate:
             assert term in text
         assert "99% CI" in text and "reported" in text
         assert (out / "oracle_manifest.json").exists()
+
+    def test_biased_closed_form_fails(self, tmp_path, capsys, monkeypatch):
+        # a Z closed form 1.5x too large must fail its gate and the command
+        mu_Z = MomentSet.mu_Z
+        monkeypatch.setattr(MomentSet, "mu_Z", lambda self, t: 1.5 * mu_Z(self, t))
+        code = main(["validate", "--set", "experiment.sweep_values=[16]",
+                     "--set", "experiment.realizations=500",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        z_lines = [line for line in lines if re.match(r"M=\s*16 Z ", line)]
+        assert len(z_lines) == 1 and z_lines[0].endswith(" FAIL")
+        assert lines[-1] == "validate: FAIL"
 
     def test_single_realization_exits_2(self, tmp_path, capsys):
         # one sample has no standard error; the z-gate must not pass vacuously

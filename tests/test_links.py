@@ -15,16 +15,15 @@ from lis_uplink import (
     LisFrame,
     SystemConfig,
     build_unit_geometry,
-    data_snrs,
     draw_unit_block,
     los_probability,
     make_unit_stats,
-    pilot_snrs,
     place_devices,
     placement_rng,
     quarter_solid_angle,
     rician_factor,
     sample_unit_channels,
+    transmit_snrs,
 )
 from lis_uplink.channel import cgauss, half_angle_phasor
 from lis_uplink.links import (
@@ -475,8 +474,7 @@ class TestBlockKernel:
 
         # the estimation error drawn from its definition: ratio-weighted
         # same-pilot channels of the other panels plus the shrunk noise
-        rho_p = pilot_snrs(dep, cfg)
-        rho_d = data_snrs(dep, cfg)
+        rho_p, rho_d = transmit_snrs(dep, cfg)
         ratios = rho_p[:, k] / rho_p[n, k]
         contams = np.delete(channels[:, k], n, axis=0)
         e = np.sqrt(np.delete(ratios, n)) @ contams + draw.w / math.sqrt(t * rho_p[n, k])
@@ -504,8 +502,7 @@ class TestBlockKernel:
             draw = draw_unit_block(np.random.default_rng(40 + n), cfg.N, K, cfg.P, cfg.M)
             stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg, interference)
             terms = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w).terms(t)
-            ref = _pilot_block_terms(stats, draw.g, draw.w, pilot_snrs(dep, cfg),
-                                     data_snrs(dep, cfg), t)
+            ref = _pilot_block_terms(stats, draw.g, draw.w, *transmit_snrs(dep, cfg), t)
             for name in ("X", "Y", "Z", "I", "gamma"):
                 assert_close(getattr(terms, name), ref[name], rtol=1e-10)
 
@@ -518,7 +515,7 @@ class TestBlockKernel:
         channels = sample_unit_channels(stats, draw.g)
         kernel = BlockKernel(stats, channels, draw.w)
 
-        rho_d = data_snrs(dep, cfg)
+        _, rho_d = transmit_snrs(dep, cfg)
         bd = reference.interference_terms(
             geom.hlos[n, k], geom.hlos[n, k], channels, rho_d, n, k
         )
@@ -566,10 +563,10 @@ class TestBlockKernelProperties:
         (dep, cfg), draw, stats = _random_unit(N, K, side, P, seed, n, k)
         channels = sample_unit_channels(stats, draw.g)
         kernel = BlockKernel(stats, channels, draw.w)
-        A, C, A_pure = reference.kernel_products(stats, draw.g, draw.w, pilot_snrs(dep, cfg))
+        rho_p, rho_d = transmit_snrs(dep, cfg)
+        A, C, A_pure = reference.kernel_products(stats, draw.g, draw.w, rho_p)
         for got, want in ((kernel.A, A), (kernel.C, C)):
             assert_close(got, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
-        rho_d = data_snrs(dep, cfg)
         Y_pure = np.abs(A_pure) ** 2
         Y_pure[n, k] = 0.0
         I_perfect = float(np.sum(rho_d * Y_pure)) + stats.geom.own_power
@@ -765,8 +762,7 @@ class TestUnitGeometry:
             geom = build_unit_geometry(dep, cfg, n, k)
             assert geom.rho_p.shape == (2, 2)
             assert np.all(geom.rho_p > 0)
-            assert np.array_equal(geom.rho_p, pilot_snrs(dep, cfg))
-            assert np.array_equal(geom.rho_d, data_snrs(dep, cfg))
+            assert all(map(np.array_equal, (geom.rho_p, geom.rho_d), transmit_snrs(dep, cfg)))
             assert_close(geom.rho_d / geom.rho_p, np.full((2, 2), 10**0.3))
             p = quarter_solid_angle(cfg.L, dep.devices_local[n, k, 2])
             assert_close(geom.p_bar, cfg.M**2 * p**2 / (16.0 * math.pi**2 * cfg.L**4))

@@ -14,11 +14,10 @@ from lis_uplink import (
     SystemConfig,
     build_layout,
     build_unit_geometry,
-    data_snrs,
     los_probability,
-    pilot_snrs,
     place_devices,
     rician_factor,
+    transmit_snrs,
 )
 
 import reference
@@ -329,45 +328,45 @@ class TestPowerControl:
         # beta^2 = (z/d)/(4 pi d^2) = 0.01 for a device straight above the
         # center at d = 1/(0.2 sqrt(pi)); the 0 dB target then needs rho = 100.
         d = 1.0 / (0.2 * math.sqrt(math.pi))
-        rho = pilot_snrs(_boresight(d), SystemConfig(rho_p_tgt=1.0))
-        assert_close(rho, np.array([[100.0]]))
+        rho_p, rho_d = transmit_snrs(_boresight(d), SystemConfig(rho_p_tgt=1.0, rho_tgt=2.0))
+        assert_close(rho_p, np.array([[100.0]]))
+        assert_close(rho_d, np.array([[200.0]]))
 
     def test_unit_height_device(self):
-        rho = float(pilot_snrs(_boresight(1.0), SystemConfig(rho_p_tgt=1.0))[0, 0])
+        rho = float(transmit_snrs(_boresight(1.0), SystemConfig(rho_p_tgt=1.0))[0][0, 0])
         assert_close(rho, 4.0 * math.pi)
         assert round(rho, 3) == 12.566
 
     def test_data_to_pilot_ratio(self, tiny_cfg, tiny_layout):
         dep = _place(tiny_cfg, tiny_layout, seed=11)
-        ratio = data_snrs(dep, tiny_cfg) / pilot_snrs(dep, tiny_cfg)
-        assert_close(ratio, np.full((2, 2), 10 ** 0.3))
+        rho_p, rho_d = transmit_snrs(dep, tiny_cfg)
+        assert_close(rho_d / rho_p, np.full((2, 2), 10 ** 0.3))
 
     def test_power_control_on_quad_layout(self):
         # the facing panel's frame flips z; power control must still see a
         # positive perpendicular offset for its own devices
         cfg = SystemConfig(M=16, K=2, N=4)
         dep = _place(cfg, seed=12)
-        rho = pilot_snrs(dep, cfg)
-        assert rho.shape == (4, 2)
-        assert np.all(rho > 0)
+        for rho in transmit_snrs(dep, cfg):
+            assert rho.shape == (4, 2)
+            assert np.all(rho > 0)
 
     def test_on_plane_device_rejected(self):
-        for snrs in (pilot_snrs, data_snrs):
-            with pytest.raises(ValueError, match="plane"):
-                snrs(_boresight(0.0), SystemConfig())
+        with pytest.raises(ValueError, match="plane"):
+            transmit_snrs(_boresight(0.0), SystemConfig())
 
     @pytest.mark.parametrize("N, name", [(4, "quad"), (2, "line")])
     def test_matches_reference_loop_bit_for_bit(self, N, name):
         cfg = SystemConfig(M=16, K=3, N=N)
         for seed in range(5):
             dep = _place(cfg, LayoutConfig(name=name), seed=seed)
-            for snrs, target in ((pilot_snrs, cfg.rho_p_tgt), (data_snrs, cfg.rho_tgt)):
+            for snrs, target in zip(transmit_snrs(dep, cfg), (cfg.rho_p_tgt, cfg.rho_tgt)):
                 loop = np.empty((N, cfg.K))
                 for n in range(N):
                     for k in range(cfg.K):
                         dev = dep.devices_local[n, k]
                         loop[n, k] = reference.transmit_snr(dev, [dev[0], dev[1], 0.0], target)
-                assert np.array_equal(snrs(dep, cfg), loop)
+                assert np.array_equal(snrs, loop)
 
     @given(
         dx=st.floats(-5.0, 5.0, allow_nan=False),

@@ -15,8 +15,8 @@ from lis_uplink import (
     cgauss,
     draw_unit_block,
     make_unit_stats,
-    pilot_snrs,
     sample_unit_channels,
+    transmit_snrs,
 )
 from lis_uplink.asymptotics import sse
 from lis_uplink.links import exact_sinr
@@ -46,7 +46,7 @@ def _ls_filter(world, channels, n, k, rng):
     block of every device toward this unit."""
     dep, cfg = world
     t = cfg.pilot_len
-    rho_p = pilot_snrs(dep, cfg)
+    rho_p, _ = transmit_snrs(dep, cfg)
     book = reference.pilot_book(t, cfg.K)
     Y = reference.received_block(channels, book, rho_p, cgauss(rng, (cfg.M, t)))
     return reference.ls_despread(Y, book[:, k], t, rho_p[n, k])
