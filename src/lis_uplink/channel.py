@@ -82,16 +82,18 @@ class CorrelationRoot:
         return out
 
 
-def half_angle_phasor(h: np.ndarray, gain=1.0, den=1.0) -> np.ndarray:
+def half_angle_phasor(h: np.ndarray, gain=1.0, den=1.0, out=None) -> np.ndarray:
     """gain / den * exp(2j h) as (1 - t^2) q + 2j t q, q = gain / (den (1 + t^2)),
-    from t = tan(h), overwriting the float array `h`: one divide per entry.
+    from t = tan(h), overwriting the float array `h`: one divide per entry,
+    written into `out`, a complex array or the (real, imag) pair of float
+    arrays (a new complex array by default).
     numpy's float64 tan is SIMD where it dispatches AVX-512 (libm
     elsewhere), so the result matches the complex form to ~1e-16 but may
     differ between hosts by a few ulp; it does not depend on how `h` is
     sliced."""
     t = np.tan(h, out=h)
-    out = np.empty(t.shape, dtype=complex)
-    re, im = out.real, out.imag
+    out = np.empty(t.shape, dtype=complex) if out is None else out
+    re, im = (out.real, out.imag) if isinstance(out, np.ndarray) else out
     np.multiply(t, t, out=re)
     np.add(re, 1.0, out=im)
     im *= den

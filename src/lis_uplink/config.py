@@ -13,9 +13,11 @@ coercion and strict key checking so typos fail loudly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import types
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, get_args, get_type_hints
 
@@ -57,6 +59,14 @@ def _check_bounds(section) -> None:
         if not ok:
             raise ConfigError(f"{name}.{f.name} must be {what}, got {value!r}",
                               f"{name}.{f.name}")
+
+
+@functools.cache
+def _hints(cls: type) -> types.MappingProxyType:
+    """Read-only resolved annotations of a config class; resolving the string
+    annotations (``from __future__ import annotations``) is the slow part of
+    ``RunConfig.from_dict``, so each class's are resolved once."""
+    return types.MappingProxyType(get_type_hints(cls))
 
 
 @dataclass(frozen=True)
@@ -227,7 +237,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration root must be a JSON object")
-        known = get_type_hints(cls)
+        known = _hints(cls)
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown config section {key!r}", key)
@@ -236,7 +246,7 @@ class RunConfig:
             section_data = data.get(section_name, {})
             if not isinstance(section_data, dict):
                 raise ConfigError(f"config section {section_name!r} must be an object", section_name)
-            annotations = get_type_hints(section_cls)
+            annotations = _hints(section_cls)
             for key in section_data:
                 if key not in annotations:
                     raise ConfigError(f"unknown config key {section_name}.{key}", f"{section_name}.{key}")

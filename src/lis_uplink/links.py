@@ -15,15 +15,18 @@ per block, and no (N, K, M, P) root tensor is built on the sampling path.
 
 ``build_unit_geometry`` builds a unit's geometry from a deployment and the
 system config its links are built for, which together are a sweep point.
-It works along the unit's own panel axes, where the unit's antennas form a
-square lattice around its device's local (x, y), so any panel rotation is
-accepted. Its LOS vectors are ``channel.half_angle_phasor`` values on the
-half LOS phase, the gain folded into the one divide; of their powers only
-the serving link's is summed (``own_power``). The geometry also carries
-the link budget that its placement fixes: the pilot and data transmit
-SNRs of every device (power control) and the deterministic serving power
-of Theorems 1 and 2. The sampler, the Lemma moments and the floor table
-read the budget from there alone.
+It works along the unit's own panel axes (``panel_view``), where the
+unit's antennas form a square lattice around its device's local (x, y), so
+any panel rotation is accepted. ``los_vectors`` is the one LOS formula,
+called by ``build_unit_geometry`` and by the floor table
+(``optimize.expected_floor_table``), which forms a unit's LOS vectors only
+for the links that can carry LOS. They are ``channel.half_angle_phasor``
+values on the half LOS phase, the gain folded into the one divide; of
+their powers only the serving link's is summed (``own_power``). The
+geometry also carries the link budget that its placement fixes: the pilot
+and data transmit SNRs of every device (power control) and the
+deterministic serving power of Theorems 1 and 2. The sampler and the
+Lemma moments read the budget from there alone.
 
 The two rules of the link model live here alone: ``contamination_weights``
 (which same-pilot devices contaminate a unit's channel estimate, and how
@@ -148,35 +151,63 @@ class UnitLinkGeometry:
     p_bar: float              # deterministic serving power M^2 p^2/(16 pi^2 L^4)
 
 
-def build_unit_geometry(
-    deployment: Deployment, config: SystemConfig, n: int, k: int
-) -> UnitLinkGeometry:
-    # every position along panel n's own axes, for any rotation: z is the
-    # perpendicular offset from the plane, and the unit's antennas form a
-    # lattice around its device's local (x, y) whose rows run along x (ih)
-    # and y (iv), so the squared offsets along x, y and z broadcast into d
+def los_vectors(x: np.ndarray, y: np.ndarray, z: np.ndarray, rows: np.ndarray,
+                config: SystemConfig, out: tuple | None = None) -> tuple:
+    """Distances and LOS vectors (..., M) from devices at (x, y, z) (...,)
+    on a panel's own axes, z the offset in front of the plane, to a unit's
+    antenna lattice whose rows run along x at rows[:, 0] and along y at
+    rows[:, 1] (side, 2). `out` holds three contiguous (..., M) float
+    arrays that receive the distances and two work values, then the LOS
+    vectors' ``half_angle_phasor`` `out` (new arrays by default). The one
+    LOS formula, which both ``build_unit_geometry`` and
+    ``optimize.expected_floor_table`` call."""
+    d, h, den, hlos = out or (None,) * 4
+    # the squared offsets along x (ih), y (iv) and z broadcast into d
+    lattice = (*z.shape, config.m_side, config.m_side)
+    d = np.empty(lattice) if d is None else d.reshape(lattice)
+    x, y = x[..., np.newaxis, np.newaxis], y[..., np.newaxis, np.newaxis]
+    np.add(np.square(x - rows[:, 0]), np.square(y - rows[:, 1, np.newaxis]), out=d)
+    d += np.square(z)[..., np.newaxis, np.newaxis]
+    d = np.sqrt(d, out=d).reshape(*z.shape, config.M)
+    # hlos = beta exp(-2j pi d / lam), beta = sqrt(z / d) / sqrt(4 pi d^2) =
+    # sqrt(z / 4 pi) / (sqrt(d) d): a phasor on the half angle -pi d / lam
+    h = np.multiply(d, -np.pi, out=h)
+    h *= 1.0 / config.lam
+    den = np.sqrt(d, out=den)
+    den *= d
+    return d, half_angle_phasor(h, np.sqrt(z / (4.0 * np.pi))[..., np.newaxis], den, hlos)
+
+
+def panel_view(deployment: Deployment, config: SystemConfig, n: int) -> tuple:
+    """Panel n's view of the deployment on its own axes, for any rotation:
+    every device (N, K, 3), its offset z (N, K) in front of the plane, and
+    the antenna rows (K, side, 2) (``los_vectors``) and center (K, 3) of
+    each of the panel's units, which lie around its device's local (x, y).
+    ValueError when a device is not in front of the plane."""
     frame = deployment.frames[n]
     devices = deployment.devices @ frame.rotation
     origin = frame.origin @ frame.rotation
     z = devices[..., 2] - origin[2]
     if np.any(z <= 0):
         raise ValueError("every device must lie on the front side of every panel plane")
-    side = config.m_side
+    side, local = config.m_side, deployment.devices_local[n, :, :2]
     off = (np.arange(side) + 0.5) * config.spacing - 0.5 * side * config.spacing
-    rows = (off[:, np.newaxis] + deployment.devices_local[n, k, :2]) + origin[:2]
-    x, y = devices[..., 0, np.newaxis, np.newaxis], devices[..., 1, np.newaxis, np.newaxis]
-    d = np.square(x - rows[:, 0]) + np.square(y - rows[:, 1, np.newaxis])
-    d += np.square(z)[..., np.newaxis, np.newaxis]
-    d = np.sqrt(d, out=d).reshape(*z.shape, config.M)
-    # hlos = beta exp(-2j pi d / lam), beta = sqrt(z / d) / sqrt(4 pi d^2) =
-    # sqrt(z / 4 pi) / (sqrt(d) d): a phasor on the half angle -pi d / lam
-    h = np.multiply(d, -np.pi)
-    h *= 1.0 / config.lam
-    den = np.sqrt(d)
-    den *= d
-    hlos = half_angle_phasor(h, np.sqrt(z / (4.0 * np.pi))[..., np.newaxis], den)
-    to_center = devices - (origin + np.append(deployment.devices_local[n, k, :2], 0.0))
-    cdist = np.sqrt(np.einsum("lji,lji->lj", to_center, to_center))
+    rows = (off[:, np.newaxis] + local[:, np.newaxis]) + origin[:2]
+    return devices, z, rows, origin + np.column_stack((local, np.zeros(len(local))))
+
+
+def center_distances(devices: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Distances between devices (..., 3) and unit centers (..., 3), broadcast."""
+    to_center = devices - centers
+    return np.sqrt(np.einsum("...i,...i->...", to_center, to_center))
+
+
+def build_unit_geometry(
+    deployment: Deployment, config: SystemConfig, n: int, k: int
+) -> UnitLinkGeometry:
+    devices, z, rows, centers = panel_view(deployment, config, n)
+    d, hlos = los_vectors(devices[..., 0], devices[..., 1], z, rows[k], config)
+    cdist = center_distances(devices, centers[k])
     p = quarter_solid_angle(config.L, deployment.devices_local[n, k, 2])
     rho_p, rho_d = transmit_snrs(deployment, config)
     return UnitLinkGeometry(
@@ -212,10 +243,11 @@ def draw_unit_block(rng: np.random.Generator, N: int, K: int, P: int, M: int) ->
     return UnitBlockDraw(coins, angles, *cgauss(rng, (N, K, P), (M,)))
 
 
-def contamination_weights(rho_p: np.ndarray, n: int, k: int) -> np.ndarray:
+def contamination_weights(rho_p: np.ndarray, n: int, k) -> np.ndarray:
     """(N,) weights of the devices on unit (n, k)'s pilot in its channel
     estimate: the root pilot-SNR ratio sqrt(rho_p[l, k] / rho_p[n, k]) of
-    the pilot-k device of every panel l, zero on the unit's own panel.
+    the pilot-k device of every panel l, zero on the unit's own panel. For
+    an index array k, (N, len(k)): one column per unit.
 
     Per-device pilot power control makes same-panel pilots cancel in the
     despread output, so only other-panel devices on the same pilot

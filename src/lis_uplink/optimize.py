@@ -11,10 +11,10 @@ The device-count problem scores K = 1..pool by the network SE
 admitted in fixed priority order; LOS gates enter through their
 expectation, which keeps the curve deterministic for a given deployment.
 The floor table takes the pool deployment and the system config the
-sampler uses for it (K = pool): each unit's transmit SNRs and serving
-power come from that unit's link budget (``UnitLinkGeometry``, built and
-dropped one unit at a time), and the contamination and LOS rules come
-from ``links``.
+sampler uses for it (K = pool), with the sampler's link budget (the
+``scenario`` transmit SNRs and serving powers) and the contamination and
+LOS rules of ``links``. It forms only the LOS products it reads, in one
+pass per panel (``expected_floor_table``), and builds no unit geometry.
 """
 
 from __future__ import annotations
@@ -27,8 +27,11 @@ import numpy as np
 from .asymptotics import floor_sinrs, sse
 from .channel import rician_mixing
 from .config import SystemConfig
-from .links import build_unit_geometry, contamination_weights, los_allowed
-from .scenario import Deployment
+# ``build_unit_geometry`` is not called here; perfbench/test_tracer.py reads this binding
+from .links import (build_unit_geometry, center_distances, contamination_weights,  # noqa: F401
+                    los_allowed, los_vectors, panel_view)
+from .scenario import (Deployment, los_probability, quarter_solid_angle, rician_factor,
+                       serving_power, transmit_snrs)
 
 
 @dataclass(frozen=True)
@@ -134,49 +137,73 @@ def expected_floor_table(deployment: Deployment, config: SystemConfig,
     shares its gate with its own contamination term, so that one term is
     pulled out of the expectation before squaring. Links that
     ``los_allowed`` bars under `regime` carry no LOS, as in the sampler.
+
+    One pass per panel n: its view of the devices (``links.panel_view``,
+    which rejects a device behind the plane), the center distances of
+    every link to each of its units as one (Kp, N, Kp) array, and from
+    those the LOS probabilities p and scales s. Unit k forms LOS vectors
+    (``links.los_vectors``, into buffers allocated once per call) only for
+    its live links, p > 0 and allowed by ``los_allowed``, plus its own;
+    its V rows are its live pilot-k links against its live links, zeros
+    elsewhere. Skipping is exact: every term a link contributes carries
+    its p, s or s^2, so the LOS vector of a link that cannot carry LOS
+    never reaches the table.
     """
     N, Kp = deployment.N, deployment.K
-    diag = np.arange(N)
-
+    units = np.arange(Kp)
+    rho_p, rho_d = transmit_snrs(deployment, config)
     base = np.zeros((N, Kp))
     leak = np.zeros((N, Kp, Kp))
     p_bar = np.zeros((N, Kp))
-    rho_d_own = np.zeros((N, Kp))
+    # per-call buffers: V of one panel's units, and los_vectors' arrays
+    V = np.empty((Kp, N, N * Kp), dtype=complex)
+    work = np.empty((5, N * Kp, config.M))
     for n in range(N):
+        devices, z, rows, centers = panel_view(deployment, config, n)
+        # (Kp, N, Kp) per link [k, l, j], from device (l, j) to panel n's unit k
+        cdist = center_distances(devices, centers[:, np.newaxis, np.newaxis])
+        p = los_probability(cdist, config.d_C)
         allowed = los_allowed(regime, N, n)
+        s = np.where(allowed, rician_mixing(rician_factor(cdist))[0], 0.0)
+        live = (p > 0.0) & allowed
+        live[units, n, units] = True
+        xs, ys, zs = devices[..., 0].ravel(), devices[..., 1].ravel(), z.ravel()
+        V.fill(0.0)
         for k in range(Kp):
-            # one unit's whole-pool geometry at a time, as the sampler holds it
-            geom = build_unit_geometry(deployment, config, n, k)
-            rho_d = geom.rho_d
-            p = geom.p_los
-            s = np.where(allowed, rician_mixing(geom.kappa_cand)[0], 0.0)
-            s2 = s * s
-            hlos = geom.hlos
-            # V[c, l, j] = hlos[c, k]^H hlos[l, j], one matrix product
-            V = (np.conj(hlos[:, k]) @ hlos.reshape(N * Kp, -1).T).reshape(N, N, Kp)
-            u = V[n]  # own = hlos[n, k]
+            # V[k, c, l*Kp + j] = hlos[c, k]^H hlos[l, j] among the live links
+            idx = np.flatnonzero(live[k])
+            d, h, den, re, im = work[:, :len(idx)]
+            los_vectors(xs[idx], ys[idx], zs[idx], rows[k], config, (d, h, den, (re, im)))
+            pilot = np.flatnonzero(idx % Kp == k)
+            # conj(hlos[pilot]) @ hlos.T as four real products
+            vr = re[pilot] @ re.T
+            vr += im[pilot] @ im.T
+            vi = re[pilot] @ im.T
+            vi -= im[pilot] @ re.T
+            V[k, idx[pilot, np.newaxis] // Kp, idx] = vr + 1j * vi
+        Vn = V.reshape(Kp, N, N, Kp)
+        u = Vn[:, n]  # own = hlos[n, k]
+        a = contamination_weights(rho_p, n, units).T * s[units, :, units]
+        pk = p[units, :, units]
 
-            a = contamination_weights(geom.rho_p, n, k) * s[:, k]
-            pk = p[:, k]
+        x = a * np.conj(u[units, :, units])
+        base[n] = rho_d[n] * (np.abs(np.sum(pk * x, axis=1)) ** 2
+                              + np.sum(pk * (1.0 - pk) * np.abs(x) ** 2, axis=1))
 
-            x = a * np.conj(u[:, k])
-            base[n, k] = rho_d[n, k] * (
-                np.abs(np.sum(pk * x)) ** 2 + float(np.sum(pk * (1.0 - pk) * np.abs(x) ** 2))
-            )
+        mean_in = u + np.einsum("kc,kclj->klj", a * pk, Vn)
+        var_in = np.einsum("kc,kclj->klj", a * a * pk * (1.0 - pk), np.abs(Vn) ** 2)
+        # same-pilot interferer: its gate is the c=l contamination gate
+        # (a is zero on panel n and on LOS-free panels, which adds zero)
+        v_same = Vn[units[:, np.newaxis], np.arange(N), np.arange(N), units[:, np.newaxis]]
+        mean_in[units, :, units] += a * (1.0 - pk) * v_same
+        var_in[units, :, units] -= a * a * pk * (1.0 - pk) * np.abs(v_same) ** 2
+        w = rho_d * p * (s * s) * (np.abs(mean_in) ** 2 + var_in)
+        w[units, n, units] = 0.0
+        leak[n] = np.einsum("klj->kj", w)
+        p_bar[n] = [serving_power(config.M, quarter_solid_angle(config.L, z_own), config.L)
+                    for z_own in deployment.devices_local[n, :, 2]]
 
-            mean_in = u + np.einsum("c,clj->lj", a * pk, V)
-            var_in = np.einsum("c,clj->lj", a * a * pk * (1.0 - pk), np.abs(V) ** 2)
-            # same-pilot interferer: its gate is the c=l contamination gate
-            # (a is zero on panel n and on LOS-free panels, which adds zero)
-            v_same = V[diag, diag, k]
-            mean_in[:, k] += a * (1.0 - pk) * v_same
-            var_in[:, k] -= a * a * pk * (1.0 - pk) * np.abs(v_same) ** 2
-            w = rho_d * p * s2 * (np.abs(mean_in) ** 2 + var_in)
-            w[n, k] = 0.0
-            leak[n, k] = np.einsum("lj->j", w)
-            p_bar[n, k], rho_d_own[n, k] = geom.p_bar, rho_d[n, k]
-
-    return ExpectedFloorTable(base=base, leak=leak, p_bar=p_bar, rho_d_own=rho_d_own)
+    return ExpectedFloorTable(base=base, leak=leak, p_bar=p_bar, rho_d_own=rho_d)
 
 
 @dataclass(frozen=True)

@@ -70,9 +70,10 @@ its own stream with two such draws, against the chunks of
 ``harness._refade_chunks``.
 
 ``expected_floor_table`` is the Theorem 2 floor table built from a
-deployment and a system config, with its own power control, contamination
-and LOS rules and a per-panel same-pilot loop, against
-``optimize.expected_floor_table``; ``mu_I_bar`` is the
+deployment and a system config, one whole-pool unit geometry at a time
+with every link's LOS products, its own contamination and LOS rules and a
+per-panel same-pilot loop, against ``optimize.expected_floor_table``,
+which forms LOS products only for links that can carry LOS; ``mu_I_bar`` is the
 composite interference mean assembled as one const + noise/t split,
 against ``MomentSet.mu_I_bar``.
 """

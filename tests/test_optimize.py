@@ -14,6 +14,7 @@ from lis_uplink import (
     build_unit_geometry,
     draw_unit_block,
     expected_floor_table,
+    los_probability,
     make_unit_stats,
     optimal_num_devices,
     optimal_pilot_length,
@@ -21,7 +22,9 @@ from lis_uplink import (
     placement_rng,
     theorem1_sse,
 )
+from lis_uplink import links, optimize
 from lis_uplink.asymptotics import sse
+from lis_uplink.links import los_allowed, los_vectors, panel_view
 
 import reference
 from conftest import assert_close
@@ -158,20 +161,99 @@ class TestExpectedFloorTable:
         with pytest.raises(ValueError, match="regime"):
             expected_floor_table(*self._pool(), regime="rayleigh")
 
-    @pytest.mark.parametrize("regime", ["rician", "nlos_inter"])
-    @pytest.mark.parametrize("layout, N, pool", [("quad", 4, 6), ("line", 2, 5)])
-    def test_equals_per_panel_oracle(self, layout, N, pool, regime):
-        # the package forms the LOS inner products V as one matrix product
-        # and the oracle with an einsum, so the floors agree to the
-        # summation-order bound; the link budget is copied and stays exact
-        cfg = SystemConfig(M=100, K=pool, N=N, T=50, P=4, seed=13)
-        dep = place_devices(cfg, LayoutConfig(name=layout, d_x=0.5), placement_rng(13, 0))
+    @staticmethod
+    def _assert_matches_oracle(dep, cfg, regime):
+        # the package forms the LOS inner products V of each unit's live
+        # links as one matrix product and the oracle all of them with an
+        # einsum, so the floors agree to the summation-order bound; the link
+        # budget comes from the same scalar calls and stays exact
         table = expected_floor_table(dep, cfg, regime)
         want = reference.expected_floor_table(dep, cfg, regime)
         for name in ("base", "leak"):
             assert_close(getattr(table, name), getattr(want, name), rtol=1e-12)
         for name in ("p_bar", "rho_d_own"):
             assert np.array_equal(getattr(table, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("regime", ["rician", "nlos_inter"])
+    @pytest.mark.parametrize("layout, N, pool", [("quad", 4, 6), ("line", 2, 5)])
+    def test_equals_per_panel_oracle(self, layout, N, pool, regime):
+        cfg = SystemConfig(M=100, K=pool, N=N, T=50, P=4, seed=13)
+        dep = place_devices(cfg, LayoutConfig(name=layout, d_x=0.5), placement_rng(13, 0))
+        self._assert_matches_oracle(dep, cfg, regime)
+
+    @staticmethod
+    def _default_gap_pool(M=100, pool=8, layout=LayoutConfig(name="quad")):
+        """A pool at the default gaps (d_x = 4, d_z = 6): in the quad, about
+        a quarter of the links lie past the LOS cutoff d_C (p_los = 0)."""
+        N = 4 if layout.name == "quad" else 2
+        cfg = SystemConfig(M=M, K=pool, N=N, T=50, P=4, seed=13)
+        return place_devices(cfg, layout, placement_rng(13, 0)), cfg
+
+    @pytest.mark.parametrize("regime", ["rician", "nlos_inter"])
+    @pytest.mark.parametrize("layout", [LayoutConfig(name="quad"),
+                                        LayoutConfig(name="line", box_height=15.0)],
+                             ids=["quad", "line-tall"])
+    def test_equals_per_panel_oracle_past_los_reach(self, layout, regime):
+        # in the tall box some devices sit above d_C over their own unit, so
+        # a unit's own link, which the table always forms, can have p_los = 0
+        dep, cfg = self._default_gap_pool(layout=layout)
+        geoms = [build_unit_geometry(dep, cfg, n, k) for n in range(cfg.N) for k in range(8)]
+        assert any(np.any(g.p_los == 0.0) for g in geoms)
+        assert any(g.p_los[g.n, g.k] == 0.0 for g in geoms) == (layout.name == "line")
+        self._assert_matches_oracle(dep, cfg, regime)
+
+    @pytest.mark.parametrize("regime", ["rician", "nlos_inter"])
+    def test_los_vectors_only_for_links_that_can_carry_los(self, monkeypatch, regime):
+        # unit (n, k) asks ``los_vectors`` for exactly the links with
+        # p_los > 0 that ``los_allowed`` lets carry LOS, plus its own link,
+        # in flat (l, j) order, and the table builds no unit geometry
+        dep, cfg = self._default_gap_pool(M=16)
+        want = []
+        for n in range(4):
+            devices, z, _, _ = panel_view(dep, cfg, n)
+            points = np.stack((devices[..., 0], devices[..., 1], z), axis=-1)
+            for k in range(8):
+                live = (build_unit_geometry(dep, cfg, n, k).p_los > 0.0) & los_allowed(regime, 4, n)
+                live[n, k] = True
+                if regime == "nlos_inter":
+                    assert not np.any(np.delete(live, n, axis=0))
+                want.append(points[live])
+        asked = []
+
+        def counted(x, y, z, *rest):
+            asked.append(np.stack((x, y, z), axis=-1))
+            return los_vectors(x, y, z, *rest)
+
+        def forbidden(*args):
+            raise AssertionError("the floor table built a unit geometry")
+
+        monkeypatch.setattr(optimize, "los_vectors", counted)
+        monkeypatch.setattr(optimize, "build_unit_geometry", forbidden)
+        monkeypatch.setattr(links, "build_unit_geometry", forbidden)
+        expected_floor_table(dep, cfg, regime)
+        assert [len(a) for a in asked] == [len(w) for w in want]
+        assert sum(map(len, asked)) < 4 * 8 * 4 * 8
+        for got, points in zip(asked, want):
+            assert np.array_equal(got, points)
+
+    @pytest.mark.parametrize("height", [7.0, 17.0])
+    def test_device_behind_a_panel_plane_rejected(self, height):
+        # one target-panel device lifted above the facing panel's plane
+        # (z = d_z = 6, facing down); at 17 m every link of that device lies
+        # past d_C, so no unit forms its LOS vector on the facing panel, and
+        # the table must still refuse the deployment
+        dep, cfg = self._default_gap_pool(M=16, pool=4)
+        local, devices = dep.devices_local.copy(), dep.devices.copy()
+        local[0, 0, 2] = height
+        devices[0, 0] = dep.frames[0].to_global(local[0, 0])
+        moved = dataclasses.replace(dep, devices_local=local, devices=devices)
+        centers = np.stack([frame.to_global(np.column_stack((dep.devices_local[m, :, :2],
+                                                            np.zeros(4))))
+                            for m, frame in enumerate(dep.frames)])
+        dist = np.linalg.norm(centers - devices[0, 0], axis=-1)
+        assert np.all(los_probability(dist, cfg.d_C) == 0.0) == (height == 17.0)
+        with pytest.raises(ValueError, match="front side"):
+            expected_floor_table(moved, cfg)
 
 
 def _table(gamma_hat, pool):
