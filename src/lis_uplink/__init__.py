@@ -39,12 +39,14 @@ from .harness import (
 from .links import (
     BlockKernel,
     BlockTerms,
+    PanelView,
     UnitBlockDraw,
     UnitChannelStats,
     UnitLinkGeometry,
     build_unit_geometry,
     draw_unit_block,
     make_unit_stats,
+    panel_view,
     placement_rng,
     sample_unit_channels,
 )

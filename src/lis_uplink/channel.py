@@ -9,8 +9,10 @@ form: two (side, P) phase ramps and the (M,) path loss per link, never
 the (M, P) matrix. ``CorrelationRoot.dense`` builds the matrix for the
 closed-form moments. Every phase in the package, LOS vectors included,
 is a ``half_angle_phasor``: one tangent per entry, no cos, sin or complex
-exp, and each ramp is filled by doubling from one phasor per path. The
-LOS geometry and the per-unit sampling live in ``links``.
+exp, and each ramp is filled by doubling from one phasor per path, in a
+side-major buffer so that numpy copies no source rows; a root holds
+(..., side, P) views of its ramp buffers. The LOS geometry and the
+per-unit sampling live in ``links``.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ class CorrelationRoot:
     The (M, P) root of one link is diag(pathloss) [ramp_v[:, p] kron
     ramp_h[:, p]]_p, so only the two (side, P) ramps and the (M,) path
     loss are stored: 2 side P complex entries and M reals per link against
-    M P complex entries for the dense root.
+    M P complex entries for the dense root. ``root_matrix_from_angles``
+    gives each ramp as a view of a side-major buffer (``_phase_ramp``),
+    which the sampler and ``dense`` read in place.
     """
 
     ramp_v: np.ndarray    # (..., side, P) vertical ramps, times alpha_p / sqrt(M)
@@ -141,15 +145,17 @@ def root_matrix_from_angles(
 def _phase_ramp(phi: np.ndarray, side: int, step: float, gain=1.0) -> np.ndarray:
     """gain * exp(1j * step * i * phi) for i = 0..side-1 as (..., side, P),
     by doubling: row 0 is the gain and rows n..2n-1 are rows 0..n-1 times
-    z^n, with z = exp(1j * step * phi) one phasor per path."""
-    ramp = np.empty((*phi.shape[:-1], side, phi.shape[-1]), dtype=complex)
-    ramp[..., 0, :] = gain
-    z, n = half_angle_phasor(phi * (0.5 * step))[..., np.newaxis, :], 1
+    z^n, with z = exp(1j * step * phi) one phasor per path. The rows are
+    filled in a side-major (side, ..., P) buffer, where each step writes
+    one contiguous block from another that cannot overlap it, so numpy
+    copies no source rows; the result is a view of that buffer."""
+    ramp = np.empty((side, *phi.shape), dtype=complex)
+    ramp[0] = gain
+    z, n = half_angle_phasor(phi * (0.5 * step)), 1
     while n < side:
-        out = ramp[..., n:2 * n, :]
-        np.multiply(ramp[..., :out.shape[-2], :], z, out=out)
+        np.multiply(ramp[:min(n, side - n)], z, out=ramp[n:2 * n])
         n, z = 2 * n, z * z
-    return ramp
+    return ramp.transpose(*range(1, phi.ndim), 0, phi.ndim)  # (side, ..., P) -> (..., side, P)
 
 
 def rician_mixing(kappa: np.ndarray) -> tuple:

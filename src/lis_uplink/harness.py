@@ -2,10 +2,12 @@
 figure, aggregation, CSV output.
 
 Every figure reduces the same per-unit pipeline. A sweep point is a
-deployment from ``_place`` and the system config its links are built for;
-``_unit_blocks`` builds unit (n, k)'s geometry from that pair once, then
-draws each requested block and builds its statistics. Each statistics
-object carries its unit's link budget, so it needs no further arguments:
+deployment from ``_place`` and the system config its links are built for.
+A reduction builds one ``panel_view`` of it for each panel it walks, and
+``_unit_blocks`` builds unit (n, k)'s geometry from its panel's view once,
+then draws each requested block and builds its statistics. Each
+statistics object carries its unit's link budget, so it needs no further
+arguments:
 ``build_moment_set(stats)`` is its Lemma/Theorem moment set and, on
 channels ``ch = sample_unit_channels(stats, g)``, ``BlockKernel(stats, ch,
 w)`` is its sampled kernel and ``exact_sinr(stats, ch)`` its exact-filter
@@ -82,11 +84,13 @@ from .config import ConfigError, ExperimentConfig, RunConfig, SystemConfig, json
 from .links import (
     DOMAIN_BLOCK,
     BlockKernel,
+    PanelView,
     Substreams,
     build_unit_geometry,
     draw_unit_block,
     exact_sinr,
     make_unit_stats,
+    panel_view,
     placement_rng,
     sample_unit_channels,
     slice_stats,
@@ -243,17 +247,17 @@ def _place(spec: ExperimentSpec, p_idx: int, pool: bool = False):
                          placement=spec.placement, K=K)
 
 
-def _unit_blocks(spec: ExperimentSpec, dep, cfg: SystemConfig, p: int, blocks, n: int, k: int):
-    """Build unit (n, k)'s geometry once, then yield (stats, draw) for each
-    block b in `blocks` in order.
+def _unit_blocks(spec: ExperimentSpec, view: PanelView, p: int, blocks, k: int):
+    """Build unit (view.n, k)'s geometry from its panel's view once, then
+    yield (stats, draw) for each block b in `blocks` in order.
 
     Each draw keeps the config's device shape (so the stream is consumed
-    as for any other count) and is cut to the deployment's first dep.K
-    devices per panel, every per-antenna noise sample kept: the admitted
-    prefix in ``_sampled_nse``, every device elsewhere. The statistics hold
-    their roots in factored form; dense (N, K, M, P) roots exist only
-    inside ``build_moment_set``."""
-    geom, K = build_unit_geometry(dep, cfg, n, k), dep.K
+    as for any other count) and is cut to the view's first K devices per
+    panel, every per-antenna noise sample kept: the admitted prefix in
+    ``_sampled_nse``, every device elsewhere. The statistics hold their
+    roots in factored form; dense (N, K, M, P) roots exist only inside
+    ``build_moment_set``."""
+    geom, cfg, n, K = build_unit_geometry(view, k), view.config, view.n, view.z.shape[1]
     for b in blocks:
         draw = draw_unit_block(stream(spec.system.seed, DOMAIN_BLOCK, p, b, n, k),
                                cfg.N, cfg.K, cfg.P, cfg.M)
@@ -299,12 +303,16 @@ def _sampled_nse(spec: ExperimentSpec, pool, cfg: SystemConfig, p: int, K_grid) 
     dep, R = pool.prefix(max(K_grid)), spec.experiment.realizations
     gam = {K: np.empty((R, cfg.N, K)) for K in K_grid}
     for n in range(cfg.N):
+        view = panel_view(dep, cfg, n)
         for k in range(max(K_grid)):
-            for i, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, range(R), n, k)):
+            for i, (stats, draw) in enumerate(_unit_blocks(spec, view, p, range(R), k)):
                 kern = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
                 for K in K_grid:
                     if k < K:
                         gam[K][i, n, k] = kern.gamma(K, K)
+                # dropped here, else it is alive while the next block's
+                # statistics are built, and the two set the peak memory
+                del stats
     return [{K: sse(gam[K][i], K, cfg.T) for K in K_grid} for i in range(R)]
 
 
@@ -327,9 +335,10 @@ def pilot_objective(rc: RunConfig) -> Callable[[int], float]:
     """t -> Theorem 1 SSE (``sse_bar``) of panel 0 on placement 0, block
     0: the pilot-length objective, on moment sets built once."""
     spec = _optimizer_spec(rc)
-    dep, cfg = _place(spec, 0), spec.system
+    cfg = spec.system
+    view = panel_view(_place(spec, 0), cfg, 0)
     sets = [build_moment_set(stats) for k in range(cfg.K)
-            for stats, _ in _unit_blocks(spec, dep, cfg, 0, [0], 0, k)]
+            for stats, _ in _unit_blocks(spec, view, 0, [0], k)]
     return lambda t: theorem1_sse([ms.sse_terms(t) for ms in sets], t, cfg.T).sse_bar
 
 
@@ -348,7 +357,7 @@ def _se_variance(spec: ExperimentSpec, p: int):
     recs, mean_se = [], {}
     for M, dep, cfg in _sweep_points(spec, p):
         t = cfg.pilot_len
-        [(stats, _)] = _unit_blocks(spec, dep, cfg, p, [0], 0, 0)
+        [(stats, _)] = _unit_blocks(spec, panel_view(dep, cfg, 0), p, [0], 0)
         systems = ((stats, cfg.N), (slice_stats(stats, N=1), 1))
         se = np.empty((2, R))
         for rs, g, w in _refade_chunks(spec, cfg, p, R, 0, 0):
@@ -384,8 +393,9 @@ def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True, perfect_csi: 
         gammas = np.empty((R, 2, len(filters), cfg.K))  # block, system, filter, unit
         # theory blocks' sse_terms(t), multi-LIS then (when sampled) the twin
         terms = np.empty((R, 2 if sample else 1, cfg.K, 4))
+        view = panel_view(dep, cfg, 0)
         for k in range(cfg.K):
-            for b, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, range(R), 0, k)):
+            for b, (stats, draw) in enumerate(_unit_blocks(spec, view, p, range(R), k)):
                 ch = sample_unit_channels(stats, draw.g) if sample else None
                 twin = ((slice_stats(stats, N=1), 1),) if sample else ()
                 for i, (s, N) in enumerate(((stats, cfg.N), *twin)):
@@ -415,12 +425,12 @@ def _pilot(spec: ExperimentSpec, p: int):
     """fig7: SSE versus pilot length on a fixed array size; each block's
     sampled kernels are read at the whole t grid."""
     exp, cfg = spec.experiment, spec.system
-    dep = _place(spec, p)
+    view = panel_view(_place(spec, p), cfg, 0)
     R, ts = exp.realizations, exp.sweep_values
     gammas = np.empty((R, len(ts), cfg.K))
     terms = np.empty((R, len(ts), cfg.K, 4))  # theory blocks' sse_terms at each t
     for k in range(cfg.K):
-        for b, (stats, draw) in enumerate(_unit_blocks(spec, dep, cfg, p, range(R), 0, k)):
+        for b, (stats, draw) in enumerate(_unit_blocks(spec, view, p, range(R), k)):
             kern = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
             gammas[b, :, k] = [kern.gamma(t) for t in ts]
             if b % exp.theory_stride == 0:
@@ -499,7 +509,7 @@ def _oracle(spec: ExperimentSpec, p: int):
     recs, report = [], []
     for M, dep, cfg in _sweep_points(spec, p):
         t = cfg.pilot_len
-        [(stats, _)] = _unit_blocks(spec, dep, cfg, p, [0], 0, 0)
+        [(stats, _)] = _unit_blocks(spec, panel_view(dep, cfg, 0), p, [0], 0)
         ms = build_moment_set(stats)
         M2 = float(cfg.M) ** 2
         samples = np.empty((4, R))  # X, Y total, Z, I

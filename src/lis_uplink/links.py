@@ -13,20 +13,26 @@ A block's scattering roots stay in the factored form of
 path loss times vec(ramp_v diag(g) ramp_h^T), one batched matrix product
 per block, and no (N, K, M, P) root tensor is built on the sampling path.
 
-``build_unit_geometry`` builds a unit's geometry from a deployment and the
-system config its links are built for, which together are a sweep point.
-It works along the unit's own panel axes (``panel_view``), where the
-unit's antennas form a square lattice around its device's local (x, y), so
-any panel rotation is accepted. ``los_vectors`` is the one LOS formula,
-called by ``build_unit_geometry`` and by the floor table
-(``optimize.expected_floor_table``), which forms a unit's LOS vectors only
-for the links that can carry LOS. They are ``channel.half_angle_phasor``
-values on the half LOS phase, the gain folded into the one divide; of
-their powers only the serving link's is summed (``own_power``). The
-geometry also carries the link budget that its placement fixes: the pilot
-and data transmit SNRs of every device (power control) and the
-deterministic serving power of Theorems 1 and 2. The sampler and the
-Lemma moments read the budget from there alone.
+A sweep point is a deployment and the system config its links are built
+for. ``panel_view`` turns it into one ``PanelView`` per panel: every
+device on the panel's own axes, where each unit's antennas form a square
+lattice around its device's local (x, y), so any panel rotation is
+accepted; the LOS probability and candidate Rician factor of every link
+to each of the panel's units; and the link budget that the placement
+fixes, the pilot and data transmit SNRs of every device (power control)
+and each unit's deterministic serving power of Theorems 1 and 2. The
+sampler's reductions build one view per panel they walk, and the floor
+table (``optimize.expected_floor_table``) reads the same view.
+``build_unit_geometry(view, k)`` then forms only what is unit k's own:
+its links' distances and LOS vectors and its serving LOS power; the rest
+are views of the panel's arrays. The sampler and the Lemma moments read
+the budget from the unit's geometry alone.
+
+``los_vectors`` is the one LOS formula, called by ``build_unit_geometry``
+and by the floor table, which forms a unit's LOS vectors only for the
+links that can carry LOS. They are ``channel.half_angle_phasor`` values on
+the half LOS phase, the gain folded into the one divide; of their powers
+only the serving link's is summed (``own_power``).
 
 The two rules of the link model live here alone: ``contamination_weights``
 (which same-pilot devices contaminate a unit's channel estimate, and how
@@ -178,11 +184,30 @@ def los_vectors(x: np.ndarray, y: np.ndarray, z: np.ndarray, rows: np.ndarray,
     return d, half_angle_phasor(h, np.sqrt(z / (4.0 * np.pi))[..., np.newaxis], den, hlos)
 
 
-def panel_view(deployment: Deployment, config: SystemConfig, n: int) -> tuple:
-    """Panel n's view of the deployment on its own axes, for any rotation:
-    every device (N, K, 3), its offset z (N, K) in front of the plane, and
-    the antenna rows (K, side, 2) (``los_vectors``) and center (K, 3) of
-    each of the panel's units, which lie around its device's local (x, y).
+@dataclass(frozen=True)
+class PanelView:
+    """Panel n's view of a sweep point (a deployment and the system config
+    its links are built for) on the panel's own axes, for any rotation:
+    what every unit of the panel shares. ``panel_view`` builds it once per
+    (sweep point, panel); ``build_unit_geometry`` and
+    ``optimize.expected_floor_table`` read it."""
+
+    n: int
+    config: SystemConfig
+    devices: np.ndarray     # (N, K, 3) every device on the panel's axes
+    z: np.ndarray           # (N, K) each device's offset in front of the plane
+    rows: np.ndarray        # (K, side, 2) antenna rows of each unit (``los_vectors``)
+    p_los: np.ndarray       # (K, N, K) LOS probability of link [k, l, j] to unit k
+    kappa_cand: np.ndarray  # (K, N, K) its Rician factor if it carries LOS
+    rho_p: np.ndarray       # (N, K) pilot transmit SNR of every device
+    rho_d: np.ndarray       # (N, K) data transmit SNR of every device
+    p_bar: np.ndarray       # (K,) deterministic serving power of each unit
+
+
+def panel_view(deployment: Deployment, config: SystemConfig, n: int) -> PanelView:
+    """Panel n's ``PanelView`` of the deployment under `config`. Each unit's
+    antennas lie around its device's local (x, y), and its center distances
+    to every device give the links' LOS probabilities and Rician factors.
     ValueError when a device is not in front of the plane."""
     frame = deployment.frames[n]
     devices = deployment.devices @ frame.rotation
@@ -190,37 +215,36 @@ def panel_view(deployment: Deployment, config: SystemConfig, n: int) -> tuple:
     z = devices[..., 2] - origin[2]
     if np.any(z <= 0):
         raise ValueError("every device must lie on the front side of every panel plane")
-    side, local = config.m_side, deployment.devices_local[n, :, :2]
+    side, local = config.m_side, deployment.devices_local[n]
     off = (np.arange(side) + 0.5) * config.spacing - 0.5 * side * config.spacing
-    rows = (off[:, np.newaxis] + local[:, np.newaxis]) + origin[:2]
-    return devices, z, rows, origin + np.column_stack((local, np.zeros(len(local))))
+    rows = (off[:, np.newaxis] + local[:, np.newaxis, :2]) + origin[:2]
+    centers = origin + np.column_stack((local[:, :2], np.zeros(len(local))))
+    # (K, N, K) per link [k, l, j], from device (l, j) to the panel's unit k
+    to_center = devices - centers[:, np.newaxis, np.newaxis]
+    cdist = np.sqrt(np.einsum("...i,...i->...", to_center, to_center))
+    p_bar = [serving_power(config.M, quarter_solid_angle(config.L, z_own), config.L)
+             for z_own in local[:, 2]]
+    return PanelView(n, config, devices, z, rows, los_probability(cdist, config.d_C),
+                     rician_factor(cdist), *transmit_snrs(deployment, config), np.array(p_bar))
 
 
-def center_distances(devices: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Distances between devices (..., 3) and unit centers (..., 3), broadcast."""
-    to_center = devices - centers
-    return np.sqrt(np.einsum("...i,...i->...", to_center, to_center))
-
-
-def build_unit_geometry(
-    deployment: Deployment, config: SystemConfig, n: int, k: int
-) -> UnitLinkGeometry:
-    devices, z, rows, centers = panel_view(deployment, config, n)
-    d, hlos = los_vectors(devices[..., 0], devices[..., 1], z, rows[k], config)
-    cdist = center_distances(devices, centers[k])
-    p = quarter_solid_angle(config.L, deployment.devices_local[n, k, 2])
-    rho_p, rho_d = transmit_snrs(deployment, config)
+def build_unit_geometry(view: PanelView, k: int) -> UnitLinkGeometry:
+    """Unit (view.n, k)'s geometry: of its own it forms only the distances
+    and LOS vectors of its links (``los_vectors``) and its serving LOS
+    power; the rest are views of the panel's arrays."""
+    n, devices = view.n, view.devices
+    d, hlos = los_vectors(devices[..., 0], devices[..., 1], view.z, view.rows[k], view.config)
     return UnitLinkGeometry(
         n=n,
         k=k,
         distances=d,
         hlos=hlos,
         own_power=float(np.sum(hlos[n, k].real ** 2 + hlos[n, k].imag ** 2)),
-        kappa_cand=rician_factor(cdist),
-        p_los=los_probability(cdist, config.d_C),
-        rho_p=rho_p,
-        rho_d=rho_d,
-        p_bar=serving_power(config.M, p, config.L),
+        kappa_cand=view.kappa_cand[k],
+        p_los=view.p_los[k],
+        rho_p=view.rho_p,
+        rho_d=view.rho_d,
+        p_bar=float(view.p_bar[k]),
     )
 
 
@@ -277,7 +301,7 @@ class UnitChannelStats:
     geom: UnitLinkGeometry
     kappa: np.ndarray       # (N, K) effective Rician factors (inf on own slot)
     nlos_scale: np.ndarray  # (N, K) sqrt(1/(kappa+1))
-    hbar: np.ndarray        # (N, K, M) LOS means (own slot: full LOS vector)
+    hbar: np.ndarray        # (N, K, M) LOS means (own slot: full LOS vector; +0.0 if ungated)
     roots: CorrelationRoot  # (N, K) factored correlation roots; .dense() is (N, K, M, P)
 
     @property
@@ -303,7 +327,10 @@ def make_unit_stats(
     kappa = np.where(gated, geom.kappa_cand, 0.0)
     kappa[geom.n, geom.k] = np.inf  # serving link is deterministic LOS
     los_scale, nlos_scale = rician_mixing(kappa)
-    hbar = los_scale[:, :, np.newaxis] * geom.hlos
+    # an ungated link's mean is zero: only gated rows are scaled, in place
+    hbar = np.zeros(geom.hlos.shape, dtype=complex)
+    los_scale = los_scale[:, :, np.newaxis]
+    np.multiply(los_scale, geom.hlos, out=hbar, where=los_scale > 0.0)
     roots = root_matrix_from_angles(draw.angles, geom.distances, config)
     return UnitChannelStats(geom=geom, kappa=kappa, nlos_scale=nlos_scale, hbar=hbar, roots=roots)
 

@@ -11,10 +11,12 @@ The device-count problem scores K = 1..pool by the network SE
 admitted in fixed priority order; LOS gates enter through their
 expectation, which keeps the curve deterministic for a given deployment.
 The floor table takes the pool deployment and the system config the
-sampler uses for it (K = pool), with the sampler's link budget (the
-``scenario`` transmit SNRs and serving powers) and the contamination and
-LOS rules of ``links``. It forms only the LOS products it reads, in one
-pass per panel (``expected_floor_table``), and builds no unit geometry.
+sampler uses for it (K = pool). It makes one pass per panel on the
+state the sampler's units are built from, ``links.panel_view``, so it
+reads the sampler's LOS probabilities, Rician factors and link budget,
+and it applies the contamination and LOS rules of ``links``. It forms
+only the LOS products it reads (``expected_floor_table``) and builds no
+unit geometry.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from .asymptotics import floor_sinrs, sse
 from .channel import rician_mixing
 from .config import SystemConfig
 # ``build_unit_geometry`` is not called here; perfbench/test_tracer.py reads this binding
-from .links import (build_unit_geometry, center_distances, contamination_weights,  # noqa: F401
-                    los_allowed, los_vectors, panel_view)
-from .scenario import (Deployment, los_probability, quarter_solid_angle, rician_factor,
-                       serving_power, transmit_snrs)
+from .links import (build_unit_geometry, contamination_weights, los_allowed,  # noqa: F401
+                    los_vectors, panel_view)
+from .scenario import Deployment
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,10 @@ def expected_floor_table(deployment: Deployment, config: SystemConfig,
     pulled out of the expectation before squaring. Links that
     ``los_allowed`` bars under `regime` carry no LOS, as in the sampler.
 
-    One pass per panel n: its view of the devices (``links.panel_view``,
-    which rejects a device behind the plane), the center distances of
-    every link to each of its units as one (Kp, N, Kp) array, and from
-    those the LOS probabilities p and scales s. Unit k forms LOS vectors
+    One pass per panel n on its ``links.PanelView``, the state the sampler
+    builds its units from (``panel_view`` rejects a device behind the
+    plane): its (Kp, N, Kp) LOS probabilities p and Rician factors give
+    the LOS scales s, and it holds the link budget. Unit k forms LOS vectors
     (``links.los_vectors``, into buffers allocated once per call) only for
     its live links, p > 0 and allowed by ``los_allowed``, plus its own;
     its V rows are its live pilot-k links against its live links, zeros
@@ -151,7 +152,6 @@ def expected_floor_table(deployment: Deployment, config: SystemConfig,
     """
     N, Kp = deployment.N, deployment.K
     units = np.arange(Kp)
-    rho_p, rho_d = transmit_snrs(deployment, config)
     base = np.zeros((N, Kp))
     leak = np.zeros((N, Kp, Kp))
     p_bar = np.zeros((N, Kp))
@@ -159,21 +159,20 @@ def expected_floor_table(deployment: Deployment, config: SystemConfig,
     V = np.empty((Kp, N, N * Kp), dtype=complex)
     work = np.empty((5, N * Kp, config.M))
     for n in range(N):
-        devices, z, rows, centers = panel_view(deployment, config, n)
-        # (Kp, N, Kp) per link [k, l, j], from device (l, j) to panel n's unit k
-        cdist = center_distances(devices, centers[:, np.newaxis, np.newaxis])
-        p = los_probability(cdist, config.d_C)
+        view = panel_view(deployment, config, n)
+        # p (Kp, N, Kp) per link [k, l, j], from device (l, j) to panel n's unit k
+        p, rho_p, rho_d = view.p_los, view.rho_p, view.rho_d
         allowed = los_allowed(regime, N, n)
-        s = np.where(allowed, rician_mixing(rician_factor(cdist))[0], 0.0)
+        s = np.where(allowed, rician_mixing(view.kappa_cand)[0], 0.0)
         live = (p > 0.0) & allowed
         live[units, n, units] = True
-        xs, ys, zs = devices[..., 0].ravel(), devices[..., 1].ravel(), z.ravel()
+        xs, ys, zs = view.devices[..., 0].ravel(), view.devices[..., 1].ravel(), view.z.ravel()
         V.fill(0.0)
         for k in range(Kp):
             # V[k, c, l*Kp + j] = hlos[c, k]^H hlos[l, j] among the live links
             idx = np.flatnonzero(live[k])
             d, h, den, re, im = work[:, :len(idx)]
-            los_vectors(xs[idx], ys[idx], zs[idx], rows[k], config, (d, h, den, (re, im)))
+            los_vectors(xs[idx], ys[idx], zs[idx], view.rows[k], config, (d, h, den, (re, im)))
             pilot = np.flatnonzero(idx % Kp == k)
             # conj(hlos[pilot]) @ hlos.T as four real products
             vr = re[pilot] @ re.T
@@ -200,8 +199,7 @@ def expected_floor_table(deployment: Deployment, config: SystemConfig,
         w = rho_d * p * (s * s) * (np.abs(mean_in) ** 2 + var_in)
         w[units, n, units] = 0.0
         leak[n] = np.einsum("klj->kj", w)
-        p_bar[n] = [serving_power(config.M, quarter_solid_angle(config.L, z_own), config.L)
-                    for z_own in deployment.devices_local[n, :, 2]]
+        p_bar[n] = view.p_bar
 
     return ExpectedFloorTable(base=base, leak=leak, p_bar=p_bar, rho_d_own=rho_d)
 

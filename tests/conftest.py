@@ -1,8 +1,9 @@
 """Shared fixtures: small contaminated systems reused across module tests.
 
 ``tiny_world`` and ``quad_world`` are each a (deployment, system config)
-pair, the engine's description of a sweep point: a unit's links are
-``build_unit_geometry(dep, cfg, n, k)``."""
+pair, the engine's description of a sweep point: panel n's shared state is
+``view = panel_view(dep, cfg, n)``, and unit (n, k)'s links are
+``build_unit_geometry(view, k)``."""
 
 import numpy as np
 import pytest

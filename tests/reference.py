@@ -93,6 +93,7 @@ from lis_uplink.links import (
     build_unit_geometry,
     exact_sinr,
     make_unit_stats,
+    panel_view,
     sample_unit_channels,
     stream,
 )
@@ -487,7 +488,7 @@ def expected_floor_table(deployment: Deployment, config, regime: str = "rician")
     p_bar = np.zeros((N, Kp))
     for n in range(N):
         for k in range(Kp):
-            geom = build_unit_geometry(deployment, cfg, n, k)
+            geom = build_unit_geometry(panel_view(deployment, cfg, n), k)
             p = geom.p_los
             s = np.sqrt(geom.kappa_cand / (geom.kappa_cand + 1.0))
             if regime == "nlos_inter":
@@ -567,7 +568,7 @@ def sampled_nse_per_count(spec, pool, cfg, p: int, K_grid) -> list:
         for n in range(cfg.N):
             for k in range(K):
                 for i, (stats, draw) in enumerate(
-                        harness._unit_blocks(spec, dep, cfg, p, blocks, n, k)):
+                        harness._unit_blocks(spec, panel_view(dep, cfg, n), p, blocks, k)):
                     ch = sample_unit_channels(stats, draw.g)
                     gam[i, n, k] = BlockKernel(stats, ch, draw.w).gamma(K)
         for nse, gam_b in zip(out, gam):
@@ -594,8 +595,8 @@ def twin_blocks(spec, dep, cfg, p: int, blocks, k: int):
     geometry and statistics built from the panel-0 slice of the multi-LIS
     draw."""
     twin_cfg = dataclasses.replace(cfg, N=1)
-    geom = build_unit_geometry(panel(dep, 0), twin_cfg, 0, k)
-    for stats, draw in harness._unit_blocks(spec, dep, cfg, p, blocks, 0, k):
+    geom = build_unit_geometry(panel_view(panel(dep, 0), twin_cfg, 0), k)
+    for stats, draw in harness._unit_blocks(spec, panel_view(dep, cfg, 0), p, blocks, k):
         cut = dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1],
                                   g=draw.g[:1])
         yield (stats, draw), (make_unit_stats(geom, cut, twin_cfg,

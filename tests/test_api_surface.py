@@ -20,8 +20,10 @@ names alone.
 """
 
 import ast
+import copy
 import dataclasses
 import functools
+import importlib
 import inspect
 import os
 import sys
@@ -180,3 +182,40 @@ def test_every_dataclass_field_of_an_exported_class_is_read_at_run_time(monkeypa
     unread = sorted(f"{cls.__name__}.{name}" for cls in classes for name in names[cls]
                     if (cls, name) not in read and f"{cls.__name__}.{name}" not in EXEMPT)
     assert unread == [], f"fields no package code reads in a run: {unread}"
+
+
+def _module_containers() -> dict:
+    """``module.name`` -> value of every module-level dict, list, set and
+    bytearray of the package (dunder names aside)."""
+    return {
+        f"{name}.{key}": value
+        for name, mod in sorted(sys.modules.items())
+        if name == "lis_uplink" or name.startswith("lis_uplink.")
+        for key, value in vars(mod).items()
+        if isinstance(value, (dict, list, set, bytearray)) and not key.startswith("__")
+    }
+
+
+def test_module_level_containers_are_the_registries_alone():
+    """The package keeps no module-level state but its three registries: a
+    cache or buffer kept between calls would serve one run's values to
+    another. ``cli`` re-imports ``harness.EXPERIMENTS``."""
+    importlib.import_module("lis_uplink.cli")
+    found = _module_containers()
+    assert sorted(found) == ["lis_uplink.cli.EXPERIMENTS", "lis_uplink.cli._COMMANDS",
+                             "lis_uplink.config._BOUNDS", "lis_uplink.harness.EXPERIMENTS"]
+    assert found["lis_uplink.cli.EXPERIMENTS"] is found["lis_uplink.harness.EXPERIMENTS"]
+
+
+def test_registries_unchanged_by_runs(tmp_path):
+    registries = _module_containers()
+    # partials compare by identity, so each experiment's reduction is kept as is
+    memo = {id(row.reduce): row.reduce for row in lis_uplink.harness.EXPERIMENTS.values()}
+    before = copy.deepcopy(registries, memo)
+    for case, (runner, exp_id, overrides) in sorted(CASES.items()):
+        runner(preset_run_config(exp_id, seed=SEED).with_overrides(overrides))
+    for case in sorted(OPTIMIZER_CASES):
+        _run_optimizer(case, tmp_path / case)
+    assert _module_containers().keys() == before.keys()
+    for key, value in _module_containers().items():
+        assert value is registries[key] and value == before[key], key

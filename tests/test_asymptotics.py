@@ -16,6 +16,7 @@ from lis_uplink import (
     cgauss,
     draw_unit_block,
     make_unit_stats,
+    panel_view,
     place_devices,
     quarter_solid_angle,
     sample_unit_channels,
@@ -31,7 +32,8 @@ def _stats(world, n, k, seed, coins=None, interference="rician"):
     draw = draw_unit_block(np.random.default_rng(seed), cfg.N, cfg.K, cfg.P, cfg.M)
     if coins is not None:
         draw = dataclasses.replace(draw, coins=np.full((cfg.N, cfg.K), float(coins)))
-    return draw, make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg, interference)
+    geom = build_unit_geometry(panel_view(dep, cfg, n), k)
+    return draw, make_unit_stats(geom, draw, cfg, interference)
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +179,8 @@ class TestMomentPartsAgainstReference:
         n = data.draw(st.integers(0, N - 1), label="n")
         k = K - 1 if last_unit else 0
         draw = draw_unit_block(np.random.default_rng(seed + 1), N, K, P, cfg.M)
-        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg, interference)
+        geom = build_unit_geometry(panel_view(dep, cfg, n), k)
+        stats = make_unit_stats(geom, draw, cfg, interference)
 
         actual = build_moment_set(stats)
         expected = reference.moment_fields(stats, transmit_snrs(dep, cfg)[0])
@@ -257,7 +260,7 @@ class TestTheorems:
             )
             if coins is not None:
                 draw = dataclasses.replace(draw, coins=np.full((cfg.N, cfg.K), coins))
-            stats = make_unit_stats(build_unit_geometry(dep, cfg, 0, k), draw, cfg)
+            stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, 0), k), draw, cfg)
             out.append(build_moment_set(stats))
         return out
 

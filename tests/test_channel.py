@@ -17,6 +17,7 @@ from lis_uplink import (
     cgauss,
     draw_unit_block,
     make_unit_stats,
+    panel_view,
     place_devices,
     quarter_solid_angle,
     rician_mixing,
@@ -24,6 +25,7 @@ from lis_uplink import (
 )
 from lis_uplink.channel import _phase_ramp, root_matrix_from_angles
 from lis_uplink.config import SPEED_OF_LIGHT
+from lis_uplink.links import slice_stats
 
 import reference
 from conftest import assert_close
@@ -46,7 +48,7 @@ def _lone_link_stats(device_local, cfg, coin, seed):
     seen from device 0's unit (pinned at the panel center, 1 m up), with
     its LOS gate forced open (coin 0) or shut (coin 1)."""
     dep = _point_deployment([[0.0, 0.0, 1.0], device_local])
-    geom = build_unit_geometry(dep, cfg, 0, 0)
+    geom = build_unit_geometry(panel_view(dep, cfg, 0), 0)
     draw = draw_unit_block(np.random.default_rng(seed), 1, 2, cfg.P, cfg.M)
     draw = dataclasses.replace(draw, coins=np.full((1, 2), float(coin)))
     return geom, draw, make_unit_stats(geom, draw, cfg)
@@ -56,7 +58,7 @@ class TestLosChannel:
     def test_single_antenna_closed_form(self):
         cfg = SystemConfig(M=1, K=1, N=1)
         dep = _point_deployment([[0.0, 0.0, 1.7]])
-        geom = build_unit_geometry(dep, cfg, 0, 0)
+        geom = build_unit_geometry(panel_view(dep, cfg, 0), 0)
         d = 1.7
         assert_close(geom.distances[0, 0, 0], d)
         assert_close(
@@ -67,7 +69,7 @@ class TestLosChannel:
 
     def test_vector_and_power_consistency(self, tiny_world):
         dep, cfg = tiny_world
-        geom = build_unit_geometry(dep, cfg, 0, 0)
+        geom = build_unit_geometry(panel_view(dep, cfg, 0), 0)
         amplitudes = np.abs(geom.hlos)
         assert np.all(amplitudes > 0)
         assert_close(
@@ -85,7 +87,7 @@ class TestLosChannel:
     def test_power_grows_with_antenna_count(self):
         dep = _point_deployment([[0.1, -0.3, 1.0]])
         powers = [
-            build_unit_geometry(dep, SystemConfig(M=M, K=1, N=1), 0, 0).own_power
+            build_unit_geometry(panel_view(dep, SystemConfig(M=M, K=1, N=1), 0), 0).own_power
             for M in (16, 64, 256)
         ]
         assert powers[0] < powers[1] < powers[2]
@@ -94,8 +96,8 @@ class TestLosChannel:
         cfg = SystemConfig(M=16, K=1, N=1)
         low = _point_deployment([[0.3, -0.2, 0.8]])
         high = _point_deployment([[0.3, -0.2, 1.6]])
-        b_low = np.abs(build_unit_geometry(low, cfg, 0, 0).hlos[0, 0])
-        b_high = np.abs(build_unit_geometry(high, cfg, 0, 0).hlos[0, 0])
+        b_low = np.abs(build_unit_geometry(panel_view(low, cfg, 0), 0).hlos[0, 0])
+        b_high = np.abs(build_unit_geometry(panel_view(high, cfg, 0), 0).hlos[0, 0])
         assert np.all(b_high < b_low)
 
     def test_total_gain_approaches_solid_angle_limit(self):
@@ -103,7 +105,7 @@ class TestLosChannel:
         # M^2 p^2 / (16 pi^2 L^4) with p the quadrant solid angle.
         cfg = SystemConfig(M=2500, K=1, N=1, L=0.25)
         dep = _point_deployment([[0.0, 0.0, 1.0]])
-        power = build_unit_geometry(dep, cfg, 0, 0).own_power
+        power = build_unit_geometry(panel_view(dep, cfg, 0), 0).own_power
         p = quarter_solid_angle(cfg.L, 1.0)
         limit = cfg.M**2 * p**2 / (16.0 * math.pi**2 * cfg.L**4)
         assert abs(power**2 - limit) / limit < 0.02
@@ -112,12 +114,12 @@ class TestLosChannel:
         cfg = SystemConfig(M=4, K=1, N=1)
         dep = _point_deployment([[0.0, 0.0, -1.0]])
         with pytest.raises(ValueError, match="front side"):
-            build_unit_geometry(dep, cfg, 0, 0)
+            build_unit_geometry(panel_view(dep, cfg, 0), 0)
 
     def test_facing_panel_geometry(self):
         cfg = SystemConfig(M=16, K=1, N=4)
         dep = place_devices(cfg, LayoutConfig(), np.random.default_rng(0), K=1)
-        geom = build_unit_geometry(dep, cfg, 3, 0)
+        geom = build_unit_geometry(panel_view(dep, cfg, 3), 0)
         assert_close(dep.frames[3].rotation[:, 2], [0.0, 0.0, -1.0])
         assert np.allclose(reference.unit_antenna_grid(dep, cfg, 3, 0)[:, 2], 6.0)
         assert np.all(np.abs(geom.hlos[3, 0]) > 0)
@@ -197,7 +199,7 @@ class TestCorrelationRoot:
     def test_broadside_paths_degenerate_to_pathloss(self):
         cfg = SystemConfig(M=16, K=1, N=1, P=3)
         dep = _point_deployment([[0.2, 0.1, 1.3]])
-        d = build_unit_geometry(dep, cfg, 0, 0).distances[0, 0]
+        d = build_unit_geometry(panel_view(dep, cfg, 0), 0).distances[0, 0]
         matrix = root_matrix_from_angles(np.zeros((3, 2)), d, cfg).dense()
         expected_col = d ** (-cfg.beta_PL / 2.0) / math.sqrt(cfg.M)
         for p in range(3):
@@ -237,7 +239,7 @@ class TestCorrelationRoot:
         cfg = SystemConfig(M=16, K=2, N=1, P=4)
         dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(0))
         draw = draw_unit_block(np.random.default_rng(1), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(build_unit_geometry(dep, cfg, 0, 0), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, 0), 0), draw, cfg)
         assert np.all(np.abs(draw.angles) <= math.pi / 2.0)
         pathloss = stats.geom.distances ** (-cfg.beta_PL / 2.0) / math.sqrt(cfg.M)
         roots = stats.roots.dense()
@@ -249,7 +251,7 @@ class TestCorrelationRoot:
         cfg = SystemConfig(M=16, K=2, N=1, P=4)
         dep = place_devices(cfg, LayoutConfig(name="line"), np.random.default_rng(5))
         draw = draw_unit_block(np.random.default_rng(6), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(build_unit_geometry(dep, cfg, 0, 0), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, 0), 0), draw, cfg)
         root = stats.roots.dense()[0, 1]
         theta_v, theta_h = draw.angles[0, 1, :, 0], draw.angles[0, 1, :, 1]
         nlos_gains_sq = np.abs(np.cos(theta_v) * np.cos(theta_h))
@@ -292,6 +294,43 @@ class TestCorrelationRoot:
                 part = root_matrix_from_angles(angles[cut], d[cut], cfg)
                 for name in ("ramp_v", "ramp_h", "pathloss"):
                     assert np.array_equal(getattr(part, name), getattr(full, name)[cut]), (N, K, cut)
+
+
+class TestRootRamps:
+    """The ramps ``root_matrix_from_angles`` returns are views of a
+    side-major buffer, read in place by the sampler and by slices."""
+
+    @pytest.mark.parametrize("P", [1, 20])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "draw-axis"])
+    def test_ramps_match_closed_form_at_every_side(self, P, batch):
+        # odd sides, powers of two and one past them: every doubling split
+        rng = np.random.default_rng(P + len(batch))
+        for side in range(1, 34):
+            cfg = SystemConfig(M=side * side, P=P)
+            angles = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(*batch, 2, P, 2))
+            roots = root_matrix_from_angles(angles, np.ones((*batch, 2, cfg.M)), cfg)
+            theta_v, theta_h = angles[..., 0], angles[..., 1]
+            step = 2.0 * math.pi * cfg.spacing / cfg.lam
+            i = np.arange(side)[:, np.newaxis]
+            gain = np.sqrt(np.abs(np.cos(theta_v) * np.cos(theta_h))) / math.sqrt(cfg.M)
+            want_v = gain[..., np.newaxis, :] * np.exp(
+                1j * step * i * np.sin(theta_v)[..., np.newaxis, :])
+            want_h = np.exp(1j * step * i * (np.sin(theta_h) * np.cos(theta_h))[..., np.newaxis, :])
+            assert roots.ramp_v.shape == roots.ramp_h.shape == (*batch, 2, side, P)
+            assert_close(roots.ramp_v, want_v, rtol=1e-13)
+            assert_close(roots.ramp_h, want_h, rtol=1e-13)
+            assert roots.nbytes == sum(f.nbytes for f in (roots.ramp_v, roots.ramp_h,
+                                                           roots.pathloss))
+
+    def test_slices_are_views_of_the_ramp_buffer(self, quad_world):
+        dep, cfg = quad_world
+        draw = draw_unit_block(np.random.default_rng(3), cfg.N, cfg.K, cfg.P, cfg.M)
+        stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, 0), 1), draw, cfg)
+        roots = stats.roots
+        assert roots.ramp_v.base is not None and roots.ramp_h.base is not None
+        for cut in (slice_stats(stats, N=1), reference.prefix_stats(stats, 1)):
+            assert np.shares_memory(cut.roots.ramp_v, roots.ramp_v.base)
+            assert np.shares_memory(cut.roots.ramp_h, roots.ramp_h.base)
 
 
 class TestPhaseRamp:

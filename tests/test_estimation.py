@@ -16,6 +16,7 @@ from lis_uplink import (
     cgauss,
     draw_unit_block,
     make_unit_stats,
+    panel_view,
     place_devices,
     sample_unit_channels,
 )
@@ -129,7 +130,7 @@ def _single_panel_unit(cfg, seed):
     solo = dataclasses.replace(cfg, N=1)
     dep = place_devices(solo, LayoutConfig(name="line"), np.random.default_rng(seed))
     draw = draw_unit_block(np.random.default_rng(seed + 1), 1, solo.K, solo.P, solo.M)
-    return draw, make_unit_stats(build_unit_geometry(dep, solo, 0, 0), draw, solo)
+    return draw, make_unit_stats(build_unit_geometry(panel_view(dep, solo, 0), 0), draw, solo)
 
 
 class TestDirectErrorSynthesis:
@@ -152,7 +153,7 @@ class TestDirectErrorSynthesis:
         dep, cfg = tiny_world
         n, k = 1, 1
         draw = draw_unit_block(np.random.default_rng(8), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, n), k), draw, cfg)
         rho_p = stats.geom.rho_p
         ch = sample_unit_channels(stats, draw.g)
         kernel = BlockKernel(stats, ch, draw.w)
@@ -169,7 +170,7 @@ class TestDirectErrorSynthesis:
         dep, cfg = tiny_world
         n, k, t, draws = 0, 0, 2, 4000
         block = draw_unit_block(np.random.default_rng(12), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), block, cfg)
+        stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, n), k), block, cfg)
         rho_p, rho_d = stats.geom.rho_p, stats.geom.rho_d
         hlos = stats.geom.hlos[n, k]
         book = reference.pilot_book(t, cfg.K)

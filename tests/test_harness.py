@@ -25,7 +25,7 @@ from lis_uplink import (
     write_outputs,
 )
 from lis_uplink import harness as hz
-from lis_uplink import links
+from lis_uplink import links, optimize
 from lis_uplink.cli import main
 
 import reference
@@ -189,12 +189,12 @@ class TestPanelZeroSlice:
         spec = SimpleNamespace(system=SimpleNamespace(seed=0),
                                experiment=SimpleNamespace(interference=regime))
         for k in range(cfg.K):
-            [(stats, draw)] = hz._unit_blocks(spec, dep, cfg, 0, [0], 0, k)
+            [(stats, draw)] = hz._unit_blocks(spec, links.panel_view(dep, cfg, 0), 0, [0], k)
             cut = links.slice_stats(stats, N=1)
             one = dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1],
                                       g=draw.g[:1])
-            want = links.make_unit_stats(links.build_unit_geometry(twin_dep, twin_cfg, 0, k), one,
-                                         twin_cfg, regime)
+            twin_geom = links.build_unit_geometry(links.panel_view(twin_dep, twin_cfg, 0), k)
+            want = links.make_unit_stats(twin_geom, one, twin_cfg, regime)
             for obj, ref in ((cut, want), (cut.geom, want.geom), (cut.roots, want.roots)):
                 for f in dataclasses.fields(obj):
                     a, b = getattr(obj, f.name), getattr(ref, f.name)
@@ -203,8 +203,8 @@ class TestPanelZeroSlice:
             assert np.shares_memory(cut.hbar, stats.hbar)
             assert np.shares_memory(cut.roots.ramp_v, stats.roots.ramp_v)
         with pytest.raises(ValueError, match="panel"):
-            links.slice_stats(links.make_unit_stats(links.build_unit_geometry(dep, cfg, 1, 0),
-                                                    draw, cfg), N=1)
+            geom = links.build_unit_geometry(links.panel_view(dep, cfg, 1), 0)
+            links.slice_stats(links.make_unit_stats(geom, draw, cfg), N=1)
 
     def test_device_prefix_keeps_every_panel(self, quad_world, monkeypatch):
         """``_unit_blocks`` draws block b of unit (n, k) from stream address
@@ -222,7 +222,7 @@ class TestPanelZeroSlice:
 
         monkeypatch.setattr(hz, "draw_unit_block", recording)
         p, n, k = 1, 3, 0
-        blocks = list(hz._unit_blocks(spec, dep.prefix(1), cfg, p, [2, 0], n, k))
+        blocks = list(hz._unit_blocks(spec, links.panel_view(dep.prefix(1), cfg, n), p, [2, 0], k))
         assert len(drawn) == len(blocks) == 2
         for b, (stats, cut), draw in zip((2, 0), blocks, drawn):
             want = draw_unit_block(links.stream(5, links.DOMAIN_BLOCK, p, b, n, k),
@@ -472,6 +472,50 @@ class TestUnitMajorGeometry:
         # the unit being built, plus the previous unit's, which the
         # reduction's loop variables still hold
         assert peak[0] <= 2 * points, (peak[0], points)
+
+    @pytest.mark.parametrize("case", ["fig5", "fig8", "fig9"])
+    def test_one_panel_view_per_sweep_point_and_panel(self, case, monkeypatch):
+        """The sampler builds one ``panel_view`` per (placement, sweep
+        point, panel it walks), every unit of the panel is built from it,
+        and the transmit SNRs are formed once per view, the floor table's
+        included, not once per unit."""
+        _, exp_id, overrides = CASES[case]
+        rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
+        counts = dict.fromkeys(("sampler", "table", "snrs", "units"), 0)
+        latest = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                out = fn(*args, **kwargs)
+                if name == "sampler":
+                    latest[:] = [out]
+                return out
+            return wrapper
+
+        build = hz.build_unit_geometry
+
+        def unit(view, k):
+            # each unit is built from the view of its panel made last
+            counts["units"] += 1
+            assert view is latest[0]
+            return build(view, k)
+
+        monkeypatch.setattr(hz, "panel_view", counting("sampler", hz.panel_view))
+        monkeypatch.setattr(optimize, "panel_view", counting("table", optimize.panel_view))
+        monkeypatch.setattr(links, "transmit_snrs", counting("snrs", links.transmit_snrs))
+        monkeypatch.setattr(hz, "build_unit_geometry", unit)
+        run_experiment(rc)
+        exp, N = rc.experiment, rc.system.N
+        if exp_id == "fig5":
+            sampler, table = exp.placements * len(exp.sweep_values), 0  # panel 0 alone
+        elif exp_id == "fig8":
+            sampler = table = exp.placements * N  # one sampled array size
+        else:
+            sampler = table = exp.placements * len(exp.sweep_values) * N
+        assert (counts["sampler"], counts["table"]) == (sampler, table)
+        assert counts["snrs"] == sampler + table
+        assert counts["units"] > sampler
 
     @pytest.mark.parametrize("case", ["asymptotic-fig5", "fig5", "fig7"])
     def test_theory_blocks_keep_scalars_not_moment_sets(self, case, monkeypatch):

@@ -18,10 +18,12 @@ from lis_uplink import (
     draw_unit_block,
     los_probability,
     make_unit_stats,
+    panel_view,
     place_devices,
     placement_rng,
     quarter_solid_angle,
     rician_factor,
+    rician_mixing,
     sample_unit_channels,
     transmit_snrs,
 )
@@ -45,7 +47,7 @@ def _random_unit(N, K, side, P, seed, n, k, interference="rician"):
     cfg = SystemConfig(M=side * side, K=K, N=N, P=P, seed=seed)
     dep = place_devices(cfg, LayoutConfig(d_x=0.5), np.random.default_rng(seed))
     draw = draw_unit_block(np.random.default_rng(seed + 1), N, K, P, cfg.M)
-    geom = build_unit_geometry(dep, cfg, n, k)
+    geom = build_unit_geometry(panel_view(dep, cfg, n), k)
     return (dep, cfg), draw, make_unit_stats(geom, draw, cfg, interference)
 
 
@@ -137,7 +139,7 @@ class TestBlockDraw:
 class TestUnitStats:
     def test_serving_link_is_pure_los(self, tiny_world):
         dep, cfg = tiny_world
-        geom = build_unit_geometry(dep, cfg, 0, 1)
+        geom = build_unit_geometry(panel_view(dep, cfg, 0), 1)
         draw = draw_unit_block(np.random.default_rng(1), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         assert stats.kappa[0, 1] == np.inf
@@ -146,7 +148,7 @@ class TestUnitStats:
 
     def test_gating_applies_candidate_kappa(self, tiny_world):
         dep, cfg = tiny_world
-        geom = build_unit_geometry(dep, cfg, 0, 0)
+        geom = build_unit_geometry(panel_view(dep, cfg, 0), 0)
         draw = draw_unit_block(np.random.default_rng(2), cfg.N, cfg.K, cfg.P, cfg.M)
         forced = dataclasses.replace(draw, coins=np.zeros((cfg.N, cfg.K)))
         stats = make_unit_stats(geom, forced, cfg)
@@ -161,7 +163,7 @@ class TestUnitStats:
 
     def test_nlos_inter_regime_zeroes_other_panels_only(self, tiny_world):
         dep, cfg = tiny_world
-        geom = build_unit_geometry(dep, cfg, 0, 0)
+        geom = build_unit_geometry(panel_view(dep, cfg, 0), 0)
         draw = draw_unit_block(np.random.default_rng(3), cfg.N, cfg.K, cfg.P, cfg.M)
         forced = dataclasses.replace(draw, coins=np.zeros((cfg.N, cfg.K)))
         stats = make_unit_stats(geom, forced, cfg, interference="nlos_inter")
@@ -171,9 +173,38 @@ class TestUnitStats:
         with pytest.raises(ValueError, match="regime"):
             make_unit_stats(geom, draw, cfg, interference="bogus")
 
+    @pytest.mark.parametrize("regime", ["rician", "nlos_inter"])
+    def test_los_mean_only_on_gated_links(self, regime):
+        # a quad pool at the default gaps (d_x = 4, d_z = 6), where about a
+        # quarter of the links lie past d_C: an ungated link's mean is +0.0
+        # exactly, and a gated one is its LOS scale times its LOS vector
+        cfg = SystemConfig(M=36, K=8, N=4, T=50, P=4, seed=13)
+        dep = place_devices(cfg, LayoutConfig(name="quad"), placement_rng(13, 0))
+        shut = gated = 0
+        for n in range(cfg.N):
+            view = panel_view(dep, cfg, n)
+            for k in range(cfg.K):
+                geom = build_unit_geometry(view, k)
+                draw = draw_unit_block(np.random.default_rng(8 * n + k), cfg.N, cfg.K, cfg.P,
+                                       cfg.M)
+                stats = make_unit_stats(geom, draw, cfg, regime)
+                los_scale = rician_mixing(stats.kappa)[0]
+                for link in np.ndindex(los_scale.shape):
+                    row = stats.hbar[link].view(float)
+                    if los_scale[link] == 0.0:
+                        assert not np.any(row) and not np.any(np.signbit(row)), link
+                        shut += 1
+                    else:
+                        want = (los_scale[link] * geom.hlos[link]).view(float)
+                        assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), link
+                        gated += 1
+                if regime == "nlos_inter":
+                    assert not np.any(np.delete(stats.hbar, n, axis=0))
+        assert shut and gated
+
     def test_sampling_respects_mixing(self, tiny_world):
         dep, cfg = tiny_world
-        geom = build_unit_geometry(dep, cfg, 0, 0)
+        geom = build_unit_geometry(panel_view(dep, cfg, 0), 0)
         draw = draw_unit_block(np.random.default_rng(4), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         ch = sample_unit_channels(stats, draw.g)
@@ -221,7 +252,8 @@ class TestFactoredRoots:
     def test_unit_stats_hold_no_dense_root(self):
         N, K, M, P = 4, 4, 400, 20
         cfg = SystemConfig(M=M, K=K, N=N, P=P)
-        geom = build_unit_geometry(place_devices(cfg, LayoutConfig(), placement_rng(0, 0)), cfg, 0, 0)
+        dep = place_devices(cfg, LayoutConfig(), placement_rng(0, 0))
+        geom = build_unit_geometry(panel_view(dep, cfg, 0), 0)
         draw = draw_unit_block(np.random.default_rng(0), N, K, P, M)
         tracemalloc.start()
         try:
@@ -257,7 +289,7 @@ class TestUnitGeometryOracle:
         cfg = SystemConfig(M=M, K=3, N=4, P=4, seed=21)
         dep = place_devices(cfg, LayoutConfig(name="quad"), placement_rng(cfg.seed, 0))
         for n, k in ((0, 0), (2, 1), (3, 2)):
-            geom = build_unit_geometry(dep, cfg, n, k)
+            geom = build_unit_geometry(panel_view(dep, cfg, n), k)
             antennas = np.array([reference.antenna_position(dep, cfg, n, k, m) for m in range(M)])
             assert_close(reference.unit_antenna_grid(dep, cfg, n, k), antennas, rtol=0, atol=1e-12)
             for l in range(cfg.N):
@@ -273,7 +305,7 @@ class TestUnitGeometryOracle:
     def test_phase_matches_complex_form(self, M):
         cfg = SystemConfig(M=M, K=3, N=4, seed=22)
         dep = place_devices(cfg, LayoutConfig(name="quad"), placement_rng(cfg.seed, 0))
-        d = build_unit_geometry(dep, cfg, 1, 0).distances
+        d = build_unit_geometry(panel_view(dep, cfg, 1), 0).distances
         assert_close(_los_phasor(d, cfg.lam), reference.los_phase(d, cfg.lam), rtol=0, atol=1e-15)
 
     @given(
@@ -307,7 +339,7 @@ class TestUnitGeometryOracle:
         # bit for bit, wherever an element falls in a SIMD body or tail
         cfg = SystemConfig(M=900, K=5, N=4, seed=23)
         dep = place_devices(cfg, LayoutConfig(name="quad"), placement_rng(cfg.seed, 0))
-        d = build_unit_geometry(dep, cfg, 2, 1).distances
+        d = build_unit_geometry(panel_view(dep, cfg, 2), 1).distances
         gain = 1.0 / d
         full = _los_phasor(d, cfg.lam, gain)
         cuts = [np.s_[..., 1:], np.s_[..., :-3], np.s_[:, :, ::3], np.s_[1:, 2:5, 7:],
@@ -323,7 +355,7 @@ class TestUnitGeometryOracle:
         dep = place_devices(cfg, LayoutConfig(name=layout), placement_rng(cfg.seed, 0))
         for n in range(N):  # panel 3 of the quad faces the others
             for k in (0, 3):
-                assert np.array_equal(build_unit_geometry(dep, cfg, n, k).distances,
+                assert np.array_equal(build_unit_geometry(panel_view(dep, cfg, n), k).distances,
                                       reference.unit_distances(dep, cfg, n, k)), (n, k)
 
     def test_distances_under_any_signed_axis_permutation(self):
@@ -332,7 +364,7 @@ class TestUnitGeometryOracle:
         # a quarter turn about the normal: local x runs along global y
         quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         turned = dataclasses.replace(dep, frames=(LisFrame(dep.frames[0].origin, quarter),))
-        assert np.array_equal(build_unit_geometry(turned, cfg, 0, 1).distances,
+        assert np.array_equal(build_unit_geometry(panel_view(turned, cfg, 0), 1).distances,
                               reference.unit_distances(turned, cfg, 0, 1))
 
     def test_frame_tilted_about_its_normal(self):
@@ -345,7 +377,7 @@ class TestUnitGeometryOracle:
                          np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
         dep = Deployment((frame,), dep.devices_local, frame.to_global(dep.devices_local))
         for k in range(cfg.K):
-            geom = build_unit_geometry(dep, cfg, 0, k)
+            geom = build_unit_geometry(panel_view(dep, cfg, 0), k)
             antennas = reference.unit_antenna_grid(dep, cfg, 0, k)
             for j in range(cfg.K):
                 d, _, power = reference.los_link(dep.devices[0, j], antennas, frame, cfg.lam)
@@ -362,7 +394,7 @@ class TestUnitGeometryOracle:
         dep = place_devices(cfg, LayoutConfig(name=layout), placement_rng(cfg.seed, 0))
         for n in range(N):
             for k in range(cfg.K):
-                geom = build_unit_geometry(dep, cfg, n, k)
+                geom = build_unit_geometry(panel_view(dep, cfg, n), k)
                 cdist = reference.center_distances(dep, n, k)
                 assert np.array_equal(geom.kappa_cand, rician_factor(cdist)), (n, k)
                 assert np.array_equal(geom.p_los, los_probability(cdist, cfg.d_C)), (n, k)
@@ -375,13 +407,13 @@ class TestSliceStats:
 
     def test_prefix_views_match_smaller_world(self, tiny_cfg, tiny_world):
         dep, cfg = tiny_world
-        geom4 = build_unit_geometry(dep, cfg, 0, 0)
+        geom4 = build_unit_geometry(panel_view(dep, cfg, 0), 0)
         draw = draw_unit_block(np.random.default_rng(6), cfg.N, cfg.K, cfg.P, cfg.M)
         stats4 = make_unit_stats(geom4, draw, cfg)
         sliced = reference.prefix_stats(stats4, 1)
 
         small = reference.subset(dep, 1)
-        geom1 = build_unit_geometry(small, cfg, 0, 0)
+        geom1 = build_unit_geometry(panel_view(small, cfg, 0), 0)
         draw1 = dataclasses.replace(
             draw, coins=draw.coins[:, :1], angles=draw.angles[:, :1], g=draw.g[:, :1]
         )
@@ -397,7 +429,7 @@ class TestSliceStats:
 
     def test_inactive_pilot_index_rejected(self, tiny_world):
         dep, cfg = tiny_world
-        geom = build_unit_geometry(dep, cfg, 0, 1)
+        geom = build_unit_geometry(panel_view(dep, cfg, 0), 1)
         draw = draw_unit_block(np.random.default_rng(7), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         kernel = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
@@ -424,7 +456,8 @@ class TestSliceStats:
         sliced = reference.prefix_stats(pooled, K)
 
         # geometry of a K-device placement, and the first-K draw
-        geom_k = build_unit_geometry(reference.subset(dep, K), dataclasses.replace(cfg, K=K), n, k)
+        view_k = panel_view(reference.subset(dep, K), dataclasses.replace(cfg, K=K), n)
+        geom_k = build_unit_geometry(view_k, k)
         geom_sliced = sliced.geom
         for field in ("distances", "hlos", "own_power", "kappa_cand", "p_los",
                       "rho_p", "rho_d", "p_bar"):
@@ -465,7 +498,7 @@ class TestBlockKernel:
     def test_kernel_matches_direct_evaluation(self, tiny_world, t):
         dep, cfg = tiny_world
         n, k = 0, 0
-        geom = build_unit_geometry(dep, cfg, n, k)
+        geom = build_unit_geometry(panel_view(dep, cfg, n), k)
         draw = draw_unit_block(np.random.default_rng(8), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         channels = sample_unit_channels(stats, draw.g)
@@ -500,7 +533,8 @@ class TestBlockKernel:
         K, t = cfg.K, t_over_K * cfg.K
         for n, k in ((0, 1), (3, 1), (2, 0)):
             draw = draw_unit_block(np.random.default_rng(40 + n), cfg.N, K, cfg.P, cfg.M)
-            stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg, interference)
+            geom = build_unit_geometry(panel_view(dep, cfg, n), k)
+            stats = make_unit_stats(geom, draw, cfg, interference)
             terms = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w).terms(t)
             ref = _pilot_block_terms(stats, draw.g, draw.w, *transmit_snrs(dep, cfg), t)
             for name in ("X", "Y", "Z", "I", "gamma"):
@@ -509,7 +543,7 @@ class TestBlockKernel:
     def test_perfect_csi_terms(self, tiny_world):
         dep, cfg = tiny_world
         n, k = 1, 0
-        geom = build_unit_geometry(dep, cfg, n, k)
+        geom = build_unit_geometry(panel_view(dep, cfg, n), k)
         draw = draw_unit_block(np.random.default_rng(10), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         channels = sample_unit_channels(stats, draw.g)
@@ -524,7 +558,7 @@ class TestBlockKernel:
 
     def test_kernel_reuse_across_pilot_lengths(self, tiny_world):
         dep, cfg = tiny_world
-        geom = build_unit_geometry(dep, cfg, 0, 0)
+        geom = build_unit_geometry(panel_view(dep, cfg, 0), 0)
         draw = draw_unit_block(np.random.default_rng(11), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         channels = sample_unit_channels(stats, draw.g)
@@ -537,7 +571,7 @@ class TestBlockKernel:
 
     def test_noise_term_shrinks_with_t(self, tiny_world):
         dep, cfg = tiny_world
-        geom = build_unit_geometry(dep, cfg, 0, 0)
+        geom = build_unit_geometry(panel_view(dep, cfg, 0), 0)
         draw = draw_unit_block(np.random.default_rng(12), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, draw, cfg)
         kernel = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
@@ -671,7 +705,7 @@ class TestSingleLisTwin:
         solo_dep, solo_cfg = reference.panel(dep, 0), dataclasses.replace(cfg, N=1)
         cut = dataclasses.replace(draw, coins=draw.coins[:1], angles=draw.angles[:1],
                                   g=draw.g[:1])
-        solo_stats = make_unit_stats(build_unit_geometry(solo_dep, solo_cfg, 0, k), cut,
+        solo_stats = make_unit_stats(build_unit_geometry(panel_view(solo_dep, solo_cfg, 0), k), cut,
                                      solo_cfg, regime)
         solo_ch = sample_unit_channels(solo_stats, g[..., :1, :, :])
         want = BlockKernel(solo_stats, solo_ch, w)
@@ -749,7 +783,7 @@ class TestAdmittedCount:
 class TestUnitGeometry:
     def test_unit_rebuilds_equal_geometry(self, tiny_world):
         # each call builds the unit again, with equal arrays
-        a, b = build_unit_geometry(*tiny_world, 0, 1), build_unit_geometry(*tiny_world, 0, 1)
+        a, b = (build_unit_geometry(panel_view(*tiny_world, 0), 1) for _ in range(2))
         assert a is not b
         for field in dataclasses.fields(a):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
@@ -759,7 +793,7 @@ class TestUnitGeometry:
         # deterministic serving power
         dep, cfg = tiny_world
         for n, k in ((0, 0), (1, 1)):
-            geom = build_unit_geometry(dep, cfg, n, k)
+            geom = build_unit_geometry(panel_view(dep, cfg, n), k)
             assert geom.rho_p.shape == (2, 2)
             assert np.all(geom.rho_p > 0)
             assert all(map(np.array_equal, (geom.rho_p, geom.rho_d), transmit_snrs(dep, cfg)))
@@ -770,7 +804,7 @@ class TestUnitGeometry:
     def test_own_power_matches_geometry(self, tiny_world):
         # the serving link's power, from its own LOS vector
         dep, cfg = tiny_world
-        geom = build_unit_geometry(dep, cfg, 1, 1)
+        geom = build_unit_geometry(panel_view(dep, cfg, 1), 1)
         antennas = reference.unit_antenna_grid(dep, cfg, 1, 1)
         power = reference.los_link(dep.devices[1, 1], antennas, dep.frames[1], cfg.lam)[2]
         assert_close(geom.own_power, power, rtol=1e-12)

@@ -18,13 +18,14 @@ from lis_uplink import (
     make_unit_stats,
     optimal_num_devices,
     optimal_pilot_length,
+    panel_view,
     place_devices,
     placement_rng,
     theorem1_sse,
 )
 from lis_uplink import links, optimize
 from lis_uplink.asymptotics import sse
-from lis_uplink.links import los_allowed, los_vectors, panel_view
+from lis_uplink.links import los_allowed, los_vectors
 
 import reference
 from conftest import assert_close
@@ -36,7 +37,7 @@ def _panel_moment_sets(seed, M=16, K=3, N=2, P=4, d_x=0.5):
     sets = []
     for k in range(K):
         draw = draw_unit_block(np.random.default_rng(seed * 101 + k), N, K, P, M)
-        stats = make_unit_stats(build_unit_geometry(dep, cfg, 0, k), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, 0), k), draw, cfg)
         sets.append(build_moment_set(stats))
     return sets
 
@@ -197,7 +198,8 @@ class TestExpectedFloorTable:
         # in the tall box some devices sit above d_C over their own unit, so
         # a unit's own link, which the table always forms, can have p_los = 0
         dep, cfg = self._default_gap_pool(layout=layout)
-        geoms = [build_unit_geometry(dep, cfg, n, k) for n in range(cfg.N) for k in range(8)]
+        geoms = [build_unit_geometry(panel_view(dep, cfg, n), k)
+                 for n in range(cfg.N) for k in range(8)]
         assert any(np.any(g.p_los == 0.0) for g in geoms)
         assert any(g.p_los[g.n, g.k] == 0.0 for g in geoms) == (layout.name == "line")
         self._assert_matches_oracle(dep, cfg, regime)
@@ -210,10 +212,10 @@ class TestExpectedFloorTable:
         dep, cfg = self._default_gap_pool(M=16)
         want = []
         for n in range(4):
-            devices, z, _, _ = panel_view(dep, cfg, n)
-            points = np.stack((devices[..., 0], devices[..., 1], z), axis=-1)
+            view = panel_view(dep, cfg, n)
+            points = np.stack((view.devices[..., 0], view.devices[..., 1], view.z), axis=-1)
             for k in range(8):
-                live = (build_unit_geometry(dep, cfg, n, k).p_los > 0.0) & los_allowed(regime, 4, n)
+                live = (build_unit_geometry(view, k).p_los > 0.0) & los_allowed(regime, 4, n)
                 live[n, k] = True
                 if regime == "nlos_inter":
                     assert not np.any(np.delete(live, n, axis=0))

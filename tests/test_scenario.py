@@ -15,6 +15,7 @@ from lis_uplink import (
     build_layout,
     build_unit_geometry,
     los_probability,
+    panel_view,
     place_devices,
     rician_factor,
     transmit_snrs,
@@ -304,7 +305,7 @@ class TestLinkStatistics:
         dep = _place(cfg, seed=6)
 
         def offsets(n):
-            geom = build_unit_geometry(dep, cfg, n, 0)
+            geom = build_unit_geometry(panel_view(dep, cfg, n), 0)
             d = geom.distances[..., 0]
             return np.abs(geom.hlos[..., 0]) ** 2 * 4.0 * math.pi * d**3
 

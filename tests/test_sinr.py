@@ -15,6 +15,7 @@ from lis_uplink import (
     cgauss,
     draw_unit_block,
     make_unit_stats,
+    panel_view,
     sample_unit_channels,
     transmit_snrs,
 )
@@ -79,7 +80,7 @@ class TestInterferencePower:
         dep, cfg = tiny_world
         n, k = 0, 1
         draw = draw_unit_block(np.random.default_rng(21), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, n), k), draw, cfg)
         rho_d = stats.geom.rho_d
         kernel = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
         terms = kernel.terms(cfg.pilot_len)
@@ -92,7 +93,7 @@ class TestInterferencePower:
         dep, cfg = tiny_world
         n, k = 0, 0
         draw = draw_unit_block(np.random.default_rng(23), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, n), k), draw, cfg)
         muted = stats.geom.rho_d.copy()
         muted[1, :] = 0.0  # silence the other panel
         channels = sample_unit_channels(stats, draw.g)
@@ -105,7 +106,7 @@ class TestInterferencePower:
         # angles, against the closed-form second moment of X
         dep, cfg = tiny_world
         n, k = 0, 0
-        geom = build_unit_geometry(dep, cfg, n, k)
+        geom = build_unit_geometry(panel_view(dep, cfg, n), k)
         block = draw_unit_block(np.random.default_rng(31), cfg.N, cfg.K, cfg.P, cfg.M)
         stats = make_unit_stats(geom, block, cfg)
         t = cfg.pilot_len
@@ -129,7 +130,7 @@ class TestInstantaneousSinr:
         dep, cfg = tiny_world
         n, k = 1, 0
         draw = draw_unit_block(np.random.default_rng(24), cfg.N, cfg.K, cfg.P, cfg.M)
-        stats = make_unit_stats(build_unit_geometry(dep, cfg, n, k), draw, cfg)
+        stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, n), k), draw, cfg)
         louder = stats.geom.rho_d.copy()
         louder[n, k] *= 3.0
         channels = sample_unit_channels(stats, draw.g)
