@@ -53,6 +53,17 @@ def cgauss(rng, *shapes):
     return out[0] if len(out) == 1 else tuple(out)
 
 
+def cgauss_prefix(z: np.ndarray, size: int) -> np.ndarray:
+    """``cgauss``'s (..., size) draw for a last shape (size,) from the state
+    where it drew z (..., n) for (n,), size <= n: z's first 2 size normals
+    (its real block, then its imaginary block), bit for bit."""
+    n = z.shape[-1]
+    parts = np.concatenate((z.real[..., : 2 * size], z.imag[..., : max(0, 2 * size - n)]), axis=-1)
+    out = np.empty(parts.shape[:-1] + (size,), dtype=complex)
+    out.real, out.imag = parts[..., :size], parts[..., size:]
+    return out
+
+
 @dataclass(frozen=True)
 class CorrelationRoot:
     """Correlation roots of a batch of links in Kronecker form.

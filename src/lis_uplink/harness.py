@@ -31,15 +31,11 @@ draws each unit once per block and builds one kernel on the largest
 admitted count of its K grid; every smaller count is read off that kernel
 (``BlockKernel.terms(t, K)``), so the work is one draw and one kernel per
 (unit, block) whatever the grid holds. Only ``_place``, ``_unit_blocks``
-and ``_refade_chunks`` (fresh fading on a frozen block-0 condition) draw
-randomness.
+and ``_refades`` (fresh fading on a frozen block-0 condition) draw randomness.
 
-fig4 and the moment oracle redraw a unit's fading R times on one frozen
-block. ``_refade_chunks`` draws each realization's fading and noise from
-its own stream in one ``cgauss`` row, in chunks whose channels (16 N K M
-bytes per draw) fit ``_REFADE_CHUNK_BYTES``; one ``BlockKernel`` per
-system serves a whole chunk. A unit's R streams are hashed in one
-``stream_words`` pass and opened in turn on one generator (``Substreams``).
+fig4 and the moment oracle share one engine, ``_refades``: R refades of
+unit (0, 0) on its frozen block 0, each drawn once from its own stream at
+the largest M, which a smaller M reads through ``cgauss_prefix``.
 
 Randomness is addressed, not sequenced: every placement and every
 (block, unit) pair gets its own seed-derived substream (``stream(seed,
@@ -79,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .asymptotics import build_moment_set, sse, theorem1_sse
-from .channel import cgauss
+from .channel import cgauss, cgauss_prefix
 from .config import ConfigError, ExperimentConfig, RunConfig, SystemConfig, json_text
 from .links import (
     DOMAIN_BLOCK,
@@ -101,8 +97,8 @@ from .optimize import expected_floor_table, optimal_num_devices
 from .scenario import place_devices
 
 _MC_KSWEEP_CAP = 225  # sampled device-count curves cap the array size here
-# Refade chunks: one kernel holds a chunk's stacked (c, N, K, M) channels
-# (16 N K M bytes per draw) and a few temporaries of that size.
+# Refade chunks: a kernel's stacked channels (16 N K M bytes per draw) and
+# a shared draw at the largest M (16 (N K P + M) bytes per draw) fit this.
 _REFADE_CHUNK_BYTES = 256 * 1024
 
 
@@ -266,19 +262,30 @@ def _unit_blocks(spec: ExperimentSpec, view: PanelView, p: int, blocks, k: int):
         yield make_unit_stats(geom, draw, cfg, spec.experiment.interference), draw
 
 
-def _refade_chunks(spec: ExperimentSpec, cfg: SystemConfig, p: int, R: int, n: int, k: int):
-    """Fresh fading and noise of realizations 0..R-1 of unit (n, k) on the
-    frozen block-0 condition, r from stream address b = r + 1, in chunks:
-    yields (realization slice, g (c, N, K, P), w (c, M)) with c as many
-    draws as fit their channels in ``_REFADE_CHUNK_BYTES``. The streams are
-    hashed and opened per call, not per chunk: at large M a chunk is a draw."""
-    chunk = max(1, _REFADE_CHUNK_BYTES // (16 * cfg.N * cfg.K * cfg.M))
-    streams = Substreams(
-        stream_words(spec.system.seed, DOMAIN_BLOCK, p, np.arange(1, R + 1), n, k))
-    for start in range(0, R, chunk):
-        rs = slice(start, min(start + chunk, R))
-        g, w = cgauss(streams[rs], (cfg.N, cfg.K, cfg.P), (cfg.M,))
-        yield rs, g, w
+def _refades(spec: ExperimentSpec, p: int, rows: int, measure) -> list:
+    """fig4's and the oracle's engine: (cfg, stats, values) per array size
+    of placement p, stats unit (0, 0)'s frozen block-0 statistics and
+    values[:, r] the `rows` values ``measure(cfg, stats, channels, w)``
+    reads off realization r (stream b = r + 1), on the (c, N, K, M) channels
+    and (c, M) noise of c draws whose channels fit ``_REFADE_CHUNK_BYTES``.
+    Each stream is drawn once at the largest M (the sweep ascends), in as
+    many of its kernel chunks as fit their draws in that budget, at least one."""
+    units = [(cfg, stats) for _, dep, cfg in _sweep_points(spec, p)
+             for stats, _ in _unit_blocks(spec, panel_view(dep, cfg, 0), p, [0], 0)]
+    R, top = spec.experiment.realizations, units[-1][0]
+    values = np.empty((len(units), rows, R))  # filled in place: kept chunks fragment the heap
+    chunks = [max(1, _REFADE_CHUNK_BYTES // (16 * cfg.N * cfg.K * cfg.M)) for cfg, _ in units]
+    size = 16 * (top.N * top.K * top.P + top.M)
+    draws = chunks[-1] * max(1, _REFADE_CHUNK_BYTES // (size * chunks[-1]))
+    streams = Substreams(stream_words(spec.system.seed, DOMAIN_BLOCK, p, np.arange(1, R + 1), 0, 0))
+    for start in range(0, R, draws):
+        g, w = cgauss(streams[start:start + draws], (top.N, top.K, top.P), (top.M,))
+        for (cfg, stats), chunk, out in zip(units, chunks, values[..., start:start + draws]):
+            w_m = cgauss_prefix(w, cfg.M)
+            for a in range(0, len(g), chunk):  # one sub-chunk's channels alive at a time
+                out[:, a:a + chunk] = measure(
+                    cfg, stats, sample_unit_channels(stats, g[a:a + chunk]), w_m[a:a + chunk])
+    return [(*unit, out) for unit, out in zip(units, values)]
 
 
 def _sweep_points(spec: ExperimentSpec, p: int):
@@ -353,24 +360,16 @@ def _se_variance(spec: ExperimentSpec, p: int):
     scattering angles) is frozen per placement so the statistic isolates
     channel hardening. One record per placement carries the
     within-placement variance; curves then average over placements."""
-    R = spec.experiment.realizations
-    recs, mean_se = [], {}
-    for M, dep, cfg in _sweep_points(spec, p):
+    def se(cfg, stats, ch, w):
         t = cfg.pilot_len
-        [(stats, _)] = _unit_blocks(spec, panel_view(dep, cfg, 0), p, [0], 0)
-        systems = ((stats, cfg.N), (slice_stats(stats, N=1), 1))
-        se = np.empty((2, R))
-        for rs, g, w in _refade_chunks(spec, cfg, p, R, 0, 0):
-            ch = sample_unit_channels(stats, g)
-            for row, (s, N) in zip(se, systems):
-                kern = BlockKernel(s, ch[..., :N, :, :], w)
-                row[rs] = [sse(gamma, t, cfg.T) for gamma in kern.gamma(t)]
-            # freed before the next chunk's sample: two live chunks' channels
-            # fragment the heap, which then faults fresh pages in per chunk
-            del ch
-        for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), se):
-            recs.append((float(M), label, p, 0, float(np.var(row, ddof=1)) if R > 1 else 0.0))
-            mean_se.setdefault(label, {})[M] = float(np.mean(row))
+        return [[sse(gamma, t, cfg.T) for gamma in BlockKernel(s, ch[..., :N, :, :], w).gamma(t)]
+                for s, N in ((stats, cfg.N), (slice_stats(stats, N=1), 1))]
+    recs, mean_se = [], {}
+    for cfg, _, rows in _refades(spec, p, 2, se):
+        for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), rows):
+            recs.append((float(cfg.M), label, p, 0,
+                         float(np.var(row, ddof=1)) if row.size > 1 else 0.0))
+            mean_se.setdefault(label, {})[cfg.M] = float(np.mean(row))
     return recs, {"mean_se": mean_se}
 
 
@@ -498,26 +497,16 @@ def _oracle_entry(samples, closed: float) -> dict:
 def _oracle(spec: ExperimentSpec, p: int):
     """Sampling oracle: conditional means of X, Y, Z, I of unit (0, 0)
     versus their closed forms on one frozen channel-statistics draw per
-    array size.
-
-    The gating coins and scattered-path angles come from the same
-    substream at every M (they are drawn before anything M-shaped), so the
-    array sizes share one channel condition and the leakage-formula error
-    can be compared across M.
-    """
-    R = spec.experiment.realizations
+    array size. The gating coins and scattered-path angles come from the
+    same substream at every M, drawn before anything M-shaped, so the array
+    sizes share one channel condition and the leakage error compares across M."""
+    def moments(cfg, stats, ch, w):
+        kt = BlockKernel(stats, ch, w).terms(cfg.pilot_len)
+        return kt.X, np.sum(stats.geom.rho_d * kt.Y, axis=(-2, -1)), kt.Z, kt.I
     recs, report = [], []
-    for M, dep, cfg in _sweep_points(spec, p):
-        t = cfg.pilot_len
-        [(stats, _)] = _unit_blocks(spec, panel_view(dep, cfg, 0), p, [0], 0)
-        ms = build_moment_set(stats)
-        M2 = float(cfg.M) ** 2
-        samples = np.empty((4, R))  # X, Y total, Z, I
-        for rs, g, w in _refade_chunks(spec, cfg, p, R, 0, 0):
-            terms = BlockKernel(stats, sample_unit_channels(stats, g), w).terms(t)
-            samples[:, rs] = (terms.X, np.sum(ms.rho_d * terms.Y, axis=(-2, -1)),
-                              terms.Z, terms.I)
-        for r, (x, y, z, i) in enumerate(samples.T.tolist()):
+    for cfg, stats, rows in _refades(spec, p, 4, moments):  # X, Y total, Z, I
+        M, t, M2, ms = cfg.M, cfg.pilot_len, float(cfg.M) ** 2, build_moment_set(stats)
+        for r, (x, y, z, i) in enumerate(rows.T.tolist()):
             recs += [(float(M), "X", p, r, x), (float(M), "Y total", p, r, y),
                      (float(M), "Z", p, r, z), (float(M), "I over M^2", p, r, i / M2)]
         closed = (ms.mu_X(t), float(np.sum(ms.rho_d * ms.mu_Y_bar(t))), ms.mu_Z(t), ms.mu_I_bar(t))
@@ -525,8 +514,8 @@ def _oracle(spec: ExperimentSpec, p: int):
             "M": M, "unit": [0, 0], "t": t,
             "kappa": [[float(v) for v in row] for row in stats.kappa],
             **{name: _oracle_entry(row, c)
-               for name, row, c in zip(("X", "Y_total", "Z", "I"), samples, closed)},
-            "I_over_M2": _oracle_entry(samples[3] / M2, closed[3] / M2),
+               for name, row, c in zip(("X", "Y_total", "Z", "I"), rows, closed)},
+            "I_over_M2": _oracle_entry(rows[3] / M2, closed[3] / M2),
         })
     return recs, {"oracle": report}
 

@@ -66,8 +66,11 @@ unit's statistics and of its sampled channels.
 ``cgauss`` draws complex Gaussians with two ``standard_normal`` calls,
 the real block and then the imaginary block, against ``channel.cgauss``'s
 one call per layout. ``refades`` draws one fig4/oracle realization from
-its own stream with two such draws, against the chunks of
-``harness._refade_chunks``.
+its own stream with two such draws at one array size, against
+``harness._refades``, which draws each stream once at the sweep's
+largest size. ``se_variance`` (above) and ``oracle`` are fig4 and the
+moment oracle built on ``refades``, one realization and one kernel at a
+time.
 
 ``expected_floor_table`` is the Theorem 2 floor table built from a
 deployment and a system config, one whole-pool unit geometry at a time
@@ -604,23 +607,55 @@ def twin_blocks(spec, dep, cfg, p: int, blocks, k: int):
 
 
 def se_variance(spec, p: int):
-    """fig4 on a twin system: the twin's kernel samples panel 0's channels
-    from its own statistics and the first panel of every refade."""
+    """fig4 on a twin system, one realization at a time: the twin's kernel
+    samples panel 0's channels from its own statistics and the first panel
+    of every ``refades`` draw, made at each array size on its own."""
     R = spec.experiment.realizations
     recs, mean_se = [], {}
     for M, dep, cfg in harness._sweep_points(spec, p):
         t = cfg.pilot_len
         (frozen,) = twin_blocks(spec, dep, cfg, p, [0], 0)
         se = np.empty((2, R))
-        for rs, g, w in harness._refade_chunks(spec, cfg, p, R, 0, 0):
+        for r in range(R):
+            g, w = refades(spec, cfg, p, r, 0, 0)
             for i, (stats, draw) in enumerate(frozen):
-                ch = sample_unit_channels(stats, g[:, : len(draw.g)])
-                gammas = BlockKernel(stats, ch, w).gamma(t)
-                se[i, rs] = [sse(gamma, t, cfg.T) for gamma in gammas]
+                ch = sample_unit_channels(stats, g[: len(draw.g)])
+                se[i, r] = sse(BlockKernel(stats, ch, w).gamma(t), t, cfg.T)
         for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), se):
             recs.append((float(M), label, p, 0, float(np.var(row, ddof=1)) if R > 1 else 0.0))
             mean_se.setdefault(label, {})[M] = float(np.mean(row))
     return recs, {"mean_se": mean_se}
+
+
+def oracle(spec, p: int):
+    """The moment oracle one realization at a time: unit (0, 0)'s block-0
+    statistics at each array size, a kernel on every ``refades`` draw made
+    at that size, and the sample means against the moment set's closed
+    forms."""
+    R = spec.experiment.realizations
+    recs, report = [], []
+    for M, dep, cfg in harness._sweep_points(spec, p):
+        t, M2 = cfg.pilot_len, float(M) ** 2
+        [(stats, _)] = harness._unit_blocks(spec, panel_view(dep, cfg, 0), p, [0], 0)
+        ms = build_moment_set(stats)
+        samples = np.empty((4, R))  # X, Y total, Z, I
+        for r in range(R):
+            g, w = refades(spec, cfg, p, r, 0, 0)
+            terms = BlockKernel(stats, sample_unit_channels(stats, g), w).terms(t)
+            samples[:, r] = terms.X, np.sum(ms.rho_d * terms.Y), terms.Z, terms.I
+            recs += [(float(M), "X", p, r, float(terms.X)),
+                     (float(M), "Y total", p, r, float(samples[1, r])),
+                     (float(M), "Z", p, r, float(terms.Z)),
+                     (float(M), "I over M^2", p, r, float(terms.I) / M2)]
+        closed = (ms.mu_X(t), float(np.sum(ms.rho_d * ms.mu_Y_bar(t))), ms.mu_Z(t), ms.mu_I_bar(t))
+        report.append({
+            "M": M, "unit": [0, 0], "t": t,
+            "kappa": [[float(v) for v in row] for row in stats.kappa],
+            **{name: harness._oracle_entry(row, c)
+               for name, row, c in zip(("X", "Y_total", "Z", "I"), samples, closed)},
+            "I_over_M2": harness._oracle_entry(samples[3] / M2, closed[3] / M2),
+        })
+    return recs, {"oracle": report}
 
 
 def panel0_sse(spec, p: int):

@@ -23,7 +23,7 @@ from lis_uplink import (
     rician_mixing,
     sample_unit_channels,
 )
-from lis_uplink.channel import _phase_ramp, root_matrix_from_angles
+from lis_uplink.channel import _phase_ramp, cgauss_prefix, root_matrix_from_angles
 from lis_uplink.config import SPEED_OF_LIGHT
 from lis_uplink.links import slice_stats
 
@@ -455,6 +455,22 @@ class TestComplexGaussian:
                                   np.atleast_1d(expected).view(np.uint64))
         for a, b in zip(got_rngs, want_rngs):
             assert a.bit_generator.state == b.bit_generator.state
+
+    @given(lead=st.lists(st.integers(0, 4), max_size=3).map(tuple),
+           sizes=st.lists(st.integers(0, 40), min_size=2, max_size=2).map(sorted),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+           batched=st.booleans())
+    def test_prefix_of_a_longer_draw_is_the_shorter_draw(self, lead, sizes, seeds, batched):
+        # a draw of `size` entries after a leading shape, read off the draw
+        # of `longer` entries from the same generator states, bit for bit
+        size, longer = sizes
+        rngs = [np.random.default_rng(s) for s in seeds[: len(seeds) if batched else 1]]
+        _, want = cgauss(rngs if batched else rngs[0], lead, size)
+        rngs = [np.random.default_rng(s) for s in seeds[: len(seeds) if batched else 1]]
+        _, z = cgauss(rngs if batched else rngs[0], lead, longer)
+        got = cgauss_prefix(z, size)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_unit_variance(self):
         z = cgauss(np.random.default_rng(1), 200_000)

@@ -291,53 +291,74 @@ class _Recorded:
 
 
 class TestRefadeChunks:
-    """fig4 and the oracle draw R fresh (g, w) pairs on one frozen block,
-    each from its own stream in one normal draw, and build one kernel per
-    chunk of them, not one per draw. The R streams are hashed in one pass
-    and opened on one generator per (unit, sweep point). fig4 builds two
-    kernels per chunk on one sample of its channels: the multi-LIS unit's
-    and its single-LIS twin's, the panel-0 cut."""
+    """fig4 and the oracle draw R fresh (g, w) pairs on one frozen block per
+    array size and build one kernel per chunk of them, not one per draw.
+    ``_refades`` is their one engine: each realization's stream is
+    hashed (one pass for all R), opened (one generator for all R) and drawn
+    once per placement, at the sweep's largest M, and every smaller M
+    reads its noise off that draw. fig4 builds two kernels per chunk on one
+    sample of its channels: the multi-LIS unit's and its single-LIS twin's,
+    the panel-0 cut."""
 
     @given(N=st.integers(1, 3), K=st.integers(1, 3), P=st.integers(1, 4),
-           M=st.integers(1, 40), R=st.integers(1, 12), draws=st.integers(0, 5),
+           Ms=st.sets(st.integers(1, 40), min_size=1, max_size=3).map(sorted),
+           R=st.integers(1, 20), draws=st.integers(0, 5),
            spare=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
-    def test_chunks_equal_per_realization_oracle(self, N, K, P, M, R, draws, spare, seed):
-        # a budget of `draws` draws' channels plus a spare fraction of one
-        budget = 16 * N * K * M * draws + int(16 * N * K * M * spare)
-        spec = SimpleNamespace(system=SimpleNamespace(seed=seed))
-        cfg = SimpleNamespace(N=N, K=K, P=P, M=M)
-        p, n, k = 2, N - 1, K - 1
-        ends, gens, opened = [], [], []
-        iterate, unit_rng = links.Substreams.__iter__, links.stream
+    def test_chunks_equal_per_realization_oracle(self, N, K, P, Ms, R, draws, spare, seed):
+        # a budget of `draws` draws' channels at the largest M plus a spare
+        # fraction of one: smaller sizes fit more draws per kernel
+        budget = 16 * N * K * Ms[-1] * draws + int(16 * N * K * Ms[-1] * spare)
+        spec = SimpleNamespace(system=SimpleNamespace(seed=seed),
+                               experiment=SimpleNamespace(realizations=R))
+        cfgs = [SimpleNamespace(N=N, K=K, P=P, M=M) for M in Ms]
+        p = 2
+        ends, gens, hashes, calls = [], [], [], []
+        iterate, hash_words = links.Substreams.__iter__, hz.stream_words
 
         def recording_rows(streams):
             for gen in iterate(streams):
                 gens.append(gen)
                 yield _Recorded(gen, ends)
 
-        def recording_rng(*args):
-            opened.append(unit_rng(*args))
-            return opened[-1]
+        def recording_words(*args):
+            hashes.append(args)
+            return hash_words(*args)
 
+        def measure(cfg, stats, g, w):
+            calls.append((cfg.M, g, w))
+            return w.real[:, :1].T
+
+        # the sweep points' statistics stubbed out and the channels sampled
+        # as the fading itself, so `measure` sees each sub-chunk's (g, w)
         with mock.patch.object(hz, "_REFADE_CHUNK_BYTES", budget), \
                 mock.patch.object(links.Substreams, "__iter__", recording_rows), \
-                mock.patch.object(hz, "stream", recording_rng), \
-                mock.patch.object(reference, "stream", recording_rng):
-            chunks = list(hz._refade_chunks(spec, cfg, p, R, n, k))
-            assert opened == []
-            want = [reference.refades(spec, cfg, p, r, n, k) for r in range(R)]
-        assert len(opened) == len(gens) == len(ends) == R
+                mock.patch.object(hz, "stream_words", recording_words), \
+                mock.patch.object(hz, "_sweep_points", lambda spec, p: [
+                    (cfg.M, None, cfg) for cfg in cfgs]), \
+                mock.patch.object(hz, "panel_view", lambda dep, cfg, n: None), \
+                mock.patch.object(hz, "_unit_blocks", lambda *args: [(None, None)]), \
+                mock.patch.object(hz, "sample_unit_channels", lambda stats, g: g):
+            out = hz._refades(spec, p, 1, measure)
+        # each stream hashed, opened and drawn once, on one generator
+        assert len(hashes) == 1 and len(gens) == len(ends) == R
         assert len({id(gen) for gen in gens}) == 1
-        assert [(rs.start, rs.stop) for rs, _, _ in chunks] == [
-            (a, min(a + max(1, draws), R)) for a in range(0, R, max(1, draws))]
-        g = np.concatenate([g for _, g, _ in chunks])
-        w = np.concatenate([w for _, _, w in chunks])
-        assert g.shape == (R, N, K, P) and w.shape == (R, M)
-        assert np.array_equal(g.view(np.uint64), np.stack([g for g, _ in want]).view(np.uint64))
-        assert np.array_equal(w.view(np.uint64), np.stack([w for _, w in want]).view(np.uint64))
-        # every realization's stream is left where the two-call draws leave it
-        for end, rng in zip(ends, opened):
-            assert end == rng.bit_generator.state
+        assert [cfg for cfg, _, _ in out] == cfgs
+        for cfg, (_, _, values) in zip(cfgs, out):
+            mine = [(g, w) for M, g, w in calls if M == cfg.M]
+            chunk = max(1, budget // (16 * N * K * cfg.M))
+            assert all(len(g) <= chunk for g, _ in mine)
+            if cfg is cfgs[-1]:
+                # the shared draws hold whole kernel chunks of the largest M
+                assert [len(g) for g, _ in mine] == [min(chunk, R - a) for a in range(0, R, chunk)]
+            want = [reference.refades(spec, cfg, p, r, 0, 0) for r in range(R)]
+            g = np.concatenate([g for g, _ in mine])
+            w = np.concatenate([w for _, w in mine])
+            assert g.shape == (R, N, K, P) and w.shape == (R, cfg.M)
+            assert np.array_equal(g.view(np.uint64),
+                                  np.stack([g for g, _ in want]).view(np.uint64))
+            assert np.array_equal(w.view(np.uint64),
+                                  np.stack([w for _, w in want]).view(np.uint64))
+            assert np.array_equal(values, [[w.real[0] for _, w in want]])
 
     @pytest.mark.parametrize("exp_id, systems", [("oracle", 1), ("fig4", 2)])
     def test_one_kernel_per_chunk_and_one_refade_per_realization(self, exp_id, systems,
@@ -346,7 +367,7 @@ class TestRefadeChunks:
         rc = preset_run_config(exp_id, seed=3).with_overrides({
             "experiment.sweep_values": list(Ms), "experiment.realizations": R,
             "experiment.placements": 1})
-        N, K = rc.system.N, rc.system.K
+        N, K, P = rc.system.N, rc.system.K, rc.system.P
         counts, gens = {}, []
 
         def counting(name, fn):
@@ -367,26 +388,47 @@ class TestRefadeChunks:
         monkeypatch.setattr(hz, "sample_unit_channels",
                             counting("channels", hz.sample_unit_channels))
         monkeypatch.setattr(hz, "stream_words", counting("hashes", hz.stream_words))
+        monkeypatch.setattr(hz, "cgauss", counting("draws", hz.cgauss))
         monkeypatch.setattr(links.Substreams, "__iter__", recording_rows)
         records = []
-        # the default budget, then one that splits M = 16 into chunks of 3
-        # draws and leaves one draw per chunk at M = 36
+        # the default budget, then one that leaves 3 draws per kernel chunk
+        # at M = 16 and one at M = 36, and 2 (fig4) or 3 (oracle) per
+        # shared draw chunk
         for budget in (hz._REFADE_CHUNK_BYTES, 3 * 16 * N * K * 16):
             monkeypatch.setattr(hz, "_REFADE_CHUNK_BYTES", budget)
-            counts.update(kernels=0, channels=0, streams=0, hashes=0)
+            counts.update(kernels=0, channels=0, streams=0, hashes=0, draws=0)
             gens.clear()
             records.append(run_experiment(rc).records)
-            chunk = {M: max(1, budget // (16 * N * K * M)) for M in Ms}
-            chunks = sum(math.ceil(R / chunk[M]) for M in Ms)
-            # one sample of each chunk's channels, and one kernel on it per
-            # system (fig4: the twin's on its panel-0 cut); each M opens the
-            # frozen block's stream and hashes its R refade streams once,
-            # whatever the chunking
+            top = max(1, budget // (16 * N * K * Ms[-1]))
+            draws = top * max(1, budget // (16 * (N * K * P + Ms[-1]) * top))
+            sizes = [min(draws, R - a) for a in range(0, R, draws)]
+            chunks = sum(math.ceil(c / max(1, budget // (16 * N * K * M)))
+                         for M in Ms for c in sizes)
+            # one sample of each sub-chunk's channels, and one kernel on it
+            # per system (fig4: the twin's on its panel-0 cut); each M opens
+            # the frozen block's stream once, and the R refade streams are
+            # hashed once and drawn once per shared draw chunk, at the
+            # largest M, whatever the chunking
             assert counts == {"kernels": systems * chunks, "channels": chunks,
-                              "streams": len(Ms), "hashes": len(Ms)}
-            # one generator per M, reseeded for each of its realizations
-            assert len(gens) == R * len(Ms) and len({id(gen) for gen in gens}) == len(Ms)
+                              "streams": len(Ms), "hashes": 1, "draws": len(sizes)}
+            # one generator, reseeded for each realization
+            assert len(gens) == R and len({id(gen) for gen in gens}) == 1
         assert records[0] == records[1]
+
+    @pytest.mark.parametrize("exp_id, oracle", [("fig4", reference.se_variance),
+                                                ("oracle", reference.oracle)])
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_records_equal_per_realization_oracle(self, exp_id, oracle, budget, monkeypatch):
+        # the default chunking, and one draw per chunk
+        if budget is not None:
+            monkeypatch.setattr(hz, "_REFADE_CHUNK_BYTES", budget)
+        rc = preset_run_config(exp_id, seed=SEED).with_overrides({
+            "experiment.sweep_values": [16, 25, 64], "experiment.realizations": 12,
+            "experiment.placements": 2})
+        got = run_experiment(rc)
+        want = hz._run(ExperimentSpec.from_run_config(rc), oracle, workers=1)
+        assert [tuple(r) for r in got.records] == [tuple(r) for r in want.records]
+        assert got.extras == want.extras
 
 
 class TestOneKernelPerUnit:
