@@ -24,8 +24,10 @@ SINRs and moment sets. fig5, fig6 and fig6b share one reduction,
 ``_panel0_sse``; fig6b's row turns on its exact-filter (perfect-CSI)
 curves.
 
-The device-count figures (fig8, fig9) sample under ``_pool_config``
-(K = pool, t unset), so every draw has the pool's shape, on the prefix of
+The device-count frame, ``_floor_counts``, places a placement's pool once
+and yields, per floor array size, the pool config (K = pool, t unset) and
+the count maximizing the Theorem 2 floor NSE. fig8 and fig9 sample under
+that config, so every draw has the pool's shape, on the prefix of
 admitted devices, so geometry is built for those alone. ``_sampled_nse``
 draws each unit once per block and builds one kernel on the largest
 admitted count of its K grid; every smaller count is read off that kernel
@@ -55,8 +57,8 @@ alive at a time.
 
 The optimizer objectives are engine calls on a config whose interference
 regime alone is resolved: ``pilot_objective`` is t -> panel 0's Theorem 1
-SSE on placement 0, block 0; ``device_count`` is the floor-bound device
-count on a placement's pool, fig8's and ``lis-sim optimize-k``'s one path.
+SSE on placement 0, block 0; ``device_count`` (``lis-sim optimize-k``)
+is ``_floor_counts`` at the config's array size, fig8's one point.
 """
 
 from __future__ import annotations
@@ -235,10 +237,9 @@ def _pmap(fn, tasks, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=1))
 
 
-def _place(spec: ExperimentSpec, p_idx: int, pool: bool = False):
-    """Devices of placement p_idx; with pool, the largest common placeable
-    pool up to ``PlacementConfig.pool_target``."""
-    K = spec.placement.pool_target(spec.system.T) if pool else None
+def _place(spec: ExperimentSpec, p_idx: int, K: int | None = None):
+    """Devices of placement p_idx: the config's K per panel or, with K, the
+    largest common placeable count up to K."""
     return place_devices(spec.system, spec.layout, placement_rng(spec.system.seed, p_idx),
                          placement=spec.placement, K=K)
 
@@ -295,9 +296,17 @@ def _sweep_points(spec: ExperimentSpec, p: int):
         yield M, dep, dataclasses.replace(spec.system, M=M)
 
 
-def _pool_config(spec: ExperimentSpec, pool, **changes) -> SystemConfig:
-    """Config of a device-count sweep point: K = pool.K, t unset, `changes`."""
-    return dataclasses.replace(spec.system, K=pool.K, t=None, **changes)
+def _floor_counts(spec: ExperimentSpec, p: int, Ms):
+    """fig8's, fig9's and ``device_count``'s frame: placement p's pool,
+    placed once up to ``PlacementConfig.pool_target``, then (pool, cfg,
+    sol) per floor array size M in Ms, cfg the pool config (K = pool.K, t
+    unset, M) and sol the count maximizing the Theorem 2 floor NSE on it."""
+    pool = _place(spec, p, K=spec.placement.pool_target(spec.system.T))
+    for M in Ms:
+        cfg = dataclasses.replace(spec.system, K=pool.K, t=None, M=M)
+        # the table is not kept: it would stay alive through the caller's sampling
+        yield pool, cfg, optimal_num_devices(
+            expected_floor_table(pool, cfg, spec.experiment.interference), cfg.T)
 
 
 def _sampled_nse(spec: ExperimentSpec, pool, cfg: SystemConfig, p: int, K_grid) -> list:
@@ -323,19 +332,11 @@ def _sampled_nse(spec: ExperimentSpec, pool, cfg: SystemConfig, p: int, K_grid) 
     return [{K: sse(gam[K][i], K, cfg.T) for K in K_grid} for i in range(R)]
 
 
-def _optimal_count(spec: ExperimentSpec, pool, cfg: SystemConfig):
-    """Device count maximizing the Theorem 2 floor NSE over `pool` under
-    its ``_pool_config`` `cfg`."""
-    table = expected_floor_table(pool, cfg, spec.experiment.interference)
-    return optimal_num_devices(table, cfg.T)
-
-
 def device_count(rc: RunConfig, p: int = 0):
-    """(``SchedulingSolution``, pool ``Deployment``): the count maximizing
-    the Theorem 2 floor NSE over placement p's pool under ``_pool_config``."""
-    spec = _optimizer_spec(rc)
-    pool = _place(spec, p, pool=True)
-    return _optimal_count(spec, pool, _pool_config(spec, pool)), pool
+    """(``SchedulingSolution``, pool ``Deployment``): ``_floor_counts`` of
+    placement p at the config's array size."""
+    [(pool, _, sol)] = _floor_counts(_optimizer_spec(rc), p, [rc.system.M])
+    return sol, pool
 
 
 def pilot_objective(rc: RunConfig) -> Callable[[int], float]:
@@ -447,13 +448,12 @@ def _pilot(spec: ExperimentSpec, p: int):
 def _ksweep(spec: ExperimentSpec, p: int):
     """fig8: deterministic NSE(K) curve over the placeable pool plus a
     sampled cross-check curve at a tractable array size."""
-    cfg, exp = spec.system, spec.experiment
-    sol, pool = device_count(spec, p)
+    [(pool, cfg, sol)] = _floor_counts(spec, p, [spec.system.M])
     recs = [(float(K), "Theorem 2 bound NSE", p, 0, float(v))
             for K, v in zip(sol.K_values, sol.nse_curve) if math.isfinite(v)]
     mc_M = cfg.M if cfg.M <= _MC_KSWEEP_CAP else 196
-    K_grid = sorted({K for K in exp.sweep_values if K <= pool.K} | {sol.K_opt})
-    nse = _sampled_nse(spec, pool, _pool_config(spec, pool, M=mc_M), p, K_grid)
+    K_grid = sorted({K for K in spec.experiment.sweep_values if K <= pool.K} | {sol.K_opt})
+    nse = _sampled_nse(spec, pool, dataclasses.replace(cfg, M=mc_M), p, K_grid)
     recs += [(float(K), "Monte Carlo NSE", p, b, nse_b[K])
              for b, nse_b in enumerate(nse) for K in K_grid]
     extras = {"pool": pool.K, "K_opt": sol.K_opt, "nse_opt": sol.nse_opt, "mc_M": mc_M,
@@ -469,21 +469,17 @@ def _nse_vs_m(spec: ExperimentSpec, p: int):
     size, so each unit is drawn and its kernel built once per block for the
     larger count; records list every block of the optimized-K policy, then
     every block of K=20."""
-    exp = spec.experiment
-    dep = _place(spec, p, pool=True)
     recs, K_opt = [], {}
-    for M in exp.sweep_values:
-        cfg = _pool_config(spec, dep, M=M)
-        sol = _optimal_count(spec, dep, cfg)
-        K_opt[M] = sol.K_opt
-        recs.append((float(M), "Theorem 2 bound NSE at optimized K", p, 0, sol.nse_opt))
+    for pool, cfg, sol in _floor_counts(spec, p, spec.experiment.sweep_values):
+        K_opt[cfg.M] = sol.K_opt
+        recs.append((float(cfg.M), "Theorem 2 bound NSE at optimized K", p, 0, sol.nse_opt))
         policies = ((sol.K_opt, "Monte Carlo NSE at optimized K"),
-                    (min(20, dep.K), "Monte Carlo NSE at K=20"))
+                    (min(20, pool.K), "Monte Carlo NSE at K=20"))
         K_grid = sorted({K for K, _ in policies})
-        nse = _sampled_nse(spec, dep, cfg, p, K_grid)
+        nse = _sampled_nse(spec, pool, cfg, p, K_grid)
         for K, label in policies:
-            recs += [(float(M), label, p, b, nse_b[K]) for b, nse_b in enumerate(nse)]
-    return recs, {"pool": dep.K, "K_opt": K_opt}
+            recs += [(float(cfg.M), label, p, b, nse_b[K]) for b, nse_b in enumerate(nse)]
+    return recs, {"pool": pool.K, "K_opt": K_opt}
 
 
 def _oracle_entry(samples, closed: float) -> dict:

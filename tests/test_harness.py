@@ -765,8 +765,9 @@ class TestRunExperiment:
 
 class TestOptimizerObjectives:
     """The optimizers read the figures' engine paths: the pilot objective is
-    fig7's Theorem 1 curve of placement 0, block 0, and ``optimize-k``
-    writes fig8's deterministic device-count solution of placement 0."""
+    fig7's Theorem 1 curve of placement 0, block 0, ``optimize-k`` writes
+    fig8's deterministic device-count solution of placement 0, and fig9's
+    optimized count at the config's array size is ``device_count``'s."""
 
     def test_pilot_objective_is_fig7_theorem1_of_block_0(self):
         ts = (3, 5, 9, 20, 41, 60)
@@ -783,7 +784,9 @@ class TestOptimizerObjectives:
         rc = preset_run_config("fig8", seed=3).with_overrides({
             "system.M": 36, "system.T": 20, "placement.pool_size": 8,
             "experiment.realizations": 1, "experiment.placements": 2})
-        # fig8 hands device_count its resolved spec, which must resolve to itself
+        # fig8 and optimize-k share the device-count frame, which fig8 reads
+        # on its resolved spec and optimize-k on that spec's optimizer view:
+        # the two must be equal
         spec = ExperimentSpec.from_run_config(rc)
         assert hz._optimizer_spec(spec) == spec
         write_outputs(run_experiment(rc), tmp_path / "fig8")
@@ -797,6 +800,19 @@ class TestOptimizerObjectives:
         assert {key: got[key] for key in ("K_opt", "nse_opt", "nse_curve", "pool")} == {
             "K_opt": fig8["K_opt"], "nse_opt": fig8["nse_opt"],
             "nse_curve": fig8["det_curve"], "pool": fig8["pool"]}
+
+    def test_fig9_optimized_count_at_system_m_is_device_count(self):
+        rc = preset_run_config("fig9", seed=3).with_overrides({
+            "system.M": 36, "experiment.sweep_values": [16, 36], "placement.pool_size": 24,
+            "experiment.realizations": 1, "experiment.placements": 2})
+        got = run_experiment(rc)
+        for p, extras in enumerate(got.extras["placements"]):
+            sol, pool = hz.device_count(rc, p)
+            # below the pool, so the count is the bound's choice, not the cap
+            assert sol.K_opt < pool.K == extras["pool"]
+            bound = [r.value for r in got.records if r.placement == p and r.sweep_value == 36.0
+                     and r.label == "Theorem 2 bound NSE at optimized K"]
+            assert (extras["K_opt"][36], bound) == (sol.K_opt, [sol.nse_opt])
 
 
 class TestPlacementRequests:

@@ -581,6 +581,22 @@ class TestBlockKernel:
         gaps = np.abs(np.asarray(z) - kernel.u_norm2)
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_one_panel_sinr_converges_to_exact_filter(self, tiny_cfg, tiny_layout, k):
+        # one panel has no contamination, so the estimate's error is noise
+        # alone and the estimated-filter SINR reaches the exact filter's as
+        # t grows; the error falls ~10x per 100x in t
+        cfg = dataclasses.replace(tiny_cfg, N=1)
+        dep = place_devices(cfg, tiny_layout, placement_rng(cfg.seed, 0))
+        draw = draw_unit_block(stream(cfg.seed, DOMAIN_BLOCK, 0, 0, 0, k),
+                               cfg.N, cfg.K, cfg.P, cfg.M)
+        stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, 0), k), draw, cfg)
+        ch = sample_unit_channels(stats, draw.g)
+        kernel, exact = BlockKernel(stats, ch, draw.w), exact_sinr(stats, ch)
+        errors = [abs(kernel.gamma(2 * 100**i) - exact) / exact for i in range(7)]
+        assert all(a > b for a, b in zip(errors, errors[1:])), errors
+        assert errors[-1] < 1e-6, errors
+
 
 class TestBlockKernelProperties:
     @given(
