@@ -15,10 +15,10 @@ no pilot length of its own, and ``MomentSet.mu_I_bar(t)`` assembles the
 composite interference at whatever pilot length the caller passes. The
 transmit SNRs and the serving power come from the unit's link budget
 (``UnitLinkGeometry``). The moments need the roots as matrices, so
-``build_moment_set`` densifies the unit's factored roots once; nothing
-else in the package builds the (N, K, M, P) tensor. The sums over pilot
-contaminators are BLAS matrix products against one stacked, weight-scaled
-matrix of contaminator roots, so no Python loop runs over contaminators.
+``build_moment_set`` densifies the unit's factored roots once, into an
+antenna-major (M, N*K*P) array nothing else builds. One matrix product of
+it with the weight-scaled contaminator roots and the mean estimate, stacked,
+gives every sum over contaminators: no Python loop runs over links.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ import numpy as np
 from .links import UnitChannelStats, contamination_weights, stream  # noqa: F401
 
 
-def _sq_norm(a: np.ndarray, axes: int = 1) -> np.ndarray:
-    """Sum of |a|^2 over the trailing ``axes`` axes of a complex array."""
-    flat = np.ascontiguousarray(a).reshape(*a.shape[: a.ndim - axes], -1).view(np.float64)
+def _sq_norm(a: np.ndarray) -> np.ndarray:
+    """Sum of |a|^2 over the last axis of a complex or real array."""
+    flat = np.ascontiguousarray(a).view(np.float64)
     return np.einsum("...i,...i->...", flat, flat)
 
 
@@ -68,12 +68,10 @@ class MomentSet:
     p_bar: float                # deterministic serving power of the unit
 
     def mu_X(self, t) -> float:
-        t = _check_t(t)
-        return self.var_x_const + self.var_x_noise / t + abs(self.mu_x) ** 2
+        return self.var_x_const + self.var_x_noise / _check_t(t) + abs(self.mu_x) ** 2
 
     def mu_Y_bar(self, t) -> np.ndarray:
-        t = _check_t(t)
-        return self.var_y_const + self.var_y_noise / t + np.abs(self.mu_y) ** 2
+        return self.var_y_const + self.var_y_noise / _check_t(t) + np.abs(self.mu_y) ** 2
 
     def mu_Z(self, t) -> float:
         return self.var_z_const + self.var_z_noise / _check_t(t) + self.z_mean_sq
@@ -101,62 +99,64 @@ def build_moment_set(stats: UnitChannelStats) -> MomentSet:
     """Evaluate all closed-form moments of one unit under its link budget."""
     geom = stats.geom
     n, k = geom.n, geom.k
-    N, K = geom.p_los.shape
-    roots = stats.roots.dense()  # (N, K, M, P)
-    M, P = roots.shape[2:]
+    roots = np.moveaxis(stats.roots.dense(), 2, 0)  # dense()'s (M, N, K, P) buffer
+    M, N, K, P = roots.shape
     hlos_own = geom.hlos[n, k]
     rho_p_own = float(geom.rho_p[n, k])
     hbar = stats.hbar.reshape(N * K, M)
 
     sqrt_ratio = contamination_weights(geom.rho_p, n, k)
     cont_w = sqrt_ratio**2 * stats.nlos_var[:, k]  # scattered-power weight per contaminator
-
     mu_e = sqrt_ratio @ stats.hbar[:, k]
     h_mean = hlos_own + mu_e
 
-    # Every contaminator-weighted sum below runs over the columns of one
-    # (M, C*P) matrix: the live contaminators' conjugated roots side by
-    # side, each scaled by sqrt(cont_w[c]), so sum_c cont_w[c] |r_c^H v|^2
-    # is the squared norm of v @ conj_roots.
+    # lhs rows: the live contaminators' conjugated roots scaled by
+    # sqrt(cont_w[c]) (sum_c cont_w[c] |r_c^H v|^2 = ||lhs[:-1] @ v||^2),
+    # then conj(h_mean). Products with lhs run over antennas [0, M - M % 128)
+    # and the rest, summed in order: OpenBLAS (zgemm on Haswell) cuts a shared
+    # axis past 128 that is no multiple of 128 where its thread count decides.
     live = np.flatnonzero(cont_w > 0.0)
-    conj_roots = np.conj(
-        roots[live, k] * np.sqrt(cont_w[live])[:, np.newaxis, np.newaxis]
-    ).transpose(1, 0, 2).reshape(M, live.size * P)
+    lhs = np.empty((live.size * P + 1, M), dtype=complex)
+    np.multiply(roots[:, live, k], np.sqrt(cont_w[live])[:, np.newaxis],
+                out=lhs[:-1].reshape(live.size, P, M).transpose(2, 0, 1))
+    lhs[-1] = h_mean
+    np.conjugate(lhs, out=lhs)
+    el = cross = 0.0
+    cuts = sorted({0, M - M % 128, M})
+    for a, b in zip(cuts, cuts[1:]):
+        el += hbar[:, a:b] @ lhs[:, a:b].T  # (N K, C P + 1)
+        cross += lhs[:, a:b] @ roots[a:b].reshape(-1, N * K * P)
 
     # Y_lj = |h_hat^H h_lj|^2: mean from the two fixed means; variance from
     # the estimate's fluctuation against the interferer mean (EL) plus the
     # interferer's scattered part against the full estimate (EN).
-    mu_y = (hbar @ np.conj(h_mean)).reshape(N, K)
-    el_const = _sq_norm(hbar @ conj_roots).reshape(N, K)
+    mu_y, el_const = el[:, -1].reshape(N, K).copy(), _sq_norm(el[:, :-1]).reshape(N, K)
     el_noise = _sq_norm(hbar).reshape(N, K) / rho_p_own
 
-    # EN: term_a projects every interferer root on the mean estimate;
-    # term_b, the Lemma 2 cross term, is one matmul: the stacked
-    # contaminator roots (C*P, M) against every interferer's (M, P) root,
-    # batched over (l, j).
-    proj_en = np.conj(h_mean) @ roots                      # (N, K, P)
-    term_a = _sq_norm(proj_en)
-    term_b = _sq_norm(conj_roots.T @ roots, axes=2)
-    rootfrob = _sq_norm(roots, axes=2)
+    # EN: lhs against every interferer's root gives the Lemma 2 cross term
+    # (term_b) and the projection on the mean estimate (term_a). Each ramp
+    # entry has the modulus of its row-0 gain, so a root's squared norm is
+    # sum_m pathloss^2 * sum_p |ramp_v[0, p]|^2.
+    parts = _sq_norm(cross.reshape(-1, N, K, P))
+    term_a, term_b = parts[-1], np.sum(parts[:-1], axis=0)
+    rootfrob = _sq_norm(stats.roots.pathloss) * _sq_norm(stats.roots.ramp_v[..., 0, :])
     en_const = stats.nlos_var * (term_a + term_b)
     en_noise = stats.nlos_var * rootfrob / rho_p_own
 
-    var_y_const = el_const + en_const
-    var_y_noise = el_noise + en_noise
-    mu_y[n, k] = 0.0
-    var_y_const[n, k] = 0.0
-    var_y_noise[n, k] = 0.0
+    var_y_const, var_y_noise = el_const + en_const, el_noise + en_noise
+    for moment in (mu_y, var_y_const, var_y_noise):
+        moment[n, k] = 0.0  # the serving slot
 
     return MomentSet(
         # X = |e^H h_los|^2: mean of the Gaussian scalar plus its variance
         mu_x=complex(np.vdot(mu_e, hlos_own)),
-        var_x_const=float(_sq_norm(hlos_own @ conj_roots)),
+        var_x_const=float(el_const[n, k]),  # the serving link's EL: its hbar is h_los
         var_x_noise=geom.own_power / rho_p_own,
         mu_y=mu_y,
         var_y_const=var_y_const,
         var_y_noise=var_y_noise,
         # Z = ||h_hat||^2: the per-antenna variances summed, plus the mean's norm
-        var_z_const=float(np.sum(_sq_norm(conj_roots))),
+        var_z_const=float(cont_w @ rootfrob[:, k]),
         var_z_noise=M / rho_p_own,
         z_mean_sq=float(np.sum(np.abs(h_mean) ** 2)),
         rho_d=geom.rho_d,

@@ -86,15 +86,15 @@ class CorrelationRoot:
         return self.ramp_v.nbytes + self.ramp_h.nbytes + self.pathloss.nbytes
 
     def dense(self) -> np.ndarray:
-        """The (..., M, P) root matrices."""
-        # d_v kron d_h: entry m = iv * side + ih, vertical index major
+        """The (..., M, P) roots, a view of a contiguous (M, ..., P) buffer."""
+        # d_v kron d_h (m = iv * side + ih) off the side-major ramps, path loss on a real view
         *batch, side, P = self.ramp_v.shape
-        out = np.empty((*batch, side, side, P), dtype=complex)
-        np.multiply(self.ramp_v[..., :, np.newaxis, :], self.ramp_h[..., np.newaxis, :, :],
-                    out=out)
-        out = out.reshape(*batch, side * side, P)
-        out *= self.pathloss[..., :, np.newaxis]
-        return out
+        out = np.empty((side, side, *batch, P), dtype=complex)
+        v, h = np.moveaxis(self.ramp_v, -2, 0), np.moveaxis(self.ramp_h, -2, 0)
+        np.multiply(v[:, np.newaxis], h, out=out)
+        flat = out.reshape(side * side, *batch, P).view(np.float64)
+        flat *= np.moveaxis(self.pathloss, -1, 0)[..., np.newaxis]
+        return np.moveaxis(flat.view(complex), 0, -2)
 
 
 def half_angle_phasor(h: np.ndarray, gain=1.0, den=1.0, out=None) -> np.ndarray:

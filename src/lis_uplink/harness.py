@@ -251,9 +251,8 @@ def _unit_blocks(spec: ExperimentSpec, view: PanelView, p: int, blocks, k: int):
     Each draw keeps the config's device shape (so the stream is consumed
     as for any other count) and is cut to the view's first K devices per
     panel, every per-antenna noise sample kept: the admitted prefix in
-    ``_sampled_nse``, every device elsewhere. The statistics hold their
-    roots in factored form; dense (N, K, M, P) roots exist only inside
-    ``build_moment_set``."""
+    ``_sampled_nse``, every device elsewhere. The statistics hold factored
+    roots; only ``build_moment_set`` densifies them, antenna-major."""
     geom, cfg, n, K = build_unit_geometry(view, k), view.config, view.n, view.z.shape[1]
     for b in blocks:
         draw = draw_unit_block(stream(spec.system.seed, DOMAIN_BLOCK, p, b, n, k),
@@ -269,15 +268,16 @@ def _refades(spec: ExperimentSpec, p: int, rows: int, measure) -> list:
     values[:, r] the `rows` values ``measure(cfg, stats, channels, w)``
     reads off realization r (stream b = r + 1), on the (c, N, K, M) channels
     and (c, M) noise of c draws whose channels fit ``_REFADE_CHUNK_BYTES``.
-    Each stream is drawn once at the largest M (the sweep ascends), in as
-    many of its kernel chunks as fit their draws in that budget, at least one."""
+    Each stream is drawn once at the largest M (the sweep ascends), in chunks
+    of the most draws that fit that budget (at least its kernel chunk) and
+    that every smaller kernel chunk divides."""
     units = [(cfg, stats) for _, dep, cfg in _sweep_points(spec, p)
              for stats, _ in _unit_blocks(spec, panel_view(dep, cfg, 0), p, [0], 0)]
     R, top = spec.experiment.realizations, units[-1][0]
     values = np.empty((len(units), rows, R))  # filled in place: kept chunks fragment the heap
     chunks = [max(1, _REFADE_CHUNK_BYTES // (16 * cfg.N * cfg.K * cfg.M)) for cfg, _ in units]
-    size = 16 * (top.N * top.K * top.P + top.M)
-    draws = chunks[-1] * max(1, _REFADE_CHUNK_BYTES // (size * chunks[-1]))
+    fit = max(chunks[-1], _REFADE_CHUNK_BYTES // (16 * (top.N * top.K * top.P + top.M)))
+    draws = next(d for d in range(fit, 0, -1) if all(d % c == 0 for c in chunks if c < d))
     streams = Substreams(stream_words(spec.system.seed, DOMAIN_BLOCK, p, np.arange(1, R + 1), 0, 0))
     for start in range(0, R, draws):
         g, w = cgauss(streams[start:start + draws], (top.N, top.K, top.P), (top.M,))

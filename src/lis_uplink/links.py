@@ -302,7 +302,7 @@ class UnitChannelStats:
     kappa: np.ndarray       # (N, K) effective Rician factors (inf on own slot)
     nlos_scale: np.ndarray  # (N, K) sqrt(1/(kappa+1))
     hbar: np.ndarray        # (N, K, M) LOS means (own slot: full LOS vector; +0.0 if ungated)
-    roots: CorrelationRoot  # (N, K) factored correlation roots; .dense() is (N, K, M, P)
+    roots: CorrelationRoot  # (N, K) factored roots; .dense(): (N, K, M, P), antenna-major
 
     @property
     def nlos_var(self) -> np.ndarray:

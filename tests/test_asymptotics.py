@@ -1,7 +1,13 @@
 """Closed-form moments, deterministic SSE and floor bounds."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +24,13 @@ from lis_uplink import (
     make_unit_stats,
     panel_view,
     place_devices,
+    placement_rng,
     quarter_solid_angle,
     sample_unit_channels,
     theorem1_sse,
     transmit_snrs,
 )
+from lis_uplink.links import slice_stats
 import reference
 from conftest import assert_close
 
@@ -156,6 +164,40 @@ class TestMomentsAgainstSampling:
         assert abs(I.mean() - ms.mu_I_bar(t)) < max(5.0 * se_I, 0.02 * ms.mu_I_bar(t))
 
 
+def _preset_stats(M, interference, n=1, k=5):
+    """(block statistics, pilot SNRs) of unit (n, k) in fig5's shape: N = 4
+    panels in the quad layout, K = 8, P = 20."""
+    cfg = SystemConfig(M=M, K=8, N=4, P=20)
+    dep = place_devices(cfg, LayoutConfig(), placement_rng(0, 0))
+    draw = draw_unit_block(np.random.default_rng(5), 4, 8, 20, M)
+    stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, n), k), draw, cfg,
+                            interference)
+    return stats, transmit_snrs(dep, cfg)[0]
+
+
+def _assert_matches_einsum_oracle(stats, pilot_snrs):
+    """Every stored coefficient of ``build_moment_set(stats)`` against
+    ``reference.moment_fields``: rtol 1e-12, or near zero where it is zero."""
+    actual = build_moment_set(stats)
+    expected = reference.moment_fields(stats, pilot_snrs)
+    # every stored moment coefficient is checked; the rest is the link budget
+    assert {f.name for f in dataclasses.fields(actual)} - set(expected) == {
+        "rho_d", "rho_d_own", "p_bar"}
+    for name, value in expected.items():
+        got = np.asarray(getattr(actual, name))
+        want = np.asarray(value)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        if want.dtype.kind in "iu":
+            assert np.array_equal(got, want), name
+            continue
+        zero = want == 0
+        np.testing.assert_allclose(
+            got[~zero], want[~zero], rtol=1e-12, atol=0.0, err_msg=name
+        )
+        scale = np.max(np.abs(want), initial=0.0)
+        assert np.all(np.abs(got[zero]) <= 1e-13 * scale), name
+
+
 class TestMomentPartsAgainstReference:
     """The GEMM contractions of ``build_moment_set`` against the
     per-contaminator ``einsum`` transcription in ``tests/reference.py``."""
@@ -181,26 +223,76 @@ class TestMomentPartsAgainstReference:
         draw = draw_unit_block(np.random.default_rng(seed + 1), N, K, P, cfg.M)
         geom = build_unit_geometry(panel_view(dep, cfg, n), k)
         stats = make_unit_stats(geom, draw, cfg, interference)
+        _assert_matches_einsum_oracle(stats, transmit_snrs(dep, cfg)[0])
 
-        actual = build_moment_set(stats)
-        expected = reference.moment_fields(stats, transmit_snrs(dep, cfg)[0])
-        # every stored moment coefficient is checked; the rest is the link budget
-        assert {f.name for f in dataclasses.fields(actual)} - set(expected) == {
-            "rho_d", "rho_d_own", "p_bar"}
-        for name, value in expected.items():
-            got = np.asarray(getattr(actual, name))
-            want = np.asarray(value)
-            assert got.shape == want.shape and got.dtype == want.dtype, name
-            if want.dtype.kind in "iu":
-                assert np.array_equal(got, want), name
-                continue
-            zero = want == 0
-            np.testing.assert_allclose(
-                got[~zero], want[~zero], rtol=1e-12, atol=0.0, err_msg=name
-            )
-            scale = np.max(np.abs(want), initial=0.0)
-            assert np.all(np.abs(got[zero]) <= 1e-13 * scale), name
+    @given(
+        N=st.sampled_from([2, 4]),
+        K=st.integers(2, 4),
+        P=st.integers(1, 4),
+        side=st.integers(2, 5),
+        interference=st.sampled_from(["rician", "nlos_inter"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_cut_views_match_einsum_oracle(self, N, K, P, side, interference, seed, data):
+        # the single-LIS twin, slice_stats(stats, N=1), and an admitted
+        # prefix of every panel: roots whose ramps are strided views of the
+        # unit's side-major buffers, densified into a buffer of their own
+        cfg = SystemConfig(M=side * side, K=K, N=N, P=P, seed=seed)
+        dep = place_devices(cfg, LayoutConfig(d_x=0.5), np.random.default_rng(seed))
+        kept = data.draw(st.integers(1, K - 1), label="kept")
+        n = data.draw(st.integers(0, N - 1), label="n")
+        k = data.draw(st.integers(0, kept - 1), label="k")
+        draw = draw_unit_block(np.random.default_rng(seed + 1), N, K, P, cfg.M)
+        snrs = transmit_snrs(dep, cfg)[0]
+        stats = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, n), k), draw, cfg,
+                                interference)
+        _assert_matches_einsum_oracle(reference.prefix_stats(stats, kept), snrs[:, :kept])
+        panel0 = make_unit_stats(build_unit_geometry(panel_view(dep, cfg, 0), k), draw, cfg,
+                                 interference)
+        _assert_matches_einsum_oracle(slice_stats(panel0, N=1), snrs[:1])
 
+    @pytest.mark.parametrize("interference", ["rician", "nlos_inter"])
+    @pytest.mark.parametrize("M", [100, 400])
+    def test_preset_scale_unit_matches_einsum_oracle(self, M, interference):
+        # fig5's shape: 640 root columns, and at M = 400 the products are
+        # summed over two runs of antennas (384 and 16)
+        _assert_matches_einsum_oracle(*_preset_stats(M, interference))
+
+    def test_fields_independent_of_blas_thread_count(self):
+        # at M = 900 a single product's shared axis is long enough for
+        # OpenBLAS to split it by thread count (the golden thread test runs
+        # M <= 36); every field of a unit's set and of a twin's keeps its bytes
+        here = Path(__file__).resolve().parent
+        script = (
+            "import dataclasses, json, numpy as np, test_asymptotics as t\n"
+            "from lis_uplink import build_moment_set\n"
+            "from lis_uplink.links import slice_stats\n"
+            "sets = [build_moment_set(s) for i in ('rician', 'nlos_inter') for s in ("
+            "t._preset_stats(900, i)[0], slice_stats(t._preset_stats(900, i, n=0)[0], N=1))]\n"
+            "print(json.dumps([[np.asarray(getattr(ms, f.name)).tobytes().hex()"
+            " for f in dataclasses.fields(ms)] for ms in sets]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+        outputs = [
+            subprocess.run([sys.executable, "-c", script], env={**env, "OPENBLAS_NUM_THREADS": n},
+                           cwd=here, capture_output=True, text=True, check=True).stdout
+            for n in ("1", "2")
+        ]
+        assert len(json.loads(outputs[0])) == 4
+        assert outputs[0] == outputs[1]
+
+    def test_set_holds_one_dense_copy_of_the_roots(self):
+        # fig5's largest unit: every allocation of the build together stays
+        # within 1.3 (M, N K, P) complex arrays, the dense roots and the
+        # stacked rows and products beside them
+        stats, _ = _preset_stats(900, "rician")
+        tracemalloc.start()
+        try:
+            build_moment_set(stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 16 * 900 * 4 * 8 * 20
 
     @given(
         N=st.sampled_from([1, 2, 4]),

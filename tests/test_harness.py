@@ -312,10 +312,11 @@ class TestRefadeChunks:
                                experiment=SimpleNamespace(realizations=R))
         cfgs = [SimpleNamespace(N=N, K=K, P=P, M=M) for M in Ms]
         p = 2
-        ends, gens, hashes, calls = [], [], [], []
+        ends, gens, hashes, calls, shared = [], [], [], [], []
         iterate, hash_words = links.Substreams.__iter__, hz.stream_words
 
         def recording_rows(streams):
+            shared.append(len(streams))
             for gen in iterate(streams):
                 gens.append(gen)
                 yield _Recorded(gen, ends)
@@ -343,13 +344,20 @@ class TestRefadeChunks:
         assert len(hashes) == 1 and len(gens) == len(ends) == R
         assert len({id(gen) for gen in gens}) == 1
         assert [cfg for cfg, _, _ in out] == cfgs
+        # shared draws of one size (the last one ragged): within the budget,
+        # or one kernel chunk of the largest M when that holds less
+        size = shared[0]
+        assert shared == [min(size, R - a) for a in range(0, R, size)]
+        top = max(1, budget // (16 * N * K * Ms[-1]))
+        assert size <= max(top, budget // (16 * (N * K * P + Ms[-1])))
+        assert size >= min(top, R)
         for cfg, (_, _, values) in zip(cfgs, out):
             mine = [(g, w) for M, g, w in calls if M == cfg.M]
             chunk = max(1, budget // (16 * N * K * cfg.M))
-            assert all(len(g) <= chunk for g, _ in mine)
-            if cfg is cfgs[-1]:
-                # the shared draws hold whole kernel chunks of the largest M
-                assert [len(g) for g, _ in mine] == [min(chunk, R - a) for a in range(0, R, chunk)]
+            # every array size splits the shared draws into whole kernel
+            # chunks: its kernels run as if the draws were one run
+            step = min(chunk, size)
+            assert [len(g) for g, _ in mine] == [min(step, R - a) for a in range(0, R, step)]
             want = [reference.refades(spec, cfg, p, r, 0, 0) for r in range(R)]
             g = np.concatenate([g for g, _ in mine])
             w = np.concatenate([w for _, w in mine])
@@ -414,6 +422,25 @@ class TestRefadeChunks:
             # one generator, reseeded for each realization
             assert len(gens) == R and len({id(gen) for gen in gens}) == 1
         assert records[0] == records[1]
+
+    def test_shared_draws_split_into_whole_kernel_chunks(self, monkeypatch):
+        # fig4's preset shape (N = 4, K = 20, P = 20) at M = 36 and 144: the
+        # default budget holds 5 draws' channels at M = 36, one at 144 and 9
+        # shared draws; the shared chunk is 5, so M = 36 builds one kernel
+        # per 5 refades, never a 5 + 4 split of 9
+        rc = preset_run_config("fig4", seed=3).with_overrides({
+            "experiment.sweep_values": [36, 144], "experiment.realizations": 10,
+            "experiment.placements": 1})
+        sizes, sample = [], hz.sample_unit_channels
+
+        def recording(stats, g):
+            sizes.append((stats.hbar.shape[-1], len(g)))
+            return sample(stats, g)
+
+        monkeypatch.setattr(hz, "sample_unit_channels", recording)
+        run_experiment(rc)
+        assert [n for M, n in sizes if M == 36] == [5, 5]
+        assert [n for M, n in sizes if M == 144] == [1] * 10
 
     @pytest.mark.parametrize("exp_id, oracle", [("fig4", reference.se_variance),
                                                 ("oracle", reference.oracle)])
