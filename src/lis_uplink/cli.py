@@ -117,15 +117,13 @@ def _write_json(args, name: str, payload: dict) -> int:
 def _cmd_optimize_t(args) -> int:
     """Theorem 1 SSE of panel 0 on placement 0, block 0, over the pilot length."""
     rc = _build_run_config(args)
-    cfg, objective = rc.system, pilot_objective(rc)
-    sol = optimal_pilot_length(objective, cfg.T, cfg.K)
+    cfg = rc.system
+    sol = optimal_pilot_length(pilot_objective(rc), cfg.T, cfg.K)
     ts = sorted(set(range(cfg.K, cfg.T + 1, max(1, (cfg.T - cfg.K) // 64))) | {cfg.K, cfg.T})
     return _write_json(args, "optimize_t.json", {
         "t_opt": sol.t_opt,
         "objective": sol.objective_opt,
-        "curve": [[int(t), objective(t)] for t in ts],
-        "t_opt_continuous": sol.t_opt_continuous,
-        "iterations": sol.iterations,
+        "curve": [[t, sol.values[t - cfg.K]] for t in ts],
     })
 
 

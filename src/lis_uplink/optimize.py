@@ -1,10 +1,10 @@
 """Pilot-length and device-count optimization on the deterministic SSE.
 
 The pilot-length problem maximizes the prelog-weighted deterministic SSE
-over t in [K, T]; the objective is unimodal (increasing SINR against a
-linearly shrinking prelog), so a golden-section search plus an integer
-refinement finds the global integer optimum. In the interference-floor
-regime the SINR no longer depends on t and the optimum collapses to t = K.
+over t in [K, T] by evaluating it at every integer t: T - K + 1 objective
+calls on moment sets built once, with no assumption on the curve's shape.
+In the interference-floor regime the SINR no longer depends on t and the
+optimum collapses to t = K.
 
 The device-count problem scores K = 1..pool by the network SE
 (``asymptotics.sse``) of the floor-bound SINRs at t = K, with devices
@@ -39,63 +39,27 @@ from .scenario import Deployment
 class PilotSolution:
     """Result of the pilot-length search."""
 
-    t_opt_continuous: float
     t_opt: int
     objective_opt: float
-    iterations: int
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+    values: tuple  # objective(t) for t = K..T
 
 
 def optimal_pilot_length(objective, T: int, K: int) -> PilotSolution:
     """Maximize objective(t), e.g. the deterministic SSE, over the pilot
-    length t in [K, T].
-
-    Golden-section search shrinks the bracket below one symbol, then the
-    neighboring integers and the interval endpoints are compared; ties
-    prefer the smaller t.
+    length t in [K, T] by evaluating it once at every integer t; the
+    first argmax wins, so exact ties go to the smaller t. A value that is
+    not finite raises ValueError naming the first such t.
     """
     if K < 1 or T < K:
         raise ValueError(f"need 1 <= K <= T, got K={K}, T={T}")
-
-    def f(t: float) -> float:
-        v = float(objective(float(t)))
+    values = []
+    for t in range(K, T + 1):
+        v = float(objective(t))
         if not math.isfinite(v):
             raise ValueError(f"objective is not finite at t={t}: {v}")
-        return v
-
-    a, b = float(K), float(T)
-    iterations = 0
-    if b - a > 0.5:
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc, fd = f(c), f(d)
-        while b - a > 0.5:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = f(d)
-            iterations += 1
-    t_star = 0.5 * (a + b)
-
-    candidates = {K, T, int(math.floor(t_star)), int(math.ceil(t_star)),
-                  int(math.floor(a)), int(math.ceil(b))}
-    best_t, best_v = None, -math.inf
-    for t in sorted(c for c in candidates if K <= c <= T):
-        v = f(t)
-        if v > best_v + 1e-12:
-            best_t, best_v = t, v
-    return PilotSolution(
-        t_opt_continuous=float(t_star),
-        t_opt=int(best_t),
-        objective_opt=float(best_v),
-        iterations=iterations,
-    )
+        values.append(v)
+    best = values.index(max(values))
+    return PilotSolution(t_opt=K + best, objective_opt=values[best], values=tuple(values))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lis_uplink import MomentSet, RunConfig
+from lis_uplink import MomentSet, RunConfig, cli, harness
 from lis_uplink.cli import build_parser, main
 
 HELP_GOLDEN = Path(__file__).resolve().parent / "golden" / "lis-sim-help.txt"
@@ -294,14 +294,37 @@ class TestOptimizeT:
                      "--set", "system.T=100", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         payload = json.loads(text)
-        assert sorted(payload) == [
-            "curve", "iterations", "objective", "t_opt", "t_opt_continuous"
-        ]
+        assert sorted(payload) == ["curve", "objective", "t_opt"]
         assert 2 <= payload["t_opt"] <= 100
-        assert 2.0 <= payload["t_opt_continuous"] <= 100.0
         # the integer optimum dominates the sampled curve
         assert payload["objective"] >= max(v for _, v in payload["curve"]) - 1e-9
         assert (out / "optimize_t.json").read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("T, K", [(100, 4), (500, 8)])
+    def test_one_pass_over_the_pilot_range(self, T, K, tmp_path, monkeypatch):
+        # the search and the curve share one evaluation per t, on the K
+        # moment sets of panel 0 built once
+        calls = {"objective": 0, "sets": 0}
+        build, pilot_objective = harness.build_moment_set, cli.pilot_objective
+
+        def counted_build(stats):
+            calls["sets"] += 1
+            return build(stats)
+
+        def counted_objective(rc):
+            objective = pilot_objective(rc)
+
+            def f(t):
+                calls["objective"] += 1
+                return objective(t)
+            return f
+
+        monkeypatch.setattr(harness, "build_moment_set", counted_build)
+        monkeypatch.setattr(cli, "pilot_objective", counted_objective)
+        assert main(["optimize-t", "--set", "system.N=4", "--set", "system.M=16",
+                     "--set", f"system.K={K}", "--set", f"system.T={T}",
+                     "--out", str(tmp_path)]) == 0
+        assert calls == {"objective": T - K + 1, "sets": K}
 
     def test_ignores_the_experiment_sweep(self, tmp_path, capsys):
         # the default fig5 sweep reaches M=400, whose lattice would not fit

@@ -58,8 +58,11 @@ class TestOptimalPilotLength:
         obj = lambda t: _sse_bar(sets, t, T)
         sol = optimal_pilot_length(obj, T=T, K=K)
         assert K <= sol.t_opt <= T
-        for t in {K, T, math.floor(sol.t_opt_continuous), math.ceil(sol.t_opt_continuous)}:
-            assert sol.objective_opt >= obj(t) - 1e-9
+        assert len(sol.values) == T - K + 1
+        assert sol.objective_opt == max(sol.values)
+        assert sol.values.index(sol.objective_opt) == sol.t_opt - K  # the first argmax
+        for t in (K, T, sol.t_opt):
+            assert sol.values[t - K] == obj(t)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_grid_search_oracle(self, seed):
@@ -75,6 +78,9 @@ class TestOptimalPilotLength:
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_integer_objective_is_unimodal(self, seed):
+        """A check on the model, not on the search: the exhaustive search
+        needs no unimodality, but the paper's optimal-length argument
+        (rising SINR against a linearly shrinking prelog) does."""
         sets = _panel_moment_sets(seed=seed)
         T, K = 80, 3
         vals = [_sse_bar(sets, t, T) for t in range(K, T + 1)]
@@ -88,16 +94,25 @@ class TestOptimalPilotLength:
         assert rises_after_fall == 0
 
     def test_callable_objective_and_trace(self):
-        sol = optimal_pilot_length(lambda t: -((t - 37.3) ** 2), T=100, K=2)
-        assert sol.t_opt == 37
-        assert sol.objective_opt == -((37 - 37.3) ** 2)
-        assert sol.iterations > 0
+        def two_peaks(t):
+            # a peak of 1 at t = 10 and a higher one of 2 at t = 90: a search
+            # that assumes one peak stops at the first
+            return max(1.0 - abs(t - 10) / 5.0, 2.0 - abs(t - 90) / 5.0, 0.0)
+
+        for f, t_opt in ((lambda t: -((t - 37.3) ** 2), 37), (two_peaks, 90)):
+            sol = optimal_pilot_length(f, T=100, K=2)
+            assert sol.t_opt == t_opt
+            assert sol.objective_opt == f(t_opt)
+            assert sol.values == tuple(f(t) for t in range(2, 101))
 
     def test_errors(self):
         with pytest.raises(ValueError, match="K <= T"):
             optimal_pilot_length(lambda t: 1.0, T=2, K=5)
         with pytest.raises(ValueError, match="not finite"):
             optimal_pilot_length(lambda t: math.inf, T=10, K=2)
+        # one interior NaN, away from any point a bracketing search visits
+        with pytest.raises(ValueError, match=r"not finite at t=77\b"):
+            optimal_pilot_length(lambda t: math.nan if t == 77 else -abs(t - 40), T=100, K=2)
 
 
 class TestCorollary:
