@@ -20,9 +20,9 @@ single-LIS twin, panel 0 alone, on paired draws. The twin is never drawn,
 built or sampled on its own: it is the unit's cut to panel 0, statistics
 ``slice_stats(stats, N=1)`` and channels ``ch[..., :1, :, :]``, and the
 reductions walk the unit and its cut alike for kernels, exact-filter
-SINRs and moment sets. fig5, fig6 and fig6b share one reduction,
+SINRs and moment sets. fig5, fig6, fig6b and fig7 share one reduction,
 ``_panel0_sse``; fig6b's row turns on its exact-filter (perfect-CSI)
-curves.
+curves, and fig7 reads its one array size at its t grid.
 
 The device-count frame, ``_floor_counts``, places a placement's pool once
 and yields, per floor array size, the pool config (K = pool, t unset) and
@@ -290,9 +290,9 @@ def _refades(spec: ExperimentSpec, p: int, rows: int, measure) -> list:
 
 
 def _sweep_points(spec: ExperimentSpec, p: int):
-    """(M, deployment, config) for every array size of placement p."""
-    dep = _place(spec, p)
-    for M in spec.experiment.sweep_values:
+    """(M, deployment, config) per array size of placement p: each swept M, or a t-sweep's one."""
+    dep, exp = _place(spec, p), spec.experiment
+    for M in exp.sweep_values if _experiment(exp.id).variable == "M" else (spec.system.M,):
         yield M, dep, dataclasses.replace(spec.system, M=M)
 
 
@@ -374,74 +374,52 @@ def _se_variance(spec: ExperimentSpec, p: int):
     return recs, {"mean_se": mean_se}
 
 
-def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True, perfect_csi: bool = False):
-    """fig5, fig6 and fig6b: panel-0 SSE of the multi-LIS system and its
-    single-LIS twin on paired draws, plus Theorem 1/2 curves every
-    stride-th block (stride 0, fig6b's default: none). The twin is the
-    unit's cut to panel 0: statistics ``slice_stats(stats, N=1)`` and
-    panel 0's rows of the unit's one sample of channels. Both systems get
-    their kernel and moment set alike from their statistics and channels.
-    With perfect_csi (fig6b): each system's SSE with the exact filter
-    ``h_los`` follows its estimated-filter SSE, on the same channels.
-    With sample=False (run_asymptotic, which resolves the stride to 1): the
-    multi-LIS Theorem curves alone, with no receive-side sampling."""
-    stride, R = spec.experiment.theory_stride, spec.experiment.realizations
-    filters = ("imperfect CSI", "perfect CSI")[: 2 if perfect_csi else 1]
+def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
+    """fig5, fig6, fig6b and fig7: panel-0 SSE under each receive filter
+    of the row's ``filters``, plus Theorem 1 curves every stride-th block
+    (stride 0, fig6b's default: none), at every pilot length of a sweep
+    point: ``cfg.pilot_len``, or fig7's t grid on its one array size, each
+    block's one kernel and moment set per unit read at every t. Only an
+    M-sweep adds the single-LIS twin and the Theorem 2 bound (the large-M
+    floor). Records run per (array size, block, t): sampled curves system
+    by system, filter by filter, then Theorem 1 and 2 per system. With
+    sample=False (run_asymptotic; stride 1): multi-LIS Theorem curves alone."""
+    exp, row = spec.experiment, _experiment(spec.experiment.id)
+    stride, R, by_M = exp.theory_stride, exp.realizations, row.variable == "M"
+    filters = row.filters if sample else ()  # run_asymptotic samples no channels
+    systems = 2 if filters and by_M else 1
     recs = []
     for M, dep, cfg in _sweep_points(spec, p):
-        t, T = cfg.pilot_len, cfg.T
-        gammas = np.empty((R, 2, len(filters), cfg.K))  # block, system, filter, unit
-        # theory blocks' sse_terms(t), multi-LIS then (when sampled) the twin
-        terms = np.empty((R, 2 if sample else 1, cfg.K, 4))
+        ts, T = (cfg.pilot_len,) if by_M else exp.sweep_values, cfg.T
+        gammas = np.empty((R, len(ts), systems, len(filters), cfg.K))  # [b, t, system, filter, k]
+        terms = np.empty((R, len(ts), systems, cfg.K, 4))  # theory blocks' sse_terms(t)
         view = panel_view(dep, cfg, 0)
         for k in range(cfg.K):
             for b, (stats, draw) in enumerate(_unit_blocks(spec, view, p, range(R), k)):
-                ch = sample_unit_channels(stats, draw.g) if sample else None
-                twin = ((slice_stats(stats, N=1), 1),) if sample else ()
+                ch = sample_unit_channels(stats, draw.g) if filters else None
+                twin = ((slice_stats(stats, N=1), 1),) if systems == 2 else ()
                 for i, (s, N) in enumerate(((stats, cfg.N), *twin)):
-                    if sample:
-                        gammas[b, i, 0, k] = BlockKernel(s, ch[..., :N, :, :], draw.w).gamma(t)
-                        if perfect_csi:
-                            gammas[b, i, 1, k] = exact_sinr(s, ch[..., :N, :, :])
-                    if stride and b % stride == 0:
-                        terms[b, i, k] = build_moment_set(s).sse_terms(t)
+                    if filters:
+                        c = ch[..., :N, :, :]
+                        kern = BlockKernel(s, c, draw.w)
+                        for f, name in enumerate(filters):  # the exact filter reads no t
+                            gammas[b, :, i, f, k] = (exact_sinr(s, c) if name == "perfect CSI"
+                                                     else [kern.gamma(t) for t in ts])
+                    if stride and b % stride == 0:  # the set is freed before the next
+                        terms[b, :, i, k] = list(map(build_moment_set(s).sse_terms, ts))
         for b in range(R):
-            if sample:
-                for rows, tag in zip(gammas[b], ("multi-LIS", "single-LIS")):
-                    for row, name in zip(rows, filters):
-                        recs.append((float(M), f"{tag} {name}", p, b, sse(row, t, T)))
-            if stride and b % stride == 0:
-                for rows, suffix in zip(terms[b], ("", " single-LIS")):
-                    th = theorem1_sse(rows, t, T)
-                    recs.append((float(M), f"Theorem 1{suffix}", p, b, th.sse_bar))
-                    # an interference-free draw has an unbounded floor; such
-                    # blocks are excluded from the bound curve
-                    if math.isfinite(th.sse_hat):
-                        recs.append((float(M), f"Theorem 2 bound{suffix}", p, b, th.sse_hat))
-    return recs, {}
-
-
-def _pilot(spec: ExperimentSpec, p: int):
-    """fig7: SSE versus pilot length on a fixed array size; each block's
-    sampled kernels are read at the whole t grid."""
-    exp, cfg = spec.experiment, spec.system
-    view = panel_view(_place(spec, p), cfg, 0)
-    R, ts = exp.realizations, exp.sweep_values
-    gammas = np.empty((R, len(ts), cfg.K))
-    terms = np.empty((R, len(ts), cfg.K, 4))  # theory blocks' sse_terms at each t
-    for k in range(cfg.K):
-        for b, (stats, draw) in enumerate(_unit_blocks(spec, view, p, range(R), k)):
-            kern = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
-            gammas[b, :, k] = [kern.gamma(t) for t in ts]
-            if b % exp.theory_stride == 0:
-                ms = build_moment_set(stats)
-                terms[b, :, k] = [ms.sse_terms(t) for t in ts]
-    recs = []
-    for b in range(R):
-        for t, row, units in zip(ts, gammas[b], terms[b]):
-            recs.append((float(t), "multi-LIS imperfect CSI", p, b, sse(row, t, cfg.T)))
-            if b % exp.theory_stride == 0:
-                recs.append((float(t), "Theorem 1", p, b, theorem1_sse(units, t, cfg.T).sse_bar))
+            for t, g_t, terms_t in zip(ts, gammas[b], terms[b]):
+                x = float(M if by_M else t)
+                for rows, tag in zip(g_t, ("multi-LIS", "single-LIS")):
+                    for g, name in zip(rows, filters):
+                        recs.append((x, f"{tag} {name}", p, b, sse(g, t, T)))
+                if stride and b % stride == 0:
+                    for units, suffix in zip(terms_t, ("", " single-LIS")):
+                        th = theorem1_sse(units, t, T)
+                        recs.append((x, f"Theorem 1{suffix}", p, b, th.sse_bar))
+                        # an interference-free draw's floor is unbounded: no bound
+                        if by_M and math.isfinite(th.sse_hat):
+                            recs.append((x, f"Theorem 2 bound{suffix}", p, b, th.sse_hat))
     return recs, {}
 
 
@@ -526,10 +504,11 @@ class Experiment:
     desk-scale preset."""
 
     reduce: Callable          # reduction (spec, placement) -> (records, extras)
-    variable: str             # swept parameter: M, t or K
+    variable: str             # swept parameter: M, t (at the config's one M) or K
     grid: tuple               # default sweep values
     interference: str = "rician"  # default interference regime
     stride: int = 0           # theory curves every realizations // stride blocks (0: none)
+    filters: tuple = ("imperfect CSI",)  # panel-0 SSE: sampled receive filters, in record order
     asymptotic: bool = False  # run_asymptotic accepts it
     preset: dict = field(default_factory=dict)  # section.key changes to the reference run
 
@@ -543,10 +522,10 @@ EXPERIMENTS = {
     "fig6": Experiment(_panel0_sse, "M", (100, 400, 900), "nlos_inter", stride=8,
                        asymptotic=True,
                        preset={"experiment.realizations": 24, "experiment.placements": 4}),
-    "fig6b": Experiment(functools.partial(_panel0_sse, perfect_csi=True), "M", (100, 400, 900),
-                        "nlos_inter", asymptotic=True,
+    "fig6b": Experiment(_panel0_sse, "M", (100, 400, 900), "nlos_inter", asymptotic=True,
+                        filters=("imperfect CSI", "perfect CSI"),
                         preset={"experiment.realizations": 48, "experiment.placements": 4}),
-    "fig7": Experiment(_pilot, "t", (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 500),
+    "fig7": Experiment(_panel0_sse, "t", (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 500),
                        stride=2, preset={"experiment.realizations": 24,
                                          "experiment.placements": 4,
                                          "experiment.theory_stride": 12}),

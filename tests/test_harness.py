@@ -542,12 +542,12 @@ class TestUnitMajorGeometry:
         # reduction's loop variables still hold
         assert peak[0] <= 2 * points, (peak[0], points)
 
-    @pytest.mark.parametrize("case", ["fig5", "fig8", "fig9"])
+    @pytest.mark.parametrize("case", ["fig5", "fig7", "fig8", "fig9"])
     def test_one_panel_view_per_sweep_point_and_panel(self, case, monkeypatch):
-        """The sampler builds one ``panel_view`` per (placement, sweep
-        point, panel it walks), every unit of the panel is built from it,
-        and the transmit SNRs are formed once per view, the floor table's
-        included, not once per unit."""
+        """The sampler builds one ``panel_view`` per (placement, array size,
+        panel it walks), every unit of the panel is built from it, and the
+        transmit SNRs are formed once per view, the floor table's included,
+        not once per unit. fig7's t grid is one array size."""
         _, exp_id, overrides = CASES[case]
         rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
         counts = dict.fromkeys(("sampler", "table", "snrs", "units"), 0)
@@ -578,6 +578,8 @@ class TestUnitMajorGeometry:
         exp, N = rc.experiment, rc.system.N
         if exp_id == "fig5":
             sampler, table = exp.placements * len(exp.sweep_values), 0  # panel 0 alone
+        elif exp_id == "fig7":
+            sampler, table = exp.placements, 0  # panel 0 at the one array size
         elif exp_id == "fig8":
             sampler = table = exp.placements * N  # one sampled array size
         else:
@@ -589,7 +591,8 @@ class TestUnitMajorGeometry:
     @pytest.mark.parametrize("case", ["asymptotic-fig5", "fig5", "fig7"])
     def test_theory_blocks_keep_scalars_not_moment_sets(self, case, monkeypatch):
         """Theory blocks keep each moment set's ``sse_terms`` and drop the
-        set, so the live sets do not grow with blocks, units or sweep points."""
+        set in the same statement, so one set is alive at a time, whatever
+        the blocks, units, sweep points or pilot lengths."""
         runner, exp_id, overrides = CASES[case]
         rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
         live, peak = [], [0]
@@ -605,8 +608,9 @@ class TestUnitMajorGeometry:
         runner(rc)
         # every case builds sets on at least two theory blocks
         assert len(live) >= 2 * rc.system.K
-        # the set being built, plus the previous one a loop variable holds
-        assert peak[0] <= 2, peak[0]
+        # the set being built alone: no variable holds the previous one
+        # into the next build, where two M-sized sets would set the peak
+        assert peak[0] == 1, peak[0]
 
 
 class TestSingleLisTwin:
@@ -695,6 +699,30 @@ class TestSingleLisTwin:
         assert any(r.label.startswith("Theorem") for r in got.records)
         assert ([r for r in got.records if not r.label.endswith(" perfect CSI")]
                 == want.records)
+
+    @pytest.mark.parametrize("seed", [0, 3, 101])
+    def test_fig7_is_fig5_multi_lis_curves_along_t(self, seed):
+        """fig7 reads the streams fig5 reads, along t: at each t, its
+        records are the multi-LIS estimated-filter and Theorem 1 records of
+        fig5 at ``system.t = t`` on fig7's one array size, and they run per
+        placement, then per block, then per t."""
+        ts = (8, 16, 64, 500)
+        base = {"system.M": 36, "experiment.realizations": 4, "experiment.placements": 2,
+                "experiment.theory_stride": 2}
+        got = run_experiment(preset_run_config("fig7", seed=seed).with_overrides(
+            {**base, "experiment.sweep_values": list(ts)}))
+        by_key = {}
+        for t in ts:
+            fig5 = run_experiment(preset_run_config("fig5", seed=seed).with_overrides(
+                {**base, "system.t": t, "experiment.sweep_values": [36]}))
+            for r in fig5.records:
+                if r.label in ("multi-LIS imperfect CSI", "Theorem 1"):
+                    by_key.setdefault((r.placement, r.realization, t), []).append(
+                        r._replace(sweep_value=float(t)))
+        want = [r for p in range(2) for b in range(4) for t in ts
+                for r in by_key.get((p, b, t), [])]
+        assert len(want) == 48
+        assert got.records == want
 
 
 class TestRunExperiment:
@@ -952,6 +980,8 @@ class TestWorkerCountInvariance:
             "fig5", seed=2, sweep=(16.0,), realizations=2, placements=2)),
         "fig6b": (run_experiment, lambda: _shrunk(
             "fig6b", seed=4, sweep=(16.0,), realizations=2, placements=2)),
+        "fig7": (run_experiment, lambda: _shrunk(
+            "fig7", seed=5, sweep=(8.0, 16.0, 64.0), realizations=2, placements=2, M=16)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
