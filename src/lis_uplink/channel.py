@@ -34,7 +34,7 @@ def cgauss(rng, *shapes):
     two calls per shape in that order. Scaling each part by 1/sqrt(2) is
     (re + 1j im) / sqrt(2) bit for bit: numpy divides a complex number by a
     real one by multiplying with its reciprocal. ``rng`` may also be a sized
-    iterable of generators (``links.Substreams``), each filling one row of a
+    iterable of generators (``links.substreams``), each filling one row of a
     new leading axis before the next is taken."""
     batched = not isinstance(rng, np.random.Generator)
     rngs = rng if batched else [rng]

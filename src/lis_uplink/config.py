@@ -7,19 +7,16 @@ and its single-value bound, if any, and ``_check_bounds``, called first in
 each section's ``__post_init__``, enforces that bound. Rules that tie keys
 together are written out in ``SystemConfig`` and ``RunConfig``;
 ``harness.ExperimentSpec.from_run_config`` checks the experiment id and the
-sweep values. Dotted-path overrides (``system.M=256``) are applied with type
-coercion and strict key checking so typos fail loudly.
+sweep values. Dotted-path overrides (``system.M=256``) are applied with
+coercion to the field's ``dataclasses.fields`` type (annotations here are not
+postponed, so that is a type object) and strict key checking so typos fail loudly.
 """
 
-from __future__ import annotations
-
-import functools
 import hashlib
 import json
 import math
-import types
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, get_args, get_type_hints
+from typing import Any, get_args
 
 import numpy as np
 
@@ -59,14 +56,6 @@ def _check_bounds(section) -> None:
         if not ok:
             raise ConfigError(f"{name}.{f.name} must be {what}, got {value!r}",
                               f"{name}.{f.name}")
-
-
-@functools.cache
-def _hints(cls: type) -> types.MappingProxyType:
-    """Read-only resolved annotations of a config class; resolving the string
-    annotations (``from __future__ import annotations``) is the slow part of
-    ``RunConfig.from_dict``, so each class's are resolved once."""
-    return types.MappingProxyType(get_type_hints(cls))
 
 
 @dataclass(frozen=True)
@@ -237,7 +226,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration root must be a JSON object")
-        known = _hints(cls)
+        known = {f.name: f.type for f in fields(cls)}
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown config section {key!r}", key)
@@ -246,7 +235,7 @@ class RunConfig:
             section_data = data.get(section_name, {})
             if not isinstance(section_data, dict):
                 raise ConfigError(f"config section {section_name!r} must be an object", section_name)
-            annotations = _hints(section_cls)
+            annotations = {f.name: f.type for f in fields(section_cls)}
             for key in section_data:
                 if key not in annotations:
                     raise ConfigError(f"unknown config key {section_name}.{key}", f"{section_name}.{key}")

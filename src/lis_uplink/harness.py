@@ -83,7 +83,6 @@ from .links import (
     DOMAIN_BLOCK,
     BlockKernel,
     PanelView,
-    Substreams,
     build_unit_geometry,
     draw_unit_block,
     exact_sinr,
@@ -94,6 +93,7 @@ from .links import (
     slice_stats,
     stream,
     stream_words,
+    substreams,
 )
 from .optimize import expected_floor_table, optimal_num_devices
 from .scenario import place_devices
@@ -278,9 +278,9 @@ def _refades(spec: ExperimentSpec, p: int, rows: int, measure) -> list:
     chunks = [max(1, _REFADE_CHUNK_BYTES // (16 * cfg.N * cfg.K * cfg.M)) for cfg, _ in units]
     fit = max(chunks[-1], _REFADE_CHUNK_BYTES // (16 * (top.N * top.K * top.P + top.M)))
     draws = next(d for d in range(fit, 0, -1) if all(d % c == 0 for c in chunks if c < d))
-    streams = Substreams(stream_words(spec.system.seed, DOMAIN_BLOCK, p, np.arange(1, R + 1), 0, 0))
+    words = stream_words(spec.system.seed, DOMAIN_BLOCK, p, np.arange(1, R + 1), 0, 0)
     for start in range(0, R, draws):
-        g, w = cgauss(streams[start:start + draws], (top.N, top.K, top.P), (top.M,))
+        g, w = cgauss(substreams(words[start:start + draws]), (top.N, top.K, top.P), (top.M,))
         for (cfg, stats), chunk, out in zip(units, chunks, values[..., start:start + draws]):
             w_m = cgauss_prefix(w, cfg.M)
             for a in range(0, len(g), chunk):  # one sub-chunk's channels alive at a time

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +73,7 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-# numpy's SeedSequence pool hash (uint32) and PCG64's 128-bit seeding step
-_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32 = 0xFFFFFFFF  # numpy's SeedSequence pool hash runs on uint32 words
 
 
 def _hasher(const: int, mult: int):  # SeedSequence's hashmix over uint32 arrays
@@ -91,6 +90,7 @@ def stream_words(seed: int, *key) -> np.ndarray:
     broadcast as arrays: ``SeedSequence(seed, spawn_key=key).generate_state(4,
     uint64)`` row for row, in one hash pass. ValueError for a negative seed
     or a key word past one entropy word, [0, 2**32)."""
+    seed = operator.index(seed)
     if seed < 0 or any(np.any((np.asarray(w) < 0) | (np.asarray(w) > _MASK32)) for w in key):
         raise ValueError(f"seed must be >= 0 and stream key words in [0, 2**32): {seed}, {key}")
     run = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -111,29 +111,23 @@ def stream_words(seed: int, *key) -> np.ndarray:
     return state.view("<u8").astype(np.uint64).reshape(*shape, 4)
 
 
-class Substreams:
-    """The streams of the ``stream_words`` rows `words`, opened in turn on
-    one reused generator `gen`: iterating sets it to each row's state
-    (PCG64's seeding step in Python integers) and yields it, so a row is
-    drawn before the next is opened. Slicing keeps `gen`."""
+class _Row(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is one ``stream_words`` row: the four
+    uint64 words PCG64 asks ``SeedSequence`` for."""
 
-    def __init__(self, words: np.ndarray, gen: np.random.Generator | None = None):
-        self.words = words
-        self.gen = np.random.Generator(np.random.PCG64(0)) if gen is None else gen
+    def __init__(self, row: np.ndarray):
+        self.row = row
 
-    def __len__(self) -> int:
-        return len(self.words)
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
 
-    def __getitem__(self, rows: slice) -> Substreams:
-        return Substreams(self.words[rows], self.gen)
 
-    def __iter__(self):
-        for s_hi, s_lo, i_hi, i_lo in self.words.tolist():
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = {"state": ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, "inc": inc}
-            self.gen.bit_generator.state = {"bit_generator": "PCG64", "state": state,
-                                            "has_uint32": 0, "uinteger": 0}
-            yield self.gen
+def substreams(words: np.ndarray) -> list[np.random.Generator]:
+    """One generator per ``stream_words`` row of `words`, each in the state
+    ``stream`` opens for that row's address."""
+    # PCG64 reads four words off each row's buffer
+    rows = np.ascontiguousarray(words, dtype=np.uint64).reshape(len(words), 4)
+    return [np.random.Generator(np.random.PCG64(_Row(row))) for row in rows]
 
 
 def placement_rng(seed: int, placement_idx: int) -> np.random.Generator:

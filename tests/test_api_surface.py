@@ -185,21 +185,24 @@ def test_every_dataclass_field_of_an_exported_class_is_read_at_run_time(monkeypa
 
 
 def _module_containers() -> dict:
-    """``module.name`` -> value of every module-level dict, list, set and
-    bytearray of the package (dunder names aside)."""
+    """``module.name`` -> value of every module-level dict, list, set,
+    bytearray and ``functools`` cache (``cache_info``) of the package
+    (dunder names aside)."""
     return {
         f"{name}.{key}": value
         for name, mod in sorted(sys.modules.items())
         if name == "lis_uplink" or name.startswith("lis_uplink.")
         for key, value in vars(mod).items()
-        if isinstance(value, (dict, list, set, bytearray)) and not key.startswith("__")
+        if (isinstance(value, (dict, list, set, bytearray)) or hasattr(value, "cache_info"))
+        and not key.startswith("__")
     }
 
 
 def test_module_level_containers_are_the_registries_alone():
     """The package keeps no module-level state but its three registries: a
-    cache or buffer kept between calls would serve one run's values to
-    another. ``cli`` re-imports ``harness.EXPERIMENTS``."""
+    cache or buffer kept between calls, a ``functools.cache`` function
+    included, would serve one run's values to another. ``cli`` re-imports
+    ``harness.EXPERIMENTS``."""
     importlib.import_module("lis_uplink.cli")
     found = _module_containers()
     assert sorted(found) == ["lis_uplink.cli.EXPERIMENTS", "lis_uplink.cli._COMMANDS",

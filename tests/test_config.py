@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ _NUMERIC_KEYS = [
     f"{section}.{f.name}"
     for section, cls in _SECTIONS.items()
     for f in dataclasses.fields(cls)
-    if f.type.split(" |")[0] in ("int", "float")
+    if {f.type, *typing.get_args(f.type)} & {int, float}
 ]
 
 

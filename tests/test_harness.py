@@ -294,7 +294,7 @@ class TestRefadeChunks:
     """fig4 and the oracle draw R fresh (g, w) pairs on one frozen block per
     array size and build one kernel per chunk of them, not one per draw.
     ``_refades`` is their one engine: each realization's stream is
-    hashed (one pass for all R), opened (one generator for all R) and drawn
+    hashed (one pass for all R), opened (its own generator, once) and drawn
     once per placement, at the sweep's largest M, and every smaller M
     reads its noise off that draw. fig4 builds two kernels per chunk on one
     sample of its channels: the multi-LIS unit's and its single-LIS twin's,
@@ -313,13 +313,12 @@ class TestRefadeChunks:
         cfgs = [SimpleNamespace(N=N, K=K, P=P, M=M) for M in Ms]
         p = 2
         ends, gens, hashes, calls, shared = [], [], [], [], []
-        iterate, hash_words = links.Substreams.__iter__, hz.stream_words
+        open_rows, hash_words = hz.substreams, hz.stream_words
 
-        def recording_rows(streams):
-            shared.append(len(streams))
-            for gen in iterate(streams):
-                gens.append(gen)
-                yield _Recorded(gen, ends)
+        def recording_rows(words):
+            shared.append(len(words))
+            gens.extend(open_rows(words))
+            return [_Recorded(gen, ends) for gen in gens[-len(words):]]
 
         def recording_words(*args):
             hashes.append(args)
@@ -332,7 +331,7 @@ class TestRefadeChunks:
         # the sweep points' statistics stubbed out and the channels sampled
         # as the fading itself, so `measure` sees each sub-chunk's (g, w)
         with mock.patch.object(hz, "_REFADE_CHUNK_BYTES", budget), \
-                mock.patch.object(links.Substreams, "__iter__", recording_rows), \
+                mock.patch.object(hz, "substreams", recording_rows), \
                 mock.patch.object(hz, "stream_words", recording_words), \
                 mock.patch.object(hz, "_sweep_points", lambda spec, p: [
                     (cfg.M, None, cfg) for cfg in cfgs]), \
@@ -340,9 +339,9 @@ class TestRefadeChunks:
                 mock.patch.object(hz, "_unit_blocks", lambda *args: [(None, None)]), \
                 mock.patch.object(hz, "sample_unit_channels", lambda stats, g: g):
             out = hz._refades(spec, p, 1, measure)
-        # each stream hashed, opened and drawn once, on one generator
+        # each stream hashed, opened and drawn once, on a generator of its own
         assert len(hashes) == 1 and len(gens) == len(ends) == R
-        assert len({id(gen) for gen in gens}) == 1
+        assert len({id(gen) for gen in gens}) == R
         assert [cfg for cfg, _, _ in out] == cfgs
         # shared draws of one size (the last one ragged): within the budget,
         # or one kernel chunk of the largest M when that holds less
@@ -384,12 +383,11 @@ class TestRefadeChunks:
                 return fn(*args, **kwargs)
             return wrapper
 
-        iterate = links.Substreams.__iter__
+        open_rows = hz.substreams
 
-        def recording_rows(streams):
-            for gen in iterate(streams):
-                gens.append(gen)
-                yield gen
+        def recording_rows(words):
+            gens.extend(open_rows(words))
+            return gens[-len(words):]
 
         monkeypatch.setattr(hz, "BlockKernel", counting("kernels", hz.BlockKernel))
         monkeypatch.setattr(hz, "stream", counting("streams", hz.stream))
@@ -397,7 +395,7 @@ class TestRefadeChunks:
                             counting("channels", hz.sample_unit_channels))
         monkeypatch.setattr(hz, "stream_words", counting("hashes", hz.stream_words))
         monkeypatch.setattr(hz, "cgauss", counting("draws", hz.cgauss))
-        monkeypatch.setattr(links.Substreams, "__iter__", recording_rows)
+        monkeypatch.setattr(hz, "substreams", recording_rows)
         records = []
         # the default budget, then one that leaves 3 draws per kernel chunk
         # at M = 16 and one at M = 36, and 2 (fig4) or 3 (oracle) per
@@ -419,8 +417,8 @@ class TestRefadeChunks:
             # largest M, whatever the chunking
             assert counts == {"kernels": systems * chunks, "channels": chunks,
                               "streams": len(Ms), "hashes": 1, "draws": len(sizes)}
-            # one generator, reseeded for each realization
-            assert len(gens) == R and len({id(gen) for gen in gens}) == 1
+            # R distinct generators, each opened once
+            assert len(gens) == R and len({id(gen) for gen in gens}) == R
         assert records[0] == records[1]
 
     def test_shared_draws_split_into_whole_kernel_chunks(self, monkeypatch):
@@ -768,6 +766,16 @@ class TestRunExperiment:
         second = run_experiment(rc)
         assert first.records == second.records
         assert first.summaries == second.summaries
+
+    @pytest.mark.parametrize("exp_id", ["oracle", "fig4"])
+    def test_numpy_integer_seed_runs_as_int(self, exp_id):
+        # a seed read off a numpy array addresses the same refade streams
+        rc = _shrunk(exp_id, seed=3, sweep=(16,), realizations=4, placements=1)
+        as_numpy = dataclasses.replace(rc, system=dataclasses.replace(rc.system,
+                                                                      seed=np.int64(3)))
+        got, want = run_experiment(as_numpy), run_experiment(rc)
+        assert got.records == want.records
+        assert got.extras == want.extras
 
     def test_asymptotic_curves_grow_with_array_size(self):
         rc = _shrunk("fig5", seed=1, sweep=(16.0, 36.0), realizations=3,

@@ -30,11 +30,11 @@ from lis_uplink import (
 from lis_uplink.channel import cgauss, half_angle_phasor
 from lis_uplink.links import (
     DOMAIN_BLOCK,
-    Substreams,
     exact_sinr,
     slice_stats,
     stream,
     stream_words,
+    substreams,
 )
 
 import reference
@@ -78,8 +78,8 @@ _KEY_WORDS = st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)
 
 class TestBatchedStreams:
     """``stream_words`` hashes a batch of stream addresses in one pass as
-    SeedSequence hashes each, and ``Substreams`` opens every row on one
-    generator in the state ``stream`` builds for it."""
+    SeedSequence hashes each, and ``substreams`` opens one generator per
+    row in the state ``stream`` builds for it."""
 
     @given(seed=_SEEDS, head=st.lists(_KEY_WORDS, max_size=3),
            varying=st.lists(_KEY_WORDS, min_size=1, max_size=8),
@@ -91,19 +91,49 @@ class TestBatchedStreams:
         seqs = [np.random.SeedSequence(seed, spawn_key=key) for key in keys]
         assert np.array_equal(words, [seq.generate_state(4, np.uint64) for seq in seqs])
         assert np.array_equal(stream_words(seed, *keys[0]), words[0])
-        streams = Substreams(words)
-        for seq, gen in zip(seqs, streams):
+        for seq, gen in zip(seqs, substreams(words)):
             want = np.random.PCG64(seq)
             assert gen.bit_generator.state == want.state
             assert np.array_equal(gen.standard_normal(5), np.random.Generator(want).standard_normal(5))
-        # drawn rows, whole and through a slice of the same streams
-        g, w = cgauss(streams, (2, 3), (4,))
+        # drawn rows, whole and from the streams of a slice of the words
+        g, w = cgauss(substreams(words), (2, 3), (4,))
         for r, key in enumerate(keys):
             g_r, w_r = cgauss(stream(seed, *key), (2, 3), (4,))
             assert np.array_equal(g[r].view(np.uint64), g_r.view(np.uint64))
             assert np.array_equal(w[r].view(np.uint64), w_r.view(np.uint64))
-        tail_rows = cgauss(streams[cut:], (3,))
-        assert np.array_equal(tail_rows.view(np.uint64), cgauss(streams, (3,))[cut:].view(np.uint64))
+        tail_rows = cgauss(substreams(words[cut:]), (3,))
+        assert np.array_equal(tail_rows.view(np.uint64),
+                              cgauss(substreams(words), (3,))[cut:].view(np.uint64))
+
+    @given(seed=_SEEDS, keys=st.lists(_KEY_WORDS, min_size=2, max_size=6, unique=True),
+           pick=st.integers(0, 5))
+    def test_opened_streams_are_independent(self, seed, keys, pick):
+        gens = substreams(stream_words(seed, 1, np.array(keys), 0))
+        assert len(gens) == len(keys) and len({id(gen) for gen in gens}) == len(keys)
+        opened = [gen.bit_generator.state for gen in gens]
+        assert opened == [stream(seed, 1, key, 0).bit_generator.state for key in keys]
+        # drawing from one stream moves it alone
+        r = pick % len(keys)
+        gens[r].standard_normal(3)
+        states = [gen.bit_generator.state for gen in gens]
+        assert [s for i, s in enumerate(states) if i != r] == opened[:r] + opened[r + 1:]
+        assert states[r] != opened[r]
+
+    def test_rows_reach_pcg64_as_four_contiguous_words(self):
+        # PCG64 reads four words off a row's buffer: a strided row must not
+        # seed it, and a row of another length is refused
+        words = np.asfortranarray(stream_words(5, 1, np.arange(3), 0))
+        states = [gen.bit_generator.state for gen in substreams(words)]
+        assert states == [stream(5, 1, key, 0).bit_generator.state for key in range(3)]
+        for bad in (words[:, :3], words[0], np.zeros((2, 5), np.uint64)):
+            with pytest.raises(ValueError):
+                substreams(bad)
+
+    @given(seed=st.integers(0, 2**63 - 1))
+    def test_numpy_integer_seed_hashes_as_int(self, seed):
+        key = (1, np.arange(3), 0)
+        assert np.array_equal(stream_words(np.int64(seed), *key), stream_words(seed, *key))
+        assert np.array_equal(stream_words(np.uint64(seed), *key), stream_words(seed, *key))
 
     @pytest.mark.parametrize("word", [-1, 2**32, 2**64])
     def test_key_word_of_more_than_one_entropy_word_rejected(self, word):
