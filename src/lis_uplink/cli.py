@@ -59,20 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    for name, text in (
-        ("simulate", "run the experiment named by the config"),
-        ("asymptotic", "analytic SSE curves only (no receive sampling)"),
-        ("optimize-t", "pilot-length search on the analytic objective"),
-        ("optimize-k", "device-count search on the floor bound"),
-        ("validate", "moment oracle: sampled means vs closed forms"),
-    ):
+    for name, (_, text) in _COMMANDS.items():
         _add_common(sub.add_parser(name, help=text))
-
-    p = sub.add_parser("reproduce", help="run a named experiment at its preset scale")
-    p.add_argument("experiment", help="experiment id: " + ", ".join(EXPERIMENTS))
-    _add_common(p)
-
+    sub.choices["reproduce"].add_argument(
+        "experiment", help="experiment id: " + ", ".join(EXPERIMENTS))
     return parser
 
 
@@ -169,12 +159,12 @@ def _cmd_reproduce(args) -> int:
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "asymptotic": _cmd_asymptotic,
-    "optimize-t": _cmd_optimize_t,
-    "optimize-k": _cmd_optimize_k,
-    "validate": _cmd_validate,
-    "reproduce": _cmd_reproduce,
+    "simulate": (_cmd_simulate, "run the experiment named by the config"),
+    "asymptotic": (_cmd_asymptotic, "analytic SSE curves only (no receive sampling)"),
+    "optimize-t": (_cmd_optimize_t, "pilot-length search on the analytic objective"),
+    "optimize-k": (_cmd_optimize_k, "device-count search on the floor bound"),
+    "validate": (_cmd_validate, "moment oracle: sampled means vs closed forms"),
+    "reproduce": (_cmd_reproduce, "run a named experiment at its preset scale"),
 }
 
 
@@ -182,7 +172,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        return _COMMANDS[args.subcommand][0](args)
     except ConfigError as exc:
         key = exc.key or "unknown key"
         print(f"config error ({key}): {exc}", file=sys.stderr)

@@ -259,9 +259,7 @@ class RunConfig:
             section, key = parts
             if section not in data:
                 raise ConfigError(f"unknown config section {section!r}", dotted)
-            if key not in data[section]:
-                raise ConfigError(f"unknown config key {dotted}", dotted)
-            data[section][key] = value
+            data[section][key] = value  # from_dict rejects an unknown key
         return RunConfig.from_dict(data)
 
     def canonical_json(self) -> str:

@@ -300,8 +300,14 @@ def _floor_counts(spec: ExperimentSpec, p: int, Ms):
     """fig8's, fig9's and ``device_count``'s frame: placement p's pool,
     placed once up to ``PlacementConfig.pool_target``, then (pool, cfg,
     sol) per floor array size M in Ms, cfg the pool config (K = pool.K, t
-    unset, M) and sol the count maximizing the Theorem 2 floor NSE on it."""
-    pool = _place(spec, p, K=spec.placement.pool_target(spec.system.T))
+    unset, M) and sol the count maximizing the Theorem 2 floor NSE on it.
+    ConfigError when one panel's pool is one device: with no interferer
+    every floor is zero, so no count has a finite floor NSE."""
+    target = spec.placement.pool_target(spec.system.T)
+    if spec.system.N == 1 and target == 1:
+        raise ConfigError("a device-count sweep on one panel needs a pool of at least "
+                          "2 devices", "placement.pool_size")
+    pool = _place(spec, p, K=target)
     for M in Ms:
         cfg = dataclasses.replace(spec.system, K=pool.K, t=None, M=M)
         # the table is not kept: it would stay alive through the caller's sampling

@@ -94,6 +94,17 @@ class TestParser:
             main(["--help"])
         assert capsys.readouterr().out == HELP_GOLDEN.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "sub", ["simulate", "asymptotic", "optimize-t", "optimize-k", "validate", "reproduce"]
+    )
+    def test_subcommand_help_matches_golden(self, sub, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        assert exc.value.code == 0
+        golden = HELP_GOLDEN.with_name(f"lis-sim-{sub}-help.txt")
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
 
 class TestConfigPrecedence:
     def test_simulate_runs_config_file(self, tmp_path, capsys):
@@ -250,6 +261,21 @@ class TestErrorPaths:
 
         monkeypatch.setattr("lis_uplink.harness.place_devices", no_placement)
         assert main([*argv, "--set", "system.T=1", "--set", "system.K=1"]) == 2
+        assert capsys.readouterr().err.startswith("config error (placement.pool_size)")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "experiment.id=fig8", "--set", "placement.pool_size=1"],
+        ["simulate", "--set", "experiment.id=fig9", "--set", "placement.pool_size=1"],
+        ["optimize-k", "--set", "placement.pool_size=1"],
+        ["optimize-k", "--set", "system.K=1", "--set", "system.T=2"],
+    ])
+    def test_one_panel_pool_of_one_exits_2_before_placement(self, argv, monkeypatch, capsys):
+        # one device on one panel has no interferer, so no count has a finite floor NSE
+        def no_placement(*args, **kwargs):
+            raise AssertionError("placement ran before the pool size was checked")
+
+        monkeypatch.setattr("lis_uplink.harness.place_devices", no_placement)
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error (placement.pool_size)")
 
     @pytest.mark.parametrize("sub, exp_id, values", [
