@@ -4,10 +4,11 @@ figure, aggregation, CSV output.
 Every figure reduces the same per-unit pipeline. A sweep point is a
 deployment from ``_place`` and the system config its links are built for.
 A reduction builds one ``panel_view`` of it for each panel it walks, and
-``_unit_blocks`` builds unit (n, k)'s geometry from its panel's view once,
-then draws each requested block and builds its statistics. Each
-statistics object carries its unit's link budget, so it needs no further
-arguments:
+``_unit_blocks`` draws every requested block of unit (n, k) first, then
+builds the unit's geometry from its panel's view once, with LOS vectors
+only on its serving link and the links some block gates (the rest reach
+no statistics), and builds each block's statistics. Each statistics
+object carries its unit's link budget, so it needs no further arguments:
 ``build_moment_set(stats)`` is its Lemma/Theorem moment set and, on
 channels ``ch = sample_unit_channels(stats, g)``, ``BlockKernel(stats, ch,
 w)`` is its sampled kernel and ``exact_sinr(stats, ch)`` its exact-filter
@@ -22,22 +23,29 @@ built or sampled on its own: it is the unit's cut to panel 0, statistics
 reductions walk the unit and its cut alike for kernels, exact-filter
 SINRs and moment sets. fig5, fig6, fig6b and fig7 share one reduction,
 ``_panel0_sse``; fig6b's row turns on its exact-filter (perfect-CSI)
-curves, and fig7 reads its one array size at its t grid.
+curves, whose panel-0 products are the twin kernel's ``A``, formed once,
+and fig7 reads its one array size at its t grid.
 
 The device-count frame, ``_floor_counts``, places a placement's pool once
 and yields, per floor array size, the pool config (K = pool, t unset) and
 the count maximizing the Theorem 2 floor NSE. fig8 and fig9 sample under
 that config, so every draw has the pool's shape, on the prefix of
 admitted devices, so geometry is built for those alone. ``_sampled_nse``
-draws each unit once per block and builds one kernel on the largest
-admitted count of its K grid; every smaller count is read off that kernel
-(``BlockKernel.terms(t, K)``), so the work is one draw and one kernel per
-(unit, block) whatever the grid holds. Only ``_place``, ``_unit_blocks``
-and ``_refades`` (fresh fading on a frozen block-0 condition) draw randomness.
+walks units outermost over every (array size, K grid) point of the sweep:
+it draws each unit once per block at the largest array size, where a
+smaller one reads its noise through ``cgauss_prefix``, and builds one
+kernel per point on the largest admitted count of its K grid; every
+smaller count is read off that kernel (``BlockKernel.terms(t, K)``), so
+the work is one draw per (unit, block) for the whole sweep and one kernel
+per (unit, block, array size), whatever the grids hold. Only ``_place``,
+``_draws`` and ``_refades`` (fresh fading on a frozen block-0 condition)
+draw randomness.
 
 fig4 and the moment oracle share one engine, ``_refades``: R refades of
 unit (0, 0) on its frozen block 0, each drawn once from its own stream at
-the largest M, which a smaller M reads through ``cgauss_prefix``.
+the largest M, which a smaller M reads through ``cgauss_prefix``. Each
+figure's measure is called once per array size (fig4 cuts its twin there)
+and returns the reader of that size's refade chunks.
 
 Randomness is addressed, not sequenced: every placement and every
 (block, unit) pair gets its own seed-derived substream (``stream(seed,
@@ -52,8 +60,8 @@ To add a figure, write a module-level ``reduction(spec, p)`` returning
 one ``Experiment`` row for it to ``EXPERIMENTS``. Walk units in the outer
 loop and their ``_unit_blocks`` in the inner one, and keep per-block
 scalars (SINRs, a moment set's ``sse_terms``), never statistics or moment
-sets: only the scalars grow with the blocks, and one unit's geometry is
-alive at a time.
+sets: only the scalars grow with the blocks, and one unit's draws and
+geometry are alive at a time.
 
 The optimizer objectives are engine calls on a config whose interference
 regime alone is resolved: ``pilot_objective`` is t -> panel 0's Theorem 1
@@ -86,6 +94,7 @@ from .links import (
     build_unit_geometry,
     draw_unit_block,
     exact_sinr,
+    los_gates,
     make_unit_stats,
     panel_view,
     placement_rng,
@@ -244,30 +253,43 @@ def _place(spec: ExperimentSpec, p_idx: int, K: int | None = None):
                          placement=spec.placement, K=K)
 
 
-def _unit_blocks(spec: ExperimentSpec, view: PanelView, p: int, blocks, k: int):
-    """Build unit (view.n, k)'s geometry from its panel's view once, then
-    yield (stats, draw) for each block b in `blocks` in order.
+def _draws(spec: ExperimentSpec, cfg: SystemConfig, p: int, blocks, n: int, k: int) -> list:
+    """Unit (n, k)'s draw of each block b in `blocks`, from stream address
+    (seed, DOMAIN_BLOCK, p, b, n, k), in `cfg`'s device shape and array size."""
+    return [draw_unit_block(stream(spec.system.seed, DOMAIN_BLOCK, p, b, n, k),
+                            cfg.N, cfg.K, cfg.P, cfg.M) for b in blocks]
+
+
+def _unit_blocks(spec: ExperimentSpec, view: PanelView, p: int, blocks, k: int, draws=None):
+    """Draw unit (view.n, k)'s blocks b in `blocks` first (``_draws`` under
+    the view's config, or the unit's `draws` of those blocks taken at a
+    larger array size), then build its geometry from its panel's view once,
+    with LOS vectors on the links some block gates (``los_gates``), and
+    yield (stats, draw) for each block in order.
 
     Each draw keeps the config's device shape (so the stream is consumed
     as for any other count) and is cut to the view's first K devices per
-    panel, every per-antenna noise sample kept: the admitted prefix in
-    ``_sampled_nse``, every device elsewhere. The statistics hold factored
-    roots; only ``build_moment_set`` densifies them, antenna-major."""
-    geom, cfg, n, K = build_unit_geometry(view, k), view.config, view.n, view.z.shape[1]
-    for b in blocks:
-        draw = draw_unit_block(stream(spec.system.seed, DOMAIN_BLOCK, p, b, n, k),
-                               cfg.N, cfg.K, cfg.P, cfg.M)
-        draw = dataclasses.replace(draw, coins=draw.coins[:, :K], angles=draw.angles[:, :K],
-                                   g=draw.g[:, :K])
-        yield make_unit_stats(geom, draw, cfg, spec.experiment.interference), draw
+    panel and to its array size (``cgauss_prefix``): the admitted prefix
+    in ``_sampled_nse``, every device elsewhere. The statistics hold
+    factored roots; only ``build_moment_set`` densifies them, antenna-major."""
+    cfg, n, K = view.config, view.n, view.z.shape[1]
+    draws = [dataclasses.replace(d, coins=d.coins[:, :K], angles=d.angles[:, :K], g=d.g[:, :K],
+                                 w=d.w if d.w.shape[-1] == cfg.M else cgauss_prefix(d.w, cfg.M))
+             for d in draws or _draws(spec, cfg, p, blocks, n, k)]
+    regime = spec.experiment.interference
+    los = np.any(los_gates(np.array([d.coins for d in draws]), view.p_los[k], n, regime), axis=0)
+    geom = build_unit_geometry(view, k, los)
+    for draw in draws:
+        yield make_unit_stats(geom, draw, cfg, regime), draw
 
 
 def _refades(spec: ExperimentSpec, p: int, rows: int, measure) -> list:
     """fig4's and the oracle's engine: (cfg, stats, values) per array size
     of placement p, stats unit (0, 0)'s frozen block-0 statistics and
-    values[:, r] the `rows` values ``measure(cfg, stats, channels, w)``
-    reads off realization r (stream b = r + 1), on the (c, N, K, M) channels
-    and (c, M) noise of c draws whose channels fit ``_REFADE_CHUNK_BYTES``.
+    values[:, r] the `rows` values that ``measure(cfg, stats)``, called once
+    per array size, returns a reader of: ``read(channels, w)`` reads them
+    off realization r (stream b = r + 1), on the (c, N, K, M) channels and
+    (c, M) noise of c draws whose channels fit ``_REFADE_CHUNK_BYTES``.
     Each stream is drawn once at the largest M (the sweep ascends), in chunks
     of the most draws that fit that budget (at least its kernel chunk) and
     that every smaller kernel chunk divides."""
@@ -279,13 +301,15 @@ def _refades(spec: ExperimentSpec, p: int, rows: int, measure) -> list:
     fit = max(chunks[-1], _REFADE_CHUNK_BYTES // (16 * (top.N * top.K * top.P + top.M)))
     draws = next(d for d in range(fit, 0, -1) if all(d % c == 0 for c in chunks if c < d))
     words = stream_words(spec.system.seed, DOMAIN_BLOCK, p, np.arange(1, R + 1), 0, 0)
+    readers = [measure(cfg, stats) for cfg, stats in units]
     for start in range(0, R, draws):
         g, w = cgauss(substreams(words[start:start + draws]), (top.N, top.K, top.P), (top.M,))
-        for (cfg, stats), chunk, out in zip(units, chunks, values[..., start:start + draws]):
+        for (cfg, stats), read, chunk, out in zip(units, readers, chunks,
+                                                  values[..., start:start + draws]):
             w_m = cgauss_prefix(w, cfg.M)
             for a in range(0, len(g), chunk):  # one sub-chunk's channels alive at a time
-                out[:, a:a + chunk] = measure(
-                    cfg, stats, sample_unit_channels(stats, g[a:a + chunk]), w_m[a:a + chunk])
+                out[:, a:a + chunk] = read(sample_unit_channels(stats, g[a:a + chunk]),
+                                           w_m[a:a + chunk])
     return [(*unit, out) for unit, out in zip(units, values)]
 
 
@@ -315,27 +339,40 @@ def _floor_counts(spec: ExperimentSpec, p: int, Ms):
             expected_floor_table(pool, cfg, spec.experiment.interference), cfg.T)
 
 
-def _sampled_nse(spec: ExperimentSpec, pool, cfg: SystemConfig, p: int, K_grid) -> list:
-    """Monte Carlo NSE of each of the experiment's blocks for every count K
-    in K_grid at pilot length t = K: one {K: NSE} per block. Unit (n, k) is
-    drawn once per block under the pool config `cfg`; its statistics and
-    its one ``BlockKernel`` cover the first max(K_grid) devices of `pool`
+def _sampled_nse(spec: ExperimentSpec, pool, p: int, points) -> list:
+    """Monte Carlo NSE of each of the experiment's blocks at every point
+    (cfg, K_grid) of `points`, for every count K in K_grid at pilot length
+    t = K: per point, one {K: NSE} per block. Units are walked outermost:
+    unit (n, k) is drawn once per block under the pool config of the
+    points' largest array size, and every point with k below its largest
+    count reads those draws (``_unit_blocks``). Its statistics and its one
+    ``BlockKernel`` there cover the first max(K_grid) devices of `pool`
     only, and each K > k reads its SINR off that kernel with
     ``gamma(K, K)``, which sums the interference over the first K devices."""
-    dep, R = pool.prefix(max(K_grid)), spec.experiment.realizations
-    gam = {K: np.empty((R, cfg.N, K)) for K in K_grid}
-    for n in range(cfg.N):
-        view = panel_view(dep, cfg, n)
-        for k in range(max(K_grid)):
-            for i, (stats, draw) in enumerate(_unit_blocks(spec, view, p, range(R), k)):
-                kern = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
-                for K in K_grid:
-                    if k < K:
-                        gam[K][i, n, k] = kern.gamma(K, K)
-                # dropped here, else it is alive while the next block's
-                # statistics are built, and the two set the peak memory
-                del stats
-    return [{K: sse(gam[K][i], K, cfg.T) for K in K_grid} for i in range(R)]
+    R, top = spec.experiment.realizations, max((cfg for cfg, _ in points), key=lambda c: c.M)
+    K_top = max(max(K_grid) for _, K_grid in points)
+    gam = [{K: np.empty((R, cfg.N, K)) for K in K_grid} for cfg, K_grid in points]
+    for n in range(top.N):
+        views = [panel_view(pool.prefix(max(K_grid)), cfg, n) for cfg, K_grid in points]
+        held = max(view.z.shape[1] for view in views)  # the devices some view admits
+        for k in range(K_top):
+            # held through the sweep, so cut to those devices and copied
+            draws = [dataclasses.replace(d, coins=d.coins[:, :held].copy(),
+                                         angles=d.angles[:, :held].copy(), g=d.g[:, :held].copy())
+                     for d in _draws(spec, top, p, range(R), n, k)]
+            for view, (_, K_grid), gam_p in zip(views, points, gam):
+                if k >= max(K_grid):
+                    continue
+                for i, (stats, draw) in enumerate(_unit_blocks(spec, view, p, range(R), k, draws)):
+                    kern = BlockKernel(stats, sample_unit_channels(stats, draw.g), draw.w)
+                    for K in K_grid:
+                        if k < K:
+                            gam_p[K][i, n, k] = kern.gamma(K, K)
+                    # dropped here, else it is alive while the next block's
+                    # statistics are built, and the two set the peak memory
+                    del stats
+    return [[{K: sse(gam_p[K][i], K, cfg.T) for K in K_grid} for i in range(R)]
+            for (cfg, K_grid), gam_p in zip(points, gam)]
 
 
 def device_count(rc: RunConfig, p: int = 0):
@@ -367,10 +404,11 @@ def _se_variance(spec: ExperimentSpec, p: int):
     scattering angles) is frozen per placement so the statistic isolates
     channel hardening. One record per placement carries the
     within-placement variance; curves then average over placements."""
-    def se(cfg, stats, ch, w):
-        t = cfg.pilot_len
-        return [[sse(gamma, t, cfg.T) for gamma in BlockKernel(s, ch[..., :N, :, :], w).gamma(t)]
-                for s, N in ((stats, cfg.N), (slice_stats(stats, N=1), 1))]
+    def se(cfg, stats):
+        t, systems = cfg.pilot_len, ((stats, cfg.N), (slice_stats(stats, N=1), 1))
+        return lambda ch, w: [
+            [sse(gamma, t, cfg.T) for gamma in BlockKernel(s, ch[..., :N, :, :], w).gamma(t)]
+            for s, N in systems]
     recs, mean_se = [], {}
     for cfg, _, rows in _refades(spec, p, 2, se):
         for label, row in zip(("multi-LIS SE variance", "single-LIS SE variance"), rows):
@@ -404,12 +442,15 @@ def _panel0_sse(spec: ExperimentSpec, p: int, sample: bool = True):
             for b, (stats, draw) in enumerate(_unit_blocks(spec, view, p, range(R), k)):
                 ch = sample_unit_channels(stats, draw.g) if filters else None
                 twin = ((slice_stats(stats, N=1), 1),) if systems == 2 else ()
-                for i, (s, N) in enumerate(((stats, cfg.N), *twin)):
+                rows = None  # the exact filter's panel-0 products, once formed
+                # the twin first: its kernel's A is those products, bit for bit
+                for i, (s, N) in reversed(list(enumerate(((stats, cfg.N), *twin)))):
                     if filters:
                         c = ch[..., :N, :, :]
                         kern = BlockKernel(s, c, draw.w)
+                        rows = kern.A if N == 1 else rows
                         for f, name in enumerate(filters):  # the exact filter reads no t
-                            gammas[b, :, i, f, k] = (exact_sinr(s, c) if name == "perfect CSI"
+                            gammas[b, :, i, f, k] = (exact_sinr(s, c, rows) if name == "perfect CSI"
                                                      else [kern.gamma(t) for t in ts])
                     if stride and b % stride == 0:  # the set is freed before the next
                         terms[b, :, i, k] = list(map(build_moment_set(s).sse_terms, ts))
@@ -437,7 +478,7 @@ def _ksweep(spec: ExperimentSpec, p: int):
             for K, v in zip(sol.K_values, sol.nse_curve) if math.isfinite(v)]
     mc_M = cfg.M if cfg.M <= _MC_KSWEEP_CAP else 196
     K_grid = sorted({K for K in spec.experiment.sweep_values if K <= pool.K} | {sol.K_opt})
-    nse = _sampled_nse(spec, pool, dataclasses.replace(cfg, M=mc_M), p, K_grid)
+    [nse] = _sampled_nse(spec, pool, p, [(dataclasses.replace(cfg, M=mc_M), K_grid)])
     recs += [(float(K), "Monte Carlo NSE", p, b, nse_b[K])
              for b, nse_b in enumerate(nse) for K in K_grid]
     extras = {"pool": pool.K, "K_opt": sol.K_opt, "nse_opt": sol.nse_opt, "mc_M": mc_M,
@@ -449,21 +490,23 @@ def _nse_vs_m(spec: ExperimentSpec, p: int):
     """fig9: NSE versus array size under three admission policies: the
     deterministic optimum, its sampled value, and fixed K=20.
 
-    Both sampled policies come from one ``_sampled_nse`` call per array
-    size, so each unit is drawn and its kernel built once per block for the
-    larger count; records list every block of the optimized-K policy, then
-    every block of K=20."""
-    recs, K_opt = [], {}
-    for pool, cfg, sol in _floor_counts(spec, p, spec.experiment.sweep_values):
-        K_opt[cfg.M] = sol.K_opt
+    The floor solutions of every array size come first; then one
+    ``_sampled_nse`` call samples both policies at every array size, so
+    each unit is drawn once per block for the whole sweep and its kernel
+    built once per array size for the larger count. Records run per array
+    size: the bound, every block of the optimized-K policy, then every
+    block of K=20."""
+    frames = list(_floor_counts(spec, p, spec.experiment.sweep_values))
+    pool = frames[0][0]
+    policies = [((sol.K_opt, "Monte Carlo NSE at optimized K"),
+                 (min(20, pool.K), "Monte Carlo NSE at K=20")) for _, _, sol in frames]
+    points = [(cfg, sorted({K for K, _ in pol})) for (_, cfg, _), pol in zip(frames, policies)]
+    recs = []
+    for (_, cfg, sol), pol, nse in zip(frames, policies, _sampled_nse(spec, pool, p, points)):
         recs.append((float(cfg.M), "Theorem 2 bound NSE at optimized K", p, 0, sol.nse_opt))
-        policies = ((sol.K_opt, "Monte Carlo NSE at optimized K"),
-                    (min(20, pool.K), "Monte Carlo NSE at K=20"))
-        K_grid = sorted({K for K, _ in policies})
-        nse = _sampled_nse(spec, pool, cfg, p, K_grid)
-        for K, label in policies:
+        for K, label in pol:
             recs += [(float(cfg.M), label, p, b, nse_b[K]) for b, nse_b in enumerate(nse)]
-    return recs, {"pool": pool.K, "K_opt": K_opt}
+    return recs, {"pool": pool.K, "K_opt": {cfg.M: sol.K_opt for _, cfg, sol in frames}}
 
 
 def _oracle_entry(samples, closed: float) -> dict:
@@ -480,9 +523,11 @@ def _oracle(spec: ExperimentSpec, p: int):
     array size. The gating coins and scattered-path angles come from the
     same substream at every M, drawn before anything M-shaped, so the array
     sizes share one channel condition and the leakage error compares across M."""
-    def moments(cfg, stats, ch, w):
-        kt = BlockKernel(stats, ch, w).terms(cfg.pilot_len)
-        return kt.X, np.sum(stats.geom.rho_d * kt.Y, axis=(-2, -1)), kt.Z, kt.I
+    def moments(cfg, stats):
+        def read(ch, w):
+            kt = BlockKernel(stats, ch, w).terms(cfg.pilot_len)
+            return kt.X, np.sum(stats.geom.rho_d * kt.Y, axis=(-2, -1)), kt.Z, kt.I
+        return read
     recs, report = [], []
     for cfg, stats, rows in _refades(spec, p, 4, moments):  # X, Y total, Z, I
         M, t, M2, ms = cfg.M, cfg.pilot_len, float(cfg.M) ** 2, build_moment_set(stats)

@@ -23,23 +23,27 @@ fixes, the pilot and data transmit SNRs of every device (power control)
 and each unit's deterministic serving power of Theorems 1 and 2. The
 sampler's reductions build one view per panel they walk, and the floor
 table (``optimize.expected_floor_table``) reads the same view.
-``build_unit_geometry(view, k)`` then forms only what is unit k's own:
-its links' distances and LOS vectors and its serving LOS power; the rest
-are views of the panel's arrays. The sampler and the Lemma moments read
-the budget from the unit's geometry alone.
+``build_unit_geometry(view, k, los)`` then forms only what is unit k's
+own: every link's distances, the LOS vectors of its serving link and of
+the links the mask `los` selects (zero on the others), and its serving
+LOS power; the rest are views of the panel's arrays. The sampler draws a
+unit's blocks first and selects the links some block gates, the only
+ones whose LOS vectors reach its statistics. The sampler and the Lemma
+moments read the budget from the unit's geometry alone.
 
 ``los_vectors`` is the one LOS formula, called by ``build_unit_geometry``
-and by the floor table, which forms a unit's LOS vectors only for the
-links that can carry LOS. They are ``channel.half_angle_phasor`` values on
+and by the floor table, which both form a unit's LOS vectors only for the
+links they read. They are ``channel.half_angle_phasor`` values on
 the half LOS phase, the gain folded into the one divide; of their powers
 only the serving link's is summed (``own_power``).
 
-The two rules of the link model live here alone: ``contamination_weights``
+The rules of the link model live here alone: ``contamination_weights``
 (which same-pilot devices contaminate a unit's channel estimate, and how
-strongly) and ``los_allowed`` (which panels' links may carry LOS under an
-interference regime). The sampler (``make_unit_stats``, ``BlockKernel``),
-the Lemma moments (``asymptotics.build_moment_set``) and the Theorem 2
-floor table (``optimize.expected_floor_table``) all read them.
+strongly), ``los_allowed`` (which panels' links may carry LOS under an
+interference regime) and ``los_gates`` (which links a block's coins gate
+to LOS). The sampler (``make_unit_stats``, ``BlockKernel``), the Lemma
+moments (``asymptotics.build_moment_set``) and the Theorem 2 floor table
+(``optimize.expected_floor_table``) all read them.
 
 A panel-0 unit's single-LIS twin is its cut to panel 0, statistics
 ``slice_stats(stats, N=1)`` and channels ``ch[..., :1, :, :]``, which
@@ -142,7 +146,7 @@ class UnitLinkGeometry:
     n: int
     k: int
     distances: np.ndarray     # (N, K, M) device-to-antenna distances
-    hlos: np.ndarray          # (N, K, M) LOS vectors of all incoming links
+    hlos: np.ndarray          # (N, K, M) LOS vectors of the formed links, zero elsewhere
     own_power: float          # serving-link LOS power sum_m |hlos[n, k, m]|^2
     kappa_cand: np.ndarray    # (N, K) Rician factor if the link carries LOS
     p_los: np.ndarray         # (N, K) LOS probability of each link
@@ -159,23 +163,34 @@ def los_vectors(x: np.ndarray, y: np.ndarray, z: np.ndarray, rows: np.ndarray,
     rows[:, 1] (side, 2). `out` holds three contiguous (..., M) float
     arrays that receive the distances and two work values, then the LOS
     vectors' ``half_angle_phasor`` `out` (new arrays by default). The one
-    LOS formula, which both ``build_unit_geometry`` and
-    ``optimize.expected_floor_table`` call."""
+    LOS formula, which ``optimize.expected_floor_table`` calls whole and
+    ``build_unit_geometry`` in its two steps: distances for every link,
+    LOS vectors for the selected ones."""
     d, h, den, hlos = out or (None,) * 4
+    d = _lattice_distances(x, y, z, rows, config, d)
+    return d, _los_phasor(d, z, config, h, den, hlos)
+
+
+def _lattice_distances(x, y, z, rows, config: SystemConfig, d=None) -> np.ndarray:
+    """``los_vectors``' (..., M) distances, into the float array `d` if given."""
     # the squared offsets along x (ih), y (iv) and z broadcast into d
     lattice = (*z.shape, config.m_side, config.m_side)
     d = np.empty(lattice) if d is None else d.reshape(lattice)
     x, y = x[..., np.newaxis, np.newaxis], y[..., np.newaxis, np.newaxis]
     np.add(np.square(x - rows[:, 0]), np.square(y - rows[:, 1, np.newaxis]), out=d)
     d += np.square(z)[..., np.newaxis, np.newaxis]
-    d = np.sqrt(d, out=d).reshape(*z.shape, config.M)
+    return np.sqrt(d, out=d).reshape(*z.shape, config.M)
+
+
+def _los_phasor(d, z, config: SystemConfig, h=None, den=None, hlos=None) -> np.ndarray:
+    """``los_vectors``' LOS vectors on distances d (..., M) and offsets z (...,)."""
     # hlos = beta exp(-2j pi d / lam), beta = sqrt(z / d) / sqrt(4 pi d^2) =
     # sqrt(z / 4 pi) / (sqrt(d) d): a phasor on the half angle -pi d / lam
     h = np.multiply(d, -np.pi, out=h)
     h *= 1.0 / config.lam
     den = np.sqrt(d, out=den)
     den *= d
-    return d, half_angle_phasor(h, np.sqrt(z / (4.0 * np.pi))[..., np.newaxis], den, hlos)
+    return half_angle_phasor(h, np.sqrt(z / (4.0 * np.pi))[..., np.newaxis], den, hlos)
 
 
 @dataclass(frozen=True)
@@ -222,12 +237,20 @@ def panel_view(deployment: Deployment, config: SystemConfig, n: int) -> PanelVie
                      rician_factor(cdist), *transmit_snrs(deployment, config), np.array(p_bar))
 
 
-def build_unit_geometry(view: PanelView, k: int) -> UnitLinkGeometry:
+def build_unit_geometry(view: PanelView, k: int,
+                        los: np.ndarray | None = None) -> UnitLinkGeometry:
     """Unit (view.n, k)'s geometry: of its own it forms only the distances
-    and LOS vectors of its links (``los_vectors``) and its serving LOS
-    power; the rest are views of the panel's arrays."""
-    n, devices = view.n, view.devices
-    d, hlos = los_vectors(devices[..., 0], devices[..., 1], view.z, view.rows[k], view.config)
+    of every link, the LOS vectors (``los_vectors``) of its serving link
+    and of the links the (N, K) mask `los` selects (every link by default),
+    zero elsewhere, and its serving LOS power; the rest are views of the
+    panel's arrays. Path loss needs every distance, but only a gated link's
+    LOS vector reaches a block's statistics (``make_unit_stats``)."""
+    n, devices, z = view.n, view.devices, view.z
+    d = _lattice_distances(devices[..., 0], devices[..., 1], z, view.rows[k], view.config)
+    los = np.ones(z.shape, dtype=bool) if los is None else los.copy()
+    los[n, k] = True
+    hlos = np.zeros(d.shape, dtype=complex)
+    hlos[los] = _los_phasor(d[los], z[los], view.config)
     return UnitLinkGeometry(
         n=n,
         k=k,
@@ -275,6 +298,13 @@ def contamination_weights(rho_p: np.ndarray, n: int, k) -> np.ndarray:
     return weights
 
 
+def los_gates(coins: np.ndarray, p_los: np.ndarray, n: int, regime: str) -> np.ndarray:
+    """(..., N, K) LOS gates of the links to a panel-n unit: a link carries
+    LOS when its coin falls below its LOS probability and ``los_allowed``
+    lets its panel carry LOS under `regime`."""
+    return (coins < p_los) & los_allowed(regime, p_los.shape[0], n)
+
+
 def los_allowed(regime: str, N: int, n: int) -> np.ndarray:
     """(N, 1) mask of the panels whose links toward panel n may carry LOS.
 
@@ -310,14 +340,14 @@ def make_unit_stats(
     config: SystemConfig,
     interference: str = "rician",
 ) -> UnitChannelStats:
-    """Apply the LOS gates and build this block's channel statistics.
-
-    A link keeps LOS when its coin falls below its LOS probability and
-    ``los_allowed`` lets its panel carry LOS under `interference`; every
-    gate is consumed in either regime, so draws stay aligned across them.
+    """Apply the LOS gates (``los_gates``) and build this block's channel
+    statistics. Every gate is consumed in either regime, so draws stay
+    aligned across them. ValueError when a gated link's LOS vector was not
+    formed (``build_unit_geometry``'s `los`), which would zero its mean.
     """
-    N = geom.p_los.shape[0]
-    gated = (draw.coins < geom.p_los) & los_allowed(interference, N, geom.n)
+    gated = los_gates(draw.coins, geom.p_los, geom.n, interference)
+    if np.any(gated & (geom.hlos[..., 0] == 0)):
+        raise ValueError("the block gates LOS on a link whose LOS vector was not formed")
     kappa = np.where(gated, geom.kappa_cand, 0.0)
     kappa[geom.n, geom.k] = np.inf  # serving link is deterministic LOS
     los_scale, nlos_scale = rician_mixing(kappa)
@@ -387,13 +417,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., np.newaxis, :] @ b[..., :, np.newaxis])[..., 0, 0]
 
 
-def exact_sinr(stats: UnitChannelStats, ch: np.ndarray) -> np.ndarray:
+def exact_sinr(stats: UnitChannelStats, ch: np.ndarray,
+               rows: np.ndarray | None = None) -> np.ndarray:
     """SINR of unit (n, k)'s exact (perfect-CSI) filter h_los on its sampled
     channels ch (..., N, K, M) from ``sample_unit_channels``, per leading
-    draw (a scalar for a single draw)."""
+    draw (a scalar for a single draw). `rows` (..., N0, K) are the filter's
+    per-link products ch . conj(h_los) of the first N0 panels when they are
+    formed already, as a one-panel kernel's ``A`` is (``BlockKernel``): only
+    the other panels' products are formed here."""
     geom = stats.geom
     n, k = geom.n, geom.k
-    Y = np.abs(_dot(ch, np.conj(geom.hlos[n, k]))) ** 2
+    A = _dot(ch[..., 0 if rows is None else rows.shape[-2]:, :, :], np.conj(geom.hlos[n, k]))
+    Y = np.abs(A if rows is None else np.concatenate((rows, A), axis=-2)) ** 2
     Y[..., n, k] = 0.0
     I = np.sum(geom.rho_d * Y, axis=(-2, -1)) + geom.own_power
     return float(geom.rho_d[n, k]) * geom.own_power**2 / I

@@ -47,9 +47,11 @@ As in the engine, a sweep point is a deployment and the system config its
 links are built for; the oracles below take the pair.
 
 ``sampled_nse_per_count`` is the device-count sampler that redraws every
-unit and builds its statistics and kernel once per admitted count K, on
-the pool's first K devices alone, against ``harness._sampled_nse``'s one
-kernel per unit read at every K. It scores each count with
+unit at every array size and builds its geometry (every LOS vector),
+statistics and kernel once per admitted count K, on the pool's first K
+devices alone, against ``harness._sampled_nse``'s one draw per unit for
+the whole sweep, LOS vectors on gated links alone and one kernel per
+array size read at every K. It scores each count with
 ``nse_of_gammas``, the network SE at t = K written out on its own (prelog
 times the mean over panels of the per-panel SE sums), which is the oracle
 of ``asymptotics.sse`` on (N, K) SINRs.
@@ -94,6 +96,7 @@ from lis_uplink.links import (
     BlockKernel,
     UnitChannelStats,
     build_unit_geometry,
+    draw_unit_block,
     exact_sinr,
     make_unit_stats,
     panel_view,
@@ -558,24 +561,34 @@ def nse_of_gammas(gammas: np.ndarray, K: int, T: int) -> float:
     return float(prelog * np.mean(per_panel))
 
 
-def sampled_nse_per_count(spec, pool, cfg, p: int, K_grid) -> list:
-    """Monte Carlo NSE of each of the experiment's blocks for every K in
-    K_grid, one count at a time: unit (n, k) is drawn again for each K > k
-    under the pool config `cfg`, on the pool's first K devices, so its
-    statistics and kernel cover those devices alone."""
-    blocks = range(spec.experiment.realizations)
-    out = [{} for _ in blocks]
-    for K in K_grid:
-        dep = pool.prefix(K)
-        gam = np.empty((len(blocks), cfg.N, K))
-        for n in range(cfg.N):
-            for k in range(K):
-                for i, (stats, draw) in enumerate(
-                        harness._unit_blocks(spec, panel_view(dep, cfg, n), p, blocks, k)):
-                    ch = sample_unit_channels(stats, draw.g)
-                    gam[i, n, k] = BlockKernel(stats, ch, draw.w).gamma(K)
-        for nse, gam_b in zip(out, gam):
-            nse[K] = nse_of_gammas(gam_b, K, cfg.T)
+def sampled_nse_per_count(spec, pool, p: int, points) -> list:
+    """Monte Carlo NSE of each of the experiment's blocks at every point
+    (cfg, K_grid), for every K in K_grid, one array size and one count at a
+    time: unit (n, k) is drawn again from its stream for each K > k under
+    the pool config `cfg`, cut to the pool's first K devices, on a geometry
+    with every link's LOS vector formed, so its statistics and kernel cover
+    those devices alone."""
+    R, regime = spec.experiment.realizations, spec.experiment.interference
+    out = []
+    for cfg, K_grid in points:
+        nse = [{} for _ in range(R)]
+        for K in K_grid:
+            gam = np.empty((R, cfg.N, K))
+            for n in range(cfg.N):
+                view = panel_view(pool.prefix(K), cfg, n)
+                for k in range(K):
+                    geom = build_unit_geometry(view, k)
+                    for b in range(R):
+                        draw = draw_unit_block(stream(spec.system.seed, DOMAIN_BLOCK, p, b, n, k),
+                                               cfg.N, cfg.K, cfg.P, cfg.M)
+                        draw = dataclasses.replace(draw, coins=draw.coins[:, :K],
+                                                   angles=draw.angles[:, :K], g=draw.g[:, :K])
+                        stats = make_unit_stats(geom, draw, cfg, regime)
+                        ch = sample_unit_channels(stats, draw.g)
+                        gam[b, n, k] = BlockKernel(stats, ch, draw.w).gamma(K)
+            for nse_b, gam_b in zip(nse, gam):
+                nse_b[K] = nse_of_gammas(gam_b, K, cfg.T)
+        out.append(nse)
     return out
 
 

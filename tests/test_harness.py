@@ -16,8 +16,11 @@ from lis_uplink import (
     ConfigError,
     Deployment,
     ExperimentSpec,
+    LayoutConfig,
     RawRecord,
     RunConfig,
+    SystemConfig,
+    place_devices,
     preset_run_config,
     run_asymptotic,
     run_experiment,
@@ -236,6 +239,49 @@ class TestPanelZeroSlice:
             assert stats.hbar.shape == (cfg.N, 1, cfg.M)
 
 
+class TestGatedGeometry:
+    """``_unit_blocks`` draws a unit's blocks before its geometry, which
+    forms LOS vectors on the serving link and on the links some block gates
+    alone: every block's statistics equal those on a geometry with every
+    LOS vector formed, bit for bit."""
+
+    @pytest.mark.parametrize("regime", ["rician", "nlos_inter"])
+    def test_stats_equal_all_links_geometry(self, regime):
+        # a quad pool at the default gaps, where about a quarter of the
+        # links lie past d_C, so even the Rician regime leaves links out
+        cfg = SystemConfig(M=36, K=8, N=4, T=50, P=4, seed=13)
+        dep = place_devices(cfg, LayoutConfig(name="quad"), links.placement_rng(13, 0))
+        spec = SimpleNamespace(system=SimpleNamespace(seed=13),
+                               experiment=SimpleNamespace(interference=regime))
+        blocks, left_out, mixed = [3, 0, 1], 0, 0
+        for n in range(cfg.N):
+            view = links.panel_view(dep, cfg, n)
+            for k in range(cfg.K):
+                whole = links.build_unit_geometry(view, k)
+                got = list(hz._unit_blocks(spec, view, 1, blocks, k))
+                geom = got[0][0].geom
+                formed = geom.hlos[..., 0] != 0
+                gates = [links.los_gates(draw.coins, view.p_los[k], n, regime) for _, draw in got]
+                want = np.logical_or.reduce(gates)
+                want[n, k] = True
+                assert np.array_equal(formed, want)
+                left_out += np.count_nonzero(~formed)
+                assert np.array_equal(geom.distances, whole.distances)
+                assert np.array_equal(geom.hlos[formed], whole.hlos[formed])
+                for stats, draw in got:
+                    assert stats.geom is geom
+                    ref = links.make_unit_stats(whole, draw, cfg, regime)
+                    for name in ("hbar", "kappa", "nlos_scale"):
+                        assert np.array_equal(getattr(stats, name), getattr(ref, name)), name
+                    for name in ("ramp_v", "ramp_h", "pathloss"):
+                        assert np.array_equal(getattr(stats.roots, name),
+                                              getattr(ref.roots, name)), name
+                mixed += np.count_nonzero(want & ~np.logical_and.reduce(gates))
+        # links left without a LOS vector, and links that one block gates
+        # and another does not: the geometry holds the union of the gates
+        assert left_out > 0 and mixed > 0
+
+
 class TestAdmittedPrefix:
     """fig8 and fig9 sample on the admitted devices of the pool only: the
     first max(K_grid), or max(K_opt, min(20, pool))."""
@@ -312,7 +358,7 @@ class TestRefadeChunks:
                                experiment=SimpleNamespace(realizations=R))
         cfgs = [SimpleNamespace(N=N, K=K, P=P, M=M) for M in Ms]
         p = 2
-        ends, gens, hashes, calls, shared = [], [], [], [], []
+        ends, gens, hashes, calls, shared, readers = [], [], [], [], [], []
         open_rows, hash_words = hz.substreams, hz.stream_words
 
         def recording_rows(words):
@@ -324,9 +370,13 @@ class TestRefadeChunks:
             hashes.append(args)
             return hash_words(*args)
 
-        def measure(cfg, stats, g, w):
-            calls.append((cfg.M, g, w))
-            return w.real[:, :1].T
+        def measure(cfg, stats):
+            readers.append(cfg.M)
+
+            def read(g, w):
+                calls.append((cfg.M, g, w))
+                return w.real[:, :1].T
+            return read
 
         # the sweep points' statistics stubbed out and the channels sampled
         # as the fading itself, so `measure` sees each sub-chunk's (g, w)
@@ -343,6 +393,8 @@ class TestRefadeChunks:
         assert len(hashes) == 1 and len(gens) == len(ends) == R
         assert len({id(gen) for gen in gens}) == R
         assert [cfg for cfg, _, _ in out] == cfgs
+        # one reader per array size, whatever its chunks
+        assert readers == Ms
         # shared draws of one size (the last one ragged): within the budget,
         # or one kernel chunk of the largest M when that holds less
         size = shared[0]
@@ -457,19 +509,23 @@ class TestRefadeChunks:
 
 
 class TestOneKernelPerUnit:
-    """fig8 and fig9 draw each (unit, block) once and build one kernel on it
-    for the largest admitted count of the block's K grid; every smaller
-    count is read off that kernel."""
+    """fig8 and fig9 draw each (unit, block) once for the whole sweep, at
+    its largest array size, and build one kernel on it per array size for
+    the largest admitted count of that size's K grid; every smaller count
+    is read off that kernel."""
 
     @pytest.mark.parametrize("exp_id, overrides", [
         ("fig8", {"experiment.sweep_values": [1, 2, 4]}),
         ("fig9", {"experiment.sweep_values": [16, 36]}),
+        # the middle array size admits the most devices (22, against 20
+        # and 21): its last units are drawn at the largest size, unused there
+        ("fig9", {"experiment.sweep_values": [25, 36, 49], "system.seed": 0}),
     ])
     def test_one_draw_and_one_kernel_per_unit_and_block(self, exp_id, overrides, monkeypatch):
         R = 2
         rc = preset_run_config(exp_id, seed=2).with_overrides({
-            **overrides, "system.M": 16, "placement.pool_size": 24,
-            "experiment.realizations": R, "experiment.placements": 1})
+            "system.M": 16, "placement.pool_size": 24, "experiment.realizations": R,
+            "experiment.placements": 1, **overrides})
         N = rc.system.N
         counts = {}
 
@@ -487,14 +543,17 @@ class TestOneKernelPerUnit:
         if exp_id == "fig9":
             pool = extras["pool"]
             grids = [{K, min(20, pool)} for K in extras["K_opt"].values()]
-            # one array size admits two counts, so its units serve both
+            # one array size admits two counts, so its units serve both,
+            # and the array sizes admit different largest counts, so a
+            # unit's draws serve some sizes and not others
             assert any(len(grid) == 2 for grid in grids), (extras, pool)
+            assert len({max(grid) for grid in grids}) > 1, (extras, pool)
         else:
             grids = [extras["K_grid"]]
         units = sum(R * N * max(grid) for grid in grids)
-        assert counts == {"kernels": units, "draws": units}
+        assert counts == {"kernels": units, "draws": R * N * max(map(max, grids))}
 
-        # the records of drawing and building every unit again per count
+        # the records of drawing every unit again per array size and count
         monkeypatch.setattr(hz, "_sampled_nse", reference.sampled_nse_per_count)
         assert run_experiment(rc).records == got.records
 
@@ -549,24 +608,26 @@ class TestUnitMajorGeometry:
         _, exp_id, overrides = CASES[case]
         rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
         counts = dict.fromkeys(("sampler", "table", "snrs", "units"), 0)
-        latest = []
+        latest = {}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
                 counts[name] += 1
                 out = fn(*args, **kwargs)
                 if name == "sampler":
-                    latest[:] = [out]
+                    latest[out.n, out.config.M] = out
                 return out
             return wrapper
 
         build = hz.build_unit_geometry
 
-        def unit(view, k):
-            # each unit is built from the view of its panel made last
+        def unit(view, k, *los):
+            # each unit is built from the view of its panel and array size
+            # made last (fig8 and fig9 make a panel's views for every array
+            # size before walking its units)
             counts["units"] += 1
-            assert view is latest[0]
-            return build(view, k)
+            assert view is latest[view.n, view.config.M]
+            return build(view, k, *los)
 
         monkeypatch.setattr(hz, "panel_view", counting("sampler", hz.panel_view))
         monkeypatch.setattr(optimize, "panel_view", counting("table", optimize.panel_view))
@@ -660,6 +721,58 @@ class TestSingleLisTwin:
         assert counts == {"geometry": units, "stats": blocks, "channels": blocks,
                           "kernels": systems * blocks}
         assert (units, blocks) == scale
+
+    def test_fig6b_forms_panel0_exact_products_once(self, monkeypatch):
+        """fig6b's exact-filter SINRs of a block, the twin's and the
+        multi-LIS unit's, both read the twin kernel's ``A`` as the exact
+        filter's panel-0 products, so those are formed once per block."""
+        _, exp_id, overrides = CASES["fig6b"]
+        rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
+        calls, kernels = [], []
+        exact, kernel = hz.exact_sinr, hz.BlockKernel
+
+        def recording(stats, ch, rows=None):
+            calls.append((ch.shape[-3], rows))
+            return exact(stats, ch, rows)
+
+        def building(*args):
+            kernels.append(kernel(*args))
+            return kernels[-1]
+
+        monkeypatch.setattr(hz, "exact_sinr", recording)
+        monkeypatch.setattr(hz, "BlockKernel", building)
+        run_experiment(rc)
+        exp, N = rc.experiment, rc.system.N
+        blocks = exp.placements * len(exp.sweep_values) * rc.system.K * exp.realizations
+        assert [n for n, _ in calls] == [1, N] * blocks and len(kernels) == 2 * blocks
+        # per block, the twin's kernel comes first and its A serves both
+        for twin, multi, (_, a), (_, b) in zip(kernels[::2], kernels[1::2], calls[::2],
+                                               calls[1::2]):
+            assert a is b is twin.A
+            assert multi.A.shape[-2] == N
+
+    def test_fig4_cuts_the_twin_once_per_array_size(self, monkeypatch):
+        """fig4 cuts each array size's frozen statistics to panel 0 once,
+        however many kernel chunks of refades read them: here one chunk per
+        refade, two kernels each."""
+        _, exp_id, overrides = CASES["fig4"]
+        rc = preset_run_config(exp_id, seed=SEED).with_overrides(overrides)
+        counts = dict.fromkeys(("cuts", "kernels"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(hz, "_REFADE_CHUNK_BYTES", 1)
+        monkeypatch.setattr(hz, "slice_stats", counting("cuts", hz.slice_stats))
+        monkeypatch.setattr(hz, "BlockKernel", counting("kernels", hz.BlockKernel))
+        run_experiment(rc)
+        exp = rc.experiment
+        sizes = exp.placements * len(exp.sweep_values)
+        assert counts == {"cuts": sizes, "kernels": 2 * sizes * exp.realizations}
+        assert exp.realizations > 1
 
     def test_analytic_runners_sample_no_channels(self, monkeypatch, tmp_path, capsys):
         """``run_asymptotic`` and ``lis-sim optimize-t`` read moment sets

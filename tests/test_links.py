@@ -232,6 +232,40 @@ class TestUnitStats:
                     assert not np.any(np.delete(stats.hbar, n, axis=0))
         assert shut and gated
 
+    def test_los_vectors_only_on_selected_links(self, quad_world):
+        """``build_unit_geometry``'s mask picks the links whose LOS vectors
+        it forms, the serving link always among them: those rows equal an
+        all-links geometry's bit for bit, the others are zero, and every
+        link keeps its distances."""
+        dep, cfg = quad_world
+        view = panel_view(dep, cfg, 2)
+        whole = build_unit_geometry(view, 1)
+        los = np.zeros((cfg.N, cfg.K), dtype=bool)
+        los[0, 0] = los[3, 1] = True
+        geom = build_unit_geometry(view, 1, los)
+        formed = los.copy()
+        formed[2, 1] = True
+        assert np.array_equal(geom.distances, whole.distances)
+        assert np.array_equal(geom.hlos[formed], whole.hlos[formed])
+        assert not np.any(geom.hlos[~formed])
+        assert geom.own_power == whole.own_power
+        assert not los[2, 1]  # the caller's mask is left as it was
+
+    def test_gated_link_without_los_vector_raises(self, quad_world):
+        """A block that gates a link whose LOS vector was not formed is
+        refused; one that gates only formed links builds."""
+        dep, cfg = quad_world
+        view = panel_view(dep, cfg, 0)
+        geom = build_unit_geometry(view, 0, np.zeros((cfg.N, cfg.K), dtype=bool))
+        draw = draw_unit_block(np.random.default_rng(6), cfg.N, cfg.K, cfg.P, cfg.M)
+        assert np.any(view.p_los[0] > 0.0)
+        every = dataclasses.replace(draw, coins=np.zeros((cfg.N, cfg.K)))
+        with pytest.raises(ValueError, match="not formed"):
+            make_unit_stats(geom, every, cfg)
+        none = dataclasses.replace(draw, coins=np.ones((cfg.N, cfg.K)))
+        stats = make_unit_stats(geom, none, cfg)
+        assert np.array_equal(stats.hbar[0, 0], geom.hlos[0, 0])
+
     def test_sampling_respects_mixing(self, tiny_world):
         dep, cfg = tiny_world
         geom = build_unit_geometry(panel_view(dep, cfg, 0), 0)
